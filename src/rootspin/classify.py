@@ -13,7 +13,6 @@ data at call time; nothing is matched against transcribed numbers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,6 +28,7 @@ from .errors import (
     UnknownAngle,
 )
 from .induction import induce_4d
+from .lattice import Lattice
 from .presets import a1_system, build_preset, direct_sum
 from .qfield import QScalar
 from .roots import (
@@ -39,8 +39,6 @@ from .roots import (
     span_rank,
     verify_root_axioms,
 )
-
-_HALF = Fraction(1, 2)
 
 
 def _value_key(q: QScalar):
@@ -66,42 +64,38 @@ class Signature:
         )
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[ri] = rj
+def _component_sizes(adjacent: np.ndarray) -> list[int]:
+    """Sizes of the connected components of a symmetric adjacency matrix."""
+    unseen = np.ones(len(adjacent), dtype=bool)
+    sizes = []
+    while unseen.any():
+        comp = np.zeros_like(unseen)
+        comp[np.argmax(unseen)] = True
+        while True:
+            grown = comp | adjacent[comp].any(axis=0)
+            if (grown == comp).all():
+                break
+            comp = grown
+        unseen &= ~comp
+        sizes.append(int(comp.sum()))
+    return sizes
 
 
 def signature(rs: RootSystem) -> Signature:
     """Exact signature of a root system (roots are unit-normalized first)."""
     units = normalize_roots(rs)
     n = len(units)
-    counts: Counter = Counter()
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            d = units[i].dot(units[j])
-            counts[_value_key(d)] += 1
-            if j > i and not d.is_zero():
-                uf.union(i, j)
-    comp_sizes = Counter(uf.find(i) for i in range(n))
+    lattice = Lattice(units, rs.disc)
+    ga, gb = lattice.gram()
+    spectrum = sorted(
+        (_value_key(value), c) for value, c in lattice.inner_products((ga, gb)).items()
+    )
+    adjacent = (ga != 0) | (gb != 0)
     return Signature(
         dim=rs.dim,
         count=n,
-        spectrum=tuple(sorted(counts.items())),
-        components=tuple(sorted(comp_sizes.values(), reverse=True)),
+        spectrum=tuple(spectrum),
+        components=tuple(sorted(_component_sizes(adjacent), reverse=True)),
     )
 
 
@@ -158,27 +152,6 @@ def identify(sig: Signature) -> str:
 # -- Coxeter group order ------------------------------------------------------
 
 
-def _reflection_permutations(rs: RootSystem) -> list[tuple[int, ...]]:
-    from .roots import _mirror_factor, _reflect_fast
-
-    index = {r: i for i, r in enumerate(rs.roots)}
-    perms = set()
-    for a in rs.roots:
-        fa = _mirror_factor(a)
-        images = []
-        for r in rs.roots:
-            img = _reflect_fast(r, a, fa)
-            pos = index.get(img)
-            if pos is None:
-                raise RootspinError(
-                    f"{rs!r} is not reflection-closed at root {a}; "
-                    "run verify_root_axioms"
-                )
-            images.append(pos)
-        perms.add(tuple(images))
-    return sorted(perms)
-
-
 def _permutation_group_order(gens: Sequence[tuple[int, ...]], cap: int) -> int:
     n = len(gens[0])
     dtype = np.uint8 if n <= 255 else np.uint32
@@ -211,7 +184,15 @@ def _permutation_group_order(gens: Sequence[tuple[int, ...]], cap: int) -> int:
 def coxeter_order(rs: RootSystem, cap: int | None = None) -> int:
     """Order of the group generated by all root reflections, acting on roots."""
     cap = resolve_cap(cap, GROUP_CLOSURE_CAP)
-    return _permutation_group_order(_reflection_permutations(rs), cap)
+    lattice = Lattice(rs.roots, rs.disc)
+    table = lattice.reflection_table(lattice.gram())
+    open_rows = np.flatnonzero((table < 0).any(axis=1))
+    if open_rows.size:
+        raise RootspinError(
+            f"{rs!r} is not reflection-closed at root {rs.roots[open_rows[0]]}; "
+            "run verify_root_axioms"
+        )
+    return _permutation_group_order(sorted(set(map(tuple, table.tolist()))), cap)
 
 
 # -- simple roots and Coxeter matrix ------------------------------------------

@@ -44,16 +44,15 @@ def _trusted_rotor(mv: Multivector) -> Rotor:
 class RotorGroup:
     """Finite group of rotors, canonically ordered, closed under the product."""
 
-    __slots__ = ("dim", "elements", "generators", "_set")
+    __slots__ = ("dim", "elements", "_set")
 
-    def __init__(self, elements: Sequence[Rotor], generators: Sequence[Rotor]):
+    def __init__(self, elements: Sequence[Rotor]):
         elems = sorted(set(elements))
         dims = {r.dim for r in elems}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
         object.__setattr__(self, "dim", elems[0].dim)
         object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "_set", frozenset(r.mv for r in elems))
         self._validate()
 
@@ -100,7 +99,6 @@ def generate_rotor_group(
             raise NonUnitVector(f"root {r} is not exactly unit length")
         mvs.append(Multivector.from_vector(r))
     seed_mvs = {a * b for a in mvs for b in mvs}
-    generators = [_trusted_rotor(mv) for mv in sorted(seed_mvs)]
     # closing under right multiplication by {alpha_1 alpha_j} alone reaches
     # the whole group generated by the seed: any alpha_i alpha_j equals
     # (alpha_1 alpha_i)~ (alpha_1 alpha_j), so the subset generates it
@@ -120,33 +118,59 @@ def generate_rotor_group(
         if len(known) > cap:
             raise ClosureCapExceeded(f"rotor closure exceeded cap of {cap}")
         frontier = found
-    return RotorGroup([_trusted_rotor(mv) for mv in known], generators)
+    return RotorGroup([_trusted_rotor(mv) for mv in known])
+
+
+def _named(out: RootSystem, source: str) -> RootSystem:
+    return out._relabel(f"induced({source})", Provenance(induced_from=source))
+
+
+# The caches below key on root content alone (RootSystem equality ignores
+# label and provenance), so they hold unnamed results; every call names its
+# result after the caller's own input.
 
 
 @lru_cache(maxsize=None)
-def induce_4d(rs: RootSystem, cap: int | None = None) -> RootSystem:
-    """4D root system read off the rotor group of a rank-3 root system."""
-    if rs.dim != 3:
-        raise DimensionMismatch(f"induce_4d needs a 3D system, got dim {rs.dim}")
+def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
     units = normalize_roots(rs)
     group = generate_rotor_group(units, cap=cap)
-    vecs = [spinor_to_vec4(r) for r in group]
-    source = rs.label or "rank-3 input"
-    out = RootSystem(
-        vecs,
-        disc=rs.disc,
-        label=f"induced({source})",
-        provenance=Provenance(induced_from=source),
-    )
+    out = RootSystem([spinor_to_vec4(r) for r in group], disc=rs.disc)
     report = verify_root_axioms(out)
     if not report.ok:
         raise RootspinError(
-            f"induced set from {source} is not a root system: {report.summary()}"
+            f"induced set from {rs.label or 'rank-3 input'} is not a root system: "
+            f"{report.summary()}"
         )
     return out
 
 
+def induce_4d(rs: RootSystem, cap: int | None = None) -> RootSystem:
+    """4D root system read off the rotor group of a rank-3 root system."""
+    if rs.dim != 3:
+        raise DimensionMismatch(f"induce_4d needs a 3D system, got dim {rs.dim}")
+    out = _induced_4d(rs, resolve_cap(cap, GROUP_CLOSURE_CAP))
+    return _named(out, rs.label or "rank-3 input")
+
+
+induce_4d.cache_info = _induced_4d.cache_info
+induce_4d.cache_clear = _induced_4d.cache_clear
+
+
 @lru_cache(maxsize=None)
+def _induced_2d(rs: RootSystem) -> RootSystem:
+    units = normalize_roots(rs)
+    first = Multivector.from_vector(units[0])
+    vecs = [spinor_to_vec2(first * Multivector.from_vector(u)) for u in units]
+    out = RootSystem(vecs, disc=rs.disc)
+    report = verify_root_axioms(out)
+    if not report.ok:
+        raise RootspinError(
+            f"2D spinor image of {rs.label or 'rank-2 input'} is not a root system: "
+            f"{report.summary()}"
+        )
+    return out
+
+
 def induce_2d(rs: RootSystem) -> RootSystem:
     """2D spinor image of a 2D root system: alpha_i -> alpha_1 alpha_i.
 
@@ -155,22 +179,11 @@ def induce_2d(rs: RootSystem) -> RootSystem:
     """
     if rs.dim != 2:
         raise DimensionMismatch(f"induce_2d needs a 2D system, got dim {rs.dim}")
-    units = normalize_roots(rs)
-    first = Multivector.from_vector(units[0])
-    vecs = [spinor_to_vec2(first * Multivector.from_vector(u)) for u in units]
-    source = rs.label or "rank-2 input"
-    out = RootSystem(
-        vecs,
-        disc=rs.disc,
-        label=f"induced({source})",
-        provenance=Provenance(induced_from=source),
-    )
-    report = verify_root_axioms(out)
-    if not report.ok:
-        raise RootspinError(
-            f"2D spinor image of {source} is not a root system: {report.summary()}"
-        )
-    return out
+    return _named(_induced_2d(rs), rs.label or "rank-2 input")
+
+
+induce_2d.cache_info = _induced_2d.cache_info
+induce_2d.cache_clear = _induced_2d.cache_clear
 
 
 @dataclass(frozen=True)

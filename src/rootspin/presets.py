@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .errors import DimensionMismatch, FieldMismatch, NotRepresentable
+from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
 from .qfield import QScalar
 from .roots import Provenance, RootSystem, Vector, close_under_reflections, vec
 
@@ -44,9 +44,6 @@ class Preset:
     simple_roots: tuple[Vector, ...]
     expected_count: int
     enumerate_roots: Optional[Callable[[], list[Vector]]] = None
-
-    def build(self, cap: int | None = None) -> RootSystem:
-        return build_preset(self.name, cap=cap)
 
 
 def _i2_simple_roots(n: int) -> tuple[int, tuple[Vector, Vector]]:
@@ -222,14 +219,21 @@ def build_preset(name: str, cap: int | None = None) -> RootSystem:
     preset = get_preset(name)
     provenance = Provenance(preset=preset.name)
     if preset.enumerate_roots is not None:
-        return RootSystem(
+        rs = RootSystem(
             preset.enumerate_roots(), disc=preset.disc,
             label=preset.name, provenance=provenance,
         )
-    return close_under_reflections(
-        preset.simple_roots, disc=preset.disc, cap=cap,
-        label=preset.name, provenance=provenance,
-    )
+    else:
+        rs = close_under_reflections(
+            preset.simple_roots, disc=preset.disc, cap=cap,
+            label=preset.name, provenance=provenance,
+        )
+    if len(rs) != preset.expected_count:
+        raise RootspinError(
+            f"preset {preset.name} built {len(rs)} roots, "
+            f"expected {preset.expected_count}"
+        )
+    return rs
 
 
 def a1_system() -> RootSystem:

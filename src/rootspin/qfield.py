@@ -8,8 +8,9 @@ the package are decidable with no floating-point tolerance.
 
 Rational components ride on fractions.Fraction but are bounded to 64-bit
 numerator/denominator; exceeding the bound raises OverflowError loudly
-instead of growing silently, keeping the representation swappable for a
-fixed-width backend.
+instead of growing silently.  QScalar is the public scalar; the loops over
+root pairs run on the integer-lattice kernel in lattice.py, which checks its
+own int64 bounds and falls back to Python ints.
 """
 
 from __future__ import annotations

@@ -9,14 +9,17 @@ a verdict is a fact rather than a tolerance call.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+import numpy as np
+
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch, ZeroRoot
 from .errors import NormNotInField
+from .lattice import Lattice
 from .qfield import QScalar
 
 Coord = Union[QScalar, int, Fraction]
@@ -91,12 +94,21 @@ class Vector:
         return all(c.is_zero() for c in self.coords)
 
     def unit(self) -> "Vector":
-        """Scale to exact unit length; NormNotInField if sqrt leaves the field."""
-        n2 = self.norm_squared()
-        root = n2.sqrt()
+        """Scale to exact unit length; NormNotInField if sqrt leaves the field.
+
+        The length is taken of the primitive integer multiple of the vector,
+        so a large rational scale factor never reaches the 64-bit bound.
+        """
+        parts = [f for c in self.coords for f in (c.rat, c.surd) if f]
+        step = Fraction(math.lcm(*(f.denominator for f in parts)),
+                        math.gcd(*(f.numerator for f in parts)) or 1)
+        primitive = Vector._make(
+            tuple(QScalar(c.rat * step, c.surd * step, c.disc) for c in self.coords)
+        )
+        root = primitive.norm_squared().sqrt()
         if root is None:
-            raise NormNotInField(self, n2)
-        return self.scale(root.inverse())
+            raise NormNotInField(self, self.norm_squared())
+        return primitive.scale(root.inverse())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Vector) and self.coords == other.coords
@@ -172,6 +184,15 @@ class RootSystem:
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
+
+    def _relabel(self, label: str | None, provenance: Provenance | None) -> "RootSystem":
+        # trusted constructor: the same roots under another name, no re-sort
+        out = object.__new__(RootSystem)
+        for name in ("dim", "disc", "roots", "_set"):
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "label", label)
+        object.__setattr__(out, "provenance", provenance or Provenance())
+        return out
 
     def __len__(self) -> int:
         return len(self.roots)
@@ -292,42 +313,35 @@ class AxiomReport:
         return f"axiom1 (scalar multiples): {a1}; axiom2 (reflection closure): {a2}"
 
 
-def _parallel(a: Vector, b: Vector) -> bool:
-    n = a.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (a.coords[i] * b.coords[j] - a.coords[j] * b.coords[i]).is_zero():
-                return False
-    return True
-
-
 def verify_root_axioms(rs: RootSystem) -> AxiomReport:
-    """Exact check of both axioms, reporting a witness for the first failure."""
+    """Exact check of both axioms, reporting a witness for the first failure.
+
+    Witnesses are the first failing pair in canonical root order.  Axiom 1
+    asks for -a in the set and for no other root on the line of a (equality
+    in Cauchy-Schwarz); axiom 2 for every reflection image in the set.
+    """
     roots = rs.roots
+    lattice = Lattice(roots, rs.disc)
+    gram = lattice.gram()
+    n = len(roots)
     axiom1_ok, axiom1_witness = True, None
-    for a in roots:
-        if -a not in rs:
-            axiom1_ok, axiom1_witness = False, (a, -a)
-            break
-    if axiom1_ok:
-        for i, a in enumerate(roots):
-            for b in roots[i + 1 :]:
-                if b == -a:
-                    continue
-                if _parallel(a, b):
-                    axiom1_ok, axiom1_witness = False, (a, b)
-                    break
-            if not axiom1_ok:
-                break
+    neg = lattice.negatives()
+    unpaired = np.flatnonzero(neg < 0)
+    if unpaired.size:
+        a = roots[unpaired[0]]
+        axiom1_ok, axiom1_witness = False, (a, -a)
+    else:
+        idx = np.arange(n)
+        others = lattice.parallel(gram) & (idx[:, None] < idx) & (neg[:, None] != idx)
+        pairs = np.flatnonzero(others)
+        if pairs.size:
+            i, j = divmod(int(pairs[0]), n)
+            axiom1_ok, axiom1_witness = False, (roots[i], roots[j])
     axiom2_ok, axiom2_witness = True, None
-    for a in roots:
-        fa = _mirror_factor(a)
-        for b in roots:
-            if _reflect_fast(b, a, fa) not in rs:
-                axiom2_ok, axiom2_witness = False, (a, b)
-                break
-        if not axiom2_ok:
-            break
+    pairs = np.flatnonzero(lattice.reflection_table(gram) < 0)
+    if pairs.size:
+        i, j = divmod(int(pairs[0]), n)
+        axiom2_ok, axiom2_witness = False, (roots[i], roots[j])
     return AxiomReport(axiom1_ok, axiom1_witness, axiom2_ok, axiom2_witness)
 
 
@@ -344,17 +358,16 @@ def normalize_roots(rs: RootSystem) -> list[Vector]:
 def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
     """Sorted multiset of pairwise inner products over ordered distinct pairs.
 
-    Rotation-invariant fingerprint; sorting happens on the (few) distinct
-    exact values, so large sets stay cheap.
+    Rotation-invariant fingerprint, read off the exact Gram matrix; sorting
+    happens on the (few) distinct exact values, so large sets stay cheap.
     """
-    counts: Counter[QScalar] = Counter()
-    for i, a in enumerate(vectors):
-        for j, b in enumerate(vectors):
-            if i != j:
-                counts[a.dot(b)] += 1
+    if not vectors:
+        return ()
+    lattice = Lattice(vectors, vectors[0].coords[0].disc)
+    values = lattice.inner_products(lattice.gram())
     out: list[QScalar] = []
-    for value in sorted(counts):
-        out.extend([value] * counts[value])
+    for value in sorted(values):
+        out.extend([value] * values[value])
     return tuple(out)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import RootspinError
-from .qfield import QScalar
+from .qfield import QScalar, _is_square_free
 from .roots import Provenance, RootSystem, Vector
 
 FORMAT_VERSION = 1
@@ -37,22 +37,49 @@ def root_system_to_json(rs: RootSystem) -> str:
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
-def root_system_from_json(text: str) -> RootSystem:
-    doc = json.loads(text)
+def _is_int(x) -> bool:
+    return type(x) is int  # bool is an int subclass, but not a valid entry
+
+
+def _check_schema(doc) -> None:
+    """Raise RootspinError unless doc has the shape root_system_to_json writes."""
+    if not isinstance(doc, dict):
+        raise RootspinError("a root-system file must hold a JSON object")
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise RootspinError(f"unsupported root-system file version {version!r}")
-    disc = int(doc["disc"])
-    dim = int(doc["dim"])
-    roots = []
-    for coords in doc["roots"]:
-        if len(coords) != dim:
-            raise RootspinError(f"root {coords} does not have {dim} coordinates")
-        qs = [
-            QScalar(Fraction(an, ad), Fraction(bn, bd), disc)
-            for an, ad, bn, bd in coords
-        ]
-        roots.append(Vector(qs, disc=disc))
+    dim, disc, roots = doc.get("dim"), doc.get("disc"), doc.get("roots")
+    if not (_is_int(dim) and 1 <= dim <= 4):
+        raise RootspinError(f"dim must be an integer in 1..4, got {dim!r}")
+    if not (_is_int(disc) and _is_square_free(disc)):
+        raise RootspinError(f"disc must be a positive square-free integer, got {disc!r}")
+    if not isinstance(roots, list):
+        raise RootspinError(f"roots must be a list, got {roots!r}")
+    for coords in roots:
+        if not (isinstance(coords, list) and len(coords) == dim):
+            raise RootspinError(f"root {coords!r} does not have {dim} coordinates")
+        for quad in coords:
+            if not (isinstance(quad, list) and len(quad) == 4 and all(map(_is_int, quad))):
+                raise RootspinError(
+                    f"coordinate {quad!r} is not four integers [a_num, a_den, b_num, b_den]"
+                )
+            if quad[1] == 0 or quad[3] == 0:
+                raise RootspinError(f"coordinate {quad!r} has a zero denominator")
+    if not isinstance(doc.get("provenance", {}), dict):
+        raise RootspinError("provenance must be a JSON object")
+
+
+def root_system_from_json(text: str) -> RootSystem:
+    doc = json.loads(text)
+    _check_schema(doc)
+    disc = doc["disc"]
+    roots = [
+        Vector(
+            [QScalar(Fraction(an, ad), Fraction(bn, bd), disc) for an, ad, bn, bd in coords],
+            disc=disc,
+        )
+        for coords in doc["roots"]
+    ]
     prov = doc.get("provenance", {})
     return RootSystem(
         roots,

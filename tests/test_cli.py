@@ -187,3 +187,41 @@ class TestDeterminism:
         lines = out.splitlines()
         assert lines[0] == "OFF" and lines[1] == "24 0 0"
         assert len(lines) == 26
+
+
+_QUAD = [1, 1, 0, 1]
+_MALFORMED = {
+    "top-level list": [1, 2],
+    "top-level null": None,
+    "roots not a list": {"version": 1, "dim": 3, "disc": 1, "roots": 5},
+    "no version": {"dim": 1, "disc": 1, "roots": [[_QUAD]]},
+    "dim as string": {"version": 1, "dim": "1", "disc": 1, "roots": [[_QUAD]]},
+    "dim as bool": {"version": 1, "dim": True, "disc": 1, "roots": [[_QUAD]]},
+    "dim too large": {"version": 1, "dim": 5, "disc": 1, "roots": [[_QUAD] * 5]},
+    "dim zero": {"version": 1, "dim": 0, "disc": 1, "roots": [[]]},
+    "disc not square-free": {"version": 1, "dim": 1, "disc": 4, "roots": [[_QUAD]]},
+    "disc negative": {"version": 1, "dim": 1, "disc": -2, "roots": [[_QUAD]]},
+    "disc float": {"version": 1, "dim": 1, "disc": 2.0, "roots": [[_QUAD]]},
+    "root not a list": {"version": 1, "dim": 1, "disc": 1, "roots": [7]},
+    "wrong coordinate count": {"version": 1, "dim": 2, "disc": 1, "roots": [[_QUAD]]},
+    "short quad": {"version": 1, "dim": 1, "disc": 1, "roots": [[[1, 1, 0]]]},
+    "float in quad": {"version": 1, "dim": 1, "disc": 1, "roots": [[[1.5, 1, 0, 1]]]},
+    "string in quad": {"version": 1, "dim": 1, "disc": 1, "roots": [[["1", 1, 0, 1]]]},
+    "zero rational denominator": {"version": 1, "dim": 1, "disc": 1, "roots": [[[1, 0, 0, 1]]]},
+    "zero surd denominator": {"version": 1, "dim": 1, "disc": 2, "roots": [[[1, 1, 1, 0]]]},
+    "provenance not an object": {
+        "version": 1, "dim": 1, "disc": 1, "provenance": 5, "roots": [[_QUAD]],
+    },
+    "no roots": {"version": 1, "dim": 1, "disc": 1, "roots": []},
+}
+
+
+@pytest.mark.parametrize("verb", ["verify", "classify", "induce"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_document_is_domain_error(capsys, tmp_path, case, verb):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_MALFORMED[case]))
+    code, out, err = run(capsys, verb, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and err.startswith("rootspin: ")

@@ -11,6 +11,7 @@ from rootspin import (
     Multivector,
     NonUnitVector,
     QScalar,
+    RootSystem,
     Vector,
     build_preset,
     check_self_dual,
@@ -139,3 +140,38 @@ class TestSelfDuality:
     def test_summary_format(self):
         report = check_self_dual(build_preset("I2-6"))
         assert report.summary() == "I2-6: self-dual (12 roots <-> 12 spinors)"
+
+
+class TestCacheKeys:
+    """The induce caches key on root content; names come from each caller."""
+
+    def test_relabelled_input_gets_its_own_label(self):
+        h3 = build_preset("H3")
+        first = induce_4d(h3)
+        hits = induce_4d.cache_info().hits
+        mine = induce_4d(RootSystem(h3.roots, disc=5, label="mine"))
+        assert induce_4d.cache_info().hits == hits + 1
+        assert mine.label == "induced(mine)"
+        assert mine.provenance.induced_from == "mine"
+        assert mine == first and mine.roots is first.roots
+        assert first.label == "induced(H3)"
+        assert induce_4d(h3).provenance.induced_from == "H3"
+
+    def test_unlabelled_input_after_a_labelled_one(self):
+        a3 = build_preset("A3")
+        induce_4d(a3)
+        anon = induce_4d(RootSystem(a3.roots, disc=2))
+        assert anon.label == "induced(rank-3 input)"
+        assert anon.provenance.induced_from == "rank-3 input"
+
+    def test_induce_2d_relabel(self):
+        i2 = build_preset("I2-6")
+        assert induce_2d(i2).label == "induced(I2-6)"
+        other = induce_2d(RootSystem(i2.roots, disc=3, label="hex"))
+        assert other.label == "induced(hex)"
+        assert other.provenance.induced_from == "hex"
+
+    def test_cache_clear(self):
+        induce_4d(build_preset("A1xA1xA1"))
+        induce_4d.cache_clear()
+        assert induce_4d.cache_info().currsize == 0

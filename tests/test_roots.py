@@ -6,6 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rootspin import (
@@ -19,12 +20,15 @@ from rootspin import (
     build_preset,
     close_under_reflections,
     gram_spectrum,
+    induce_4d,
     normalize_roots,
     reflect_euclid,
+    signature,
     span_rank,
     vec,
     verify_root_axioms,
 )
+from rootspin.lattice import Lattice
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
 
 HALF = Fraction(1, 2)
@@ -254,3 +258,88 @@ class TestPresetGeometry:
         one = QScalar(1, 0, 5)
         assert all(r.norm_squared() == one for r in h4)
         assert verify_root_axioms(h4).ok
+
+
+KERNEL_PRESETS = [
+    "A1xA1xA1", "A3", "B3", "H3", "I2-2", "I2-3", "I2-4", "I2-6", "I2-8", "I2-12",
+    "A1xI2-2", "A1xI2-3", "A1xI2-4", "A1xI2-6", "A1xI2-8", "D4", "F4", "H4",
+]
+
+
+def _kernel_case(name):
+    if name.startswith("induced-"):
+        return induce_4d(build_preset(name[len("induced-"):]))
+    return build_preset(name)
+
+
+class TestLatticeKernel:
+    """The integer kernel against the scalar reference, case by case."""
+
+    @pytest.mark.parametrize(
+        "name", KERNEL_PRESETS + [f"induced-{n}" for n in ("A1xA1xA1", "A3", "B3", "H3")]
+    )
+    def test_gram_and_table_match_scalar_reference(self, name):
+        rs = _kernel_case(name)
+        roots = rs.roots
+        lattice = Lattice(roots, rs.disc)
+        ga, gb = lattice.gram()
+        scale = lattice.den**2
+        position = {r: i for i, r in enumerate(roots)}
+        table = lattice.reflection_table((ga, gb))
+        for i, a in enumerate(roots):
+            for j, b in enumerate(roots):
+                dot = a.dot(b)
+                assert (Fraction(int(ga[i, j]), scale), Fraction(int(gb[i, j]), scale)) == (
+                    (dot.rat, dot.surd)
+                )
+                assert table[i, j] == position.get(reflect_euclid(b, a), -1)
+
+    def test_large_scale_takes_the_python_int_path(self):
+        b3 = build_preset("B3")
+        big = RootSystem([r.scale(Fraction(2**40 + 1, 3)) for r in b3.roots], disc=2)
+        lattice = Lattice(big.roots, big.disc)
+        gram = lattice.gram()
+        assert gram[0].dtype == object
+        reference = Lattice(b3.roots, b3.disc)
+        assert reference.gram()[0].dtype == np.int64
+        assert np.array_equal(
+            lattice.reflection_table(gram), reference.reflection_table(reference.gram())
+        )
+        assert verify_root_axioms(big) == verify_root_axioms(b3)
+        assert signature(big) == signature(b3)
+
+    def test_image_off_the_lattice_is_an_axiom2_witness(self):
+        # reflecting (1, 0) in (1, 2) gives (3/5, -4/5): denominators leave Z
+        rs = RootSystem([vec(1, 0), vec(-1, 0), vec(1, 2), vec(-1, -2)], disc=1)
+        report = verify_root_axioms(rs)
+        assert report.axiom1_ok and not report.axiom2_ok
+        mirror, moved = report.axiom2_witness
+        assert (mirror, moved) == (vec(-1, -2), vec(-1, 0))
+        assert reflect_euclid(moved, mirror) == vec(Fraction(-3, 5), Fraction(4, 5))
+
+    def test_witnesses_are_first_failures_in_root_order(self):
+        rs = RootSystem(
+            [vec(1, 0), vec(-1, 0), vec(2, 0), vec(-2, 0), vec(1, 1), vec(-1, -1)], disc=2
+        )
+        report = verify_root_axioms(rs)
+        roots = rs.roots
+        parallel = [
+            (a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
+            if b != -a and span_rank([a, b]) == 1
+        ]
+        assert report.axiom1_witness == parallel[0]
+        unclosed = [(a, b) for a in roots for b in roots if reflect_euclid(b, a) not in rs]
+        assert report.axiom2_witness == unclosed[0]
+
+
+def test_build_preset_checks_expected_count(monkeypatch):
+    import dataclasses
+
+    from rootspin import RootspinError, presets
+
+    real = presets.get_preset
+    monkeypatch.setattr(
+        presets, "get_preset", lambda name: dataclasses.replace(real(name), expected_count=13)
+    )
+    with pytest.raises(RootspinError, match="built 12 roots, expected 13"):
+        presets.build_preset.__wrapped__("A3")
