@@ -20,9 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .caps import GROUP_CLOSURE_CAP, resolve_cap
 from .errors import (
-    ClosureCapExceeded,
     NotRepresentable,
     RootspinError,
     UnknownAngle,
@@ -37,7 +35,6 @@ from .roots import (
     extract_simple_roots,
     normalize_roots,
     span_rank,
-    verify_root_axioms,
 )
 
 
@@ -152,38 +149,12 @@ def identify(sig: Signature) -> str:
 # -- Coxeter group order ------------------------------------------------------
 
 
-def _permutation_group_order(gens: Sequence[tuple[int, ...]], cap: int) -> int:
-    n = len(gens[0])
-    dtype = np.uint8 if n <= 255 else np.uint32
-    gen_arr = np.array(gens, dtype=dtype)
-    row_bytes = n * gen_arr.itemsize
-    seen = {np.arange(n, dtype=dtype).tobytes()}
-    new_bufs = []
-    for row in gen_arr:
-        b = row.tobytes()
-        if b not in seen:
-            seen.add(b)
-            new_bufs.append(b)
-    while new_bufs:
-        frontier = np.frombuffer(b"".join(new_bufs), dtype=dtype).reshape(-1, n)
-        new_bufs = []
-        for g in gen_arr:
-            # frontier[:, g] composes every frontier element with g at C speed
-            data = frontier[:, g].tobytes()
-            for off in range(0, len(data), row_bytes):
-                b = data[off : off + row_bytes]
-                if b not in seen:
-                    seen.add(b)
-                    new_bufs.append(b)
-        if len(seen) > cap:
-            raise ClosureCapExceeded(f"permutation closure exceeded cap of {cap}")
-    return len(seen)
+def coxeter_order(rs: RootSystem) -> int:
+    """Order of the group generated by all root reflections, acting on roots.
 
-
-@lru_cache(maxsize=None)
-def coxeter_order(rs: RootSystem, cap: int | None = None) -> int:
-    """Order of the group generated by all root reflections, acting on roots."""
-    cap = resolve_cap(cap, GROUP_CLOSURE_CAP)
+    Orbit-stabilizer: the stabilizer of a root r is generated by the reflections
+    in the roots orthogonal to r (Steinberg; Humphreys 1990, 1.12).
+    """
     lattice = Lattice(rs.roots, rs.disc)
     table = lattice.reflection_table(lattice.gram())
     open_rows = np.flatnonzero((table < 0).any(axis=1))
@@ -192,7 +163,17 @@ def coxeter_order(rs: RootSystem, cap: int | None = None) -> int:
             f"{rs!r} is not reflection-closed at root {rs.roots[open_rows[0]]}; "
             "run verify_root_axioms"
         )
-    return _permutation_group_order(sorted(set(map(tuple, table.tolist()))), cap)
+    order = 1
+    live = np.arange(len(table))
+    while live.size:
+        r = live[0]
+        orbit, frontier = {int(r)}, [r]
+        while frontier:
+            frontier = list(set(table[np.ix_(live, frontier)].ravel().tolist()) - orbit)
+            orbit.update(frontier)
+        order *= len(orbit)
+        live = live[table[r, live] == live]  # orthogonal to r: fixed by its reflection
+    return order
 
 
 # -- simple roots and Coxeter matrix ------------------------------------------
@@ -386,7 +367,6 @@ def survey() -> SurveyTable:
         induced = induce_4d(rs)
         sig = signature(induced)
         induced_signatures.append(sig)
-        report = verify_root_axioms(induced)
         rows.append(
             SurveyRow(
                 input=name,
@@ -394,7 +374,7 @@ def survey() -> SurveyTable:
                 root_count=len(rs),
                 spinor_order=len(induced),
                 induced_name=identify(sig),
-                axioms_ok=report.ok,
+                axioms_ok=True,  # induce_4d raises unless the axioms hold
             )
         )
     target = signature(

@@ -121,7 +121,7 @@ def _cmd_classify(args) -> int:
         f"label: {rs.label or 'input'}",
         f"signature: {sig}",
         f"identified: {identify(sig)}",
-        f"coxeter order: {coxeter_order(rs, cap=args.cap)}",
+        f"coxeter order: {coxeter_order(rs)}",
     ]
     _emit("\n".join(lines) + "\n", args)
     return 0

@@ -109,12 +109,16 @@ def generate_rotor_group(
     frontier = list(seed_mvs)
     while frontier:
         found = []
-        for x in frontier:
-            for g in gen_list:
-                y = x * g
-                if y not in known:
-                    known.add(y)
-                    found.append(y)
+        try:
+            for x in frontier:
+                for g in gen_list:
+                    y = x * g
+                    if y not in known:
+                        known.add(y)
+                        found.append(y)
+        except OverflowError as exc:
+            raise OverflowError(f"rotor closure overflowed at {len(known)} elements; "
+                                "the input likely generates an infinite group") from exc
         if len(known) > cap:
             raise ClosureCapExceeded(f"rotor closure exceeded cap of {cap}")
         frontier = found

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
+from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
 from .qfield import QScalar
 from .roots import Provenance, RootSystem, Vector, close_under_reflections, vec
@@ -119,7 +120,6 @@ def _h4_roots() -> list[Vector]:
         # place (phi, 1, 1/phi)/2 on three slots, zero on the slot of index 3
         for signs in itertools.product((1, -1), repeat=3):
             c = [QScalar(0)] * 4
-            vals = iter(range(3))
             for pos in range(4):
                 k = perm[pos]
                 if k == 3:
@@ -215,7 +215,7 @@ def get_preset(name: str) -> Preset:
 
 
 @lru_cache(maxsize=None)
-def build_preset(name: str, cap: int | None = None) -> RootSystem:
+def _built_preset(name: str, cap: int | None = None) -> RootSystem:
     preset = get_preset(name)
     provenance = Provenance(preset=preset.name)
     if preset.enumerate_roots is not None:
@@ -234,6 +234,16 @@ def build_preset(name: str, cap: int | None = None) -> RootSystem:
             f"expected {preset.expected_count}"
         )
     return rs
+
+
+def build_preset(name: str, cap: int | None = None) -> RootSystem:
+    """The named preset's root system, cached on its canonical name and resolved cap."""
+    return _built_preset(_canonical_name(name), resolve_cap(cap, ROOT_CLOSURE_CAP))
+
+
+build_preset.cache_info = _built_preset.cache_info
+build_preset.cache_clear = _built_preset.cache_clear
+build_preset.__wrapped__ = _built_preset.__wrapped__  # the uncached body
 
 
 def a1_system() -> RootSystem:

@@ -274,18 +274,22 @@ def close_under_reflections(
     while frontier:
         current = list(roots)
         found: list[Vector] = []
-        for r in frontier:
-            fr = factors.get(r)
-            if fr is None:
-                fr = factors[r] = _mirror_factor(r)
-            for m in current:
-                fm = factors.get(m)
-                if fm is None:
-                    fm = factors[m] = _mirror_factor(m)
-                for cand in (_reflect_fast(r, m, fm), _reflect_fast(m, r, fr)):
-                    if cand not in roots:
-                        roots.add(cand)
-                        found.append(cand)
+        try:
+            for r in frontier:
+                fr = factors.get(r)
+                if fr is None:
+                    fr = factors[r] = _mirror_factor(r)
+                for m in current:
+                    fm = factors.get(m)
+                    if fm is None:
+                        fm = factors[m] = _mirror_factor(m)
+                    for cand in (_reflect_fast(r, m, fm), _reflect_fast(m, r, fr)):
+                        if cand not in roots:
+                            roots.add(cand)
+                            found.append(cand)
+        except OverflowError as exc:
+            raise OverflowError(f"reflection closure overflowed at {len(roots)} roots; "
+                                "the input likely generates an infinite group") from exc
         if len(roots) > cap:
             raise ClosureCapExceeded(
                 f"reflection closure exceeded cap of {cap} roots"

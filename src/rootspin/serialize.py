@@ -51,8 +51,9 @@ def _check_schema(doc) -> None:
     dim, disc, roots = doc.get("dim"), doc.get("disc"), doc.get("roots")
     if not (_is_int(dim) and 1 <= dim <= 4):
         raise RootspinError(f"dim must be an integer in 1..4, got {dim!r}")
-    if not (_is_int(disc) and _is_square_free(disc)):
-        raise RootspinError(f"disc must be a positive square-free integer, got {disc!r}")
+    # the bound keeps the trial division of the square-free test short
+    if not (_is_int(disc) and disc <= 2**32 and _is_square_free(disc)):
+        raise RootspinError(f"disc must be a square-free integer in 1..2**32, got {disc!r}")
     if not isinstance(roots, list):
         raise RootspinError(f"roots must be a list, got {roots!r}")
     for coords in roots:

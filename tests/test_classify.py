@@ -11,6 +11,7 @@ import pytest
 
 from rootspin import (
     RootSystem,
+    RootspinError,
     UnknownAngle,
     Vector,
     build_preset,
@@ -123,6 +124,39 @@ class TestCoxeterOrder:
     )
     def test_induced_orders(self, source, order):
         assert coxeter_order(induce_4d(build_preset(source))) == order
+
+    @pytest.mark.parametrize(
+        "parts,order",
+        [
+            (("H3", "A1"), 240),
+            (("I2-3", "I2-6"), 72),
+            (("I2-4", "A1", "A1"), 32),
+            (("A1", "A1", "A1", "A1"), 16),
+        ],
+    )
+    def test_direct_sum_orders(self, parts, order):
+        systems = [a1_system() if p == "A1" else build_preset(p) for p in parts]
+        assert coxeter_order(direct_sum(*systems)) == order
+
+    @pytest.mark.parametrize(
+        "roots,order",
+        [
+            ([vec(1), vec(-1), vec(2), vec(-2)], 2),  # non-reduced {+-a, +-2a}
+            ([vec(1, 0, 0), vec(-1, 0, 0), vec(0, 1, 0), vec(0, -1, 0)], 4),  # rank 2 in 3D
+        ],
+    )
+    def test_degenerate_sets(self, roots, order):
+        assert coxeter_order(RootSystem(roots, disc=1)) == order
+
+    def test_not_reflection_closed_rejected(self):
+        rs = RootSystem([vec(1, 0), vec(-1, 0), vec(1, 1), vec(-1, -1)], disc=1)
+        with pytest.raises(RootspinError, match="is not reflection-closed at root"):
+            coxeter_order(rs)
+
+    def test_h4_order_ignores_the_closure_cap(self, monkeypatch):
+        # the order is never found by closing the group, so no cap applies
+        monkeypatch.setenv("ROOTSPIN_CAP", "10")
+        assert coxeter_order(build_preset("H4")) == 14400
 
     def test_double_cover_accounting(self):
         # the induced root count equals the source's full Coxeter order

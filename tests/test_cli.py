@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from rootspin import build_preset, root_system_to_json, signature, identify
+from rootspin import RootSystem, build_preset, identify, root_system_to_json, signature, vec
 from rootspin.cli import main
 
 
@@ -141,6 +142,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "roots", "--preset", "A3", "--input", str(path))
         assert code == 1
 
+    def test_infinite_rotor_group_is_domain_error(self, capsys, tmp_path):
+        mirrors = [vec(1, 0, 0), vec(Fraction(3, 5), Fraction(4, 5), 0), vec(0, 0, 1)]
+        path = tmp_path / "infinite.json"
+        path.write_text(root_system_to_json(RootSystem(mirrors + [-m for m in mirrors], disc=1)))
+        code, out, err = run(capsys, "induce", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("rootspin: OverflowError: rotor closure overflowed")
+        assert "likely generates an infinite group" in err
+
     def test_unknown_preset_is_usage_error(self, capsys):
         code, _, err = run(capsys, "roots", "--preset", "E8")
         assert code == 1
@@ -202,6 +212,7 @@ _MALFORMED = {
     "disc not square-free": {"version": 1, "dim": 1, "disc": 4, "roots": [[_QUAD]]},
     "disc negative": {"version": 1, "dim": 1, "disc": -2, "roots": [[_QUAD]]},
     "disc float": {"version": 1, "dim": 1, "disc": 2.0, "roots": [[_QUAD]]},
+    "disc too large": {"version": 1, "dim": 1, "disc": 10000000000037, "roots": [[_QUAD]]},
     "root not a list": {"version": 1, "dim": 1, "disc": 1, "roots": [7]},
     "wrong coordinate count": {"version": 1, "dim": 2, "disc": 1, "roots": [[_QUAD]]},
     "short quad": {"version": 1, "dim": 1, "disc": 1, "roots": [[[1, 1, 0]]]},

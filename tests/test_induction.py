@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,13 @@ class TestRotorGroups:
         elems = list(grp)[:8]
         for a, b in itertools.product(elems, repeat=2):
             assert a.mv * b.mv in grp
+
+    def test_overflow_names_the_infinite_group(self):
+        mirrors = [vec(1, 0, 0), vec(Fraction(3, 5), Fraction(4, 5), 0), vec(0, 0, 1)]
+        with pytest.raises(OverflowError, match="rotor closure overflowed .* "
+                           "likely generates an infinite group") as info:
+            generate_rotor_group(mirrors)
+        assert isinstance(info.value.__cause__, OverflowError)
 
 
 class TestInduce4D:

@@ -150,6 +150,12 @@ class TestClosure:
         with pytest.raises((ClosureCapExceeded, OverflowError)):
             close_under_reflections([a, b], cap=500)
 
+    def test_overflow_names_the_infinite_group(self):
+        with pytest.raises(OverflowError, match="reflection closure overflowed .* "
+                           "likely generates an infinite group") as info:
+            close_under_reflections([vec(1, 0), vec(1, 2)])
+        assert isinstance(info.value.__cause__, OverflowError)
+
     def test_zero_simple_root_rejected(self):
         with pytest.raises(ZeroRoot):
             close_under_reflections([vec(0, 0, 0)])
@@ -343,3 +349,14 @@ def test_build_preset_checks_expected_count(monkeypatch):
     )
     with pytest.raises(RootspinError, match="built 12 roots, expected 13"):
         presets.build_preset.__wrapped__("A3")
+
+
+def test_build_preset_caches_on_canonical_name():
+    assert build_preset("h3") is build_preset("H3") is build_preset(" H3 ")
+
+
+def test_build_preset_cache_respects_env_cap(monkeypatch):
+    build_preset("H3")
+    monkeypatch.setenv("ROOTSPIN_CAP", "7")
+    with pytest.raises(ClosureCapExceeded):
+        build_preset("H3")
