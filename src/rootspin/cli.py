@@ -13,6 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .caps import positive_int
 from .classify import coxeter_order, identify, signature, survey
 from .errors import RootspinError
 from .induction import check_self_dual, induce_2d, induce_4d
@@ -45,7 +46,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--input", help="path to a root-system JSON file")
         p.add_argument("--format", choices=_FORMATS, default="text")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--cap", type=int, help="closure element cap override")
+        p.add_argument("--cap", type=positive_int, help="closure element cap override")
 
     add_common(sub.add_parser("roots", help="generate/load a root system"))
     add_common(sub.add_parser("export", help="re-emit a root system in another format"))

@@ -14,6 +14,7 @@ comparison downstream, so it is centralised here and nowhere else.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -320,3 +321,65 @@ def spinor_to_vec2(psi) -> Vector:
     if not mv.is_even():
         raise OddGradePresent(f"odd grades present in {mv}")
     return Vector((mv.coeffs[0], mv.coeffs[0b11]))
+
+
+# -- exact integer kernel of the even subalgebra of Cl(3) -------------------
+#
+# An element a0 + a1 e23 + a2 e13 + a3 e12 with a_k = (p_k + q_k sqrt(d)) / D
+# is the tuple (p_0, q_0, ..., p_3, q_3, D) of Python ints, divided by the gcd
+# of all nine and with D > 0, so equal elements are equal tuples.  A vector
+# x1 e1 + x2 e2 + x3 e3 is held the same way with three pairs.  Products take
+# their structure constants from _sign_table, so the blade convention above
+# stays the only one; the even product is the quaternion product.
+
+EVEN_MASKS = (0, _IE1, _IE2_NEG, _IE3)
+
+
+def _structure(left: tuple[int, ...], right: tuple[int, ...]) -> tuple:
+    """(2k, 2i, 2j, sign): blade left[i] times blade right[j] is sign * even blade k."""
+    table = _sign_table(3)
+    pos = {m: k for k, m in enumerate(EVEN_MASKS)}
+    return tuple(
+        (2 * pos[a ^ b], 2 * i, 2 * j, table[a][b])
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+    )
+
+
+VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100))
+EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS)
+
+
+def int_numerators(scalars) -> tuple[int, ...]:
+    """(p_0, q_0, p_1, q_1, ..., D) with scalar k = (p_k + q_k sqrt(d)) / D, reduced."""
+    parts = [f for c in scalars for f in (c.rat, c.surd)]
+    den = math.lcm(*(f.denominator for f in parts))
+    return tuple(f.numerator * (den // f.denominator) for f in parts) + (den,)
+
+
+def int_product(x: tuple[int, ...], y: tuple[int, ...], structure, disc: int) -> tuple[int, ...]:
+    """Product of two integer-numerator elements, reduced; structure picks their grades."""
+    out = [0] * 8
+    for k, i, j, sign in structure:
+        p, q = x[i], x[i + 1]
+        r, t = y[j], y[j + 1]
+        if sign > 0:
+            out[k] += p * r + disc * q * t
+            out[k + 1] += p * t + q * r
+        else:
+            out[k] -= p * r + disc * q * t
+            out[k + 1] -= p * t + q * r
+    den = x[-1] * y[-1]
+    g = math.gcd(den, *out)
+    return tuple(v // g for v in out) + (den // g,)
+
+
+def even_from_numerators(x: tuple[int, ...], disc: int) -> Multivector:
+    """The even Cl(3) multivector whose integer numerators are x, over Q(sqrt(disc))."""
+    den = x[-1]
+    cs = [_ZERO] * 8
+    for k, m in enumerate(EVEN_MASKS):
+        p, q = x[2 * k], x[2 * k + 1]
+        if p or q:
+            cs[m] = QScalar(Fraction(p, den), Fraction(q, den), disc)
+    return Multivector(3, cs)

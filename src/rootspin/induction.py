@@ -14,10 +14,21 @@ from functools import lru_cache
 from typing import Sequence
 
 from .caps import GROUP_CLOSURE_CAP, resolve_cap
-from .clifford import Multivector, Rotor, spinor_to_vec2, spinor_to_vec4
+from .clifford import (
+    EVEN_BY_EVEN,
+    VECTOR_BY_VECTOR,
+    Multivector,
+    Rotor,
+    even_from_numerators,
+    int_numerators,
+    int_product,
+    spinor_to_vec2,
+    spinor_to_vec4,
+)
 from .errors import (
     ClosureCapExceeded,
     DimensionMismatch,
+    FieldMismatch,
     NonUnitVector,
     RootspinError,
 )
@@ -32,6 +43,8 @@ from .roots import (
 )
 
 _ONE_Q = QScalar(1)
+_ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
+_INT64_MAX = 2**63 - 1
 
 
 def _trusted_rotor(mv: Multivector) -> Rotor:
@@ -86,43 +99,67 @@ class RotorGroup:
         return f"RotorGroup(dim={self.dim}, order={self.order})"
 
 
+def _field_disc(vectors: Sequence[Vector]) -> int:
+    """The one d whose sqrt(d) the coordinates use; plain rationals fit any field."""
+    surd = list(dict.fromkeys(c.disc for v in vectors for c in v.coords if c.surd))
+    if len(surd) > 1:
+        raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
+    return surd[0] if surd else max(c.disc for v in vectors for c in v.coords)
+
+
+def _check_range(x: tuple[int, ...], d: int) -> None:
+    # past the cheap bound, building the QScalars applies their own 64-bit
+    # check to each reduced component p/D and q/D, and raises OverflowError
+    *nums, den = x
+    if den > _INT64_MAX or max(map(abs, nums)) > _INT64_MAX:
+        even_from_numerators(x, d)
+
+
 def generate_rotor_group(
     unit_roots: Sequence[Vector], cap: int | None = None
 ) -> RotorGroup:
-    """Close {alpha_i alpha_j : all ordered root pairs} under the product."""
+    """Close {alpha_i alpha_j : all ordered root pairs} under the product.
+
+    The loop runs on the integer numerators of clifford's even kernel;
+    Multivectors are built once, for the final elements.  The cap is
+    checked on every insertion, so an oversized group costs at most cap + 1
+    elements of work.
+    """
     cap = resolve_cap(cap, GROUP_CLOSURE_CAP)
     if not unit_roots:
         raise NonUnitVector("no roots given")
-    mvs = []
     for r in unit_roots:
         if r.norm_squared() != _ONE_Q:
             raise NonUnitVector(f"root {r} is not exactly unit length")
-        mvs.append(Multivector.from_vector(r))
-    seed_mvs = {a * b for a in mvs for b in mvs}
-    # closing under right multiplication by {alpha_1 alpha_j} alone reaches
-    # the whole group generated by the seed: any alpha_i alpha_j equals
-    # (alpha_1 alpha_i)~ (alpha_1 alpha_j), so the subset generates it
-    one = Multivector.scalar(1, mvs[0].dim)
-    first = mvs[0]
-    gen_list = sorted({first * m for m in mvs} - {one})
-    known = set(seed_mvs)
-    frontier = list(seed_mvs)
-    while frontier:
-        found = []
-        try:
-            for x in frontier:
-                for g in gen_list:
-                    y = x * g
-                    if y not in known:
-                        known.add(y)
-                        found.append(y)
-        except OverflowError as exc:
-            raise OverflowError(f"rotor closure overflowed at {len(known)} elements; "
-                                "the input likely generates an infinite group") from exc
+    d = _field_disc(unit_roots)
+    vecs = [int_numerators(r.coords) for r in unit_roots]
+    known: set[tuple[int, ...]] = set()
+    elements: list[tuple[int, ...]] = []
+
+    def insert(x: tuple[int, ...]) -> None:
+        if x in known:
+            return
+        _check_range(x, d)
+        known.add(x)
+        elements.append(x)
         if len(known) > cap:
             raise ClosureCapExceeded(f"rotor closure exceeded cap of {cap}")
-        frontier = found
-    return RotorGroup([_trusted_rotor(mv) for mv in known])
+
+    try:
+        for a in vecs:
+            for b in vecs:
+                insert(int_product(a, b, VECTOR_BY_VECTOR, d))
+        # closing under right multiplication by {alpha_1 alpha_j} alone
+        # reaches the whole group generated by the seed: any alpha_i alpha_j
+        # equals (alpha_1 alpha_i)~ (alpha_1 alpha_j), so the subset generates it
+        gens = sorted({int_product(vecs[0], b, VECTOR_BY_VECTOR, d) for b in vecs} - {_ONE})
+        for x in elements:  # a worklist: the loop also visits what it appends
+            for g in gens:
+                insert(int_product(x, g, EVEN_BY_EVEN, d))
+    except OverflowError as exc:
+        raise OverflowError(f"rotor closure overflowed at {len(known)} elements; "
+                            "the input likely generates an infinite group") from exc
+    return RotorGroup([_trusted_rotor(even_from_numerators(x, d)) for x in elements])
 
 
 def _named(out: RootSystem, source: str) -> RootSystem:
@@ -134,7 +171,7 @@ def _named(out: RootSystem, source: str) -> RootSystem:
 # result after the caller's own input.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
     units = normalize_roots(rs)
     group = generate_rotor_group(units, cap=cap)
@@ -160,7 +197,7 @@ induce_4d.cache_info = _induced_4d.cache_info
 induce_4d.cache_clear = _induced_4d.cache_clear
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _induced_2d(rs: RootSystem) -> RootSystem:
     units = normalize_roots(rs)
     first = Multivector.from_vector(units[0])

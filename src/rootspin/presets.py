@@ -214,7 +214,7 @@ def get_preset(name: str) -> Preset:
     return _presets()[canon]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _built_preset(name: str, cap: int | None = None) -> RootSystem:
     preset = get_preset(name)
     provenance = Provenance(preset=preset.name)

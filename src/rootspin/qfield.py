@@ -10,7 +10,9 @@ Rational components ride on fractions.Fraction but are bounded to 64-bit
 numerator/denominator; exceeding the bound raises OverflowError loudly
 instead of growing silently.  QScalar is the public scalar; the loops over
 root pairs run on the integer-lattice kernel in lattice.py, which checks its
-own int64 bounds and falls back to Python ints.
+own int64 bounds and falls back to Python ints, and the rotor closure runs
+on the integer numerators of clifford.py's even kernel, which keeps this
+module's 64-bit bound on every element it adds.
 """
 
 from __future__ import annotations

@@ -252,8 +252,9 @@ def close_under_reflections(
 ) -> RootSystem:
     """Smallest set containing +-simple and closed under member reflections.
 
-    Worklist fixpoint; aborts with ClosureCapExceeded past the cap (default
-    10^4), which turns an infinite-group input into a clean error.
+    Worklist fixpoint; aborts with ClosureCapExceeded as soon as an insertion
+    passes the cap (default 10^4), which turns an infinite-group input into a
+    clean error after at most cap + 1 roots.
     """
     cap = resolve_cap(cap, ROOT_CLOSURE_CAP)
     if not simple:
@@ -269,6 +270,14 @@ def close_under_reflections(
                 break
     seed = [Vector(s.coords, disc=disc) for s in simple]
     roots: set[Vector] = set(seed) | {-s for s in seed}
+
+    def check_cap() -> None:
+        if len(roots) > cap:
+            raise ClosureCapExceeded(
+                f"reflection closure exceeded cap of {cap} roots"
+            )
+
+    check_cap()
     factors: dict[Vector, QScalar] = {}
     frontier = list(roots)
     while frontier:
@@ -287,13 +296,10 @@ def close_under_reflections(
                         if cand not in roots:
                             roots.add(cand)
                             found.append(cand)
+                            check_cap()
         except OverflowError as exc:
             raise OverflowError(f"reflection closure overflowed at {len(roots)} roots; "
                                 "the input likely generates an infinite group") from exc
-        if len(roots) > cap:
-            raise ClosureCapExceeded(
-                f"reflection closure exceeded cap of {cap} roots"
-            )
         frontier = found
     return RootSystem(roots, disc=disc, label=label, provenance=provenance)
 

@@ -341,7 +341,7 @@ def test_criterion_8_induced_group_orders():
     for source, order in expected.items():
         induced = induce_4d(build_preset(source))
         start = time.perf_counter()
-        # bypass the cache so the 30 s budget is measured honestly
+        # coxeter_order keeps no cache, so this times the full computation
         got = coxeter_order(induced)
         elapsed = time.perf_counter() - start
         if source == "H3":

@@ -182,6 +182,22 @@ class TestExitCodes:
             close_under_reflections([vec(1, -1, 0), vec(0, 1, -1), vec(0, 1, 1)], disc=2)
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+class TestCapValidation:
+    def test_bad_env_cap_is_domain_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ROOTSPIN_CAP", value)
+        code, out, err = run(capsys, "roots", "--preset", "H4")
+        assert code == 2 and out == ""
+        assert err == (f"rootspin: DomainError: ROOTSPIN_CAP must be a positive integer, "
+                       f"got {value!r}\n")
+
+    def test_bad_cap_option_is_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "roots", "--preset", "H4", "--cap", value)
+        assert code == 1 and out == ""
+        assert f"argument --cap: invalid positive_int value: {value!r}" in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys):
         outputs = []

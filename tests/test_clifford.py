@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootspin import (
     DimensionMismatch,
@@ -22,6 +24,14 @@ from rootspin import (
     spinor_to_vec2,
     spinor_to_vec4,
     vec,
+)
+from rootspin.clifford import (
+    EVEN_BY_EVEN,
+    EVEN_MASKS,
+    VECTOR_BY_VECTOR,
+    even_from_numerators,
+    int_numerators,
+    int_product,
 )
 from _util import random_multivector, random_vector_mv, random_unit_mv, unit_pool_3d
 
@@ -272,3 +282,64 @@ class TestProductLaws:
             p = random_multivector(rng, dim, disc)
             assert m * (n + p) == m * n + m * p
             assert (n + p) * m == n * m + p * m
+
+
+# -- the integer kernel of the even subalgebra against the QScalar product -------
+
+_DISCS = st.sampled_from([1, 2, 3, 5])
+
+
+def _rationals():
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def _scalar_lists(draw, n):
+    """A field Q(sqrt(d)) and n small scalars in it, rational or in Z[sqrt(d)]."""
+    d = draw(_DISCS)
+    out = []
+    for _ in range(n):
+        if d > 1 and draw(st.booleans()):
+            out.append(QScalar(draw(st.integers(-9, 9)), draw(st.integers(-9, 9)), d))
+        else:
+            out.append(QScalar(draw(_rationals()), 0, d))
+    return d, out
+
+
+def _even_mv(scalars) -> Multivector:
+    cs = [QScalar(0)] * 8
+    for m, c in zip(EVEN_MASKS, scalars):
+        cs[m] = c
+    return Multivector(3, cs)
+
+
+class TestEvenKernel:
+    @given(_scalar_lists(8))
+    def test_even_product_matches_geometric_product(self, case):
+        d, scalars = case
+        x, y = scalars[:4], scalars[4:]
+        expected = _even_mv(x) * _even_mv(y)
+        got = int_product(int_numerators(x), int_numerators(y), EVEN_BY_EVEN, d)
+        assert even_from_numerators(got, d) == expected
+        # reduced form is canonical: equal elements are equal tuples
+        assert got == int_numerators(expected.coeffs[m] for m in EVEN_MASKS)
+
+    @given(_scalar_lists(6))
+    def test_vector_product_matches_geometric_product(self, case):
+        d, scalars = case
+        u, v = Vector(scalars[:3]), Vector(scalars[3:])
+        expected = Multivector.from_vector(u) * Multivector.from_vector(v)
+        got = int_product(int_numerators(u.coords), int_numerators(v.coords),
+                          VECTOR_BY_VECTOR, d)
+        assert even_from_numerators(got, d) == expected
+        assert got == int_numerators(expected.coeffs[m] for m in EVEN_MASKS)
+
+    def test_even_masks_follow_the_spinor_readout(self):
+        # a_k sits on the blade that spinor_to_vec4 reads as coordinate k
+        for k, m in enumerate(EVEN_MASKS):
+            x = [0] * 8 + [1]
+            x[2 * k] = 1
+            mv = even_from_numerators(tuple(x), 1)
+            assert mv.coeffs[m] == QScalar(1)
+            coords = spinor_to_vec4(mv).coords
+            assert [c.is_zero() for c in coords] == [i != k for i in range(4)]

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from rootspin import (
+    ClosureCapExceeded,
     DimensionMismatch,
+    FieldMismatch,
     Multivector,
     NonUnitVector,
     QScalar,
@@ -20,9 +22,12 @@ from rootspin import (
     induce_2d,
     induce_4d,
     normalize_roots,
+    spinor_to_vec4,
     vec,
     verify_root_axioms,
 )
+from rootspin import induction
+from rootspin.clifford import int_product
 from rootspin.presets import get_preset
 
 ONE3 = Multivector.scalar(1, 3)
@@ -79,6 +84,40 @@ class TestRotorGroups:
                            "likely generates an infinite group") as info:
             generate_rotor_group(mirrors)
         assert isinstance(info.value.__cause__, OverflowError)
+
+    def test_cap_is_checked_on_every_insertion(self):
+        units = normalize_roots(build_preset("H3"))
+        assert generate_rotor_group(units, cap=120).order == 120
+        with pytest.raises(ClosureCapExceeded, match="cap of 119"):
+            generate_rotor_group(units, cap=119)
+
+    def test_cap_bounds_the_work(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return int_product(*args)
+
+        monkeypatch.setattr(induction, "int_product", counting)
+        with pytest.raises(ClosureCapExceeded):
+            generate_rotor_group(normalize_roots(build_preset("H3")), cap=10)
+        # cap + 1 products, each a new element; the seed alone is 30 x 30
+        assert len(calls) == 11
+
+    def test_infinite_group_hits_the_cap_before_overflow(self):
+        mirrors = [vec(1, 0, 0), vec(Fraction(3, 5), Fraction(4, 5), 0), vec(0, 0, 1)]
+        with pytest.raises(ClosureCapExceeded, match="cap of 50"):
+            generate_rotor_group(mirrors, cap=50)
+
+    def test_mixed_fields_rejected(self):
+        root2 = next(u for u in normalize_roots(build_preset("A3")) if u.disc() == 2)
+        root5 = next(u for u in normalize_roots(build_preset("H3")) if u.disc() == 5)
+        with pytest.raises(FieldMismatch, match=r"Q\(sqrt\(2\)\) with Q\(sqrt\(5\)\)"):
+            generate_rotor_group([root2, root5])
+
+    def test_h3_spinors_are_the_h4_roots(self):
+        group = generate_rotor_group(normalize_roots(build_preset("H3")))
+        assert {spinor_to_vec4(r) for r in group} == set(build_preset("H4").roots)
 
 
 class TestInduce4D:
@@ -178,6 +217,24 @@ class TestCacheKeys:
         other = induce_2d(RootSystem(i2.roots, disc=3, label="hex"))
         assert other.label == "induced(hex)"
         assert other.provenance.induced_from == "hex"
+
+    def test_caches_are_bounded(self):
+        for cached in (induce_4d, induce_2d, build_preset):
+            assert cached.cache_info().maxsize is not None
+
+    def test_evicted_result_is_recomputed_equal(self):
+        rs = build_preset("A1xA1xA1")
+        induce_4d.cache_clear()
+        first = induce_4d(rs, cap=1000)
+        maxsize = induce_4d.cache_info().maxsize
+        for k in range(maxsize):  # each cap is a new key; the first is evicted
+            induce_4d(rs, cap=1001 + k)
+        assert induce_4d.cache_info().currsize == maxsize
+        misses = induce_4d.cache_info().misses
+        again = induce_4d(rs, cap=1000)
+        assert induce_4d.cache_info().misses == misses + 1
+        assert again == first and again.label == first.label
+        assert again.roots == first.roots
 
     def test_cache_clear(self):
         induce_4d(build_preset("A1xA1xA1"))

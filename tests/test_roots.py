@@ -28,6 +28,7 @@ from rootspin import (
     vec,
     verify_root_axioms,
 )
+from rootspin import roots
 from rootspin.lattice import Lattice
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
 
@@ -134,6 +135,25 @@ class TestClosure:
         simple = get_preset("A3").simple_roots
         with pytest.raises(ClosureCapExceeded):
             close_under_reflections(simple, disc=2, cap=5)
+
+    def test_cap_is_checked_on_every_insertion(self):
+        simple = get_preset("A3").simple_roots
+        assert len(close_under_reflections(simple, disc=2, cap=12)) == 12
+        with pytest.raises(ClosureCapExceeded, match="cap of 11 roots"):
+            close_under_reflections(simple, disc=2, cap=11)
+
+    def test_cap_bounds_the_work(self, monkeypatch):
+        calls = []
+        reflect_fast = roots._reflect_fast
+
+        def counting(*args):
+            calls.append(args)
+            return reflect_fast(*args)
+
+        monkeypatch.setattr(roots, "_reflect_fast", counting)
+        with pytest.raises(ClosureCapExceeded):
+            close_under_reflections(get_preset("H3").simple_roots, disc=5, cap=8)
+        assert len(calls) < 72  # a whole first round is 6 x 6 x 2 reflections
 
     def test_infinite_group_hits_cap(self):
         # mirrors at an angle that is no pi/m: the dihedral closure never stops
