@@ -8,7 +8,9 @@ lengths, which matters because induced systems always come out unit-length
 (an F4 configuration with both orbits at unit length is still F4 here).
 
 The catalog used by identify() is generated from each member's own defining
-data at call time; nothing is matched against transcribed numbers.
+data at call time; nothing is matched against transcribed numbers.  Entries
+are indexed on (dimension, root count), taken from the presets' defining
+data, and identify() computes the signatures of an input's candidates only.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .induction import induce_4d
 from .lattice import Lattice
-from .presets import a1_system, build_preset, direct_sum
+from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
 from .roots import (
     RootSystem,
@@ -96,52 +98,59 @@ def signature(rs: RootSystem) -> Signature:
     )
 
 
-@lru_cache(maxsize=None)
-def catalog() -> tuple[tuple[str, Signature], ...]:
-    """Named signatures for every recognizable system of dimension 2..4.
+@lru_cache(maxsize=1)
+def _catalog_table() -> dict[str, tuple[tuple[int, int], tuple[str, ...]]]:
+    """Entry name -> ((dimension, root count), parts), in catalog order.
 
     Members: A1^k, the exactly-realizable unit dihedrals I2(n) for n in
     {2, 3, 4, 6}, A3, B3, H3, D4, F4, H4, and all direct sums that fit in
     dimension 4 within a single quadratic field.  I2(8) and I2(12) close
     exactly but their unit normalisations leave every quadratic field, so
-    they carry no computable signature and are absent.
+    they carry no computable signature and are absent.  A part is "A1" or a
+    preset; keys add (1, 2) per A1 and each preset's dim and expected_count.
     """
-    a1 = a1_system()
+    i2, rank3 = ("I2-3", "I2-4", "I2-6"), ("A3", "B3", "H3")
+    same_field_pairs = ((3, 3), (3, 6), (4, 4), (6, 6))
+    table = {}
+    for parts in (
+        ("A1",), ("A1", "A1"), *((p,) for p in i2),
+        ("A1xA1xA1",), *((p, "A1") for p in i2), *((p,) for p in rank3),
+        ("A1",) * 4, *((p, "A1", "A1") for p in i2),
+        *((f"I2-{m}", f"I2-{n}") for m, n in same_field_pairs),
+        *((p, "A1") for p in rank3), ("D4",), ("F4",), ("H4",),
+    ):
+        presets = [get_preset(p) for p in parts if p != "A1"]
+        a1s = parts.count("A1")
+        dim = a1s + sum(p.dim for p in presets)
+        count = 2 * a1s + sum(p.expected_count for p in presets)
+        table["x".join(parts)] = (dim, count), parts
+    return table
 
-    def sum_of(name: str, *parts: RootSystem) -> tuple[str, Signature]:
-        return name, signature(direct_sum(*parts, label=name))
 
-    entries: list[tuple[str, Signature]] = []
-    i2 = {n: build_preset(f"I2-{n}") for n in (3, 4, 6)}
-    # dimension 1
-    entries.append(("A1", signature(a1)))
-    # dimension 2
-    entries.append(("A1xA1", signature(build_preset("I2-2"))))
-    for n in (3, 4, 6):
-        entries.append((f"I2-{n}", signature(i2[n])))
-    # dimension 3
-    entries.append(("A1xA1xA1", signature(build_preset("A1xA1xA1"))))
-    for n in (3, 4, 6):
-        entries.append(sum_of(f"I2-{n}xA1", i2[n], a1))
-    for name in ("A3", "B3", "H3"):
-        entries.append((name, signature(build_preset(name))))
-    # dimension 4
-    entries.append(sum_of("A1xA1xA1xA1", a1, a1, a1, a1))
-    for n in (3, 4, 6):
-        entries.append(sum_of(f"I2-{n}xA1xA1", i2[n], a1, a1))
-    for m, n in ((3, 3), (3, 6), (4, 4), (6, 6)):  # same-field pairs only
-        entries.append(sum_of(f"I2-{m}xI2-{n}", i2[m], i2[n]))
-    for name in ("A3", "B3", "H3"):
-        entries.append(sum_of(f"{name}xA1", build_preset(name), a1))
-    for name in ("D4", "F4", "H4"):
-        entries.append((name, signature(build_preset(name))))
-    return tuple(entries)
+@lru_cache(maxsize=None)  # keyed on entry names, so at most 26 values
+def _entry_signature(name: str) -> Signature:
+    _, parts = _catalog_table()[name]
+    systems = [a1_system() if p == "A1" else build_preset(p) for p in parts]
+    return signature(systems[0] if len(systems) == 1 else direct_sum(*systems, label=name))
+
+
+def catalog() -> tuple[tuple[str, Signature], ...]:
+    """Named signatures for every recognizable system of dimension 1..4."""
+    return tuple((name, _entry_signature(name)) for name in _catalog_table())
+
+
+catalog.cache_info = _entry_signature.cache_info
+catalog.cache_clear = _entry_signature.cache_clear
 
 
 def identify(sig: Signature) -> str:
-    """Catalog name matching the signature, or "unrecognized"."""
-    for name, cat_sig in catalog():
-        if cat_sig == sig:
+    """Catalog name matching the signature, or "unrecognized".
+
+    Only the entries with the input's (dimension, root count) get a signature.
+    """
+    key = (sig.dim, sig.count)
+    for name, (entry_key, _) in _catalog_table().items():
+        if entry_key == key and _entry_signature(name) == sig:
             return name
     return "unrecognized"
 

@@ -190,9 +190,8 @@ class Multivector:
     def __lt__(self, other: "Multivector") -> bool:
         self._check(other)
         for a, b in zip(self.coeffs, other.coeffs):
-            s = (a - b).sign()
-            if s:
-                return s < 0
+            if a != b:  # exact, and far cheaper than the subtraction
+                return (a - b).sign() < 0
         return False
 
     def __repr__(self) -> str:

@@ -129,6 +129,7 @@ def _h4_roots() -> list[Vector]:
     return sorted(set(out))
 
 
+@lru_cache(maxsize=1)
 def _presets() -> dict[str, Preset]:
     e1, e2, e3 = vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1)
     table = {
@@ -186,10 +187,12 @@ def _canonical_name(name: str) -> str:
         return "H3"
     if key in ("d4", "f4", "h4"):
         return key.upper()
-    if key.startswith("i2-"):
-        return f"I2-{int(key[3:])}"
-    if key.startswith("a1xi2-"):
-        return f"A1xI2-{int(key[6:])}"
+    for prefix, canon in (("i2-", "I2-"), ("a1xi2-", "A1xI2-")):
+        if key.startswith(prefix):
+            try:
+                return f"{canon}{int(key[len(prefix):])}"
+            except ValueError:
+                break
     raise KeyError(f"unknown preset {name!r}")
 
 

@@ -119,9 +119,8 @@ class Vector:
     def __lt__(self, other: "Vector") -> bool:
         self._check_dim(other)
         for a, b in zip(self.coords, other.coords):
-            s = (a - b).sign()
-            if s:
-                return s < 0
+            if a != b:  # exact, and far cheaper than the subtraction
+                return (a - b).sign() < 0
         return False
 
     def __iter__(self):

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from rootspin import (
+    QScalar,
     RootSystem,
     RootspinError,
     UnknownAngle,
@@ -23,6 +25,7 @@ from rootspin import (
     simple_roots_of,
     vec,
 )
+from rootspin import classify
 from rootspin.classify import catalog, survey
 from rootspin.presets import PHI, a1_system, direct_sum
 
@@ -103,6 +106,58 @@ class TestIdentify:
     def test_unrecognized_is_a_value(self):
         lonely = RootSystem([vec(1, 0, 0), vec(-1, 0, 0)], disc=1)
         assert identify(signature(lonely)) == "unrecognized"
+
+
+class TestCatalogIndex:
+    def test_keys_match_the_built_signatures(self):
+        table = classify._catalog_table()
+        assert [name for name, _ in catalog()] == list(table)
+        for name, sig in catalog():
+            assert table[name][0] == (sig.dim, sig.count), name
+        shared = Counter(key for key, _ in table.values())
+        assert {key for key, n in shared.items() if n > 1} == {(4, 12), (4, 16), (4, 24)}
+        assert max(shared.values()) == 2
+
+    @pytest.mark.parametrize("name,computed", [("H4", 1), ("D4", 2)])
+    def test_identify_computes_only_the_candidates(self, name, computed):
+        sig = signature(build_preset(name))
+        catalog.cache_clear()
+        assert identify(sig) == name
+        assert catalog.cache_info().misses == computed
+
+    def test_unrecognized_with_two_candidates(self):
+        padded = RootSystem(
+            [Vector(r.coords + (QScalar(0),), disc=2) for r in build_preset("A3").roots],
+            disc=2,
+        )
+        sig = signature(padded)
+        assert (sig.dim, sig.count, sig.components) == (4, 12, (12,))
+        catalog.cache_clear()
+        assert identify(sig) == "unrecognized"
+        assert catalog.cache_info().misses == 2
+
+    def test_unrecognized_key_computes_nothing(self):
+        lonely = RootSystem([vec(1, 0, 0), vec(-1, 0, 0)], disc=1)
+        catalog.cache_clear()
+        assert identify(signature(lonely)) == "unrecognized"
+        assert catalog.cache_info().misses == 0
+
+    def test_cache_clear_starts_cold(self):
+        sig = signature(build_preset("F4"))
+        identify(sig)
+        identify(sig)
+        assert catalog.cache_info().misses >= 1 and catalog.cache_info().hits >= 1
+        catalog.cache_clear()
+        assert catalog.cache_info().currsize == 0
+        assert identify(sig) == "F4"
+        assert catalog.cache_info().misses == 1
+
+    def test_catalog_and_identify_share_one_memo(self):
+        catalog.cache_clear()
+        identify(signature(build_preset("H3")))
+        assert len(catalog()) == 26
+        assert catalog.cache_info().misses == 26
+        assert catalog.cache_info().currsize == 26
 
 
 class TestCoxeterOrder:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from rootspin import RootSystem, build_preset, identify, root_system_to_json, signature, vec
+from rootspin.classify import catalog
 from rootspin.cli import main
 
 
@@ -155,6 +156,25 @@ class TestExitCodes:
         code, _, err = run(capsys, "roots", "--preset", "E8")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("roots", "--preset", "I2-x"),
+            ("roots", "--preset", "I2-<n>"),
+            ("classify", "--preset", "A1xI2-y"),
+        ],
+    )
+    def test_non_integer_dihedral_index_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"rootspin: error: \"unknown preset '{argv[2]}'\"\n"
+
+    @pytest.mark.parametrize("name", ["I2-5", "I2-1"])
+    def test_unrealizable_dihedral_is_domain_error(self, capsys, name):
+        code, out, err = run(capsys, "roots", "--preset", name)
+        assert code == 2 and out == ""
+        assert err.startswith("rootspin: NotRepresentable: ")
+
     def test_unknown_verb_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
@@ -180,6 +200,25 @@ class TestExitCodes:
 
         with pytest.raises(ClosureCapExceeded):
             close_under_reflections([vec(1, -1, 0), vec(0, 1, -1), vec(0, 1, 1)], disc=2)
+
+
+class TestClassifyUnderSmallCap:
+    def test_only_the_candidates_are_closed(self, capsys, monkeypatch):
+        # the 6-root input and its one catalog candidate fit under the cap
+        monkeypatch.setenv("ROOTSPIN_CAP", "10")
+        catalog.cache_clear()
+        code, out, err = run(capsys, "classify", "--preset", "I2-3")
+        assert code == 0 and err == ""
+        assert "identified: I2-3\n" in out
+
+    def test_a_candidate_over_the_cap_still_raises(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "a3.json"
+        path.write_text(root_system_to_json(build_preset("A3")))
+        monkeypatch.setenv("ROOTSPIN_CAP", "10")
+        catalog.cache_clear()
+        code, out, err = run(capsys, "classify", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("rootspin: ClosureCapExceeded: ")
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

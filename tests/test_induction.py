@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,14 @@ class TestRotorGroups:
     def test_group_orders(self, name, order):
         units = normalize_roots(build_preset(name))
         assert generate_rotor_group(units).order == order
+
+    def test_shuffled_group_sorts_back_to_the_canonical_order(self):
+        # Multivector.__lt__ skips equal coefficients; the order must not move
+        elements = generate_rotor_group(normalize_roots(build_preset("H3"))).elements
+        shuffled = list(elements)
+        random.Random(120).shuffle(shuffled)
+        assert tuple(sorted(shuffled)) == elements
+        assert induction.RotorGroup(shuffled).elements == elements
 
     def test_double_cover_structure(self):
         for name in ("A1xA1xA1", "A3", "B3", "H3"):

@@ -380,3 +380,33 @@ def test_build_preset_cache_respects_env_cap(monkeypatch):
     monkeypatch.setenv("ROOTSPIN_CAP", "7")
     with pytest.raises(ClosureCapExceeded):
         build_preset("H3")
+
+
+ALL_PRESETS = (
+    "A1xA1xA1", "A3", "B3", "H3", "D4", "F4", "H4",
+    *(f"{family}-{n}" for family in ("I2", "A1xI2") for n in (2, 3, 4, 6, 8, 12)),
+)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_shuffled_roots_sort_back_to_the_canonical_order(name):
+    # Vector.__lt__ skips equal coordinates; the order it gives must not move
+    stored = build_preset(name).roots
+    shuffled = list(stored)
+    random.Random(len(stored)).shuffle(shuffled)
+    assert tuple(sorted(shuffled)) == stored
+
+
+def test_vector_order_is_the_sign_of_the_first_differing_coordinate():
+    def reference_lt(a, b):
+        for x, y in zip(a.coords, b.coords):
+            s = (x - y).sign()
+            if s:
+                return s < 0
+        return False
+
+    for name in ("H3", "A1xI2-6", "F4"):
+        stored = build_preset(name).roots
+        for a in stored:
+            for b in stored:
+                assert (a < b) == reference_lt(a, b)
