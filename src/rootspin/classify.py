@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     NotRepresentable,
     RootspinError,
@@ -63,38 +61,34 @@ class Signature:
         )
 
 
-def _component_sizes(adjacent: np.ndarray) -> list[int]:
-    """Sizes of the connected components of a symmetric adjacency matrix."""
-    unseen = np.ones(len(adjacent), dtype=bool)
+def _component_sizes(ga: list[list[int]], gb: list[list[int]]) -> list[int]:
+    """Sizes of the connected components of the non-orthogonality graph."""
+    unseen = set(range(len(ga)))
     sizes = []
-    while unseen.any():
-        comp = np.zeros_like(unseen)
-        comp[np.argmax(unseen)] = True
-        while True:
-            grown = comp | adjacent[comp].any(axis=0)
-            if (grown == comp).all():
-                break
-            comp = grown
-        unseen &= ~comp
-        sizes.append(int(comp.sum()))
+    while unseen:
+        frontier = {unseen.pop()}
+        size = 1
+        while frontier:
+            frontier = {j for i in frontier for j in unseen if ga[i][j] or gb[i][j]}
+            unseen -= frontier
+            size += len(frontier)
+        sizes.append(size)
     return sizes
 
 
 def signature(rs: RootSystem) -> Signature:
     """Exact signature of a root system (roots are unit-normalized first)."""
     units = normalize_roots(rs)
-    n = len(units)
     lattice = Lattice(units, rs.disc)
     ga, gb = lattice.gram()
     spectrum = sorted(
         (_value_key(value), c) for value, c in lattice.inner_products((ga, gb)).items()
     )
-    adjacent = (ga != 0) | (gb != 0)
     return Signature(
         dim=rs.dim,
-        count=n,
+        count=len(units),
         spectrum=tuple(spectrum),
-        components=tuple(sorted(_component_sizes(adjacent), reverse=True)),
+        components=tuple(sorted(_component_sizes(ga, gb), reverse=True)),
     )
 
 
@@ -166,22 +160,22 @@ def coxeter_order(rs: RootSystem) -> int:
     """
     lattice = Lattice(rs.roots, rs.disc)
     table = lattice.reflection_table(lattice.gram())
-    open_rows = np.flatnonzero((table < 0).any(axis=1))
-    if open_rows.size:
-        raise RootspinError(
-            f"{rs!r} is not reflection-closed at root {rs.roots[open_rows[0]]}; "
-            "run verify_root_axioms"
-        )
+    for i, row in enumerate(table):
+        if -1 in row:
+            raise RootspinError(
+                f"{rs!r} is not reflection-closed at root {rs.roots[i]}; "
+                "run verify_root_axioms"
+            )
     order = 1
-    live = np.arange(len(table))
-    while live.size:
+    live = list(range(len(table)))
+    while live:
         r = live[0]
-        orbit, frontier = {int(r)}, [r]
+        orbit, frontier = {r}, {r}
         while frontier:
-            frontier = list(set(table[np.ix_(live, frontier)].ravel().tolist()) - orbit)
-            orbit.update(frontier)
+            frontier = {table[i][j] for i in live for j in frontier} - orbit
+            orbit |= frontier
         order *= len(orbit)
-        live = live[table[r, live] == live]  # orthogonal to r: fixed by its reflection
+        live = [j for j in live if table[r][j] == j]  # orthogonal to r: fixed by its reflection
     return order
 
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch, ZeroRoot
 from .errors import NormNotInField
@@ -332,25 +330,25 @@ def verify_root_axioms(rs: RootSystem) -> AxiomReport:
     roots = rs.roots
     lattice = Lattice(roots, rs.disc)
     gram = lattice.gram()
-    n = len(roots)
+    n, neg = len(roots), lattice.neg
     axiom1_ok, axiom1_witness = True, None
-    neg = lattice.negatives()
-    unpaired = np.flatnonzero(neg < 0)
-    if unpaired.size:
-        a = roots[unpaired[0]]
+    if -1 in neg:
+        a = roots[neg.index(-1)]
         axiom1_ok, axiom1_witness = False, (a, -a)
     else:
-        idx = np.arange(n)
-        others = lattice.parallel(gram) & (idx[:, None] < idx) & (neg[:, None] != idx)
-        pairs = np.flatnonzero(others)
-        if pairs.size:
-            i, j = divmod(int(pairs[0]), n)
-            axiom1_ok, axiom1_witness = False, (roots[i], roots[j])
+        line = lattice.lines(gram)
+        pairs = (
+            (i, j) for i in range(n) for j in range(i + 1, n)
+            if line[i] == line[j] and neg[i] != j
+        )
+        first = next(pairs, None)
+        if first:
+            axiom1_ok, axiom1_witness = False, (roots[first[0]], roots[first[1]])
     axiom2_ok, axiom2_witness = True, None
-    pairs = np.flatnonzero(lattice.reflection_table(gram) < 0)
-    if pairs.size:
-        i, j = divmod(int(pairs[0]), n)
-        axiom2_ok, axiom2_witness = False, (roots[i], roots[j])
+    for i, row in enumerate(lattice.reflection_table(gram)):
+        if -1 in row:
+            axiom2_ok, axiom2_witness = False, (roots[i], roots[row.index(-1)])
+            break
     return AxiomReport(axiom1_ok, axiom1_witness, axiom2_ok, axiom2_witness)
 
 
@@ -360,8 +358,17 @@ def normalize_roots(rs: RootSystem) -> list[Vector]:
     Raises NormNotInField naming the offending root if some squared norm has
     no square root in the field.
     """
-    units = {r.unit() for r in rs}
-    return sorted(units)
+    if all(map(_is_unit, rs)):  # each root is its own unit(), and rs.roots is sorted
+        return list(rs.roots)
+    return sorted({r.unit() for r in rs})
+
+
+def _is_unit(v: Vector) -> bool:
+    # |v|^2 == 1 on unbounded Fractions, so a large vector is not rejected by
+    # QScalar's 64-bit bound before unit() can reduce it
+    return sum(c.rat * c.surd for c in v.coords) == 0 and 1 == sum(
+        c.rat * c.rat + c.disc * c.surd * c.surd for c in v.coords
+    )
 
 
 def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:

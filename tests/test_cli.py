@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -291,3 +296,47 @@ def test_malformed_document_is_domain_error(capsys, tmp_path, case, verb):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err and err.startswith("rootspin: ")
+
+
+# -- no numpy ------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# runs the CLI as `python -m rootspin` would, then reports whether numpy was loaded
+_PROBE = (
+    "import runpy, sys\n"
+    "sys.argv = ['rootspin'] + sys.argv[1:]\n"
+    "try:\n"
+    "    runpy.run_module('rootspin', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--preset", "H4"],
+        ["induce", "--preset", "H3"],
+        ["verify", "--preset", "F4"],
+        ["survey"],
+    ],
+    ids=" ".join,
+)
+def test_fresh_cli_process_never_loads_numpy(argv):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_no_source_or_test_file_imports_numpy():
+    pattern = re.compile(r"^\s*(import|from)\s+numpy\b", re.MULTILINE)
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert files
+    assert [str(f) for f in files if pattern.search(f.read_text())] == []

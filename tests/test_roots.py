@@ -6,8 +6,9 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootspin import (
     ClosureCapExceeded,
@@ -292,45 +293,92 @@ KERNEL_PRESETS = [
 ]
 
 
+def _partial_cases():
+    """Sets off the root-system happy path: negatives missing, multiples, off-lattice."""
+    h3, b3 = build_preset("H3"), build_preset("B3")
+    return {
+        "H3-positive-half": RootSystem([r for r in h3 if -r < r], disc=h3.disc),
+        "B3-minus-one-root": RootSystem(b3.roots[1:], disc=b3.disc),
+        "off-lattice": RootSystem([vec(1, 0), vec(-1, 0), vec(1, 2), vec(-1, -2)], disc=1),
+        "root-and-double": RootSystem(
+            [vec(1, 0, 0), vec(2, 0, 0), vec(-2, 0, 0), vec(0, 1, 0), vec(0, -1, 0)], disc=2
+        ),
+        "paired-multiples": RootSystem(
+            [vec(1, 0), vec(-1, 0), vec(2, 0), vec(-2, 0), vec(1, 1), vec(-1, -1)], disc=2
+        ),
+    }
+
+
+PARTIAL_CASES = sorted(_partial_cases())
+
+
 def _kernel_case(name):
     if name.startswith("induced-"):
         return induce_4d(build_preset(name[len("induced-"):]))
+    if name in PARTIAL_CASES:
+        return _partial_cases()[name]
     return build_preset(name)
+
+
+def _assert_kernel_matches_scalar_reference(roots, disc):
+    lattice = Lattice(roots, disc)
+    ga, gb = lattice.gram()
+    scale = lattice.den**2
+    position = {r: i for i, r in enumerate(roots)}  # a repeated vector: its last position
+    table = lattice.reflection_table((ga, gb))
+    assert lattice.neg == [position.get(-r, -1) for r in roots]
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            dot = a.dot(b)
+            assert (Fraction(ga[i][j], scale), Fraction(gb[i][j], scale)) == (
+                (dot.rat, dot.surd)
+            )
+            assert table[i][j] == position.get(reflect_euclid(b, a), -1)
+
+
+def _reference_witnesses(rs):
+    """First failing pairs in root order, from Vector arithmetic alone."""
+    roots = rs.roots
+    unpaired = [a for a in roots if -a not in rs]
+    if unpaired:
+        axiom1 = (unpaired[0], -unpaired[0])
+    else:
+        parallel = [
+            (a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
+            if b != -a and span_rank([a, b]) == 1
+        ]
+        axiom1 = parallel[0] if parallel else None
+    unclosed = [(a, b) for a in roots for b in roots if reflect_euclid(b, a) not in rs]
+    return axiom1, unclosed[0] if unclosed else None
 
 
 class TestLatticeKernel:
     """The integer kernel against the scalar reference, case by case."""
 
     @pytest.mark.parametrize(
-        "name", KERNEL_PRESETS + [f"induced-{n}" for n in ("A1xA1xA1", "A3", "B3", "H3")]
+        "name",
+        KERNEL_PRESETS
+        + [f"induced-{n}" for n in ("A1xA1xA1", "A3", "B3", "H3")]
+        + PARTIAL_CASES,
     )
     def test_gram_and_table_match_scalar_reference(self, name):
         rs = _kernel_case(name)
-        roots = rs.roots
-        lattice = Lattice(roots, rs.disc)
-        ga, gb = lattice.gram()
-        scale = lattice.den**2
-        position = {r: i for i, r in enumerate(roots)}
-        table = lattice.reflection_table((ga, gb))
-        for i, a in enumerate(roots):
-            for j, b in enumerate(roots):
-                dot = a.dot(b)
-                assert (Fraction(int(ga[i, j]), scale), Fraction(int(gb[i, j]), scale)) == (
-                    (dot.rat, dot.surd)
-                )
-                assert table[i, j] == position.get(reflect_euclid(b, a), -1)
+        _assert_kernel_matches_scalar_reference(rs.roots, rs.disc)
+
+    def test_repeated_vectors_match_scalar_reference(self):
+        v, w = vec(1, 0), vec(1, 1)
+        vectors = [-v, v, v, w, -w, -w, vec(0, 1)]
+        _assert_kernel_matches_scalar_reference(vectors, 1)
+        dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
+        assert list(gram_spectrum(vectors)) == sorted(dots + dots)
 
     def test_large_scale_takes_the_python_int_path(self):
         b3 = build_preset("B3")
         big = RootSystem([r.scale(Fraction(2**40 + 1, 3)) for r in b3.roots], disc=2)
         lattice = Lattice(big.roots, big.disc)
         gram = lattice.gram()
-        assert gram[0].dtype == object
         reference = Lattice(b3.roots, b3.disc)
-        assert reference.gram()[0].dtype == np.int64
-        assert np.array_equal(
-            lattice.reflection_table(gram), reference.reflection_table(reference.gram())
-        )
+        assert lattice.reflection_table(gram) == reference.reflection_table(reference.gram())
         assert verify_root_axioms(big) == verify_root_axioms(b3)
         assert signature(big) == signature(b3)
 
@@ -343,19 +391,49 @@ class TestLatticeKernel:
         assert (mirror, moved) == (vec(-1, -2), vec(-1, 0))
         assert reflect_euclid(moved, mirror) == vec(Fraction(-3, 5), Fraction(4, 5))
 
-    def test_witnesses_are_first_failures_in_root_order(self):
-        rs = RootSystem(
-            [vec(1, 0), vec(-1, 0), vec(2, 0), vec(-2, 0), vec(1, 1), vec(-1, -1)], disc=2
-        )
+    @pytest.mark.parametrize("name", PARTIAL_CASES)
+    def test_witnesses_are_first_failures_in_root_order(self, name):
+        rs = _kernel_case(name)
         report = verify_root_axioms(rs)
-        roots = rs.roots
-        parallel = [
-            (a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
-            if b != -a and span_rank([a, b]) == 1
-        ]
-        assert report.axiom1_witness == parallel[0]
-        unclosed = [(a, b) for a in roots for b in roots if reflect_euclid(b, a) not in rs]
-        assert report.axiom2_witness == unclosed[0]
+        axiom1, axiom2 = _reference_witnesses(rs)
+        assert (report.axiom1_ok, report.axiom1_witness) == (axiom1 is None, axiom1)
+        assert (report.axiom2_ok, report.axiom2_witness) == (axiom2 is None, axiom2)
+
+
+@st.composite
+def partial_sets(draw):
+    """Small vector sets over Q(sqrt(d)) with some reflection images and multiples
+    added, then each vector kept, negated, or kept with its negative."""
+    disc = draw(st.sampled_from((1, 2, 3, 5)))
+    dim = draw(st.integers(2, 4))
+    part = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    coord = st.builds(
+        lambda a, b: QScalar(a, b if disc > 1 else 0, disc), part, part
+    )
+    vectors = draw(
+        st.lists(st.lists(coord, min_size=dim, max_size=dim).map(Vector), min_size=1, max_size=4)
+        .map(lambda vs: [v for v in vs if not v.is_zero()])
+        .filter(bool)
+    )
+    pick = st.integers(0, 3).map(lambda i: vectors[i % len(vectors)])
+    vectors += draw(st.lists(st.builds(reflect_euclid, pick, pick), max_size=4))
+    factor = st.sampled_from((2, Fraction(-1, 2), QScalar(1, 1, disc)))
+    vectors += draw(st.lists(st.builds(Vector.scale, pick, factor), max_size=2))
+    roots = []
+    for v in vectors:
+        keep, keep_negative = draw(st.sampled_from(((True, True), (True, False), (False, True))))
+        roots += [v] * keep + [-v] * keep_negative
+    return RootSystem(roots, disc=disc)
+
+
+@given(partial_sets())
+def test_kernel_and_witnesses_match_scalar_reference_on_random_sets(rs):
+    roots = list(rs.roots)
+    _assert_kernel_matches_scalar_reference(roots, rs.disc)
+    _assert_kernel_matches_scalar_reference(roots + roots[::2], rs.disc)
+    _assert_kernel_matches_scalar_reference(roots[::2] + roots, rs.disc)
+    report = verify_root_axioms(rs)
+    assert (report.axiom1_witness, report.axiom2_witness) == _reference_witnesses(rs)
 
 
 def test_build_preset_checks_expected_count(monkeypatch):
