@@ -391,8 +391,20 @@ class TestLatticeKernel:
         assert (mirror, moved) == (vec(-1, -2), vec(-1, 0))
         assert reflect_euclid(moved, mirror) == vec(Fraction(-3, 5), Fraction(4, 5))
 
+    def test_witnesses_are_first_failures_in_root_order(self):
+        rs = _kernel_case("paired-multiples")
+        report = verify_root_axioms(rs)
+        roots = rs.roots
+        parallel = [
+            (a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
+            if b != -a and span_rank([a, b]) == 1
+        ]
+        assert report.axiom1_witness == parallel[0]
+        unclosed = [(a, b) for a in roots for b in roots if reflect_euclid(b, a) not in rs]
+        assert report.axiom2_witness == unclosed[0]
+
     @pytest.mark.parametrize("name", PARTIAL_CASES)
-    def test_witnesses_are_first_failures_in_root_order(self, name):
+    def test_witnesses_match_reference_on_partial_sets(self, name):
         rs = _kernel_case(name)
         report = verify_root_axioms(rs)
         axiom1, axiom2 = _reference_witnesses(rs)
