@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import DimensionMismatch, NonUnitVector, OddGradePresent
+from .lattice import int_numerators  # noqa: F401  (the encoder of the kernel below)
 from .qfield import QScalar
 from .roots import Vector
 
@@ -329,7 +330,8 @@ def spinor_to_vec2(psi) -> Vector:
 # of all nine and with D > 0, so equal elements are equal tuples.  A vector
 # x1 e1 + x2 e2 + x3 e3 is held the same way with three pairs.  Products take
 # their structure constants from _sign_table, so the blade convention above
-# stays the only one; the even product is the quaternion product.
+# stays the only one; the even product is the quaternion product.  The
+# encoder, int_numerators, is lattice.py's, shared with the reflection closure.
 
 EVEN_MASKS = (0, _IE1, _IE2_NEG, _IE3)
 
@@ -347,13 +349,6 @@ def _structure(left: tuple[int, ...], right: tuple[int, ...]) -> tuple:
 
 VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100))
 EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS)
-
-
-def int_numerators(scalars) -> tuple[int, ...]:
-    """(p_0, q_0, p_1, q_1, ..., D) with scalar k = (p_k + q_k sqrt(d)) / D, reduced."""
-    parts = [f for c in scalars for f in (c.rat, c.surd)]
-    den = math.lcm(*(f.denominator for f in parts))
-    return tuple(f.numerator * (den // f.denominator) for f in parts) + (den,)
 
 
 def int_product(x: tuple[int, ...], y: tuple[int, ...], structure, disc: int) -> tuple[int, ...]:

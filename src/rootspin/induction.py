@@ -20,7 +20,6 @@ from .clifford import (
     Multivector,
     Rotor,
     even_from_numerators,
-    int_numerators,
     int_product,
     spinor_to_vec2,
     spinor_to_vec4,
@@ -28,15 +27,16 @@ from .clifford import (
 from .errors import (
     ClosureCapExceeded,
     DimensionMismatch,
-    FieldMismatch,
     NonUnitVector,
     RootspinError,
 )
+from .lattice import check_range, field_disc, int_numerators
 from .qfield import QScalar
 from .roots import (
     Provenance,
     RootSystem,
     Vector,
+    canonical_sorted,
     gram_spectrum,
     normalize_roots,
     verify_root_axioms,
@@ -44,7 +44,6 @@ from .roots import (
 
 _ONE_Q = QScalar(1)
 _ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
-_INT64_MAX = 2**63 - 1
 
 
 def _trusted_rotor(mv: Multivector) -> Rotor:
@@ -60,14 +59,24 @@ class RotorGroup:
     __slots__ = ("dim", "elements", "_set")
 
     def __init__(self, elements: Sequence[Rotor]):
-        elems = sorted(set(elements))
+        elems = set(elements)
         dims = {r.dim for r in elems}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
+        self._fill(canonical_sorted(elems, _coeffs))
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, elems: list[Rotor]) -> "RotorGroup":
+        # elements already distinct, canonically ordered and validated
+        group = object.__new__(cls)
+        group._fill(elems)
+        return group
+
+    def _fill(self, elems: list[Rotor]) -> None:
         object.__setattr__(self, "dim", elems[0].dim)
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "_set", frozenset(r.mv for r in elems))
-        self._validate()
 
     def __setattr__(self, name, value):
         raise AttributeError("RotorGroup is immutable")
@@ -99,20 +108,12 @@ class RotorGroup:
         return f"RotorGroup(dim={self.dim}, order={self.order})"
 
 
-def _field_disc(vectors: Sequence[Vector]) -> int:
-    """The one d whose sqrt(d) the coordinates use; plain rationals fit any field."""
-    surd = list(dict.fromkeys(c.disc for v in vectors for c in v.coords if c.surd))
-    if len(surd) > 1:
-        raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
-    return surd[0] if surd else max(c.disc for v in vectors for c in v.coords)
+def _coeffs(r: Rotor) -> tuple[QScalar, ...]:
+    return r.mv.coeffs
 
 
-def _check_range(x: tuple[int, ...], d: int) -> None:
-    # past the cheap bound, building the QScalars applies their own 64-bit
-    # check to each reduced component p/D and q/D, and raises OverflowError
-    *nums, den = x
-    if den > _INT64_MAX or max(map(abs, nums)) > _INT64_MAX:
-        even_from_numerators(x, d)
+def _negated(x: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-v for v in x[:-1]) + x[-1:]
 
 
 def generate_rotor_group(
@@ -121,7 +122,8 @@ def generate_rotor_group(
     """Close {alpha_i alpha_j : all ordered root pairs} under the product.
 
     The loop runs on the integer numerators of clifford's even kernel;
-    Multivectors are built once, for the final elements.  The cap is
+    Multivectors are built once, for the final elements, after the group
+    checks (even order, 1, negation) have run on the tuples.  The cap is
     checked on every insertion, so an oversized group costs at most cap + 1
     elements of work.
     """
@@ -131,7 +133,7 @@ def generate_rotor_group(
     for r in unit_roots:
         if r.norm_squared() != _ONE_Q:
             raise NonUnitVector(f"root {r} is not exactly unit length")
-    d = _field_disc(unit_roots)
+    d = field_disc(unit_roots)
     vecs = [int_numerators(r.coords) for r in unit_roots]
     known: set[tuple[int, ...]] = set()
     elements: list[tuple[int, ...]] = []
@@ -139,7 +141,7 @@ def generate_rotor_group(
     def insert(x: tuple[int, ...]) -> None:
         if x in known:
             return
-        _check_range(x, d)
+        check_range(x)
         known.add(x)
         elements.append(x)
         if len(known) > cap:
@@ -159,7 +161,16 @@ def generate_rotor_group(
     except OverflowError as exc:
         raise OverflowError(f"rotor closure overflowed at {len(known)} elements; "
                             "the input likely generates an infinite group") from exc
-    return RotorGroup([_trusted_rotor(even_from_numerators(x, d)) for x in elements])
+    if len(elements) % 2 != 0:
+        raise RootspinError(f"rotor group of odd order {len(elements)}")
+    if _ONE not in known:
+        raise RootspinError("rotor group does not contain 1")
+    for x in elements:
+        if _negated(x) not in known:
+            rotor = _trusted_rotor(even_from_numerators(x, d))
+            raise RootspinError(f"rotor group not closed under negation at {rotor}")
+    rotors = [_trusted_rotor(even_from_numerators(x, d)) for x in elements]
+    return RotorGroup._trusted(canonical_sorted(rotors, _coeffs))
 
 
 def _named(out: RootSystem, source: str) -> RootSystem:

@@ -19,6 +19,15 @@ the kernel compute only the pairs of representatives (the first root of each
 
     G(+-a, +-b) = +-G(a, b),   s_{-a} = s_a,   s_a(-b) = -s_a(b).
 
+The reflection closure, simple-root extraction and the rotor closure hold
+each vector or rotor on its own as one reduced tuple
+
+    (p_1, q_1, ..., p_k, q_k, D),   coordinate i = (p_i + q_i sqrt(d)) / D,
+
+with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
+`int_numerators` encodes, `int_reflect` reflects, and `check_range` is the
+insertion guard both closures share.
+
 QScalar stays the public scalar: this module only replaces loops over root
 pairs.
 """
@@ -29,14 +38,98 @@ import math
 from collections import Counter
 from fractions import Fraction
 from operator import mul, sub
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .errors import FieldMismatch
 from .qfield import QScalar
 
 if TYPE_CHECKING:  # roots imports this module
     from .roots import Vector
 
 Matrix = list[list[int]]
+Numerators = tuple[int, ...]
+
+_INT64_MAX = 2**63 - 1
+
+
+def field_disc(vectors: Sequence[Vector]) -> int:
+    """The one d whose sqrt(d) the coordinates use; plain rationals fit any field."""
+    surd = list(dict.fromkeys(c.disc for v in vectors for c in v.coords if c.surd))
+    if len(surd) > 1:
+        raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
+    return surd[0] if surd else max(c.disc for v in vectors for c in v.coords)
+
+
+def int_numerators(scalars: Iterable[QScalar]) -> Numerators:
+    """(p_1, q_1, ..., p_k, q_k, D) with scalar i = (p_i + q_i sqrt(d)) / D, reduced."""
+    parts = [f for c in scalars for f in (c.rat, c.surd)]
+    den = math.lcm(*(f.denominator for f in parts))
+    return tuple(f.numerator * (den // f.denominator) for f in parts) + (den,)
+
+
+def from_numerators(x: Numerators, disc: int) -> tuple[QScalar, ...]:
+    """The QScalars whose numerators are x, over Q(sqrt(disc))."""
+    den = x[-1]
+    return tuple(
+        QScalar(Fraction(p, den), Fraction(q, den), disc) for p, q in zip(x[:-1:2], x[1:-1:2])
+    )
+
+
+def check_range(x: Numerators) -> None:
+    """OverflowError unless every reduced component p_i/D, q_i/D fits QScalar's 64-bit bound."""
+    if max(map(abs, x)) > _INT64_MAX:
+        for p in x[:-1]:
+            QScalar(Fraction(p, x[-1]))
+
+
+def int_mirror(a: Numerators, disc: int) -> tuple:
+    """(p, q, U, V, N) for reflecting in a, with 2 / (a|a) = D_a^2 (U + V sqrt(d)) / N.
+
+    (a|a) = (r + t sqrt(d)) / D_a^2 has the nonzero field norm n = r^2 - d t^2,
+    so 2 / (a|a) = D_a^2 (2r - 2t sqrt(d)) / n; U, V and N > 0 are those three
+    numbers divided by their gcd.
+    """
+    p, q = a[:-1:2], a[1:-1:2]
+    r = sum(map(mul, p, p)) + disc * sum(map(mul, q, q))
+    t = 2 * sum(map(mul, p, q))
+    n = r * r - disc * t * t
+    h = math.gcd(2 * r, 2 * t, n)
+    if n < 0:
+        h = -h
+    return p, q, 2 * r // h, -2 * t // h, n // h
+
+
+def int_reflect(b: Numerators, mirror: tuple, disc: int) -> Numerators:
+    """Reduced numerators of b - 2 (a|b) / (a|a) a, for a = the mirror's vector.
+
+    With (a|b) = (x + y sqrt(d)) / (D_a D_b) and (s + w sqrt(d)) =
+    (x + y sqrt(d)) (U + V sqrt(d)), the shift 2 (a|b) / (a|a) a has the
+    numerators (s + w sqrt(d)) (p + q sqrt(d)) over N D_b: D_a cancels.
+    """
+    p, q, u, v, n = mirror
+    pb, qb = b[:-1:2], b[1:-1:2]
+    x = sum(map(mul, p, pb)) + disc * sum(map(mul, q, qb))
+    y = sum(map(mul, p, qb)) + sum(map(mul, q, pb))
+    if not x and not y:
+        return b
+    s, w = x * u + disc * y * v, x * v + y * u
+    out = []
+    for e, f, g, k in zip(p, q, pb, qb):
+        out.append(n * g - s * e - disc * w * f)
+        out.append(n * k - s * f - w * e)
+    out.append(n * b[-1])
+    h = math.gcd(*out)
+    return tuple(z // h for z in out)
+
+
+def field_sign(x: int, y: int, disc: int) -> int:
+    """Sign of x + y sqrt(d), from x^2 against d y^2 when the signs differ."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
+    return 1 if bigger > 0 else -1
 
 
 class Lattice:

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
 from .qfield import QScalar
-from .roots import Provenance, RootSystem, Vector, close_under_reflections, vec
+from .roots import Provenance, RootSystem, Vector, canonical_sorted, close_under_reflections, vec
 
 HALF = Fraction(1, 2)
 
@@ -126,7 +126,7 @@ def _h4_roots() -> list[Vector]:
                     continue
                 c[pos] = base[k] * signs[k]
             out.append(Vector(c, disc=5))
-    return sorted(set(out))
+    return canonical_sorted(set(out))
 
 
 @lru_cache(maxsize=1)

@@ -9,10 +9,11 @@ the package are decidable with no floating-point tolerance.
 Rational components ride on fractions.Fraction but are bounded to 64-bit
 numerator/denominator; exceeding the bound raises OverflowError loudly
 instead of growing silently.  QScalar is the public scalar; the loops over
-root pairs run on the integer-lattice kernel in lattice.py, on Python ints
-with no bound, and the rotor closure runs on the integer numerators of
-clifford.py's even kernel, which keeps this module's 64-bit bound on every
-element it adds.
+roots run on Python ints in lattice.py's kernels: the Gram matrix and the
+reflection table of a root set, and the numerator tuples on which the
+reflection closure, simple-root extraction and (with clifford.py's even
+product) the rotor closure work.  Both closures keep this module's 64-bit
+bound on every root or element they add, through lattice.check_range.
 """
 
 from __future__ import annotations

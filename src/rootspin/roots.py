@@ -5,6 +5,14 @@ closing a set of simple roots under reflection in every member; verifying
 one means checking the two defining axioms (only +-alpha among parallel
 members, invariance under all member reflections) with exact arithmetic, so
 a verdict is a fact rather than a tolerance call.
+
+The loops over roots run on integers.  The reflection closure and
+simple-root extraction hold each root as its reduced numerator tuple
+(lattice.int_numerators) and reflect with lattice.int_reflect; the axiom
+check and the Gram spectrum read lattice.Lattice.  QScalars are built for
+the final roots only.  The canonical order of roots (and of rotors) is
+Vector.__lt__'s, computed by canonical_sorted from integer ranks of the few
+distinct coordinate values.
 """
 
 from __future__ import annotations
@@ -12,15 +20,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from operator import attrgetter, mul
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch, ZeroRoot
 from .errors import NormNotInField
-from .lattice import Lattice
+from .lattice import (
+    Lattice,
+    check_range,
+    field_disc,
+    field_sign,
+    from_numerators,
+    int_mirror,
+    int_numerators,
+    int_reflect,
+)
 from .qfield import QScalar
 
 Coord = Union[QScalar, int, Fraction]
+T = TypeVar("T")
 
 
 class Vector:
@@ -135,6 +154,21 @@ def vec(*coords: Coord, disc: int | None = None) -> Vector:
     return Vector(coords, disc=disc)
 
 
+_coords = attrgetter("coords")
+
+
+def canonical_sorted(items: Iterable[T], coords: Callable[[T], tuple] = _coords) -> list[T]:
+    """items in lexicographic order of their coordinate tuples, as Vector.__lt__ sorts.
+
+    The few distinct coordinate values are ranked once with QScalar's exact
+    order; the sort itself then compares tuples of ranks.  Every tuple must
+    have the same length.
+    """
+    items = list(items)
+    ranks = {c: i for i, c in enumerate(sorted({c for x in items for c in coords(x)}))}
+    return sorted(items, key=lambda x: tuple(map(ranks.__getitem__, coords(x))))
+
+
 @dataclass(frozen=True)
 class Provenance:
     preset: Optional[str] = None
@@ -164,14 +198,15 @@ class RootSystem:
         label: str | None = None,
         provenance: Provenance | None = None,
     ):
-        rs = sorted(set(Vector(r.coords, disc=disc) for r in roots))
-        if not rs:
+        distinct = {Vector(r.coords, disc=disc) for r in roots}
+        if not distinct:
             raise ZeroRoot("a root system needs at least one root")
-        dims = {r.dim for r in rs}
+        dims = {r.dim for r in distinct}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
-        if any(r.is_zero() for r in rs):
+        if any(r.is_zero() for r in distinct):
             raise ZeroRoot("the zero vector cannot be a root")
+        rs = canonical_sorted(distinct)
         object.__setattr__(self, "dim", rs[0].dim)
         object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "roots", tuple(rs))
@@ -220,24 +255,10 @@ def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:
     """Reflect lam in the hyperplane perpendicular to alpha (exactly)."""
     if alpha.is_zero():
         raise ZeroRoot("cannot reflect in the zero vector")
-    return _reflect_fast(lam, alpha, _mirror_factor(alpha))
-
-
-def _mirror_factor(alpha: Vector) -> QScalar:
-    # the reusable 2/(alpha|alpha) part of the reflection formula
-    return alpha.norm_squared().inverse() * 2
-
-
-def _reflect_fast(lam: Vector, alpha: Vector, factor: QScalar) -> Vector:
-    c = lam.dot(alpha) * factor
-    if c.is_zero():
-        return lam
-    return Vector._make(
-        tuple(
-            x if y.is_zero() else x - y * c
-            for x, y in zip(lam.coords, alpha.coords)
-        )
-    )
+    lam._check_dim(alpha)
+    d = field_disc((lam, alpha))
+    image = int_reflect(int_numerators(lam.coords), int_mirror(int_numerators(alpha.coords), d), d)
+    return Vector._make(from_numerators(image, d))
 
 
 def close_under_reflections(
@@ -249,9 +270,12 @@ def close_under_reflections(
 ) -> RootSystem:
     """Smallest set containing +-simple and closed under member reflections.
 
-    Worklist fixpoint; aborts with ClosureCapExceeded as soon as an insertion
-    passes the cap (default 10^4), which turns an infinite-group input into a
-    clean error after at most cap + 1 roots.
+    Worklist fixpoint on the roots' integer numerator tuples, each mirror's
+    (a|a) and field norm computed once; aborts with ClosureCapExceeded as
+    soon as an insertion passes the cap (default 10^4), which turns an
+    infinite-group input into a clean error after at most cap + 1 roots.  A
+    root whose components leave QScalar's 64-bit range is refused with
+    OverflowError before it is inserted.
     """
     cap = resolve_cap(cap, ROOT_CLOSURE_CAP)
     if not simple:
@@ -265,39 +289,39 @@ def close_under_reflections(
             if s.disc() != 1:
                 disc = s.disc()
                 break
-    seed = [Vector(s.coords, disc=disc) for s in simple]
-    roots: set[Vector] = set(seed) | {-s for s in seed}
+    dims = {s.dim for s in simple}
+    if len(dims) != 1:
+        raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
+    seed = [int_numerators(Vector(s.coords, disc=disc).coords) for s in simple]
+    seed += [tuple(-v for v in x[:-1]) + x[-1:] for x in seed]
+    mirrors = {x: int_mirror(x, disc) for x in seed}  # every root is a mirror
 
     def check_cap() -> None:
-        if len(roots) > cap:
+        if len(mirrors) > cap:
             raise ClosureCapExceeded(
                 f"reflection closure exceeded cap of {cap} roots"
             )
 
     check_cap()
-    factors: dict[Vector, QScalar] = {}
-    frontier = list(roots)
-    while frontier:
-        current = list(roots)
-        found: list[Vector] = []
-        try:
+    frontier = list(mirrors)
+    try:
+        while frontier:
+            current = list(mirrors.items())
+            found: list[tuple[int, ...]] = []
             for r in frontier:
-                fr = factors.get(r)
-                if fr is None:
-                    fr = factors[r] = _mirror_factor(r)
-                for m in current:
-                    fm = factors.get(m)
-                    if fm is None:
-                        fm = factors[m] = _mirror_factor(m)
-                    for cand in (_reflect_fast(r, m, fm), _reflect_fast(m, r, fr)):
-                        if cand not in roots:
-                            roots.add(cand)
+                mr = mirrors[r]
+                for m, mm in current:
+                    for cand in (int_reflect(r, mm, disc), int_reflect(m, mr, disc)):
+                        if cand not in mirrors:
+                            check_range(cand)
+                            mirrors[cand] = int_mirror(cand, disc)
                             found.append(cand)
                             check_cap()
-        except OverflowError as exc:
-            raise OverflowError(f"reflection closure overflowed at {len(roots)} roots; "
-                                "the input likely generates an infinite group") from exc
-        frontier = found
+            frontier = found
+    except OverflowError as exc:
+        raise OverflowError(f"reflection closure overflowed at {len(mirrors)} roots; "
+                            "the input likely generates an infinite group") from exc
+    roots = (Vector._make(from_numerators(x, disc)) for x in mirrors)
     return RootSystem(roots, disc=disc, label=label, provenance=provenance)
 
 
@@ -360,7 +384,7 @@ def normalize_roots(rs: RootSystem) -> list[Vector]:
     """
     if all(map(_is_unit, rs)):  # each root is its own unit(), and rs.roots is sorted
         return list(rs.roots)
-    return sorted({r.unit() for r in rs})
+    return canonical_sorted({r.unit() for r in rs})
 
 
 def _is_unit(v: Vector) -> bool:
@@ -379,16 +403,12 @@ def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
     """
     if not vectors:
         return ()
-    lattice = Lattice(vectors, vectors[0].coords[0].disc)
+    lattice = Lattice(vectors, field_disc(vectors))
     values = lattice.inner_products(lattice.gram())
     out: list[QScalar] = []
     for value in sorted(values):
         out.extend([value] * values[value])
     return tuple(out)
-
-
-def _functional_weights(dim: int, t: Fraction) -> list[Fraction]:
-    return [t**i for i in range(dim)]
 
 
 def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
@@ -397,35 +417,33 @@ def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
     Splits the set into positive/negative halves with a generic rational
     functional (weights 1, t, t^2, ...; t perturbed deterministically until
     no root is annihilated), then keeps the positive roots alpha whose
-    reflection maps every other positive root to a positive one.
+    reflection maps every other positive root to a positive one.  Roots are
+    numerator tuples here, and each sign is an integer test.
     """
     dim = roots[0].dim
+    d = field_disc(roots)
+    rows = [int_numerators(r.coords) for r in roots]
     for attempt in range(16):
         t = Fraction(2) + Fraction(attempt, 17)
-        weights = _functional_weights(dim, t)
+        # t^i scaled by den(t)^(dim - 1) > 0, which keeps every sign
+        weights = [t.numerator**i * t.denominator ** (dim - 1 - i) for i in range(dim)]
 
-        def f(v: Vector) -> int:
-            acc = v.coords[0] * weights[0]
-            for c, w in zip(v.coords[1:], weights[1:]):
-                acc = acc + c * w
-            return acc.sign()
+        def f(x: tuple[int, ...]) -> int:
+            return field_sign(
+                sum(map(mul, x[:-1:2], weights)), sum(map(mul, x[1:-1:2], weights)), d
+            )
 
-        signs = [f(r) for r in roots]
-        if any(s == 0 for s in signs):
+        signs = [f(x) for x in rows]
+        if 0 in signs:
             continue
-        positive = [r for r, s in zip(roots, signs) if s > 0]
+        positive = [x for x, s in zip(rows, signs) if s > 0]
         simple = []
-        for a in positive:
-            fa = _mirror_factor(a)
-            interior = True
-            for b in positive:
-                if b == a:
-                    continue
-                if f(_reflect_fast(b, a, fa)) < 0:
-                    interior = False
-                    break
-            if interior:
-                simple.append(a)
+        for a, root, s in zip(rows, roots, signs):
+            if s < 0:
+                continue
+            mirror = int_mirror(a, d)
+            if all(f(int_reflect(b, mirror, d)) >= 0 for b in positive if b != a):
+                simple.append(root)
         return sorted(simple)
     raise DegenerateFunctional(
         "no generic positivity functional found in 16 deterministic attempts"

@@ -249,3 +249,13 @@ class TestCacheKeys:
         induce_4d(build_preset("A1xA1xA1"))
         induce_4d.cache_clear()
         assert induce_4d.cache_info().currsize == 0
+
+
+def test_rotor_group_order_is_the_multivector_order():
+    # the group is sorted by integer ranks of its coefficients; sorted() uses
+    # Multivector.__lt__ on the QScalars themselves
+    for name in ("A1xA1xA1", "A3", "B3", "H3"):
+        elements = generate_rotor_group(normalize_roots(build_preset(name))).elements
+        shuffled = list(elements)
+        random.Random(len(elements)).shuffle(shuffled)
+        assert tuple(sorted(shuffled)) == elements

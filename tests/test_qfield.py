@@ -8,6 +8,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import rootspin.qfield
 from rootspin import DomainError, FieldMismatch, QScalar, phi, sqrt_in_field, to_float
@@ -184,3 +186,59 @@ class TestFieldAxioms:
                 total_b.surd,
                 total_b.disc,
             )
+
+
+# -- property tests -------------------------------------------------------------
+
+_PARTS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@st.composite
+def same_field(draw, n):
+    """n QScalars of one field Q(sqrt(d)), d in {1, 2, 3, 5}."""
+    d = draw(st.sampled_from(DISCS))
+    return [QScalar(draw(_PARTS), draw(_PARTS) if d > 1 else 0, d) for _ in range(n)]
+
+
+@given(same_field(3))
+def test_field_axioms_hold(xyz):
+    x, y, z = xyz
+    zero, one = QScalar(0), QScalar(1)
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x + y == y + x and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x + (-x) == zero
+    assert x - y == x + (-y)
+
+
+@given(same_field(2))
+def test_inverse_and_division(xy):
+    x, y = xy
+    assume(not x.is_zero())
+    assert x * x.inverse() == QScalar(1)
+    assert x.inverse().inverse() == x
+    assert (y / x) * x == y
+
+
+@given(same_field(1))
+def test_sqrt_squares_back(xs):
+    (x,) = xs
+    square = x * x
+    root = square.sqrt()
+    assert root is not None and root * root == square and root.sign() >= 0
+    if x.sign() >= 0:
+        assert root == x
+    if x.sign() > 0:
+        found = x.sqrt()
+        assert found is None or found * found == x
+
+
+@given(same_field(2))
+def test_exact_order_agrees_with_floats_away_from_ties(xy):
+    x, y = xy
+    fx, fy = float(x), float(y)
+    assume(abs(fx - fy) > 1e-9 * (1 + abs(fx) + abs(fy)))
+    assert (x < y) == (fx < fy)
+    assert (x > y) == (fx > fy)
+    assert (x - y).sign() == (1 if fx > fy else -1)
+    assert [x < y, x == y, x > y].count(True) == 1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from rootspin import (
     ClosureCapExceeded,
+    DimensionMismatch,
     NormNotInField,
     NotRepresentable,
     QScalar,
@@ -20,6 +21,7 @@ from rootspin import (
     ZeroRoot,
     build_preset,
     close_under_reflections,
+    extract_simple_roots,
     gram_spectrum,
     induce_4d,
     normalize_roots,
@@ -30,7 +32,9 @@ from rootspin import (
     verify_root_axioms,
 )
 from rootspin import roots
-from rootspin.lattice import Lattice
+from rootspin.clifford import Multivector
+from rootspin.lattice import Lattice, field_sign, int_mirror, int_numerators, int_reflect
+from rootspin.roots import canonical_sorted
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
 
 HALF = Fraction(1, 2)
@@ -145,13 +149,13 @@ class TestClosure:
 
     def test_cap_bounds_the_work(self, monkeypatch):
         calls = []
-        reflect_fast = roots._reflect_fast
+        int_reflect = roots.int_reflect
 
         def counting(*args):
             calls.append(args)
-            return reflect_fast(*args)
+            return int_reflect(*args)
 
-        monkeypatch.setattr(roots, "_reflect_fast", counting)
+        monkeypatch.setattr(roots, "int_reflect", counting)
         with pytest.raises(ClosureCapExceeded):
             close_under_reflections(get_preset("H3").simple_roots, disc=5, cap=8)
         assert len(calls) < 72  # a whole first round is 6 x 6 x 2 reflections
@@ -180,6 +184,22 @@ class TestClosure:
     def test_zero_simple_root_rejected(self):
         with pytest.raises(ZeroRoot):
             close_under_reflections([vec(0, 0, 0)])
+
+    def test_large_finite_input_closes(self):
+        # every root has components near 2**40, but the pairwise products in
+        # the reflection formula pass 2**63; the closure must not call the
+        # input infinite
+        scale = Fraction(2**40 + 1, 3)
+        simple = [r.scale(scale) for r in get_preset("B3").simple_roots]
+        rs = close_under_reflections(simple, disc=2)
+        assert rs == RootSystem([r.scale(scale) for r in build_preset("B3")], disc=2)
+        assert len(rs) == 18
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(DimensionMismatch, match="mixed root dimensions"):
+            close_under_reflections([vec(1, 0), vec(0, 1, 0)])
+        with pytest.raises(DimensionMismatch, match="mixed root dimensions"):
+            RootSystem([vec(1, 0), vec(0, 1, 0)], disc=1)
 
 
 class TestAxioms:
@@ -500,3 +520,102 @@ def test_vector_order_is_the_sign_of_the_first_differing_coordinate():
         for a in stored:
             for b in stored:
                 assert (a < b) == reference_lt(a, b)
+
+
+def test_gram_spectrum_takes_the_field_from_every_coordinate():
+    # the first coordinate is a rational tagged disc 1, the others carry sqrt(3)
+    vectors = [
+        Vector((QScalar(1), QScalar(0))),
+        Vector((QScalar(HALF, 0, 3), QScalar(0, HALF, 3))),
+        Vector((QScalar(-HALF, 0, 3), QScalar(0, HALF, 3))),
+    ]
+    dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
+    assert list(gram_spectrum(vectors)) == sorted(dots + dots)
+    assert [str(v) for v in gram_spectrum(vectors)] == ["-1/2", "-1/2"] + ["1/2"] * 4
+
+
+# -- integer reflection, canonical order and simple roots against QScalar -----
+
+
+@st.composite
+def field_values(draw):
+    """A disc d in {1, 2, 3, 5} and a small pool of values over Q(sqrt(d)).
+
+    The pool also holds rationals tagged with other discs, so equal values
+    can arrive under different tags.
+    """
+    disc = draw(st.sampled_from((1, 2, 3, 5)))
+    part = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    own = st.builds(lambda a, b: QScalar(a, b if disc > 1 else 0, disc), part, part)
+    tagged = st.builds(QScalar, part, st.just(0), st.sampled_from((1, 2, 3, 5)))
+    return disc, draw(st.lists(st.one_of(own, tagged), min_size=1, max_size=5))
+
+
+@given(field_values(), st.integers(1, 4), st.data())
+def test_canonical_sorted_is_the_vector_order(field, dim, data):
+    _, pool = field
+    coord = st.sampled_from(pool)
+    vectors = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim).map(Vector),
+                                 min_size=1, max_size=12))
+    vectors += vectors[::3]  # repeated vectors
+    assert canonical_sorted(vectors) == sorted(vectors)
+
+
+@given(field_values(), st.sampled_from((2, 3)), st.data())
+def test_canonical_sorted_is_the_multivector_order(field, dim, data):
+    _, pool = field
+    coeff = st.sampled_from(pool)
+    mvs = data.draw(st.lists(
+        st.lists(coeff, min_size=1 << dim, max_size=1 << dim).map(lambda c: Multivector(dim, c)),
+        min_size=1, max_size=12,
+    ))
+    mvs += mvs[::2]
+    assert canonical_sorted(mvs, lambda m: m.coeffs) == sorted(mvs)
+
+
+def _qscalar_reflection(b, a):
+    """b - 2 (a|b) / (a|a) a, in QScalar arithmetic."""
+    c = b.dot(a) * 2 / a.dot(a)
+    return Vector(x - c * y for x, y in zip(b.coords, a.coords))
+
+
+@given(field_values(), st.integers(1, 4), st.data())
+def test_integer_reflection_is_the_reflection_formula(field, dim, data):
+    disc, pool = field
+    coord = st.sampled_from(pool)
+    a = data.draw(st.lists(coord, min_size=dim, max_size=dim).map(Vector)
+                  .filter(lambda v: not v.is_zero()))
+    b = data.draw(st.lists(coord, min_size=dim, max_size=dim).map(Vector))
+    expected = _qscalar_reflection(b, a)
+    assert reflect_euclid(b, a) == expected
+    mirror = int_mirror(int_numerators(a.coords), disc)
+    assert int_reflect(int_numerators(b.coords), mirror, disc) == int_numerators(expected.coords)
+
+
+@given(st.sampled_from((1, 2, 3, 5)), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_field_sign_is_the_exact_sign(disc, x, y):
+    y = y if disc > 1 else 0
+    assert field_sign(x, y, disc) == QScalar(x, y, disc).sign()
+
+
+def _reference_simple_roots(roots):
+    """The positivity-functional algorithm on QScalars, for the first t that works."""
+    for attempt in range(16):
+        t = Fraction(2) + Fraction(attempt, 17)
+
+        def f(v):
+            return sum((c * t**i for i, c in enumerate(v.coords)), QScalar(0)).sign()
+
+        if any(f(r) == 0 for r in roots):
+            continue
+        positive = [r for r in roots if f(r) > 0]
+        return sorted(
+            a for a in positive
+            if all(f(_qscalar_reflection(b, a)) > 0 for b in positive if b != a)
+        )
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2-12", "A1xI2-6", "F4", "induced-H3"])
+def test_simple_roots_match_the_scalar_reference(name):
+    roots = _kernel_case(name).roots
+    assert extract_simple_roots(roots) == _reference_simple_roots(roots)
