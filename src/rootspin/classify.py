@@ -15,10 +15,9 @@ data, and identify() computes the signatures of an input's candidates only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     NotRepresentable,
@@ -44,8 +43,7 @@ def _value_key(q: QScalar):
     return ("s", q.disc, q.rat, q.surd)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Rotation-invariant fingerprint of a root system."""
 
     dim: int
@@ -194,8 +192,7 @@ def simple_roots_of(rs: RootSystem) -> list[Vector]:
     return simple
 
 
-@dataclass(frozen=True)
-class CoxeterMatrix:
+class CoxeterMatrix(NamedTuple):
     rank: int
     entries: tuple[tuple[int, ...], ...]
 
@@ -279,8 +276,7 @@ SURVEY_INPUTS = (
 COUNTEREXAMPLE_NAME = "I2-4xA1xA1"
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     input: str
     dim: int
     root_count: Optional[int]
@@ -290,8 +286,7 @@ class SurveyRow:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SurveyTable:
+class SurveyTable(NamedTuple):
     rows: tuple[SurveyRow, ...]
     counterexample_name: str
     counterexample_absent: bool

@@ -1,7 +1,7 @@
 """The rank-3 to rank-4 induction and its 2D counterpart.
 
-Pipeline: unit-normalize roots, form all pairwise rotors alpha_i alpha_j,
-close them into a group under the geometric product, then read each group
+Pipeline: unit-normalize roots, close the rotors alpha_i alpha_j into the
+group they generate under the geometric product, then read each group
 element's even-grade coefficients as a Euclidean vector.  The resulting 4D
 (or 2D) point set is re-verified against the root-system axioms instead of
 being trusted: the verification *is* the computational content here.
@@ -9,9 +9,8 @@ being trusted: the verification *is* the computational content here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .caps import GROUP_CLOSURE_CAP, resolve_cap
 from .clifford import (
@@ -119,13 +118,17 @@ def _negated(x: tuple[int, ...]) -> tuple[int, ...]:
 def generate_rotor_group(
     unit_roots: Sequence[Vector], cap: int | None = None
 ) -> RotorGroup:
-    """Close {alpha_i alpha_j : all ordered root pairs} under the product.
+    """The group generated by {alpha_i alpha_j : all ordered root pairs}.
 
+    Since alpha_i alpha_j = (alpha_i alpha_1)(alpha_1 alpha_j) and alpha_i
+    alpha_1 is the inverse of alpha_1 alpha_i, the n products alpha_1 alpha_j
+    generate it.  They are closed into {1} one generator at a time, and a
+    generator already in the closure is skipped, so H3 keeps 2 of its 29.
     The loop runs on the integer numerators of clifford's even kernel;
     Multivectors are built once, for the final elements, after the group
-    checks (even order, 1, negation) have run on the tuples.  The cap is
-    checked on every insertion, so an oversized group costs at most cap + 1
-    elements of work.
+    checks (even order, 1, negation) have run on the tuples.  Every element
+    met, the n seed products included, counts against the cap on insertion,
+    so an oversized group costs at most cap + 1 elements of work.
     """
     cap = resolve_cap(cap, GROUP_CLOSURE_CAP)
     if not unit_roots:
@@ -136,28 +139,34 @@ def generate_rotor_group(
     d = field_disc(unit_roots)
     vecs = [int_numerators(r.coords) for r in unit_roots]
     known: set[tuple[int, ...]] = set()
-    elements: list[tuple[int, ...]] = []
+    elements = [_ONE]  # the closure so far, closed under right multiplication by gens
+    closed = {_ONE}
 
     def insert(x: tuple[int, ...]) -> None:
         if x in known:
             return
         check_range(x)
         known.add(x)
-        elements.append(x)
         if len(known) > cap:
             raise ClosureCapExceeded(f"rotor closure exceeded cap of {cap}")
 
     try:
-        for a in vecs:
-            for b in vecs:
-                insert(int_product(a, b, VECTOR_BY_VECTOR, d))
-        # closing under right multiplication by {alpha_1 alpha_j} alone
-        # reaches the whole group generated by the seed: any alpha_i alpha_j
-        # equals (alpha_1 alpha_i)~ (alpha_1 alpha_j), so the subset generates it
-        gens = sorted({int_product(vecs[0], b, VECTOR_BY_VECTOR, d) for b in vecs} - {_ONE})
-        for x in elements:  # a worklist: the loop also visits what it appends
-            for g in gens:
-                insert(int_product(x, g, EVEN_BY_EVEN, d))
+        for b in vecs:  # alpha_1 alpha_1 = 1 comes first
+            insert(int_product(vecs[0], b, VECTOR_BY_VECTOR, d))
+        gens: list[tuple[int, ...]] = []
+        for g in sorted(known - closed):
+            if g in closed:
+                continue
+            gens.append(g)
+            # the old elements lack only the new generator, the new ones lack all
+            old = len(elements)
+            for i, x in enumerate(elements):  # a worklist: it also visits what it appends
+                for h in gens[-1:] if i < old else gens:
+                    y = int_product(x, h, EVEN_BY_EVEN, d)
+                    if y not in closed:
+                        insert(y)
+                        closed.add(y)
+                        elements.append(y)
     except OverflowError as exc:
         raise OverflowError(f"rotor closure overflowed at {len(known)} elements; "
                             "the input likely generates an infinite group") from exc
@@ -238,8 +247,7 @@ induce_2d.cache_info = _induced_2d.cache_info
 induce_2d.cache_clear = _induced_2d.cache_clear
 
 
-@dataclass(frozen=True)
-class SelfDualityReport:
+class SelfDualityReport(NamedTuple):
     label: str
     input_count: int
     induced_count: int

@@ -14,10 +14,9 @@ coincide with B3's, so it would add nothing downstream.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
@@ -35,8 +34,7 @@ _SQRT3 = QScalar.sqrt_disc(3)
 _HALF_SQRT3 = QScalar(0, HALF, 3)
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     """Named generator: simple roots plus the documented closure size."""
 
     name: str

@@ -6,22 +6,21 @@ one means checking the two defining axioms (only +-alpha among parallel
 members, invariance under all member reflections) with exact arithmetic, so
 a verdict is a fact rather than a tolerance call.
 
-The loops over roots run on integers.  The reflection closure and
-simple-root extraction hold each root as its reduced numerator tuple
-(lattice.int_numerators) and reflect with lattice.int_reflect; the axiom
-check and the Gram spectrum read lattice.Lattice.  QScalars are built for
-the final roots only.  The canonical order of roots (and of rotors) is
-Vector.__lt__'s, computed by canonical_sorted from integer ranks of the few
-distinct coordinate values.
+The loops over roots run on integers.  The reflection closure, unit
+normalisation and simple-root extraction hold each root as its reduced
+numerator tuple (lattice.int_numerators), and the first and last reflect
+with lattice.int_reflect; the axiom check and the Gram spectrum read
+lattice.Lattice.  QScalars are built for the final roots only.  The
+canonical order of roots (and of rotors) is Vector.__lt__'s, computed by
+canonical_sorted from integer ranks of the few distinct coordinate values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, mul
-from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch, ZeroRoot
@@ -169,8 +168,7 @@ def canonical_sorted(items: Iterable[T], coords: Callable[[T], tuple] = _coords)
     return sorted(items, key=lambda x: tuple(map(ranks.__getitem__, coords(x))))
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     preset: Optional[str] = None
     file: Optional[str] = None
     induced_from: Optional[str] = None
@@ -325,8 +323,7 @@ def close_under_reflections(
     return RootSystem(roots, disc=disc, label=label, provenance=provenance)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of checking the two root-system axioms. Failures are data."""
 
     axiom1_ok: bool
@@ -379,19 +376,44 @@ def verify_root_axioms(rs: RootSystem) -> AxiomReport:
 def normalize_roots(rs: RootSystem) -> list[Vector]:
     """All roots scaled to exact unit length (deduplicated, sorted).
 
-    Raises NormNotInField naming the offending root if some squared norm has
-    no square root in the field.
+    Runs on the roots' numerator tuples: each root's primitive integer
+    vector is divided by the square root of its squared norm, taken once per
+    distinct norm, so a large rational scale factor never reaches QScalar's
+    64-bit bound.  Raises NormNotInField naming the offending root if some
+    squared norm has no square root in the field.
     """
-    if all(map(_is_unit, rs)):  # each root is its own unit(), and rs.roots is sorted
+    d = rs.disc
+    rows = [int_numerators(r.coords) for r in rs.roots]
+    if all(_is_unit(x, d) for x in rows):  # each root is its own unit, and rs.roots is sorted
         return list(rs.roots)
-    return canonical_sorted({r.unit() for r in rs})
+    inverse_roots: dict[tuple[int, int], tuple[int, int, int]] = {}
+    units = set()
+    for r, x in zip(rs.roots, rows):
+        g = math.gcd(*x[:-1])
+        p, q = [e // g for e in x[:-1:2]], [f // g for f in x[1:-1:2]]
+        norm = sum(map(mul, p, p)) + d * sum(map(mul, q, q)), 2 * sum(map(mul, p, q))
+        if norm not in inverse_roots:
+            root = QScalar(*norm, d).sqrt()
+            if root is None:
+                raise NormNotInField(r, r.norm_squared())
+            # 1 / ((a + b sqrt(d)) / c) = c (a - b sqrt(d)) / (a^2 - d b^2)
+            a, b, c = int_numerators((root,))
+            inverse_roots[norm] = c * a, -c * b, a * a - d * b * b
+        u, w, n = inverse_roots[norm]
+        out = [z for e, f in zip(p, q) for z in (e * u + d * f * w, e * w + f * u)]
+        h = math.gcd(n, *out)
+        if n < 0:
+            h = -h
+        units.add(tuple(z // h for z in out) + (n // h,))
+    return canonical_sorted(Vector._make(from_numerators(x, d)) for x in units)
 
 
-def _is_unit(v: Vector) -> bool:
-    # |v|^2 == 1 on unbounded Fractions, so a large vector is not rejected by
-    # QScalar's 64-bit bound before unit() can reduce it
-    return sum(c.rat * c.surd for c in v.coords) == 0 and 1 == sum(
-        c.rat * c.rat + c.disc * c.surd * c.surd for c in v.coords
+def _is_unit(x: tuple[int, ...], disc: int) -> bool:
+    # |x|^2 == 1 for the numerators x = (p_1, q_1, ..., D): sum p q = 0 and
+    # sum p^2 + d sum q^2 = D^2
+    p, q = x[:-1:2], x[1:-1:2]
+    return not sum(map(mul, p, q)) and (
+        sum(map(mul, p, p)) + disc * sum(map(mul, q, q)) == x[-1] ** 2
     )
 
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -298,22 +299,27 @@ def test_malformed_document_is_domain_error(capsys, tmp_path, case, verb):
     assert "Traceback" not in err and err.startswith("rootspin: ")
 
 
-# -- no numpy ------------------------------------------------------------------
+# -- no numpy, no dataclasses --------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# runs the CLI as `python -m rootspin` would, then reports whether numpy was loaded
+# dataclasses and the modules it imports; a bare interpreter may load some of them
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+# runs the CLI as `python -m rootspin` would (with no arguments, nothing: a bare
+# interpreter), then reports which of _HEAVY and whether numpy were loaded
 _PROBE = (
     "import runpy, sys\n"
     "sys.argv = ['rootspin'] + sys.argv[1:]\n"
     "try:\n"
-    "    runpy.run_module('rootspin', run_name='__main__', alter_sys=True)\n"
+    "    if sys.argv[1:]:\n"
+    "        runpy.run_module('rootspin', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
+    f"    print('loaded:', sorted(m for m in {_HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
     "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
 )
 
-
-@pytest.mark.parametrize(
+_VERBS = pytest.mark.parametrize(
     "argv",
     [
         ["classify", "--preset", "H4"],
@@ -323,7 +329,11 @@ _PROBE = (
     ],
     ids=" ".join,
 )
-def test_fresh_cli_process_never_loads_numpy(argv):
+
+
+@lru_cache(maxsize=None)
+def _probe(*argv: str) -> tuple[str, str]:
+    """The probe's last two stderr lines, for a fresh process running the CLI on argv."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
@@ -332,11 +342,32 @@ def test_fresh_cli_process_never_loads_numpy(argv):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+    heavy, numpy = proc.stderr.splitlines()[-2:]
+    return heavy, numpy
+
+
+@_VERBS
+def test_fresh_cli_process_never_loads_numpy(argv):
+    assert _probe(*argv)[1] == "numpy loaded: False"
+
+
+@_VERBS
+def test_fresh_cli_process_loads_no_dataclasses(argv):
+    heavy, _ = _probe(*argv)
+    assert heavy.startswith("loaded: [")
+    assert heavy == _probe()[0]
+
+
+def _files_importing(module: str, *dirs: str) -> list[str]:
+    pattern = re.compile(rf"^\s*(import|from)\s+{module}\b", re.MULTILINE)
+    files = [f for d in dirs for f in sorted((ROOT / d).rglob("*.py"))]
+    assert files
+    return [str(f) for f in files if pattern.search(f.read_text())]
 
 
 def test_no_source_or_test_file_imports_numpy():
-    pattern = re.compile(r"^\s*(import|from)\s+numpy\b", re.MULTILINE)
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    assert files
-    assert [str(f) for f in files if pattern.search(f.read_text())] == []
+    assert _files_importing("numpy", "src", "tests") == []
+
+
+def test_no_source_file_imports_dataclasses():
+    assert _files_importing("dataclasses", "src") == []

@@ -28,7 +28,8 @@ from rootspin import (
     verify_root_axioms,
 )
 from rootspin import induction
-from rootspin.clifford import int_product
+from rootspin.clifford import EVEN_BY_EVEN, VECTOR_BY_VECTOR, even_from_numerators, int_product
+from rootspin.lattice import field_disc, int_numerators
 from rootspin.presets import get_preset
 
 ONE3 = Multivector.scalar(1, 3)
@@ -110,7 +111,7 @@ class TestRotorGroups:
         monkeypatch.setattr(induction, "int_product", counting)
         with pytest.raises(ClosureCapExceeded):
             generate_rotor_group(normalize_roots(build_preset("H3")), cap=10)
-        # cap + 1 products, each a new element; the seed alone is 30 x 30
+        # cap + 1 products, each a new element; the seed alone is 30 products
         assert len(calls) == 11
 
     def test_infinite_group_hits_the_cap_before_overflow(self):
@@ -259,3 +260,49 @@ def test_rotor_group_order_is_the_multivector_order():
         shuffled = list(elements)
         random.Random(len(elements)).shuffle(shuffled)
         assert tuple(sorted(shuffled)) == elements
+
+
+RANK3_PRESETS = ("A1xA1xA1", "A3", "B3", "H3", "A1xI2-3", "A1xI2-4", "A1xI2-6")
+
+
+def _reference_rotor_group(units):
+    """Every product alpha_i alpha_j, closed under right multiplication by all of them."""
+    d = field_disc(units)
+    vecs = [int_numerators(u.coords) for u in units]
+    seed = {int_product(a, b, VECTOR_BY_VECTOR, d) for a in vecs for b in vecs}
+    elements, known = list(seed), set(seed)
+    for x in elements:  # a worklist: the loop also visits what it appends
+        for g in seed:
+            y = int_product(x, g, EVEN_BY_EVEN, d)
+            if y not in known:
+                known.add(y)
+                elements.append(y)
+    return {even_from_numerators(x, d) for x in known}
+
+
+@pytest.mark.parametrize("name", RANK3_PRESETS)
+def test_pruned_rotor_closure_is_the_all_pairs_closure(name):
+    units = normalize_roots(build_preset(name))
+    assert {r.mv for r in generate_rotor_group(units)} == _reference_rotor_group(units)
+
+
+def test_pruned_rotor_closure_does_not_depend_on_the_first_root():
+    units = normalize_roots(build_preset("H3"))
+    expected = generate_rotor_group(units).elements
+    for i in range(1, len(units)):
+        assert generate_rotor_group(units[i:] + units[:i]).elements == expected
+
+
+def test_pruned_rotor_closure_multiplies_each_element_by_few_generators(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2] is EVEN_BY_EVEN)
+        return int_product(*args)
+
+    monkeypatch.setattr(induction, "int_product", counting)
+    generate_rotor_group(normalize_roots(build_preset("H3")))
+    # 30 seed products alpha_1 alpha_j, then each of the 120 elements times
+    # each generator kept: 2 of the 29 distinct alpha_1 alpha_j
+    assert calls.count(False) == 30
+    assert calls.count(True) == 2 * 120

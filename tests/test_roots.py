@@ -469,13 +469,11 @@ def test_kernel_and_witnesses_match_scalar_reference_on_random_sets(rs):
 
 
 def test_build_preset_checks_expected_count(monkeypatch):
-    import dataclasses
-
     from rootspin import RootspinError, presets
 
     real = presets.get_preset
     monkeypatch.setattr(
-        presets, "get_preset", lambda name: dataclasses.replace(real(name), expected_count=13)
+        presets, "get_preset", lambda name: real(name)._replace(expected_count=13)
     )
     with pytest.raises(RootspinError, match="built 12 roots, expected 13"):
         presets.build_preset.__wrapped__("A3")
@@ -619,3 +617,63 @@ def _reference_simple_roots(roots):
 def test_simple_roots_match_the_scalar_reference(name):
     roots = _kernel_case(name).roots
     assert extract_simple_roots(roots) == _reference_simple_roots(roots)
+
+
+# -- normalize_roots on integer numerators against Vector.unit ----------------
+
+
+def _unit_reference(rs):
+    """Canonically sorted {r.unit()}, or the first root (in canonical order) that fails."""
+    units = set()
+    for r in rs:
+        try:
+            units.add(r.unit())
+        except NormNotInField:
+            return r
+    return sorted(units)
+
+
+def _assert_normalize_matches_unit(rs):
+    expected = _unit_reference(rs)
+    if isinstance(expected, Vector):
+        with pytest.raises(NormNotInField) as err:
+            normalize_roots(rs)
+        assert err.value.root == expected
+    else:
+        assert normalize_roots(rs) == expected
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_normalize_roots_is_vector_unit_on_every_preset(name):
+    _assert_normalize_matches_unit(build_preset(name))
+
+
+def test_normalize_roots_of_a_large_scale_is_the_unscaled_one():
+    b3 = build_preset("B3")
+    big = RootSystem([r.scale(Fraction(2**40 + 1, 3)) for r in b3.roots], disc=2)
+    assert normalize_roots(big) == normalize_roots(b3)
+    _assert_normalize_matches_unit(big)
+
+
+# presets per field, whose roots scaled by field elements keep a norm with a square root
+_SCALABLE = {1: ("A1xA1xA1", "I2-2"), 2: ("B3", "F4", "I2-4"), 3: ("A1xI2-6", "I2-3"),
+             5: ("H3", "H4")}
+
+
+@given(field_values(), st.data())
+def test_normalize_roots_is_vector_unit_on_random_sets(field, data):
+    disc, pool = field
+    roots = build_preset(data.draw(st.sampled_from(_SCALABLE[disc]))).roots
+    factors = [c for c in pool if not c.is_zero()] or [QScalar(1)]
+    vectors = [
+        r.scale(data.draw(st.sampled_from(factors)))
+        for r in data.draw(st.lists(st.sampled_from(roots), min_size=1, max_size=8))
+    ]
+    # an arbitrary vector, whose norm usually has no square root in the field
+    dim = roots[0].dim
+    vectors += data.draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=dim, max_size=dim).map(Vector)
+        .filter(lambda v: not v.is_zero()),
+        max_size=1,
+    ))
+    _assert_normalize_matches_unit(RootSystem(vectors, disc=disc))

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootspin import (
+    Provenance,
+    QScalar,
+    RootSystem,
+    Vector,
     RootspinError,
     build_preset,
     induce_4d,
@@ -64,6 +71,32 @@ class TestJson:
         path = tmp_path / "a3.json"
         save_root_system(rs, path)
         assert load_root_system(path) == rs
+
+
+@st.composite
+def named_systems(draw):
+    """Random root sets over Q(sqrt(d)), d in {1, 2, 3, 5}, with a label and a Provenance."""
+    disc = draw(st.sampled_from((1, 2, 3, 5)))
+    dim = draw(st.integers(1, 4))
+    part = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    coord = st.builds(lambda a, b: QScalar(a, b if disc > 1 else 0, disc), part, part)
+    vectors = draw(st.lists(
+        st.lists(coord, min_size=dim, max_size=dim).map(Vector).filter(lambda v: not v.is_zero()),
+        min_size=1, max_size=8,
+    ))
+    # empty strings are not written, so a name is either absent or non-empty
+    name = st.none() | st.text(min_size=1, max_size=12)
+    provenance = draw(st.builds(Provenance, name, name, name))
+    return RootSystem(vectors, disc=disc, label=draw(name), provenance=provenance)
+
+
+@given(named_systems())
+def test_json_round_trip_of_random_systems(rs):
+    dumped = root_system_to_json(rs)
+    again = root_system_from_json(dumped)
+    assert again == rs
+    assert (again.label, again.provenance) == (rs.label, rs.provenance)
+    assert root_system_to_json(again) == dumped
 
 
 class TestFloatExports:
