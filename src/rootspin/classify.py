@@ -25,15 +25,15 @@ from .errors import (
     UnknownAngle,
 )
 from .induction import induce_4d
-from .lattice import Lattice
+from .lattice import Lattice, int_numerators
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
 from .roots import (
     RootSystem,
     Vector,
     extract_simple_roots,
-    normalize_roots,
     span_rank,
+    unit_rows,
 )
 
 
@@ -76,8 +76,8 @@ def _component_sizes(ga: list[list[int]], gb: list[list[int]]) -> list[int]:
 
 def signature(rs: RootSystem) -> Signature:
     """Exact signature of a root system (roots are unit-normalized first)."""
-    units = normalize_roots(rs)
-    lattice = Lattice(units, rs.disc)
+    units = unit_rows(rs, [int_numerators(r.coords) for r in rs.roots])
+    lattice = Lattice.from_numerators(units, rs.disc)
     ga, gb = lattice.gram()
     spectrum = sorted(
         (_value_key(value), c) for value, c in lattice.inner_products((ga, gb)).items()
@@ -157,7 +157,7 @@ def coxeter_order(rs: RootSystem) -> int:
     in the roots orthogonal to r (Steinberg; Humphreys 1990, 1.12).
     """
     lattice = Lattice(rs.roots, rs.disc)
-    table = lattice.reflection_table(lattice.gram())
+    table = lattice.reflection_table()
     for i, row in enumerate(table):
         if -1 in row:
             raise RootspinError(
@@ -165,12 +165,13 @@ def coxeter_order(rs: RootSystem) -> int:
                 "run verify_root_axioms"
             )
     order = 1
-    live = list(range(len(table)))
+    neg = lattice.neg  # complete: s_a(a) = -a
+    live = [i for i in range(len(table)) if i < neg[i]]  # one mirror per line: s_{-a} = s_a
     while live:
         r = live[0]
         orbit, frontier = {r}, {r}
         while frontier:
-            frontier = {table[i][j] for i in live for j in frontier} - orbit
+            frontier = set().union(*(map(table[i].__getitem__, frontier) for i in live)) - orbit
             orbit |= frontier
         order *= len(orbit)
         live = [j for j in live if table[r][j] == j]  # orthogonal to r: fixed by its reflection

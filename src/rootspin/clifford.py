@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import DimensionMismatch, NonUnitVector, OddGradePresent
-from .lattice import int_numerators  # noqa: F401  (the encoder of the kernel below)
+from .lattice import field_disc, from_numerators, int_numerators
 from .qfield import QScalar
 from .roots import Vector
 
@@ -309,8 +309,8 @@ def spinor_to_vec4(psi) -> Vector:
         raise DimensionMismatch("spinor_to_vec4 needs Cl(3)")
     if not mv.is_even():
         raise OddGradePresent(f"odd grades present in {mv}")
-    c = mv.coeffs
-    return Vector((c[0], c[_IE1], -c[_IE2_NEG], c[_IE3]))
+    c = tuple(mv.coeffs[m] for m in EVEN_MASKS)
+    return Vector._make(from_numerators(vec4_numerators(int_numerators(c)), field_disc((c,))))
 
 
 def spinor_to_vec2(psi) -> Vector:
@@ -377,3 +377,21 @@ def even_from_numerators(x: tuple[int, ...], disc: int) -> Multivector:
         if p or q:
             cs[m] = QScalar(Fraction(p, den), Fraction(q, den), disc)
     return Multivector(3, cs)
+
+
+def vec4_numerators(x: tuple[int, ...]) -> tuple[int, ...]:
+    """Numerators of the 4D vector spinor_to_vec4 reads off the even element x.
+
+    The readout convention lives here alone: the element a0 + a1 e23 +
+    a2 e13 + a3 e12, held as x, reads as (a0, a1, -a2, a3), since e13 = -I e2.
+    """
+    return x[:4] + (-x[4], -x[5]) + x[6:]
+
+
+# the even coefficients' slots in blade-mask order, the order Multivector.__lt__ compares
+_MASK_ORDER = sorted(range(4), key=EVEN_MASKS.__getitem__)
+
+
+def mask_ordered(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The even element x with its coefficient pairs in blade-mask order."""
+    return tuple(v for k in _MASK_ORDER for v in x[2 * k:2 * k + 2]) + x[-1:]

@@ -4,7 +4,8 @@ Pipeline: unit-normalize roots, close the rotors alpha_i alpha_j into the
 group they generate under the geometric product, then read each group
 element's even-grade coefficients as a Euclidean vector.  The resulting 4D
 (or 2D) point set is re-verified against the root-system axioms instead of
-being trusted: the verification *is* the computational content here.
+being trusted: the verification *is* the computational content here.  The
+4D pipeline runs on integer numerator tuples from input to output.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .clifford import (
     Rotor,
     even_from_numerators,
     int_product,
+    mask_ordered,
     spinor_to_vec2,
-    spinor_to_vec4,
+    vec4_numerators,
 )
 from .errors import (
     ClosureCapExceeded,
@@ -29,19 +31,30 @@ from .errors import (
     NonUnitVector,
     RootspinError,
 )
-from .lattice import check_range, field_disc, int_numerators
+from .lattice import (
+    Lattice,
+    Numerators,
+    check_range,
+    field_disc,
+    from_numerators,
+    int_numerators,
+    sorted_numerators,
+)
 from .qfield import QScalar
 from .roots import (
     Provenance,
     RootSystem,
     Vector,
+    _is_unit,
+    axiom_failures,
+    axiom_report,
     canonical_sorted,
     gram_spectrum,
     normalize_roots,
+    unit_rows,
     verify_root_axioms,
 )
 
-_ONE_Q = QScalar(1)
 _ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
 
 
@@ -120,29 +133,40 @@ def generate_rotor_group(
 ) -> RotorGroup:
     """The group generated by {alpha_i alpha_j : all ordered root pairs}.
 
-    Since alpha_i alpha_j = (alpha_i alpha_1)(alpha_1 alpha_j) and alpha_i
-    alpha_1 is the inverse of alpha_1 alpha_i, the n products alpha_1 alpha_j
-    generate it.  They are closed into {1} one generator at a time, and a
-    generator already in the closure is skipped, so H3 keeps 2 of its 29.
-    The loop runs on the integer numerators of clifford's even kernel;
-    Multivectors are built once, for the final elements, after the group
-    checks (even order, 1, negation) have run on the tuples.  Every element
-    met, the n seed products included, counts against the cap on insertion,
-    so an oversized group costs at most cap + 1 elements of work.
+    A thin wrapper over rotor_closure: Multivectors are built once, for the
+    final elements, in the canonical order of their integer numerators.
     """
     cap = resolve_cap(cap, GROUP_CLOSURE_CAP)
     if not unit_roots:
         raise NonUnitVector("no roots given")
-    for r in unit_roots:
-        if r.norm_squared() != _ONE_Q:
-            raise NonUnitVector(f"root {r} is not exactly unit length")
     d = field_disc(unit_roots)
-    vecs = [int_numerators(r.coords) for r in unit_roots]
-    known: set[tuple[int, ...]] = set()
+    elements = rotor_closure([int_numerators(r.coords) for r in unit_roots], d, cap)
+    ordered = sorted_numerators(elements, d, key=mask_ordered)
+    return RotorGroup._trusted([_trusted_rotor(even_from_numerators(x, d)) for x in ordered])
+
+
+def rotor_closure(vecs: Sequence[Numerators], d: int, cap: int) -> list[Numerators]:
+    """Numerators of the group generated by the products of the unit vectors vecs.
+
+    Since alpha_i alpha_j = (alpha_i alpha_1)(alpha_1 alpha_j) and alpha_i
+    alpha_1 is the inverse of alpha_1 alpha_i, the n products alpha_1 alpha_j
+    generate it.  They are closed into {1} one generator at a time, and a
+    generator already in the closure is skipped, so H3 keeps 2 of its 29.
+    The loop runs on the integer numerators of clifford's even kernel, and
+    the group checks (even order, 1, negation) run on the tuples.  Every
+    element met, the n seed products included, counts against the cap on
+    insertion, so an oversized group costs at most cap + 1 elements of work.
+    """
+    for x in vecs:
+        if not _is_unit(x, d):
+            raise NonUnitVector(
+                f"root {Vector._make(from_numerators(x, d))} is not exactly unit length"
+            )
+    known: set[Numerators] = set()
     elements = [_ONE]  # the closure so far, closed under right multiplication by gens
     closed = {_ONE}
 
-    def insert(x: tuple[int, ...]) -> None:
+    def insert(x: Numerators) -> None:
         if x in known:
             return
         check_range(x)
@@ -153,7 +177,7 @@ def generate_rotor_group(
     try:
         for b in vecs:  # alpha_1 alpha_1 = 1 comes first
             insert(int_product(vecs[0], b, VECTOR_BY_VECTOR, d))
-        gens: list[tuple[int, ...]] = []
+        gens: list[Numerators] = []
         for g in sorted(known - closed):
             if g in closed:
                 continue
@@ -178,8 +202,7 @@ def generate_rotor_group(
         if _negated(x) not in known:
             rotor = _trusted_rotor(even_from_numerators(x, d))
             raise RootspinError(f"rotor group not closed under negation at {rotor}")
-    rotors = [_trusted_rotor(even_from_numerators(x, d)) for x in elements]
-    return RotorGroup._trusted(canonical_sorted(rotors, _coeffs))
+    return elements
 
 
 def _named(out: RootSystem, source: str) -> RootSystem:
@@ -193,16 +216,19 @@ def _named(out: RootSystem, source: str) -> RootSystem:
 
 @lru_cache(maxsize=128)
 def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
-    units = normalize_roots(rs)
-    group = generate_rotor_group(units, cap=cap)
-    out = RootSystem([spinor_to_vec4(r) for r in group], disc=rs.disc)
-    report = verify_root_axioms(out)
-    if not report.ok:
+    # the steps of normalize_roots, generate_rotor_group, spinor_to_vec4 and
+    # verify_root_axioms, on integer numerators; Vectors are built once
+    d = rs.disc
+    units = unit_rows(rs, [int_numerators(r.coords) for r in rs.roots])
+    rows = sorted_numerators([vec4_numerators(x) for x in rotor_closure(units, d, cap)], d)
+    failures = axiom_failures(Lattice.from_numerators(rows, d))
+    roots = [Vector._make(from_numerators(x, d)) for x in rows]
+    if failures != (None, None):
         raise RootspinError(
             f"induced set from {rs.label or 'rank-3 input'} is not a root system: "
-            f"{report.summary()}"
+            f"{axiom_report(failures, roots).summary()}"
         )
-    return out
+    return RootSystem._trusted(roots, d)
 
 
 def induce_4d(rs: RootSystem, cap: int | None = None) -> RootSystem:

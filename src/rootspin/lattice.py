@@ -19,6 +19,9 @@ the kernel compute only the pairs of representatives (the first root of each
 
     G(+-a, +-b) = +-G(a, b),   s_{-a} = s_a,   s_a(-b) = -s_a(b).
 
+The reflection table computes few rows from inner products: the others
+follow by s_{s_a(b)} = s_a s_b s_a, as compositions of complete rows.
+
 The reflection closure, simple-root extraction and the rotor closure hold
 each vector or rotor on its own as one reduced tuple
 
@@ -26,7 +29,8 @@ each vector or rotor on its own as one reduced tuple
 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 `int_numerators` encodes, `int_reflect` reflects, and `check_range` is the
-insertion guard both closures share.
+insertion guard both closures share.  `canonical_order` sorts by exact
+value on reduced coordinate triples (p, q, D), for tuples and QScalars alike.
 
 QScalar stays the public scalar: this module only replaces loops over root
 pairs.
@@ -37,8 +41,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 from operator import mul, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import FieldMismatch
 from .qfield import QScalar
@@ -52,12 +57,15 @@ Numerators = tuple[int, ...]
 _INT64_MAX = 2**63 - 1
 
 
-def field_disc(vectors: Sequence[Vector]) -> int:
-    """The one d whose sqrt(d) the coordinates use; plain rationals fit any field."""
-    surd = list(dict.fromkeys(c.disc for v in vectors for c in v.coords if c.surd))
+def field_disc(vectors: Iterable[Iterable[QScalar]]) -> int:
+    """The one d whose sqrt(d) the coordinates use; plain rationals fit any field.
+
+    Takes Vectors or any sequences of QScalars.
+    """
+    surd = list(dict.fromkeys(c.disc for v in vectors for c in v if c.surd))
     if len(surd) > 1:
         raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
-    return surd[0] if surd else max(c.disc for v in vectors for c in v.coords)
+    return surd[0] if surd else max(c.disc for v in vectors for c in v)
 
 
 def int_numerators(scalars: Iterable[QScalar]) -> Numerators:
@@ -132,6 +140,49 @@ def field_sign(x: int, y: int, disc: int) -> int:
     return 1 if bigger > 0 else -1
 
 
+Triple = tuple[int, int, int]
+
+
+def _triples(x: Numerators) -> list[Triple]:
+    """The coordinates of x as reduced (p, q, D), value (p + q sqrt(d)) / D.
+
+    Equal values are equal triples; gcd(p, q, D) = 1 and D > 0.
+    """
+    den = x[-1]
+    out = []
+    for p, q in zip(x[:-1:2], x[1:-1:2]):
+        g = math.gcd(p, q, den)
+        out.append((p // g, q // g, den // g))
+    return out
+
+
+def canonical_order(coords: Sequence[Sequence[Triple]], disc: int) -> list[int]:
+    """Positions of the items in lexicographic order of their coordinate values.
+
+    coords[i] holds item i's coordinates as reduced triples (see _triples).
+    The few distinct triples are ranked once, comparing s and t by the sign
+    of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d); the sort then
+    compares tuples of ranks.  This is Vector.__lt__'s order.
+    """
+    distinct = sorted(
+        {t for ts in coords for t in ts},
+        key=cmp_to_key(
+            lambda s, t: field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
+        ),
+    )
+    rank = {t: i for i, t in enumerate(distinct)}
+    keys = [tuple(map(rank.__getitem__, ts)) for ts in coords]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def sorted_numerators(
+    xs: Sequence[Numerators], disc: int, key: Callable[[Numerators], Numerators] | None = None
+) -> list[Numerators]:
+    """xs in canonical order; key(x), if given, holds x's coordinates in comparison order."""
+    order = canonical_order([_triples(key(x) if key else x) for x in xs], disc)
+    return [xs[i] for i in order]
+
+
 class Lattice:
     """n vectors of dimension k as int tuples: x_i = (A_i + B_i sqrt(d)) / L.
 
@@ -142,18 +193,22 @@ class Lattice:
     __slots__ = ("disc", "den", "rows", "neg", "_index", "_reps")
 
     def __init__(self, vectors: Sequence[Vector], disc: int):
-        den = math.lcm(
-            *(f.denominator for v in vectors for c in v.coords for f in (c.rat, c.surd))
-        )
+        self._set_rows([int_numerators(v.coords) for v in vectors], disc)
+
+    @classmethod
+    def from_numerators(cls, xs: Sequence[Numerators], disc: int) -> "Lattice":
+        """The same lattice, from the vectors' reduced numerator tuples (int_numerators)."""
+        lattice = object.__new__(cls)
+        lattice._set_rows(xs, disc)
+        return lattice
+
+    def _set_rows(self, xs: Sequence[Numerators], disc: int) -> None:
+        den = math.lcm(*(x[-1] for x in xs))
         self.disc = disc
         self.den = den
-        self.rows = [
-            tuple(c.rat.numerator * (den // c.rat.denominator) for c in v.coords)
-            + tuple(c.surd.numerator * (den // c.surd.denominator) for c in v.coords)
-            for v in vectors
-        ]
-        self._index = {row: i for i, row in enumerate(self.rows)}
-        self.neg = [self._index.get(tuple(-x for x in row), -1) for row in self.rows]
+        self.rows = rows = [tuple(z * (den // x[-1]) for z in x[:-1:2] + x[1:-1:2]) for x in xs]
+        self._index = {row: i for i, row in enumerate(rows)}
+        self.neg = [self._index.get(tuple(-x for x in row), -1) for row in rows]
         # x_i = sign * x_rep for each i: the representative's position and the sign
         self._reps = [(i, 1) if j < 0 or j > i else (j, -1) for i, j in enumerate(self.neg)]
 
@@ -201,77 +256,101 @@ class Lattice:
             for (p, q), c in counts.items()
         }
 
-    def lines(self, gram: tuple[Matrix, Matrix]) -> list[int]:
-        """For each vector, the first position on its line through the origin.
-
-        x_i and x_j are parallel exactly when Cauchy-Schwarz is an equality,
-        G_ij^2 = G_ii G_jj; x_i and -x_i always share a line.
-        """
-        d = self.disc
-        ga, gb = gram
-        out = []
-        leaders: list[int] = []
-        for i, (j, s) in enumerate(self._reps):
-            if s < 0:
-                out.append(out[j])
-                continue
-            pa, pb = ga[i][i], gb[i][i]
-            for lead in leaders:
-                x, y = ga[i][lead], gb[i][lead]
-                qa, qb = ga[lead][lead], gb[lead][lead]
-                if x * x + d * y * y == pa * qa + d * pb * qb and 2 * x * y == pa * qb + pb * qa:
-                    out.append(lead)
-                    break
-            else:
-                leaders.append(i)
-                out.append(i)
-        return out
-
-    def reflection_table(self, gram: tuple[Matrix, Matrix]) -> Matrix:
+    def reflection_table(self) -> Matrix:
         """table[i][j]: position of x_j reflected in x_i, -1 if it is not in the set.
 
-        2 G_ij / G_ii = G_ij (U_i + V_i sqrt(d)) / D_i, where U_i + V_i sqrt(d)
-        is twice the conjugate of G_ii and D_i its norm, both divided by
-        their common gcd.  That coefficient c times x_i has numerators over
-        D_i L, and the image x_j - c x_i lies in the lattice exactly when D_i
-        divides all of them.  The shift depends on G_ij alone, so each mirror
-        computes it once per distinct inner product.
+        Most rows follow from a few others by s_{s_a(b)} = s_a s_b s_a
+        (Humphreys 1990, 1.2): when the rows of a and b are complete (no -1),
+        the row of c = s_a(x_b) is a o b o a.  A row is computed directly
+        (_direct_row) only for a mirror that no complete row reaches.  Each
+        complete direct row is a generator, applied to every complete row in
+        BFS order; that reaches every mirror of the reflection subgroup the
+        generators span, a set closed under s_a s_b s_a.  A row with a -1
+        derives nothing, so every row equals the directly computed one on
+        any input, repeated vectors included.  The rows of x, -x and their
+        repeats are one list, since s_{-a} = s_a.
+        """
+        rows, neg = self.rows, self.neg
+        where: dict[tuple[int, ...], list[int]] = {}
+        for i, row in enumerate(rows):
+            where.setdefault(row, []).append(i)
+        table: Matrix = [None] * len(rows)  # type: ignore[list-item]
+
+        def fill(c: int, row: list[int]) -> None:
+            for p in where[rows[c]] + (where[rows[neg[c]]] if neg[c] >= 0 else []):
+                table[p] = row
+
+        negatives: list[list[int]] = [[] for _ in rows]  # the positions of -x_j, for each j
+        for i, (j, s) in enumerate(self._reps):
+            if s < 0:
+                negatives[j].append(i)
+        columns = [(j, negatives[j]) for j, s in self._reps if s > 0]
+        gens: list[list[int]] = []
+        reached: list[int] = []  # one position per complete line
+        for i in range(len(rows)):
+            if table[i] is not None:
+                continue
+            gen = self._direct_row(i, columns)
+            fill(i, gen)
+            if -1 in gen:
+                continue
+            gens.append(gen)
+            reached.append(i)
+            k = 0
+            while k < len(reached):  # a worklist: it also visits what it appends
+                b = reached[k]
+                rb = table[b]
+                for g in gens:
+                    c = g[b]
+                    if table[c] is None:
+                        fill(c, list(map(g.__getitem__, map(rb.__getitem__, g))))
+                        reached.append(c)
+                k += 1
+        return table
+
+    def _direct_row(self, i: int, columns: list[tuple[int, list[int]]]) -> list[int]:
+        """Row i of the reflection table, from inner products with x_i.
+
+        2 G_ij / G_ii = G_ij (U + V sqrt(d)) / D, where U + V sqrt(d) is
+        twice the conjugate of G_ii and D its norm, both divided by their
+        common gcd.  That coefficient c times x_i has numerators over D L,
+        and the image x_j - c x_i lies in the lattice exactly when D divides
+        all of them.  The shift depends on G_ij alone, so it is computed once
+        per distinct inner product; an orthogonal x_j is its own image.  Only
+        the representatives j in columns are reflected, each with the
+        positions of -x_j: s_a(-b) = -s_a(b).
         """
         d, rows, index, neg = self.disc, self.rows, self._index, self.neg
-        ga, gb = gram
         k = len(rows[0]) // 2
-        columns = [j for j, s in self._reps if s > 0]
-        negated: list[list[int]] = [[] for _ in rows]  # the positions of -x_j, for each j
-        for i, (j, s) in enumerate(self._reps):
-            if s < 0:
-                negated[j].append(i)
-        table: Matrix = [[]] * len(rows)
-        for i in columns:
-            gai, gbi = ga[i], gb[i]
-            r, t = gai[i], gbi[i]
-            norm = r * r - d * t * t  # nonzero: G_ii > 0 and d is square-free
-            h = math.gcd(2 * r, 2 * t, norm)
-            u, v, den = 2 * r // h, -2 * t // h, norm // h
-            a, b = rows[i][:k], rows[i][k:]
-            shifts = {}
-            for x, y in set(zip(gai, gbi)):
-                p, q = x * u + d * y * v, x * v + y * u
-                num = [p * e + d * q * f for e, f in zip(a, b)]
-                num += [p * f + q * e for e, f in zip(a, b)]
-                shifts[x, y] = None if any(z % den for z in num) else tuple(z // den for z in num)
-            row = [-1] * len(rows)
-            for j in columns:
-                shift = shifts[gai[j], gbi[j]]
+        a, b = rows[i][:k], rows[i][k:]
+        # (x|x_i) = x.[A, dB] + (x.[B, A]) sqrt(d), with x_i = [A, B]
+        right_a, right_b = a + tuple(d * y for y in b), b + a
+        r, t = sum(map(mul, rows[i], right_a)), sum(map(mul, rows[i], right_b))
+        norm = r * r - d * t * t  # nonzero: G_ii > 0 and d is square-free
+        h = math.gcd(2 * r, 2 * t, norm)
+        u, v, den = 2 * r // h, -2 * t // h, norm // h
+        shifts: dict[tuple[int, int], tuple[int, ...] | None] = {}
+        row = [-1] * len(rows)
+        for j, negatives in columns:
+            xj = rows[j]
+            x, y = sum(map(mul, xj, right_a)), sum(map(mul, xj, right_b))
+            if x or y:
+                if (x, y) not in shifts:
+                    p, q = x * u + d * y * v, x * v + y * u
+                    num = [p * e + d * q * f for e, f in zip(a, b)]
+                    num += [p * f + q * e for e, f in zip(a, b)]
+                    exact = not any(z % den for z in num)
+                    shifts[x, y] = tuple(z // den for z in num) if exact else None
+                shift = shifts[x, y]
                 if shift is None:  # the image, and so its negative, leaves the lattice
                     continue
-                image = tuple(map(sub, rows[j], shift))
-                row[j] = found = index.get(image, -1)
-                if negated[j]:
-                    other = neg[found] if found >= 0 else index.get(tuple(-z for z in image), -1)
-                    for c in negated[j]:
-                        row[c] = other
-            table[i] = row
-        for i, (j, s) in enumerate(self._reps):
-            if s < 0:
-                table[i] = list(table[j])
-        return table
+                image = tuple(map(sub, xj, shift))
+                found = index.get(image, -1)
+            else:
+                image, found = xj, index[xj]
+            row[j] = found
+            if negatives:
+                other = neg[found] if found >= 0 else index.get(tuple(-z for z in image), -1)
+                for c in negatives:
+                    row[c] = other
+        return row

@@ -9,17 +9,19 @@ a verdict is a fact rather than a tolerance call.
 The loops over roots run on integers.  The reflection closure, unit
 normalisation and simple-root extraction hold each root as its reduced
 numerator tuple (lattice.int_numerators), and the first and last reflect
-with lattice.int_reflect; the axiom check and the Gram spectrum read
-lattice.Lattice.  QScalars are built for the final roots only.  The
-canonical order of roots (and of rotors) is Vector.__lt__'s, computed by
-canonical_sorted from integer ranks of the few distinct coordinate values.
+with lattice.int_reflect; the axiom check reads lattice.Lattice's
+reflection table, and the Gram spectrum its Gram matrix.  QScalars are
+built for the final roots only.  The canonical order of roots (and of
+rotors) is Vector.__lt__'s, computed by canonical_sorted from integer ranks
+of the few distinct coordinate values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter, mul
+from itertools import compress
+from operator import attrgetter, eq, mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
@@ -27,6 +29,8 @@ from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch,
 from .errors import NormNotInField
 from .lattice import (
     Lattice,
+    Numerators,
+    canonical_order,
     check_range,
     field_disc,
     field_sign,
@@ -34,6 +38,7 @@ from .lattice import (
     int_mirror,
     int_numerators,
     int_reflect,
+    sorted_numerators,
 )
 from .qfield import QScalar
 
@@ -159,13 +164,22 @@ _coords = attrgetter("coords")
 def canonical_sorted(items: Iterable[T], coords: Callable[[T], tuple] = _coords) -> list[T]:
     """items in lexicographic order of their coordinate tuples, as Vector.__lt__ sorts.
 
-    The few distinct coordinate values are ranked once with QScalar's exact
-    order; the sort itself then compares tuples of ranks.  Every tuple must
-    have the same length.
+    Each coordinate becomes its reduced integer triple (p, q, D), and
+    lattice.canonical_order ranks the few distinct triples exactly.  Every
+    tuple must have the same length and lie in one field.
     """
     items = list(items)
-    ranks = {c: i for i, c in enumerate(sorted({c for x in items for c in coords(x)}))}
-    return sorted(items, key=lambda x: tuple(map(ranks.__getitem__, coords(x))))
+    values = [coords(x) for x in items]
+    order = canonical_order([[_triple(c) for c in cs] for cs in values], field_disc(values))
+    return [items[i] for i in order]
+
+
+def _triple(c: QScalar) -> tuple[int, int, int]:
+    # (p, q, D) with c = (p + q sqrt(d)) / D, reduced because rat and surd are
+    r, s = c.rat, c.surd
+    a, b = r.denominator, s.denominator
+    den = math.lcm(a, b)
+    return r.numerator * (den // a), s.numerator * (den // b), den
 
 
 class Provenance(NamedTuple):
@@ -204,13 +218,22 @@ class RootSystem:
             raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
         if any(r.is_zero() for r in distinct):
             raise ZeroRoot("the zero vector cannot be a root")
-        rs = canonical_sorted(distinct)
-        object.__setattr__(self, "dim", rs[0].dim)
+        self._fill(canonical_sorted(distinct), disc, label, provenance)
+
+    @classmethod
+    def _trusted(cls, roots: list[Vector], disc: int) -> "RootSystem":
+        # roots already distinct, nonzero, of one dimension, over disc and sorted
+        out = object.__new__(cls)
+        out._fill(roots, disc, None, None)
+        return out
+
+    def _fill(self, roots: list[Vector], disc: int, label, provenance) -> None:
+        object.__setattr__(self, "dim", roots[0].dim)
         object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "roots", tuple(rs))
+        object.__setattr__(self, "roots", tuple(roots))
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "provenance", provenance or Provenance())
-        object.__setattr__(self, "_set", frozenset(rs))
+        object.__setattr__(self, "_set", frozenset(roots))
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
@@ -345,47 +368,81 @@ def verify_root_axioms(rs: RootSystem) -> AxiomReport:
     """Exact check of both axioms, reporting a witness for the first failure.
 
     Witnesses are the first failing pair in canonical root order.  Axiom 1
-    asks for -a in the set and for no other root on the line of a (equality
-    in Cauchy-Schwarz); axiom 2 for every reflection image in the set.
+    asks for -a in the set and for no other root on the line of a; axiom 2
+    for every reflection image in the set.  Both are read off the reflection
+    table.
     """
-    roots = rs.roots
-    lattice = Lattice(roots, rs.disc)
-    gram = lattice.gram()
-    n, neg = len(roots), lattice.neg
-    axiom1_ok, axiom1_witness = True, None
+    return axiom_report(axiom_failures(Lattice(rs.roots, rs.disc)), rs.roots)
+
+
+Pair = Optional[tuple[int, int]]
+
+
+def axiom_failures(lattice: Lattice) -> tuple[Pair, Pair]:
+    """Positions (i, j) of the first failing pair of each axiom, None where it holds.
+
+    An axiom 1 failure (i, -1) means -x_i is missing.  Once negation closure
+    holds, x_j lies on the line of x_i exactly when s_i(x_j) = -x_j, that is
+    table[i][j] == neg[j]; x_i and -x_i share a row, so the rows of first
+    roots of +-pairs suffice.
+    """
+    neg = lattice.neg
+    table = lattice.reflection_table()
+    axiom1 = axiom2 = None
     if -1 in neg:
-        a = roots[neg.index(-1)]
-        axiom1_ok, axiom1_witness = False, (a, -a)
+        axiom1 = (neg.index(-1), -1)
     else:
-        line = lattice.lines(gram)
-        pairs = (
-            (i, j) for i in range(n) for j in range(i + 1, n)
-            if line[i] == line[j] and neg[i] != j
-        )
-        first = next(pairs, None)
-        if first:
-            axiom1_ok, axiom1_witness = False, (roots[first[0]], roots[first[1]])
-    axiom2_ok, axiom2_witness = True, None
-    for i, row in enumerate(lattice.reflection_table(gram)):
+        for i, row in enumerate(table):
+            if neg[i] > i:
+                hits = map(eq, row[i + 1:], neg[i + 1:])
+                on_line = [j for j in compress(range(i + 1, len(row)), hits) if j != neg[i]]
+                if on_line:
+                    axiom1 = (i, on_line[0])
+                    break
+    for i, row in enumerate(table):
         if -1 in row:
-            axiom2_ok, axiom2_witness = False, (roots[i], roots[row.index(-1)])
+            axiom2 = (i, row.index(-1))
             break
-    return AxiomReport(axiom1_ok, axiom1_witness, axiom2_ok, axiom2_witness)
+    return axiom1, axiom2
+
+
+def axiom_report(failures: tuple[Pair, Pair], roots: Sequence[Vector]) -> AxiomReport:
+    """The AxiomReport of axiom_failures' positions into roots."""
+    one, two = failures
+    witness1 = None if one is None else (
+        roots[one[0]], roots[one[1]] if one[1] >= 0 else -roots[one[0]]
+    )
+    witness2 = None if two is None else (roots[two[0]], roots[two[1]])
+    return AxiomReport(one is None, witness1, two is None, witness2)
 
 
 def normalize_roots(rs: RootSystem) -> list[Vector]:
     """All roots scaled to exact unit length (deduplicated, sorted).
 
-    Runs on the roots' numerator tuples: each root's primitive integer
-    vector is divided by the square root of its squared norm, taken once per
-    distinct norm, so a large rational scale factor never reaches QScalar's
-    64-bit bound.  Raises NormNotInField naming the offending root if some
-    squared norm has no square root in the field.
+    A thin wrapper over unit_rows, on the roots' numerator tuples.  Raises
+    NormNotInField naming the offending root if some squared norm has no
+    square root in the field.
+    """
+    rows = [int_numerators(r.coords) for r in rs.roots]
+    units = unit_rows(rs, rows)
+    if units is rows:  # each root is its own unit
+        return list(rs.roots)
+    return [Vector._make(from_numerators(x, rs.disc)) for x in units]
+
+
+def unit_rows(rs: RootSystem, rows: list[Numerators]) -> list[Numerators]:
+    """The numerator tuples of the distinct unit roots, in canonical order.
+
+    rows are the numerators of rs.roots, and are returned themselves when
+    every root is already unit.  Each root's primitive integer vector is
+    divided by the square root of its squared norm, taken once per distinct
+    norm, so a large rational scale factor never reaches QScalar's 64-bit
+    bound.  NormNotInField names the first root whose squared norm has no
+    square root in the field.
     """
     d = rs.disc
-    rows = [int_numerators(r.coords) for r in rs.roots]
-    if all(_is_unit(x, d) for x in rows):  # each root is its own unit, and rs.roots is sorted
-        return list(rs.roots)
+    if all(_is_unit(x, d) for x in rows):
+        return rows
     inverse_roots: dict[tuple[int, int], tuple[int, int, int]] = {}
     units = set()
     for r, x in zip(rs.roots, rows):
@@ -405,7 +462,7 @@ def normalize_roots(rs: RootSystem) -> list[Vector]:
         if n < 0:
             h = -h
         units.add(tuple(z // h for z in out) + (n // h,))
-    return canonical_sorted(Vector._make(from_numerators(x, d)) for x in units)
+    return sorted_numerators(list(units), d)
 
 
 def _is_unit(x: tuple[int, ...], disc: int) -> bool:
@@ -473,29 +530,24 @@ def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
 
 
 def span_rank(vectors: Sequence[Vector]) -> int:
-    """Rank of the span, by exact Gaussian elimination."""
-    rows = [list(v.coords) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
+    """Rank of the span, by exact elimination that stops at full rank.
+
+    Each vector is reduced against an echelon basis of the ones before it
+    (each basis row is 1 at its pivot and 0 at every earlier pivot); a
+    nonzero remainder joins the basis.
+    """
+    basis: list[tuple[int, list[QScalar]]] = []  # (pivot column, row)
+    for v in vectors:
+        row = list(v.coords)
+        for col, b in basis:
+            f = row[col]
+            if not f.is_zero():
+                row = [x - f * y for x, y in zip(row, b)]
+        pivot = next((c for c, x in enumerate(row) if not x.is_zero()), None)
         if pivot is None:
-            col += 1
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        inv = row[pivot].inverse()
+        basis.append((pivot, [x * inv for x in row]))
+        if len(basis) == len(row):
+            break
+    return len(basis)

@@ -343,3 +343,26 @@ class TestEvenKernel:
             assert mv.coeffs[m] == QScalar(1)
             coords = spinor_to_vec4(mv).coords
             assert [c.is_zero() for c in coords] == [i != k for i in range(4)]
+
+
+# -- the product laws as properties over random fields and dimensions -----------
+
+
+@st.composite
+def _multivectors(draw, count):
+    """count multivectors of Cl(2) or Cl(3) over one field Q(sqrt(d))."""
+    dim = draw(st.sampled_from((2, 3)))
+    _, scalars = draw(_scalar_lists(count << dim))
+    return [Multivector(dim, scalars[k << dim:(k + 1) << dim]) for k in range(count)]
+
+
+@given(_multivectors(3))
+def test_product_is_associative(mvs):
+    m, n, p = mvs
+    assert (m * n) * p == m * (n * p)
+
+
+@given(_multivectors(2))
+def test_reverse_is_an_anti_homomorphism(mvs):
+    m, n = mvs
+    assert reverse(m * n) == reverse(n) * reverse(m)

@@ -306,3 +306,18 @@ def test_pruned_rotor_closure_multiplies_each_element_by_few_generators(monkeypa
     # each generator kept: 2 of the 29 distinct alpha_1 alpha_j
     assert calls.count(False) == 30
     assert calls.count(True) == 2 * 120
+
+
+@pytest.mark.parametrize("name", RANK3_PRESETS)
+def test_integer_induction_is_the_composition_of_the_public_steps(name):
+    rs = build_preset(name)
+    scaled = RootSystem([r.scale(Fraction(7, 3)) for r in rs.roots], disc=rs.disc)
+    for system in (rs, scaled):
+        group = generate_rotor_group(normalize_roots(system))
+        steps = RootSystem([spinor_to_vec4(r) for r in group], disc=system.disc)
+        assert verify_root_axioms(steps).ok
+        induced = induce_4d(system)
+        assert induced.roots == steps.roots
+        assert [[c.disc for c in r.coords] for r in induced] == [
+            [c.disc for c in r.coords] for r in steps
+        ]

@@ -345,7 +345,7 @@ def _assert_kernel_matches_scalar_reference(roots, disc):
     ga, gb = lattice.gram()
     scale = lattice.den**2
     position = {r: i for i, r in enumerate(roots)}  # a repeated vector: its last position
-    table = lattice.reflection_table((ga, gb))
+    table = lattice.reflection_table()
     assert lattice.neg == [position.get(-r, -1) for r in roots]
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
@@ -396,9 +396,8 @@ class TestLatticeKernel:
         b3 = build_preset("B3")
         big = RootSystem([r.scale(Fraction(2**40 + 1, 3)) for r in b3.roots], disc=2)
         lattice = Lattice(big.roots, big.disc)
-        gram = lattice.gram()
         reference = Lattice(b3.roots, b3.disc)
-        assert lattice.reflection_table(gram) == reference.reflection_table(reference.gram())
+        assert lattice.reflection_table() == reference.reflection_table()
         assert verify_root_axioms(big) == verify_root_axioms(b3)
         assert signature(big) == signature(b3)
 
@@ -468,6 +467,35 @@ def test_kernel_and_witnesses_match_scalar_reference_on_random_sets(rs):
     assert (report.axiom1_witness, report.axiom2_witness) == _reference_witnesses(rs)
 
 
+@st.composite
+def shuffled_subsets(draw):
+    """A reflection subsystem of H4, F4, B3 or A1xI2-6 (the closure of up to 3
+    of its roots), perhaps with a scaled copy of it, plus other roots of the
+    same preset, repeated vectors and scaled single vectors, shuffled.  The
+    subsystem's rows are complete unless the additions break them."""
+    preset = build_preset(draw(st.sampled_from(("H4", "F4", "B3", "A1xI2-6"))))
+    pick = st.sampled_from(preset.roots)
+    generators = draw(st.lists(pick, min_size=1, max_size=3))
+    vectors = list(close_under_reflections(generators, disc=preset.disc).roots)
+    factor = st.sampled_from((2, Fraction(-1, 3), QScalar(1, 1, preset.disc)))
+    if draw(st.booleans()):
+        scale = draw(factor)
+        vectors += [v.scale(scale) for v in vectors]
+    vectors += draw(st.lists(pick, max_size=2))
+    vectors += draw(st.lists(st.sampled_from(vectors), max_size=3))
+    vectors += draw(st.lists(st.builds(Vector.scale, st.sampled_from(vectors), factor), max_size=1))
+    return draw(st.permutations(vectors)), preset.disc
+
+
+@given(shuffled_subsets())
+def test_table_and_witnesses_match_scalar_reference_on_shuffled_subsets(case):
+    vectors, disc = case
+    _assert_kernel_matches_scalar_reference(vectors, disc)
+    rs = RootSystem(vectors, disc=disc)
+    report = verify_root_axioms(rs)
+    assert (report.axiom1_witness, report.axiom2_witness) == _reference_witnesses(rs)
+
+
 def test_build_preset_checks_expected_count(monkeypatch):
     from rootspin import RootspinError, presets
 
@@ -494,6 +522,32 @@ ALL_PRESETS = (
     "A1xA1xA1", "A3", "B3", "H3", "D4", "F4", "H4",
     *(f"{family}-{n}" for family in ("I2", "A1xI2") for n in (2, 3, 4, 6, 8, 12)),
 )
+
+
+def _count_direct_rows(monkeypatch, rs) -> int:
+    computed = []
+    direct = Lattice._direct_row
+
+    def counted(self, i, *args):
+        computed.append(i)
+        return direct(self, i, *args)
+
+    monkeypatch.setattr(Lattice, "_direct_row", counted)
+    Lattice(rs.roots, rs.disc).reflection_table()
+    monkeypatch.undo()
+    return len(computed)
+
+
+def test_h4_table_computes_at_most_four_rows_directly(monkeypatch):
+    # the other 116 rows follow by s_{s_a(b)} = s_a s_b s_a
+    assert _count_direct_rows(monkeypatch, build_preset("H4")) <= 4
+    assert _count_direct_rows(monkeypatch, induce_4d(build_preset("H3"))) <= 4
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_table_computes_at_most_two_rows_per_dimension_directly(monkeypatch, name):
+    rs = build_preset(name)
+    assert _count_direct_rows(monkeypatch, rs) <= 2 * rs.dim
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
@@ -677,3 +731,47 @@ def test_normalize_roots_is_vector_unit_on_random_sets(field, data):
         max_size=1,
     ))
     _assert_normalize_matches_unit(RootSystem(vectors, disc=disc))
+
+
+# -- span_rank against full elimination ---------------------------------------
+
+
+def _reference_span_rank(vectors):
+    """Rank by Gauss-Jordan elimination over every vector, with no early stop."""
+    rows = [list(v.coords) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if not rows[r][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][col].is_zero():
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_span_rank_is_full_elimination_on_every_preset(name):
+    roots = list(build_preset(name).roots)
+    assert span_rank(roots) == _reference_span_rank(roots) == len(roots[0].coords)
+    # a subset in a hyperplane never reaches full rank, so every vector is reduced
+    flat = [r for r in roots if r.coords[0].is_zero()]
+    assert span_rank(flat) == _reference_span_rank(flat)
+
+
+@given(field_values(), st.integers(1, 4), st.data())
+def test_span_rank_is_full_elimination_on_random_sets(field, dim, data):
+    _, pool = field
+    coord = st.sampled_from(pool + [QScalar(0)])
+    vectors = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim).map(Vector),
+                                 max_size=6))
+    # combinations of earlier vectors keep the rank below the count
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                                   max_size=2 if len(vectors) >= 2 else 0)):
+        vectors.append(vectors[0].scale(a) + vectors[1].scale(b))
+    assert span_rank(vectors) == _reference_span_rank(vectors)
