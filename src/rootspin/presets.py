@@ -1,10 +1,9 @@
 """Built-in root-system generators and direct sums.
 
 Each preset carries explicit simple roots over its quadratic field; building
-a preset closes them under reflections (or, for the rank-4 polytopes, uses a
-combinatorial vertex enumeration as defining data).  Dihedral presets I2(n)
-exist only for the n whose plane rotation by 2*pi/n has exact coordinates in
-a quadratic field: n in {2, 3, 4, 6, 8, 12}.  For every other n the preset
+a preset closes them under reflections.  Dihedral presets I2(n) exist only
+for the n whose plane rotation by 2*pi/n has exact coordinates in a
+quadratic field: n in {2, 3, 4, 6, 8, 12}.  For every other n the preset
 raises NotRepresentable instead of approximating.
 
 The C3 preset is deliberately absent: after unit normalisation its roots
@@ -13,15 +12,14 @@ coincide with B3's, so it would add nothing downstream.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
 from .qfield import QScalar
-from .roots import Provenance, RootSystem, Vector, canonical_sorted, close_under_reflections, vec
+from .roots import Provenance, RootSystem, Vector, close_under_reflections, vec
 
 HALF = Fraction(1, 2)
 
@@ -42,7 +40,11 @@ class Preset(NamedTuple):
     disc: int
     simple_roots: tuple[Vector, ...]
     expected_count: int
-    enumerate_roots: Optional[Callable[[], list[Vector]]] = None
+
+    @property
+    def enumerate_roots(self) -> None:
+        # read by perfbench/ops.py::_build, which branches on it; no preset enumerates
+        return None
 
 
 def _i2_simple_roots(n: int) -> tuple[int, tuple[Vector, Vector]]:
@@ -75,56 +77,15 @@ def _h3_simple_roots() -> tuple[Vector, Vector, Vector]:
     return a1, a2, a3
 
 
-def _d4_roots() -> list[Vector]:
-    out = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((1, -1), repeat=2):
-            c = [0, 0, 0, 0]
-            c[i], c[j] = si, sj
-            out.append(vec(*c, disc=2))
-    return out
-
-
-def _f4_roots() -> list[Vector]:
-    out = _d4_roots()
-    for i in range(4):
-        for s in (1, -1):
-            c = [0, 0, 0, 0]
-            c[i] = s
-            out.append(vec(*c, disc=2))
-    for signs in itertools.product((HALF, -HALF), repeat=4):
-        out.append(vec(*signs, disc=2))
-    return out
-
-
-_EVEN_PERMS_4 = [
-    p for p in itertools.permutations(range(4))
-    if sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j]) % 2 == 0
-]
-
-
-def _h4_roots() -> list[Vector]:
-    """The 120 unit vertices of the 600-cell over Q(sqrt(5))."""
-    out = []
-    for i in range(4):
-        for s in (1, -1):
-            c = [QScalar(0)] * 4
-            c[i] = QScalar(s)
-            out.append(Vector(c, disc=5))
-    for signs in itertools.product((HALF, -HALF), repeat=4):
-        out.append(Vector([QScalar(s) for s in signs], disc=5))
-    base = (PHI * HALF, QScalar(HALF), PHI_INV * HALF)
-    for perm in _EVEN_PERMS_4:
-        # place (phi, 1, 1/phi)/2 on three slots, zero on the slot of index 3
-        for signs in itertools.product((1, -1), repeat=3):
-            c = [QScalar(0)] * 4
-            for pos in range(4):
-                k = perm[pos]
-                if k == 3:
-                    continue
-                c[pos] = base[k] * signs[k]
-            out.append(Vector(c, disc=5))
-    return canonical_sorted(set(out))
+def _h4_simple_roots() -> tuple[Vector, Vector, Vector, Vector]:
+    # 600-cell vertices in a Coxeter chain with labels 3, 3, 5
+    zero, half, p, q = QScalar(0), QScalar(HALF), PHI * HALF, PHI_INV * HALF
+    return (
+        Vector((-p, half, q, zero), disc=5),
+        Vector((p, zero, half, -q), disc=5),
+        Vector((zero, half, -p, q), disc=5),
+        Vector((-q, -p, half, zero), disc=5),
+    )
 
 
 @lru_cache(maxsize=1)
@@ -153,7 +114,6 @@ def _presets() -> dict[str, Preset]:
                 vec(0, 0, 1, 1, disc=2),
             ),
             24,
-            enumerate_roots=_d4_roots,
         ),
         "F4": Preset(
             "F4", 4, 2,
@@ -164,11 +124,8 @@ def _presets() -> dict[str, Preset]:
                 vec(HALF, -HALF, -HALF, -HALF, disc=2),
             ),
             48,
-            enumerate_roots=_f4_roots,
         ),
-        # simple roots recoverable via classify.simple_roots_of; the vertex
-        # enumeration is the defining data
-        "H4": Preset("H4", 4, 5, (), 120, enumerate_roots=_h4_roots),
+        "H4": Preset("H4", 4, 5, _h4_simple_roots(), 120),
     }
     return table
 
@@ -187,10 +144,10 @@ def _canonical_name(name: str) -> str:
         return key.upper()
     for prefix, canon in (("i2-", "I2-"), ("a1xi2-", "A1xI2-")):
         if key.startswith(prefix):
-            try:
-                return f"{canon}{int(key[len(prefix):])}"
-            except ValueError:
-                break
+            n = key[len(prefix):]
+            if n.isascii() and n.isdigit():
+                return f"{canon}{int(n)}"
+            break
     raise KeyError(f"unknown preset {name!r}")
 
 
@@ -219,16 +176,10 @@ def get_preset(name: str) -> Preset:
 def _built_preset(name: str, cap: int | None = None) -> RootSystem:
     preset = get_preset(name)
     provenance = Provenance(preset=preset.name)
-    if preset.enumerate_roots is not None:
-        rs = RootSystem(
-            preset.enumerate_roots(), disc=preset.disc,
-            label=preset.name, provenance=provenance,
-        )
-    else:
-        rs = close_under_reflections(
-            preset.simple_roots, disc=preset.disc, cap=cap,
-            label=preset.name, provenance=provenance,
-        )
+    rs = close_under_reflections(
+        preset.simple_roots, disc=preset.disc, cap=cap,
+        label=preset.name, provenance=provenance,
+    )
     if len(rs) != preset.expected_count:
         raise RootspinError(
             f"preset {preset.name} built {len(rs)} roots, "

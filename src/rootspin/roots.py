@@ -1,7 +1,7 @@
 """Exact Euclidean vectors, reflection closure and root-system axioms.
 
 Roots are vectors with QScalar coordinates.  Generating a root system means
-closing a set of simple roots under reflection in every member; verifying
+closing a set of simple roots under the reflections they generate; verifying
 one means checking the two defining axioms (only +-alpha among parallel
 members, invariance under all member reflections) with exact arithmetic, so
 a verdict is a fact rather than a tolerance call.
@@ -291,12 +291,14 @@ def close_under_reflections(
 ) -> RootSystem:
     """Smallest set containing +-simple and closed under member reflections.
 
-    Worklist fixpoint on the roots' integer numerator tuples, each mirror's
-    (a|a) and field norm computed once; aborts with ClosureCapExceeded as
-    soon as an insertion passes the cap (default 10^4), which turns an
-    infinite-group input into a clean error after at most cap + 1 roots.  A
-    root whose components leave QScalar's 64-bit range is refused with
-    OverflowError before it is inserted.
+    That set is W.(+-simple) for the group W the simple reflections generate,
+    because the reflection in w(a) is w s_a w^-1 and so lies in W: a
+    breadth-first search on the roots' integer numerator tuples reflects each
+    new root in the len(simple) seed mirrors only.  It aborts with
+    ClosureCapExceeded as soon as an insertion passes the cap (default 10^4),
+    which turns an infinite-group input into a clean error after at most
+    cap + 1 roots.  A root whose components leave QScalar's 64-bit range is
+    refused with OverflowError before it is inserted.
     """
     cap = resolve_cap(cap, ROOT_CLOSURE_CAP)
     if not simple:
@@ -314,35 +316,30 @@ def close_under_reflections(
     if len(dims) != 1:
         raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
     seed = [int_numerators(Vector(s.coords, disc=disc).coords) for s in simple]
-    seed += [tuple(-v for v in x[:-1]) + x[-1:] for x in seed]
-    mirrors = {x: int_mirror(x, disc) for x in seed}  # every root is a mirror
+    mirrors = [int_mirror(x, disc) for x in seed]
+    found = list(dict.fromkeys(seed + [tuple(-v for v in x[:-1]) + x[-1:] for x in seed]))
+    seen = set(found)
 
     def check_cap() -> None:
-        if len(mirrors) > cap:
+        if len(found) > cap:
             raise ClosureCapExceeded(
                 f"reflection closure exceeded cap of {cap} roots"
             )
 
     check_cap()
-    frontier = list(mirrors)
     try:
-        while frontier:
-            current = list(mirrors.items())
-            found: list[tuple[int, ...]] = []
-            for r in frontier:
-                mr = mirrors[r]
-                for m, mm in current:
-                    for cand in (int_reflect(r, mm, disc), int_reflect(m, mr, disc)):
-                        if cand not in mirrors:
-                            check_range(cand)
-                            mirrors[cand] = int_mirror(cand, disc)
-                            found.append(cand)
-                            check_cap()
-            frontier = found
+        for r in found:  # found grows behind r: a breadth-first search
+            for m in mirrors:
+                cand = int_reflect(r, m, disc)
+                if cand not in seen:
+                    check_range(cand)
+                    seen.add(cand)
+                    found.append(cand)
+                    check_cap()
     except OverflowError as exc:
-        raise OverflowError(f"reflection closure overflowed at {len(mirrors)} roots; "
+        raise OverflowError(f"reflection closure overflowed at {len(found)} roots; "
                             "the input likely generates an infinite group") from exc
-    roots = (Vector._make(from_numerators(x, disc)) for x in mirrors)
+    roots = (Vector._make(from_numerators(x, disc)) for x in found)
     return RootSystem(roots, disc=disc, label=label, provenance=provenance)
 
 

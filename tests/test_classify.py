@@ -27,7 +27,7 @@ from rootspin import (
 )
 from rootspin import classify
 from rootspin.classify import catalog, survey
-from rootspin.presets import PHI, a1_system, direct_sum
+from rootspin.presets import PHI, a1_system, direct_sum, get_preset
 
 HALF = Fraction(1, 2)
 
@@ -210,8 +210,9 @@ class TestCoxeterOrder:
 
     def test_h4_order_ignores_the_closure_cap(self, monkeypatch):
         # the order is never found by closing the group, so no cap applies
+        h4 = build_preset("H4")
         monkeypatch.setenv("ROOTSPIN_CAP", "10")
-        assert coxeter_order(build_preset("H4")) == 14400
+        assert coxeter_order(h4) == 14400
 
     def test_double_cover_accounting(self):
         # the induced root count equals the source's full Coxeter order
@@ -277,6 +278,17 @@ class TestCoxeterMatrix:
         cm = coxeter_matrix(simple)
         flat = sorted(cm.entries[i][j] for i in range(3) for j in range(i + 1, 3))
         assert flat == expected
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("D4", ((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1))),
+            ("F4", ((1, 3, 2, 2), (3, 1, 4, 2), (2, 4, 1, 3), (2, 2, 3, 1))),
+            ("H4", ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 5), (2, 2, 5, 1))),
+        ],
+    )
+    def test_rank4_preset_simple_roots_give_their_diagrams(self, name, expected):
+        assert coxeter_matrix(get_preset(name).simple_roots).entries == expected
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8, 12])
     def test_dihedral_labels(self, n):

@@ -168,12 +168,24 @@ class TestExitCodes:
             ("roots", "--preset", "I2-x"),
             ("roots", "--preset", "I2-<n>"),
             ("classify", "--preset", "A1xI2-y"),
+            # int() would read each of these as a number; only ASCII digits count
+            ("roots", "--preset", "I2-1_2"),
+            ("roots", "--preset", "I2-+6"),
+            ("roots", "--preset", "I2- 6"),
+            ("roots", "--preset", "A1xI2-\u0664"),
         ],
     )
     def test_non_integer_dihedral_index_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"rootspin: error: \"unknown preset '{argv[2]}'\"\n"
+
+    @pytest.mark.parametrize("name,canon", [("I2-6", "I2-6"), ("i2(6)", "I2-6"),
+                                            ("A1xI2-4", "A1xI2-4")])
+    def test_dihedral_spellings_resolve(self, capsys, name, canon):
+        code, out, _ = run(capsys, "roots", "--preset", name, "--format", "text")
+        assert code == 0
+        assert out.startswith(f"# {canon}: ")
 
     @pytest.mark.parametrize("name", ["I2-5", "I2-1"])
     def test_unrealizable_dihedral_is_domain_error(self, capsys, name):
@@ -199,6 +211,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "roots", "--preset", "H3", "--cap", "7")
         assert code == 2
         assert "ClosureCapExceeded" in err
+
+    def test_cap_bounds_the_h4_preset(self, capsys):
+        code, out, err = run(capsys, "roots", "--preset", "H4", "--cap", "119")
+        assert code == 2 and out == ""
+        assert "ClosureCapExceeded" in err
+        code, out, _ = run(capsys, "roots", "--preset", "H4", "--cap", "120")
+        assert code == 0
+        assert out.startswith("# H4: 120 roots")
 
     def test_env_cap_override(self, capsys, monkeypatch):
         monkeypatch.setenv("ROOTSPIN_CAP", "3")

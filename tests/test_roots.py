@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -33,7 +35,9 @@ from rootspin import (
 )
 from rootspin import roots
 from rootspin.clifford import Multivector
-from rootspin.lattice import Lattice, field_sign, int_mirror, int_numerators, int_reflect
+from rootspin.lattice import (
+    Lattice, field_sign, from_numerators, int_mirror, int_numerators, int_reflect,
+)
 from rootspin.roots import canonical_sorted
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
 
@@ -79,6 +83,20 @@ class TestReflectEuclid:
     def test_zero_root_rejected(self):
         with pytest.raises(ZeroRoot):
             reflect_euclid(vec(1, 0, 0), vec(0, 0, 0))
+
+
+@pytest.fixture
+def reflect_calls(monkeypatch):
+    """The argument tuples of every int_reflect call the closure makes."""
+    calls = []
+    int_reflect = roots.int_reflect
+
+    def counting(*args):
+        calls.append(args)
+        return int_reflect(*args)
+
+    monkeypatch.setattr(roots, "int_reflect", counting)
+    return calls
 
 
 class TestClosure:
@@ -147,18 +165,18 @@ class TestClosure:
         with pytest.raises(ClosureCapExceeded, match="cap of 11 roots"):
             close_under_reflections(simple, disc=2, cap=11)
 
-    def test_cap_bounds_the_work(self, monkeypatch):
-        calls = []
-        int_reflect = roots.int_reflect
-
-        def counting(*args):
-            calls.append(args)
-            return int_reflect(*args)
-
-        monkeypatch.setattr(roots, "int_reflect", counting)
+    def test_cap_bounds_the_work(self, reflect_calls):
         with pytest.raises(ClosureCapExceeded):
             close_under_reflections(get_preset("H3").simple_roots, disc=5, cap=8)
-        assert len(calls) < 72  # a whole first round is 6 x 6 x 2 reflections
+        # each root meets the 3 simple mirrors, so the abort at root 9 comes
+        # within 9 x 3 reflections
+        assert len(reflect_calls) < 72
+
+    @pytest.mark.parametrize("name,count", [("H3", 90), ("F4", 192), ("H4", 480)])
+    def test_closure_reflects_each_root_once_per_generator(self, reflect_calls, name, count):
+        preset = get_preset(name)
+        rs = close_under_reflections(preset.simple_roots, disc=preset.disc)
+        assert len(reflect_calls) == len(rs) * len(preset.simple_roots) == count
 
     def test_infinite_group_hits_cap(self):
         # mirrors at an angle that is no pi/m: the dihedral closure never stops
@@ -282,6 +300,95 @@ class TestHelpers:
             direct_sum(build_preset("I2-3"), build_preset("I2-4"))
 
 
+def _d4_roots() -> list[Vector]:
+    out = []
+    for i, j in itertools.combinations(range(4), 2):
+        for si, sj in itertools.product((1, -1), repeat=2):
+            c = [0, 0, 0, 0]
+            c[i], c[j] = si, sj
+            out.append(vec(*c, disc=2))
+    return out
+
+
+def _f4_roots() -> list[Vector]:
+    out = _d4_roots()
+    for i in range(4):
+        for s in (1, -1):
+            c = [0, 0, 0, 0]
+            c[i] = s
+            out.append(vec(*c, disc=2))
+    for signs in itertools.product((HALF, -HALF), repeat=4):
+        out.append(vec(*signs, disc=2))
+    return out
+
+
+_EVEN_PERMS_4 = [
+    p for p in itertools.permutations(range(4))
+    if sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j]) % 2 == 0
+]
+
+
+def _h4_roots() -> list[Vector]:
+    """The 120 unit vertices of the 600-cell over Q(sqrt(5))."""
+    out = []
+    for i in range(4):
+        for s in (1, -1):
+            c = [QScalar(0)] * 4
+            c[i] = QScalar(s)
+            out.append(Vector(c, disc=5))
+    for signs in itertools.product((HALF, -HALF), repeat=4):
+        out.append(Vector([QScalar(s) for s in signs], disc=5))
+    base = (PHI * HALF, QScalar(HALF), PHI_INV * HALF)
+    for perm in _EVEN_PERMS_4:
+        # place (phi, 1, 1/phi)/2 on three slots, zero on the slot of index 3
+        for signs in itertools.product((1, -1), repeat=3):
+            c = [QScalar(0)] * 4
+            for pos in range(4):
+                k = perm[pos]
+                if k == 3:
+                    continue
+                c[pos] = base[k] * signs[k]
+            out.append(Vector(c, disc=5))
+    return canonical_sorted(set(out))
+
+
+def _reference_closure(simple, disc):
+    """The all-pairs worklist closure: reflect every new root in every root and back."""
+    seed = [int_numerators(Vector(s.coords, disc=disc).coords) for s in simple]
+    seed += [tuple(-v for v in x[:-1]) + x[-1:] for x in seed]
+    mirrors = {x: int_mirror(x, disc) for x in seed}  # every root is a mirror
+    frontier = list(mirrors)
+    while frontier:
+        current = list(mirrors.items())
+        found = []
+        for r in frontier:
+            mr = mirrors[r]
+            for m, mm in current:
+                for cand in (int_reflect(r, mm, disc), int_reflect(m, mr, disc)):
+                    if cand not in mirrors:
+                        mirrors[cand] = int_mirror(cand, disc)
+                        found.append(cand)
+        frontier = found
+    return RootSystem((Vector(from_numerators(x, disc)) for x in mirrors), disc=disc)
+
+
+@st.composite
+def generating_subsets(draw):
+    """1 to 4 roots of H4, F4, B3, H3 or A1xI2-6, some of them perhaps scaled, shuffled."""
+    preset = build_preset(draw(st.sampled_from(("H4", "F4", "B3", "H3", "A1xI2-6"))))
+    generators = draw(st.lists(st.sampled_from(preset.roots), min_size=1, max_size=4))
+    factor = st.sampled_from((2, Fraction(-1, 3), QScalar(1, 1, preset.disc)))
+    scaled = draw(st.lists(st.builds(Vector.scale, st.sampled_from(generators), factor),
+                           max_size=2))
+    return draw(st.permutations(generators + scaled)), preset.disc
+
+
+@given(generating_subsets())
+def test_closure_matches_the_all_pairs_reference_on_shuffled_subsets(case):
+    generators, disc = case
+    assert close_under_reflections(generators, disc=disc) == _reference_closure(generators, disc)
+
+
 class TestPresetGeometry:
     def test_h3_simple_root_angles(self):
         a1, a2, a3 = get_preset("H3").simple_roots
@@ -292,16 +399,15 @@ class TestPresetGeometry:
         assert a1.dot(a3) == QScalar(0, 0, 5)
 
     def test_d4_f4_enumerations_match_their_closures(self):
-        for name, count in (("D4", 24), ("F4", 48)):
-            preset = get_preset(name)
-            enumerated = build_preset(name)
-            assert len(enumerated) == count
-            closed = close_under_reflections(preset.simple_roots, disc=preset.disc)
-            assert set(closed.roots) == set(enumerated.roots)
+        for name, count, enumerate_roots in (("D4", 24, _d4_roots), ("F4", 48, _f4_roots)):
+            closed = build_preset(name)
+            assert len(closed) == count
+            assert set(closed.roots) == set(enumerate_roots())
 
     def test_h4_enumeration_is_closed_and_unit(self):
         h4 = build_preset("H4")
         assert len(h4) == 120
+        assert set(h4.roots) == set(_h4_roots())
         one = QScalar(1, 0, 5)
         assert all(r.norm_squared() == one for r in h4)
         assert verify_root_axioms(h4).ok
@@ -522,6 +628,13 @@ ALL_PRESETS = (
     "A1xA1xA1", "A3", "B3", "H3", "D4", "F4", "H4",
     *(f"{family}-{n}" for family in ("I2", "A1xI2") for n in (2, 3, 4, 6, 8, 12)),
 )
+
+
+def test_benchmark_build_matches_build_preset(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    ops = importlib.import_module("ops")
+    for name in ALL_PRESETS:
+        assert ops._build(name, ops.NullTracer()) == build_preset(name)
 
 
 def _count_direct_rows(monkeypatch, rs) -> int:
