@@ -18,12 +18,18 @@ GROUP_CLOSURE_CAP = 100_000
 ENV_VAR = "ROOTSPIN_CAP"
 
 
+def ascii_digits(text: str) -> bool:
+    """Whether text is all ASCII digits: int() also reads '+', '_' and other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 def positive_int(value) -> int:
-    """value as an int; ValueError unless it is a positive integer."""
-    try:
+    """value as an int; ValueError unless it is a positive integer, in ASCII digits if a string."""
+    if isinstance(value, str):
+        text = value.strip()
+        n = int(text) if ascii_digits(text) else 0
+    else:
         n = int(value)
-    except ValueError:
-        n = 0
     if n < 1:
         raise ValueError(f"must be a positive integer, got {value!r}")
     return n

@@ -25,13 +25,14 @@ from .errors import (
     UnknownAngle,
 )
 from .induction import induce_4d
-from .lattice import Lattice, int_numerators
+from .lattice import Lattice
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
 from .roots import (
     RootSystem,
     Vector,
-    extract_simple_roots,
+    row_vector,
+    simple_positions,
     span_rank,
     unit_rows,
 )
@@ -76,8 +77,8 @@ def _component_sizes(ga: list[list[int]], gb: list[list[int]]) -> list[int]:
 
 def signature(rs: RootSystem) -> Signature:
     """Exact signature of a root system (roots are unit-normalized first)."""
-    units = unit_rows(rs, [int_numerators(r.coords) for r in rs.roots])
-    lattice = Lattice.from_numerators(units, rs.disc)
+    units = unit_rows(rs)
+    lattice = Lattice(units, rs.disc)
     ga, gb = lattice.gram()
     spectrum = sorted(
         (_value_key(value), c) for value, c in lattice.inner_products((ga, gb)).items()
@@ -156,12 +157,12 @@ def coxeter_order(rs: RootSystem) -> int:
     Orbit-stabilizer: the stabilizer of a root r is generated by the reflections
     in the roots orthogonal to r (Steinberg; Humphreys 1990, 1.12).
     """
-    lattice = Lattice(rs.roots, rs.disc)
+    lattice = Lattice(rs.rows, rs.disc)
     table = lattice.reflection_table()
     for i, row in enumerate(table):
         if -1 in row:
             raise RootspinError(
-                f"{rs!r} is not reflection-closed at root {rs.roots[i]}; "
+                f"{rs!r} is not reflection-closed at root {row_vector(rs.rows[i], rs.disc)}; "
                 "run verify_root_axioms"
             )
     order = 1
@@ -183,8 +184,9 @@ def coxeter_order(rs: RootSystem) -> int:
 
 def simple_roots_of(rs: RootSystem) -> list[Vector]:
     """Simple system extracted from a valid root system."""
-    simple = extract_simple_roots(rs.roots)
-    rank = span_rank(list(rs.roots))
+    roots = rs.roots
+    simple = [roots[i] for i in simple_positions(rs.rows, rs.disc)]  # ascending: canonical order
+    rank = span_rank(roots)
     if len(simple) != rank:
         raise RootspinError(
             f"extracted {len(simple)} simple roots but span rank is {rank}; "

@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .caps import positive_int
+from .caps import ascii_digits, positive_int
 from .classify import coxeter_order, identify, signature, survey
 from .errors import RootspinError
 from .induction import check_self_dual, induce_2d, induce_4d
@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(Exception):
     pass
+
+
+def integer(text: str) -> int:
+    """text as an int: ASCII digits after an optional '-', surrounding whitespace aside."""
+    digits = text.strip()
+    if not ascii_digits(digits.removeprefix("-")):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(digits)
 
 
 def _build_parser() -> _Parser:
@@ -55,7 +63,7 @@ def _build_parser() -> _Parser:
     add_common(sub.add_parser("classify", help="signature, catalog name and group order"))
 
     p_self = sub.add_parser("selfdual", help="self-duality check for I2(n)")
-    p_self.add_argument("n", type=int, help="dihedral index n >= 2")
+    p_self.add_argument("n", type=integer, help="dihedral index n >= 2")
     add_common(p_self, source=False)
 
     add_common(sub.add_parser("survey", help="full induction survey table"), source=False)

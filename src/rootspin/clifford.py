@@ -20,9 +20,9 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import DimensionMismatch, NonUnitVector, OddGradePresent
-from .lattice import field_disc, from_numerators, int_numerators
+from .lattice import field_disc, int_numerators
 from .qfield import QScalar
-from .roots import Vector
+from .roots import Vector, row_vector
 
 _ZERO = QScalar(0)
 _ONE = QScalar(1)
@@ -310,7 +310,7 @@ def spinor_to_vec4(psi) -> Vector:
     if not mv.is_even():
         raise OddGradePresent(f"odd grades present in {mv}")
     c = tuple(mv.coeffs[m] for m in EVEN_MASKS)
-    return Vector._make(from_numerators(vec4_numerators(int_numerators(c)), field_disc((c,))))
+    return row_vector(vec4_numerators(int_numerators(c)), field_disc((c,)))
 
 
 def spinor_to_vec2(psi) -> Vector:

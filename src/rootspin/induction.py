@@ -4,8 +4,8 @@ Pipeline: unit-normalize roots, close the rotors alpha_i alpha_j into the
 group they generate under the geometric product, then read each group
 element's even-grade coefficients as a Euclidean vector.  The resulting 4D
 (or 2D) point set is re-verified against the root-system axioms instead of
-being trusted: the verification *is* the computational content here.  The
-4D pipeline runs on integer numerator tuples from input to output.
+being trusted: the verification *is* the computational content here.  Both
+pipelines run on the input's rows (roots.py) from input to output.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .clifford import (
     even_from_numerators,
     int_product,
     mask_ordered,
-    spinor_to_vec2,
     vec4_numerators,
 )
 from .errors import (
@@ -36,7 +35,6 @@ from .lattice import (
     Numerators,
     check_range,
     field_disc,
-    from_numerators,
     int_numerators,
     sorted_numerators,
 )
@@ -48,11 +46,9 @@ from .roots import (
     _is_unit,
     axiom_failures,
     axiom_report,
-    canonical_sorted,
-    gram_spectrum,
-    normalize_roots,
+    lattice_spectrum,
+    row_vector,
     unit_rows,
-    verify_root_axioms,
 )
 
 _ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
@@ -75,7 +71,7 @@ class RotorGroup:
         dims = {r.dim for r in elems}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
-        self._fill(canonical_sorted(elems, _coeffs))
+        self._fill(sorted(elems))
         self._validate()
 
     @classmethod
@@ -120,10 +116,6 @@ class RotorGroup:
         return f"RotorGroup(dim={self.dim}, order={self.order})"
 
 
-def _coeffs(r: Rotor) -> tuple[QScalar, ...]:
-    return r.mv.coeffs
-
-
 def _negated(x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-v for v in x[:-1]) + x[-1:]
 
@@ -160,7 +152,7 @@ def rotor_closure(vecs: Sequence[Numerators], d: int, cap: int) -> list[Numerato
     for x in vecs:
         if not _is_unit(x, d):
             raise NonUnitVector(
-                f"root {Vector._make(from_numerators(x, d))} is not exactly unit length"
+                f"root {row_vector(x, d)} is not exactly unit length"
             )
     known: set[Numerators] = set()
     elements = [_ONE]  # the closure so far, closed under right multiplication by gens
@@ -214,21 +206,23 @@ def _named(out: RootSystem, source: str) -> RootSystem:
 # result after the caller's own input.
 
 
-@lru_cache(maxsize=128)
-def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
-    # the steps of normalize_roots, generate_rotor_group, spinor_to_vec4 and
-    # verify_root_axioms, on integer numerators; Vectors are built once
-    d = rs.disc
-    units = unit_rows(rs, [int_numerators(r.coords) for r in rs.roots])
-    rows = sorted_numerators([vec4_numerators(x) for x in rotor_closure(units, d, cap)], d)
-    failures = axiom_failures(Lattice.from_numerators(rows, d))
-    roots = [Vector._make(from_numerators(x, d)) for x in rows]
+def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
+    # the steps of RootSystem and verify_root_axioms, on rows already distinct
+    rows = sorted_numerators(rows, d)
+    failures = axiom_failures(Lattice(rows, d))
     if failures != (None, None):
         raise RootspinError(
-            f"induced set from {rs.label or 'rank-3 input'} is not a root system: "
-            f"{axiom_report(failures, roots).summary()}"
+            f"{what} is not a root system: {axiom_report(failures, rows, d).summary()}"
         )
-    return RootSystem._trusted(roots, d)
+    return RootSystem._from_rows(rows, d)
+
+
+@lru_cache(maxsize=128)
+def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
+    # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
+    d = rs.disc
+    rows = [vec4_numerators(x) for x in rotor_closure(unit_rows(rs), d, cap)]
+    return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")
 
 
 def induce_4d(rs: RootSystem, cap: int | None = None) -> RootSystem:
@@ -245,17 +239,14 @@ induce_4d.cache_clear = _induced_4d.cache_clear
 
 @lru_cache(maxsize=128)
 def _induced_2d(rs: RootSystem) -> RootSystem:
-    units = normalize_roots(rs)
-    first = Multivector.from_vector(units[0])
-    vecs = [spinor_to_vec2(first * Multivector.from_vector(u)) for u in units]
-    out = RootSystem(vecs, disc=rs.disc)
-    report = verify_root_axioms(out)
-    if not report.ok:
-        raise RootspinError(
-            f"2D spinor image of {rs.label or 'rank-2 input'} is not a root system: "
-            f"{report.summary()}"
-        )
-    return out
+    # the steps of normalize_roots and spinor_to_vec2, on rows padded to 3D: the
+    # product of two vectors in the e1 e2 plane is a0 + a3 e1 e2, and its e2 e3
+    # and e1 e3 slots are zero, so (a0, a3) over D is still reduced
+    d = rs.disc
+    units = [x[:-1] + (0, 0) + x[-1:] for x in unit_rows(rs)]
+    products = (int_product(units[0], u, VECTOR_BY_VECTOR, d) for u in units)
+    rows = [x[:2] + x[6:] for x in products]
+    return _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
 
 
 def induce_2d(rs: RootSystem) -> RootSystem:
@@ -303,12 +294,12 @@ def check_self_dual(rs: RootSystem) -> SelfDualityReport:
     depend on the alpha_1 convention inside induce_2d.
     """
     induced = induce_2d(rs)
-    units_in = normalize_roots(rs)
-    units_out = normalize_roots(induced)
+    units_in = unit_rows(rs)
+    units_out = unit_rows(induced)
     return SelfDualityReport(
         label=rs.label or "rank-2 input",
         input_count=len(units_in),
         induced_count=len(units_out),
-        input_spectrum=gram_spectrum(units_in),
-        induced_spectrum=gram_spectrum(units_out),
+        input_spectrum=lattice_spectrum(Lattice(units_in, rs.disc)),
+        induced_spectrum=lattice_spectrum(Lattice(units_out, induced.disc)),
     )

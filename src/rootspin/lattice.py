@@ -1,10 +1,20 @@
-"""Exact integer-lattice kernel: Gram matrices and reflection tables.
+"""Exact integer-lattice kernel: the row encoding, Gram matrices and reflection tables.
 
-Every coordinate of a root set lies in (1/L) Z[sqrt(d)] for a common
-denominator L, so a root of dimension k is held as one tuple of 2k Python
-ints (A_1..A_k, B_1..B_k) with root = (A + B sqrt(d)) / L.  The per-pair
-scalar work of the axiom check, the signature and the Coxeter order then
-becomes integer arithmetic on those tuples:
+A vector or rotor is held as one reduced tuple of Python ints, its row
+
+    (p_1, q_1, ..., p_k, q_k, D),   coordinate i = (p_i + q_i sqrt(d)) / D,
+
+with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
+RootSystem stores its roots this way; `int_numerators` encodes QScalars
+and `from_numerators` decodes a row for output.  The reflection closure,
+simple-root extraction and the rotor closure run on rows: `int_reflect`
+reflects, and `check_range` is the insertion guard both closures share.
+`sorted_numerators` sorts rows by exact value.
+
+A Lattice brings n rows to a common denominator L, so that root i is
+(A_i + B_i sqrt(d)) / L with integer tuples A_i, B_i.  The per-pair scalar
+work of the axiom check, the signature and the Coxeter order then becomes
+integer arithmetic:
 
     Gram = (A A^T + d B B^T) + (A B^T + B A^T) sqrt(d), over L^2
 
@@ -21,19 +31,6 @@ the kernel compute only the pairs of representatives (the first root of each
 
 The reflection table computes few rows from inner products: the others
 follow by s_{s_a(b)} = s_a s_b s_a, as compositions of complete rows.
-
-The reflection closure, simple-root extraction and the rotor closure hold
-each vector or rotor on its own as one reduced tuple
-
-    (p_1, q_1, ..., p_k, q_k, D),   coordinate i = (p_i + q_i sqrt(d)) / D,
-
-with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
-`int_numerators` encodes, `int_reflect` reflects, and `check_range` is the
-insertion guard both closures share.  `canonical_order` sorts by exact
-value on reduced coordinate triples (p, q, D), for tuples and QScalars alike.
-
-QScalar stays the public scalar: this module only replaces loops over root
-pairs.
 """
 
 from __future__ import annotations
@@ -43,13 +40,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from operator import mul, sub
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import FieldMismatch
 from .qfield import QScalar
-
-if TYPE_CHECKING:  # roots imports this module
-    from .roots import Vector
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
@@ -156,14 +150,17 @@ def _triples(x: Numerators) -> list[Triple]:
     return out
 
 
-def canonical_order(coords: Sequence[Sequence[Triple]], disc: int) -> list[int]:
-    """Positions of the items in lexicographic order of their coordinate values.
+def sorted_numerators(
+    xs: Sequence[Numerators], disc: int, key: Callable[[Numerators], Numerators] | None = None
+) -> list[Numerators]:
+    """xs in lexicographic order of their coordinate values: Vector.__lt__'s order.
 
-    coords[i] holds item i's coordinates as reduced triples (see _triples).
-    The few distinct triples are ranked once, comparing s and t by the sign
-    of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d); the sort then
-    compares tuples of ranks.  This is Vector.__lt__'s order.
+    key(x), if given, holds x's coordinates in comparison order.  The few
+    distinct reduced triples (see _triples) are ranked once, comparing s and t
+    by the sign of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d); the sort
+    then compares tuples of ranks.
     """
+    coords = [_triples(key(x) if key else x) for x in xs]
     distinct = sorted(
         {t for ts in coords for t in ts},
         key=cmp_to_key(
@@ -172,37 +169,20 @@ def canonical_order(coords: Sequence[Sequence[Triple]], disc: int) -> list[int]:
     )
     rank = {t: i for i, t in enumerate(distinct)}
     keys = [tuple(map(rank.__getitem__, ts)) for ts in coords]
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def sorted_numerators(
-    xs: Sequence[Numerators], disc: int, key: Callable[[Numerators], Numerators] | None = None
-) -> list[Numerators]:
-    """xs in canonical order; key(x), if given, holds x's coordinates in comparison order."""
-    order = canonical_order([_triples(key(x) if key else x) for x in xs], disc)
-    return [xs[i] for i in order]
+    return [xs[i] for i in sorted(range(len(xs)), key=keys.__getitem__)]
 
 
 class Lattice:
     """n vectors of dimension k as int tuples: x_i = (A_i + B_i sqrt(d)) / L.
 
+    Built from the vectors' rows xs (reduced, as int_numerators gives them).
     `neg[i]` is the position of -x_i, -1 where it is not in the set; a value
     that occurs more than once is found at its last position.
     """
 
     __slots__ = ("disc", "den", "rows", "neg", "_index", "_reps")
 
-    def __init__(self, vectors: Sequence[Vector], disc: int):
-        self._set_rows([int_numerators(v.coords) for v in vectors], disc)
-
-    @classmethod
-    def from_numerators(cls, xs: Sequence[Numerators], disc: int) -> "Lattice":
-        """The same lattice, from the vectors' reduced numerator tuples (int_numerators)."""
-        lattice = object.__new__(cls)
-        lattice._set_rows(xs, disc)
-        return lattice
-
-    def _set_rows(self, xs: Sequence[Numerators], disc: int) -> None:
+    def __init__(self, xs: Sequence[Numerators], disc: int):
         den = math.lcm(*(x[-1] for x in xs))
         self.disc = disc
         self.den = den

@@ -16,8 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .caps import ROOT_CLOSURE_CAP, resolve_cap
+from .caps import ROOT_CLOSURE_CAP, ascii_digits, resolve_cap
 from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
+from .lattice import sorted_numerators
 from .qfield import QScalar
 from .roots import Provenance, RootSystem, Vector, close_under_reflections, vec
 
@@ -145,7 +146,7 @@ def _canonical_name(name: str) -> str:
     for prefix, canon in (("i2-", "I2-"), ("a1xi2-", "A1xI2-")):
         if key.startswith(prefix):
             n = key[len(prefix):]
-            if n.isascii() and n.isdigit():
+            if ascii_digits(n):
                 return f"{canon}{int(n)}"
             break
     raise KeyError(f"unknown preset {name!r}")
@@ -212,14 +213,13 @@ def direct_sum(*systems: RootSystem, label: str | None = None) -> RootSystem:
     if len(discs) > 1:
         raise FieldMismatch(f"cannot mix fields {sorted(discs)} in a direct sum")
     disc = discs.pop() if discs else 1
-    roots = []
+    # zero coordinates (0, 0) around each block keep every row reduced
+    rows = []
     offset = 0
     for s in systems:
-        for r in s.roots:
-            coords = [QScalar(0)] * total
-            coords[offset : offset + s.dim] = r.coords
-            roots.append(Vector(coords, disc=disc))
+        before, after = (0, 0) * offset, (0, 0) * (total - offset - s.dim)
+        rows += [before + x[:-1] + after + x[-1:] for x in s.rows]
         offset += s.dim
     if label is None:
         label = "x".join(s.label or "?" for s in systems)
-    return RootSystem(roots, disc=disc, label=label)
+    return RootSystem._from_rows(sorted_numerators(rows, disc), disc, label)

@@ -1,19 +1,17 @@
-"""Exact Euclidean vectors, reflection closure and root-system axioms.
+"""Exact Euclidean vectors, root systems, reflection closure and root-system axioms.
 
-Roots are vectors with QScalar coordinates.  Generating a root system means
-closing a set of simple roots under the reflections they generate; verifying
-one means checking the two defining axioms (only +-alpha among parallel
-members, invariance under all member reflections) with exact arithmetic, so
-a verdict is a fact rather than a tolerance call.
+A RootSystem stores its roots as rows, the reduced integer tuples of
+lattice.py, deduplicated and in canonical order (Vector.__lt__'s, computed
+by lattice.sorted_numerators).  The stages below read the rows directly, so
+a root is encoded once, where it enters, and decoded into a Vector of
+QScalars only for output: `.roots` on first access, and witnesses and error
+messages only for the roots they name.
 
-The loops over roots run on integers.  The reflection closure, unit
-normalisation and simple-root extraction hold each root as its reduced
-numerator tuple (lattice.int_numerators), and the first and last reflect
-with lattice.int_reflect; the axiom check reads lattice.Lattice's
-reflection table, and the Gram spectrum its Gram matrix.  QScalars are
-built for the final roots only.  The canonical order of roots (and of
-rotors) is Vector.__lt__'s, computed by canonical_sorted from integer ranks
-of the few distinct coordinate values.
+Generating a root system means closing a set of simple roots under the
+reflections they generate; verifying one means checking the two defining
+axioms (only +-alpha among parallel members, invariance under all member
+reflections) with exact arithmetic, so a verdict is a fact rather than a
+tolerance call.  The axiom check reads lattice.Lattice's reflection table.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter, eq, mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
+from operator import eq, mul
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch, ZeroRoot
@@ -30,7 +28,6 @@ from .errors import NormNotInField
 from .lattice import (
     Lattice,
     Numerators,
-    canonical_order,
     check_range,
     field_disc,
     field_sign,
@@ -43,7 +40,6 @@ from .lattice import (
 from .qfield import QScalar
 
 Coord = Union[QScalar, int, Fraction]
-T = TypeVar("T")
 
 
 class Vector:
@@ -158,28 +154,9 @@ def vec(*coords: Coord, disc: int | None = None) -> Vector:
     return Vector(coords, disc=disc)
 
 
-_coords = attrgetter("coords")
-
-
-def canonical_sorted(items: Iterable[T], coords: Callable[[T], tuple] = _coords) -> list[T]:
-    """items in lexicographic order of their coordinate tuples, as Vector.__lt__ sorts.
-
-    Each coordinate becomes its reduced integer triple (p, q, D), and
-    lattice.canonical_order ranks the few distinct triples exactly.  Every
-    tuple must have the same length and lie in one field.
-    """
-    items = list(items)
-    values = [coords(x) for x in items]
-    order = canonical_order([[_triple(c) for c in cs] for cs in values], field_disc(values))
-    return [items[i] for i in order]
-
-
-def _triple(c: QScalar) -> tuple[int, int, int]:
-    # (p, q, D) with c = (p + q sqrt(d)) / D, reduced because rat and surd are
-    r, s = c.rat, c.surd
-    a, b = r.denominator, s.denominator
-    den = math.lcm(a, b)
-    return r.numerator * (den // a), s.numerator * (den // b), den
+def row_vector(x: Numerators, disc: int) -> Vector:
+    """The Vector whose row is x, over Q(sqrt(disc))."""
+    return Vector._make(from_numerators(x, disc))
 
 
 class Provenance(NamedTuple):
@@ -199,73 +176,87 @@ class Provenance(NamedTuple):
 
 
 class RootSystem:
-    """Canonically ordered duplicate-free set of roots plus field metadata."""
+    """Canonically ordered duplicate-free set of roots, held as rows, plus field metadata.
 
-    __slots__ = ("dim", "disc", "roots", "label", "provenance", "_set")
+    Equality and hashing ignore label and provenance.
+    """
 
-    def __init__(
-        self,
-        roots: Iterable[Vector],
-        disc: int,
-        label: str | None = None,
-        provenance: Provenance | None = None,
-    ):
-        distinct = {Vector(r.coords, disc=disc) for r in roots}
-        if not distinct:
+    # _decoded is a one-item list holding the decoded roots once they exist,
+    # shared with relabelled copies
+    __slots__ = ("dim", "disc", "rows", "label", "provenance", "_decoded")
+
+    def __new__(cls, roots: Iterable[Vector], disc: int, label: str | None = None,
+                provenance: Provenance | None = None) -> "RootSystem":
+        vectors: dict[Numerators, Vector] = {}
+        for r in roots:
+            v = Vector(r.coords, disc=disc)
+            vectors.setdefault(int_numerators(v.coords), v)
+        if not vectors:
             raise ZeroRoot("a root system needs at least one root")
-        dims = {r.dim for r in distinct}
+        dims = {v.dim for v in vectors.values()}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
-        if any(r.is_zero() for r in distinct):
+        if any(not any(x[:-1]) for x in vectors):
             raise ZeroRoot("the zero vector cannot be a root")
-        self._fill(canonical_sorted(distinct), disc, label, provenance)
-
-    @classmethod
-    def _trusted(cls, roots: list[Vector], disc: int) -> "RootSystem":
-        # roots already distinct, nonzero, of one dimension, over disc and sorted
-        out = object.__new__(cls)
-        out._fill(roots, disc, None, None)
+        out = cls._from_rows(sorted_numerators(list(vectors), disc), disc, label, provenance)
+        out._decoded[0] = tuple(map(vectors.__getitem__, out.rows))
         return out
 
-    def _fill(self, roots: list[Vector], disc: int, label, provenance) -> None:
-        object.__setattr__(self, "dim", roots[0].dim)
-        object.__setattr__(self, "disc", disc)
-        object.__setattr__(self, "roots", tuple(roots))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "provenance", provenance or Provenance())
-        object.__setattr__(self, "_set", frozenset(roots))
+    @classmethod
+    def _from_rows(cls, rows: Sequence[Numerators], disc: int, label: str | None = None,
+                   provenance: Provenance | None = None) -> "RootSystem":
+        # trusted: rows reduced, distinct, nonzero, of one dimension, over disc and sorted
+        out = object.__new__(cls)
+        object.__setattr__(out, "dim", len(rows[0]) // 2)
+        object.__setattr__(out, "disc", disc)
+        object.__setattr__(out, "rows", tuple(rows))
+        object.__setattr__(out, "label", label)
+        object.__setattr__(out, "provenance", provenance or Provenance())
+        object.__setattr__(out, "_decoded", [None])
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
 
     def _relabel(self, label: str | None, provenance: Provenance | None) -> "RootSystem":
-        # trusted constructor: the same roots under another name, no re-sort
-        out = object.__new__(RootSystem)
-        for name in ("dim", "disc", "roots", "_set"):
-            object.__setattr__(out, name, getattr(self, name))
-        object.__setattr__(out, "label", label)
-        object.__setattr__(out, "provenance", provenance or Provenance())
+        # the same roots under another name, sharing the rows and the decoded roots
+        out = RootSystem._from_rows(self.rows, self.disc, label, provenance)
+        object.__setattr__(out, "_decoded", self._decoded)
         return out
 
+    @property
+    def roots(self) -> tuple[Vector, ...]:
+        """The roots as Vectors, in canonical order, decoded on first access."""
+        decoded = self._decoded
+        if decoded[0] is None:
+            decoded[0] = tuple(row_vector(x, self.disc) for x in self.rows)
+        return decoded[0]
+
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.roots)
 
-    def __contains__(self, v: Vector) -> bool:
-        return v in self._set
+    def __contains__(self, v) -> bool:
+        # a coordinate with a surd part from another field is no member's
+        return (
+            isinstance(v, Vector)
+            and v.dim == self.dim
+            and all(c.disc == self.disc or not c.surd for c in v.coords)
+            and int_numerators(v.coords) in self.rows
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RootSystem)
             and self.dim == other.dim
             and self.disc == other.disc
-            and self.roots == other.roots
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.dim, self.disc, self.roots))
+        return hash((self.dim, self.disc, self.rows))
 
     def __repr__(self) -> str:
         name = self.label or "?"
@@ -279,7 +270,7 @@ def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:
     lam._check_dim(alpha)
     d = field_disc((lam, alpha))
     image = int_reflect(int_numerators(lam.coords), int_mirror(int_numerators(alpha.coords), d), d)
-    return Vector._make(from_numerators(image, d))
+    return row_vector(image, d)
 
 
 def close_under_reflections(
@@ -339,8 +330,7 @@ def close_under_reflections(
     except OverflowError as exc:
         raise OverflowError(f"reflection closure overflowed at {len(found)} roots; "
                             "the input likely generates an infinite group") from exc
-    roots = (Vector._make(from_numerators(x, disc)) for x in found)
-    return RootSystem(roots, disc=disc, label=label, provenance=provenance)
+    return RootSystem._from_rows(sorted_numerators(found, disc), disc, label, provenance)
 
 
 class AxiomReport(NamedTuple):
@@ -369,7 +359,7 @@ def verify_root_axioms(rs: RootSystem) -> AxiomReport:
     for every reflection image in the set.  Both are read off the reflection
     table.
     """
-    return axiom_report(axiom_failures(Lattice(rs.roots, rs.disc)), rs.roots)
+    return axiom_report(axiom_failures(Lattice(rs.rows, rs.disc)), rs.rows, rs.disc)
 
 
 Pair = Optional[tuple[int, int]]
@@ -403,52 +393,56 @@ def axiom_failures(lattice: Lattice) -> tuple[Pair, Pair]:
     return axiom1, axiom2
 
 
-def axiom_report(failures: tuple[Pair, Pair], roots: Sequence[Vector]) -> AxiomReport:
-    """The AxiomReport of axiom_failures' positions into roots."""
+def axiom_report(
+    failures: tuple[Pair, Pair], rows: Sequence[Numerators], disc: int
+) -> AxiomReport:
+    """The AxiomReport of axiom_failures' positions into rows; only witnesses are decoded."""
     one, two = failures
+
+    def root(i: int) -> Vector:
+        return row_vector(rows[i], disc)
+
     witness1 = None if one is None else (
-        roots[one[0]], roots[one[1]] if one[1] >= 0 else -roots[one[0]]
+        root(one[0]), root(one[1]) if one[1] >= 0 else -root(one[0])
     )
-    witness2 = None if two is None else (roots[two[0]], roots[two[1]])
+    witness2 = None if two is None else (root(two[0]), root(two[1]))
     return AxiomReport(one is None, witness1, two is None, witness2)
 
 
 def normalize_roots(rs: RootSystem) -> list[Vector]:
     """All roots scaled to exact unit length (deduplicated, sorted).
 
-    A thin wrapper over unit_rows, on the roots' numerator tuples.  Raises
-    NormNotInField naming the offending root if some squared norm has no
-    square root in the field.
+    A thin wrapper over unit_rows.  Raises NormNotInField naming the
+    offending root if some squared norm has no square root in the field.
     """
-    rows = [int_numerators(r.coords) for r in rs.roots]
-    units = unit_rows(rs, rows)
-    if units is rows:  # each root is its own unit
+    units = unit_rows(rs)
+    if units is rs.rows:  # each root is its own unit
         return list(rs.roots)
-    return [Vector._make(from_numerators(x, rs.disc)) for x in units]
+    return [row_vector(x, rs.disc) for x in units]
 
 
-def unit_rows(rs: RootSystem, rows: list[Numerators]) -> list[Numerators]:
-    """The numerator tuples of the distinct unit roots, in canonical order.
+def unit_rows(rs: RootSystem) -> Sequence[Numerators]:
+    """The rows of the distinct unit roots, in canonical order.
 
-    rows are the numerators of rs.roots, and are returned themselves when
-    every root is already unit.  Each root's primitive integer vector is
-    divided by the square root of its squared norm, taken once per distinct
-    norm, so a large rational scale factor never reaches QScalar's 64-bit
-    bound.  NormNotInField names the first root whose squared norm has no
-    square root in the field.
+    rs.rows itself comes back when every root is already unit.  Each root's
+    primitive integer vector is divided by the square root of its squared
+    norm, taken once per distinct norm, so a large rational scale factor
+    never reaches QScalar's 64-bit bound.  NormNotInField names the first
+    root whose squared norm has no square root in the field.
     """
     d = rs.disc
-    if all(_is_unit(x, d) for x in rows):
-        return rows
+    if all(_is_unit(x, d) for x in rs.rows):
+        return rs.rows
     inverse_roots: dict[tuple[int, int], tuple[int, int, int]] = {}
     units = set()
-    for r, x in zip(rs.roots, rows):
+    for x in rs.rows:
         g = math.gcd(*x[:-1])
         p, q = [e // g for e in x[:-1:2]], [f // g for f in x[1:-1:2]]
         norm = sum(map(mul, p, p)) + d * sum(map(mul, q, q)), 2 * sum(map(mul, p, q))
         if norm not in inverse_roots:
             root = QScalar(*norm, d).sqrt()
             if root is None:
+                r = row_vector(x, d)
                 raise NormNotInField(r, r.norm_squared())
             # 1 / ((a + b sqrt(d)) / c) = c (a - b sqrt(d)) / (a^2 - d b^2)
             a, b, c = int_numerators((root,))
@@ -479,12 +473,14 @@ def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
     """
     if not vectors:
         return ()
-    lattice = Lattice(vectors, field_disc(vectors))
+    rows = [int_numerators(v.coords) for v in vectors]
+    return lattice_spectrum(Lattice(rows, field_disc(vectors)))
+
+
+def lattice_spectrum(lattice: Lattice) -> tuple[QScalar, ...]:
+    """gram_spectrum of the lattice's vectors."""
     values = lattice.inner_products(lattice.gram())
-    out: list[QScalar] = []
-    for value in sorted(values):
-        out.extend([value] * values[value])
-    return tuple(out)
+    return tuple(value for value in sorted(values) for _ in range(values[value]))
 
 
 def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
@@ -493,12 +489,15 @@ def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
     Splits the set into positive/negative halves with a generic rational
     functional (weights 1, t, t^2, ...; t perturbed deterministically until
     no root is annihilated), then keeps the positive roots alpha whose
-    reflection maps every other positive root to a positive one.  Roots are
-    numerator tuples here, and each sign is an integer test.
+    reflection maps every other positive root to a positive one.
     """
-    dim = roots[0].dim
-    d = field_disc(roots)
     rows = [int_numerators(r.coords) for r in roots]
+    return sorted(roots[i] for i in simple_positions(rows, field_disc(roots)))
+
+
+def simple_positions(rows: Sequence[Numerators], d: int) -> list[int]:
+    """Ascending positions in rows of the simple roots, found as extract_simple_roots says."""
+    dim = len(rows[0]) // 2
     for attempt in range(16):
         t = Fraction(2) + Fraction(attempt, 17)
         # t^i scaled by den(t)^(dim - 1) > 0, which keeps every sign
@@ -514,13 +513,13 @@ def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
             continue
         positive = [x for x, s in zip(rows, signs) if s > 0]
         simple = []
-        for a, root, s in zip(rows, roots, signs):
+        for i, (a, s) in enumerate(zip(rows, signs)):
             if s < 0:
                 continue
             mirror = int_mirror(a, d)
             if all(f(int_reflect(b, mirror, d)) >= 0 for b in positive if b != a):
-                simple.append(root)
-        return sorted(simple)
+                simple.append(i)
+        return simple
     raise DegenerateFunctional(
         "no generic positivity functional found in 16 deterministic attempts"
     )

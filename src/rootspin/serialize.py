@@ -75,10 +75,7 @@ def root_system_from_json(text: str) -> RootSystem:
     _check_schema(doc)
     disc = doc["disc"]
     roots = [
-        Vector(
-            [QScalar(Fraction(an, ad), Fraction(bn, bd), disc) for an, ad, bn, bd in coords],
-            disc=disc,
-        )
+        Vector([QScalar(Fraction(an, ad), Fraction(bn, bd), disc) for an, ad, bn, bd in coords])
         for coords in doc["roots"]
     ]
     prov = doc.get("provenance", {})

@@ -121,6 +121,18 @@ class TestSelfDual:
         assert code == 2
         assert "NotRepresentable" in err
 
+    @pytest.mark.parametrize("value", ["1_2", "+6", "\u0666", "6.0", "abc"])
+    def test_index_must_be_ascii_digits(self, capsys, value):
+        # int() reads all of these; "1_2" would be I2(12), "\u0666" (Arabic-Indic 6) I2(6)
+        code, out, err = run(capsys, "selfdual", value)
+        assert code == 1 and out == ""
+        assert f"argument n: invalid integer value: {value!r}" in err
+
+    def test_index_zero_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "selfdual", " 0 ")
+        assert code == 2 and out == ""
+        assert err == "rootspin: NotRepresentable: I2(0) needs n >= 2\n"
+
 
 class TestSurvey:
     def test_text(self, capsys):
@@ -247,7 +259,7 @@ class TestClassifyUnderSmallCap:
         assert err.startswith("rootspin: ClosureCapExceeded: ")
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1_00", "+100", "\u0661\u0660\u0660"])
 class TestCapValidation:
     def test_bad_env_cap_is_domain_error(self, capsys, monkeypatch, value):
         monkeypatch.setenv("ROOTSPIN_CAP", value)

@@ -35,6 +35,8 @@ COMMANDS = (
     + [["induce", "--preset", name, "--format", "json"] for name in RANK3]
     + [["survey"], ["survey", "--format", "csv"]]
     + [["selfdual", str(n)] for n in range(2, 13)]
+    + [["roots", "--preset", name, "--format", fmt]
+       for name in PRESETS for fmt in ("json", "text")]
 )
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from rootspin import (
     ClosureCapExceeded,
+    coxeter_order,
     DimensionMismatch,
     NormNotInField,
     NotRepresentable,
@@ -33,15 +36,28 @@ from rootspin import (
     vec,
     verify_root_axioms,
 )
-from rootspin import roots
+from rootspin import lattice, roots
 from rootspin.clifford import Multivector
 from rootspin.lattice import (
-    Lattice, field_sign, from_numerators, int_mirror, int_numerators, int_reflect,
+    Lattice, field_disc, field_sign, from_numerators, int_mirror, int_numerators, int_reflect,
+    sorted_numerators,
 )
-from rootspin.roots import canonical_sorted
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
 
 HALF = Fraction(1, 2)
+
+
+def canonical_sorted(items, coords=lambda v: v.coords):
+    """items in the canonical order of their rows, as RootSystem stores them."""
+    items = list(items)
+    by_row = {int_numerators(coords(x)): x for x in items}
+    rows = [int_numerators(coords(x)) for x in items]
+    return [by_row[x] for x in sorted_numerators(rows, field_disc([coords(x) for x in items]))]
+
+
+def lattice_of(vectors, disc):
+    """The Lattice of the vectors' rows."""
+    return Lattice([int_numerators(v.coords) for v in vectors], disc)
 
 
 def signed_permutations(*entries, dim=3):
@@ -447,7 +463,7 @@ def _kernel_case(name):
 
 
 def _assert_kernel_matches_scalar_reference(roots, disc):
-    lattice = Lattice(roots, disc)
+    lattice = lattice_of(roots, disc)
     ga, gb = lattice.gram()
     scale = lattice.den**2
     position = {r: i for i, r in enumerate(roots)}  # a repeated vector: its last position
@@ -501,8 +517,8 @@ class TestLatticeKernel:
     def test_large_scale_takes_the_python_int_path(self):
         b3 = build_preset("B3")
         big = RootSystem([r.scale(Fraction(2**40 + 1, 3)) for r in b3.roots], disc=2)
-        lattice = Lattice(big.roots, big.disc)
-        reference = Lattice(b3.roots, b3.disc)
+        lattice = Lattice(big.rows, big.disc)
+        reference = Lattice(b3.rows, b3.disc)
         assert lattice.reflection_table() == reference.reflection_table()
         assert verify_root_axioms(big) == verify_root_axioms(b3)
         assert signature(big) == signature(b3)
@@ -637,6 +653,89 @@ def test_benchmark_build_matches_build_preset(monkeypatch):
         assert ops._build(name, ops.NullTracer()) == build_preset(name)
 
 
+def test_benchmark_inputs_and_micro_kernels_run(monkeypatch):
+    # ops.py builds RootSystems from Vectors, scales roots and tests membership
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    ops = importlib.import_module("ops")
+    b3, inputs = build_preset("B3"), {}
+    scaled = {"key": 1, "preset": "B3", "scale": 7, "label": "B3"}
+    relabelled = {"key": 2, "relabel_of": scaled, "label": "B3-r2"}
+    rs = ops.make_input(relabelled, inputs)
+    assert rs.label == "B3-r2" and inputs[1].label == "B3"
+    assert rs == inputs[1] == RootSystem([r.scale(7) for r in b3.roots], disc=2)
+    assert rs != b3 and signature(rs) == signature(b3) and coxeter_order(rs) == 48
+    assert ops.make_input({"key": 3, "preset": "H3", "scale": 1, "label": "H3"}, inputs) is (
+        build_preset("H3")
+    )
+    _, failures = ops.micro_kernels(0.001)
+    assert failures == [[], [], []]
+
+
+@pytest.fixture
+def codec_calls(monkeypatch):
+    """Counts of int_numerators (encode) and from_numerators (decode) calls, one per vector.
+
+    Every rootspin module that imported either function gets the counting one.
+    """
+    calls: Counter = Counter()
+    for name in ("int_numerators", "from_numerators"):
+        real = getattr(lattice, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("rootspin") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["H3", "H4"])
+def test_pipeline_stages_encode_and_decode_no_root(codec_calls, name):
+    rs = build_preset(name)
+    if rs.dim == 3:
+        induce_4d.cache_clear()
+        induced = induce_4d(rs)
+        assert verify_root_axioms(induced).ok
+    codec_calls.clear()
+    assert verify_root_axioms(rs).ok
+    signature(rs)
+    coxeter_order(rs)
+    if rs.dim == 3:
+        induce_4d.cache_clear()
+        assert induce_4d(rs) == induced
+    assert codec_calls == Counter()
+
+
+def test_roots_decode_at_most_once_per_instance(codec_calls):
+    rs = build_preset.__wrapped__("H4")  # a fresh instance
+    assert codec_calls["from_numerators"] == 0
+    roots = rs.roots
+    assert codec_calls["from_numerators"] == len(rs) == 120
+    assert rs.roots is roots and tuple(rs) == roots
+    assert codec_calls["from_numerators"] == 120
+
+
+@given(generating_subsets(), st.randoms(use_true_random=False))
+def test_root_system_round_trips_through_its_vectors(case, rng):
+    generators, disc = case
+    rs = close_under_reflections(generators, disc=disc)
+    vectors = list(rs.roots)
+    rng.shuffle(vectors)
+    again = RootSystem(vectors, rs.disc)
+    assert again == rs and again.rows == rs.rows and again.roots == rs.roots
+    other = 3 if rs.disc != 3 else 2
+    for r in rs.roots:
+        assert r in rs
+        if all(c.is_rational() for c in r.coords):
+            # a rational vector tagged disc 1 is a member of any field's system
+            assert Vector([QScalar(c.rat) for c in r.coords], disc=1) in rs
+        else:
+            # the same numerators over another field are another vector
+            assert Vector([QScalar(c.rat, c.surd, other) for c in r.coords]) not in rs
+
+
 def _count_direct_rows(monkeypatch, rs) -> int:
     computed = []
     direct = Lattice._direct_row
@@ -646,7 +745,7 @@ def _count_direct_rows(monkeypatch, rs) -> int:
         return direct(self, i, *args)
 
     monkeypatch.setattr(Lattice, "_direct_row", counted)
-    Lattice(rs.roots, rs.disc).reflection_table()
+    Lattice(rs.rows, rs.disc).reflection_table()
     monkeypatch.undo()
     return len(computed)
 
