@@ -60,34 +60,15 @@ class Signature(NamedTuple):
         )
 
 
-def _component_sizes(ga: list[list[int]], gb: list[list[int]]) -> list[int]:
-    """Sizes of the connected components of the non-orthogonality graph."""
-    unseen = set(range(len(ga)))
-    sizes = []
-    while unseen:
-        frontier = {unseen.pop()}
-        size = 1
-        while frontier:
-            frontier = {j for i in frontier for j in unseen if ga[i][j] or gb[i][j]}
-            unseen -= frontier
-            size += len(frontier)
-        sizes.append(size)
-    return sizes
-
-
 def signature(rs: RootSystem) -> Signature:
     """Exact signature of a root system (roots are unit-normalized first)."""
     units = unit_rows(rs)
-    lattice = Lattice(units, rs.disc)
-    ga, gb = lattice.gram()
-    spectrum = sorted(
-        (_value_key(value), c) for value, c in lattice.inner_products((ga, gb)).items()
-    )
+    values, components = Lattice(units, rs.disc).pair_counts()
     return Signature(
         dim=rs.dim,
         count=len(units),
-        spectrum=tuple(spectrum),
-        components=tuple(sorted(_component_sizes(ga, gb), reverse=True)),
+        spectrum=tuple(sorted((_value_key(value), c) for value, c in values.items())),
+        components=tuple(sorted(components, reverse=True)),
     )
 
 

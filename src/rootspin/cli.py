@@ -17,7 +17,7 @@ from .caps import ascii_digits, positive_int
 from .classify import coxeter_order, identify, signature, survey
 from .errors import RootspinError
 from .induction import check_self_dual, induce_2d, induce_4d
-from .presets import build_preset, preset_names
+from .presets import build_preset, i2_simple_roots, preset_names
 from .roots import RootSystem, verify_root_axioms
 from .serialize import load_root_system, root_system_to_json, to_csv, to_off, to_text
 
@@ -137,6 +137,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_selfdual(args) -> int:
+    i2_simple_roots(args.n)  # the family's n >= 2 check: "I2--3" is no preset name
     rs = build_preset(f"I2-{args.n}", cap=args.cap)
     _emit(check_self_dual(rs).summary() + "\n", args)
     return 0

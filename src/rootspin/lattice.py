@@ -1,4 +1,4 @@
-"""Exact integer-lattice kernel: the row encoding, Gram matrices and reflection tables.
+"""Exact integer-lattice kernel: the row encoding, pair counts and reflection tables.
 
 A vector or rotor is held as one reduced tuple of Python ints, its row
 
@@ -16,7 +16,7 @@ A Lattice brings n rows to a common denominator L, so that root i is
 work of the axiom check, the signature and the Coxeter order then becomes
 integer arithmetic:
 
-    Gram = (A A^T + d B B^T) + (A B^T + B A^T) sqrt(d), over L^2
+    (x_i|x_j) = (A_i.A_j + d B_i.B_j + (A_i.B_j + B_i.A_j) sqrt(d)) / L^2
 
 and the image of b under reflection in a is b - (2 G_ab / G_aa) a, whose
 integer numerators must divide exactly for the image to lie in the lattice
@@ -25,7 +25,7 @@ never overflow.
 
 Root sets are closed under negation, or nearly so, and three identities let
 the kernel compute only the pairs of representatives (the first root of each
-+-pair, or a root whose negative is missing) and fill in the rest:
++-pair, or a root whose negative is missing) and count or fill in the rest:
 
     G(+-a, +-b) = +-G(a, b),   s_{-a} = s_a,   s_a(-b) = -s_a(b).
 
@@ -39,7 +39,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import mul, sub
+from itertools import compress, repeat
+from operator import mul, or_, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import FieldMismatch
@@ -190,51 +191,55 @@ class Lattice:
         self._index = {row: i for i, row in enumerate(rows)}
         self.neg = [self._index.get(tuple(-x for x in row), -1) for row in rows]
         # x_i = sign * x_rep for each i: the representative's position and the sign
-        self._reps = [(i, 1) if j < 0 or j > i else (j, -1) for i, j in enumerate(self.neg)]
+        self._reps = [(i, 1) if j < 0 or j >= i else (j, -1) for i, j in enumerate(self.neg)]
 
-    def gram(self) -> tuple[Matrix, Matrix]:
-        """Numerators (GA, GB) of the Gram matrix: (x_i|x_j) = (GA + GB sqrt(d)) / L^2."""
-        d, rows, reps = self.disc, self.rows, self._reps
+    def pair_counts(self) -> tuple[dict[QScalar, int], list[int]]:
+        """Inner products over ordered pairs i != j with their multiplicities,
+        and the component sizes of the non-orthogonality graph.
+
+        Representative r stands for x_r and m_r copies of -x_r, and
+        G(+-a, +-b) = +-G(a, b), so each pair r <= s is multiplied once:
+        r = s gives m(m - 1) pairs G(r, r) and 2m pairs -G(r, r); r != s
+        gives 2(1 + m_r m_s) pairs G(r, s) and 2(m_r + m_s) pairs -G(r, s).
+        A component of representatives, linked by G(r, s) != 0, has
+        1 + m_r positions per member.
+        """
+        d, rows = self.disc, self.rows
         k = len(rows[0]) // 2
-        firsts = [i for i, (_, s) in enumerate(reps) if s > 0]
-        m = len(firsts)
-        # column j of a row is entry pos[j] of [the row over the representatives] + [its negative]
-        rank = {i: t for t, i in enumerate(firsts)}
-        pos = [rank[j] if s > 0 else m + rank[j] for j, s in reps]
-        ga: Matrix = [[]] * len(rows)
-        gb: Matrix = [[]] * len(rows)
-        # (a|b) = a.[A, dB] + (a.[B, A]) sqrt(d), with a = [A, B]
+        copies = Counter(j for j, s in self._reps if s < 0)
+        firsts = [i for i, (_, s) in enumerate(self._reps) if s > 0]
+        ms = [copies[i] for i in firsts]
+        # (a|b) = a.[A, dB] + (a.[B, A]) sqrt(d), with b = [A, B]
         right_a = [rows[i][:k] + tuple(d * y for y in rows[i][k:]) for i in firsts]
         right_b = [rows[i][k:] + rows[i][:k] for i in firsts]
-        half_a: Matrix = []
-        half_b: Matrix = []
+        counts: Counter = Counter()  # G numerators -> ordered pairs
+        pairs: Counter = Counter()  # (G numerators, m_r, m_s) -> pairs r < s
+        parts = [[t] for t in range(len(firsts))]  # parts[t]: the representatives linked to t
         for t, i in enumerate(firsts):
-            x = rows[i]
-            # the representatives' Gram is symmetric: columns before t come from earlier rows
-            ra = [r[t] for r in half_a] + [sum(map(mul, x, y)) for y in right_a[t:]]
-            rb = [r[t] for r in half_b] + [sum(map(mul, x, y)) for y in right_b[t:]]
-            half_a.append(ra)
-            half_b.append(rb)
-            ga[i] = list(map((ra + [-v for v in ra]).__getitem__, pos))
-            gb[i] = list(map((rb + [-v for v in rb]).__getitem__, pos))
-        for i, (j, s) in enumerate(reps):
-            if s < 0:  # x_i = -x_j: every sign flips
-                ga[i] = [-v for v in ga[j]]
-                gb[i] = [-v for v in gb[j]]
-        return ga, gb
-
-    def inner_products(self, gram: tuple[Matrix, Matrix]) -> dict[QScalar, int]:
-        """Distinct inner products over ordered pairs i != j, with multiplicities."""
-        ga, gb = gram
-        counts: Counter = Counter()
-        for row_a, row_b in zip(ga, gb):
-            counts.update(zip(row_a, row_b))
-        counts -= Counter((ga[i][i], gb[i][i]) for i in range(len(ga)))
+            x, m = rows[i], ms[t]
+            ga = [sum(map(mul, x, y)) for y in right_a[t:]]
+            gb = [sum(map(mul, x, y)) for y in right_b[t:]]
+            counts[ga[0], gb[0]] += m * (m - 1)
+            counts[-ga[0], -gb[0]] += 2 * m
+            pairs.update(zip(ga[1:], gb[1:], repeat(m), ms[t + 1:]))
+            for u in compress(range(t + 1, len(firsts)), map(or_, ga[1:], gb[1:])):
+                if parts[u] is not parts[t]:  # merge u's part into t's
+                    merged = parts[u]
+                    parts[t] += merged
+                    for v in merged:
+                        parts[v] = parts[t]
+        for (a, b, m, n), c in pairs.items():
+            counts[a, b] += 2 * c * (1 + m * n)
+            counts[-a, -b] += 2 * c * (m + n)
         scale = self.den**2
-        return {
-            QScalar(Fraction(p, scale), Fraction(q, scale), self.disc): c
+        values = {
+            QScalar(Fraction(p, scale), Fraction(q, scale), d): c
             for (p, q), c in counts.items()
+            if c
         }
+        # each part is listed once, at its first member
+        sizes = [sum(1 + ms[v] for v in part) for t, part in enumerate(parts) if part[0] == t]
+        return values, sizes
 
     def reflection_table(self) -> Matrix:
         """table[i][j]: position of x_j reflected in x_i, -1 if it is not in the set.

@@ -48,7 +48,7 @@ class Preset(NamedTuple):
         return None
 
 
-def _i2_simple_roots(n: int) -> tuple[int, tuple[Vector, Vector]]:
+def i2_simple_roots(n: int) -> tuple[int, tuple[Vector, Vector]]:
     """Disc and simple roots of the dihedral system I2(n), when exact."""
     if n < 2:
         raise NotRepresentable(f"I2({n}) needs n >= 2")
@@ -161,11 +161,11 @@ def get_preset(name: str) -> Preset:
     canon = _canonical_name(name)
     if canon.startswith("I2-"):
         n = int(canon[3:])
-        disc, simple = _i2_simple_roots(n)
+        disc, simple = i2_simple_roots(n)
         return Preset(canon, 2, disc, simple, 2 * n)
     if canon.startswith("A1xI2-"):
         n = int(canon[6:])
-        disc, planar = _i2_simple_roots(n)
+        disc, planar = i2_simple_roots(n)
         simple = (vec(1, 0, 0, disc=disc),) + tuple(
             Vector((QScalar(0),) + p.coords, disc=disc) for p in planar
         )

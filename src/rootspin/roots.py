@@ -468,8 +468,8 @@ def _is_unit(x: tuple[int, ...], disc: int) -> bool:
 def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
     """Sorted multiset of pairwise inner products over ordered distinct pairs.
 
-    Rotation-invariant fingerprint, read off the exact Gram matrix; sorting
-    happens on the (few) distinct exact values, so large sets stay cheap.
+    Rotation-invariant fingerprint, counted exactly by Lattice.pair_counts;
+    sorting happens on the (few) distinct exact values, so large sets stay cheap.
     """
     if not vectors:
         return ()
@@ -479,7 +479,7 @@ def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
 
 def lattice_spectrum(lattice: Lattice) -> tuple[QScalar, ...]:
     """gram_spectrum of the lattice's vectors."""
-    values = lattice.inner_products(lattice.gram())
+    values, _ = lattice.pair_counts()
     return tuple(value for value in sorted(values) for _ in range(values[value]))
 
 

@@ -12,6 +12,7 @@ OFF and CSV are lossy float views for inspection; OFF carries vertices only
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +23,14 @@ from .roots import Provenance, RootSystem, Vector
 FORMAT_VERSION = 1
 
 
-def _coord_quad(q: QScalar) -> list[int]:
-    return [q.rat.numerator, q.rat.denominator, q.surd.numerator, q.surd.denominator]
+def _coord_quads(x: tuple[int, ...]) -> list[list[int]]:
+    """The quads of a row (p_1, q_1, ..., D): coordinate (p + q sqrt(d)) / D in lowest terms."""
+    den = x[-1]
+    out = []
+    for p, q in zip(x[:-1:2], x[1:-1:2]):
+        g, h = math.gcd(p, den), math.gcd(q, den)
+        out.append([p // g, den // g, q // h, den // h])
+    return out
 
 
 def root_system_to_json(rs: RootSystem) -> str:
@@ -33,7 +40,7 @@ def root_system_to_json(rs: RootSystem) -> str:
     prov = rs.provenance.as_dict()
     if prov:
         doc["provenance"] = prov
-    doc["roots"] = [[_coord_quad(c) for c in r.coords] for r in rs.roots]
+    doc["roots"] = [_coord_quads(x) for x in rs.rows]
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 

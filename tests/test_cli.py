@@ -133,6 +133,14 @@ class TestSelfDual:
         assert code == 2 and out == ""
         assert err == "rootspin: NotRepresentable: I2(0) needs n >= 2\n"
 
+    def test_negative_index_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "selfdual", "-3")
+        assert code == 2 and out == ""
+        assert err == "rootspin: NotRepresentable: I2(-3) needs n >= 2\n"
+        code, out, err = run(capsys, "roots", "--preset", "I2--3")
+        assert code == 1 and out == ""
+        assert err == "rootspin: error: \"unknown preset 'I2--3'\"\n"
+
 
 class TestSurvey:
     def test_text(self, capsys):

@@ -3,6 +3,13 @@
 `golden_cli.json` maps each command line below to the sha256 of its
 (exit code, stdout, stderr) from an in-process `cli.main` call.  A change
 that alters any answer, message or exit code on these verbs fails here.
+
+To pin commands newly added to COMMANDS, record only their digests; this
+exits non-zero, naming each command, if any recorded digest no longer
+matches:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --add
+
 When an answer is meant to change, regenerate the file and say why in the
 change log:
 
@@ -33,6 +40,8 @@ COMMANDS = (
     [["classify", "--preset", name] for name in PRESETS]
     + [["verify", "--preset", name] for name in PRESETS]
     + [["induce", "--preset", name, "--format", "json"] for name in RANK3]
+    + [["induce", "--preset", name, "--format", "text"] for name in RANK3]
+    + [["induce", "--preset", f"I2-{n}"] for n in (2, 3, 4, 6, 8, 12)]
     + [["survey"], ["survey", "--format", "csv"]]
     + [["selfdual", str(n)] for n in range(2, 13)]
     + [["roots", "--preset", name, "--format", fmt]
@@ -68,10 +77,23 @@ def test_cli_output_matches_golden(argv, golden, monkeypatch):
     assert digest(argv) == golden[_key(argv)]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden_cli.py --write")
+def _record(mode: str) -> int:
+    """Write golden_cli.json: every digest (--write), or only the missing ones (--add)."""
     os.environ.pop(ENV_VAR, None)
-    table = {_key(argv): digest(argv) for argv in COMMANDS}
+    digests = {_key(argv): digest(argv) for argv in COMMANDS}
+    table = json.loads(GOLDEN.read_text(encoding="utf-8")) if mode == "--add" else {}
+    changed = [key for key, value in table.items() if digests.get(key, value) != value]
+    if changed:
+        print("recorded digests no longer match:", *changed, sep="\n  ", file=sys.stderr)
+        return 1
+    added = digests.keys() - table.keys()
+    table.update((key, digests[key]) for key in added)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(table)} digests to {GOLDEN}")
+    print(f"wrote {len(added)} digests to {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] not in (["--write"], ["--add"]):
+        sys.exit("usage: python tests/test_golden_cli.py --write | --add")
+    sys.exit(_record(sys.argv[1]))

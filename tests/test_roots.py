@@ -43,6 +43,7 @@ from rootspin.lattice import (
     sorted_numerators,
 )
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
+from rootspin.serialize import root_system_from_json, root_system_to_json
 
 HALF = Fraction(1, 2)
 
@@ -462,20 +463,37 @@ def _kernel_case(name):
     return build_preset(name)
 
 
+def _assert_pair_counts_match_scalar_reference(vectors, disc):
+    """Lattice.pair_counts against Vector.dot: the counts over ordered pairs i != j,
+    and the component sizes of a BFS over the non-orthogonal pairs."""
+    values, components = lattice_of(vectors, disc).pair_counts()
+    dots = [[a.dot(b) for b in vectors] for a in vectors]
+    counts = Counter(
+        (dot.rat, dot.surd) for i, row in enumerate(dots) for j, dot in enumerate(row) if i != j
+    )
+    assert {(v.rat, v.surd): c for v, c in values.items()} == counts
+    unseen, sizes = set(range(len(vectors))), []
+    while unseen:
+        todo, size = [unseen.pop()], 0
+        while todo:
+            i = todo.pop()
+            size += 1
+            found = {j for j in unseen if dots[i][j]}
+            unseen -= found
+            todo += found
+        sizes.append(size)
+    assert sorted(components) == sorted(sizes)
+
+
 def _assert_kernel_matches_scalar_reference(roots, disc):
     lattice = lattice_of(roots, disc)
-    ga, gb = lattice.gram()
-    scale = lattice.den**2
     position = {r: i for i, r in enumerate(roots)}  # a repeated vector: its last position
     table = lattice.reflection_table()
     assert lattice.neg == [position.get(-r, -1) for r in roots]
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
-            dot = a.dot(b)
-            assert (Fraction(ga[i][j], scale), Fraction(gb[i][j], scale)) == (
-                (dot.rat, dot.surd)
-            )
             assert table[i][j] == position.get(reflect_euclid(b, a), -1)
+    _assert_pair_counts_match_scalar_reference(roots, disc)
 
 
 def _reference_witnesses(rs):
@@ -511,6 +529,17 @@ class TestLatticeKernel:
         v, w = vec(1, 0), vec(1, 1)
         vectors = [-v, v, v, w, -w, -w, vec(0, 1)]
         _assert_kernel_matches_scalar_reference(vectors, 1)
+        dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
+        assert list(gram_spectrum(vectors)) == sorted(dots + dots)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [[vec(0, 0), vec(1, 0)], [vec(0, 0), vec(1, 1), vec(0, 0), vec(-1, -1), vec(0, 0)]],
+        ids=["zero", "repeated-zeros"],
+    )
+    def test_zero_vectors_match_scalar_reference(self, vectors):
+        # a zero row is its own negative, and still its own representative
+        _assert_pair_counts_match_scalar_reference(vectors, 1)
         dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
         assert list(gram_spectrum(vectors)) == sorted(dots + dots)
 
@@ -715,6 +744,13 @@ def test_roots_decode_at_most_once_per_instance(codec_calls):
     assert codec_calls["from_numerators"] == len(rs) == 120
     assert rs.roots is roots and tuple(rs) == roots
     assert codec_calls["from_numerators"] == 120
+
+
+def test_writing_json_decodes_no_root(codec_calls):
+    rs = build_preset.__wrapped__("H4")  # a fresh instance
+    text = root_system_to_json(rs)
+    assert codec_calls["from_numerators"] == 0
+    assert root_system_from_json(text) == rs
 
 
 @given(generating_subsets(), st.randoms(use_true_random=False))
