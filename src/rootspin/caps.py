@@ -24,13 +24,12 @@ def ascii_digits(text: str) -> bool:
 
 
 def positive_int(value) -> int:
-    """value as an int; ValueError unless it is a positive integer, in ASCII digits if a string."""
+    """value as an int; ValueError unless it is a positive int, or ASCII digits if a string."""
+    n = value
     if isinstance(value, str):
         text = value.strip()
         n = int(text) if ascii_digits(text) else 0
-    else:
-        n = int(value)
-    if n < 1:
+    if type(n) is not int or n < 1:  # a float or a bool is refused, not truncated
         raise ValueError(f"must be a positive integer, got {value!r}")
     return n
 

@@ -36,6 +36,7 @@ from .lattice import (
     check_range,
     field_disc,
     int_numerators,
+    negated,
     sorted_numerators,
 )
 from .qfield import QScalar
@@ -116,10 +117,6 @@ class RotorGroup:
         return f"RotorGroup(dim={self.dim}, order={self.order})"
 
 
-def _negated(x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-v for v in x[:-1]) + x[-1:]
-
-
 def generate_rotor_group(
     unit_roots: Sequence[Vector], cap: int | None = None
 ) -> RotorGroup:
@@ -191,7 +188,7 @@ def rotor_closure(vecs: Sequence[Numerators], d: int, cap: int) -> list[Numerato
     if _ONE not in known:
         raise RootspinError("rotor group does not contain 1")
     for x in elements:
-        if _negated(x) not in known:
+        if negated(x) not in known:
             rotor = _trusted_rotor(even_from_numerators(x, d))
             raise RootspinError(f"rotor group not closed under negation at {rotor}")
     return elements

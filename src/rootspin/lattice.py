@@ -6,22 +6,16 @@ A vector or rotor is held as one reduced tuple of Python ints, its row
 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 RootSystem stores its roots this way; `int_numerators` encodes QScalars
-and `from_numerators` decodes a row for output.  The reflection closure,
-simple-root extraction and the rotor closure run on rows: `int_reflect`
-reflects, and `check_range` is the insertion guard both closures share.
-`sorted_numerators` sorts rows by exact value.
+and `from_numerators` decodes a row for output.  `check_range` is the
+insertion guard both closures share, and `sorted_numerators` sorts rows by
+exact value.
 
-A Lattice brings n rows to a common denominator L, so that root i is
-(A_i + B_i sqrt(d)) / L with integer tuples A_i, B_i.  The per-pair scalar
-work of the axiom check, the signature and the Coxeter order then becomes
-integer arithmetic:
-
-    (x_i|x_j) = (A_i.A_j + d B_i.B_j + (A_i.B_j + B_i.A_j) sqrt(d)) / L^2
-
-and the image of b under reflection in a is b - (2 G_ab / G_aa) a, whose
-integer numerators must divide exactly for the image to lie in the lattice
-again.  Every decision stays an exact integer comparison, and Python ints
-never overflow.
+`int_mirror` holds a mirror a's dual rows, which give every (a|b), and
+2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
+one reflection formula of the reflection closure, simple-root extraction and
+the reflection table.  A Lattice keeps the rows it is given and looks each
+image up by value.  Every decision is an exact integer comparison, and
+Python ints never overflow.
 
 Root sets are closed under negation, or nearly so, and three identities let
 the kernel compute only the pairs of representatives (the first root of each
@@ -39,8 +33,8 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import compress, repeat
-from operator import mul, or_, sub
+from itertools import chain, compress, repeat
+from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .errors import FieldMismatch
@@ -85,21 +79,28 @@ def check_range(x: Numerators) -> None:
             QScalar(Fraction(p, x[-1]))
 
 
-def int_mirror(a: Numerators, disc: int) -> tuple:
-    """(p, q, U, V, N) for reflecting in a, with 2 / (a|a) = D_a^2 (U + V sqrt(d)) / N.
+def negated(x: Numerators) -> Numerators:
+    """The row of -x."""
+    return tuple(-z for z in x[:-1]) + x[-1:]
 
-    (a|a) = (r + t sqrt(d)) / D_a^2 has the nonzero field norm n = r^2 - d t^2,
-    so 2 / (a|a) = D_a^2 (2r - 2t sqrt(d)) / n; U, V and N > 0 are those three
-    numbers divided by their gcd.
+
+def int_mirror(a: Numerators, disc: int) -> tuple:
+    """(p, q, u, v, U, V, N): a's numerators, dual rows and 2 / (a|a) = D_a^2 (U + V sqrt(d)) / N.
+
+    (a|b) = (u.b + (v.b) sqrt(d)) / (D_a D_b) with u = (p_1, d q_1, ...) and v = (q_1, p_1, ...),
+    as map(mul) stops before b's D.  (a|a) = (r + t sqrt(d)) / D_a^2 has the nonzero field
+    norm n = r^2 - d t^2, so 2 / (a|a) = D_a^2 (2r - 2t sqrt(d)) / n; U, V and N > 0 are
+    those three numbers divided by their gcd.
     """
     p, q = a[:-1:2], a[1:-1:2]
-    r = sum(map(mul, p, p)) + disc * sum(map(mul, q, q))
-    t = 2 * sum(map(mul, p, q))
+    u = tuple(map(mul, a, (1, disc) * len(p)))
+    v = tuple(chain.from_iterable(zip(q, p)))
+    r, t = sum(map(mul, u, a)), sum(map(mul, v, a))
     n = r * r - disc * t * t
     h = math.gcd(2 * r, 2 * t, n)
     if n < 0:
         h = -h
-    return p, q, 2 * r // h, -2 * t // h, n // h
+    return p, q, u, v, 2 * r // h, -2 * t // h, n // h
 
 
 def int_reflect(b: Numerators, mirror: tuple, disc: int) -> Numerators:
@@ -109,15 +110,13 @@ def int_reflect(b: Numerators, mirror: tuple, disc: int) -> Numerators:
     (x + y sqrt(d)) (U + V sqrt(d)), the shift 2 (a|b) / (a|a) a has the
     numerators (s + w sqrt(d)) (p + q sqrt(d)) over N D_b: D_a cancels.
     """
-    p, q, u, v, n = mirror
-    pb, qb = b[:-1:2], b[1:-1:2]
-    x = sum(map(mul, p, pb)) + disc * sum(map(mul, q, qb))
-    y = sum(map(mul, p, qb)) + sum(map(mul, q, pb))
+    p, q, right_a, right_b, u, v, n = mirror
+    x, y = sum(map(mul, right_a, b)), sum(map(mul, right_b, b))
     if not x and not y:
         return b
     s, w = x * u + disc * y * v, x * v + y * u
     out = []
-    for e, f, g, k in zip(p, q, pb, qb):
+    for e, f, g, k in zip(p, q, b[:-1:2], b[1:-1:2]):
         out.append(n * g - s * e - disc * w * f)
         out.append(n * k - s * f - w * e)
     out.append(n * b[-1])
@@ -174,22 +173,19 @@ def sorted_numerators(
 
 
 class Lattice:
-    """n vectors of dimension k as int tuples: x_i = (A_i + B_i sqrt(d)) / L.
+    """n rows of dimension k, reduced as int_numerators gives them, kept as given.
 
-    Built from the vectors' rows xs (reduced, as int_numerators gives them).
     `neg[i]` is the position of -x_i, -1 where it is not in the set; a value
     that occurs more than once is found at its last position.
     """
 
-    __slots__ = ("disc", "den", "rows", "neg", "_index", "_reps")
+    __slots__ = ("disc", "rows", "neg", "_index", "_reps")
 
-    def __init__(self, xs: Sequence[Numerators], disc: int):
-        den = math.lcm(*(x[-1] for x in xs))
+    def __init__(self, rows: Sequence[Numerators], disc: int):
         self.disc = disc
-        self.den = den
-        self.rows = rows = [tuple(z * (den // x[-1]) for z in x[:-1:2] + x[1:-1:2]) for x in xs]
-        self._index = {row: i for i, row in enumerate(rows)}
-        self.neg = [self._index.get(tuple(-x for x in row), -1) for row in rows]
+        self.rows = rows
+        self._index = index = {x: i for i, x in enumerate(rows)}
+        self.neg = [index.get(negated(x), -1) for x in rows]
         # x_i = sign * x_rep for each i: the representative's position and the sign
         self._reps = [(i, 1) if j < 0 or j >= i else (j, -1) for i, j in enumerate(self.neg)]
 
@@ -205,18 +201,19 @@ class Lattice:
         1 + m_r positions per member.
         """
         d, rows = self.disc, self.rows
-        k = len(rows[0]) // 2
         copies = Counter(j for j, s in self._reps if s < 0)
         firsts = [i for i, (_, s) in enumerate(self._reps) if s > 0]
         ms = [copies[i] for i in firsts]
-        # (a|b) = a.[A, dB] + (a.[B, A]) sqrt(d), with b = [A, B]
-        right_a = [rows[i][:k] + tuple(d * y for y in rows[i][k:]) for i in firsts]
-        right_b = [rows[i][k:] + rows[i][:k] for i in firsts]
+        den = math.lcm(*(rows[i][-1] for i in firsts))
+        xs = [tuple(z * (den // rows[i][-1]) for z in rows[i]) for i in firsts]  # over one D
+        # int_mirror's dual rows u, v of each x_s: G(r, s) = (u.x_r + (v.x_r) sqrt(d)) / den^2
+        right_a = [tuple(map(mul, x, (1, d) * (len(x) // 2))) for x in xs]
+        right_b = [tuple(chain.from_iterable(zip(x[1::2], x[::2]))) for x in xs]
         counts: Counter = Counter()  # G numerators -> ordered pairs
         pairs: Counter = Counter()  # (G numerators, m_r, m_s) -> pairs r < s
         parts = [[t] for t in range(len(firsts))]  # parts[t]: the representatives linked to t
-        for t, i in enumerate(firsts):
-            x, m = rows[i], ms[t]
+        for t, x in enumerate(xs):
+            m = ms[t]
             ga = [sum(map(mul, x, y)) for y in right_a[t:]]
             gb = [sum(map(mul, x, y)) for y in right_b[t:]]
             counts[ga[0], gb[0]] += m * (m - 1)
@@ -231,9 +228,8 @@ class Lattice:
         for (a, b, m, n), c in pairs.items():
             counts[a, b] += 2 * c * (1 + m * n)
             counts[-a, -b] += 2 * c * (m + n)
-        scale = self.den**2
         values = {
-            QScalar(Fraction(p, scale), Fraction(q, scale), d): c
+            QScalar(Fraction(p, den**2), Fraction(q, den**2), d): c
             for (p, q), c in counts.items()
             if c
         }
@@ -294,48 +290,16 @@ class Lattice:
         return table
 
     def _direct_row(self, i: int, columns: list[tuple[int, list[int]]]) -> list[int]:
-        """Row i of the reflection table, from inner products with x_i.
-
-        2 G_ij / G_ii = G_ij (U + V sqrt(d)) / D, where U + V sqrt(d) is
-        twice the conjugate of G_ii and D its norm, both divided by their
-        common gcd.  That coefficient c times x_i has numerators over D L,
-        and the image x_j - c x_i lies in the lattice exactly when D divides
-        all of them.  The shift depends on G_ij alone, so it is computed once
-        per distinct inner product; an orthogonal x_j is its own image.  Only
-        the representatives j in columns are reflected, each with the
-        positions of -x_j: s_a(-b) = -s_a(b).
-        """
+        """Row i of the reflection table: int_reflect's image of each representative x_j
+        in columns, looked up by value, and -s_i(x_j) for x_j's negatives: s_a(-b) = -s_a(b)."""
         d, rows, index, neg = self.disc, self.rows, self._index, self.neg
-        k = len(rows[0]) // 2
-        a, b = rows[i][:k], rows[i][k:]
-        # (x|x_i) = x.[A, dB] + (x.[B, A]) sqrt(d), with x_i = [A, B]
-        right_a, right_b = a + tuple(d * y for y in b), b + a
-        r, t = sum(map(mul, rows[i], right_a)), sum(map(mul, rows[i], right_b))
-        norm = r * r - d * t * t  # nonzero: G_ii > 0 and d is square-free
-        h = math.gcd(2 * r, 2 * t, norm)
-        u, v, den = 2 * r // h, -2 * t // h, norm // h
-        shifts: dict[tuple[int, int], tuple[int, ...] | None] = {}
+        mirror = int_mirror(rows[i], d)
         row = [-1] * len(rows)
         for j, negatives in columns:
-            xj = rows[j]
-            x, y = sum(map(mul, xj, right_a)), sum(map(mul, xj, right_b))
-            if x or y:
-                if (x, y) not in shifts:
-                    p, q = x * u + d * y * v, x * v + y * u
-                    num = [p * e + d * q * f for e, f in zip(a, b)]
-                    num += [p * f + q * e for e, f in zip(a, b)]
-                    exact = not any(z % den for z in num)
-                    shifts[x, y] = tuple(z // den for z in num) if exact else None
-                shift = shifts[x, y]
-                if shift is None:  # the image, and so its negative, leaves the lattice
-                    continue
-                image = tuple(map(sub, xj, shift))
-                found = index.get(image, -1)
-            else:
-                image, found = xj, index[xj]
-            row[j] = found
+            image = int_reflect(rows[j], mirror, d)
+            found = row[j] = index.get(image, -1)
             if negatives:
-                other = neg[found] if found >= 0 else index.get(tuple(-z for z in image), -1)
+                other = neg[found] if found >= 0 else index.get(negated(image), -1)
                 for c in negatives:
                     row[c] = other
         return row

@@ -35,6 +35,7 @@ from .lattice import (
     int_mirror,
     int_numerators,
     int_reflect,
+    negated,
     sorted_numerators,
 )
 from .qfield import QScalar
@@ -308,7 +309,7 @@ def close_under_reflections(
         raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
     seed = [int_numerators(Vector(s.coords, disc=disc).coords) for s in simple]
     mirrors = [int_mirror(x, disc) for x in seed]
-    found = list(dict.fromkeys(seed + [tuple(-v for v in x[:-1]) + x[-1:] for x in seed]))
+    found = list(dict.fromkeys(seed + [negated(x) for x in seed]))
     seen = set(found)
 
     def check_cap() -> None:
@@ -473,6 +474,8 @@ def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
     """
     if not vectors:
         return ()
+    if len(dims := {v.dim for v in vectors}) > 1:
+        raise DimensionMismatch(f"mixed vector dimensions {sorted(dims)}")
     rows = [int_numerators(v.coords) for v in vectors]
     return lattice_spectrum(Lattice(rows, field_disc(vectors)))
 

@@ -73,12 +73,19 @@ def _check_schema(doc) -> None:
                 )
             if quad[1] == 0 or quad[3] == 0:
                 raise RootspinError(f"coordinate {quad!r} has a zero denominator")
-    if not isinstance(doc.get("provenance", {}), dict):
+    prov = doc.get("provenance", {})
+    if not isinstance(prov, dict):
         raise RootspinError("provenance must be a JSON object")
+    for key, value in [("label", doc.get("label", "")), *prov.items()]:
+        if not isinstance(value, str):
+            raise RootspinError(f"{key} must be a string, got {value!r}")
 
 
 def root_system_from_json(text: str) -> RootSystem:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise RootspinError("root-system file is nested too deeply to parse") from None
     _check_schema(doc)
     disc = doc["disc"]
     roots = [

@@ -325,6 +325,11 @@ _MALFORMED = {
         "version": 1, "dim": 1, "disc": 1, "provenance": 5, "roots": [[_QUAD]],
     },
     "no roots": {"version": 1, "dim": 1, "disc": 1, "roots": []},
+    "label a number": {"version": 1, "dim": 1, "disc": 1, "label": 5, "roots": [[_QUAD]]},
+    "label a list": {"version": 1, "dim": 1, "disc": 1, "label": ["x"], "roots": [[_QUAD]]},
+    "provenance value a number": {
+        "version": 1, "dim": 1, "disc": 1, "provenance": {"preset": 7}, "roots": [[_QUAD]],
+    },
 }
 
 
@@ -337,6 +342,15 @@ def test_malformed_document_is_domain_error(capsys, tmp_path, case, verb):
     assert code == 2
     assert out == ""
     assert "Traceback" not in err and err.startswith("rootspin: ")
+
+
+def test_deeply_nested_file_is_domain_error(capsys, tmp_path):
+    # json.loads gives up on this with a RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, "roots", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "rootspin: RootspinError: root-system file is nested too deeply to parse\n"
 
 
 # -- no numpy, no dataclasses --------------------------------------------------

@@ -18,6 +18,7 @@ from rootspin import (
     ClosureCapExceeded,
     coxeter_order,
     DimensionMismatch,
+    DomainError,
     NormNotInField,
     NotRepresentable,
     QScalar,
@@ -37,6 +38,7 @@ from rootspin import (
     verify_root_axioms,
 )
 from rootspin import lattice, roots
+from rootspin.caps import positive_int
 from rootspin.clifford import Multivector
 from rootspin.lattice import (
     Lattice, field_disc, field_sign, from_numerators, int_mirror, int_numerators, int_reflect,
@@ -669,6 +671,20 @@ def test_build_preset_cache_respects_env_cap(monkeypatch):
         build_preset("H3")
 
 
+@pytest.mark.parametrize("cap", [12.9, 12.0, True])
+def test_build_preset_refuses_a_cap_that_is_not_an_int(cap):
+    # int() would truncate 12.9 to 12, enough for A3's 12 roots, and read True as 1
+    with pytest.raises(DomainError, match="cap must be a positive integer"):
+        build_preset("A3", cap=cap)
+
+
+def test_positive_int_takes_ints_and_ascii_digit_strings_only():
+    assert positive_int(12) == 12 and positive_int(" 12 ") == 12
+    for value in (True, False, 12.0, 12.9, None, "12.0"):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            positive_int(value)
+
+
 ALL_PRESETS = (
     "A1xA1xA1", "A3", "B3", "H3", "D4", "F4", "H4",
     *(f"{family}-{n}" for family in ("I2", "A1xI2") for n in (2, 3, 4, 6, 8, 12)),
@@ -832,6 +848,12 @@ def test_gram_spectrum_takes_the_field_from_every_coordinate():
     dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
     assert list(gram_spectrum(vectors)) == sorted(dots + dots)
     assert [str(v) for v in gram_spectrum(vectors)] == ["-1/2", "-1/2"] + ["1/2"] * 4
+
+
+def test_gram_spectrum_rejects_mixed_dimensions():
+    # Vector.dot refuses this pair; zip would drop the third coordinate and count (1, 1)
+    with pytest.raises(DimensionMismatch, match=r"mixed vector dimensions \[2, 3\]"):
+        gram_spectrum([vec(1, 0), vec(1, 0, 0)])
 
 
 # -- integer reflection, canonical order and simple roots against QScalar -----

@@ -66,6 +66,19 @@ class TestJson:
         with pytest.raises(RootspinError):
             root_system_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field",
+        [{"label": 5}, {"label": ["x"]}, {"label": None}, {"provenance": {"preset": 7}},
+         {"provenance": {"induced-from": ["x"]}}],
+        ids=["label-int", "label-list", "label-null", "preset-int", "induced-from-list"],
+    )
+    def test_label_and_provenance_values_must_be_strings(self, field):
+        # the writer only ever writes strings there, and they are written back verbatim
+        doc = json.loads(root_system_to_json(build_preset("A3")))
+        doc.update(field)
+        with pytest.raises(RootspinError, match="must be a string"):
+            root_system_from_json(json.dumps(doc))
+
     def test_file_io(self, tmp_path):
         rs = build_preset("A3")
         path = tmp_path / "a3.json"
