@@ -23,19 +23,14 @@ from .errors import (
     NotRepresentable,
     RootspinError,
     UnknownAngle,
+    ZeroRoot,
 )
 from .induction import induce_4d
 from .lattice import Lattice
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
-from .roots import (
-    RootSystem,
-    Vector,
-    row_vector,
-    simple_positions,
-    span_rank,
-    unit_rows,
-)
+from .roots import RootSystem, Vector, row_vector, unit_rows
+from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
 
 def _value_key(q: QScalar):
@@ -160,20 +155,7 @@ def coxeter_order(rs: RootSystem) -> int:
     return order
 
 
-# -- simple roots and Coxeter matrix ------------------------------------------
-
-
-def simple_roots_of(rs: RootSystem) -> list[Vector]:
-    """Simple system extracted from a valid root system."""
-    roots = rs.roots
-    simple = [roots[i] for i in simple_positions(rs.rows, rs.disc)]  # ascending: canonical order
-    rank = span_rank(roots)
-    if len(simple) != rank:
-        raise RootspinError(
-            f"extracted {len(simple)} simple roots but span rank is {rank}; "
-            "input is not a valid root system"
-        )
-    return simple
+# -- Coxeter matrix of simple roots --------------------------------------------
 
 
 class CoxeterMatrix(NamedTuple):
@@ -211,8 +193,10 @@ def coxeter_matrix(simple: Sequence[Vector]) -> CoxeterMatrix:
     """Labels m_ij with (a_i|a_j)/(|a_i||a_j|) = -cos(pi/m_ij), exactly.
 
     Matching is done on the squared cosine, which stays inside the field
-    even when the root lengths themselves do not.
+    even when the root lengths themselves do not.  A zero vector raises ZeroRoot.
     """
+    if any(a.is_zero() for a in simple):
+        raise ZeroRoot("the zero vector has no angle to a simple root")
     rank = len(simple)
     norms = [a.norm_squared() for a in simple]
     rows = [[1] * rank for _ in range(rank)]

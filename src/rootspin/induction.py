@@ -45,11 +45,10 @@ from .roots import (
     RootSystem,
     Vector,
     _is_unit,
-    axiom_failures,
-    axiom_report,
     lattice_spectrum,
     row_vector,
     unit_rows,
+    verify_root_axioms,
 )
 
 _ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
@@ -205,13 +204,11 @@ def _named(out: RootSystem, source: str) -> RootSystem:
 
 def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
     # the steps of RootSystem and verify_root_axioms, on rows already distinct
-    rows = sorted_numerators(rows, d)
-    failures = axiom_failures(Lattice(rows, d))
-    if failures != (None, None):
-        raise RootspinError(
-            f"{what} is not a root system: {axiom_report(failures, rows, d).summary()}"
-        )
-    return RootSystem._from_rows(rows, d)
+    out = RootSystem._from_rows(sorted_numerators(rows, d), d)
+    report = verify_root_axioms(out)
+    if not report.ok:
+        raise RootspinError(f"{what} is not a root system: {report.summary()}")
+    return out
 
 
 @lru_cache(maxsize=128)

@@ -12,10 +12,11 @@ exact value.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
-one reflection formula of the reflection closure, simple-root extraction and
-the reflection table.  A Lattice keeps the rows it is given and looks each
-image up by value.  Every decision is an exact integer comparison, and
-Python ints never overflow.
+one reflection formula of the reflection closure and the reflection table,
+which the axiom check, the Coxeter order and simple-root extraction read.
+A Lattice keeps the rows it is given and looks each image up by value.
+Every decision is an exact integer comparison, and Python ints never
+overflow.
 
 Root sets are closed under negation, or nearly so, and three identities let
 the kernel compute only the pairs of representatives (the first root of each
@@ -49,12 +50,12 @@ _INT64_MAX = 2**63 - 1
 def field_disc(vectors: Iterable[Iterable[QScalar]]) -> int:
     """The one d whose sqrt(d) the coordinates use; plain rationals fit any field.
 
-    Takes Vectors or any sequences of QScalars.
+    Takes Vectors or any sequences of QScalars; with no coordinates it is 1.
     """
     surd = list(dict.fromkeys(c.disc for v in vectors for c in v if c.surd))
     if len(surd) > 1:
         raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
-    return surd[0] if surd else max(c.disc for v in vectors for c in v)
+    return surd[0] if surd else max((c.disc for v in vectors for c in v), default=1)
 
 
 def int_numerators(scalars: Iterable[QScalar]) -> Numerators:

@@ -5,13 +5,14 @@ lattice.py, deduplicated and in canonical order (Vector.__lt__'s, computed
 by lattice.sorted_numerators).  The stages below read the rows directly, so
 a root is encoded once, where it enters, and decoded into a Vector of
 QScalars only for output: `.roots` on first access, and witnesses and error
-messages only for the roots they name.
+messages only for the roots they name, and simple_roots_of's output.
 
 Generating a root system means closing a set of simple roots under the
 reflections they generate; verifying one means checking the two defining
 axioms (only +-alpha among parallel members, invariance under all member
 reflections) with exact arithmetic, so a verdict is a fact rather than a
-tolerance call.  The axiom check reads lattice.Lattice's reflection table.
+tolerance call.  The axiom check reads lattice.Lattice's reflection table,
+and simple_roots_of reads the same table to find a simple system.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .caps import ROOT_CLOSURE_CAP, resolve_cap
 from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch, ZeroRoot
-from .errors import NormNotInField
+from .errors import NormNotInField, RootspinError
 from .lattice import (
     Lattice,
+    Matrix,
     Numerators,
     check_range,
     field_disc,
@@ -299,11 +301,7 @@ def close_under_reflections(
         if s.is_zero():
             raise ZeroRoot("zero vector among simple roots")
     if disc is None:
-        disc = 1
-        for s in simple:
-            if s.disc() != 1:
-                disc = s.disc()
-                break
+        disc = field_disc(simple)
     dims = {s.dim for s in simple}
     if len(dims) != 1:
         raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
@@ -360,22 +358,24 @@ def verify_root_axioms(rs: RootSystem) -> AxiomReport:
     for every reflection image in the set.  Both are read off the reflection
     table.
     """
-    return axiom_report(axiom_failures(Lattice(rs.rows, rs.disc)), rs.rows, rs.disc)
+    lattice = Lattice(rs.rows, rs.disc)
+    failures = axiom_failures(lattice.neg, lattice.reflection_table())
+    return axiom_report(failures, rs.rows, rs.disc)
 
 
 Pair = Optional[tuple[int, int]]
 
 
-def axiom_failures(lattice: Lattice) -> tuple[Pair, Pair]:
+def axiom_failures(neg: Sequence[int], table: Matrix) -> tuple[Pair, Pair]:
     """Positions (i, j) of the first failing pair of each axiom, None where it holds.
 
-    An axiom 1 failure (i, -1) means -x_i is missing.  Once negation closure
-    holds, x_j lies on the line of x_i exactly when s_i(x_j) = -x_j, that is
+    neg and table are a Lattice's `neg` and reflection_table(), which the
+    caller builds once and may read again (simple_roots_of does).  An axiom 1
+    failure (i, -1) means -x_i is missing.  Once negation closure holds, x_j
+    lies on the line of x_i exactly when s_i(x_j) = -x_j, that is
     table[i][j] == neg[j]; x_i and -x_i share a row, so the rows of first
     roots of +-pairs suffice.
     """
-    neg = lattice.neg
-    table = lattice.reflection_table()
     axiom1 = axiom2 = None
     if -1 in neg:
         axiom1 = (neg.index(-1), -1)
@@ -487,42 +487,44 @@ def lattice_spectrum(lattice: Lattice) -> tuple[QScalar, ...]:
 
 
 def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
-    """Simple system of a reflection-closed root set.
+    """simple_roots_of the RootSystem of the given roots, over their field_disc."""
+    return simple_roots_of(RootSystem(roots, field_disc(roots)))
 
-    Splits the set into positive/negative halves with a generic rational
-    functional (weights 1, t, t^2, ...; t perturbed deterministically until
-    no root is annihilated), then keeps the positive roots alpha whose
-    reflection maps every other positive root to a positive one.
+
+def simple_roots_of(rs: RootSystem) -> list[Vector]:
+    """Simple system of a root system, in canonical order, read off its reflection table.
+
+    RootspinError, naming the axiom_report witness, unless rs passes both
+    axioms.  A generic rational functional (weights 1, t, t^2, ...; t
+    perturbed deterministically until no root is annihilated) splits the
+    roots into positive and negative halves, and a positive root is simple
+    iff its reflection maps every other positive root to a positive one
+    (Humphreys 1990, 1.4): a lookup of table[i][j].  Only the simple roots
+    are decoded.
     """
-    rows = [int_numerators(r.coords) for r in roots]
-    return sorted(roots[i] for i in simple_positions(rows, field_disc(roots)))
-
-
-def simple_positions(rows: Sequence[Numerators], d: int) -> list[int]:
-    """Ascending positions in rows of the simple roots, found as extract_simple_roots says."""
-    dim = len(rows[0]) // 2
+    d, rows = rs.disc, rs.rows
+    lattice = Lattice(rows, d)
+    table = lattice.reflection_table()
+    failures = axiom_failures(lattice.neg, table)
+    if failures != (None, None):
+        raise RootspinError(
+            f"{rs!r} is not a root system: {axiom_report(failures, rows, d).summary()}"
+        )
     for attempt in range(16):
         t = Fraction(2) + Fraction(attempt, 17)
         # t^i scaled by den(t)^(dim - 1) > 0, which keeps every sign
-        weights = [t.numerator**i * t.denominator ** (dim - 1 - i) for i in range(dim)]
-
-        def f(x: tuple[int, ...]) -> int:
-            return field_sign(
-                sum(map(mul, x[:-1:2], weights)), sum(map(mul, x[1:-1:2], weights)), d
-            )
-
-        signs = [f(x) for x in rows]
+        weights = [t.numerator**i * t.denominator ** (rs.dim - 1 - i) for i in range(rs.dim)]
+        signs = [
+            field_sign(sum(map(mul, x[:-1:2], weights)), sum(map(mul, x[1:-1:2], weights)), d)
+            for x in rows
+        ]
         if 0 in signs:
             continue
-        positive = [x for x, s in zip(rows, signs) if s > 0]
-        simple = []
-        for i, (a, s) in enumerate(zip(rows, signs)):
-            if s < 0:
-                continue
-            mirror = int_mirror(a, d)
-            if all(f(int_reflect(b, mirror, d)) >= 0 for b in positive if b != a):
-                simple.append(i)
-        return simple
+        positive = [j for j, s in enumerate(signs) if s > 0]
+        return [
+            row_vector(rows[i], d) for i in positive
+            if all(signs[table[i][j]] > 0 for j in positive if j != i)
+        ]
     raise DegenerateFunctional(
         "no generic positivity functional found in 16 deterministic attempts"
     )

@@ -48,37 +48,43 @@ def _is_int(x) -> bool:
     return type(x) is int  # bool is an int subclass, but not a valid entry
 
 
+def _cut(text: str) -> str:
+    """text for an error message: its first 60 characters and "..." when longer."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _check_schema(doc) -> None:
     """Raise RootspinError unless doc has the shape root_system_to_json writes."""
     if not isinstance(doc, dict):
         raise RootspinError("a root-system file must hold a JSON object")
     version = doc.get("version")
     if version != FORMAT_VERSION:
-        raise RootspinError(f"unsupported root-system file version {version!r}")
+        raise RootspinError(f"unsupported root-system file version {_cut(repr(version))}")
     dim, disc, roots = doc.get("dim"), doc.get("disc"), doc.get("roots")
     if not (_is_int(dim) and 1 <= dim <= 4):
-        raise RootspinError(f"dim must be an integer in 1..4, got {dim!r}")
+        raise RootspinError(f"dim must be an integer in 1..4, got {_cut(repr(dim))}")
     # the bound keeps the trial division of the square-free test short
     if not (_is_int(disc) and disc <= 2**32 and _is_square_free(disc)):
-        raise RootspinError(f"disc must be a square-free integer in 1..2**32, got {disc!r}")
+        raise RootspinError(
+            f"disc must be a square-free integer in 1..2**32, got {_cut(repr(disc))}"
+        )
     if not isinstance(roots, list):
-        raise RootspinError(f"roots must be a list, got {roots!r}")
+        raise RootspinError(f"roots must be a list, got {_cut(repr(roots))}")
     for coords in roots:
         if not (isinstance(coords, list) and len(coords) == dim):
-            raise RootspinError(f"root {coords!r} does not have {dim} coordinates")
+            raise RootspinError(f"root {_cut(repr(coords))} does not have {dim} coordinates")
         for quad in coords:
             if not (isinstance(quad, list) and len(quad) == 4 and all(map(_is_int, quad))):
-                raise RootspinError(
-                    f"coordinate {quad!r} is not four integers [a_num, a_den, b_num, b_den]"
-                )
+                raise RootspinError(f"coordinate {_cut(repr(quad))} is not four integers "
+                                    "[a_num, a_den, b_num, b_den]")
             if quad[1] == 0 or quad[3] == 0:
-                raise RootspinError(f"coordinate {quad!r} has a zero denominator")
+                raise RootspinError(f"coordinate {_cut(repr(quad))} has a zero denominator")
     prov = doc.get("provenance", {})
     if not isinstance(prov, dict):
         raise RootspinError("provenance must be a JSON object")
     for key, value in [("label", doc.get("label", "")), *prov.items()]:
         if not isinstance(value, str):
-            raise RootspinError(f"{key} must be a string, got {value!r}")
+            raise RootspinError(f"{_cut(key)} must be a string, got {_cut(repr(value))}")
 
 
 def root_system_from_json(text: str) -> RootSystem:

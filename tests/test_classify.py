@@ -16,6 +16,7 @@ from rootspin import (
     RootspinError,
     UnknownAngle,
     Vector,
+    ZeroRoot,
     build_preset,
     coxeter_matrix,
     coxeter_order,
@@ -258,6 +259,11 @@ class TestCoxeterMatrix:
     def test_orthogonal_pair_is_label_two(self):
         cm = coxeter_matrix([vec(1, 0), vec(0, 1)])
         assert cm.entries == ((1, 2), (2, 1))
+
+    def test_zero_vector_is_refused(self):
+        # a zero vector has no angle; its inner product 0 would read as label 2
+        with pytest.raises(ZeroRoot):
+            coxeter_matrix([vec(0, 0), vec(1, 0)])
 
     def test_h3_five_label(self):
         simple = simple_roots_of(build_preset("H3"))

@@ -353,6 +353,31 @@ def test_deeply_nested_file_is_domain_error(capsys, tmp_path):
     assert err == "rootspin: RootspinError: root-system file is nested too deeply to parse\n"
 
 
+@pytest.mark.parametrize("fields", [
+    # a root of 900 nested lists, inside json.loads' limit
+    '"roots":[' + "[" * 900 + "]" * 900 + "]",
+    '"roots":' + json.dumps([[_QUAD] * 3000]),  # a root with 3000 coordinates
+    '"roots":[[[1,1,0,1]]],"provenance":{"' + "k" * 3000 + '":7}',  # a long provenance key
+], ids=["nested", "long", "key"])
+def test_a_long_offending_value_is_echoed_as_a_short_prefix(capsys, tmp_path, fields):
+    path = tmp_path / "bad.json"
+    path.write_text('{"version":1,"dim":1,"disc":1,' + fields + "}")
+    code, out, err = run(capsys, "roots", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("rootspin: RootspinError: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "..." in err
+
+
+def test_a_short_offending_value_is_echoed_whole(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_MALFORMED["short quad"]))
+    code, _, err = run(capsys, "roots", "--input", str(path))
+    assert code == 2
+    assert err == ("rootspin: RootspinError: coordinate [1, 1, 0] is not four integers "
+                   "[a_num, a_den, b_num, b_den]\n")
+
+
 # -- no numpy, no dataclasses --------------------------------------------------
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -19,20 +20,24 @@ from rootspin import (
     coxeter_order,
     DimensionMismatch,
     DomainError,
+    FieldMismatch,
     NormNotInField,
     NotRepresentable,
     QScalar,
     RootSystem,
+    RootspinError,
     Vector,
     ZeroRoot,
     build_preset,
     close_under_reflections,
     extract_simple_roots,
     gram_spectrum,
+    induce_2d,
     induce_4d,
     normalize_roots,
     reflect_euclid,
     signature,
+    simple_roots_of,
     span_rank,
     vec,
     verify_root_axioms,
@@ -237,6 +242,17 @@ class TestClosure:
             close_under_reflections([vec(1, 0), vec(0, 1, 0)])
         with pytest.raises(DimensionMismatch, match="mixed root dimensions"):
             RootSystem([vec(1, 0), vec(0, 1, 0)], disc=1)
+
+    def test_seeds_from_two_fields_are_a_field_mismatch(self):
+        # field_disc decides the field, as for gram_spectrum and reflect_euclid
+        with pytest.raises(FieldMismatch,
+                           match=r"cannot combine Q\(sqrt\(2\)\) with Q\(sqrt\(3\)\)"):
+            close_under_reflections([vec(QScalar(0, 1, 2), 0), vec(0, QScalar(0, 1, 3))])
+
+    def test_rational_seeds_tagged_with_a_field_close_over_it(self):
+        rs = close_under_reflections([vec(QScalar(1, 0, 5), 0), vec(0, 1)])
+        assert rs.disc == 5
+        assert rs == RootSystem([vec(1, 0), vec(-1, 0), vec(0, 1), vec(0, -1)], disc=5)
 
 
 class TestAxioms:
@@ -937,10 +953,117 @@ def _reference_simple_roots(roots):
         )
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2-12", "A1xI2-6", "F4", "induced-H3"])
+# the presets whose unit roots lie in their field, so that induce_4d or induce_2d applies
+INDUCIBLE = ("A1xA1xA1", "A3", "B3", "H3",
+             *(f"{family}-{n}" for family in ("I2", "A1xI2") for n in (2, 3, 4, 6)))
+
+
+def _simple_roots_case(name):
+    """A preset; "induced-P" its induce_4d or induce_2d result; "scaled-P" its roots
+    times 7/3; "permuted-P" its coordinates reversed, with every other one negated."""
+    kind, _, preset = name.partition("-")
+    if kind not in ("induced", "scaled", "permuted"):
+        return build_preset(name)
+    rs = build_preset(preset)
+    if kind == "induced":
+        return (induce_4d if rs.dim == 3 else induce_2d)(rs)
+    if kind == "scaled":
+        return RootSystem([r.scale(Fraction(7, 3)) for r in rs.roots], rs.disc)
+    return RootSystem(
+        [Vector(c if k % 2 else -c for k, c in enumerate(r.coords[::-1])) for r in rs.roots],
+        rs.disc,
+    )
+
+
+@pytest.mark.parametrize("name", [
+    *ALL_PRESETS, *(f"induced-{n}" for n in INDUCIBLE),
+    *(f"{kind}-{n}" for kind in ("scaled", "permuted") for n in ALL_PRESETS),
+])
 def test_simple_roots_match_the_scalar_reference(name):
-    roots = _kernel_case(name).roots
-    assert extract_simple_roots(roots) == _reference_simple_roots(roots)
+    rs = _simple_roots_case(name)
+    expected = _reference_simple_roots(rs.roots)
+    assert simple_roots_of(rs) == expected
+    assert extract_simple_roots(rs.roots) == expected
+
+
+def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots(
+    codec_calls, monkeypatch
+):
+    # int_reflect runs in the table's direct rows only, and no other image is computed
+    rs = build_preset.__wrapped__("H4")  # a fresh instance: nothing decoded yet
+    codec_calls.clear()
+    built, tables, reflections = [], [], Counter()
+    init, table, reflect = Lattice.__init__, Lattice.reflection_table, lattice.int_reflect
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_table(self):
+        tables.append(self)
+        reflections["table open"] += 1
+        try:
+            return table(self)
+        finally:
+            reflections["table open"] -= 1
+
+    def counted_reflect(*args):
+        reflections["inside" if reflections["table open"] else "outside"] += 1
+        return reflect(*args)
+
+    monkeypatch.setattr(Lattice, "__init__", counted_init)
+    monkeypatch.setattr(Lattice, "reflection_table", counted_table)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("rootspin") and getattr(module, "int_reflect", 0) is reflect:
+            monkeypatch.setattr(module, "int_reflect", counted_reflect)
+    simple = simple_roots_of(rs)
+    assert len(simple) == 4
+    assert len(built) == len(tables) == 1
+    assert reflections["outside"] == 0 and 0 < reflections["inside"] <= 4 * 60
+    assert codec_calls == Counter({"from_numerators": 4})
+
+
+class TestSimpleRootsOfInvalidInput:
+    """extract_simple_roots validates as RootSystem does, then with the two axioms."""
+
+    def test_no_roots(self):
+        with pytest.raises(ZeroRoot, match="at least one root"):
+            extract_simple_roots([])
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch, match=r"mixed root dimensions \[2, 3\]"):
+            extract_simple_roots([vec(1, 0), vec(-1, 0), vec(1, 0, 0)])
+
+    def test_zero_vector(self):
+        with pytest.raises(ZeroRoot, match="zero vector cannot be a root"):
+            extract_simple_roots([vec(1, 0), vec(-1, 0), vec(0, 0)])
+
+    def test_repeated_vector_is_listed_once(self):
+        assert extract_simple_roots([vec(1, 0), vec(-1, 0), vec(1, 0)]) == [vec(1, 0)]
+
+    def test_set_that_is_not_reflection_closed(self):
+        with pytest.raises(RootspinError, match=re.escape(
+            "axiom1 (scalar multiples): pass; axiom2 (reflection closure): "
+            "FAIL witness (Vector((-1, -2)), Vector((-1, 0)))"
+        )):
+            extract_simple_roots([vec(1, 0), vec(-1, 0), vec(1, 2), vec(-1, -2)])
+
+    def test_bc2_fails_axiom_1(self):
+        bc2 = [vec(*(s * c for c in v)) for v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2))
+               for s in (1, -1)]
+        with pytest.raises(RootspinError, match=re.escape(
+            "axiom1 (scalar multiples): FAIL witness (Vector((-2, 0)), Vector((-1, 0)))"
+        )):
+            extract_simple_roots(bc2)
+
+    def test_simple_roots_of_names_the_axiom_witness(self):
+        rs = _partial_cases()["B3-minus-one-root"]
+        with pytest.raises(RootspinError) as err:
+            simple_roots_of(rs)
+        assert str(err.value) == (
+            f"{rs!r} is not a root system: {verify_root_axioms(rs).summary()}"
+        )
+        assert "FAIL witness" in str(err.value)
 
 
 # -- normalize_roots on integer numerators against Vector.unit ----------------
