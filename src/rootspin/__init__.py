@@ -3,79 +3,59 @@
 Everything runs over quadratic number fields Q(sqrt(d)) with exact rational
 components, so closures, group orders, and classifications are decided
 without floating-point tolerances.
+
+`import rootspin` loads no submodule.  Each public name resolves on first
+access (PEP 562) by importing the one module that defines it, so
+`rootspin.X`, `from rootspin import X` and `from rootspin import *` cost only
+the modules they reach; the CLI likewise imports in each verb what it runs.
 """
 
-from .caps import GROUP_CLOSURE_CAP, ROOT_CLOSURE_CAP
-from .classify import (
-    CoxeterMatrix,
-    Signature,
-    SurveyRow,
-    SurveyTable,
-    catalog,
-    coxeter_matrix,
-    coxeter_order,
-    identify,
-    signature,
-    simple_roots_of,
-    survey,
-)
-from .clifford import (
-    Multivector,
-    Rotor,
-    geometric_product,
-    reflect,
-    reverse,
-    rotate,
-    rotor_from_vectors,
-    spinor_to_vec2,
-    spinor_to_vec4,
-)
-from .errors import (
-    ClosureCapExceeded,
-    DegenerateFunctional,
-    DimensionMismatch,
-    DomainError,
-    FieldMismatch,
-    NonUnitVector,
-    NormNotInField,
-    NotRepresentable,
-    OddGradePresent,
-    RootspinError,
-    UnknownAngle,
-    ZeroRoot,
-)
-from .induction import (
-    RotorGroup,
-    SelfDualityReport,
-    check_self_dual,
-    generate_rotor_group,
-    induce_2d,
-    induce_4d,
-)
-from .presets import Preset, build_preset, direct_sum, get_preset, preset_names
-from .qfield import QScalar, Rational, phi, sqrt_in_field, to_float
-from .roots import (
-    AxiomReport,
-    Provenance,
-    RootSystem,
-    Vector,
-    close_under_reflections,
-    extract_simple_roots,
-    gram_spectrum,
-    normalize_roots,
-    reflect_euclid,
-    span_rank,
-    vec,
-    verify_root_axioms,
-)
-from .serialize import (
-    load_root_system,
-    root_system_from_json,
-    root_system_to_json,
-    save_root_system,
-    to_csv,
-    to_off,
-    to_text,
-)
+from importlib import import_module
 
+_EXPORTS = {
+    "caps": ("GROUP_CLOSURE_CAP", "ROOT_CLOSURE_CAP"),
+    "classify": (
+        "CoxeterMatrix", "Signature", "SurveyRow", "SurveyTable", "catalog", "coxeter_matrix",
+        "coxeter_order", "identify", "signature", "simple_roots_of", "survey",
+    ),
+    "clifford": (
+        "Multivector", "Rotor", "geometric_product", "reflect", "reverse", "rotate",
+        "rotor_from_vectors", "spinor_to_vec2", "spinor_to_vec4",
+    ),
+    "errors": (
+        "ClosureCapExceeded", "DegenerateFunctional", "DimensionMismatch", "DomainError",
+        "FieldMismatch", "NonUnitVector", "NormNotInField", "NotRepresentable",
+        "OddGradePresent", "RootspinError", "UnknownAngle", "ZeroRoot",
+    ),
+    "induction": (
+        "RotorGroup", "SelfDualityReport", "check_self_dual", "generate_rotor_group",
+        "induce_2d", "induce_4d",
+    ),
+    "presets": ("Preset", "build_preset", "direct_sum", "get_preset", "preset_names"),
+    "qfield": ("QScalar", "Rational", "phi", "sqrt_in_field", "to_float"),
+    "roots": (
+        "AxiomReport", "Provenance", "RootSystem", "Vector", "close_under_reflections",
+        "extract_simple_roots", "gram_spectrum", "normalize_roots", "reflect_euclid",
+        "span_rank", "vec", "verify_root_axioms",
+    ),
+    "serialize": (
+        "load_root_system", "root_system_from_json", "root_system_to_json",
+        "save_root_system", "to_csv", "to_off", "to_text",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,7 +25,6 @@ from .errors import (
     UnknownAngle,
     ZeroRoot,
 )
-from .induction import induce_4d
 from .lattice import Lattice
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
@@ -312,6 +311,8 @@ def survey() -> SurveyTable:
     rank 4.  Inputs with no exact quadratic realization are reported as
     unrealizable rows rather than silently dropped.
     """
+    from .induction import induce_4d  # only the survey induces: classify alone never loads it
+
     rows: list[SurveyRow] = []
     induced_signatures: list[Signature] = []
     for name in SURVEY_INPUTS:

@@ -5,6 +5,9 @@ A root-system source is either --preset <name> or --input <file.json>;
 output format is json (exact), text, csv or off (floats).  Exit codes:
 0 success (negative verdicts like failed axioms are results, not errors),
 1 usage error, 2 domain error.
+
+Only the parser's needs are imported up front; each verb imports the modules
+it runs, so a fresh process compiles no more of rootspin than its verb uses.
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .caps import ascii_digits, positive_int
-from .classify import coxeter_order, identify, signature, survey
 from .errors import RootspinError
-from .induction import check_self_dual, induce_2d, induce_4d
 from .presets import build_preset, i2_simple_roots, preset_names
-from .roots import RootSystem, verify_root_axioms
-from .serialize import load_root_system, root_system_to_json, to_csv, to_off, to_text
+
+if TYPE_CHECKING:
+    from .roots import RootSystem
 
 _FORMATS = ("json", "csv", "off", "text")
 
@@ -78,6 +81,8 @@ def _resolve_source(args) -> RootSystem:
             return build_preset(args.preset, cap=args.cap)
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
+    from .serialize import load_root_system
+
     return load_root_system(args.input)
 
 
@@ -89,6 +94,8 @@ def _emit(text: str, args) -> None:
 
 
 def _render(rs: RootSystem, fmt: str) -> str:
+    from .serialize import root_system_to_json, to_csv, to_off, to_text
+
     if fmt == "json":
         return root_system_to_json(rs)
     if fmt == "csv":
@@ -104,6 +111,8 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_induce(args) -> int:
+    from .induction import induce_2d, induce_4d
+
     rs = _resolve_source(args)
     if rs.dim == 3:
         induced = induce_4d(rs, cap=args.cap)
@@ -116,6 +125,8 @@ def _cmd_induce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .roots import verify_root_axioms
+
     rs = _resolve_source(args)
     report = verify_root_axioms(rs)
     name = rs.label or "input"
@@ -124,6 +135,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import coxeter_order, identify, signature
+
     rs = _resolve_source(args)
     sig = signature(rs)
     lines = [
@@ -137,6 +150,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_selfdual(args) -> int:
+    from .induction import check_self_dual
+
     i2_simple_roots(args.n)  # the family's n >= 2 check: "I2--3" is no preset name
     rs = build_preset(f"I2-{args.n}", cap=args.cap)
     _emit(check_self_dual(rs).summary() + "\n", args)
@@ -144,13 +159,12 @@ def _cmd_selfdual(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    table = survey()
-    if args.format == "csv":
-        _emit(table.to_csv(), args)
-    elif args.format == "text":
-        _emit(table.to_text(), args)
-    else:
+    if args.format not in ("csv", "text"):
         raise UsageError("survey supports --format text or csv")
+    from .classify import survey
+
+    table = survey()
+    _emit(table.to_csv() if args.format == "csv" else table.to_text(), args)
     return 0
 
 

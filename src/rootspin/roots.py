@@ -76,12 +76,6 @@ class Vector:
     def dim(self) -> int:
         return len(self.coords)
 
-    def disc(self) -> int:
-        for c in self.coords:
-            if not c.is_rational():
-                return c.disc
-        return 1
-
     def _check_dim(self, other: "Vector") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")

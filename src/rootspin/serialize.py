@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +93,12 @@ def root_system_from_json(text: str) -> RootSystem:
         doc = json.loads(text)
     except RecursionError:
         raise RootspinError("root-system file is nested too deeply to parse") from None
+    except json.JSONDecodeError as exc:
+        raise RootspinError(f"root-system file is not valid JSON: {_cut(str(exc))}") from None
+    except ValueError:  # int() refuses a literal longer than sys.get_int_max_str_digits()
+        raise RootspinError(
+            f"root-system file has an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
     _check_schema(doc)
     disc = doc["disc"]
     roots = [
@@ -116,7 +123,13 @@ def save_root_system(rs: RootSystem, path: str | Path) -> None:
 
 
 def load_root_system(path: str | Path) -> RootSystem:
-    return root_system_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RootspinError(
+            f"root-system file is not UTF-8 text ({_cut(exc.reason)} at offset {exc.start})"
+        ) from None
+    return root_system_from_json(text)
 
 
 def to_off(rs: RootSystem) -> str:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from rootspin import RootSystem, build_preset, identify, root_system_to_json, signature, vec
-from rootspin.classify import catalog
+from rootspin.classify import catalog, survey
 from rootspin.cli import main
 
 
@@ -156,6 +156,14 @@ class TestSurvey:
     def test_off_rejected(self, capsys):
         code, _, err = run(capsys, "survey", "--format", "off")
         assert code == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "off"])
+    def test_an_unsupported_format_is_refused_before_the_survey_runs(self, capsys, fmt):
+        before = survey.cache_info()
+        code, out, err = run(capsys, "survey", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "rootspin: error: survey supports --format text or csv\n"
+        assert survey.cache_info() == before  # neither a hit nor a miss: never called
 
 
 class TestExitCodes:
@@ -353,6 +361,21 @@ def test_deeply_nested_file_is_domain_error(capsys, tmp_path):
     assert err == "rootspin: RootspinError: root-system file is nested too deeply to parse\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"version":1,"dim":1,"disc":' + b"9" * 5000 + b',"roots":[[[1,1,0,1]]]}',
+     "root-system file has an integer of more than 4300 digits"),
+    (b'{"version":1,"dim":1,"disc":1,"roots":[[[1,1,0',
+     "root-system file is not valid JSON: Expecting ',' delimiter: line 1 column 47 (char 46)"),
+    (b'{"version":1,"dim":1,"label":"\xe9","disc":1,"roots":[[[1,1,0,1]]]}',
+     "root-system file is not UTF-8 text (invalid continuation byte at offset 30)"),
+], ids=["long integer", "truncated", "latin-1"])
+def test_an_unreadable_file_is_a_rootspin_error(capsys, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "roots", "--input", str(path))
+    assert (code, out, err) == (2, "", f"rootspin: RootspinError: {message}\n")
+
+
 @pytest.mark.parametrize("fields", [
     # a root of 900 nested lists, inside json.loads' limit
     '"roots":[' + "[" * 900 + "]" * 900 + "]",
@@ -378,24 +401,29 @@ def test_a_short_offending_value_is_echoed_whole(capsys, tmp_path):
                    "[a_num, a_den, b_num, b_den]\n")
 
 
-# -- no numpy, no dataclasses --------------------------------------------------
+# -- no numpy, no dataclasses, only the verb's own modules ----------------------
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # dataclasses and the modules it imports; a bare interpreter may load some of them
 _HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
-# runs the CLI as `python -m rootspin` would (with no arguments, nothing: a bare
-# interpreter), then reports which of _HEAVY and whether numpy were loaded
+# runs the CLI as `python -m rootspin` would (with the one argument `import`,
+# only `import rootspin`; with none, nothing: a bare interpreter), then reports
+# which of _HEAVY, whether numpy and which rootspin submodules were loaded
 _PROBE = (
     "import runpy, sys\n"
     "sys.argv = ['rootspin'] + sys.argv[1:]\n"
     "try:\n"
-    "    if sys.argv[1:]:\n"
+    "    if sys.argv[1:] == ['import']:\n"
+    "        import rootspin\n"
+    "    elif sys.argv[1:]:\n"
     "        runpy.run_module('rootspin', run_name='__main__', alter_sys=True)\n"
     "finally:\n"
     f"    print('loaded:', sorted(m for m in {_HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
     "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "    print(' '.join(sorted(m for m in sys.modules if m.startswith('rootspin.'))),\n"
+    "          file=sys.stderr)\n"
 )
 
 _VERBS = pytest.mark.parametrize(
@@ -411,8 +439,11 @@ _VERBS = pytest.mark.parametrize(
 
 
 @lru_cache(maxsize=None)
-def _probe(*argv: str) -> tuple[str, str]:
-    """The probe's last two stderr lines, for a fresh process running the CLI on argv."""
+def _probe(*argv: str) -> tuple[str, str, set[str]]:
+    """The probe's findings for a fresh process running the CLI on argv.
+
+    The heavy-module line, the numpy line and the set of rootspin submodules.
+    """
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
@@ -421,8 +452,8 @@ def _probe(*argv: str) -> tuple[str, str]:
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    heavy, numpy = proc.stderr.splitlines()[-2:]
-    return heavy, numpy
+    heavy, numpy, modules = proc.stderr.split("\n")[-4:-1]
+    return heavy, numpy, set(modules.split())
 
 
 @_VERBS
@@ -432,9 +463,35 @@ def test_fresh_cli_process_never_loads_numpy(argv):
 
 @_VERBS
 def test_fresh_cli_process_loads_no_dataclasses(argv):
-    heavy, _ = _probe(*argv)
+    heavy = _probe(*argv)[0]
     assert heavy.startswith("loaded: [")
     assert heavy == _probe()[0]
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _probe("import")[2] == set()
+
+
+_BASE = {"rootspin." + m for m in ("caps", "cli", "errors", "lattice", "presets", "qfield", "roots")}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--preset", "F4"], _BASE),
+    (["classify", "--preset", "B3"], _BASE | {"rootspin.classify"}),
+    (["induce", "--preset", "A3"],
+     _BASE | {"rootspin.clifford", "rootspin.induction", "rootspin.serialize"}),
+    (["selfdual", "4"], _BASE | {"rootspin.clifford", "rootspin.induction"}),
+], ids=["verify", "classify", "induce", "selfdual"])
+def test_fresh_cli_process_loads_only_the_modules_its_verb_runs(argv, expected):
+    assert _probe(*argv)[2] == expected
+
+
+def test_classifying_a_file_loads_the_reader_but_not_the_induction(tmp_path):
+    path = tmp_path / "b3.json"
+    path.write_text(root_system_to_json(build_preset("B3")))
+    loaded = _probe("classify", "--input", str(path))[2]
+    assert "rootspin.serialize" in loaded
+    assert not loaded & {"rootspin.clifford", "rootspin.induction"}
 
 
 def _files_importing(module: str, *dirs: str) -> list[str]:

@@ -120,8 +120,11 @@ class TestRotorGroups:
             generate_rotor_group(mirrors, cap=50)
 
     def test_mixed_fields_rejected(self):
-        root2 = next(u for u in normalize_roots(build_preset("A3")) if u.disc() == 2)
-        root5 = next(u for u in normalize_roots(build_preset("H3")) if u.disc() == 5)
+        # the first unit root of each with a surd coordinate: a rational one fits either field
+        root2 = next(u for u in normalize_roots(build_preset("A3"))
+                     if any(c.surd for c in u) and field_disc([u]) == 2)
+        root5 = next(u for u in normalize_roots(build_preset("H3"))
+                     if any(c.surd for c in u) and field_disc([u]) == 5)
         with pytest.raises(FieldMismatch, match=r"Q\(sqrt\(2\)\) with Q\(sqrt\(5\)\)"):
             generate_rotor_group([root2, root5])
 
