@@ -1,8 +1,9 @@
 """Recognition of root systems by exact invariants.
 
 The fingerprint of a root set is its Signature: ambient dimension, root
-count, the sorted multiset of pairwise inner products of the unit-normalized
-roots, and the component sizes of the non-orthogonality graph.  All four are
+count, the multiset of pairwise inner products of the unit-normalized roots
+(each exact value with its multiplicity, as Lattice.pair_counts counts them),
+and the component sizes of the non-orthogonality graph.  All four are
 invariant under exact orthogonal changes of frame, and none depends on root
 lengths, which matters because induced systems always come out unit-length
 (an F4 configuration with both orbits at unit length is still F4 here).
@@ -32,18 +33,16 @@ from .roots import RootSystem, Vector, row_vector, unit_rows
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
 
-def _value_key(q: QScalar):
-    if q.surd == 0:
-        return ("r", q.rat)
-    return ("s", q.disc, q.rat, q.surd)
-
-
 class Signature(NamedTuple):
-    """Rotation-invariant fingerprint of a root system."""
+    """Rotation-invariant fingerprint of a root system.
+
+    spectrum holds the (inner product, multiplicity) pairs of pair_counts,
+    unordered; a rational inner product equals itself under any disc tag.
+    """
 
     dim: int
     count: int
-    spectrum: tuple  # sorted ((value key, multiplicity)) pairs
+    spectrum: frozenset[tuple[QScalar, int]]
     components: tuple[int, ...]  # component sizes, descending
 
     def __str__(self) -> str:
@@ -61,7 +60,7 @@ def signature(rs: RootSystem) -> Signature:
     return Signature(
         dim=rs.dim,
         count=len(units),
-        spectrum=tuple(sorted((_value_key(value), c) for value, c in values.items())),
+        spectrum=frozenset(values.items()),
         components=tuple(sorted(components, reverse=True)),
     )
 

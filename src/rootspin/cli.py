@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Verbs: roots, induce, verify, classify, selfdual, survey, export.
-A root-system source is either --preset <name> or --input <file.json>;
-output format is json (exact), text, csv or off (floats).  Exit codes:
+Verbs: roots, induce, verify, classify, selfdual, survey, export.  Each verb
+takes only the options its handler reads.  A root-system source (roots,
+export, induce, verify, classify) is either --preset <name> or --input
+<file.json>.  roots, export and induce write --format json (exact), text,
+csv or off (floats), survey text or csv.  Every verb takes --output, and
+every verb but survey --cap.  Exit codes:
 0 success (negative verdicts like failed axioms are results, not errors),
 1 usage error, 2 domain error.
 
@@ -51,25 +54,30 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, source=True):
+    def add_options(p, source=True, formats=_FORMATS, cap=True):
+        # only the options the verb's handler reads
         if source:
             p.add_argument("--preset", help=f"preset name, one of {preset_names()}")
             p.add_argument("--input", help="path to a root-system JSON file")
-        p.add_argument("--format", choices=_FORMATS, default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="output path (default: stdout)")
-        p.add_argument("--cap", type=positive_int, help="closure element cap override")
+        if cap:
+            p.add_argument("--cap", type=positive_int, help="closure element cap override")
 
-    add_common(sub.add_parser("roots", help="generate/load a root system"))
-    add_common(sub.add_parser("export", help="re-emit a root system in another format"))
-    add_common(sub.add_parser("induce", help="run the spinor induction (3D->4D or 2D->2D)"))
-    add_common(sub.add_parser("verify", help="check the two root-system axioms"))
-    add_common(sub.add_parser("classify", help="signature, catalog name and group order"))
+    add_options(sub.add_parser("roots", help="generate/load a root system"))
+    add_options(sub.add_parser("export", help="re-emit a root system in another format"))
+    add_options(sub.add_parser("induce", help="run the spinor induction (3D->4D or 2D->2D)"))
+    add_options(sub.add_parser("verify", help="check the two root-system axioms"), formats=())
+    add_options(sub.add_parser("classify", help="signature, catalog name and group order"),
+                formats=())
 
     p_self = sub.add_parser("selfdual", help="self-duality check for I2(n)")
     p_self.add_argument("n", type=integer, help="dihedral index n >= 2")
-    add_common(p_self, source=False)
+    add_options(p_self, source=False, formats=())
 
-    add_common(sub.add_parser("survey", help="full induction survey table"), source=False)
+    add_options(sub.add_parser("survey", help="full induction survey table"), source=False,
+                formats=("text", "csv"), cap=False)
     return parser
 
 
@@ -159,8 +167,6 @@ def _cmd_selfdual(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    if args.format not in ("csv", "text"):
-        raise UsageError("survey supports --format text or csv")
     from .classify import survey
 
     table = survey()

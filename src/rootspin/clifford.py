@@ -116,11 +116,6 @@ class Multivector:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def to_vector(self) -> Vector:
-        if not self.is_vector():
-            raise OddGradePresent(f"{self} is not pure grade 1")
-        return Vector(self.coeffs[1 << i] for i in range(self.dim))
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":

@@ -197,11 +197,6 @@ def _named(out: RootSystem, source: str) -> RootSystem:
     return out._relabel(f"induced({source})", Provenance(induced_from=source))
 
 
-# The caches below key on root content alone (RootSystem equality ignores
-# label and provenance), so they hold unnamed results; every call names its
-# result after the caller's own input.
-
-
 def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
     # the steps of RootSystem and verify_root_axioms, on rows already distinct
     out = RootSystem._from_rows(sorted_numerators(rows, d), d)
@@ -211,6 +206,9 @@ def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
     return out
 
 
+# The cache keys on root content alone (RootSystem equality ignores label and
+# provenance), so it holds unnamed results; every call names its result after
+# the caller's own input.
 @lru_cache(maxsize=128)
 def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
     # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
@@ -231,18 +229,6 @@ induce_4d.cache_info = _induced_4d.cache_info
 induce_4d.cache_clear = _induced_4d.cache_clear
 
 
-@lru_cache(maxsize=128)
-def _induced_2d(rs: RootSystem) -> RootSystem:
-    # the steps of normalize_roots and spinor_to_vec2, on rows padded to 3D: the
-    # product of two vectors in the e1 e2 plane is a0 + a3 e1 e2, and its e2 e3
-    # and e1 e3 slots are zero, so (a0, a3) over D is still reduced
-    d = rs.disc
-    units = [x[:-1] + (0, 0) + x[-1:] for x in unit_rows(rs)]
-    products = (int_product(units[0], u, VECTOR_BY_VECTOR, d) for u in units)
-    rows = [x[:2] + x[6:] for x in products]
-    return _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
-
-
 def induce_2d(rs: RootSystem) -> RootSystem:
     """2D spinor image of a 2D root system: alpha_i -> alpha_1 alpha_i.
 
@@ -251,11 +237,14 @@ def induce_2d(rs: RootSystem) -> RootSystem:
     """
     if rs.dim != 2:
         raise DimensionMismatch(f"induce_2d needs a 2D system, got dim {rs.dim}")
-    return _named(_induced_2d(rs), rs.label or "rank-2 input")
-
-
-induce_2d.cache_info = _induced_2d.cache_info
-induce_2d.cache_clear = _induced_2d.cache_clear
+    # the steps of normalize_roots and spinor_to_vec2, on rows padded to 3D: the
+    # product of two vectors in the e1 e2 plane is a0 + a3 e1 e2, and its e2 e3
+    # and e1 e3 slots are zero, so (a0, a3) over D is still reduced
+    d, source = rs.disc, rs.label or "rank-2 input"
+    units = [x[:-1] + (0, 0) + x[-1:] for x in unit_rows(rs)]
+    products = (int_product(units[0], u, VECTOR_BY_VECTOR, d) for u in units)
+    rows = [x[:2] + x[6:] for x in products]
+    return _named(_verified(rows, d, f"2D spinor image of {source}"), source)
 
 
 class SelfDualityReport(NamedTuple):

@@ -39,12 +39,10 @@ from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .errors import FieldMismatch
-from .qfield import QScalar
+from .qfield import _INT64_MAX, QScalar
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
-
-_INT64_MAX = 2**63 - 1
 
 
 def field_disc(vectors: Iterable[Iterable[QScalar]]) -> int:

@@ -42,16 +42,16 @@ class TestSignature:
         sig = signature(build_preset("A1xA1xA1"))
         assert sig.count == 6
         counts = _spectrum_counts(sig)
-        assert counts[("r", Fraction(-1))] == 6
-        assert counts[("r", Fraction(0))] == 24
+        assert counts[QScalar(-1)] == 6
+        assert counts[QScalar(0)] == 24
         assert sig.components == (2, 2, 2)
 
     def test_sixteen_cell_spectrum(self):
         sig = signature(induce_4d(build_preset("A1xA1xA1")))
         assert sig.count == 8
         counts = _spectrum_counts(sig)
-        assert counts[("r", Fraction(-1))] == 8
-        assert counts[("r", Fraction(0))] == 48
+        assert counts[QScalar(-1)] == 8
+        assert counts[QScalar(0)] == 48
 
     def test_invariant_under_signed_permutations(self):
         rng = random.Random(31)

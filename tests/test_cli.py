@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import pytest
 
 from rootspin import RootSystem, build_preset, identify, root_system_to_json, signature, vec
 from rootspin.classify import catalog, survey
-from rootspin.cli import main
+from rootspin.cli import _COMMANDS, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -162,7 +163,8 @@ class TestSurvey:
         before = survey.cache_info()
         code, out, err = run(capsys, "survey", "--format", fmt)
         assert (code, out) == (1, "")
-        assert err == "rootspin: error: survey supports --format text or csv\n"
+        assert err == ("rootspin survey: error: argument --format: invalid choice: "
+                       f"'{fmt}' (choose from 'text', 'csv')\n")
         assert survey.cache_info() == before  # neither a hit nor a miss: never called
 
 
@@ -306,6 +308,47 @@ class TestDeterminism:
         lines = out.splitlines()
         assert lines[0] == "OFF" and lines[1] == "24 0 0"
         assert len(lines) == 26
+
+
+class _Reads:
+    """An args namespace that records the names a handler reads."""
+
+    def __init__(self, values: dict):
+        self._values, self.read = values, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return self._values[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--preset", "A3"],
+    ["export", "--preset", "A3"],
+    ["induce", "--preset", "A3"],
+    ["verify", "--preset", "A3"],
+    ["classify", "--preset", "A3"],
+    ["selfdual", "4"],
+    ["survey"],
+], ids=lambda argv: argv[0])
+def test_a_verb_takes_exactly_the_options_its_handler_reads(capsys, argv):
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest for a in verbs.choices[argv[0]]._actions if a.dest != "help"}
+    args = _Reads(vars(parser.parse_args(argv)))
+    assert _COMMANDS[argv[0]](args) == 0
+    capsys.readouterr()
+    assert args.read == options
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--preset", "F4", "--format", "json"],
+    ["classify", "--preset", "F4", "--format", "json"],
+    ["selfdual", "4", "--format", "csv"],
+    ["survey", "--cap", "3"],
+], ids=" ".join)
+def test_an_option_the_verb_does_not_read_is_refused(capsys, argv):
+    err = f"rootspin: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    assert run(capsys, *argv) == (1, "", err)
 
 
 _QUAD = [1, 1, 0, 1]

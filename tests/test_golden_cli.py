@@ -46,6 +46,12 @@ COMMANDS = (
     + [["selfdual", str(n)] for n in range(2, 13)]
     + [["roots", "--preset", name, "--format", fmt]
        for name in PRESETS for fmt in ("json", "text")]
+    # options the verb does not read are refused
+    + [["verify", "--preset", "F4", "--format", "json"],
+       ["classify", "--preset", "F4", "--format", "json"],
+       ["selfdual", "4", "--format", "csv"],
+       ["survey", "--cap", "3"],
+       ["survey", "--format", "json"]]
 )
 
 

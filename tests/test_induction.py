@@ -232,7 +232,7 @@ class TestCacheKeys:
         assert other.provenance.induced_from == "hex"
 
     def test_caches_are_bounded(self):
-        for cached in (induce_4d, induce_2d, build_preset):
+        for cached in (induce_4d, build_preset):
             assert cached.cache_info().maxsize is not None
 
     def test_evicted_result_is_recomputed_equal(self):
