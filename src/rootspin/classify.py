@@ -1,12 +1,14 @@
 """Recognition of root systems by exact invariants.
 
 The fingerprint of a root set is its Signature: ambient dimension, root
-count, the multiset of pairwise inner products of the unit-normalized roots
-(each exact value with its multiplicity, as Lattice.pair_counts counts them),
-and the component sizes of the non-orthogonality graph.  All four are
-invariant under exact orthogonal changes of frame, and none depends on root
-lengths, which matters because induced systems always come out unit-length
-(an F4 configuration with both orbits at unit length is still F4 here).
+count, the multiset of pairwise angles (each pair's signed squared cosine
+sign(a|b) (a|b)^2 / ((a|a)(b|b)) with its multiplicity, as
+Lattice.angle_counts counts them), and the component sizes of the
+non-orthogonality graph.  All four are invariant under exact orthogonal
+changes of frame, and none depends on root lengths, which matters because
+induced systems always come out unit-length (an F4 configuration with both
+orbits at unit length is still F4 here).  The angle key lies in the field of
+the roots, so no root is normalized and no square root is taken.
 
 The catalog used by identify() is generated from each member's own defining
 data at call time; nothing is matched against transcribed numbers.  Entries
@@ -29,15 +31,20 @@ from .errors import (
 from .lattice import Lattice
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
-from .roots import RootSystem, Vector, row_vector, unit_rows
+from .roots import RootSystem, Vector, row_vector
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
 
 class Signature(NamedTuple):
     """Rotation-invariant fingerprint of a root system.
 
-    spectrum holds the (inner product, multiplicity) pairs of pair_counts,
-    unordered; a rational inner product equals itself under any disc tag.
+    spectrum holds the (signed squared cosine, multiplicity) pairs of
+    Lattice.angle_counts, unordered; a rational value equals itself under any
+    disc tag.  __str__ still says "distinct inner products", the words it
+    printed when the spectrum held the inner products of the unit-normalized
+    roots: the signed squared cosine is a one-to-one function of that inner
+    product, so on a set with one root per direction the count is the same,
+    and the classify output stays byte-identical.
     """
 
     dim: int
@@ -54,13 +61,17 @@ class Signature(NamedTuple):
 
 
 def signature(rs: RootSystem) -> Signature:
-    """Exact signature of a root system (roots are unit-normalized first)."""
-    units = unit_rows(rs)
-    values, components = Lattice(units, rs.disc).pair_counts()
+    """Exact signature of a root system, read off its rows as stored."""
+    return lattice_signature(rs, Lattice(rs.rows, rs.disc))
+
+
+def lattice_signature(rs: RootSystem, lattice: Lattice) -> Signature:
+    """signature(rs) from rs's Lattice, which the caller builds once and may read again."""
+    angles, components = lattice.angle_counts()
     return Signature(
         dim=rs.dim,
-        count=len(units),
-        spectrum=frozenset(values.items()),
+        count=len(rs),
+        spectrum=frozenset(angles.items()),
         components=tuple(sorted(components, reverse=True)),
     )
 
@@ -69,11 +80,11 @@ def signature(rs: RootSystem) -> Signature:
 def _catalog_table() -> dict[str, tuple[tuple[int, int], tuple[str, ...]]]:
     """Entry name -> ((dimension, root count), parts), in catalog order.
 
-    Members: A1^k, the exactly-realizable unit dihedrals I2(n) for n in
-    {2, 3, 4, 6}, A3, B3, H3, D4, F4, H4, and all direct sums that fit in
-    dimension 4 within a single quadratic field.  I2(8) and I2(12) close
-    exactly but their unit normalisations leave every quadratic field, so
-    they carry no computable signature and are absent.  A part is "A1" or a
+    Members: A1^k, the dihedrals I2(n) for n in {2, 3, 4, 6}, A3, B3, H3,
+    D4, F4, H4, and all direct sums that fit in dimension 4 within a single
+    quadratic field.  I2(8) and I2(12) close exactly and have signatures,
+    since a signature takes no square root, but they are not members yet: an
+    input with their signature is "unrecognized".  A part is "A1" or a
     preset; keys add (1, 2) per A1 and each preset's dim and expected_count.
     """
     i2, rank3 = ("I2-3", "I2-4", "I2-6"), ("A3", "B3", "H3")
@@ -131,7 +142,11 @@ def coxeter_order(rs: RootSystem) -> int:
     Orbit-stabilizer: the stabilizer of a root r is generated by the reflections
     in the roots orthogonal to r (Steinberg; Humphreys 1990, 1.12).
     """
-    lattice = Lattice(rs.rows, rs.disc)
+    return lattice_coxeter_order(rs, Lattice(rs.rows, rs.disc))
+
+
+def lattice_coxeter_order(rs: RootSystem, lattice: Lattice) -> int:
+    """coxeter_order(rs) from rs's Lattice, which the caller builds once and may read again."""
     table = lattice.reflection_table()
     for i, row in enumerate(table):
         if -1 in row:

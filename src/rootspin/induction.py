@@ -45,7 +45,6 @@ from .roots import (
     RootSystem,
     Vector,
     _is_unit,
-    lattice_spectrum,
     row_vector,
     unit_rows,
     verify_root_axioms,
@@ -272,17 +271,20 @@ class SelfDualityReport(NamedTuple):
 def check_self_dual(rs: RootSystem) -> SelfDualityReport:
     """Congruence test between a 2D system and its spinor image.
 
-    Cardinalities and Gram spectra of the unit-normalized sets must agree;
-    the spectrum comparison is rotation-invariant, so the verdict does not
+    Cardinalities and angle spectra (Lattice.angle_counts, read off the rows)
+    must agree; the comparison is rotation-invariant, so the verdict does not
     depend on the alpha_1 convention inside induce_2d.
     """
     induced = induce_2d(rs)
-    units_in = unit_rows(rs)
-    units_out = unit_rows(induced)
     return SelfDualityReport(
         label=rs.label or "rank-2 input",
-        input_count=len(units_in),
-        induced_count=len(units_out),
-        input_spectrum=lattice_spectrum(Lattice(units_in, rs.disc)),
-        induced_spectrum=lattice_spectrum(Lattice(units_out, induced.disc)),
+        input_count=len(rs),
+        induced_count=len(induced),
+        input_spectrum=_angle_spectrum(rs),
+        induced_spectrum=_angle_spectrum(induced),
     )
+
+
+def _angle_spectrum(rs: RootSystem) -> tuple[QScalar, ...]:
+    angles, _ = Lattice(rs.rows, rs.disc).angle_counts()
+    return tuple(value for value in sorted(angles) for _ in range(angles[value]))

@@ -190,7 +190,35 @@ class Lattice:
 
     def pair_counts(self) -> tuple[dict[QScalar, int], list[int]]:
         """Inner products over ordered pairs i != j with their multiplicities,
-        and the component sizes of the non-orthogonality graph.
+        and the component sizes of the non-orthogonality graph."""
+        counts, sizes, den2 = self._pairs()
+        values: Counter = Counter()
+        for (x, y, _, _), c in counts.items():
+            values[QScalar(Fraction(x, den2), Fraction(y, den2), self.disc)] += c
+        return values, sizes
+
+    def angle_counts(self) -> tuple[dict[QScalar, int], list[int]]:
+        """pair_counts keyed on the angle, sign(a|b) (a|b)^2 / ((a|a)(b|b)), over the
+        pairs of nonzero vectors: the signed squared cosine, which determines the
+        angle and lies in the field even where the norms have no square root.
+
+        With (a|b) = x + y sqrt(d) and (a|a)(b|b) = m + n sqrt(d) over a common
+        denominator, it is +-(x + y sqrt(d))^2 (m - n sqrt(d)) / (m^2 - d n^2),
+        each part reduced as a Fraction of ints before it becomes a QScalar.
+        """
+        counts, sizes, _ = self._pairs()
+        d = self.disc
+        values: Counter = Counter()
+        for (x, y, (a, b), (e, f)), c in counts.items():
+            if (a or b) and (e or f):  # a zero vector has no angle
+                sign, m, n = field_sign(x, y, d), a * e + d * b * f, a * f + b * e
+                s, t, r = sign * (x * x + d * y * y), sign * 2 * x * y, m * m - d * n * n
+                values[QScalar(Fraction(s * m - d * t * n, r), Fraction(t * m - s * n, r), d)] += c
+        return values, sizes
+
+    def _pairs(self) -> tuple[Counter, list[int], int]:
+        """(G(r, s), G(r, r), G(s, s)) numerators over den^2 -> ordered pairs i != j
+        with x_i = +-x_r and x_j = +-x_s, the component sizes, and den^2.
 
         Representative r stands for x_r and m_r copies of -x_r, and
         G(+-a, +-b) = +-G(a, b), so each pair r <= s is multiplied once:
@@ -208,33 +236,30 @@ class Lattice:
         # int_mirror's dual rows u, v of each x_s: G(r, s) = (u.x_r + (v.x_r) sqrt(d)) / den^2
         right_a = [tuple(map(mul, x, (1, d) * (len(x) // 2))) for x in xs]
         right_b = [tuple(chain.from_iterable(zip(x[1::2], x[::2]))) for x in xs]
-        counts: Counter = Counter()  # G numerators -> ordered pairs
-        pairs: Counter = Counter()  # (G numerators, m_r, m_s) -> pairs r < s
+        norms = [(sum(map(mul, x, u)), sum(map(mul, x, v)))  # G(s, s)
+                 for x, u, v in zip(xs, right_a, right_b)]
+        counts: Counter = Counter()  # (G(r, s), G(r, r), G(s, s)) numerators -> ordered pairs
+        pairs: Counter = Counter()  # (G(r, s), m_r, m_s, G(r, r), G(s, s)) -> pairs r < s
         parts = [[t] for t in range(len(firsts))]  # parts[t]: the representatives linked to t
         for t, x in enumerate(xs):
-            m = ms[t]
-            ga = [sum(map(mul, x, y)) for y in right_a[t:]]
-            gb = [sum(map(mul, x, y)) for y in right_b[t:]]
-            counts[ga[0], gb[0]] += m * (m - 1)
-            counts[-ga[0], -gb[0]] += 2 * m
-            pairs.update(zip(ga[1:], gb[1:], repeat(m), ms[t + 1:]))
-            for u in compress(range(t + 1, len(firsts)), map(or_, ga[1:], gb[1:])):
+            m, (a, b) = ms[t], norms[t]
+            ga = [sum(map(mul, x, y)) for y in right_a[t + 1:]]
+            gb = [sum(map(mul, x, y)) for y in right_b[t + 1:]]
+            counts[a, b, (a, b), (a, b)] += m * (m - 1)
+            counts[-a, -b, (a, b), (a, b)] += 2 * m
+            pairs.update(zip(ga, gb, repeat(m), ms[t + 1:], repeat((a, b)), norms[t + 1:]))
+            for u in compress(range(t + 1, len(firsts)), map(or_, ga, gb)):
                 if parts[u] is not parts[t]:  # merge u's part into t's
                     merged = parts[u]
                     parts[t] += merged
                     for v in merged:
                         parts[v] = parts[t]
-        for (a, b, m, n), c in pairs.items():
-            counts[a, b] += 2 * c * (1 + m * n)
-            counts[-a, -b] += 2 * c * (m + n)
-        values = {
-            QScalar(Fraction(p, den**2), Fraction(q, den**2), d): c
-            for (p, q), c in counts.items()
-            if c
-        }
+        for (a, b, m, n, nr, ns), c in pairs.items():
+            counts[a, b, nr, ns] += 2 * c * (1 + m * n)
+            counts[-a, -b, nr, ns] += 2 * c * (m + n)
         # each part is listed once, at its first member
         sizes = [sum(1 + ms[v] for v in part) for t, part in enumerate(parts) if part[0] == t]
-        return values, sizes
+        return +counts, sizes, den**2
 
     def reflection_table(self) -> Matrix:
         """table[i][j]: position of x_j reflected in x_i, -1 if it is not in the set.

@@ -471,12 +471,7 @@ def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
     if len(dims := {v.dim for v in vectors}) > 1:
         raise DimensionMismatch(f"mixed vector dimensions {sorted(dims)}")
     rows = [int_numerators(v.coords) for v in vectors]
-    return lattice_spectrum(Lattice(rows, field_disc(vectors)))
-
-
-def lattice_spectrum(lattice: Lattice) -> tuple[QScalar, ...]:
-    """gram_spectrum of the lattice's vectors."""
-    values, _ = lattice.pair_counts()
+    values, _ = Lattice(rows, field_disc(vectors)).pair_counts()
     return tuple(value for value in sorted(values) for _ in range(values[value]))
 
 

@@ -9,6 +9,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootspin import (
     QScalar,
@@ -18,6 +20,7 @@ from rootspin import (
     Vector,
     ZeroRoot,
     build_preset,
+    close_under_reflections,
     coxeter_matrix,
     coxeter_order,
     identify,
@@ -26,7 +29,7 @@ from rootspin import (
     simple_roots_of,
     vec,
 )
-from rootspin import classify
+from rootspin import classify, roots
 from rootspin.classify import catalog, survey
 from rootspin.presets import PHI, a1_system, direct_sum, get_preset
 
@@ -78,6 +81,61 @@ class TestSignature:
         assert d4 != g2g2
         assert d4.components == (24,)
         assert g2g2.components == (12, 12)
+
+
+PRESETS = (
+    "A1xA1xA1", "A3", "B3", "H3", "D4", "F4", "H4",
+    *(f"{family}-{n}" for family in ("I2", "A1xI2") for n in (2, 3, 4, 6, 8, 12)),
+)
+
+
+def b4_system():
+    """B4 over Q: 32 roots; the long ones have squared norm 2, which has no square
+    root in Q, so the set has no unit normalisation over Q."""
+    simple = [vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1), vec(0, 0, 0, 1)]
+    return close_under_reflections(simple, disc=1, label="B4")
+
+
+class TestAngleKey:
+    def test_classification_takes_no_square_root(self, monkeypatch):
+        systems = [build_preset(name) for name in PRESETS]
+        entries = {
+            name: [a1_system() if p == "A1" else build_preset(p) for p in parts]
+            for name, (_, parts) in classify._catalog_table().items()
+        }
+
+        def refuse(*args):
+            raise AssertionError("classification took a square root")
+
+        monkeypatch.setattr(QScalar, "sqrt", refuse)
+        monkeypatch.setattr(roots, "unit_rows", refuse)
+        catalog.cache_clear()
+        for name, sig in catalog():
+            assert identify(sig) == name
+            parts = entries[name]
+            coxeter_order(parts[0] if len(parts) == 1 else direct_sum(*parts))
+        for rs in systems:
+            identify(signature(rs))
+            coxeter_order(rs)
+
+    def test_b4_over_q(self):
+        b4 = b4_system()
+        assert len(b4) == 32 and coxeter_order(b4) == 384
+        sig = signature(b4)
+        assert (sig.dim, sig.count, len(sig.spectrum), sig.components) == (4, 32, 6, (32,))
+        assert identify(sig) == "unrecognized"
+
+    @pytest.mark.parametrize("name", [*PRESETS, "B4"])
+    @settings(max_examples=4)
+    @given(data=st.data())
+    def test_unchanged_when_single_roots_are_scaled(self, name, data):
+        rs = b4_system() if name == "B4" else build_preset(name)
+        scales = data.draw(st.lists(
+            st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+            min_size=len(rs), max_size=len(rs),
+        ))
+        scaled = RootSystem([r.scale(c) for r, c in zip(rs.roots, scales)], disc=rs.disc)
+        assert signature(scaled) == signature(rs)
 
 
 class TestIdentify:

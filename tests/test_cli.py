@@ -110,6 +110,38 @@ class TestClassify:
         assert code == 0
         assert f"identified: {identify(signature(rs))}" in out
 
+    def test_a_non_reduced_input_counts_every_root(self, capsys, tmp_path):
+        # (1, 0) and (2, 0) are two roots on one ray: an angle key keeps both
+        rs = RootSystem([vec(s * a, 0) for s in (1, -1) for a in (1, 2)]
+                        + [vec(0, 1), vec(0, -1)], disc=1)
+        path = tmp_path / "non-reduced.json"
+        path.write_text(root_system_to_json(rs))
+        code, out, err = run(capsys, "classify", "--input", str(path))
+        assert code == 0 and err == ""
+        assert out.splitlines()[1:3] == [
+            "signature: dim 2, 6 roots, 3 distinct inner products, components [4, 2]",
+            "identified: unrecognized",
+        ]
+
+    @pytest.mark.parametrize("source", ["--preset", "--input"])
+    def test_one_lattice_per_classify(self, capsys, monkeypatch, tmp_path, source):
+        from rootspin.lattice import Lattice
+
+        path = tmp_path / "h4.json"
+        path.write_text(root_system_to_json(build_preset("H4")))
+        argv = ["classify", source, "H4" if source == "--preset" else str(path)]
+        assert run(capsys, *argv)[0] == 0  # warms the catalog and the preset
+        built = []
+        real = Lattice.__init__
+
+        def counted(self, *args):
+            built.append(len(args[0]))
+            real(self, *args)
+
+        monkeypatch.setattr(Lattice, "__init__", counted)
+        assert run(capsys, *argv)[0] == 0
+        assert built == [120]
+
 
 class TestSelfDual:
     def test_g2_instance(self, capsys):

@@ -4,16 +4,18 @@
 (exit code, stdout, stderr) from an in-process `cli.main` call.  A change
 that alters any answer, message or exit code on these verbs fails here.
 
-To pin commands newly added to COMMANDS, record only their digests; this
-exits non-zero, naming each command, if any recorded digest no longer
-matches:
+To pin commands newly added to COMMANDS, record only their digests:
 
     PYTHONPATH=src python tests/test_golden_cli.py --add
 
-When an answer is meant to change, regenerate the file and say why in the
-change log:
+When an answer is meant to change, rewrite the digests of the named
+commands only, and show the old and the new output in the change log:
 
-    PYTHONPATH=src python tests/test_golden_cli.py --write
+    PYTHONPATH=src python tests/test_golden_cli.py --update "classify --preset I2-8" ...
+
+Both exit non-zero, naming each command and writing nothing, if any other
+recorded digest no longer matches.  The file is never regenerated wholesale:
+an answer that changes unnamed is a regression until shown otherwise.
 """
 
 from __future__ import annotations
@@ -83,23 +85,53 @@ def test_cli_output_matches_golden(argv, golden, monkeypatch):
     assert digest(argv) == golden[_key(argv)]
 
 
-def _record(mode: str) -> int:
-    """Write golden_cli.json: every digest (--write), or only the missing ones (--add)."""
+def test_update_rewrites_only_the_named_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    original = GOLDEN.read_text(encoding="utf-8")
+    recorded = json.loads(original)
+    copy = tmp_path / GOLDEN.name
+    monkeypatch.setitem(globals(), "GOLDEN", copy)
+    named, other = "classify --preset A3", "verify --preset A3"
+    stale = dict(recorded, **{named: "0" * 64, other: "0" * 64})
+    copy.write_text(json.dumps(stale), encoding="utf-8")
+    assert _record([named]) == 1  # the other stale digest is not named
+    assert _record(["classify --preset A9"]) == 1
+    assert json.loads(copy.read_text(encoding="utf-8")) == stale
+    assert other in capsys.readouterr().err
+    stale[other] = recorded[other]
+    copy.write_text(json.dumps(stale), encoding="utf-8")
+    assert _record([named]) == 0
+    assert copy.read_text(encoding="utf-8") == original
+
+
+def _record(named: list[str] | None) -> int:
+    """Write golden_cli.json: the missing digests (named is None, --add) or the named ones."""
     os.environ.pop(ENV_VAR, None)
-    digests = {_key(argv): digest(argv) for argv in COMMANDS}
-    table = json.loads(GOLDEN.read_text(encoding="utf-8")) if mode == "--add" else {}
-    changed = [key for key, value in table.items() if digests.get(key, value) != value]
+    commands = {_key(argv): argv for argv in COMMANDS}
+    unknown = [key for key in named or () if key not in commands]
+    if unknown:
+        print("not in COMMANDS:", *unknown, sep="\n  ", file=sys.stderr)
+        return 1
+    table = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    digests = {key: digest(argv) for key, argv in commands.items()}
+    changed = [
+        key for key, value in table.items()
+        if key not in (named or ()) and digests.get(key, value) != value
+    ]
     if changed:
         print("recorded digests no longer match:", *changed, sep="\n  ", file=sys.stderr)
         return 1
-    added = digests.keys() - table.keys()
-    table.update((key, digests[key]) for key in added)
+    written = digests.keys() - table.keys() if named is None else named
+    table.update((key, digests[key]) for key in written)
     GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(added)} digests to {GOLDEN}")
+    print(f"wrote {len(written)} digests to {GOLDEN}")
     return 0
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["--write"], ["--add"]):
-        sys.exit("usage: python tests/test_golden_cli.py --write | --add")
-    sys.exit(_record(sys.argv[1]))
+    mode, named = sys.argv[1:2], sys.argv[2:]
+    if mode == ["--add"] and not named:
+        sys.exit(_record(None))
+    if mode == ["--update"] and named:
+        sys.exit(_record(named))
+    sys.exit('usage: python tests/test_golden_cli.py --add | --update "<command>" ...')

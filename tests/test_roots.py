@@ -482,14 +482,29 @@ def _kernel_case(name):
 
 
 def _assert_pair_counts_match_scalar_reference(vectors, disc):
-    """Lattice.pair_counts against Vector.dot: the counts over ordered pairs i != j,
-    and the component sizes of a BFS over the non-orthogonal pairs."""
-    values, components = lattice_of(vectors, disc).pair_counts()
+    """Lattice.pair_counts and angle_counts against Vector.dot: the counts over ordered
+    pairs i != j, of inner products and of sign(a.b) (a.b)^2 / (|a|^2 |b|^2) (pairs
+    with a zero vector have no angle), and the component sizes of a BFS over the
+    non-orthogonal pairs."""
+    lattice = lattice_of(vectors, disc)
+    values, components = lattice.pair_counts()
+    angles, angle_components = lattice.angle_counts()
     dots = [[a.dot(b) for b in vectors] for a in vectors]
     counts = Counter(
         (dot.rat, dot.surd) for i, row in enumerate(dots) for j, dot in enumerate(row) if i != j
     )
     assert {(v.rat, v.surd): c for v, c in values.items()} == counts
+    norms = [a.norm_squared() for a in vectors]
+    triples = Counter(
+        (dot, norms[i], norms[j]) for i, row in enumerate(dots) for j, dot in enumerate(row)
+        if i != j and not vectors[i].is_zero() and not vectors[j].is_zero()
+    )
+    cosines: Counter = Counter()
+    for (dot, a, b), c in triples.items():  # each distinct triple divided once
+        cos2 = dot * dot * dot.sign() / (a * b)
+        cosines[cos2.rat, cos2.surd] += c
+    assert {(v.rat, v.surd): c for v, c in angles.items()} == cosines
+    assert angle_components == components
     unseen, sizes = set(range(len(vectors))), []
     while unseen:
         todo, size = [unseen.pop()], 0
