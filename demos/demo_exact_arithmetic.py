@@ -9,7 +9,7 @@ decided with equality tests instead of tolerances.
 
 from fractions import Fraction
 
-from rootspin import QScalar, phi, sqrt_in_field
+from rootspin import QScalar, phi
 
 # the golden ratio lives in Q(sqrt(5))
 p = phi()
@@ -26,8 +26,8 @@ tight = QScalar(Fraction(985, 696), 0, 2) - QScalar.sqrt_disc(2)
 print("985/696 - sqrt(2)  =", tight, "-> sign", tight.sign(), "(float says", float(tight), ")")
 
 # square roots stay in the field or are reported as unrepresentable
-print("sqrt(phi + 1)      =", sqrt_in_field(p + 1))
-print("sqrt(2) in Q(s5)   =", sqrt_in_field(QScalar(2, 0, 5)))
+print("sqrt(phi + 1)      =", (p + 1).sqrt())
+print("sqrt(2) in Q(s5)   =", QScalar(2, 0, 5).sqrt())
 
 # arithmetic is overflow-checked: 64-bit components, loud failure
 big = QScalar(2**62)

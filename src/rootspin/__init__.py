@@ -32,11 +32,10 @@ _EXPORTS = {
         "induce_2d", "induce_4d",
     ),
     "presets": ("Preset", "build_preset", "direct_sum", "get_preset", "preset_names"),
-    "qfield": ("QScalar", "Rational", "phi", "sqrt_in_field", "to_float"),
+    "qfield": ("QScalar", "phi"),
     "roots": (
         "AxiomReport", "Provenance", "RootSystem", "Vector", "close_under_reflections",
-        "extract_simple_roots", "gram_spectrum", "normalize_roots", "reflect_euclid",
-        "span_rank", "vec", "verify_root_axioms",
+        "normalize_roots", "reflect_euclid", "vec", "verify_root_axioms",
     ),
     "serialize": (
         "load_root_system", "root_system_from_json", "root_system_to_json",

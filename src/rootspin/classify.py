@@ -14,24 +14,20 @@ The catalog used by identify() is generated from each member's own defining
 data at call time; nothing is matched against transcribed numbers.  Entries
 are indexed on (dimension, root count), taken from the presets' defining
 data, and identify() computes the signatures of an input's candidates only.
+Likewise coxeter_matrix reads each label off the reflection closure of its
+own pair of roots, not off a table of cos^2(pi/m).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    NotRepresentable,
-    RootspinError,
-    UnknownAngle,
-    ZeroRoot,
-)
+from .errors import ClosureCapExceeded, NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
 from .lattice import Lattice
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
-from .roots import RootSystem, Vector, row_vector
+from .roots import RootSystem, Vector, close_under_reflections, row_vector
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
 
@@ -179,65 +175,44 @@ class CoxeterMatrix(NamedTuple):
         return "\n".join(" ".join(f"{m:2d}" for m in row) for row in self.entries)
 
 
-def _cos2_target(m: int, disc: int) -> Optional[QScalar]:
-    """cos^2(pi/m) as an exact element of Q(sqrt(disc)), if it lives there."""
-    rational = {2: Fraction(0), 3: Fraction(1, 4), 4: Fraction(1, 2), 6: Fraction(3, 4)}
-    if m in rational:
-        return QScalar(rational[m])
-    surd = {
-        5: (5, Fraction(3, 8), Fraction(1, 8)),
-        8: (2, Fraction(1, 2), Fraction(1, 4)),
-        10: (5, Fraction(5, 8), Fraction(1, 8)),
-        12: (3, Fraction(1, 2), Fraction(1, 4)),
-    }
-    if m in surd:
-        d, a, b = surd[m]
-        if d == disc:
-            return QScalar(a, b, d)
-    # m in {7, 9, 11}: cos^2(pi/m) has degree 3 over the rationals and can
-    # never equal a quadratic-field inner product
-    return None
-
-
-_SUPPORTED_M = tuple(range(2, 13))
-
-
 def coxeter_matrix(simple: Sequence[Vector]) -> CoxeterMatrix:
     """Labels m_ij with (a_i|a_j)/(|a_i||a_j|) = -cos(pi/m_ij), exactly.
 
-    Matching is done on the squared cosine, which stays inside the field
-    even when the root lengths themselves do not.  A zero vector raises ZeroRoot.
+    An orthogonal pair has label 2.  Any other pair is closed under its own
+    reflections: a finite group has roots in 2m directions at multiples of
+    pi/m, so the closure's signed squared cosines (Lattice.angle_counts) take m
+    values besides +1, the value of two roots of different lengths on one line.
+    The pair is simple exactly when its own value is the most negative after
+    -1, at the angle pi - pi/m.  A quadratic field holds cos(2pi/m) only where
+    phi(m) <= 4, so m <= 12 and a finite closure has at most 24 roots: a
+    closure past that cap is an infinite group.  An infinite group and a pair
+    that is not simple raise UnknownAngle; a zero vector raises ZeroRoot.
     """
     if any(a.is_zero() for a in simple):
         raise ZeroRoot("the zero vector has no angle to a simple root")
     rank = len(simple)
-    norms = [a.norm_squared() for a in simple]
     rows = [[1] * rank for _ in range(rank)]
     for i in range(rank):
         for j in range(i + 1, rank):
-            d = simple[i].dot(simple[j])
-            if d.sign() > 0:
-                raise UnknownAngle(
-                    f"positive inner product between simple roots {simple[i]} "
-                    f"and {simple[j]}"
-                )
-            m_found = None
-            if d.is_zero():
-                m_found = 2
-            else:
-                c2 = (d * d) / (norms[i] * norms[j])
-                for m in _SUPPORTED_M:
-                    target = _cos2_target(m, c2.disc)
-                    if target is not None and c2 == target:
-                        m_found = m
-                        break
-            if m_found is None:
-                raise UnknownAngle(
-                    f"angle between {simple[i]} and {simple[j]} matches no "
-                    f"supported label m in {list(_SUPPORTED_M)}"
-                )
-            rows[i][j] = rows[j][i] = m_found
+            rows[i][j] = rows[j][i] = _label(simple[i], simple[j])
     return CoxeterMatrix(rank, tuple(tuple(r) for r in rows))
+
+
+def _label(a: Vector, b: Vector) -> int:
+    """m for the simple pair a, b of a finite dihedral group; UnknownAngle otherwise."""
+    dot = a.dot(b)
+    if dot.is_zero():
+        return 2
+    try:
+        plane = close_under_reflections([a, b], cap=24)
+    except ClosureCapExceeded:
+        raise UnknownAngle(f"{a} and {b} generate an infinite reflection group") from None
+    angles, _ = Lattice(plane.rows, plane.disc).angle_counts()
+    keys = angles.keys() - {1}
+    lowest = min(keys - {-1}, default=None)  # -cos^2(pi/m), at the angle pi - pi/m
+    if dot * dot * dot.sign() / (a.norm_squared() * b.norm_squared()) != lowest:
+        raise UnknownAngle(f"{a} and {b} are not the simple roots of the group they generate")
+    return len(keys)
 
 
 # -- survey --------------------------------------------------------------------

@@ -57,4 +57,5 @@ class DegenerateFunctional(RootspinError):
 
 
 class UnknownAngle(RootspinError):
-    """An inner product matches no supported dihedral angle pi/m."""
+    """Two roots are not the simple roots of the finite dihedral group their reflections
+    generate: the group is infinite, or their angle is not pi - pi/m for its m."""

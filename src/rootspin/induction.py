@@ -45,9 +45,10 @@ from .roots import (
     RootSystem,
     Vector,
     _is_unit,
+    axiom_failures,
+    axiom_report,
     row_vector,
     unit_rows,
-    verify_root_axioms,
 )
 
 _ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
@@ -196,13 +197,14 @@ def _named(out: RootSystem, source: str) -> RootSystem:
     return out._relabel(f"induced({source})", Provenance(induced_from=source))
 
 
-def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
-    # the steps of RootSystem and verify_root_axioms, on rows already distinct
+def _verified(rows: list[Numerators], d: int, what: str) -> tuple[RootSystem, Lattice]:
+    # the steps of RootSystem and verify_root_axioms, on rows already distinct, and their Lattice
     out = RootSystem._from_rows(sorted_numerators(rows, d), d)
-    report = verify_root_axioms(out)
+    lattice = Lattice(out.rows, d)
+    report = axiom_report(axiom_failures(lattice.neg, lattice.reflection_table()), out.rows, d)
     if not report.ok:
         raise RootspinError(f"{what} is not a root system: {report.summary()}")
-    return out
+    return out, lattice
 
 
 # The cache keys on root content alone (RootSystem equality ignores label and
@@ -213,7 +215,7 @@ def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
     # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
     d = rs.disc
     rows = [vec4_numerators(x) for x in rotor_closure(unit_rows(rs), d, cap)]
-    return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")
+    return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")[0]
 
 
 def induce_4d(rs: RootSystem, cap: int | None = None) -> RootSystem:
@@ -234,16 +236,20 @@ def induce_2d(rs: RootSystem) -> RootSystem:
     alpha_1 is the first unit root in canonical order; the recorded
     convention only rotates the output, which no congruence test sees.
     """
+    return _named(_induce_2d(rs)[0], rs.label or "rank-2 input")
+
+
+def _induce_2d(rs: RootSystem) -> tuple[RootSystem, Lattice]:
     if rs.dim != 2:
         raise DimensionMismatch(f"induce_2d needs a 2D system, got dim {rs.dim}")
     # the steps of normalize_roots and spinor_to_vec2, on rows padded to 3D: the
     # product of two vectors in the e1 e2 plane is a0 + a3 e1 e2, and its e2 e3
     # and e1 e3 slots are zero, so (a0, a3) over D is still reduced
-    d, source = rs.disc, rs.label or "rank-2 input"
+    d = rs.disc
     units = [x[:-1] + (0, 0) + x[-1:] for x in unit_rows(rs)]
     products = (int_product(units[0], u, VECTOR_BY_VECTOR, d) for u in units)
     rows = [x[:2] + x[6:] for x in products]
-    return _named(_verified(rows, d, f"2D spinor image of {source}"), source)
+    return _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
 
 
 class SelfDualityReport(NamedTuple):
@@ -275,16 +281,16 @@ def check_self_dual(rs: RootSystem) -> SelfDualityReport:
     must agree; the comparison is rotation-invariant, so the verdict does not
     depend on the alpha_1 convention inside induce_2d.
     """
-    induced = induce_2d(rs)
+    induced, lattice = _induce_2d(rs)
     return SelfDualityReport(
         label=rs.label or "rank-2 input",
         input_count=len(rs),
         induced_count=len(induced),
-        input_spectrum=_angle_spectrum(rs),
-        induced_spectrum=_angle_spectrum(induced),
+        input_spectrum=_angle_spectrum(Lattice(rs.rows, rs.disc)),
+        induced_spectrum=_angle_spectrum(lattice),
     )
 
 
-def _angle_spectrum(rs: RootSystem) -> tuple[QScalar, ...]:
-    angles, _ = Lattice(rs.rows, rs.disc).angle_counts()
+def _angle_spectrum(lattice: Lattice) -> tuple[QScalar, ...]:
+    angles, _ = lattice.angle_counts()
     return tuple(value for value in sorted(angles) for _ in range(angles[value]))

@@ -1,4 +1,4 @@
-"""Exact integer-lattice kernel: the row encoding, pair counts and reflection tables.
+"""Exact integer-lattice kernel: the row encoding, angle counts and reflection tables.
 
 A vector or rotor is held as one reduced tuple of Python ints, its row
 
@@ -188,25 +188,17 @@ class Lattice:
         # x_i = sign * x_rep for each i: the representative's position and the sign
         self._reps = [(i, 1) if j < 0 or j >= i else (j, -1) for i, j in enumerate(self.neg)]
 
-    def pair_counts(self) -> tuple[dict[QScalar, int], list[int]]:
-        """Inner products over ordered pairs i != j with their multiplicities,
-        and the component sizes of the non-orthogonality graph."""
-        counts, sizes, den2 = self._pairs()
-        values: Counter = Counter()
-        for (x, y, _, _), c in counts.items():
-            values[QScalar(Fraction(x, den2), Fraction(y, den2), self.disc)] += c
-        return values, sizes
-
     def angle_counts(self) -> tuple[dict[QScalar, int], list[int]]:
-        """pair_counts keyed on the angle, sign(a|b) (a|b)^2 / ((a|a)(b|b)), over the
-        pairs of nonzero vectors: the signed squared cosine, which determines the
-        angle and lies in the field even where the norms have no square root.
+        """Angles over ordered pairs i != j of nonzero vectors, with their multiplicities,
+        and the component sizes of the non-orthogonality graph.  The angle is keyed on
+        sign(a|b) (a|b)^2 / ((a|a)(b|b)), the signed squared cosine, which determines
+        it and lies in the field even where the norms have no square root.
 
         With (a|b) = x + y sqrt(d) and (a|a)(b|b) = m + n sqrt(d) over a common
         denominator, it is +-(x + y sqrt(d))^2 (m - n sqrt(d)) / (m^2 - d n^2),
         each part reduced as a Fraction of ints before it becomes a QScalar.
         """
-        counts, sizes, _ = self._pairs()
+        counts, sizes = self._pairs()
         d = self.disc
         values: Counter = Counter()
         for (x, y, (a, b), (e, f)), c in counts.items():
@@ -216,9 +208,9 @@ class Lattice:
                 values[QScalar(Fraction(s * m - d * t * n, r), Fraction(t * m - s * n, r), d)] += c
         return values, sizes
 
-    def _pairs(self) -> tuple[Counter, list[int], int]:
-        """(G(r, s), G(r, r), G(s, s)) numerators over den^2 -> ordered pairs i != j
-        with x_i = +-x_r and x_j = +-x_s, the component sizes, and den^2.
+    def _pairs(self) -> tuple[Counter, list[int]]:
+        """(G(r, s), G(r, r), G(s, s)) numerators over one den^2 -> ordered pairs i != j
+        with x_i = +-x_r and x_j = +-x_s, and the component sizes.
 
         Representative r stands for x_r and m_r copies of -x_r, and
         G(+-a, +-b) = +-G(a, b), so each pair r <= s is multiplied once:
@@ -259,7 +251,7 @@ class Lattice:
             counts[-a, -b, nr, ns] += 2 * c * (m + n)
         # each part is listed once, at its first member
         sizes = [sum(1 + ms[v] for v in part) for t, part in enumerate(parts) if part[0] == t]
-        return +counts, sizes, den**2
+        return +counts, sizes
 
     def reflection_table(self) -> Matrix:
         """table[i][j]: position of x_j reflected in x_i, -1 if it is not in the set.

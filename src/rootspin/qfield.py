@@ -24,8 +24,6 @@ from typing import Optional, Union
 
 from .errors import DomainError, FieldMismatch
 
-Rational = Fraction
-
 _INT64_MAX = 2**63 - 1
 
 _SQUARE_FREE_CACHE: dict[int, bool] = {}
@@ -258,11 +256,11 @@ class QScalar:
         return (self - _coerce(other)).sign() >= 0
 
     def __hash__(self):
-        # integer-tuple hash: consistent across QScalars (including rational
-        # values tagged with different discs), cheaper than Fraction.__hash__
+        # a rational value hashes as its Fraction, so it agrees with == on ints,
+        # Fractions and the same value under any disc tag
         r, s = self.rat, self.surd
         if not s:
-            return hash((r.numerator, r.denominator))
+            return hash(r)
         return hash(
             (r.numerator, r.denominator, s.numerator, s.denominator, self.disc)
         )
@@ -334,15 +332,6 @@ def _coerce(value: Union[QScalar, int, Fraction]) -> QScalar:
     if isinstance(value, (int, Fraction)):
         return QScalar(value)
     raise TypeError(f"cannot interpret {value!r} as a QScalar")
-
-
-def sqrt_in_field(x: QScalar) -> Optional[QScalar]:
-    """Module-level alias for QScalar.sqrt (None when not representable)."""
-    return x.sqrt()
-
-
-def to_float(x: QScalar) -> float:
-    return float(x)
 
 
 def phi() -> QScalar:

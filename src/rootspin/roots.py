@@ -460,26 +460,6 @@ def _is_unit(x: tuple[int, ...], disc: int) -> bool:
     )
 
 
-def gram_spectrum(vectors: Sequence[Vector]) -> tuple[QScalar, ...]:
-    """Sorted multiset of pairwise inner products over ordered distinct pairs.
-
-    Rotation-invariant fingerprint, counted exactly by Lattice.pair_counts;
-    sorting happens on the (few) distinct exact values, so large sets stay cheap.
-    """
-    if not vectors:
-        return ()
-    if len(dims := {v.dim for v in vectors}) > 1:
-        raise DimensionMismatch(f"mixed vector dimensions {sorted(dims)}")
-    rows = [int_numerators(v.coords) for v in vectors]
-    values, _ = Lattice(rows, field_disc(vectors)).pair_counts()
-    return tuple(value for value in sorted(values) for _ in range(values[value]))
-
-
-def extract_simple_roots(roots: Sequence[Vector]) -> list[Vector]:
-    """simple_roots_of the RootSystem of the given roots, over their field_disc."""
-    return simple_roots_of(RootSystem(roots, field_disc(roots)))
-
-
 def simple_roots_of(rs: RootSystem) -> list[Vector]:
     """Simple system of a root system, in canonical order, read off its reflection table.
 
@@ -517,27 +497,3 @@ def simple_roots_of(rs: RootSystem) -> list[Vector]:
     raise DegenerateFunctional(
         "no generic positivity functional found in 16 deterministic attempts"
     )
-
-
-def span_rank(vectors: Sequence[Vector]) -> int:
-    """Rank of the span, by exact elimination that stops at full rank.
-
-    Each vector is reduced against an echelon basis of the ones before it
-    (each basis row is 1 at its pivot and 0 at every earlier pivot); a
-    nonzero remainder joins the basis.
-    """
-    basis: list[tuple[int, list[QScalar]]] = []  # (pivot column, row)
-    for v in vectors:
-        row = list(v.coords)
-        for col, b in basis:
-            f = row[col]
-            if not f.is_zero():
-                row = [x - f * y for x, y in zip(row, b)]
-        pivot = next((c for c, x in enumerate(row) if not x.is_zero()), None)
-        if pivot is None:
-            continue
-        inv = row[pivot].inverse()
-        basis.append((pivot, [x * inv for x in row]))
-        if len(basis) == len(row):
-            break
-    return len(basis)

@@ -62,3 +62,25 @@ def test_fewer_than_ten_pairs_claim_no_gain():
 @pytest.mark.parametrize("text, seeds", [("2201-2203", [2201, 2202, 2203]), ("7,9", [7, 9])])
 def test_seed_lists(text, seeds):
     assert abbench.parse_seeds(text) == seeds
+
+
+def test_the_net_src_line_change_between_the_recorded_trees(tmp_path):
+    def tree(files):
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+        abbench.git("add", "-A", cwd=tmp_path)
+        return abbench.git("write-tree", cwd=tmp_path).decode().strip()
+
+    abbench.git("init", "-q", cwd=tmp_path)
+    parent = tree({"src/a.py": "1\n2\n3\n", "README": "x\n"})
+    # a.py loses two lines and gains one, b.py adds four; README is outside src/
+    change = tree({"src/a.py": "1\nnew\n", "src/b.py": "1\n2\n3\n4\n", "README": "y\nz\n"})
+    records = [{"side": "parent", "tree": parent}, {"side": "change", "tree": change}]
+    assert abbench.src_lines(records, root=tmp_path) == "src/ lines: +5 -2, net +3"
+    assert abbench.src_lines(records[1:], root=tmp_path) == (
+        "src/ lines: the records carry no tree for one side")
+    missing = [{"side": "parent", "tree": "0" * 40}, records[1]]
+    assert abbench.src_lines(missing, root=tmp_path) == (
+        f"src/ lines: trees {'0' * 40} and {change} are not in this repository")

@@ -368,6 +368,50 @@ class TestCoxeterMatrix:
         with pytest.raises(UnknownAngle):
             coxeter_matrix([vec(1, 0), vec(1, 1)])
 
+    def test_a_pair_of_i2_8_at_five_eighths_of_pi_is_not_simple(self):
+        # its reflections generate all of I2(8), whose simple pair is at 7pi/8
+        roots = build_preset("I2-8").roots
+        a = roots[0]
+        b = next(b for b in roots if math.isclose(_float_angle(a, b), 5 * math.pi / 8))
+        with pytest.raises(UnknownAngle):
+            coxeter_matrix([a, b])
+
+    def test_a_root_and_its_negative_are_not_simple(self):
+        a = build_preset("H3").roots[0]
+        with pytest.raises(UnknownAngle):
+            coxeter_matrix([a, -a])
+
+    def test_two_lengths_on_each_line_still_give_the_label(self):
+        # (1, 0) and (-1, sqrt3) close to 12 roots, two on each of six lines: still A2
+        cm = coxeter_matrix([vec(1, 0), Vector((QScalar(-1), QScalar.sqrt_disc(3)))])
+        assert cm.entries == ((1, 3), (3, 1))
+
+    @pytest.mark.parametrize("name", [n for n in PRESETS if len(build_preset(n)) <= 30])
+    def test_every_pair_of_roots_matches_a_float_angle(self, name):
+        # an independent route: a pair is simple with label m exactly when its angle is
+        # pi - pi/m, read in floats
+        roots = build_preset(name).roots
+        wrong = []
+        for a in roots:
+            for b in roots:
+                theta = _float_angle(a, b)
+                m = math.pi / (math.pi - theta) if theta < math.pi - 1e-9 else 0
+                expected = round(m) if round(m) >= 2 and math.isclose(m, round(m)) else None
+                try:
+                    label = coxeter_matrix([a, b]).entries[0][1]
+                except UnknownAngle:
+                    label = None
+                if label != expected:
+                    wrong.append((a, b, label, expected))
+        assert wrong == []
+
+
+def _float_angle(a, b):
+    """The angle between a and b from float coordinates and math.acos."""
+    x, y = [float(c) for c in a.coords], [float(c) for c in b.coords]
+    dot, xx, yy = (sum(p * q for p, q in zip(u, v)) for u, v in ((x, y), (x, x), (y, y)))
+    return math.acos(max(-1.0, min(1.0, dot / math.sqrt(xx * yy))))
+
 
 class TestSurvey:
     def test_rows_and_counterexample(self):

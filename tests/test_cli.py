@@ -149,6 +149,22 @@ class TestSelfDual:
         assert code == 0
         assert out == "I2-6: self-dual (12 roots <-> 12 spinors)\n"
 
+    def test_one_lattice_per_set(self, capsys, monkeypatch):
+        # the input's, and the induced set's from its axiom check, read again for its angles
+        from rootspin.lattice import Lattice
+
+        assert run(capsys, "selfdual", "6")[0] == 0  # warms the preset
+        built = []
+        real = Lattice.__init__
+
+        def counted(self, *args):
+            built.append(len(args[0]))
+            real(self, *args)
+
+        monkeypatch.setattr(Lattice, "__init__", counted)
+        assert run(capsys, "selfdual", "6")[0] == 0
+        assert built == [12, 12]
+
     def test_unrealizable_is_domain_error(self, capsys):
         code, _, err = run(capsys, "selfdual", "5")
         assert code == 2

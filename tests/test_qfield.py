@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import rootspin.qfield
-from rootspin import DomainError, FieldMismatch, QScalar, phi, sqrt_in_field, to_float
+from rootspin import DomainError, FieldMismatch, QScalar, phi
 from _util import DISCS, random_qscalar
 
 SQRT2 = QScalar.sqrt_disc(2)
@@ -106,15 +106,15 @@ class TestSign:
 
 class TestSqrtInField:
     def test_sqrt_two_in_q2(self):
-        assert sqrt_in_field(QScalar(2, 0, 2)) == SQRT2
+        assert QScalar(2, 0, 2).sqrt() == SQRT2
 
     def test_sqrt_rational_square(self):
-        assert sqrt_in_field(QScalar(Fraction(9, 4))) == QScalar(Fraction(3, 2))
+        assert QScalar(Fraction(9, 4)).sqrt() == QScalar(Fraction(3, 2))
 
     def test_sqrt_of_phi_plus_one_is_phi(self):
         # independent oracle: square the candidate with plain big-rational
         # arithmetic, no QScalar multiplication involved
-        root = sqrt_in_field(phi() + 1)
+        root = (phi() + 1).sqrt()
         assert root is not None
         a, b = root.rat, root.surd
         assert a * a + 5 * b * b == Fraction(3, 2)
@@ -122,14 +122,14 @@ class TestSqrtInField:
         assert root == phi()
 
     def test_unrepresentable_sqrt_is_none(self):
-        assert sqrt_in_field(QScalar(3, 0, 2)) is None
-        assert sqrt_in_field(QScalar(2, 0, 5)) is None
+        assert QScalar(3, 0, 2).sqrt() is None
+        assert QScalar(2, 0, 5).sqrt() is None
         # (5 - sqrt(5))/8 is positive but not a square in Q(sqrt(5))
-        assert sqrt_in_field(QScalar(Fraction(5, 8), Fraction(-1, 8), 5)) is None
+        assert QScalar(Fraction(5, 8), Fraction(-1, 8), 5).sqrt() is None
 
     def test_negative_input_rejected(self):
         with pytest.raises(DomainError):
-            sqrt_in_field(QScalar(-1))
+            QScalar(-1).sqrt()
 
     def test_sqrt_squares_back_randomized(self):
         rng = random.Random(99)
@@ -137,7 +137,7 @@ class TestSqrtInField:
             d = rng.choice(DISCS)
             x = random_qscalar(rng, d, 5)
             sq = x * x
-            root = sqrt_in_field(sq)
+            root = sq.sqrt()
             assert root is not None
             assert root * root == sq
             assert root.sign() >= 0
@@ -145,13 +145,13 @@ class TestSqrtInField:
 
 class TestToFloat:
     def test_phi(self):
-        assert math.isclose(to_float(phi()), 1.618033988749895, rel_tol=0, abs_tol=5e-16)
+        assert math.isclose(float(phi()), 1.618033988749895, rel_tol=0, abs_tol=5e-16)
 
     def test_half(self):
-        assert to_float(QScalar(Fraction(1, 2))) == 0.5
+        assert float(QScalar(Fraction(1, 2))) == 0.5
 
     def test_sqrt2(self):
-        assert math.isclose(to_float(SQRT2), 1.4142135623730951, rel_tol=0, abs_tol=5e-16)
+        assert math.isclose(float(SQRT2), 1.4142135623730951, rel_tol=0, abs_tol=5e-16)
 
 
 class TestFieldAxioms:
@@ -170,6 +170,19 @@ class TestFieldAxioms:
             assert x * (y + z) == x * y + x * z
             if not x.is_zero():
                 assert x * x.inverse() == one
+
+    def test_hash_agrees_with_eq_on_rational_values(self):
+        # a rational value equals the int or Fraction it holds under any disc tag,
+        # so sets and dict keys must treat them as one
+        for value in (0, 1, -3, Fraction(1, 2), Fraction(-7, 4)):
+            tagged = [QScalar(value), QScalar(value, 0, 2), QScalar(value, 0, 5)]
+            for x in tagged:
+                assert x == value and hash(x) == hash(value)
+            assert len({value, *tagged}) == 1
+            assert {x: "hit" for x in tagged}.get(value) == "hit"
+        assert {QScalar(1), QScalar(-1, 0, 3), QScalar(Fraction(1, 4), 0, 5)} - {1, -1} == {
+            Fraction(1, 4)
+        }
 
     def test_canonical_form_unique(self):
         rng = random.Random(11)

@@ -30,15 +30,12 @@ from rootspin import (
     ZeroRoot,
     build_preset,
     close_under_reflections,
-    extract_simple_roots,
-    gram_spectrum,
     induce_2d,
     induce_4d,
     normalize_roots,
     reflect_euclid,
     signature,
     simple_roots_of,
-    span_rank,
     vec,
     verify_root_axioms,
 )
@@ -244,7 +241,7 @@ class TestClosure:
             RootSystem([vec(1, 0), vec(0, 1, 0)], disc=1)
 
     def test_seeds_from_two_fields_are_a_field_mismatch(self):
-        # field_disc decides the field, as for gram_spectrum and reflect_euclid
+        # field_disc decides the field, as for signature and reflect_euclid
         with pytest.raises(FieldMismatch,
                            match=r"cannot combine Q\(sqrt\(2\)\) with Q\(sqrt\(3\)\)"):
             close_under_reflections([vec(QScalar(0, 1, 2), 0), vec(0, QScalar(0, 1, 3))])
@@ -313,15 +310,14 @@ class TestNormalize:
 
 class TestHelpers:
     def test_span_rank(self):
-        assert span_rank([vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0)]) == 2
-        assert span_rank(list(build_preset("H3").roots)) == 3
+        # the reference rank that the witness references below read
+        assert _reference_span_rank([vec(1, 0, 0), vec(0, 1, 0), vec(1, 1, 0)]) == 2
+        assert _reference_span_rank(list(build_preset("H3").roots)) == 3
 
-    def test_gram_spectrum_octahedron(self):
-        units = normalize_roots(build_preset("A1xA1xA1"))
-        spec = gram_spectrum(units)
-        assert len(spec) == 30
-        assert spec.count(QScalar(-1)) == 6
-        assert spec.count(QScalar(0)) == 24
+    def test_angle_counts_octahedron(self):
+        angles, components = Lattice(build_preset("A1xA1xA1").rows, 1).angle_counts()
+        assert angles == {-1: 6, 0: 24}
+        assert sorted(components) == [2, 2, 2]
 
     def test_direct_sum_counts_and_field_guard(self):
         from rootspin.presets import a1_system
@@ -481,19 +477,12 @@ def _kernel_case(name):
     return build_preset(name)
 
 
-def _assert_pair_counts_match_scalar_reference(vectors, disc):
-    """Lattice.pair_counts and angle_counts against Vector.dot: the counts over ordered
-    pairs i != j, of inner products and of sign(a.b) (a.b)^2 / (|a|^2 |b|^2) (pairs
-    with a zero vector have no angle), and the component sizes of a BFS over the
-    non-orthogonal pairs."""
-    lattice = lattice_of(vectors, disc)
-    values, components = lattice.pair_counts()
-    angles, angle_components = lattice.angle_counts()
+def _assert_angle_counts_match_scalar_reference(vectors, disc):
+    """Lattice.angle_counts against Vector.dot: the counts over ordered pairs i != j of
+    sign(a.b) (a.b)^2 / (|a|^2 |b|^2) (pairs with a zero vector have no angle), and
+    the component sizes of a BFS over the non-orthogonal pairs."""
+    angles, components = lattice_of(vectors, disc).angle_counts()
     dots = [[a.dot(b) for b in vectors] for a in vectors]
-    counts = Counter(
-        (dot.rat, dot.surd) for i, row in enumerate(dots) for j, dot in enumerate(row) if i != j
-    )
-    assert {(v.rat, v.surd): c for v, c in values.items()} == counts
     norms = [a.norm_squared() for a in vectors]
     triples = Counter(
         (dot, norms[i], norms[j]) for i, row in enumerate(dots) for j, dot in enumerate(row)
@@ -504,7 +493,6 @@ def _assert_pair_counts_match_scalar_reference(vectors, disc):
         cos2 = dot * dot * dot.sign() / (a * b)
         cosines[cos2.rat, cos2.surd] += c
     assert {(v.rat, v.surd): c for v, c in angles.items()} == cosines
-    assert angle_components == components
     unseen, sizes = set(range(len(vectors))), []
     while unseen:
         todo, size = [unseen.pop()], 0
@@ -526,7 +514,7 @@ def _assert_kernel_matches_scalar_reference(roots, disc):
     for i, a in enumerate(roots):
         for j, b in enumerate(roots):
             assert table[i][j] == position.get(reflect_euclid(b, a), -1)
-    _assert_pair_counts_match_scalar_reference(roots, disc)
+    _assert_angle_counts_match_scalar_reference(roots, disc)
 
 
 def _reference_witnesses(rs):
@@ -538,7 +526,7 @@ def _reference_witnesses(rs):
     else:
         parallel = [
             (a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
-            if b != -a and span_rank([a, b]) == 1
+            if b != -a and _reference_span_rank([a, b]) == 1
         ]
         axiom1 = parallel[0] if parallel else None
     unclosed = [(a, b) for a in roots for b in roots if reflect_euclid(b, a) not in rs]
@@ -562,8 +550,6 @@ class TestLatticeKernel:
         v, w = vec(1, 0), vec(1, 1)
         vectors = [-v, v, v, w, -w, -w, vec(0, 1)]
         _assert_kernel_matches_scalar_reference(vectors, 1)
-        dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
-        assert list(gram_spectrum(vectors)) == sorted(dots + dots)
 
     @pytest.mark.parametrize(
         "vectors",
@@ -572,9 +558,7 @@ class TestLatticeKernel:
     )
     def test_zero_vectors_match_scalar_reference(self, vectors):
         # a zero row is its own negative, and still its own representative
-        _assert_pair_counts_match_scalar_reference(vectors, 1)
-        dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
-        assert list(gram_spectrum(vectors)) == sorted(dots + dots)
+        _assert_angle_counts_match_scalar_reference(vectors, 1)
 
     def test_large_scale_takes_the_python_int_path(self):
         b3 = build_preset("B3")
@@ -600,7 +584,7 @@ class TestLatticeKernel:
         roots = rs.roots
         parallel = [
             (a, b) for i, a in enumerate(roots) for b in roots[i + 1:]
-            if b != -a and span_rank([a, b]) == 1
+            if b != -a and _reference_span_rank([a, b]) == 1
         ]
         assert report.axiom1_witness == parallel[0]
         unclosed = [(a, b) for a in roots for b in roots if reflect_euclid(b, a) not in rs]
@@ -869,22 +853,18 @@ def test_vector_order_is_the_sign_of_the_first_differing_coordinate():
                 assert (a < b) == reference_lt(a, b)
 
 
-def test_gram_spectrum_takes_the_field_from_every_coordinate():
+def test_signature_takes_the_field_from_every_coordinate():
     # the first coordinate is a rational tagged disc 1, the others carry sqrt(3)
     vectors = [
         Vector((QScalar(1), QScalar(0))),
         Vector((QScalar(HALF, 0, 3), QScalar(0, HALF, 3))),
         Vector((QScalar(-HALF, 0, 3), QScalar(0, HALF, 3))),
     ]
-    dots = sorted(a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:])
-    assert list(gram_spectrum(vectors)) == sorted(dots + dots)
-    assert [str(v) for v in gram_spectrum(vectors)] == ["-1/2", "-1/2"] + ["1/2"] * 4
-
-
-def test_gram_spectrum_rejects_mixed_dimensions():
-    # Vector.dot refuses this pair; zip would drop the third coordinate and count (1, 1)
-    with pytest.raises(DimensionMismatch, match=r"mixed vector dimensions \[2, 3\]"):
-        gram_spectrum([vec(1, 0), vec(1, 0, 0)])
+    assert field_disc(vectors) == 3
+    spectrum = dict(signature(RootSystem(vectors, field_disc(vectors))).spectrum)
+    dots = [a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:]]  # unit vectors
+    assert spectrum == Counter(dot * dot * dot.sign() for dot in dots + dots)
+    assert {str(v): c for v, c in spectrum.items()} == {"-1/4": 2, "1/4": 4}
 
 
 # -- integer reflection, canonical order and simple roots against QScalar -----
@@ -998,7 +978,7 @@ def test_simple_roots_match_the_scalar_reference(name):
     rs = _simple_roots_case(name)
     expected = _reference_simple_roots(rs.roots)
     assert simple_roots_of(rs) == expected
-    assert extract_simple_roots(rs.roots) == expected
+    assert _simple_roots(rs.roots) == expected
 
 
 def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots(
@@ -1038,30 +1018,35 @@ def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots
     assert codec_calls == Counter({"from_numerators": 4})
 
 
+def _simple_roots(vectors):
+    """simple_roots_of the RootSystem of the vectors, over their field_disc."""
+    return simple_roots_of(RootSystem(vectors, field_disc(vectors)))
+
+
 class TestSimpleRootsOfInvalidInput:
-    """extract_simple_roots validates as RootSystem does, then with the two axioms."""
+    """simple_roots_of(RootSystem(...)) validates as RootSystem does, then with the two axioms."""
 
     def test_no_roots(self):
         with pytest.raises(ZeroRoot, match="at least one root"):
-            extract_simple_roots([])
+            _simple_roots([])
 
     def test_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch, match=r"mixed root dimensions \[2, 3\]"):
-            extract_simple_roots([vec(1, 0), vec(-1, 0), vec(1, 0, 0)])
+            _simple_roots([vec(1, 0), vec(-1, 0), vec(1, 0, 0)])
 
     def test_zero_vector(self):
         with pytest.raises(ZeroRoot, match="zero vector cannot be a root"):
-            extract_simple_roots([vec(1, 0), vec(-1, 0), vec(0, 0)])
+            _simple_roots([vec(1, 0), vec(-1, 0), vec(0, 0)])
 
     def test_repeated_vector_is_listed_once(self):
-        assert extract_simple_roots([vec(1, 0), vec(-1, 0), vec(1, 0)]) == [vec(1, 0)]
+        assert _simple_roots([vec(1, 0), vec(-1, 0), vec(1, 0)]) == [vec(1, 0)]
 
     def test_set_that_is_not_reflection_closed(self):
         with pytest.raises(RootspinError, match=re.escape(
             "axiom1 (scalar multiples): pass; axiom2 (reflection closure): "
             "FAIL witness (Vector((-1, -2)), Vector((-1, 0)))"
         )):
-            extract_simple_roots([vec(1, 0), vec(-1, 0), vec(1, 2), vec(-1, -2)])
+            _simple_roots([vec(1, 0), vec(-1, 0), vec(1, 2), vec(-1, -2)])
 
     def test_bc2_fails_axiom_1(self):
         bc2 = [vec(*(s * c for c in v)) for v in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 0), (0, 2))
@@ -1069,7 +1054,7 @@ class TestSimpleRootsOfInvalidInput:
         with pytest.raises(RootspinError, match=re.escape(
             "axiom1 (scalar multiples): FAIL witness (Vector((-2, 0)), Vector((-1, 0)))"
         )):
-            extract_simple_roots(bc2)
+            _simple_roots(bc2)
 
     def test_simple_roots_of_names_the_axiom_witness(self):
         rs = _partial_cases()["B3-minus-one-root"]
@@ -1141,7 +1126,7 @@ def test_normalize_roots_is_vector_unit_on_random_sets(field, data):
     _assert_normalize_matches_unit(RootSystem(vectors, disc=disc))
 
 
-# -- span_rank against full elimination ---------------------------------------
+# -- span rank against full elimination ----------------------------------------
 
 
 def _reference_span_rank(vectors):
@@ -1165,21 +1150,12 @@ def _reference_span_rank(vectors):
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_span_rank_is_full_elimination_on_every_preset(name):
-    roots = list(build_preset(name).roots)
-    assert span_rank(roots) == _reference_span_rank(roots) == len(roots[0].coords)
-    # a subset in a hyperplane never reaches full rank, so every vector is reduced
+    # a simple system is a basis of the span, so its size is the rank of the span
+    rs = build_preset(name)
+    roots = list(rs.roots)
+    assert len(simple_roots_of(rs)) == _reference_span_rank(roots) == rs.dim
+    # the roots in a coordinate hyperplane are a root system of lower rank
     flat = [r for r in roots if r.coords[0].is_zero()]
-    assert span_rank(flat) == _reference_span_rank(flat)
+    if flat:
+        assert len(simple_roots_of(RootSystem(flat, rs.disc))) == _reference_span_rank(flat)
 
-
-@given(field_values(), st.integers(1, 4), st.data())
-def test_span_rank_is_full_elimination_on_random_sets(field, dim, data):
-    _, pool = field
-    coord = st.sampled_from(pool + [QScalar(0)])
-    vectors = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim).map(Vector),
-                                 max_size=6))
-    # combinations of earlier vectors keep the rank below the count
-    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
-                                   max_size=2 if len(vectors) >= 2 else 0)):
-        vectors.append(vectors[0].scale(a) + vectors[1].scale(b))
-    assert span_rank(vectors) == _reference_span_rank(vectors)

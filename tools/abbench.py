@@ -21,7 +21,8 @@ change won (ties count for neither) and the metric's bound.  The verdict is
 "gain" when there are at least 10 pairs, the change won at least 9 in 10 of
 them and its median beats the parent's by more than the parent's quartile
 spread; "worse" when its median is worse by more than the bound; and "-"
-otherwise.
+otherwise.  A last line gives the src/ lines added and removed between the
+two trees the records carry, from `git diff --numstat`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 
 
-def git(*args: str, env: dict | None = None) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+def git(*args: str, env: dict | None = None, cwd: Path = ROOT) -> bytes:
+    return subprocess.run(["git", *args], cwd=cwd, env=env, check=True,
                           capture_output=True).stdout
 
 
@@ -131,6 +132,20 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
     return out
 
 
+def src_lines(records: list[dict], root: Path = ROOT) -> str:
+    """The src/ lines added and removed from the parent's tree to the change's, and the net."""
+    trees = {r["side"]: r["tree"] for r in records if "tree" in r}
+    if set(trees) != set(SIDES):
+        return "src/ lines: the records carry no tree for one side"
+    try:
+        stat = git("diff", "--numstat", trees["parent"], trees["change"], "--", "src", cwd=root)
+    except subprocess.CalledProcessError:
+        return f"src/ lines: trees {trees['parent']} and {trees['change']} are not in this repository"
+    counts = [line.split("\t")[:2] for line in stat.decode().splitlines()]
+    added, removed = (sum(int(c[k]) for c in counts if c[k] != "-") for k in (0, 1))  # "-": binary
+    return f"src/ lines: +{added} -{removed}, net {added - removed:+d}"
+
+
 def run(args, results: Path) -> None:
     trees = {"parent": tree_of(args.parent), "change": tree_of(args.change)}
     with tempfile.TemporaryDirectory(prefix="abbench-") as tmp:
@@ -171,7 +186,7 @@ def main(argv=None) -> int:
         results = Path(args.results)
         run(args, results)
     records = [json.loads(line) for line in results.read_text().splitlines() if line.strip()]
-    print("\n".join(summarize(records, bench["end_to_end"])))
+    print("\n".join(summarize(records, bench["end_to_end"]) + [src_lines(records)]))
     return 0
 
 
