@@ -8,7 +8,10 @@ non-orthogonality graph.  All four are invariant under exact orthogonal
 changes of frame, and none depends on root lengths, which matters because
 induced systems always come out unit-length (an F4 configuration with both
 orbits at unit length is still F4 here).  The angle key lies in the field of
-the roots, so no root is normalized and no square root is taken.
+the roots, so no root is normalized and no square root is taken.  The
+counts and the Coxeter order's reflection table are read off the input's
+own Lattice, RootSystem.lattice (roots.py), built once per RootSystem; the
+stored table is read, never mutated.
 
 The catalog used by identify() is generated from each member's own defining
 data at call time; nothing is matched against transcribed numbers.  Entries
@@ -24,7 +27,6 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ClosureCapExceeded, NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
-from .lattice import Lattice
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
 from .roots import RootSystem, Vector, close_under_reflections, row_vector
@@ -57,13 +59,8 @@ class Signature(NamedTuple):
 
 
 def signature(rs: RootSystem) -> Signature:
-    """Exact signature of a root system, read off its rows as stored."""
-    return lattice_signature(rs, Lattice(rs.rows, rs.disc))
-
-
-def lattice_signature(rs: RootSystem, lattice: Lattice) -> Signature:
-    """signature(rs) from rs's Lattice, which the caller builds once and may read again."""
-    angles, components = lattice.angle_counts()
+    """Exact signature of a root system, read off rs.lattice's rows as stored."""
+    angles, components = rs.lattice.angle_counts()
     return Signature(
         dim=rs.dim,
         count=len(rs),
@@ -136,13 +133,11 @@ def coxeter_order(rs: RootSystem) -> int:
     """Order of the group generated by all root reflections, acting on roots.
 
     Orbit-stabilizer: the stabilizer of a root r is generated by the reflections
-    in the roots orthogonal to r (Steinberg; Humphreys 1990, 1.12).
+    in the roots orthogonal to r (Steinberg; Humphreys 1990, 1.12).  The
+    orbits are read off rs.lattice's reflection table, the one the axiom
+    check reads.
     """
-    return lattice_coxeter_order(rs, Lattice(rs.rows, rs.disc))
-
-
-def lattice_coxeter_order(rs: RootSystem, lattice: Lattice) -> int:
-    """coxeter_order(rs) from rs's Lattice, which the caller builds once and may read again."""
+    lattice = rs.lattice
     table = lattice.reflection_table()
     for i, row in enumerate(table):
         if -1 in row:
@@ -207,7 +202,7 @@ def _label(a: Vector, b: Vector) -> int:
         plane = close_under_reflections([a, b], cap=24)
     except ClosureCapExceeded:
         raise UnknownAngle(f"{a} and {b} generate an infinite reflection group") from None
-    angles, _ = Lattice(plane.rows, plane.disc).angle_counts()
+    angles, _ = plane.lattice.angle_counts()
     keys = angles.keys() - {1}
     lowest = min(keys - {-1}, default=None)  # -cos^2(pi/m), at the angle pi - pi/m
     if dot * dot * dot.sign() / (a.norm_squared() * b.norm_squared()) != lowest:
@@ -333,9 +328,6 @@ def survey() -> SurveyTable:
                 axioms_ok=True,  # induce_4d raises unless the axioms hold
             )
         )
-    target = signature(
-        direct_sum(build_preset("I2-4"), a1_system(), a1_system(),
-                   label=COUNTEREXAMPLE_NAME)
-    )
+    target = _entry_signature(COUNTEREXAMPLE_NAME)  # a catalog entry: identify may have built it
     absent = all(sig != target for sig in induced_signatures)
     return SurveyTable(tuple(rows), COUNTEREXAMPLE_NAME, absent)

@@ -143,17 +143,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    from .classify import identify, lattice_coxeter_order, lattice_signature
-    from .lattice import Lattice
+    from .classify import coxeter_order, identify, signature
 
     rs = _resolve_source(args)
-    lattice = Lattice(rs.rows, rs.disc)  # one build serves the signature and the order
-    sig = lattice_signature(rs, lattice)
+    sig = signature(rs)
     lines = [
         f"label: {rs.label or 'input'}",
         f"signature: {sig}",
         f"identified: {identify(sig)}",
-        f"coxeter order: {lattice_coxeter_order(rs, lattice)}",
+        f"coxeter order: {coxeter_order(rs)}",
     ]
     _emit("\n".join(lines) + "\n", args)
     return 0

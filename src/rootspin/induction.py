@@ -5,7 +5,9 @@ group they generate under the geometric product, then read each group
 element's even-grade coefficients as a Euclidean vector.  The resulting 4D
 (or 2D) point set is re-verified against the root-system axioms instead of
 being trusted: the verification *is* the computational content here.  Both
-pipelines run on the input's rows (roots.py) from input to output.
+pipelines run on the input's rows (roots.py) from input to output.  The
+check builds the output's RootSystem.lattice (roots.py), which its named
+copies share and a later signature reads; its stored table is never mutated.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import (
     RootspinError,
 )
 from .lattice import (
-    Lattice,
     Numerators,
     check_range,
     field_disc,
@@ -45,8 +46,7 @@ from .roots import (
     RootSystem,
     Vector,
     _is_unit,
-    axiom_failures,
-    axiom_report,
+    require_root_system,
     row_vector,
     unit_rows,
 )
@@ -68,6 +68,8 @@ class RotorGroup:
 
     def __init__(self, elements: Sequence[Rotor]):
         elems = set(elements)
+        if not elems:
+            raise RootspinError("a rotor group needs at least one element")
         dims = {r.dim for r in elems}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
@@ -123,10 +125,14 @@ def generate_rotor_group(
 
     A thin wrapper over rotor_closure: Multivectors are built once, for the
     final elements, in the canonical order of their integer numerators.
+    The integer kernel is Cl(3)'s, so every vector must be 3D.
     """
     cap = resolve_cap(cap, GROUP_CLOSURE_CAP)
     if not unit_roots:
         raise NonUnitVector("no roots given")
+    dims = {r.dim for r in unit_roots}
+    if dims != {3}:
+        raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
     d = field_disc(unit_roots)
     elements = rotor_closure([int_numerators(r.coords) for r in unit_roots], d, cap)
     ordered = sorted_numerators(elements, d, key=mask_ordered)
@@ -197,14 +203,11 @@ def _named(out: RootSystem, source: str) -> RootSystem:
     return out._relabel(f"induced({source})", Provenance(induced_from=source))
 
 
-def _verified(rows: list[Numerators], d: int, what: str) -> tuple[RootSystem, Lattice]:
-    # the steps of RootSystem and verify_root_axioms, on rows already distinct, and their Lattice
+def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
+    # the steps of RootSystem and require_root_system, on rows already distinct
     out = RootSystem._from_rows(sorted_numerators(rows, d), d)
-    lattice = Lattice(out.rows, d)
-    report = axiom_report(axiom_failures(lattice.neg, lattice.reflection_table()), out.rows, d)
-    if not report.ok:
-        raise RootspinError(f"{what} is not a root system: {report.summary()}")
-    return out, lattice
+    require_root_system(out, what)
+    return out
 
 
 # The cache keys on root content alone (RootSystem equality ignores label and
@@ -215,7 +218,7 @@ def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
     # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
     d = rs.disc
     rows = [vec4_numerators(x) for x in rotor_closure(unit_rows(rs), d, cap)]
-    return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")[0]
+    return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")
 
 
 def induce_4d(rs: RootSystem, cap: int | None = None) -> RootSystem:
@@ -236,10 +239,6 @@ def induce_2d(rs: RootSystem) -> RootSystem:
     alpha_1 is the first unit root in canonical order; the recorded
     convention only rotates the output, which no congruence test sees.
     """
-    return _named(_induce_2d(rs)[0], rs.label or "rank-2 input")
-
-
-def _induce_2d(rs: RootSystem) -> tuple[RootSystem, Lattice]:
     if rs.dim != 2:
         raise DimensionMismatch(f"induce_2d needs a 2D system, got dim {rs.dim}")
     # the steps of normalize_roots and spinor_to_vec2, on rows padded to 3D: the
@@ -249,7 +248,8 @@ def _induce_2d(rs: RootSystem) -> tuple[RootSystem, Lattice]:
     units = [x[:-1] + (0, 0) + x[-1:] for x in unit_rows(rs)]
     products = (int_product(units[0], u, VECTOR_BY_VECTOR, d) for u in units)
     rows = [x[:2] + x[6:] for x in products]
-    return _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
+    out = _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
+    return _named(out, rs.label or "rank-2 input")
 
 
 class SelfDualityReport(NamedTuple):
@@ -277,20 +277,20 @@ class SelfDualityReport(NamedTuple):
 def check_self_dual(rs: RootSystem) -> SelfDualityReport:
     """Congruence test between a 2D system and its spinor image.
 
-    Cardinalities and angle spectra (Lattice.angle_counts, read off the rows)
-    must agree; the comparison is rotation-invariant, so the verdict does not
-    depend on the alpha_1 convention inside induce_2d.
+    Cardinalities and angle spectra (Lattice.angle_counts, read off each
+    set's RootSystem.lattice) must agree; the comparison is rotation-invariant,
+    so the verdict does not depend on the alpha_1 convention inside induce_2d.
     """
-    induced, lattice = _induce_2d(rs)
+    induced = induce_2d(rs)
     return SelfDualityReport(
         label=rs.label or "rank-2 input",
         input_count=len(rs),
         induced_count=len(induced),
-        input_spectrum=_angle_spectrum(Lattice(rs.rows, rs.disc)),
-        induced_spectrum=_angle_spectrum(lattice),
+        input_spectrum=_angle_spectrum(rs),
+        induced_spectrum=_angle_spectrum(induced),
     )
 
 
-def _angle_spectrum(lattice: Lattice) -> tuple[QScalar, ...]:
-    angles, _ = lattice.angle_counts()
+def _angle_spectrum(rs: RootSystem) -> tuple[QScalar, ...]:
+    angles, _ = rs.lattice.angle_counts()
     return tuple(value for value in sorted(angles) for _ in range(angles[value]))

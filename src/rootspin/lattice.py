@@ -16,7 +16,10 @@ one reflection formula of the reflection closure and the reflection table,
 which the axiom check, the Coxeter order and simple-root extraction read.
 A Lattice keeps the rows it is given and looks each image up by value.
 Every decision is an exact integer comparison, and Python ints never
-overflow.
+overflow.  A root set's Lattice is its RootSystem's `lattice` (roots.py),
+built on first access and kept as long as the RootSystem; the Lattice
+computes its reflection table once and returns it as stored, so callers
+read the table and never mutate it.
 
 Root sets are closed under negation, or nearly so, and three identities let
 the kernel compute only the pairs of representatives (the first root of each
@@ -178,7 +181,7 @@ class Lattice:
     that occurs more than once is found at its last position.
     """
 
-    __slots__ = ("disc", "rows", "neg", "_index", "_reps")
+    __slots__ = ("disc", "rows", "neg", "_index", "_reps", "_table")
 
     def __init__(self, rows: Sequence[Numerators], disc: int):
         self.disc = disc
@@ -187,6 +190,7 @@ class Lattice:
         self.neg = [index.get(negated(x), -1) for x in rows]
         # x_i = sign * x_rep for each i: the representative's position and the sign
         self._reps = [(i, 1) if j < 0 or j >= i else (j, -1) for i, j in enumerate(self.neg)]
+        self._table: Matrix | None = None
 
     def angle_counts(self) -> tuple[dict[QScalar, int], list[int]]:
         """Angles over ordered pairs i != j of nonzero vectors, with their multiplicities,
@@ -266,7 +270,12 @@ class Lattice:
         derives nothing, so every row equals the directly computed one on
         any input, repeated vectors included.  The rows of x, -x and their
         repeats are one list, since s_{-a} = s_a.
+
+        The table is computed on the first call and returned as stored after
+        that, so a caller reads it and never mutates it.
         """
+        if self._table is not None:
+            return self._table
         rows, neg = self.rows, self.neg
         where: dict[tuple[int, ...], list[int]] = {}
         for i, row in enumerate(rows):
@@ -303,6 +312,7 @@ class Lattice:
                         fill(c, list(map(g.__getitem__, map(rb.__getitem__, g))))
                         reached.append(c)
                 k += 1
+        self._table = table
         return table
 
     def _direct_row(self, i: int, columns: list[tuple[int, list[int]]]) -> list[int]:

@@ -11,8 +11,13 @@ Generating a root system means closing a set of simple roots under the
 reflections they generate; verifying one means checking the two defining
 axioms (only +-alpha among parallel members, invariance under all member
 reflections) with exact arithmetic, so a verdict is a fact rather than a
-tolerance call.  The axiom check reads lattice.Lattice's reflection table,
-and simple_roots_of reads the same table to find a simple system.
+tolerance call.
+
+A root set's lattice.Lattice is built here and nowhere else: RootSystem's
+`lattice` builds it on first access and keeps it, shared with relabelled
+copies, for as long as the RootSystem lives.  Its reflection table is
+computed once and stored; the axiom check, simple_roots_of and the Coxeter
+order (classify.py) read it and never mutate it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch,
 from .errors import NormNotInField, RootspinError
 from .lattice import (
     Lattice,
-    Matrix,
     Numerators,
     check_range,
     field_disc,
@@ -178,8 +182,8 @@ class RootSystem:
     Equality and hashing ignore label and provenance.
     """
 
-    # _decoded is a one-item list holding the decoded roots once they exist,
-    # shared with relabelled copies
+    # _decoded is a two-item list, the decoded roots and the Lattice, each None
+    # until first access and shared with relabelled copies
     __slots__ = ("dim", "disc", "rows", "label", "provenance", "_decoded")
 
     def __new__(cls, roots: Iterable[Vector], disc: int, label: str | None = None,
@@ -209,14 +213,14 @@ class RootSystem:
         object.__setattr__(out, "rows", tuple(rows))
         object.__setattr__(out, "label", label)
         object.__setattr__(out, "provenance", provenance or Provenance())
-        object.__setattr__(out, "_decoded", [None])
+        object.__setattr__(out, "_decoded", [None, None])
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
 
     def _relabel(self, label: str | None, provenance: Provenance | None) -> "RootSystem":
-        # the same roots under another name, sharing the rows and the decoded roots
+        # the same roots under another name, sharing the rows, decoded roots and Lattice
         out = RootSystem._from_rows(self.rows, self.disc, label, provenance)
         object.__setattr__(out, "_decoded", self._decoded)
         return out
@@ -228,6 +232,14 @@ class RootSystem:
         if decoded[0] is None:
             decoded[0] = tuple(row_vector(x, self.disc) for x in self.rows)
         return decoded[0]
+
+    @property
+    def lattice(self) -> Lattice:
+        """The Lattice of the rows, built on first access."""
+        decoded = self._decoded
+        if decoded[1] is None:
+            decoded[1] = Lattice(self.rows, self.disc)
+        return decoded[1]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -347,61 +359,44 @@ class AxiomReport(NamedTuple):
 def verify_root_axioms(rs: RootSystem) -> AxiomReport:
     """Exact check of both axioms, reporting a witness for the first failure.
 
-    Witnesses are the first failing pair in canonical root order.  Axiom 1
-    asks for -a in the set and for no other root on the line of a; axiom 2
-    for every reflection image in the set.  Both are read off the reflection
-    table.
+    Witnesses are the first failing pair in canonical root order, read off
+    rs.lattice's reflection table; only they are decoded.  Axiom 1 asks for
+    -a in the set (the witness of a missing one is (a, -a)) and for no other
+    root on the line of a.  Once negation closure holds, x_j lies on the line
+    of x_i exactly when s_i(x_j) = -x_j, that is table[i][j] == neg[j]; x_i
+    and -x_i share a row, so the rows of first roots of +-pairs suffice.
+    Axiom 2 asks for every reflection image in the set: no -1 in the table.
     """
-    lattice = Lattice(rs.rows, rs.disc)
-    failures = axiom_failures(lattice.neg, lattice.reflection_table())
-    return axiom_report(failures, rs.rows, rs.disc)
+    lattice = rs.lattice
+    neg, table = lattice.neg, lattice.reflection_table()
 
+    def root(i: int) -> Vector:
+        return row_vector(rs.rows[i], rs.disc)
 
-Pair = Optional[tuple[int, int]]
-
-
-def axiom_failures(neg: Sequence[int], table: Matrix) -> tuple[Pair, Pair]:
-    """Positions (i, j) of the first failing pair of each axiom, None where it holds.
-
-    neg and table are a Lattice's `neg` and reflection_table(), which the
-    caller builds once and may read again (simple_roots_of does).  An axiom 1
-    failure (i, -1) means -x_i is missing.  Once negation closure holds, x_j
-    lies on the line of x_i exactly when s_i(x_j) = -x_j, that is
-    table[i][j] == neg[j]; x_i and -x_i share a row, so the rows of first
-    roots of +-pairs suffice.
-    """
-    axiom1 = axiom2 = None
+    witness1 = witness2 = None
     if -1 in neg:
-        axiom1 = (neg.index(-1), -1)
+        a = root(neg.index(-1))
+        witness1 = (a, -a)
     else:
         for i, row in enumerate(table):
             if neg[i] > i:
                 hits = map(eq, row[i + 1:], neg[i + 1:])
                 on_line = [j for j in compress(range(i + 1, len(row)), hits) if j != neg[i]]
                 if on_line:
-                    axiom1 = (i, on_line[0])
+                    witness1 = (root(i), root(on_line[0]))
                     break
     for i, row in enumerate(table):
         if -1 in row:
-            axiom2 = (i, row.index(-1))
+            witness2 = (root(i), root(row.index(-1)))
             break
-    return axiom1, axiom2
+    return AxiomReport(witness1 is None, witness1, witness2 is None, witness2)
 
 
-def axiom_report(
-    failures: tuple[Pair, Pair], rows: Sequence[Numerators], disc: int
-) -> AxiomReport:
-    """The AxiomReport of axiom_failures' positions into rows; only witnesses are decoded."""
-    one, two = failures
-
-    def root(i: int) -> Vector:
-        return row_vector(rows[i], disc)
-
-    witness1 = None if one is None else (
-        root(one[0]), root(one[1]) if one[1] >= 0 else -root(one[0])
-    )
-    witness2 = None if two is None else (root(two[0]), root(two[1]))
-    return AxiomReport(one is None, witness1, two is None, witness2)
+def require_root_system(rs: RootSystem, what: str) -> None:
+    """RootspinError, naming rs as what and verify_root_axioms' witnesses, unless rs passes."""
+    report = verify_root_axioms(rs)
+    if not report.ok:
+        raise RootspinError(f"{what} is not a root system: {report.summary()}")
 
 
 def normalize_roots(rs: RootSystem) -> list[Vector]:
@@ -463,22 +458,17 @@ def _is_unit(x: tuple[int, ...], disc: int) -> bool:
 def simple_roots_of(rs: RootSystem) -> list[Vector]:
     """Simple system of a root system, in canonical order, read off its reflection table.
 
-    RootspinError, naming the axiom_report witness, unless rs passes both
-    axioms.  A generic rational functional (weights 1, t, t^2, ...; t
-    perturbed deterministically until no root is annihilated) splits the
-    roots into positive and negative halves, and a positive root is simple
-    iff its reflection maps every other positive root to a positive one
-    (Humphreys 1990, 1.4): a lookup of table[i][j].  Only the simple roots
-    are decoded.
+    RootspinError, from require_root_system, unless rs passes both axioms.
+    A generic rational functional (weights 1, t, t^2, ...; t perturbed
+    deterministically until no root is annihilated) splits the roots into
+    positive and negative halves, and a positive root is simple iff its
+    reflection maps every other positive root to a positive one (Humphreys
+    1990, 1.4): a lookup of table[i][j] in rs.lattice's table, the one the
+    axiom check read.  Only the simple roots are decoded.
     """
+    require_root_system(rs, repr(rs))
     d, rows = rs.disc, rs.rows
-    lattice = Lattice(rows, d)
-    table = lattice.reflection_table()
-    failures = axiom_failures(lattice.neg, table)
-    if failures != (None, None):
-        raise RootspinError(
-            f"{rs!r} is not a root system: {axiom_report(failures, rows, d).summary()}"
-        )
+    table = rs.lattice.reflection_table()
     for attempt in range(16):
         t = Fraction(2) + Fraction(attempt, 17)
         # t^i scaled by den(t)^(dim - 1) > 0, which keeps every sign

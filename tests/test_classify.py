@@ -435,6 +435,26 @@ class TestSurvey:
         assert table.counterexample_absent is True
         assert table.counterexample_name == "I2-4xA1xA1"
 
+    def test_a_fresh_survey_builds_one_lattice_per_set_it_reads(self, monkeypatch):
+        # each realizable input's induced set (its axiom check's Lattice, read again for its
+        # signature) and each catalog entry computed, the counterexample's included
+        from rootspin.induction import induce_4d
+        from rootspin.lattice import Lattice
+
+        for cached in (survey, catalog, induce_4d, build_preset):
+            cached.cache_clear()
+        built = []
+        real = Lattice.__init__
+
+        def counted(self, *args):
+            built.append(len(args[0]))
+            real(self, *args)
+
+        monkeypatch.setattr(Lattice, "__init__", counted)
+        table = survey()
+        realizable = [r for r in table.rows if r.spinor_order is not None]
+        assert len(built) == len(realizable) + catalog.cache_info().misses == 16
+
     def test_counterexample_signature_is_computable(self):
         target = direct_sum(build_preset("I2-4"), a1_system(), a1_system())
         sig = signature(target)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rootspin import (
     NonUnitVector,
     QScalar,
     RootSystem,
+    RootspinError,
     Vector,
     build_preset,
     check_self_dual,
@@ -23,6 +25,7 @@ from rootspin import (
     induce_2d,
     induce_4d,
     normalize_roots,
+    signature,
     spinor_to_vec4,
     vec,
     verify_root_axioms,
@@ -81,6 +84,21 @@ class TestRotorGroups:
     def test_non_unit_input_rejected(self):
         with pytest.raises(NonUnitVector):
             generate_rotor_group([vec(1, 1, 0, disc=2)])
+
+    @pytest.mark.parametrize("units,dims", [
+        ([vec(1, 0), vec(0, 1)], [2]),
+        ([vec(1, 0, 0), vec(0, 1)], [2, 3]),
+        ([vec(1, 0, 0, 0), vec(0, 1, 0, 0)], [4]),
+    ], ids=["2D", "mixed", "4D"])
+    def test_only_3d_vectors_are_accepted(self, units, dims):
+        # the integer product is Cl(3)'s: other rows would be read in the wrong slots
+        message = f"rotor closure needs 3D vectors, got dimensions {dims}"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            generate_rotor_group(units)
+
+    def test_an_empty_rotor_group_is_refused(self):
+        with pytest.raises(RootspinError, match="^a rotor group needs at least one element$"):
+            induction.RotorGroup([])
 
     def test_closure_under_product_spot_check(self):
         grp = generate_rotor_group(normalize_roots(build_preset("A3")))
@@ -230,6 +248,27 @@ class TestCacheKeys:
         other = induce_2d(RootSystem(i2.roots, disc=3, label="hex"))
         assert other.label == "induced(hex)"
         assert other.provenance.induced_from == "hex"
+
+    def test_one_lattice_per_induced_set(self, monkeypatch):
+        # the axiom check builds the output's Lattice; the cached result and each copy
+        # named after a caller keep it, so their signatures read it again
+        from rootspin.lattice import Lattice
+
+        h3 = build_preset("H3")
+        other = RootSystem(h3.roots, disc=5, label="other")
+        induce_4d.cache_clear()
+        built = []
+        real = Lattice.__init__
+
+        def counted(self, *args):
+            built.append(len(args[0]))
+            real(self, *args)
+
+        monkeypatch.setattr(Lattice, "__init__", counted)
+        first, second = induce_4d(h3), induce_4d(other)
+        assert (first.label, second.label) == ("induced(H3)", "induced(other)")
+        assert signature(first) == signature(second)
+        assert built == [120]
 
     def test_caches_are_bounded(self):
         for cached in (induce_4d, build_preset):

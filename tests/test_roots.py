@@ -995,7 +995,8 @@ def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots
         init(self, *args)
 
     def counted_table(self):
-        tables.append(self)
+        if self._table is None:  # a build, not a read of the stored table
+            tables.append(self)
         reflections["table open"] += 1
         try:
             return table(self)
@@ -1159,3 +1160,43 @@ def test_span_rank_is_full_elimination_on_every_preset(name):
     if flat:
         assert len(simple_roots_of(RootSystem(flat, rs.disc))) == _reference_span_rank(flat)
 
+
+def _induce(rs):
+    """The induction of a 2D or 3D set; None in other dimensions."""
+    induce = {2: induce_2d, 3: induce_4d}.get(rs.dim)
+    return induce(rs) if induce else None
+
+
+# the answers a RootSystem's stored Lattice and reflection table serve, and the induction,
+# whose axiom check builds the output's
+CACHED_ANSWERS = (verify_root_axioms, signature, coxeter_order, simple_roots_of, _induce)
+
+
+def _outcome(answer, rs):
+    """answer(rs), or the type and message of the RootspinError it raises."""
+    try:
+        return answer(rs)
+    except RootspinError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", [*ALL_PRESETS, *PARTIAL_CASES])
+def test_caches_never_change_an_answer(name):
+    def fresh():  # a new instance: nothing decoded, no Lattice, no table
+        return _partial_cases()[name] if name in PARTIAL_CASES else build_preset.__wrapped__(name)
+
+    induce_4d.cache_clear()
+    cold = [_outcome(answer, fresh()) for answer in CACHED_ANSWERS]
+    warm = fresh()
+    reverse = [_outcome(answer, warm) for answer in reversed(CACHED_ANSWERS)]
+    assert reverse[::-1] == cold
+    assert [_outcome(answer, warm) for answer in CACHED_ANSWERS] == cold
+    rebuilt = RootSystem(warm.roots, warm.disc)
+    assert [_outcome(answer, rebuilt) for answer in CACHED_ANSWERS] == cold
+    if name in PARTIAL_CASES:  # the error paths: none of these sets is a root system
+        report, _, order, simple, induced = cold
+        assert not report.ok
+        assert "is not reflection-closed at root" in order[1]
+        assert "is not a root system: " in simple[1]
+        if name == "paired-multiples":
+            assert "2D spinor image of rank-2 input is not a root system: " in induced[1]
