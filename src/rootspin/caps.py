@@ -2,20 +2,20 @@
 
 Every fixpoint loop in the package carries an element cap so that an input
 generating an infinite reflection group fails loudly instead of spinning.
-The ROOTSPIN_CAP environment variable overrides the defaults; an explicit
-cap argument overrides both.  Either must be a positive integer.
+The caps are constants: 10^4 roots for the reflection closure and 10^5
+elements for the rotor closure.  Both closures add each new row through
+`admit`, the one place that checks the cap and QScalar's 64-bit range.
 """
 
 from __future__ import annotations
 
-import os
+from fractions import Fraction
 
-from .errors import DomainError
+from .errors import ClosureCapExceeded
+from .qfield import _INT64_MAX, QScalar
 
 ROOT_CLOSURE_CAP = 10_000
 GROUP_CLOSURE_CAP = 100_000
-
-ENV_VAR = "ROOTSPIN_CAP"
 
 
 def ascii_digits(text: str) -> bool:
@@ -23,25 +23,20 @@ def ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def positive_int(value) -> int:
-    """value as an int; ValueError unless it is a positive int, or ASCII digits if a string."""
-    n = value
-    if isinstance(value, str):
-        text = value.strip()
-        n = int(text) if ascii_digits(text) else 0
-    if type(n) is not int or n < 1:  # a float or a bool is refused, not truncated
-        raise ValueError(f"must be a positive integer, got {value!r}")
-    return n
+def admit(x: tuple[int, ...], met: set, cap: int, closure: str, unit: str) -> None:
+    """Add the new row x to a closure's set of met rows, which must stay within cap.
 
-
-def resolve_cap(explicit: int | None, default: int) -> int:
-    """The cap in force; DomainError if the one given is not a positive integer."""
-    name, value = "cap", explicit
-    if value is None:
-        name, value = ENV_VAR, os.environ.get(ENV_VAR)
-        if value is None:
-            return default
-    try:
-        return positive_int(value)
-    except ValueError as exc:
-        raise DomainError(f"{name} {exc}") from None
+    OverflowError, chained from QScalar's, if a reduced component p_i/D or
+    q_i/D of x leaves the 64-bit bound; ClosureCapExceeded once met holds
+    more than cap rows.  closure and unit name the closure and what it counts.
+    """
+    if max(map(abs, x)) > _INT64_MAX:
+        try:
+            for p in x[:-1]:
+                QScalar(Fraction(p, x[-1]))
+        except OverflowError as exc:
+            raise OverflowError(f"{closure} closure overflowed at {len(met)} {unit}; "
+                                "the input likely generates an infinite group") from exc
+    met.add(x)
+    if len(met) > cap:
+        raise ClosureCapExceeded(f"{closure} closure exceeded cap of {cap} {unit}")

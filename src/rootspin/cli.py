@@ -4,8 +4,8 @@ Verbs: roots, induce, verify, classify, selfdual, survey, export.  Each verb
 takes only the options its handler reads.  A root-system source (roots,
 export, induce, verify, classify) is either --preset <name> or --input
 <file.json>.  roots, export and induce write --format json (exact), text,
-csv or off (floats), survey text or csv.  Every verb takes --output, and
-every verb but survey --cap.  Exit codes:
+csv or off (floats), survey text or csv.  Every verb takes --output; no
+option sets a closure cap, as the caps are constants (caps.py).  Exit codes:
 0 success (negative verdicts like failed axioms are results, not errors),
 1 usage error, 2 domain error.
 
@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .caps import ascii_digits, positive_int
+from .caps import ascii_digits
 from .errors import RootspinError
 from .presets import build_preset, i2_simple_roots, preset_names
 
@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_options(p, source=True, formats=_FORMATS, cap=True):
+    def add_options(p, source=True, formats=_FORMATS):
         # only the options the verb's handler reads
         if source:
             p.add_argument("--preset", help=f"preset name, one of {preset_names()}")
@@ -62,8 +62,6 @@ def _build_parser() -> _Parser:
         if formats:
             p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="output path (default: stdout)")
-        if cap:
-            p.add_argument("--cap", type=positive_int, help="closure element cap override")
 
     add_options(sub.add_parser("roots", help="generate/load a root system"))
     add_options(sub.add_parser("export", help="re-emit a root system in another format"))
@@ -77,7 +75,7 @@ def _build_parser() -> _Parser:
     add_options(p_self, source=False, formats=())
 
     add_options(sub.add_parser("survey", help="full induction survey table"), source=False,
-                formats=("text", "csv"), cap=False)
+                formats=("text", "csv"))
     return parser
 
 
@@ -86,7 +84,7 @@ def _resolve_source(args) -> RootSystem:
         raise UsageError("exactly one of --preset or --input is required")
     if args.preset:
         try:
-            return build_preset(args.preset, cap=args.cap)
+            return build_preset(args.preset)
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
     from .serialize import load_root_system
@@ -123,7 +121,7 @@ def _cmd_induce(args) -> int:
 
     rs = _resolve_source(args)
     if rs.dim == 3:
-        induced = induce_4d(rs, cap=args.cap)
+        induced = induce_4d(rs)
     elif rs.dim == 2:
         induced = induce_2d(rs)
     else:
@@ -161,7 +159,7 @@ def _cmd_selfdual(args) -> int:
     from .induction import check_self_dual
 
     i2_simple_roots(args.n)  # the family's n >= 2 check: "I2--3" is no preset name
-    rs = build_preset(f"I2-{args.n}", cap=args.cap)
+    rs = build_preset(f"I2-{args.n}")
     _emit(check_self_dual(rs).summary() + "\n", args)
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .caps import GROUP_CLOSURE_CAP, resolve_cap
+from .caps import GROUP_CLOSURE_CAP, admit
 from .clifford import (
     EVEN_BY_EVEN,
     VECTOR_BY_VECTOR,
@@ -26,15 +26,9 @@ from .clifford import (
     mask_ordered,
     vec4_numerators,
 )
-from .errors import (
-    ClosureCapExceeded,
-    DimensionMismatch,
-    NonUnitVector,
-    RootspinError,
-)
+from .errors import DimensionMismatch, NonUnitVector, RootspinError
 from .lattice import (
     Numerators,
-    check_range,
     field_disc,
     int_numerators,
     negated,
@@ -118,28 +112,25 @@ class RotorGroup:
         return f"RotorGroup(dim={self.dim}, order={self.order})"
 
 
-def generate_rotor_group(
-    unit_roots: Sequence[Vector], cap: int | None = None
-) -> RotorGroup:
+def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
     """The group generated by {alpha_i alpha_j : all ordered root pairs}.
 
     A thin wrapper over rotor_closure: Multivectors are built once, for the
     final elements, in the canonical order of their integer numerators.
     The integer kernel is Cl(3)'s, so every vector must be 3D.
     """
-    cap = resolve_cap(cap, GROUP_CLOSURE_CAP)
     if not unit_roots:
         raise NonUnitVector("no roots given")
     dims = {r.dim for r in unit_roots}
     if dims != {3}:
         raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
     d = field_disc(unit_roots)
-    elements = rotor_closure([int_numerators(r.coords) for r in unit_roots], d, cap)
+    elements = rotor_closure([int_numerators(r.coords) for r in unit_roots], d)
     ordered = sorted_numerators(elements, d, key=mask_ordered)
     return RotorGroup._trusted([_trusted_rotor(even_from_numerators(x, d)) for x in ordered])
 
 
-def rotor_closure(vecs: Sequence[Numerators], d: int, cap: int) -> list[Numerators]:
+def rotor_closure(vecs: Sequence[Numerators], d: int) -> list[Numerators]:
     """Numerators of the group generated by the products of the unit vectors vecs.
 
     Since alpha_i alpha_j = (alpha_i alpha_1)(alpha_1 alpha_j) and alpha_i
@@ -148,8 +139,9 @@ def rotor_closure(vecs: Sequence[Numerators], d: int, cap: int) -> list[Numerato
     generator already in the closure is skipped, so H3 keeps 2 of its 29.
     The loop runs on the integer numerators of clifford's even kernel, and
     the group checks (even order, 1, negation) run on the tuples.  Every
-    element met, the n seed products included, counts against the cap on
-    insertion, so an oversized group costs at most cap + 1 elements of work.
+    element met, the n seed products included, enters through caps.admit,
+    so a group over GROUP_CLOSURE_CAP costs at most that cap + 1 elements of
+    work.
     """
     for x in vecs:
         if not _is_unit(x, d):
@@ -159,35 +151,25 @@ def rotor_closure(vecs: Sequence[Numerators], d: int, cap: int) -> list[Numerato
     known: set[Numerators] = set()
     elements = [_ONE]  # the closure so far, closed under right multiplication by gens
     closed = {_ONE}
-
-    def insert(x: Numerators) -> None:
-        if x in known:
-            return
-        check_range(x)
-        known.add(x)
-        if len(known) > cap:
-            raise ClosureCapExceeded(f"rotor closure exceeded cap of {cap}")
-
-    try:
-        for b in vecs:  # alpha_1 alpha_1 = 1 comes first
-            insert(int_product(vecs[0], b, VECTOR_BY_VECTOR, d))
-        gens: list[Numerators] = []
-        for g in sorted(known - closed):
-            if g in closed:
-                continue
-            gens.append(g)
-            # the old elements lack only the new generator, the new ones lack all
-            old = len(elements)
-            for i, x in enumerate(elements):  # a worklist: it also visits what it appends
-                for h in gens[-1:] if i < old else gens:
-                    y = int_product(x, h, EVEN_BY_EVEN, d)
-                    if y not in closed:
-                        insert(y)
-                        closed.add(y)
-                        elements.append(y)
-    except OverflowError as exc:
-        raise OverflowError(f"rotor closure overflowed at {len(known)} elements; "
-                            "the input likely generates an infinite group") from exc
+    for b in vecs:  # alpha_1 alpha_1 = 1 comes first
+        x = int_product(vecs[0], b, VECTOR_BY_VECTOR, d)
+        if x not in known:
+            admit(x, known, GROUP_CLOSURE_CAP, "rotor", "elements")
+    gens: list[Numerators] = []
+    for g in sorted(known - closed):
+        if g in closed:
+            continue
+        gens.append(g)
+        # the old elements lack only the new generator, the new ones lack all
+        old = len(elements)
+        for i, x in enumerate(elements):  # a worklist: it also visits what it appends
+            for h in gens[-1:] if i < old else gens:
+                y = int_product(x, h, EVEN_BY_EVEN, d)
+                if y not in closed:
+                    if y not in known:
+                        admit(y, known, GROUP_CLOSURE_CAP, "rotor", "elements")
+                    closed.add(y)
+                    elements.append(y)
     if len(elements) % 2 != 0:
         raise RootspinError(f"rotor group of odd order {len(elements)}")
     if _ONE not in known:
@@ -214,19 +196,18 @@ def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
 # provenance), so it holds unnamed results; every call names its result after
 # the caller's own input.
 @lru_cache(maxsize=128)
-def _induced_4d(rs: RootSystem, cap: int) -> RootSystem:
+def _induced_4d(rs: RootSystem) -> RootSystem:
     # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
     d = rs.disc
-    rows = [vec4_numerators(x) for x in rotor_closure(unit_rows(rs), d, cap)]
+    rows = [vec4_numerators(x) for x in rotor_closure(unit_rows(rs), d)]
     return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")
 
 
-def induce_4d(rs: RootSystem, cap: int | None = None) -> RootSystem:
+def induce_4d(rs: RootSystem) -> RootSystem:
     """4D root system read off the rotor group of a rank-3 root system."""
     if rs.dim != 3:
         raise DimensionMismatch(f"induce_4d needs a 3D system, got dim {rs.dim}")
-    out = _induced_4d(rs, resolve_cap(cap, GROUP_CLOSURE_CAP))
-    return _named(out, rs.label or "rank-3 input")
+    return _named(_induced_4d(rs), rs.label or "rank-3 input")
 
 
 induce_4d.cache_info = _induced_4d.cache_info

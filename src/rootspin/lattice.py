@@ -6,9 +6,8 @@ A vector or rotor is held as one reduced tuple of Python ints, its row
 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 RootSystem stores its roots this way; `int_numerators` encodes QScalars
-and `from_numerators` decodes a row for output.  `check_range` is the
-insertion guard both closures share, and `sorted_numerators` sorts rows by
-exact value.
+and `from_numerators` decodes a row for output; `sorted_numerators` sorts
+rows by exact value.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
@@ -42,7 +41,7 @@ from operator import mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .errors import FieldMismatch
-from .qfield import _INT64_MAX, QScalar
+from .qfield import QScalar
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
@@ -72,13 +71,6 @@ def from_numerators(x: Numerators, disc: int) -> tuple[QScalar, ...]:
     return tuple(
         QScalar(Fraction(p, den), Fraction(q, den), disc) for p, q in zip(x[:-1:2], x[1:-1:2])
     )
-
-
-def check_range(x: Numerators) -> None:
-    """OverflowError unless every reduced component p_i/D, q_i/D fits QScalar's 64-bit bound."""
-    if max(map(abs, x)) > _INT64_MAX:
-        for p in x[:-1]:
-            QScalar(Fraction(p, x[-1]))
 
 
 def negated(x: Numerators) -> Numerators:

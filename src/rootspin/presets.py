@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .caps import ROOT_CLOSURE_CAP, ascii_digits, resolve_cap
+from .caps import ascii_digits
 from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
 from .lattice import sorted_numerators
 from .qfield import QScalar
@@ -174,12 +174,11 @@ def get_preset(name: str) -> Preset:
 
 
 @lru_cache(maxsize=128)
-def _built_preset(name: str, cap: int | None = None) -> RootSystem:
+def _built_preset(name: str) -> RootSystem:
     preset = get_preset(name)
     provenance = Provenance(preset=preset.name)
     rs = close_under_reflections(
-        preset.simple_roots, disc=preset.disc, cap=cap,
-        label=preset.name, provenance=provenance,
+        preset.simple_roots, disc=preset.disc, label=preset.name, provenance=provenance,
     )
     if len(rs) != preset.expected_count:
         raise RootspinError(
@@ -189,9 +188,9 @@ def _built_preset(name: str, cap: int | None = None) -> RootSystem:
     return rs
 
 
-def build_preset(name: str, cap: int | None = None) -> RootSystem:
-    """The named preset's root system, cached on its canonical name and resolved cap."""
-    return _built_preset(_canonical_name(name), resolve_cap(cap, ROOT_CLOSURE_CAP))
+def build_preset(name: str) -> RootSystem:
+    """The named preset's root system, cached on its canonical name."""
+    return _built_preset(_canonical_name(name))
 
 
 build_preset.cache_info = _built_preset.cache_info

@@ -13,7 +13,7 @@ roots run on Python ints in lattice.py's kernels: the inner-product counts
 and the reflection table of a root set, and the numerator tuples on which the
 reflection closure and (with clifford.py's even product) the rotor closure
 work.  Both closures keep this module's 64-bit bound on every root or element
-they add, through lattice.check_range.
+they add, through caps.admit.
 """
 
 from __future__ import annotations

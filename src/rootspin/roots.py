@@ -28,13 +28,12 @@ from itertools import compress
 from operator import eq, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .caps import ROOT_CLOSURE_CAP, resolve_cap
-from .errors import ClosureCapExceeded, DegenerateFunctional, DimensionMismatch, ZeroRoot
+from .caps import ROOT_CLOSURE_CAP, admit
+from .errors import DegenerateFunctional, DimensionMismatch, ZeroRoot
 from .errors import NormNotInField, RootspinError
 from .lattice import (
     Lattice,
     Numerators,
-    check_range,
     field_disc,
     field_sign,
     from_numerators,
@@ -285,7 +284,7 @@ def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:
 def close_under_reflections(
     simple: Sequence[Vector],
     disc: int | None = None,
-    cap: int | None = None,
+    cap: int = ROOT_CLOSURE_CAP,
     label: str | None = None,
     provenance: Provenance | None = None,
 ) -> RootSystem:
@@ -294,13 +293,12 @@ def close_under_reflections(
     That set is W.(+-simple) for the group W the simple reflections generate,
     because the reflection in w(a) is w s_a w^-1 and so lies in W: a
     breadth-first search on the roots' integer numerator tuples reflects each
-    new root in the len(simple) seed mirrors only.  It aborts with
-    ClosureCapExceeded as soon as an insertion passes the cap (default 10^4),
-    which turns an infinite-group input into a clean error after at most
-    cap + 1 roots.  A root whose components leave QScalar's 64-bit range is
-    refused with OverflowError before it is inserted.
+    new root in the len(simple) seed mirrors only.  Every root, the seeds
+    included, enters through caps.admit: ClosureCapExceeded as soon as an
+    insertion passes the cap, which turns an infinite-group input into a
+    clean error after at most cap + 1 roots, and OverflowError for a root
+    whose components leave QScalar's 64-bit range, before it is inserted.
     """
-    cap = resolve_cap(cap, ROOT_CLOSURE_CAP)
     if not simple:
         raise ZeroRoot("no simple roots given")
     for s in simple:
@@ -314,27 +312,15 @@ def close_under_reflections(
     seed = [int_numerators(Vector(s.coords, disc=disc).coords) for s in simple]
     mirrors = [int_mirror(x, disc) for x in seed]
     found = list(dict.fromkeys(seed + [negated(x) for x in seed]))
-    seen = set(found)
-
-    def check_cap() -> None:
-        if len(found) > cap:
-            raise ClosureCapExceeded(
-                f"reflection closure exceeded cap of {cap} roots"
-            )
-
-    check_cap()
-    try:
-        for r in found:  # found grows behind r: a breadth-first search
-            for m in mirrors:
-                cand = int_reflect(r, m, disc)
-                if cand not in seen:
-                    check_range(cand)
-                    seen.add(cand)
-                    found.append(cand)
-                    check_cap()
-    except OverflowError as exc:
-        raise OverflowError(f"reflection closure overflowed at {len(found)} roots; "
-                            "the input likely generates an infinite group") from exc
+    seen: set[Numerators] = set()
+    for x in found:
+        admit(x, seen, cap, "reflection", "roots")
+    for r in found:  # found grows behind r: a breadth-first search
+        for m in mirrors:
+            cand = int_reflect(r, m, disc)
+            if cand not in seen:
+                admit(cand, seen, cap, "reflection", "roots")
+                found.append(cand)
     return RootSystem._from_rows(sorted_numerators(found, disc), disc, label, provenance)
 
 

@@ -29,7 +29,7 @@ from rootspin import (
     simple_roots_of,
     vec,
 )
-from rootspin import classify, roots
+from rootspin import classify, induction, roots
 from rootspin.classify import catalog, survey
 from rootspin.presets import PHI, a1_system, direct_sum, get_preset
 
@@ -268,9 +268,15 @@ class TestCoxeterOrder:
             coxeter_order(rs)
 
     def test_h4_order_ignores_the_closure_cap(self, monkeypatch):
-        # the order is never found by closing the group, so no cap applies
-        h4 = build_preset("H4")
-        monkeypatch.setenv("ROOTSPIN_CAP", "10")
+        # the order is never found by closing the group, so no cap applies:
+        # a fresh H4 gets its order with every closure insertion refused
+        h4 = RootSystem(build_preset("H4").roots, disc=5)
+
+        def refused(*args):
+            raise AssertionError("a closure ran")
+
+        for module in (roots, induction):
+            monkeypatch.setattr(module, "admit", refused)
         assert coxeter_order(h4) == 14400
 
     def test_double_cover_accounting(self):

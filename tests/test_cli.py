@@ -9,13 +9,17 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
 
-from rootspin import RootSystem, build_preset, identify, root_system_to_json, signature, vec
-from rootspin.classify import catalog, survey
+from rootspin import (
+    RootSystem, build_preset, close_under_reflections, identify, induce_4d, root_system_to_json,
+    signature, vec,
+)
+from rootspin import cli, induction, presets
+from rootspin.classify import survey
 from rootspin.cli import _COMMANDS, _build_parser, main
 
 
@@ -287,59 +291,47 @@ class TestExitCodes:
         code, _, err = run(capsys, "roots", "--input", str(garbage))
         assert code == 2
 
-    def test_cap_override_trips_closure(self, capsys):
-        code, _, err = run(capsys, "roots", "--preset", "H3", "--cap", "7")
+    def test_cap_override_trips_closure(self, capsys, preset_cap):
+        preset_cap(7)
+        code, _, err = run(capsys, "roots", "--preset", "H3")
         assert code == 2
         assert "ClosureCapExceeded" in err
 
-    def test_cap_bounds_the_h4_preset(self, capsys):
-        code, out, err = run(capsys, "roots", "--preset", "H4", "--cap", "119")
+    def test_cap_bounds_the_h4_preset(self, capsys, preset_cap):
+        preset_cap(119)
+        code, out, err = run(capsys, "roots", "--preset", "H4")
         assert code == 2 and out == ""
-        assert "ClosureCapExceeded" in err
-        code, out, _ = run(capsys, "roots", "--preset", "H4", "--cap", "120")
+        assert err == "rootspin: ClosureCapExceeded: reflection closure exceeded cap of 119 roots\n"
+        preset_cap(120)
+        code, out, _ = run(capsys, "roots", "--preset", "H4")
         assert code == 0
         assert out.startswith("# H4: 120 roots")
 
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("ROOTSPIN_CAP", "3")
-        from rootspin import close_under_reflections, vec, ClosureCapExceeded
-
-        with pytest.raises(ClosureCapExceeded):
-            close_under_reflections([vec(1, -1, 0), vec(0, 1, -1), vec(0, 1, 1)], disc=2)
-
-
-class TestClassifyUnderSmallCap:
-    def test_only_the_candidates_are_closed(self, capsys, monkeypatch):
-        # the 6-root input and its one catalog candidate fit under the cap
-        monkeypatch.setenv("ROOTSPIN_CAP", "10")
-        catalog.cache_clear()
-        code, out, err = run(capsys, "classify", "--preset", "I2-3")
-        assert code == 0 and err == ""
-        assert "identified: I2-3\n" in out
-
-    def test_a_candidate_over_the_cap_still_raises(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "a3.json"
-        path.write_text(root_system_to_json(build_preset("A3")))
-        monkeypatch.setenv("ROOTSPIN_CAP", "10")
-        catalog.cache_clear()
-        code, out, err = run(capsys, "classify", "--input", str(path))
+    def test_rotor_cap_abort_is_domain_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 119)
+        induce_4d.cache_clear()  # so that the closure runs
+        code, out, err = run(capsys, "induce", "--preset", "H3")
         assert code == 2 and out == ""
-        assert err.startswith("rootspin: ClosureCapExceeded: ")
+        assert err == "rootspin: ClosureCapExceeded: rotor closure exceeded cap of 119 elements\n"
+
+
+@pytest.fixture
+def preset_cap(monkeypatch):
+    """Sets the reflection cap of the preset builds the CLI runs, past build_preset's cache."""
+    def set_cap(cap: int) -> None:
+        monkeypatch.setattr(presets, "close_under_reflections",
+                            partial(close_under_reflections, cap=cap))
+    monkeypatch.setattr(cli, "build_preset", build_preset.__wrapped__)
+    return set_cap
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5", "1_00", "+100", "\u0661\u0660\u0660"])
 class TestCapValidation:
-    def test_bad_env_cap_is_domain_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("ROOTSPIN_CAP", value)
-        code, out, err = run(capsys, "roots", "--preset", "H4")
-        assert code == 2 and out == ""
-        assert err == (f"rootspin: DomainError: ROOTSPIN_CAP must be a positive integer, "
-                       f"got {value!r}\n")
-
     def test_bad_cap_option_is_usage_error(self, capsys, value):
+        # no verb takes --cap: any value, valid as a cap or not, is refused
         code, out, err = run(capsys, "roots", "--preset", "H4", "--cap", value)
-        assert code == 1 and out == ""
-        assert f"argument --cap: invalid positive_int value: {value!r}" in err
+        assert (code, out) == (1, "")
+        assert err.endswith(f"rootspin: error: unrecognized arguments: --cap {value}\n")
         assert "Traceback" not in err
 
 

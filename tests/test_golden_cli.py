@@ -24,13 +24,11 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from rootspin.caps import ENV_VAR
 from rootspin.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -48,12 +46,16 @@ COMMANDS = (
     + [["selfdual", str(n)] for n in range(2, 13)]
     + [["roots", "--preset", name, "--format", fmt]
        for name in PRESETS for fmt in ("json", "text")]
-    # options the verb does not read are refused
+    # options the verb does not read are refused; no verb takes --cap
     + [["verify", "--preset", "F4", "--format", "json"],
        ["classify", "--preset", "F4", "--format", "json"],
        ["selfdual", "4", "--format", "csv"],
        ["survey", "--cap", "3"],
-       ["survey", "--format", "json"]]
+       ["survey", "--format", "json"],
+       ["roots", "--preset", "H4", "--cap", "120"],
+       ["induce", "--preset", "H3", "--cap", "1000"],
+       ["classify", "--preset", "H4", "--cap", "10"],
+       ["selfdual", "6", "--cap", "10"]]
 )
 
 
@@ -80,13 +82,11 @@ def test_golden_covers_every_command(golden):
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=_key)
-def test_cli_output_matches_golden(argv, golden, monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_cli_output_matches_golden(argv, golden):
     assert digest(argv) == golden[_key(argv)]
 
 
 def test_update_rewrites_only_the_named_digests(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(ENV_VAR, raising=False)
     original = GOLDEN.read_text(encoding="utf-8")
     recorded = json.loads(original)
     copy = tmp_path / GOLDEN.name
@@ -106,7 +106,6 @@ def test_update_rewrites_only_the_named_digests(tmp_path, monkeypatch, capsys):
 
 def _record(named: list[str] | None) -> int:
     """Write golden_cli.json: the missing digests (named is None, --add) or the named ones."""
-    os.environ.pop(ENV_VAR, None)
     commands = {_key(argv): argv for argv in COMMANDS}
     unknown = [key for key in named or () if key not in commands]
     if unknown:

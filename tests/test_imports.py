@@ -1,4 +1,4 @@
-"""Every module of the package reads each name it imports."""
+"""Every module of the package reads each name it imports, and none reads the environment."""
 
 from __future__ import annotations
 
@@ -51,3 +51,46 @@ def test_the_guard_finds_an_unused_name_and_honours_noqa():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list[str]:
+    """The os.environ / os.getenv reads in source, as "line N: name", in order.
+
+    Covers `os.<name>` under any alias of os and `from os import <name>`.
+    """
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "os"
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases and node.attr in _ENVIRONMENT:
+                reads.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(node.lineno, f"os.{a.name}") for a in node.names if a.name in _ENVIRONMENT]
+    return [f"line {line}: {name}" for line, name in sorted(reads)]
+
+
+def test_the_environment_guard_finds_every_spelling():
+    source = (
+        "import os\n"
+        "import os as system\n"
+        "from os import getenv, path\n"
+        "CAP = os.environ.get('CAP')\n"
+        "HOME = system.getenv('HOME')\n"
+        "SEP = os.sep\n"
+    )
+    assert environment_reads(source) == ["line 3: os.getenv", "line 4: os.environ",
+                                         "line 5: os.getenv"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # no setting outside a call's arguments may change an answer
+    assert environment_reads(path.read_text()) == []

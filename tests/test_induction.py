@@ -113,11 +113,14 @@ class TestRotorGroups:
             generate_rotor_group(mirrors)
         assert isinstance(info.value.__cause__, OverflowError)
 
-    def test_cap_is_checked_on_every_insertion(self):
+    def test_cap_is_checked_on_every_insertion(self, monkeypatch):
         units = normalize_roots(build_preset("H3"))
-        assert generate_rotor_group(units, cap=120).order == 120
-        with pytest.raises(ClosureCapExceeded, match="cap of 119"):
-            generate_rotor_group(units, cap=119)
+        monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 120)
+        assert generate_rotor_group(units).order == 120
+        monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 119)
+        with pytest.raises(ClosureCapExceeded,
+                           match="^rotor closure exceeded cap of 119 elements$"):
+            generate_rotor_group(units)
 
     def test_cap_bounds_the_work(self, monkeypatch):
         calls = []
@@ -127,15 +130,17 @@ class TestRotorGroups:
             return int_product(*args)
 
         monkeypatch.setattr(induction, "int_product", counting)
+        monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 10)
         with pytest.raises(ClosureCapExceeded):
-            generate_rotor_group(normalize_roots(build_preset("H3")), cap=10)
+            generate_rotor_group(normalize_roots(build_preset("H3")))
         # cap + 1 products, each a new element; the seed alone is 30 products
         assert len(calls) == 11
 
-    def test_infinite_group_hits_the_cap_before_overflow(self):
+    def test_infinite_group_hits_the_cap_before_overflow(self, monkeypatch):
         mirrors = [vec(1, 0, 0), vec(Fraction(3, 5), Fraction(4, 5), 0), vec(0, 0, 1)]
-        with pytest.raises(ClosureCapExceeded, match="cap of 50"):
-            generate_rotor_group(mirrors, cap=50)
+        monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 50)
+        with pytest.raises(ClosureCapExceeded, match="cap of 50 elements"):
+            generate_rotor_group(mirrors)
 
     def test_mixed_fields_rejected(self):
         # the first unit root of each with a surd coordinate: a rational one fits either field
@@ -275,15 +280,20 @@ class TestCacheKeys:
             assert cached.cache_info().maxsize is not None
 
     def test_evicted_result_is_recomputed_equal(self):
-        rs = build_preset("A1xA1xA1")
+        roots = build_preset("A1xA1xA1").roots
+
+        def scaled(k):  # a distinct key per k, all with the same induced set
+            return RootSystem([r.scale(k) for r in roots], disc=1)
+
         induce_4d.cache_clear()
-        first = induce_4d(rs, cap=1000)
+        rs = scaled(1)
+        first = induce_4d(rs)
         maxsize = induce_4d.cache_info().maxsize
-        for k in range(maxsize):  # each cap is a new key; the first is evicted
-            induce_4d(rs, cap=1001 + k)
+        for k in range(2, maxsize + 2):  # each k is a new key; the first is evicted
+            induce_4d(scaled(k))
         assert induce_4d.cache_info().currsize == maxsize
         misses = induce_4d.cache_info().misses
-        again = induce_4d(rs, cap=1000)
+        again = induce_4d(rs)
         assert induce_4d.cache_info().misses == misses + 1
         assert again == first and again.label == first.label
         assert again.roots == first.roots
