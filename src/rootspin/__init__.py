@@ -19,18 +19,15 @@ _EXPORTS = {
         "coxeter_order", "identify", "signature", "simple_roots_of", "survey",
     ),
     "clifford": (
-        "Multivector", "Rotor", "geometric_product", "reflect", "reverse", "rotate",
-        "rotor_from_vectors", "spinor_to_vec2", "spinor_to_vec4",
+        "Multivector", "Rotor", "RotorGroup", "generate_rotor_group", "geometric_product",
+        "reflect", "reverse", "rotate", "rotor_from_vectors", "spinor_to_vec2", "spinor_to_vec4",
     ),
     "errors": (
         "ClosureCapExceeded", "DegenerateFunctional", "DimensionMismatch", "DomainError",
         "FieldMismatch", "NonUnitVector", "NormNotInField", "NotRepresentable",
         "OddGradePresent", "RootspinError", "UnknownAngle", "ZeroRoot",
     ),
-    "induction": (
-        "RotorGroup", "SelfDualityReport", "check_self_dual", "generate_rotor_group",
-        "induce_2d", "induce_4d",
-    ),
+    "induction": ("SelfDualityReport", "check_self_dual", "induce_2d", "induce_4d"),
     "presets": ("Preset", "build_preset", "direct_sum", "get_preset", "preset_names"),
     "qfield": ("QScalar", "phi"),
     "roots": (

@@ -86,7 +86,7 @@ def _resolve_source(args) -> RootSystem:
         try:
             return build_preset(args.preset)
         except KeyError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(exc.args[0]) from exc
     from .serialize import load_root_system
 
     return load_root_system(args.input)

@@ -1,26 +1,36 @@
 """Geometric algebra of 2 and 3 Euclidean dimensions over exact scalars.
 
-Multivectors are stored as 2^dim blade coefficients indexed by bitmask:
-bit i set means the basis vector e_{i+1} is present, so index 0 is the
-scalar and index 2^dim - 1 the pseudoscalar.  The product sign comes from
-transposition counting on the masks; with e_i^2 = 1 the whole product table
-reduces to sign * XOR.
+Multivectors are stored as 2^dim QScalar blade coefficients indexed by
+bitmask: bit i set means the basis vector e_{i+1} is present, so index 0 is
+the scalar and index 2^dim - 1 the pseudoscalar.  The geometric product is
+lattice.py's `int_product`, run on the coefficients' integer numerators: the
+blade convention, the bivector basis (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2)
+and the 4D readout of even elements are stated there, once.
 
-The bivector basis is fixed to (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2);
-the 4D reinterpretation of even elements reads its coefficients in exactly
-that order.  Changing the convention silently breaks every group
-comparison downstream, so it is centralised here and nowhere else.
+Only this module builds a Rotor: Rotor checks R ~R = 1, and RotorGroup and
+generate_rotor_group wrap induction.py's integer rotor closure, whose
+products are unit rotors by construction.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
-from .errors import DimensionMismatch, NonUnitVector, OddGradePresent
-from .lattice import field_disc, int_numerators
+from .errors import DimensionMismatch, NonUnitVector, OddGradePresent, RootspinError
+from .induction import rotor_closure
+from .lattice import (
+    BLADES,
+    EVEN_MASKS,
+    field_disc,
+    from_numerators,
+    int_numerators,
+    int_product,
+    mask_ordered,
+    sorted_numerators,
+    vec4_numerators,
+)
 from .qfield import QScalar
 from .roots import Vector, row_vector
 
@@ -28,22 +38,6 @@ _ZERO = QScalar(0)
 _ONE = QScalar(1)
 
 Scalarish = Union[QScalar, int, Fraction]
-
-
-def _blade_sign(a: int, b: int) -> int:
-    # parity of transpositions needed to merge blade a into blade b
-    s = 0
-    a >>= 1
-    while a:
-        s += (a & b).bit_count()
-        a >>= 1
-    return -1 if s & 1 else 1
-
-
-@lru_cache(maxsize=None)
-def _sign_table(dim: int) -> tuple[tuple[int, ...], ...]:
-    n = 1 << dim
-    return tuple(tuple(_blade_sign(a, b) for b in range(n)) for a in range(n))
 
 
 def _grade(mask: int) -> int:
@@ -140,21 +134,9 @@ class Multivector:
         if isinstance(other, (QScalar, int, Fraction)):
             return Multivector(self.dim, (c * other for c in self.coeffs))
         self._check(other)
-        table = _sign_table(self.dim)
-        out: list = [None] * (1 << self.dim)
-        for a, xa in enumerate(self.coeffs):
-            if xa.is_zero():
-                continue
-            row = table[a]
-            for b, yb in enumerate(other.coeffs):
-                if yb.is_zero():
-                    continue
-                term = xa * yb
-                if row[b] < 0:
-                    term = -term
-                m = a ^ b
-                out[m] = term if out[m] is None else out[m] + term
-        return Multivector(self.dim, (_ZERO if c is None else c for c in out))
+        d = field_disc((self.coeffs, other.coeffs))
+        x, y = int_numerators(self.coeffs), int_numerators(other.coeffs)
+        return Multivector(self.dim, from_numerators(int_product(x, y, BLADES[self.dim], d), d))
 
     def __rmul__(self, other):
         if isinstance(other, (QScalar, int, Fraction)):
@@ -278,6 +260,13 @@ class Rotor:
         return f"Rotor({self.mv})"
 
 
+def _trusted_rotor(mv: Multivector) -> Rotor:
+    # products of unit rotors are unit rotors; skip re-validation in closures
+    r = object.__new__(Rotor)
+    object.__setattr__(r, "mv", mv)
+    return r
+
+
 def rotor_from_vectors(m, n) -> Rotor:
     """Rotor m n of the rotation given by reflecting first in n then in m."""
     mv_m = _as_unit_vector_mv(m)
@@ -290,11 +279,6 @@ def rotate(a: Multivector, r: Rotor) -> Multivector:
     if not a.is_vector():
         raise OddGradePresent(f"rotate expects a pure vector, got {a}")
     return r.mv * a * r.mv.reverse()
-
-
-# mask layout in Cl(3): e23 = 0b110 carries I e1, e13 = 0b101 carries -I e2,
-# e12 = 0b011 carries I e3
-_IE1, _IE2_NEG, _IE3 = 0b110, 0b101, 0b011
 
 
 def spinor_to_vec4(psi) -> Vector:
@@ -318,51 +302,6 @@ def spinor_to_vec2(psi) -> Vector:
     return Vector((mv.coeffs[0], mv.coeffs[0b11]))
 
 
-# -- exact integer kernel of the even subalgebra of Cl(3) -------------------
-#
-# An element a0 + a1 e23 + a2 e13 + a3 e12 with a_k = (p_k + q_k sqrt(d)) / D
-# is the tuple (p_0, q_0, ..., p_3, q_3, D) of Python ints, divided by the gcd
-# of all nine and with D > 0, so equal elements are equal tuples.  A vector
-# x1 e1 + x2 e2 + x3 e3 is held the same way with three pairs.  Products take
-# their structure constants from _sign_table, so the blade convention above
-# stays the only one; the even product is the quaternion product.  The
-# encoder, int_numerators, is lattice.py's, shared with the reflection closure.
-
-EVEN_MASKS = (0, _IE1, _IE2_NEG, _IE3)
-
-
-def _structure(left: tuple[int, ...], right: tuple[int, ...]) -> tuple:
-    """(2k, 2i, 2j, sign): blade left[i] times blade right[j] is sign * even blade k."""
-    table = _sign_table(3)
-    pos = {m: k for k, m in enumerate(EVEN_MASKS)}
-    return tuple(
-        (2 * pos[a ^ b], 2 * i, 2 * j, table[a][b])
-        for i, a in enumerate(left)
-        for j, b in enumerate(right)
-    )
-
-
-VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100))
-EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS)
-
-
-def int_product(x: tuple[int, ...], y: tuple[int, ...], structure, disc: int) -> tuple[int, ...]:
-    """Product of two integer-numerator elements, reduced; structure picks their grades."""
-    out = [0] * 8
-    for k, i, j, sign in structure:
-        p, q = x[i], x[i + 1]
-        r, t = y[j], y[j + 1]
-        if sign > 0:
-            out[k] += p * r + disc * q * t
-            out[k + 1] += p * t + q * r
-        else:
-            out[k] -= p * r + disc * q * t
-            out[k + 1] -= p * t + q * r
-    den = x[-1] * y[-1]
-    g = math.gcd(den, *out)
-    return tuple(v // g for v in out) + (den // g,)
-
-
 def even_from_numerators(x: tuple[int, ...], disc: int) -> Multivector:
     """The even Cl(3) multivector whose integer numerators are x, over Q(sqrt(disc))."""
     den = x[-1]
@@ -374,19 +313,76 @@ def even_from_numerators(x: tuple[int, ...], disc: int) -> Multivector:
     return Multivector(3, cs)
 
 
-def vec4_numerators(x: tuple[int, ...]) -> tuple[int, ...]:
-    """Numerators of the 4D vector spinor_to_vec4 reads off the even element x.
+class RotorGroup:
+    """Finite group of rotors, canonically ordered, closed under the product."""
 
-    The readout convention lives here alone: the element a0 + a1 e23 +
-    a2 e13 + a3 e12, held as x, reads as (a0, a1, -a2, a3), since e13 = -I e2.
+    __slots__ = ("dim", "elements", "_set")
+
+    def __init__(self, elements: Sequence[Rotor]):
+        elems = set(elements)
+        if not elems:
+            raise RootspinError("a rotor group needs at least one element")
+        dims = {r.dim for r in elems}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
+        self._fill(sorted(elems))
+        self._validate()
+
+    @classmethod
+    def _trusted(cls, elems: list[Rotor]) -> "RotorGroup":
+        # elements already distinct, canonically ordered and validated
+        group = object.__new__(cls)
+        group._fill(elems)
+        return group
+
+    def _fill(self, elems: list[Rotor]) -> None:
+        object.__setattr__(self, "dim", elems[0].dim)
+        object.__setattr__(self, "elements", tuple(elems))
+        object.__setattr__(self, "_set", frozenset(r.mv for r in elems))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RotorGroup is immutable")
+
+    def _validate(self) -> None:
+        if len(self.elements) % 2 != 0:
+            raise RootspinError(f"rotor group of odd order {len(self.elements)}")
+        if Multivector.scalar(1, self.dim) not in self._set:
+            raise RootspinError("rotor group does not contain 1")
+        for r in self.elements:
+            if (-r.mv) not in self._set:
+                raise RootspinError(f"rotor group not closed under negation at {r}")
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, r) -> bool:
+        mv = r.mv if isinstance(r, Rotor) else r
+        return mv in self._set
+
+    def __repr__(self) -> str:
+        return f"RotorGroup(dim={self.dim}, order={self.order})"
+
+
+def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
+    """The group generated by {alpha_i alpha_j : all ordered root pairs}.
+
+    A thin wrapper over induction.py's rotor_closure: Multivectors are built
+    once, for the final elements, in the canonical order of their integer
+    numerators.  The closure runs on Cl(3)'s even rows, so every vector must be 3D.
     """
-    return x[:4] + (-x[4], -x[5]) + x[6:]
-
-
-# the even coefficients' slots in blade-mask order, the order Multivector.__lt__ compares
-_MASK_ORDER = sorted(range(4), key=EVEN_MASKS.__getitem__)
-
-
-def mask_ordered(x: tuple[int, ...]) -> tuple[int, ...]:
-    """The even element x with its coefficient pairs in blade-mask order."""
-    return tuple(v for k in _MASK_ORDER for v in x[2 * k:2 * k + 2]) + x[-1:]
+    if not unit_roots:
+        raise NonUnitVector("no roots given")
+    dims = {r.dim for r in unit_roots}
+    if dims != {3}:
+        raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
+    d = field_disc(unit_roots)
+    elements = rotor_closure([int_numerators(r.coords) for r in unit_roots], d)
+    ordered = sorted_numerators(elements, d, key=mask_ordered)
+    return RotorGroup._trusted([_trusted_rotor(even_from_numerators(x, d)) for x in ordered])

@@ -5,7 +5,9 @@ group they generate under the geometric product, then read each group
 element's even-grade coefficients as a Euclidean vector.  The resulting 4D
 (or 2D) point set is re-verified against the root-system axioms instead of
 being trusted: the verification *is* the computational content here.  Both
-pipelines run on the input's rows (roots.py) from input to output.  The
+pipelines run on the input's rows (roots.py) from input to output, and every
+product is lattice.py's int_product: this module builds no Multivector, and
+the public rotor group of Multivectors (clifford.py) wraps rotor_closure.  The
 check builds the output's RootSystem.lattice (roots.py), which its named
 copies share and a later signature reads; its stored table is never mutated.
 """
@@ -16,29 +18,21 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .caps import GROUP_CLOSURE_CAP, admit
-from .clifford import (
-    EVEN_BY_EVEN,
-    VECTOR_BY_VECTOR,
-    Multivector,
-    Rotor,
-    even_from_numerators,
-    int_product,
-    mask_ordered,
-    vec4_numerators,
-)
 from .errors import DimensionMismatch, NonUnitVector, RootspinError
 from .lattice import (
+    EVEN_BY_EVEN,
+    VECTOR_BY_VECTOR,
+    VECTOR_BY_VECTOR_2D,
     Numerators,
-    field_disc,
-    int_numerators,
+    int_product,
     negated,
     sorted_numerators,
+    vec4_numerators,
 )
 from .qfield import QScalar
 from .roots import (
     Provenance,
     RootSystem,
-    Vector,
     _is_unit,
     require_root_system,
     row_vector,
@@ -48,88 +42,6 @@ from .roots import (
 _ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
 
 
-def _trusted_rotor(mv: Multivector) -> Rotor:
-    # products of unit rotors are unit rotors; skip re-validation in closures
-    r = object.__new__(Rotor)
-    object.__setattr__(r, "mv", mv)
-    return r
-
-
-class RotorGroup:
-    """Finite group of rotors, canonically ordered, closed under the product."""
-
-    __slots__ = ("dim", "elements", "_set")
-
-    def __init__(self, elements: Sequence[Rotor]):
-        elems = set(elements)
-        if not elems:
-            raise RootspinError("a rotor group needs at least one element")
-        dims = {r.dim for r in elems}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
-        self._fill(sorted(elems))
-        self._validate()
-
-    @classmethod
-    def _trusted(cls, elems: list[Rotor]) -> "RotorGroup":
-        # elements already distinct, canonically ordered and validated
-        group = object.__new__(cls)
-        group._fill(elems)
-        return group
-
-    def _fill(self, elems: list[Rotor]) -> None:
-        object.__setattr__(self, "dim", elems[0].dim)
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "_set", frozenset(r.mv for r in elems))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RotorGroup is immutable")
-
-    def _validate(self) -> None:
-        if len(self.elements) % 2 != 0:
-            raise RootspinError(f"rotor group of odd order {len(self.elements)}")
-        if Multivector.scalar(1, self.dim) not in self._set:
-            raise RootspinError("rotor group does not contain 1")
-        for r in self.elements:
-            if (-r.mv) not in self._set:
-                raise RootspinError(f"rotor group not closed under negation at {r}")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, r) -> bool:
-        mv = r.mv if isinstance(r, Rotor) else r
-        return mv in self._set
-
-    def __repr__(self) -> str:
-        return f"RotorGroup(dim={self.dim}, order={self.order})"
-
-
-def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
-    """The group generated by {alpha_i alpha_j : all ordered root pairs}.
-
-    A thin wrapper over rotor_closure: Multivectors are built once, for the
-    final elements, in the canonical order of their integer numerators.
-    The integer kernel is Cl(3)'s, so every vector must be 3D.
-    """
-    if not unit_roots:
-        raise NonUnitVector("no roots given")
-    dims = {r.dim for r in unit_roots}
-    if dims != {3}:
-        raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
-    d = field_disc(unit_roots)
-    elements = rotor_closure([int_numerators(r.coords) for r in unit_roots], d)
-    ordered = sorted_numerators(elements, d, key=mask_ordered)
-    return RotorGroup._trusted([_trusted_rotor(even_from_numerators(x, d)) for x in ordered])
-
-
 def rotor_closure(vecs: Sequence[Numerators], d: int) -> list[Numerators]:
     """Numerators of the group generated by the products of the unit vectors vecs.
 
@@ -137,8 +49,8 @@ def rotor_closure(vecs: Sequence[Numerators], d: int) -> list[Numerators]:
     alpha_1 is the inverse of alpha_1 alpha_i, the n products alpha_1 alpha_j
     generate it.  They are closed into {1} one generator at a time, and a
     generator already in the closure is skipped, so H3 keeps 2 of its 29.
-    The loop runs on the integer numerators of clifford's even kernel, and
-    the group checks (even order, 1, negation) run on the tuples.  Every
+    The loop runs on even rows with lattice.py's int_product, and the group
+    checks (even order, 1, negation) run on the tuples.  Every
     element met, the n seed products included, enters through caps.admit,
     so a group over GROUP_CLOSURE_CAP costs at most that cap + 1 elements of
     work.
@@ -176,8 +88,8 @@ def rotor_closure(vecs: Sequence[Numerators], d: int) -> list[Numerators]:
         raise RootspinError("rotor group does not contain 1")
     for x in elements:
         if negated(x) not in known:
-            rotor = _trusted_rotor(even_from_numerators(x, d))
-            raise RootspinError(f"rotor group not closed under negation at {rotor}")
+            at = row_vector(vec4_numerators(x), d)
+            raise RootspinError(f"rotor group not closed under negation at {at}")
     return elements
 
 
@@ -222,13 +134,11 @@ def induce_2d(rs: RootSystem) -> RootSystem:
     """
     if rs.dim != 2:
         raise DimensionMismatch(f"induce_2d needs a 2D system, got dim {rs.dim}")
-    # the steps of normalize_roots and spinor_to_vec2, on rows padded to 3D: the
-    # product of two vectors in the e1 e2 plane is a0 + a3 e1 e2, and its e2 e3
-    # and e1 e3 slots are zero, so (a0, a3) over D is still reduced
+    # the steps of normalize_roots and spinor_to_vec2, on rows: the product of
+    # two vectors in the e1 e2 plane is a0 + a3 e1 e2, the row (a0, a3)
     d = rs.disc
-    units = [x[:-1] + (0, 0) + x[-1:] for x in unit_rows(rs)]
-    products = (int_product(units[0], u, VECTOR_BY_VECTOR, d) for u in units)
-    rows = [x[:2] + x[6:] for x in products]
+    units = unit_rows(rs)
+    rows = [int_product(units[0], u, VECTOR_BY_VECTOR_2D, d) for u in units]
     out = _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
     return _named(out, rs.label or "rank-2 input")
 

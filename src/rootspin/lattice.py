@@ -1,6 +1,7 @@
-"""Exact integer-lattice kernel: the row encoding, angle counts and reflection tables.
+"""Exact integer-lattice kernel: the row encoding, the geometric product, angle counts
+and reflection tables.
 
-A vector or rotor is held as one reduced tuple of Python ints, its row
+A vector, multivector or rotor is held as one reduced tuple of Python ints, its row
 
     (p_1, q_1, ..., p_k, q_k, D),   coordinate i = (p_i + q_i sqrt(d)) / D,
 
@@ -8,6 +9,11 @@ with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 RootSystem stores its roots this way; `int_numerators` encodes QScalars
 and `from_numerators` decodes a row for output; `sorted_numerators` sorts
 rows by exact value.
+
+`int_product` is the one geometric product of Cl(2) and Cl(3), on rows of
+blade coefficients; the blade convention and the 4D readout of the even
+subalgebra (`vec4_numerators`) are stated with it.  The rotor closure
+(induction.py) and Multivector's product (clifford.py) both run it.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
@@ -116,6 +122,88 @@ def int_reflect(b: Numerators, mirror: tuple, disc: int) -> Numerators:
     out.append(n * b[-1])
     h = math.gcd(*out)
     return tuple(z // h for z in out)
+
+
+# -- the geometric product of Cl(2) and Cl(3) on rows ----------------------------
+#
+# A multivector is a row of blade coefficients.  A blade is a bitmask: bit i
+# set means the basis vector e_{i+1} is present, so 0 is the scalar and
+# 2^dim - 1 the pseudoscalar.  With e_i^2 = 1, blade a times blade b is
+# _blade_sign(a, b) times blade a ^ b.  The bivector basis is fixed to
+# (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2): an even element of Cl(3),
+# a0 + a1 e23 + a2 e13 + a3 e12, is the row of its coefficients on EVEN_MASKS,
+# and vec4_numerators reads it as a 4D vector.  Changing the convention
+# silently breaks every group comparison downstream, so it lives here and
+# nowhere else; the even product is the quaternion product.
+
+# e23 = 0b110 carries I e1, e13 = 0b101 carries -I e2, e12 = 0b011 carries I e3
+EVEN_MASKS = (0b000, 0b110, 0b101, 0b011)
+
+
+def _blade_sign(a: int, b: int) -> int:
+    # parity of transpositions needed to merge blade a into blade b
+    s = 0
+    a >>= 1
+    while a:
+        s += (a & b).bit_count()
+        a >>= 1
+    return -1 if s & 1 else 1
+
+
+def _structure(left: Sequence[int], right: Sequence[int], out: Sequence[int]) -> tuple:
+    """(width, terms) of a product of rows on the blades left and right, read on the blades out.
+
+    width = 2 len(out) numerators precede the result's D; a term (2k, 2i, 2j, sign)
+    says blade left[i] times blade right[j] is sign * blade out[k].
+    """
+    pos = {m: k for k, m in enumerate(out)}
+    return 2 * len(out), tuple(
+        (2 * pos[a ^ b], 2 * i, 2 * j, _blade_sign(a, b))
+        for i, a in enumerate(left)
+        for j, b in enumerate(right)
+    )
+
+
+BLADES = {dim: _structure(range(1 << dim), range(1 << dim), range(1 << dim)) for dim in (2, 3)}
+VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100), EVEN_MASKS)
+EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS, EVEN_MASKS)
+VECTOR_BY_VECTOR_2D = _structure((0b01, 0b10), (0b01, 0b10), (0b00, 0b11))  # a0 + a3 e1 e2
+
+
+def int_product(x: Numerators, y: Numerators, structure: tuple, disc: int) -> Numerators:
+    """The reduced row of the product x y; structure (a _structure) names their blades."""
+    width, terms = structure
+    out = [0] * width
+    for k, i, j, sign in terms:
+        p, q = x[i], x[i + 1]
+        r, t = y[j], y[j + 1]
+        if sign > 0:
+            out[k] += p * r + disc * q * t
+            out[k + 1] += p * t + q * r
+        else:
+            out[k] -= p * r + disc * q * t
+            out[k + 1] -= p * t + q * r
+    den = x[-1] * y[-1]
+    g = math.gcd(den, *out)
+    return tuple(v // g for v in out) + (den // g,)
+
+
+def vec4_numerators(x: Numerators) -> Numerators:
+    """The row of the 4D vector read off the even element x of Cl(3).
+
+    The readout convention lives here alone: a0 + a1 e23 + a2 e13 + a3 e12,
+    held as x, reads as (a0, a1, -a2, a3), since e13 = -I e2.
+    """
+    return x[:4] + (-x[4], -x[5]) + x[6:]
+
+
+# the even coefficients' slots in blade-mask order, the order Multivector.__lt__ compares
+_MASK_ORDER = sorted(range(4), key=EVEN_MASKS.__getitem__)
+
+
+def mask_ordered(x: Numerators) -> Numerators:
+    """The even element x with its coefficient pairs in blade-mask order."""
+    return tuple(v for k in _MASK_ORDER for v in x[2 * k:2 * k + 2]) + x[-1:]
 
 
 def field_sign(x: int, y: int, disc: int) -> int:

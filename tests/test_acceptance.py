@@ -1,15 +1,18 @@
 """Acceptance suite: one pass/fail line per criterion (run with -s or -rA).
 
 Every comparison is exact; there are no tolerances anywhere.  Three
-sub-cases are strict-xfail because the objects they ask for provably do not
-exist over any single quadratic field Q(sqrt(d)):
+sub-cases are strict-xfail because the objects they ask for cannot be built
+exactly over a single quadratic field Q(sqrt(d)):
 
 * I2(5) and I2(7) admit no exact planar realization at all (the rotation by
-  2*pi/n has matrix entries of degree > 2 over the rationals), which also
-  removes the A1 x I2(5) induction input;
+  2*pi/n has matrix entries of degree > 2 over the rationals).  That removes
+  only the planar presets: A1 x I2(5) has a 3D realization over Q(sqrt(5)),
+  the ten H3 roots orthogonal to (0, phi, 1) together with +-(0, phi, 1);
 * I2(8) closes exactly over Q(sqrt(2)) but its odd orbit has squared norm
   4 - 2*sqrt(2), which is not a square in Q(sqrt(2)), so its roots cannot be
-  unit-normalized and the self-duality congruence has no exact formulation.
+  unit-normalized: induce_2d's unit_rows step raises NormNotInField.  The
+  self-duality congruence itself has an exact formulation, since the angle
+  keys take no square root.
 
 If any of those ever passes, strict xfail turns the suite red.
 """

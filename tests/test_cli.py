@@ -194,7 +194,7 @@ class TestSelfDual:
         assert err == "rootspin: NotRepresentable: I2(-3) needs n >= 2\n"
         code, out, err = run(capsys, "roots", "--preset", "I2--3")
         assert code == 1 and out == ""
-        assert err == "rootspin: error: \"unknown preset 'I2--3'\"\n"
+        assert err == "rootspin: error: unknown preset 'I2--3'\n"
 
 
 class TestSurvey:
@@ -262,7 +262,7 @@ class TestExitCodes:
     def test_non_integer_dihedral_index_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
-        assert err == f"rootspin: error: \"unknown preset '{argv[2]}'\"\n"
+        assert err == f"rootspin: error: unknown preset '{argv[2]}'\n"
 
     @pytest.mark.parametrize("name,canon", [("I2-6", "I2-6"), ("i2(6)", "I2-6"),
                                             ("A1xI2-4", "A1xI2-4")])
@@ -563,10 +563,10 @@ _BASE = {"rootspin." + m for m in ("caps", "cli", "errors", "lattice", "presets"
 @pytest.mark.parametrize("argv, expected", [
     (["verify", "--preset", "F4"], _BASE),
     (["classify", "--preset", "B3"], _BASE | {"rootspin.classify"}),
-    (["induce", "--preset", "A3"],
-     _BASE | {"rootspin.clifford", "rootspin.induction", "rootspin.serialize"}),
-    (["selfdual", "4"], _BASE | {"rootspin.clifford", "rootspin.induction"}),
-], ids=["verify", "classify", "induce", "selfdual"])
+    (["induce", "--preset", "A3"], _BASE | {"rootspin.induction", "rootspin.serialize"}),
+    (["selfdual", "4"], _BASE | {"rootspin.induction"}),
+    (["survey"], _BASE | {"rootspin.classify", "rootspin.induction"}),
+], ids=["verify", "classify", "induce", "selfdual", "survey"])
 def test_fresh_cli_process_loads_only_the_modules_its_verb_runs(argv, expected):
     assert _probe(*argv)[2] == expected
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rootspin import (
     DimensionMismatch,
+    FieldMismatch,
     Multivector,
     NonUnitVector,
     OddGradePresent,
@@ -25,13 +26,15 @@ from rootspin import (
     spinor_to_vec4,
     vec,
 )
-from rootspin.clifford import (
+from rootspin.clifford import even_from_numerators
+from rootspin.lattice import (
     EVEN_BY_EVEN,
     EVEN_MASKS,
     VECTOR_BY_VECTOR,
-    even_from_numerators,
+    from_numerators,
     int_numerators,
     int_product,
+    vec4_numerators,
 )
 from _util import random_multivector, random_vector_mv, random_unit_mv, unit_pool_3d
 
@@ -71,6 +74,46 @@ class TestGeometricProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             E1 * Multivector.basis_vector(1, 2)
+
+
+def _indices(mask: int, dim: int) -> list[int]:
+    return [i + 1 for i in range(dim) if mask >> i & 1]
+
+
+def _inversions(indices: list[int]) -> int:
+    return sum(p > q for k, p in enumerate(indices) for q in indices[k + 1:])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_basis_blade_table(dim):
+    # blade m is e_i e_j ... over the set bits of m, in increasing order; moving
+    # the factors of blade a times blade b into order takes one swap per inversion
+    # of the concatenated index lists, and then each e_i^2 = 1
+    def unit(mask: int, sign: int = 1) -> Multivector:
+        return Multivector(dim, [sign if m == mask else 0 for m in range(1 << dim)])
+
+    blades = []
+    for mask in range(1 << dim):
+        blade = Multivector.scalar(1, dim)
+        for i in _indices(mask, dim):
+            blade = blade * Multivector.basis_vector(i, dim)
+        assert blade == unit(mask)
+        blades.append(blade)
+    for a, x in enumerate(blades):
+        for b, y in enumerate(blades):
+            sign = (-1) ** _inversions(_indices(a, dim) + _indices(b, dim))
+            assert x * y == unit(a ^ b, sign), (a, b)
+
+
+def test_a_product_of_two_fields_is_refused():
+    with pytest.raises(FieldMismatch, match=r"^cannot combine Q\(sqrt\(2\)\) with Q\(sqrt\(3\)\)$"):
+        (E1 * QScalar(0, 1, 2)) * (E2 * QScalar(0, 1, 3))
+
+
+def test_a_coefficient_beyond_64_bits_overflows():
+    assert (E1 * 2**62) * (E1 * Fraction(1, 2)) == ONE * 2**61
+    with pytest.raises(OverflowError, match="exceeds 64-bit range"):
+        (E1 * 2**62) * (E1 * 4)
 
 
 class TestReverse:
@@ -284,7 +327,7 @@ class TestProductLaws:
             assert (n + p) * m == n * m + p * m
 
 
-# -- the integer kernel of the even subalgebra against the QScalar product -------
+# -- the product against textbook formulas in QScalars ------------------------------
 
 _DISCS = st.sampled_from([1, 2, 3, 5])
 
@@ -306,33 +349,49 @@ def _scalar_lists(draw, n):
     return d, out
 
 
-def _even_mv(scalars) -> Multivector:
-    cs = [QScalar(0)] * 8
-    for m, c in zip(EVEN_MASKS, scalars):
-        cs[m] = c
-    return Multivector(3, cs)
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _spinor(a0, a) -> Multivector:
+    """a0 + I a, with I e1 = e2 e3, I e2 = e3 e1 = -e1 e3 and I e3 = e1 e2."""
+    zero = QScalar(0)
+    return mv3(a0, zero, zero, a[2], zero, -a[1], a[0], zero)
 
 
 class TestEvenKernel:
     @given(_scalar_lists(8))
     def test_even_product_matches_geometric_product(self, case):
+        # (a0 + I a)(b0 + I b) = a0 b0 - a.b + I (a0 b + b0 a - a x b)
         d, scalars = case
-        x, y = scalars[:4], scalars[4:]
-        expected = _even_mv(x) * _even_mv(y)
-        got = int_product(int_numerators(x), int_numerators(y), EVEN_BY_EVEN, d)
-        assert even_from_numerators(got, d) == expected
-        # reduced form is canonical: equal elements are equal tuples
-        assert got == int_numerators(expected.coeffs[m] for m in EVEN_MASKS)
+        (a0, *a), (b0, *b) = scalars[:4], scalars[4:]
+        cross = _cross(a, b)
+        expected = (a0 * b0 - _dot(a, b), *(a0 * bk + b0 * ak - ck
+                                             for ak, bk, ck in zip(a, b, cross)))
+        # the kernel's rows read in (1, I e1, I e2, I e3) through vec4_numerators
+        x, y = (vec4_numerators(int_numerators(s)) for s in (scalars[:4], scalars[4:]))
+        got = int_product(x, y, EVEN_BY_EVEN, d)
+        assert from_numerators(vec4_numerators(got), d) == expected
+        assert got == vec4_numerators(int_numerators(expected))  # reduced, so canonical
+        product = _spinor(a0, a) * _spinor(b0, b)
+        assert product == _spinor(expected[0], expected[1:])
+        assert spinor_to_vec4(product).coords == expected
 
     @given(_scalar_lists(6))
     def test_vector_product_matches_geometric_product(self, case):
+        # u v = u.v + I (u x v)
         d, scalars = case
-        u, v = Vector(scalars[:3]), Vector(scalars[3:])
-        expected = Multivector.from_vector(u) * Multivector.from_vector(v)
-        got = int_product(int_numerators(u.coords), int_numerators(v.coords),
-                          VECTOR_BY_VECTOR, d)
-        assert even_from_numerators(got, d) == expected
-        assert got == int_numerators(expected.coeffs[m] for m in EVEN_MASKS)
+        u, v = scalars[:3], scalars[3:]
+        expected = (_dot(u, v), *_cross(u, v))
+        got = int_product(int_numerators(u), int_numerators(v), VECTOR_BY_VECTOR, d)
+        assert from_numerators(vec4_numerators(got), d) == expected
+        assert got == vec4_numerators(int_numerators(expected))
+        product = Multivector.from_vector(Vector(u)) * Multivector.from_vector(Vector(v))
+        assert product == _spinor(expected[0], expected[1:])
 
     def test_even_masks_follow_the_spinor_readout(self):
         # a_k sits on the blade that spinor_to_vec4 reads as coordinate k

@@ -56,6 +56,8 @@ COMMANDS = (
        ["induce", "--preset", "H3", "--cap", "1000"],
        ["classify", "--preset", "H4", "--cap", "10"],
        ["selfdual", "6", "--cap", "10"]]
+    # a name no preset has is a usage error
+    + [["roots", "--preset", "XYZ"]]
 )
 
 

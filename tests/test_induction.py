@@ -18,6 +18,7 @@ from rootspin import (
     QScalar,
     RootSystem,
     RootspinError,
+    RotorGroup,
     Vector,
     build_preset,
     check_self_dual,
@@ -31,8 +32,8 @@ from rootspin import (
     verify_root_axioms,
 )
 from rootspin import induction
-from rootspin.clifford import EVEN_BY_EVEN, VECTOR_BY_VECTOR, even_from_numerators, int_product
-from rootspin.lattice import field_disc, int_numerators
+from rootspin.clifford import even_from_numerators
+from rootspin.lattice import EVEN_BY_EVEN, VECTOR_BY_VECTOR, field_disc, int_numerators, int_product
 from rootspin.presets import get_preset
 
 ONE3 = Multivector.scalar(1, 3)
@@ -61,7 +62,7 @@ class TestRotorGroups:
         shuffled = list(elements)
         random.Random(120).shuffle(shuffled)
         assert tuple(sorted(shuffled)) == elements
-        assert induction.RotorGroup(shuffled).elements == elements
+        assert RotorGroup(shuffled).elements == elements
 
     def test_double_cover_structure(self):
         for name in ("A1xA1xA1", "A3", "B3", "H3"):
@@ -98,7 +99,7 @@ class TestRotorGroups:
 
     def test_an_empty_rotor_group_is_refused(self):
         with pytest.raises(RootspinError, match="^a rotor group needs at least one element$"):
-            induction.RotorGroup([])
+            RotorGroup([])
 
     def test_closure_under_product_spot_check(self):
         grp = generate_rotor_group(normalize_roots(build_preset("A3")))
