@@ -194,14 +194,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"rootspin: error: {exc}", file=sys.stderr)
         return 1
-    except (
-        RootspinError,
-        OverflowError,
-        ZeroDivisionError,
-        OSError,
-        ValueError,  # malformed JSON and friends
-        KeyError,
-    ) as exc:
+    except (RootspinError, OSError, OverflowError) as exc:
         print(f"rootspin: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

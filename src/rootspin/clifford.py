@@ -32,7 +32,7 @@ from .lattice import (
     vec4_numerators,
 )
 from .qfield import QScalar
-from .roots import Vector, row_vector
+from .roots import Vector, row_vector, vectors_disc
 
 _ZERO = QScalar(0)
 _ONE = QScalar(1)
@@ -382,7 +382,7 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
     dims = {r.dim for r in unit_roots}
     if dims != {3}:
         raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
-    d = field_disc(unit_roots)
-    elements = rotor_closure([int_numerators(r.coords) for r in unit_roots], d)
+    d = vectors_disc(unit_roots)
+    elements = rotor_closure([r.row for r in unit_roots], d)
     ordered = sorted_numerators(elements, d, key=mask_ordered)
     return RotorGroup._trusted([_trusted_rotor(even_from_numerators(x, d)) for x in ordered])

@@ -6,9 +6,10 @@ A vector, multivector or rotor is held as one reduced tuple of Python ints, its 
     (p_1, q_1, ..., p_k, q_k, D),   coordinate i = (p_i + q_i sqrt(d)) / D,
 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
-RootSystem stores its roots this way; `int_numerators` encodes QScalars
-and `from_numerators` decodes a row for output; `sorted_numerators` sorts
-rows by exact value.
+A Vector and a RootSystem (roots.py) hold their values this way:
+`int_numerators` encodes the QScalars a Vector is built from, and
+`from_numerators` decodes a row when a Vector's coords are first read;
+`sorted_numerators` sorts rows by exact value.
 
 `int_product` is the one geometric product of Cl(2) and Cl(3), on rows of
 blade coefficients; the blade convention and the 4D readout of the even
@@ -216,40 +217,28 @@ def field_sign(x: int, y: int, disc: int) -> int:
     return 1 if bigger > 0 else -1
 
 
-Triple = tuple[int, int, int]
-
-
-def _triples(x: Numerators) -> list[Triple]:
-    """The coordinates of x as reduced (p, q, D), value (p + q sqrt(d)) / D.
-
-    Equal values are equal triples; gcd(p, q, D) = 1 and D > 0.
-    """
-    den = x[-1]
-    out = []
-    for p, q in zip(x[:-1:2], x[1:-1:2]):
-        g = math.gcd(p, q, den)
-        out.append((p // g, q // g, den // g))
-    return out
-
-
 def sorted_numerators(
     xs: Sequence[Numerators], disc: int, key: Callable[[Numerators], Numerators] | None = None
 ) -> list[Numerators]:
     """xs in lexicographic order of their coordinate values: Vector.__lt__'s order.
 
     key(x), if given, holds x's coordinates in comparison order.  The few
-    distinct reduced triples (see _triples) are ranked once, comparing s and t
-    by the sign of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d); the sort
-    then compares tuples of ranks.
+    distinct coordinates (p, q, D), value (p + q sqrt(d)) / D, are ranked once,
+    comparing s and t by the sign of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s)
+    sqrt(d), so that equal values in rows of different D share a rank; the
+    sort then compares tuples of ranks.
     """
-    coords = [_triples(key(x) if key else x) for x in xs]
-    distinct = sorted(
-        {t for ts in coords for t in ts},
-        key=cmp_to_key(
-            lambda s, t: field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
-        ),
-    )
-    rank = {t: i for i, t in enumerate(distinct)}
+    coords = [list(zip(x[:-1:2], x[1:-1:2], repeat(x[-1]))) for x in (map(key, xs) if key else xs)]
+
+    def cmp(s: tuple, t: tuple) -> int:
+        return field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
+
+    rank: dict[tuple, int] = {}
+    r, prev = -1, None
+    for t in sorted({t for ts in coords for t in ts}, key=cmp_to_key(cmp)):
+        if prev is None or cmp(prev, t):
+            r += 1
+        rank[t], prev = r, t
     keys = [tuple(map(rank.__getitem__, ts)) for ts in coords]
     return [xs[i] for i in sorted(range(len(xs)), key=keys.__getitem__)]
 

@@ -1,11 +1,14 @@
 """Exact Euclidean vectors, root systems, reflection closure and root-system axioms.
 
-A RootSystem stores its roots as rows, the reduced integer tuples of
-lattice.py, deduplicated and in canonical order (Vector.__lt__'s, computed
-by lattice.sorted_numerators).  The stages below read the rows directly, so
-a root is encoded once, where it enters, and decoded into a Vector of
-QScalars only for output: `.roots` on first access, and witnesses and error
-messages only for the roots they name, and simple_roots_of's output.
+A Vector holds its row, the reduced integer tuple of lattice.py, and its
+field's disc; it decodes its QScalar coords on first read.  A RootSystem
+stores its roots as rows, deduplicated and in canonical order
+(Vector.__lt__'s, computed by lattice.sorted_numerators), and takes a
+Vector's row as it is when the Vector is over its field or rational.  The
+stages below read the rows directly, so a root is encoded once, where it
+enters (a Vector built from QScalars, or a JSON file's quads), and decoded
+only where its coords are read: output, and the witnesses and error
+messages that name it.
 
 Generating a root system means closing a set of simple roots under the
 reflections they generate; verifying one means checking the two defining
@@ -29,7 +32,7 @@ from operator import eq, mul
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .caps import ROOT_CLOSURE_CAP, admit
-from .errors import DegenerateFunctional, DimensionMismatch, ZeroRoot
+from .errors import DegenerateFunctional, DimensionMismatch, FieldMismatch, ZeroRoot
 from .errors import NormNotInField, RootspinError
 from .lattice import (
     Lattice,
@@ -43,15 +46,23 @@ from .lattice import (
     negated,
     sorted_numerators,
 )
-from .qfield import QScalar
+from .qfield import _INT64_MAX, QScalar, _is_square_free
 
 Coord = Union[QScalar, int, Fraction]
 
 
 class Vector:
-    """Immutable exact vector of dimension 1..4 (1 only as a sum block)."""
+    """Immutable exact vector of dimension 1..4 (1 only as a sum block).
 
-    __slots__ = ("coords",)
+    A Vector holds its row, lattice.py's reduced integer tuple (p_1, q_1, ...,
+    D), and its field's disc; its coords, the QScalars, are decoded from the
+    row on first read, except that a Vector built from QScalars keeps the
+    coords it was given.  Scaling by an int or a Fraction, negation, equality,
+    hashing and RootSystem membership work on the row.  All coordinates share
+    one field: two surds from different fields raise FieldMismatch.
+    """
+
+    __slots__ = ("row", "disc", "_coords")
 
     def __init__(self, coords: Iterable[Coord], disc: int | None = None):
         cs = []
@@ -63,21 +74,25 @@ class Vector:
             cs.append(c)
         if not 1 <= len(cs) <= 4:
             raise DimensionMismatch(f"vector dimension {len(cs)} outside 1..4")
-        object.__setattr__(self, "coords", tuple(cs))
+        object.__setattr__(self, "row", int_numerators(cs))
+        object.__setattr__(self, "disc", field_disc((cs,)) if disc is None else disc)
+        object.__setattr__(self, "_coords", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Vector is immutable")
 
-    @classmethod
-    def _make(cls, coords: tuple) -> "Vector":
-        # trusted constructor: coords is already a tuple of QScalars
-        v = object.__new__(cls)
-        object.__setattr__(v, "coords", coords)
-        return v
+    @property
+    def coords(self) -> tuple[QScalar, ...]:
+        """The coordinates as QScalars over Q(sqrt(disc)), decoded on first read."""
+        cs = self._coords
+        if cs is None:
+            cs = from_numerators(self.row, self.disc)
+            object.__setattr__(self, "_coords", cs)
+        return cs
 
     @property
     def dim(self) -> int:
-        return len(self.coords)
+        return len(self.row) // 2
 
     def _check_dim(self, other: "Vector") -> None:
         if self.dim != other.dim:
@@ -92,9 +107,30 @@ class Vector:
         return Vector(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self) -> "Vector":
-        return Vector(-c for c in self.coords)
+        return row_vector(negated(self.row), self.disc)
 
     def scale(self, s: Coord) -> "Vector":
+        """s times the vector; an int or a Fraction within 64 bits scales the row.
+
+        The product is over Q(sqrt(disc)) when the vector has a surd part, and
+        over Q otherwise, as QScalar's products are.  A scaled row with an
+        entry past the 64-bit bound is decoded, so that QScalar raises its
+        OverflowError for a component that leaves it.
+        """
+        t = type(s)
+        if t is int or t is Fraction:
+            n, m = (s, 1) if t is int else (s.numerator, s.denominator)
+            if abs(n) <= _INT64_MAX and m <= _INT64_MAX:
+                x = self.row
+                d = self.disc if any(x[1:-1:2]) else 1
+                out = [z * n for z in x]
+                out[-1] = x[-1] * m
+                g = math.gcd(*out)
+                row = tuple([z // g for z in out] if g > 1 else out)
+                v = row_vector(row, d)
+                if max(row) > _INT64_MAX or min(row) < -_INT64_MAX:
+                    object.__setattr__(v, "_coords", from_numerators(row, d))
+                return v
         return Vector(c * s for c in self.coords)
 
     def dot(self, other: "Vector") -> QScalar:
@@ -108,7 +144,7 @@ class Vector:
         return self.dot(self)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not any(self.row[:-1])
 
     def unit(self) -> "Vector":
         """Scale to exact unit length; NormNotInField if sqrt leaves the field.
@@ -119,19 +155,20 @@ class Vector:
         parts = [f for c in self.coords for f in (c.rat, c.surd) if f]
         step = Fraction(math.lcm(*(f.denominator for f in parts)),
                         math.gcd(*(f.numerator for f in parts)) or 1)
-        primitive = Vector._make(
-            tuple(QScalar(c.rat * step, c.surd * step, c.disc) for c in self.coords)
-        )
+        primitive = Vector(QScalar(c.rat * step, c.surd * step, c.disc) for c in self.coords)
         root = primitive.norm_squared().sqrt()
         if root is None:
             raise NormNotInField(self, self.norm_squared())
         return primitive.scale(root.inverse())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Vector) and self.coords == other.coords
+        # a rational row is the same vector under any disc tag, as QScalar equality says
+        return isinstance(other, Vector) and self.row == other.row and (
+            self.disc == other.disc or not any(self.row[1:-1:2])
+        )
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash(self.row)
 
     def __lt__(self, other: "Vector") -> bool:
         self._check_dim(other)
@@ -155,8 +192,35 @@ def vec(*coords: Coord, disc: int | None = None) -> Vector:
 
 
 def row_vector(x: Numerators, disc: int) -> Vector:
-    """The Vector whose row is x, over Q(sqrt(disc))."""
-    return Vector._make(from_numerators(x, disc))
+    """The Vector whose row is x, over Q(sqrt(disc)); its coords are decoded on first read."""
+    v = object.__new__(Vector)
+    object.__setattr__(v, "row", x)
+    object.__setattr__(v, "disc", disc)
+    object.__setattr__(v, "_coords", None)
+    return v
+
+
+def vectors_disc(vectors: Iterable[Vector]) -> int:
+    """lattice.field_disc of the vectors' coordinates, read off their rows and discs."""
+    vectors = list(vectors)
+    surd = list(dict.fromkeys(v.disc for v in vectors if any(v.row[1:-1:2])))
+    if len(surd) > 1:
+        raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
+    return surd[0] if surd else max((v.disc for v in vectors), default=1)
+
+
+def row_in(v: Vector, disc: int) -> Numerators:
+    """v's row as a vector over Q(sqrt(disc)).
+
+    The row itself when v is over that field or rational; anything else goes
+    through Vector(v.coords, disc=disc), whose promotion raises FieldMismatch
+    or DomainError as QScalar.promote does.
+    """
+    if isinstance(v, Vector) and (
+        v.disc == disc or not any(v.row[1:-1:2]) and _is_square_free(disc)
+    ):
+        return v.row
+    return Vector(v.coords, disc=disc).row
 
 
 class Provenance(NamedTuple):
@@ -181,26 +245,21 @@ class RootSystem:
     Equality and hashing ignore label and provenance.
     """
 
-    # _decoded is a two-item list, the decoded roots and the Lattice, each None
+    # _decoded is a two-item list, the root Vectors and the Lattice, each None
     # until first access and shared with relabelled copies
     __slots__ = ("dim", "disc", "rows", "label", "provenance", "_decoded")
 
     def __new__(cls, roots: Iterable[Vector], disc: int, label: str | None = None,
                 provenance: Provenance | None = None) -> "RootSystem":
-        vectors: dict[Numerators, Vector] = {}
-        for r in roots:
-            v = Vector(r.coords, disc=disc)
-            vectors.setdefault(int_numerators(v.coords), v)
-        if not vectors:
+        rows = list(dict.fromkeys(row_in(r, disc) for r in roots))
+        if not rows:
             raise ZeroRoot("a root system needs at least one root")
-        dims = {v.dim for v in vectors.values()}
+        dims = {len(x) // 2 for x in rows}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
-        if any(not any(x[:-1]) for x in vectors):
+        if any(not any(x[:-1]) for x in rows):
             raise ZeroRoot("the zero vector cannot be a root")
-        out = cls._from_rows(sorted_numerators(list(vectors), disc), disc, label, provenance)
-        out._decoded[0] = tuple(map(vectors.__getitem__, out.rows))
-        return out
+        return cls._from_rows(sorted_numerators(rows, disc), disc, label, provenance)
 
     @classmethod
     def _from_rows(cls, rows: Sequence[Numerators], disc: int, label: str | None = None,
@@ -226,7 +285,10 @@ class RootSystem:
 
     @property
     def roots(self) -> tuple[Vector, ...]:
-        """The roots as Vectors, in canonical order, decoded on first access."""
+        """The roots as Vectors, in canonical order, built on first access.
+
+        Each Vector decodes its coords when they are first read.
+        """
         decoded = self._decoded
         if decoded[0] is None:
             decoded[0] = tuple(row_vector(x, self.disc) for x in self.rows)
@@ -247,12 +309,12 @@ class RootSystem:
         return iter(self.roots)
 
     def __contains__(self, v) -> bool:
-        # a coordinate with a surd part from another field is no member's
+        # a row with a surd part from another field is no member's
         return (
             isinstance(v, Vector)
             and v.dim == self.dim
-            and all(c.disc == self.disc or not c.surd for c in v.coords)
-            and int_numerators(v.coords) in self.rows
+            and (v.disc == self.disc or not any(v.row[1:-1:2]))
+            and v.row in self.rows
         )
 
     def __eq__(self, other) -> bool:
@@ -276,9 +338,8 @@ def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:
     if alpha.is_zero():
         raise ZeroRoot("cannot reflect in the zero vector")
     lam._check_dim(alpha)
-    d = field_disc((lam, alpha))
-    image = int_reflect(int_numerators(lam.coords), int_mirror(int_numerators(alpha.coords), d), d)
-    return row_vector(image, d)
+    d = vectors_disc((lam, alpha))
+    return row_vector(int_reflect(lam.row, int_mirror(alpha.row, d), d), d)
 
 
 def close_under_reflections(
@@ -305,11 +366,11 @@ def close_under_reflections(
         if s.is_zero():
             raise ZeroRoot("zero vector among simple roots")
     if disc is None:
-        disc = field_disc(simple)
+        disc = vectors_disc(simple)
     dims = {s.dim for s in simple}
     if len(dims) != 1:
         raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
-    seed = [int_numerators(Vector(s.coords, disc=disc).coords) for s in simple]
+    seed = [row_in(s, disc) for s in simple]
     mirrors = [int_mirror(x, disc) for x in seed]
     found = list(dict.fromkeys(seed + [negated(x) for x in seed]))
     seen: set[Numerators] = set()

@@ -18,8 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import RootspinError
-from .qfield import QScalar, _is_square_free
-from .roots import Provenance, RootSystem, Vector
+from .qfield import _INT64_MAX, QScalar, _is_square_free
+from .roots import Provenance, RootSystem, row_vector
 
 FORMAT_VERSION = 1
 
@@ -88,6 +88,26 @@ def _check_schema(doc) -> None:
             raise RootspinError(f"{_cut(key)} must be a string, got {_cut(repr(value))}")
 
 
+def _quads_row(coords: list[list[int]], disc: int) -> tuple[int, ...]:
+    """The row of the QScalars that the quads [a_num, a_den, b_num, b_den] give, over Q(sqrt(disc)).
+
+    A component past the 64-bit bound is handed to QScalar, which raises its OverflowError.
+    """
+    parts = []
+    for quad in coords:
+        an, ad, bn, bd = quad
+        if disc == 1:  # QScalar folds b*sqrt(1) into the rational part
+            an, ad, bn, bd = an * bd + bn * ad, ad * bd, 0, 1
+        for n, d in ((an, ad), (bn, bd)):
+            g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+            n, d = n // g, d // g
+            if abs(n) > _INT64_MAX or d > _INT64_MAX:
+                QScalar(Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]), disc)
+            parts.append((n, d))
+    den = math.lcm(*(d for _, d in parts))
+    return tuple(n * (den // d) for n, d in parts) + (den,)
+
+
 def root_system_from_json(text: str) -> RootSystem:
     try:
         doc = json.loads(text)
@@ -101,13 +121,9 @@ def root_system_from_json(text: str) -> RootSystem:
         ) from None
     _check_schema(doc)
     disc = doc["disc"]
-    roots = [
-        Vector([QScalar(Fraction(an, ad), Fraction(bn, bd), disc) for an, ad, bn, bd in coords])
-        for coords in doc["roots"]
-    ]
     prov = doc.get("provenance", {})
     return RootSystem(
-        roots,
+        [row_vector(_quads_row(coords, disc), disc) for coords in doc["roots"]],
         disc=disc,
         label=doc.get("label"),
         provenance=Provenance(

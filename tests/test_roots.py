@@ -750,8 +750,11 @@ def test_roots_decode_at_most_once_per_instance(codec_calls):
     rs = build_preset.__wrapped__("H4")  # a fresh instance
     assert codec_calls["from_numerators"] == 0
     roots = rs.roots
+    assert codec_calls["from_numerators"] == 0  # a Vector decodes when its coords are read
+    first = [r.coords for r in roots]
     assert codec_calls["from_numerators"] == len(rs) == 120
     assert rs.roots is roots and tuple(rs) == roots
+    assert [r.coords for r in rs.roots] == first
     assert codec_calls["from_numerators"] == 120
 
 
@@ -994,6 +997,8 @@ def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots
     assert len(simple) == 4
     assert len(built) == len(tables) == 1
     assert reflections["outside"] == 0 and 0 < reflections["inside"] <= 4 * 60
+    assert codec_calls == Counter()  # a Vector decodes when its coords are read
+    assert [len(r.coords) for r in simple] == [4] * 4
     assert codec_calls == Counter({"from_numerators": 4})
 
 

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootspin import (
@@ -16,15 +16,20 @@ from rootspin import (
     Vector,
     RootspinError,
     build_preset,
+    check_self_dual,
+    coxeter_order,
+    identify,
     induce_4d,
     load_root_system,
     root_system_from_json,
     root_system_to_json,
     save_root_system,
     signature,
+    simple_roots_of,
     to_csv,
     to_off,
     to_text,
+    verify_root_axioms,
 )
 
 ALL_SYSTEMS = [
@@ -110,6 +115,105 @@ def test_json_round_trip_of_random_systems(rs):
     assert again == rs
     assert (again.label, again.provenance) == (rs.label, rs.provenance)
     assert root_system_to_json(again) == dumped
+
+
+def _outcome(call):
+    """call()'s value, or the type and text of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+# numerators and denominators near the 64-bit bound, where a reduced component
+# may fit although the quad's entries do not
+EDGE = 2**63
+quad_part = st.integers(-9, 9) | st.sampled_from((EDGE - 1, EDGE, -EDGE, 3 * EDGE, EDGE // 3))
+quad_den = quad_part.filter(bool)
+
+
+@given(
+    st.sampled_from((1, 2, 5)),
+    st.lists(st.lists(st.tuples(quad_part, quad_den, quad_part, quad_den).map(list),
+                      min_size=2, max_size=2), min_size=1, max_size=3),
+)
+def test_loader_encodes_the_rows_the_qscalars_give(disc, roots):
+    # the loader's integer encode against the QScalar route it replaced: the same
+    # rows, or the same error with the same text
+    doc = {"version": 1, "dim": 2, "disc": disc, "roots": roots}
+    loaded = _outcome(lambda: root_system_from_json(json.dumps(doc)).rows)
+    reference = _outcome(lambda: RootSystem(
+        [Vector([QScalar(Fraction(an, ad), Fraction(bn, bd), disc) for an, ad, bn, bd in r])
+         for r in roots],
+        disc=disc,
+    ).rows)
+    assert loaded == reference
+
+
+def test_loader_keeps_qscalars_64_bit_bound():
+    doc = json.loads(root_system_to_json(build_preset("A3")))
+    doc["roots"][0][0] = [EDGE, 1, 0, 1]
+    with pytest.raises(OverflowError, match=f"^rational component {EDGE}/1 exceeds 64-bit range$"):
+        root_system_from_json(json.dumps(doc))
+    doc["roots"][0][0] = [2 * EDGE, 4, 0, 1]  # reduces to EDGE / 2, which fits
+    assert root_system_from_json(json.dumps(doc)).dim == 3
+
+
+FUZZ_PRESETS = ("A1xA1xA1", "A3", "B3", "H3", "I2-8", "A1xI2-6", "F4", "H4")
+FUZZ_VALUES = (
+    st.integers(-3, 3) | st.sampled_from((EDGE - 1, EDGE, -EDGE, 2**32, 4)) | st.none()
+    | st.booleans() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3)
+    | st.lists(st.integers(-2, 2), max_size=4) | st.just({})
+)
+
+
+def _mutate(data, node):
+    """node with one value replaced or one key or list item deleted, somewhere inside it."""
+    children = list(node) if isinstance(node, dict) else list(range(len(node)))
+    if not children:
+        return data.draw(FUZZ_VALUES)
+    at = data.draw(st.sampled_from(children))
+    child = node[at]
+    action = data.draw(st.sampled_from(("replace", "delete", "descend")))
+    if action == "descend" and isinstance(child, (dict, list)):
+        node[at] = _mutate(data, child)
+    elif action == "delete":
+        del node[at]
+    else:
+        node[at] = data.draw(FUZZ_VALUES)
+    return node
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(FUZZ_PRESETS), st.integers(1, 3), st.data())
+def test_mutated_preset_files_end_in_a_value_or_a_typed_error(name, mutations, data):
+    """Every mutated preset file loads and runs each CLI stage to a value or a RootspinError.
+
+    The one other outcome is QScalar's OverflowError for a component past the
+    64-bit bound, which the CLI reports as the documented exit 2.
+    """
+    doc = json.loads(root_system_to_json(build_preset(name)))
+    for _ in range(mutations):
+        doc = _mutate(data, doc)
+    stages = [lambda: root_system_from_json(json.dumps(doc))]
+    try:
+        rs = stages[0]()
+        stages = [
+            lambda: to_text(rs), lambda: to_csv(rs), lambda: root_system_to_json(rs),
+            lambda: verify_root_axioms(rs), lambda: identify(signature(rs)),
+        ]
+        if verify_root_axioms(rs).ok:  # an input that fails them may close an infinite group
+            stages += [lambda: coxeter_order(rs), lambda: simple_roots_of(rs)]
+            if rs.dim == 3:
+                stages.append(lambda: induce_4d(rs))
+            elif rs.dim == 2:
+                stages.append(lambda: check_self_dual(rs))
+        for stage in stages:
+            stage()
+    except RootspinError:
+        pass
+    except OverflowError as exc:
+        assert "exceeds 64-bit range" in str(exc)
 
 
 class TestFloatExports:
