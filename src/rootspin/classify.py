@@ -10,8 +10,9 @@ induced systems always come out unit-length (an F4 configuration with both
 orbits at unit length is still F4 here).  The angle key lies in the field of
 the roots, so no root is normalized and no square root is taken.  The
 counts and the Coxeter order's reflection table are read off the input's
-own Lattice, RootSystem.lattice (roots.py), built once per RootSystem; the
-stored table is read, never mutated.
+RootSystem.lattice (roots.py), built once per row set and shared by every
+live set with the same rows, such as a relabelled copy; the stored counts
+and table are read, never mutated.
 
 The catalog used by identify() is generated from each member's own defining
 data at call time; nothing is matched against transcribed numbers.  Entries

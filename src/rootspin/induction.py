@@ -8,7 +8,7 @@ being trusted: the verification *is* the computational content here.  Both
 pipelines run on the input's rows (roots.py) from input to output, and every
 product is lattice.py's int_product: this module builds no Multivector, and
 the public rotor group of Multivectors (clifford.py) wraps rotor_closure.  The
-check builds the output's RootSystem.lattice (roots.py), which its named
+check reads the output's RootSystem.lattice (roots.py), which its named
 copies share and a later signature reads; its stored table is never mutated.
 """
 

@@ -23,9 +23,9 @@ which the axiom check, the Coxeter order and simple-root extraction read.
 A Lattice keeps the rows it is given and looks each image up by value.
 Every decision is an exact integer comparison, and Python ints never
 overflow.  A root set's Lattice is its RootSystem's `lattice` (roots.py),
-built on first access and kept as long as the RootSystem; the Lattice
-computes its reflection table once and returns it as stored, so callers
-read the table and never mutate it.
+built on first access and shared by every live RootSystem with the same
+rows; the Lattice computes its reflection table and its angle counts once
+and returns them as stored, so callers read them and never mutate them.
 
 Root sets are closed under negation, or nearly so, and three identities let
 the kernel compute only the pairs of representatives (the first root of each
@@ -250,7 +250,8 @@ class Lattice:
     that occurs more than once is found at its last position.
     """
 
-    __slots__ = ("disc", "rows", "neg", "_index", "_reps", "_table")
+    # __weakref__: roots.py registers a root set's Lattice by weak reference
+    __slots__ = ("disc", "rows", "neg", "_index", "_reps", "_table", "_angles", "__weakref__")
 
     def __init__(self, rows: Sequence[Numerators], disc: int):
         self.disc = disc
@@ -260,6 +261,7 @@ class Lattice:
         # x_i = sign * x_rep for each i: the representative's position and the sign
         self._reps = [(i, 1) if j < 0 or j >= i else (j, -1) for i, j in enumerate(self.neg)]
         self._table: Matrix | None = None
+        self._angles: tuple[dict[QScalar, int], list[int]] | None = None
 
     def angle_counts(self) -> tuple[dict[QScalar, int], list[int]]:
         """Angles over ordered pairs i != j of nonzero vectors, with their multiplicities,
@@ -270,7 +272,12 @@ class Lattice:
         With (a|b) = x + y sqrt(d) and (a|a)(b|b) = m + n sqrt(d) over a common
         denominator, it is +-(x + y sqrt(d))^2 (m - n sqrt(d)) / (m^2 - d n^2),
         each part reduced as a Fraction of ints before it becomes a QScalar.
+
+        The counts are computed on the first call and returned as stored after
+        that, so a caller reads them and never mutates them.
         """
+        if self._angles is not None:
+            return self._angles
         counts, sizes = self._pairs()
         d = self.disc
         values: Counter = Counter()
@@ -279,7 +286,8 @@ class Lattice:
                 sign, m, n = field_sign(x, y, d), a * e + d * b * f, a * f + b * e
                 s, t, r = sign * (x * x + d * y * y), sign * 2 * x * y, m * m - d * n * n
                 values[QScalar(Fraction(s * m - d * t * n, r), Fraction(t * m - s * n, r), d)] += c
-        return values, sizes
+        self._angles = values, sizes
+        return self._angles
 
     def _pairs(self) -> tuple[Counter, list[int]]:
         """(G(r, s), G(r, r), G(s, s)) numerators over one den^2 -> ordered pairs i != j

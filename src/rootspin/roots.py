@@ -16,16 +16,21 @@ axioms (only +-alpha among parallel members, invariance under all member
 reflections) with exact arithmetic, so a verdict is a fact rather than a
 tolerance call.
 
-A root set's lattice.Lattice is built here and nowhere else: RootSystem's
-`lattice` builds it on first access and keeps it, shared with relabelled
-copies, for as long as the RootSystem lives.  Its reflection table is
-computed once and stored; the axiom check, simple_roots_of and the Coxeter
-order (classify.py) read it and never mutate it.
+A root set's lattice.Lattice is built here and nowhere else, once per row
+set: RootSystem's `lattice` looks its (rows, disc) up in `_LATTICES`, a
+registry of weak references, and builds a Lattice only when no live
+RootSystem with the same rows holds one.  So a relabelled copy, a file read
+back and an induced set equal to a catalog entry all read one Lattice, and
+a Lattice lives only as long as a RootSystem holds it: the registry keeps
+nothing alive.  Its reflection table and angle counts are computed once and
+stored; the axiom check, simple_roots_of, the signature and the Coxeter
+order (classify.py) read them and never mutate them.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from itertools import compress
 from operator import eq, mul
@@ -296,10 +301,18 @@ class RootSystem:
 
     @property
     def lattice(self) -> Lattice:
-        """The Lattice of the rows, built on first access."""
+        """The Lattice of the rows, shared by every live RootSystem with the same rows.
+
+        Looked up in _LATTICES on first access, built when no live set holds
+        one, and kept as long as the RootSystem.
+        """
         decoded = self._decoded
         if decoded[1] is None:
-            decoded[1] = Lattice(self.rows, self.disc)
+            key = self.rows, self.disc
+            found = _LATTICES.get(key)
+            if found is None:
+                found = _LATTICES[key] = Lattice(self.rows, self.disc)
+            decoded[1] = found
         return decoded[1]
 
     def __len__(self) -> int:
@@ -331,6 +344,11 @@ class RootSystem:
     def __repr__(self) -> str:
         name = self.label or "?"
         return f"RootSystem({name}, dim={self.dim}, disc={self.disc}, |roots|={len(self)})"
+
+
+# (rows, disc) -> the Lattice a live RootSystem with those rows holds; an entry
+# goes when its Lattice's last RootSystem does
+_LATTICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:

@@ -128,7 +128,7 @@ class TestClassify:
         ]
 
     @pytest.mark.parametrize("source", ["--preset", "--input"])
-    def test_one_lattice_per_classify(self, capsys, monkeypatch, tmp_path, source):
+    def test_one_lattice_per_classify(self, capsys, monkeypatch, tmp_path, source, fresh_lattices):
         from rootspin.lattice import Lattice
 
         path = tmp_path / "h4.json"
@@ -154,7 +154,7 @@ class TestSelfDual:
         assert code == 0
         assert out == "I2-6: self-dual (12 roots <-> 12 spinors)\n"
 
-    def test_one_lattice_per_set(self, capsys, monkeypatch):
+    def test_one_lattice_per_set(self, capsys, monkeypatch, fresh_lattices):
         # the induced set's, from its axiom check, read again for its angles; the cached
         # preset keeps the Lattice its first run built
         from rootspin.lattice import Lattice

@@ -1,4 +1,5 @@
-"""Every module of the package reads each name it imports, and none reads the environment."""
+"""Every module of the package reads each name it imports, none reads the environment,
+and the package keeps a fixed number of caches."""
 
 from __future__ import annotations
 
@@ -94,3 +95,45 @@ def test_the_environment_guard_finds_every_spelling():
 def test_no_module_reads_the_environment(path):
     # no setting outside a call's arguments may change an answer
     assert environment_reads(path.read_text()) == []
+
+
+def lru_caches(source: str) -> list[str]:
+    """The functions source decorates with functools.lru_cache, called or bare, in order.
+
+    Covers `@lru_cache`, `@lru_cache(...)` and the same under `functools.`.
+    """
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for deco in node.decorator_list:
+                target = deco.func if isinstance(deco, ast.Call) else deco
+                if (isinstance(target, ast.Name) and target.id == "lru_cache") or (
+                    isinstance(target, ast.Attribute) and target.attr == "lru_cache"
+                ):
+                    names.append(node.name)
+    return names
+
+
+def test_the_cache_guard_finds_every_spelling():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache\n"
+        "@lru_cache\n"
+        "def a(): pass\n"
+        "@lru_cache(maxsize=1)\n"
+        "def b(): pass\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def c(): pass\n"
+        "@staticmethod\n"
+        "def d(): pass\n"
+    )
+    assert lru_caches(source) == ["a", "b", "c"]
+
+
+def test_the_package_keeps_its_seven_caches():
+    # a cache is a second copy of a fact: adding one changes this number on purpose
+    caches = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py")) for name in lru_caches(path.read_text())
+    ]
+    assert len(caches) == 7, caches

@@ -255,13 +255,16 @@ class TestCacheKeys:
         assert other.label == "induced(hex)"
         assert other.provenance.induced_from == "hex"
 
-    def test_one_lattice_per_induced_set(self, monkeypatch):
+    def test_one_lattice_per_induced_set(self, monkeypatch, fresh_lattices):
         # the axiom check builds the output's Lattice; the cached result and each copy
-        # named after a caller keep it, so their signatures read it again
+        # named after a caller keep it, so their signatures read it again.  A rescaled
+        # input is a new cache key, but its induced set has the rows of H3's, so its
+        # axiom check reads the Lattice the cached result holds.
         from rootspin.lattice import Lattice
 
         h3 = build_preset("H3")
         other = RootSystem(h3.roots, disc=5, label="other")
+        scaled = RootSystem([r.scale(Fraction(7, 3)) for r in h3.roots], disc=5, label="x7/3")
         induce_4d.cache_clear()
         built = []
         real = Lattice.__init__
@@ -271,9 +274,12 @@ class TestCacheKeys:
             real(self, *args)
 
         monkeypatch.setattr(Lattice, "__init__", counted)
-        first, second = induce_4d(h3), induce_4d(other)
-        assert (first.label, second.label) == ("induced(H3)", "induced(other)")
-        assert signature(first) == signature(second)
+        first, second, third = induce_4d(h3), induce_4d(other), induce_4d(scaled)
+        assert (first.label, second.label, third.label) == (
+            "induced(H3)", "induced(other)", "induced(x7/3)"
+        )
+        assert induce_4d.cache_info()[:2] == (1, 2)
+        assert signature(first) == signature(second) == signature(third)
         assert built == [120]
 
     def test_caches_are_bounded(self):

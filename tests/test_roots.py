@@ -963,7 +963,7 @@ def test_simple_roots_match_the_scalar_reference(name):
 
 
 def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots(
-    codec_calls, monkeypatch
+    codec_calls, monkeypatch, fresh_lattices
 ):
     # int_reflect runs in the table's direct rows only, and no other image is computed
     rs = build_preset.__wrapped__("H4")  # a fresh instance: nothing decoded yet

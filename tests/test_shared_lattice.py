@@ -1,0 +1,163 @@
+"""A RootSystem shares the Lattice of every live set with the same rows.
+
+RootSystem.lattice looks (rows, disc) up in roots._LATTICES, a registry of
+weak references, so a relabelled copy reads the original's Lattice, stored
+reflection table and stored angle counts.  These tests check that a shared
+Lattice gives exactly what a freshly built one gives, that a rescaled copy
+(other rows) builds its own and gets the same answers, and that the
+registry keeps no Lattice alive after its last RootSystem is gone.
+"""
+
+from __future__ import annotations
+
+import gc
+import re
+import weakref
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rootspin import (
+    NormNotInField,
+    QScalar,
+    RootSystem,
+    build_preset,
+    coxeter_order,
+    induce_4d,
+    roots,
+    signature,
+    simple_roots_of,
+    verify_root_axioms,
+)
+from rootspin.cli import main
+
+PRESETS = ("A3", "B3", "H3", "F4")
+
+
+def scaled(rs, factor, label="scaled"):
+    return RootSystem([r.scale(factor) for r in rs.roots], rs.disc, label=label)
+
+
+def relabelled(rs, label="relabelled"):  # a new instance with the same rows
+    return RootSystem(rs.roots, rs.disc, label=label)
+
+
+def facts(rs) -> tuple:
+    """Every Lattice-backed answer on rs, and the induced rows of a 3D set."""
+    return (
+        signature(rs),
+        coxeter_order(rs),
+        verify_root_axioms(rs),
+        simple_roots_of(rs),
+        induce_4d(rs).rows if rs.dim == 3 else None,
+    )
+
+
+def cold(rs, read=facts):
+    """read of a new instance of rs, with the induction cache and the registry empty.
+
+    The induction cache is cleared again after, so no cached set keeps a
+    Lattice that the real registry does not hold.
+    """
+    induce_4d.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roots, "_LATTICES", weakref.WeakValueDictionary())
+            copy = relabelled(rs, rs.label)
+            assert copy.lattice is not rs.lattice
+            return read(copy)
+    finally:
+        induce_4d.cache_clear()
+
+
+@settings(max_examples=80)
+@given(
+    name=st.sampled_from(PRESETS),
+    factor=st.fractions(min_value=Fraction(1, 97), max_value=97, max_denominator=97).filter(
+        lambda f: f > 0
+    ),
+)
+def test_a_relabelled_copy_shares_the_lattice_and_a_rescaled_one_builds_its_own(name, factor):
+    base = relabelled(build_preset(name), name)  # a new instance: its Lattice is the registry's
+    warm = facts(base)
+    copy, big = relabelled(base), scaled(base, factor)
+    assert copy.lattice is base.lattice
+    assert (big.lattice is base.lattice) == (factor == 1)
+    assert facts(copy) == warm == cold(base)
+    sig, order, report, simple, induced = warm
+    assert facts(big) == (sig, order, report, [r.scale(factor) for r in simple], induced)
+
+
+def test_a_copy_reads_the_originals_table_and_counts():
+    h3 = build_preset.__wrapped__("H3")  # a fresh instance
+    copy = relabelled(h3)
+    assert copy.lattice is h3.lattice
+    assert copy.lattice.reflection_table() is h3.lattice.reflection_table()
+    assert copy.lattice.angle_counts() is h3.lattice.angle_counts()
+
+
+def test_a_lattice_goes_with_its_last_root_system():
+    rs = scaled(build_preset("H3"), Fraction(11, 13))  # rows no other live set holds
+    copy = relabelled(rs)
+    key = rs.rows, rs.disc
+    ref = weakref.ref(rs.lattice)
+    assert roots._LATTICES[key] is copy.lattice is ref()
+    del rs
+    gc.collect()
+    assert ref() is copy.lattice  # the copy still holds it
+    del copy
+    gc.collect()
+    assert ref() is None and key not in roots._LATTICES
+
+
+def test_one_doubled_pair_has_its_own_lattice_and_still_fails_axiom_2():
+    a3 = build_preset("A3")
+    r = a3.roots[0]
+    broken = RootSystem([r.scale(2), (-r).scale(2), *a3.roots[1:-1]], a3.disc)
+    assert -r == a3.roots[-1] and len(broken) == len(a3)
+    verify_root_axioms(a3)  # the original's Lattice is built
+    assert broken.lattice is not a3.lattice
+    report = verify_root_axioms(broken)
+    assert report.axiom1_ok and not report.axiom2_ok
+    assert cold(broken, verify_root_axioms) == report
+    factor = Fraction(5, 3)  # the witnesses of a rescaled copy are the rescaled witnesses
+    big = verify_root_axioms(scaled(broken, factor))
+    assert not big.axiom2_ok
+    assert big.axiom2_witness == tuple(v.scale(factor) for v in report.axiom2_witness)
+
+
+def test_a_golden_multiple_is_a_miss_with_equal_answers():
+    h3 = build_preset("H3")
+    phi = QScalar(Fraction(1, 2), Fraction(1, 2), 5)
+    big = scaled(h3, phi)
+    sig, order, report, simple, induced = facts(h3)
+    misses = induce_4d.cache_info().misses
+    assert big.lattice is not h3.lattice
+    assert facts(big) == (sig, order, report, [r.scale(phi) for r in simple], induced)
+    assert induce_4d.cache_info().misses == misses + 1
+    # the induced set has H4's unit rows, so its check reads the cached result's Lattice
+    assert induce_4d(big).lattice is induce_4d(h3).lattice
+
+
+def test_an_induction_error_is_the_same_warm_and_cold(capsys):
+    argv = ["induce", "--preset", "A1xI2-8"]
+    induce_4d.cache_clear()
+    cold = main(argv), capsys.readouterr()
+    assert main(["classify", "--preset", "A1xI2-8"]) == 0  # the preset's Lattice is built
+    capsys.readouterr()
+    warm = main(argv), capsys.readouterr()
+    assert warm == cold
+    assert cold[0] == 2 and cold[1].out == ""
+    assert cold[1].err == (
+        "rootspin: NormNotInField: squared norm 4-2*sqrt(2) of (0, -1, 1-sqrt(2)) "
+        "has no square root in its field\n"
+    )
+
+
+def test_an_induction_error_names_the_callers_own_roots():
+    rs = build_preset("A1xI2-8")
+    for factor, root in ((1, "(0, -1, 1-sqrt(2))"), (3, "(0, -3, 3-3*sqrt(2))")):
+        with pytest.raises(NormNotInField, match=re.escape(f" of {root} has no square root")):
+            induce_4d(scaled(rs, factor))
