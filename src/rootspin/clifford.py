@@ -1,11 +1,14 @@
 """Geometric algebra of 2 and 3 Euclidean dimensions over exact scalars.
 
-Multivectors are stored as 2^dim QScalar blade coefficients indexed by
-bitmask: bit i set means the basis vector e_{i+1} is present, so index 0 is
-the scalar and index 2^dim - 1 the pseudoscalar.  The geometric product is
-lattice.py's `int_product`, run on the coefficients' integer numerators: the
-blade convention, the bivector basis (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2)
-and the 4D readout of even elements are stated there, once.
+A Multivector is a lattice.Exact, as a Vector is: the row of its 2^dim
+blade coefficients and its field's disc, with the QScalar coeffs decoded on
+first read.  Slot m of the row holds blade m, a bitmask: bit i set means the
+basis vector e_{i+1} is present, so slot 0 is the scalar and slot 2^dim - 1
+the pseudoscalar.  The geometric product is lattice.py's `int_product` on
+the two rows; the blade convention, the bivector basis (I e1, I e2, I e3) =
+(e2 e3, e3 e1, e1 e2) and the 4D readout of even elements are stated there,
+once.  Negation, reversion, grades, from_vector and the spinor readouts
+also read or build the row, so none of them encodes or decodes a QScalar.
 
 Only this module builds a Rotor: Rotor checks R ~R = 1, and RotorGroup and
 generate_rotor_group wrap induction.py's integer rotor closure, whose
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, NonUnitVector, OddGradePresent, RootspinError
@@ -23,11 +27,10 @@ from .induction import rotor_closure
 from .lattice import (
     BLADES,
     EVEN_MASKS,
-    field_disc,
-    from_numerators,
-    int_numerators,
+    Exact,
+    Numerators,
     int_product,
-    mask_ordered,
+    negated,
     sorted_numerators,
     vec4_numerators,
 )
@@ -39,18 +42,30 @@ _ONE = QScalar(1)
 
 Scalarish = Union[QScalar, int, Fraction]
 
+# per row entry, the sign (-1)^(k(k-1)/2) that reversion gives its blade of grade k
+_REVERSE_SIGNS = {
+    dim: tuple(1 if m.bit_count() < 2 else -1 for m in range(1 << dim) for _ in "pq") + (1,)
+    for dim in (2, 3)
+}
 
-def _grade(mask: int) -> int:
-    return mask.bit_count()
+
+def _slotted(x: Numerators, masks: Sequence[int], dim: int) -> Numerators:
+    """The row of Cl(dim) whose blades masks hold x's coefficients, in turn, and 0 elsewhere."""
+    out = [0] * (2 << dim) + [x[-1]]
+    for k, m in enumerate(masks):
+        out[2 * m:2 * m + 2] = x[2 * k:2 * k + 2]
+    return tuple(out)
 
 
-_REVERSE_SIGN = {0: 1, 1: 1, 2: -1, 3: -1}  # (-1)^(k(k-1)/2)
+def _read(x: Numerators, masks: Sequence[int]) -> Numerators:
+    """The row of the coefficients of x on the blades masks; reduced when x is 0 elsewhere."""
+    return tuple(v for m in masks for v in x[2 * m:2 * m + 2]) + x[-1:]
 
 
-class Multivector:
-    """Element of Cl(2) or Cl(3) with QScalar blade coefficients."""
+class Multivector(Exact):
+    """Element of Cl(2) or Cl(3), held as the row of its QScalar blade coefficients."""
 
-    __slots__ = ("dim", "coeffs")
+    __slots__ = ()
 
     def __init__(self, dim: int, coeffs):
         if dim not in (2, 3):
@@ -60,11 +75,13 @@ class Multivector:
             raise DimensionMismatch(
                 f"Cl({dim}) needs {1 << dim} coefficients, got {len(cs)}"
             )
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", cs)
+        super().__init__(cs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
+    coeffs = property(Exact._decoded, doc="The blade coefficients as QScalars, by bitmask.")
+
+    @property
+    def dim(self) -> int:
+        return (len(self.row) // 2).bit_length() - 1
 
     # -- constructors ------------------------------------------------------
 
@@ -84,18 +101,18 @@ class Multivector:
 
     @classmethod
     def from_vector(cls, v: Vector) -> "Multivector":
-        cs = [_ZERO] * (1 << v.dim)
-        for i, c in enumerate(v.coords):
-            cs[1 << i] = c
-        return cls(v.dim, cs)
+        if v.dim not in (2, 3):
+            raise DimensionMismatch(f"Cl({v.dim}) not supported, dim must be 2 or 3")
+        return cls._from_row(_slotted(v.row, [1 << i for i in range(v.dim)], v.dim), v.disc)
 
     # -- structure ---------------------------------------------------------
 
     def grades(self) -> set[int]:
-        return {_grade(m) for m, c in enumerate(self.coeffs) if not c.is_zero()}
+        x = self.row
+        return {m.bit_count() for m in range(len(x) // 2) if x[2 * m] or x[2 * m + 1]}
 
     def grade(self, k: int) -> "Multivector":
-        cs = [c if _grade(m) == k else _ZERO for m, c in enumerate(self.coeffs)]
+        cs = [c if m.bit_count() == k else _ZERO for m, c in enumerate(self.coeffs)]
         return Multivector(self.dim, cs)
 
     def scalar_part(self) -> QScalar:
@@ -106,9 +123,6 @@ class Multivector:
 
     def is_even(self) -> bool:
         return all(g % 2 == 0 for g in self.grades())
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -121,7 +135,7 @@ class Multivector:
         return Multivector(self.dim, (a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Multivector":
-        return Multivector(self.dim, (-c for c in self.coeffs))
+        return Multivector._from_row(negated(self.row), self.disc)
 
     def _check(self, other: "Multivector") -> None:
         if not isinstance(other, Multivector):
@@ -134,9 +148,8 @@ class Multivector:
         if isinstance(other, (QScalar, int, Fraction)):
             return Multivector(self.dim, (c * other for c in self.coeffs))
         self._check(other)
-        d = field_disc((self.coeffs, other.coeffs))
-        x, y = int_numerators(self.coeffs), int_numerators(other.coeffs)
-        return Multivector(self.dim, from_numerators(int_product(x, y, BLADES[self.dim], d), d))
+        d = self.disc if self.disc == other.disc else vectors_disc((self, other))
+        return Multivector._from_row(int_product(self.row, other.row, BLADES[self.dim], d), d)
 
     def __rmul__(self, other):
         if isinstance(other, (QScalar, int, Fraction)):
@@ -145,32 +158,10 @@ class Multivector:
 
     def reverse(self) -> "Multivector":
         """Reversal anti-automorphism: grade k picks up (-1)^(k(k-1)/2)."""
-        return Multivector(
-            self.dim,
-            (
-                c if _REVERSE_SIGN[_grade(m)] > 0 else -c
-                for m, c in enumerate(self.coeffs)
-            ),
-        )
+        signs = _REVERSE_SIGNS[self.dim]
+        return Multivector._from_row(tuple(map(mul, self.row, signs)), self.disc)
 
-    # -- identity ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Multivector)
-            and self.dim == other.dim
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.coeffs))
-
-    def __lt__(self, other: "Multivector") -> bool:
-        self._check(other)
-        for a, b in zip(self.coeffs, other.coeffs):
-            if a != b:  # exact, and far cheaper than the subtraction
-                return (a - b).sign() < 0
-        return False
+    # -- output ----------------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"Multivector(Cl({self.dim}), [{', '.join(str(c) for c in self.coeffs)}])"
@@ -181,6 +172,9 @@ class Multivector:
             f"{c}{names[m]}" for m, c in enumerate(self.coeffs) if not c.is_zero()
         ]
         return " + ".join(parts) if parts else "0"
+
+
+_UNITS = {dim: Multivector.scalar(1, dim) for dim in (2, 3)}
 
 
 @lru_cache(maxsize=None)
@@ -206,7 +200,7 @@ def _as_unit_vector_mv(v) -> Multivector:
     mv = Multivector.from_vector(v) if isinstance(v, Vector) else v
     if not mv.is_vector():
         raise NonUnitVector(f"{mv} is not a pure vector")
-    if (mv * mv).scalar_part() != _ONE:
+    if mv * mv != _UNITS[mv.dim]:
         raise NonUnitVector(f"{mv} is not exactly unit length")
     return mv
 
@@ -227,7 +221,7 @@ class Rotor:
     def __init__(self, mv: Multivector):
         if not mv.is_even():
             raise OddGradePresent(f"rotor has odd-grade parts: {mv}")
-        if (mv * mv.reverse()) != Multivector.scalar(1, mv.dim):
+        if mv * mv.reverse() != _UNITS[mv.dim]:
             raise NonUnitVector(f"not normalised: R~R != 1 for {mv}")
         object.__setattr__(self, "mv", mv)
 
@@ -288,8 +282,7 @@ def spinor_to_vec4(psi) -> Vector:
         raise DimensionMismatch("spinor_to_vec4 needs Cl(3)")
     if not mv.is_even():
         raise OddGradePresent(f"odd grades present in {mv}")
-    c = tuple(mv.coeffs[m] for m in EVEN_MASKS)
-    return row_vector(vec4_numerators(int_numerators(c)), field_disc((c,)))
+    return row_vector(vec4_numerators(_read(mv.row, EVEN_MASKS)), mv.disc)
 
 
 def spinor_to_vec2(psi) -> Vector:
@@ -299,18 +292,7 @@ def spinor_to_vec2(psi) -> Vector:
         raise DimensionMismatch("spinor_to_vec2 needs Cl(2)")
     if not mv.is_even():
         raise OddGradePresent(f"odd grades present in {mv}")
-    return Vector((mv.coeffs[0], mv.coeffs[0b11]))
-
-
-def even_from_numerators(x: tuple[int, ...], disc: int) -> Multivector:
-    """The even Cl(3) multivector whose integer numerators are x, over Q(sqrt(disc))."""
-    den = x[-1]
-    cs = [_ZERO] * 8
-    for k, m in enumerate(EVEN_MASKS):
-        p, q = x[2 * k], x[2 * k + 1]
-        if p or q:
-            cs[m] = QScalar(Fraction(p, den), Fraction(q, den), disc)
-    return Multivector(3, cs)
+    return row_vector(_read(mv.row, (0b00, 0b11)), mv.disc)
 
 
 class RotorGroup:
@@ -346,7 +328,7 @@ class RotorGroup:
     def _validate(self) -> None:
         if len(self.elements) % 2 != 0:
             raise RootspinError(f"rotor group of odd order {len(self.elements)}")
-        if Multivector.scalar(1, self.dim) not in self._set:
+        if _UNITS[self.dim] not in self._set:
             raise RootspinError("rotor group does not contain 1")
         for r in self.elements:
             if (-r.mv) not in self._set:
@@ -373,9 +355,10 @@ class RotorGroup:
 def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
     """The group generated by {alpha_i alpha_j : all ordered root pairs}.
 
-    A thin wrapper over induction.py's rotor_closure: Multivectors are built
-    once, for the final elements, in the canonical order of their integer
-    numerators.  The closure runs on Cl(3)'s even rows, so every vector must be 3D.
+    A thin wrapper over induction.py's rotor_closure, which runs on Cl(3)'s
+    even rows, so every vector must be 3D.  Each closure row is put in its
+    blade slots, and the full rows are sorted by sorted_numerators: that is
+    Multivector.__lt__'s order, and it decodes nothing.
     """
     if not unit_roots:
         raise NonUnitVector("no roots given")
@@ -384,5 +367,5 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
         raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
     d = vectors_disc(unit_roots)
     elements = rotor_closure([r.row for r in unit_roots], d)
-    ordered = sorted_numerators(elements, d, key=mask_ordered)
-    return RotorGroup._trusted([_trusted_rotor(even_from_numerators(x, d)) for x in ordered])
+    ordered = sorted_numerators([_slotted(x, EVEN_MASKS, 3) for x in elements], d)
+    return RotorGroup._trusted([_trusted_rotor(Multivector._from_row(x, d)) for x in ordered])

@@ -6,15 +6,18 @@ A vector, multivector or rotor is held as one reduced tuple of Python ints, its 
     (p_1, q_1, ..., p_k, q_k, D),   coordinate i = (p_i + q_i sqrt(d)) / D,
 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
-A Vector and a RootSystem (roots.py) hold their values this way:
-`int_numerators` encodes the QScalars a Vector is built from, and
-`from_numerators` decodes a row when a Vector's coords are first read;
-`sorted_numerators` sorts rows by exact value.
+`Exact` holds one such row and its field's disc, and defines once their
+immutability, equality, hashing, `is_zero`, order and lazy decoding;
+roots.Vector and clifford.Multivector are its subclasses, and a RootSystem
+(roots.py) holds its roots' rows.  `int_numerators` encodes the QScalars a value is built
+from, `from_numerators` decodes a row when its QScalars are first read, and
+`sorted_numerators` sorts rows by exact value, in the order of Exact's `<`.
 
 `int_product` is the one geometric product of Cl(2) and Cl(3), on rows of
 blade coefficients; the blade convention and the 4D readout of the even
 subalgebra (`vec4_numerators`) are stated with it.  The rotor closure
-(induction.py) and Multivector's product (clifford.py) both run it.
+(induction.py) and Multivector's product (clifford.py) both run it on rows,
+so a product neither encodes nor decodes.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
@@ -45,10 +48,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, compress, repeat
 from operator import mul, or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FieldMismatch
-from .qfield import QScalar
+from .qfield import _INT64_MAX, QScalar, field_sign
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
@@ -83,6 +86,70 @@ def from_numerators(x: Numerators, disc: int) -> tuple[QScalar, ...]:
 def negated(x: Numerators) -> Numerators:
     """The row of -x."""
     return tuple(-z for z in x[:-1]) + x[-1:]
+
+
+class Exact:
+    """An immutable value held as its row over Q(sqrt(disc)): the base of roots.Vector
+    and clifford.Multivector.
+
+    The QScalars the row stands for are decoded on first read (`_decoded`), except
+    that a value built from QScalars keeps the ones it was given.  Equality, hashing
+    and `is_zero` read the row: two values of one type are equal when their rows are
+    and they share a field or have no surd part, as QScalar equality says.  `<`
+    compares the values in turn (a subclass's `_check` refuses an operand of
+    another shape).
+    """
+
+    __slots__ = ("row", "disc", "_values")
+
+    def __init__(self, values: tuple[QScalar, ...], disc: int | None = None):
+        # values over Q(sqrt(disc)), or over their one field when disc is None
+        object.__setattr__(self, "row", int_numerators(values))
+        object.__setattr__(self, "disc", field_disc((values,)) if disc is None else disc)
+        object.__setattr__(self, "_values", values)
+
+    @classmethod
+    def _from_row(cls, x: Numerators, disc: int):
+        """The value whose reduced row is x, over Q(sqrt(disc)).
+
+        A row with an entry past the 64-bit bound is decoded at once, so that
+        QScalar raises its OverflowError for a component that leaves the bound.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "row", x)
+        object.__setattr__(out, "disc", disc)
+        wide = max(x) > _INT64_MAX or min(x) < -_INT64_MAX
+        object.__setattr__(out, "_values", from_numerators(x, disc) if wide else None)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _decoded(self) -> tuple[QScalar, ...]:
+        values = self._values
+        if values is None:
+            values = from_numerators(self.row, self.disc)
+            object.__setattr__(self, "_values", values)
+        return values
+
+    def is_zero(self) -> bool:
+        return not any(self.row[:-1])
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.row == other.row and (
+            self.disc == other.disc or not any(self.row[1:-1:2])
+        )
+
+    def __hash__(self):
+        return hash(self.row)
+
+    def __lt__(self, other) -> bool:
+        # the values compared in turn: the reference order of sorted_numerators
+        self._check(other)
+        for a, b in zip(self._decoded(), other._decoded()):
+            if a != b:  # exact, and far cheaper than the subtraction
+                return (a - b).sign() < 0
+        return False
 
 
 def int_mirror(a: Numerators, disc: int) -> tuple:
@@ -198,37 +265,15 @@ def vec4_numerators(x: Numerators) -> Numerators:
     return x[:4] + (-x[4], -x[5]) + x[6:]
 
 
-# the even coefficients' slots in blade-mask order, the order Multivector.__lt__ compares
-_MASK_ORDER = sorted(range(4), key=EVEN_MASKS.__getitem__)
+def sorted_numerators(xs: Sequence[Numerators], disc: int) -> list[Numerators]:
+    """xs in lexicographic order of their coordinate values: Exact.__lt__'s order.
 
-
-def mask_ordered(x: Numerators) -> Numerators:
-    """The even element x with its coefficient pairs in blade-mask order."""
-    return tuple(v for k in _MASK_ORDER for v in x[2 * k:2 * k + 2]) + x[-1:]
-
-
-def field_sign(x: int, y: int, disc: int) -> int:
-    """Sign of x + y sqrt(d), from x^2 against d y^2 when the signs differ."""
-    if x >= 0 and y >= 0:
-        return 1 if x or y else 0
-    if x <= 0 and y <= 0:
-        return -1
-    bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
-    return 1 if bigger > 0 else -1
-
-
-def sorted_numerators(
-    xs: Sequence[Numerators], disc: int, key: Callable[[Numerators], Numerators] | None = None
-) -> list[Numerators]:
-    """xs in lexicographic order of their coordinate values: Vector.__lt__'s order.
-
-    key(x), if given, holds x's coordinates in comparison order.  The few
-    distinct coordinates (p, q, D), value (p + q sqrt(d)) / D, are ranked once,
-    comparing s and t by the sign of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s)
-    sqrt(d), so that equal values in rows of different D share a rank; the
-    sort then compares tuples of ranks.
+    The few distinct coordinates (p, q, D), value (p + q sqrt(d)) / D, are
+    ranked once, comparing s and t by the sign of (p_s D_t - p_t D_s) +
+    (q_s D_t - q_t D_s) sqrt(d), so that equal values in rows of different D
+    share a rank; the sort then compares tuples of ranks.
     """
-    coords = [list(zip(x[:-1:2], x[1:-1:2], repeat(x[-1]))) for x in (map(key, xs) if key else xs)]
+    coords = [list(zip(x[:-1:2], x[1:-1:2], repeat(x[-1]))) for x in xs]
 
     def cmp(s: tuple, t: tuple) -> int:
         return field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)

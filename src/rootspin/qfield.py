@@ -62,6 +62,16 @@ def _sqrt_fraction(fr: Fraction) -> Optional[Fraction]:
     return None
 
 
+def field_sign(x: int, y: int, disc: int) -> int:
+    """Sign of x + y sqrt(d), from x^2 against d y^2 when the signs differ."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
+    return 1 if bigger > 0 else -1
+
+
 _F_ZERO = Fraction(0)
 
 
@@ -127,15 +137,12 @@ class QScalar:
         return not self.rat and not self.surd
 
     def _common_disc(self, other: "QScalar") -> int:
-        if self.disc == other.disc:
-            return self.disc
-        if self.surd == 0:
-            return other.disc
-        if other.surd == 0:
-            return self.disc
-        raise FieldMismatch(
-            f"cannot combine Q(sqrt({self.disc})) with Q(sqrt({other.disc}))"
-        )
+        # lattice.field_disc's rule: a surd's field wins, and otherwise the larger tag
+        if self.surd and other.surd:
+            raise FieldMismatch(
+                f"cannot combine Q(sqrt({self.disc})) with Q(sqrt({other.disc}))"
+            )
+        return self.disc if self.surd else other.disc if other.surd else max(self.disc, other.disc)
 
     def promote(self, disc: int) -> "QScalar":
         """Retag a rational value into Q(sqrt(disc))."""
@@ -212,20 +219,7 @@ class QScalar:
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(d): -1, 0 or +1, decided exactly."""
         a, b = self.rat, self.surd
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d; equality impossible for
-        # square-free d > 1 with b != 0
-        lhs, rhs = a * a, b * b * self.disc
-        if a > 0:
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        return field_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.disc)
 
     def __eq__(self, other) -> bool:
         if type(other) is QScalar:

@@ -1,14 +1,14 @@
 """Exact Euclidean vectors, root systems, reflection closure and root-system axioms.
 
-A Vector holds its row, the reduced integer tuple of lattice.py, and its
-field's disc; it decodes its QScalar coords on first read.  A RootSystem
-stores its roots as rows, deduplicated and in canonical order
-(Vector.__lt__'s, computed by lattice.sorted_numerators), and takes a
-Vector's row as it is when the Vector is over its field or rational.  The
-stages below read the rows directly, so a root is encoded once, where it
-enters (a Vector built from QScalars, or a JSON file's quads), and decoded
-only where its coords are read: output, and the witnesses and error
-messages that name it.
+A Vector is a lattice.Exact, as a clifford.Multivector is: it holds its
+row, the reduced integer tuple of lattice.py, and its field's disc, and it
+decodes its QScalar coords on first read.  A RootSystem stores its roots as
+rows, deduplicated and in canonical order (Vector.__lt__'s, computed by
+lattice.sorted_numerators), and takes a Vector's row as it is when the
+Vector is over its field or rational.  The stages below read the rows
+directly, so a root is encoded once, where it enters (a Vector built from
+QScalars, or a JSON file's quads), and decoded only where its coords are
+read: output, and the witnesses and error messages that name it.
 
 Generating a root system means closing a set of simple roots under the
 reflections they generate; verifying one means checking the two defining
@@ -40,11 +40,10 @@ from .caps import ROOT_CLOSURE_CAP, admit
 from .errors import DegenerateFunctional, DimensionMismatch, FieldMismatch, ZeroRoot
 from .errors import NormNotInField, RootspinError
 from .lattice import (
+    Exact,
     Lattice,
     Numerators,
-    field_disc,
     field_sign,
-    from_numerators,
     int_mirror,
     int_numerators,
     int_reflect,
@@ -56,18 +55,17 @@ from .qfield import _INT64_MAX, QScalar, _is_square_free
 Coord = Union[QScalar, int, Fraction]
 
 
-class Vector:
+class Vector(Exact):
     """Immutable exact vector of dimension 1..4 (1 only as a sum block).
 
-    A Vector holds its row, lattice.py's reduced integer tuple (p_1, q_1, ...,
-    D), and its field's disc; its coords, the QScalars, are decoded from the
-    row on first read, except that a Vector built from QScalars keeps the
-    coords it was given.  Scaling by an int or a Fraction, negation, equality,
-    hashing and RootSystem membership work on the row.  All coordinates share
-    one field: two surds from different fields raise FieldMismatch.
+    A Vector is a lattice.Exact: its row (p_1, q_1, ..., D) and its field's
+    disc, with its coords, the QScalars, decoded on first read or kept as
+    given.  Scaling by an int or a Fraction, negation, equality, hashing and
+    RootSystem membership work on the row.  All coordinates share one field:
+    two surds from different fields raise FieldMismatch.
     """
 
-    __slots__ = ("row", "disc", "_coords")
+    __slots__ = ()
 
     def __init__(self, coords: Iterable[Coord], disc: int | None = None):
         cs = []
@@ -79,36 +77,24 @@ class Vector:
             cs.append(c)
         if not 1 <= len(cs) <= 4:
             raise DimensionMismatch(f"vector dimension {len(cs)} outside 1..4")
-        object.__setattr__(self, "row", int_numerators(cs))
-        object.__setattr__(self, "disc", field_disc((cs,)) if disc is None else disc)
-        object.__setattr__(self, "_coords", tuple(cs))
+        super().__init__(tuple(cs), disc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
-
-    @property
-    def coords(self) -> tuple[QScalar, ...]:
-        """The coordinates as QScalars over Q(sqrt(disc)), decoded on first read."""
-        cs = self._coords
-        if cs is None:
-            cs = from_numerators(self.row, self.disc)
-            object.__setattr__(self, "_coords", cs)
-        return cs
+    coords = property(Exact._decoded, doc="The coordinates as QScalars over Q(sqrt(disc)).")
 
     @property
     def dim(self) -> int:
         return len(self.row) // 2
 
-    def _check_dim(self, other: "Vector") -> None:
+    def _check(self, other: "Vector") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
 
     def __add__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
+        self._check(other)
         return Vector(a + b for a, b in zip(self.coords, other.coords))
 
     def __sub__(self, other: "Vector") -> "Vector":
-        self._check_dim(other)
+        self._check(other)
         return Vector(a - b for a, b in zip(self.coords, other.coords))
 
     def __neg__(self) -> "Vector":
@@ -117,29 +103,23 @@ class Vector:
     def scale(self, s: Coord) -> "Vector":
         """s times the vector; an int or a Fraction within 64 bits scales the row.
 
-        The product is over Q(sqrt(disc)) when the vector has a surd part, and
-        over Q otherwise, as QScalar's products are.  A scaled row with an
-        entry past the 64-bit bound is decoded, so that QScalar raises its
-        OverflowError for a component that leaves it.
+        A scaled row keeps the vector's disc, and one with an entry past the
+        64-bit bound is decoded, so that QScalar raises its OverflowError for
+        a component that leaves the bound.
         """
         t = type(s)
         if t is int or t is Fraction:
             n, m = (s, 1) if t is int else (s.numerator, s.denominator)
             if abs(n) <= _INT64_MAX and m <= _INT64_MAX:
                 x = self.row
-                d = self.disc if any(x[1:-1:2]) else 1
                 out = [z * n for z in x]
                 out[-1] = x[-1] * m
                 g = math.gcd(*out)
-                row = tuple([z // g for z in out] if g > 1 else out)
-                v = row_vector(row, d)
-                if max(row) > _INT64_MAX or min(row) < -_INT64_MAX:
-                    object.__setattr__(v, "_coords", from_numerators(row, d))
-                return v
+                return row_vector(tuple([z // g for z in out] if g > 1 else out), self.disc)
         return Vector(c * s for c in self.coords)
 
     def dot(self, other: "Vector") -> QScalar:
-        self._check_dim(other)
+        self._check(other)
         acc = self.coords[0] * other.coords[0]
         for a, b in zip(self.coords[1:], other.coords[1:]):
             acc = acc + a * b
@@ -148,15 +128,15 @@ class Vector:
     def norm_squared(self) -> QScalar:
         return self.dot(self)
 
-    def is_zero(self) -> bool:
-        return not any(self.row[:-1])
-
     def unit(self) -> "Vector":
         """Scale to exact unit length; NormNotInField if sqrt leaves the field.
 
         The length is taken of the primitive integer multiple of the vector,
-        so a large rational scale factor never reaches the 64-bit bound.
+        so a large rational scale factor never reaches the 64-bit bound.  The
+        zero vector has no unit multiple: ZeroRoot.
         """
+        if self.is_zero():
+            raise ZeroRoot("the zero vector has no unit length")
         parts = [f for c in self.coords for f in (c.rat, c.surd) if f]
         step = Fraction(math.lcm(*(f.denominator for f in parts)),
                         math.gcd(*(f.numerator for f in parts)) or 1)
@@ -165,22 +145,6 @@ class Vector:
         if root is None:
             raise NormNotInField(self, self.norm_squared())
         return primitive.scale(root.inverse())
-
-    def __eq__(self, other) -> bool:
-        # a rational row is the same vector under any disc tag, as QScalar equality says
-        return isinstance(other, Vector) and self.row == other.row and (
-            self.disc == other.disc or not any(self.row[1:-1:2])
-        )
-
-    def __hash__(self):
-        return hash(self.row)
-
-    def __lt__(self, other: "Vector") -> bool:
-        self._check_dim(other)
-        for a, b in zip(self.coords, other.coords):
-            if a != b:  # exact, and far cheaper than the subtraction
-                return (a - b).sign() < 0
-        return False
 
     def __iter__(self):
         return iter(self.coords)
@@ -196,17 +160,12 @@ def vec(*coords: Coord, disc: int | None = None) -> Vector:
     return Vector(coords, disc=disc)
 
 
-def row_vector(x: Numerators, disc: int) -> Vector:
-    """The Vector whose row is x, over Q(sqrt(disc)); its coords are decoded on first read."""
-    v = object.__new__(Vector)
-    object.__setattr__(v, "row", x)
-    object.__setattr__(v, "disc", disc)
-    object.__setattr__(v, "_coords", None)
-    return v
+# the Vector whose row is x, over Q(sqrt(disc)); its coords are decoded on first read
+row_vector = Vector._from_row
 
 
-def vectors_disc(vectors: Iterable[Vector]) -> int:
-    """lattice.field_disc of the vectors' coordinates, read off their rows and discs."""
+def vectors_disc(vectors: Iterable[Exact]) -> int:
+    """lattice.field_disc of the values of Vectors (or Multivectors), read off their rows."""
     vectors = list(vectors)
     surd = list(dict.fromkeys(v.disc for v in vectors if any(v.row[1:-1:2])))
     if len(surd) > 1:
@@ -355,7 +314,7 @@ def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:
     """Reflect lam in the hyperplane perpendicular to alpha (exactly)."""
     if alpha.is_zero():
         raise ZeroRoot("cannot reflect in the zero vector")
-    lam._check_dim(alpha)
+    lam._check(alpha)
     d = vectors_disc((lam, alpha))
     return row_vector(int_reflect(lam.row, int_mirror(alpha.row, d), d), d)
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from rootspin import Multivector, QScalar, Vector, build_preset, normalize_roots
+from rootspin.lattice import EVEN_MASKS
 
 DISCS = (1, 2, 3, 5)
 
@@ -41,3 +42,15 @@ def unit_pool_3d() -> dict[int, list[Vector]]:
 
 def random_unit_mv(rng: random.Random, pool: list[Vector]) -> Multivector:
     return Multivector.from_vector(rng.choice(pool))
+
+
+def even_from_numerators(x: tuple[int, ...], disc: int) -> Multivector:
+    """The even Cl(3) multivector whose integer numerators are x, over Q(sqrt(disc)).
+
+    Built from its QScalar coefficients, so it checks the row route independently.
+    """
+    den = x[-1]
+    cs = [QScalar(0)] * 8
+    for k, m in enumerate(EVEN_MASKS):
+        cs[m] = QScalar(Fraction(x[2 * k], den), Fraction(x[2 * k + 1], den), disc)
+    return Multivector(3, cs)

@@ -79,8 +79,34 @@ def test_the_net_src_line_change_between_the_recorded_trees(tmp_path):
     change = tree({"src/a.py": "1\nnew\n", "src/b.py": "1\n2\n3\n4\n", "README": "y\nz\n"})
     records = [{"side": "parent", "tree": parent}, {"side": "change", "tree": change}]
     assert abbench.src_lines(records, root=tmp_path) == "src/ lines: +5 -2, net +3"
+    assert abbench.code_lines(records, root=tmp_path) == "code lines: 3 -> 6, net +3"
+    # a change that adds only a docstring and a comment adds lines, but no code lines
+    documented = tree({"src/b.py": '"""What b holds."""\n1\n2  # the second\n# a remark\n3\n4\n'})
+    docs = [{"side": "parent", "tree": change}, {"side": "change", "tree": documented}]
+    assert abbench.src_lines(docs, root=tmp_path) == "src/ lines: +3 -1, net +2"
+    assert abbench.code_lines(docs, root=tmp_path) == "code lines: 6 -> 6, net +0"
     assert abbench.src_lines(records[1:], root=tmp_path) == (
         "src/ lines: the records carry no tree for one side")
     missing = [{"side": "parent", "tree": "0" * 40}, records[1]]
     assert abbench.src_lines(missing, root=tmp_path) == (
         f"src/ lines: trees {'0' * 40} and {change} are not in this repository")
+    assert abbench.code_lines(records[1:], root=tmp_path) is None
+    assert abbench.code_lines(missing, root=tmp_path) is None
+
+
+def test_code_lines_leave_out_comments_blank_lines_and_docstrings():
+    text = (
+        '"""Module doc,\n\nover three lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):  # code and a comment\n"
+        '    """Doc."""\n'
+        "    return x\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    def g(self): """One-line body: the def is code."""\n'
+        '    s = """a string\n    that is data"""\n'
+    )
+    # def f, return x, class C, def g, and the two lines of s
+    assert abbench.count_code_lines(text) == 6

@@ -26,7 +26,7 @@ from rootspin import (
     spinor_to_vec4,
     vec,
 )
-from rootspin.clifford import even_from_numerators
+from _util import even_from_numerators
 from rootspin.lattice import (
     EVEN_BY_EVEN,
     EVEN_MASKS,

@@ -32,7 +32,7 @@ from rootspin import (
     verify_root_axioms,
 )
 from rootspin import induction
-from rootspin.clifford import even_from_numerators
+from _util import even_from_numerators
 from rootspin.lattice import EVEN_BY_EVEN, VECTOR_BY_VECTOR, field_disc, int_numerators, int_product
 from rootspin.presets import get_preset
 

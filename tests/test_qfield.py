@@ -255,3 +255,33 @@ def test_exact_order_agrees_with_floats_away_from_ties(xy):
     assert (x > y) == (fx > fy)
     assert (x - y).sign() == (1 if fx > fy else -1)
     assert [x < y, x == y, x > y].count(True) == 1
+
+
+@st.composite
+def tagged_pairs(draw):
+    """Two QScalars that share a field or are rational, each rational one under any tag."""
+    d = draw(st.sampled_from(DISCS))
+
+    def one():
+        if d > 1 and draw(st.booleans()):
+            return QScalar(draw(_PARTS), draw(_PARTS), d)
+        return QScalar(draw(_PARTS), 0, draw(st.sampled_from(DISCS)))
+
+    return one(), one()
+
+
+@given(tagged_pairs())
+def test_a_result_takes_its_disc_from_neither_operand_order(xy):
+    # the rule of lattice.field_disc: a surd's field, and otherwise the larger tag
+    x, y = xy
+    surd = [c.disc for c in xy if c.surd]
+    expected = surd[0] if surd else max(x.disc, y.disc)
+    for result in (x + y, y + x, x - y, y - x, x * y, y * x):
+        assert result.disc == expected
+    assert (x * 2).disc == (2 * x).disc == x.disc
+
+
+def test_rational_tags_do_not_follow_the_operand_order():
+    two, five = QScalar(1, 0, 2), QScalar(1, 0, 5)
+    assert (two + five).disc == (five + two).disc == 5
+    assert (two * 2).disc == (two * Fraction(1, 3)).disc == 2

@@ -306,6 +306,12 @@ class TestNormalize:
             normalize_roots(rs)
         assert err.value.norm_squared is not None
 
+    def test_unit_of_the_zero_vector_is_a_zero_root(self):
+        # a typed error, not the ZeroDivisionError of inverting a zero norm
+        for zero in (vec(0, 0), vec(0, 0, 0, disc=5), Vector((QScalar(0, 0, 2),))):
+            with pytest.raises(ZeroRoot, match="^the zero vector has no unit length$"):
+                zero.unit()
+
 
 class TestHelpers:
     def test_span_rank(self):

@@ -15,7 +15,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rootspin import DomainError, FieldMismatch, QScalar, RootSystem, Vector, build_preset, vec
+from rootspin import (
+    DomainError, FieldMismatch, QScalar, RootSystem, Vector, build_preset,
+    close_under_reflections, vec,
+)
 from rootspin.lattice import field_disc, int_numerators
 from rootspin.roots import row_vector
 
@@ -63,7 +66,7 @@ def test_scale_agrees_with_the_qscalar_products(case, s):
     got = v.scale(s)
     assert got.coords == expected
     assert got.row == int_numerators(expected)
-    assert got.disc == field_disc([expected])
+    assert got.disc == v.disc
 
 
 @given(cases())
@@ -149,6 +152,14 @@ def test_vectors_built_from_qscalars_keep_their_coordinates():
     assert v.row == (2, 0, 0, 2, 1, 0, 2) and v.disc == 5
     decoded = row_vector(v.row, v.disc).coords
     assert decoded == cs and [c.disc for c in decoded] == [5, 5, 5]
+
+
+def test_scaling_a_rational_vector_keeps_its_field():
+    # the scaled rows keep disc 2, so the closure stays over Q(sqrt(2)), as B3's does
+    b3 = build_preset("B3")
+    rescaled = [r.scale(2).scale(Fraction(1, 2)) for r in b3.roots[:3]]
+    assert [r.disc for r in rescaled] == [2, 2, 2]
+    assert close_under_reflections(rescaled) == close_under_reflections(b3.roots[:3])
 
 
 def test_scale_keeps_qscalars_64_bit_bound():

@@ -22,12 +22,15 @@ change won (ties count for neither) and the metric's bound.  The verdict is
 them and its median beats the parent's by more than the parent's quartile
 spread; "worse" when its median is worse by more than the bound; and "-"
 otherwise.  A last line gives the src/ lines added and removed between the
-two trees the records carry, from `git diff --numstat`.
+two trees the records carry, from `git diff --numstat`, and beside them each
+tree's code lines: the lines of src/**/*.py that hold a token other than a
+comment or a docstring, so a change to docs alone nets 0 there.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -35,6 +38,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -146,6 +150,43 @@ def src_lines(records: list[dict], root: Path = ROOT) -> str:
     return f"src/ lines: +{added} -{removed}, net {added - removed:+d}"
 
 
+def count_code_lines(text: str) -> int:
+    """The lines of the Python source text with a token other than a comment or a docstring.
+
+    Blank lines hold none; a string spanning lines counts on each of them.
+    """
+    docstrings = []  # the (start, end) positions of each docstring
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and (
+                    isinstance(first.value.value, str)):
+                docstrings.append(((first.lineno, first.col_offset),
+                                   (first.end_lineno, first.end_col_offset)))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip and not any(a <= tok.start and tok.end <= b for a, b in docstrings):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def code_lines(records: list[dict], root: Path = ROOT) -> str | None:
+    """Each recorded tree's code lines in src/**/*.py, and the net; None without both trees."""
+    trees = {r["side"]: r["tree"] for r in records if "tree" in r}
+    counts = []
+    try:
+        for side in SIDES:
+            listing = git("ls-tree", "-r", "--name-only", trees[side], "--", "src", cwd=root)
+            texts = (git("show", f"{trees[side]}:{name}", cwd=root).decode()
+                     for name in listing.decode().splitlines() if name.endswith(".py"))
+            counts.append(sum(map(count_code_lines, texts)))
+    except (KeyError, subprocess.CalledProcessError):
+        return None
+    return f"code lines: {counts[0]} -> {counts[1]}, net {counts[1] - counts[0]:+d}"
+
+
 def run(args, results: Path) -> None:
     trees = {"parent": tree_of(args.parent), "change": tree_of(args.change)}
     with tempfile.TemporaryDirectory(prefix="abbench-") as tmp:
@@ -186,7 +227,8 @@ def main(argv=None) -> int:
         results = Path(args.results)
         run(args, results)
     records = [json.loads(line) for line in results.read_text().splitlines() if line.strip()]
-    print("\n".join(summarize(records, bench["end_to_end"]) + [src_lines(records)]))
+    last = "; ".join(filter(None, (src_lines(records), code_lines(records))))
+    print("\n".join(summarize(records, bench["end_to_end"]) + [last]))
     return 0
 
 
