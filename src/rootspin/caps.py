@@ -3,8 +3,9 @@
 Every fixpoint loop in the package carries an element cap so that an input
 generating an infinite reflection group fails loudly instead of spinning.
 The caps are constants: 10^4 roots for the reflection closure and 10^5
-elements for the rotor closure.  Both closures add each new row through
-`admit`, the one place that checks the cap and QScalar's 64-bit range.
+elements for the rotor group, the pair products of the roots (its messages
+name it the rotor closure).  Both add each new row through `admit`, the one
+place that checks the cap and QScalar's 64-bit range.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ once.  Negation, reversion, grades, from_vector and the spinor readouts
 also read or build the row, so none of them encodes or decodes a QScalar.
 
 Only this module builds a Rotor: Rotor checks R ~R = 1, and RotorGroup and
-generate_rotor_group wrap induction.py's integer rotor closure, whose
-products are unit rotors by construction.
+generate_rotor_group wrap induction.py's integer pair products, which are
+unit rotors and a group by construction.  RotorGroup's public constructor
+checks the group laws of the elements a caller gives it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .errors import DimensionMismatch, NonUnitVector, OddGradePresent, RootspinError
-from .induction import rotor_closure
+from .induction import pair_products
 from .lattice import (
     BLADES,
     EVEN_MASKS,
@@ -35,7 +36,7 @@ from .lattice import (
     vec4_numerators,
 )
 from .qfield import QScalar
-from .roots import Vector, row_vector, vectors_disc
+from .roots import RootSystem, Vector, _is_unit, row_vector, vectors_disc
 
 _ZERO = QScalar(0)
 _ONE = QScalar(1)
@@ -355,9 +356,11 @@ class RotorGroup:
 def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
     """The group generated by {alpha_i alpha_j : all ordered root pairs}.
 
-    A thin wrapper over induction.py's rotor_closure, which runs on Cl(3)'s
-    even rows, so every vector must be 3D.  Each closure row is put in its
-    blade slots, and the full rows are sorted by sorted_numerators: that is
+    A thin wrapper over induction.py's pair_products, which runs on Cl(3)'s
+    even rows, so every vector must be 3D and exactly unit, checked on the
+    rows.  The products of the roots' reflection closure are that group, by
+    Carter's lemma (see pair_products).  Each row is put in its blade slots,
+    and the full rows are sorted by sorted_numerators: that is
     Multivector.__lt__'s order, and it decodes nothing.
     """
     if not unit_roots:
@@ -366,6 +369,9 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
     if dims != {3}:
         raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
     d = vectors_disc(unit_roots)
-    elements = rotor_closure([r.row for r in unit_roots], d)
+    for r in unit_roots:
+        if not _is_unit(r.row, d):
+            raise NonUnitVector(f"root {r} is not exactly unit length")
+    elements = pair_products(RootSystem(unit_roots, d))
     ordered = sorted_numerators([_slotted(x, EVEN_MASKS, 3) for x in elements], d)
     return RotorGroup._trusted([_trusted_rotor(Multivector._from_row(x, d)) for x in ordered])

@@ -1,26 +1,27 @@
 """The rank-3 to rank-4 induction and its 2D counterpart.
 
-Pipeline: unit-normalize roots, close the rotors alpha_i alpha_j into the
-group they generate under the geometric product, then read each group
-element's even-grade coefficients as a Euclidean vector.  The resulting 4D
-(or 2D) point set is re-verified against the root-system axioms instead of
-being trusted: the verification *is* the computational content here.  Both
-pipelines run on the input's rows (roots.py) from input to output, and every
-product is lattice.py's int_product: this module builds no Multivector, and
-the public rotor group of Multivectors (clifford.py) wraps rotor_closure.  The
-check reads the output's RootSystem.lattice (roots.py), which its named
-copies share and a later signature reads; its stored table is never mutated.
+Pipeline: unit-normalize roots, take the rotors alpha_i alpha_j of every
+pair of them, which on a reflection-closed set are already the group they
+generate (pair_products), then read each rotor's even-grade coefficients as
+a Euclidean vector.  The resulting 4D (or 2D) point set is re-verified
+against the root-system axioms instead of being trusted: the verification
+*is* the computational content here.  Both pipelines run on the input's rows
+(roots.py) from input to output, and every product is lattice.py's
+int_product: this module builds no Multivector, and the public rotor group of
+Multivectors (clifford.py) wraps pair_products.  The check reads the output's
+RootSystem.lattice (roots.py), which its named copies share and a later
+signature reads; its stored table is never mutated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from itertools import product
+from typing import NamedTuple
 
 from .caps import GROUP_CLOSURE_CAP, admit
-from .errors import DimensionMismatch, NonUnitVector, RootspinError
+from .errors import DimensionMismatch
 from .lattice import (
-    EVEN_BY_EVEN,
     VECTOR_BY_VECTOR,
     VECTOR_BY_VECTOR_2D,
     Numerators,
@@ -33,64 +34,36 @@ from .qfield import QScalar
 from .roots import (
     Provenance,
     RootSystem,
-    _is_unit,
+    close_under_reflections,
     require_root_system,
-    row_vector,
     unit_rows,
 )
 
-_ONE = (1, 0, 0, 0, 0, 0, 0, 0, 1)  # the scalar 1 as integer numerators
 
+def pair_products(rs: RootSystem) -> set[Numerators]:
+    """Even rows of the rotor group that the reflections in rs's roots generate.
 
-def rotor_closure(vecs: Sequence[Numerators], d: int) -> list[Numerators]:
-    """Numerators of the group generated by the products of the unit vectors vecs.
-
-    Since alpha_i alpha_j = (alpha_i alpha_1)(alpha_1 alpha_j) and alpha_i
-    alpha_1 is the inverse of alpha_1 alpha_i, the n products alpha_1 alpha_j
-    generate it.  They are closed into {1} one generator at a time, and a
-    generator already in the closure is skipped, so H3 keeps 2 of its 29.
-    The loop runs on even rows with lattice.py's int_product, and the group
-    checks (even order, 1, negation) run on the tuples.  Every
-    element met, the n seed products included, enters through caps.admit,
-    so a group over GROUP_CLOSURE_CAP costs at most that cap + 1 elements of
-    work.
+    In 3D every rotation of a finite reflection group W is a product of two
+    of its reflections (Carter, "Conjugacy classes in the Weyl group",
+    Compositio Math. 25 (1972), Lemma 2), so the rotors are the products
+    a b of unit roots of W.Phi, with no closure.  rs is replaced by its
+    reflection closure only when its table (rs.lattice's) holds a -1.  Since
+    (-a) b = -(a b), one root of each +-pair is multiplied by each other's,
+    and each new product x brings -x.  Every element met enters
+    through caps.admit, so a group over GROUP_CLOSURE_CAP costs at most that
+    cap + 1 elements of work.
     """
-    for x in vecs:
-        if not _is_unit(x, d):
-            raise NonUnitVector(
-                f"root {row_vector(x, d)} is not exactly unit length"
-            )
+    if any(-1 in row for row in rs.lattice.reflection_table()):
+        rs = close_under_reflections(rs.roots, rs.disc)
+    d = rs.disc
+    reps = sorted({max(a, negated(a)) for a in unit_rows(rs)})  # one root of each +-pair
     known: set[Numerators] = set()
-    elements = [_ONE]  # the closure so far, closed under right multiplication by gens
-    closed = {_ONE}
-    for b in vecs:  # alpha_1 alpha_1 = 1 comes first
-        x = int_product(vecs[0], b, VECTOR_BY_VECTOR, d)
+    for a, b in product(reps, repeat=2):
+        x = int_product(a, b, VECTOR_BY_VECTOR, d)
         if x not in known:
             admit(x, known, GROUP_CLOSURE_CAP, "rotor", "elements")
-    gens: list[Numerators] = []
-    for g in sorted(known - closed):
-        if g in closed:
-            continue
-        gens.append(g)
-        # the old elements lack only the new generator, the new ones lack all
-        old = len(elements)
-        for i, x in enumerate(elements):  # a worklist: it also visits what it appends
-            for h in gens[-1:] if i < old else gens:
-                y = int_product(x, h, EVEN_BY_EVEN, d)
-                if y not in closed:
-                    if y not in known:
-                        admit(y, known, GROUP_CLOSURE_CAP, "rotor", "elements")
-                    closed.add(y)
-                    elements.append(y)
-    if len(elements) % 2 != 0:
-        raise RootspinError(f"rotor group of odd order {len(elements)}")
-    if _ONE not in known:
-        raise RootspinError("rotor group does not contain 1")
-    for x in elements:
-        if negated(x) not in known:
-            at = row_vector(vec4_numerators(x), d)
-            raise RootspinError(f"rotor group not closed under negation at {at}")
-    return elements
+            admit(negated(x), known, GROUP_CLOSURE_CAP, "rotor", "elements")
+    return known
 
 
 def _named(out: RootSystem, source: str) -> RootSystem:
@@ -111,7 +84,7 @@ def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
 def _induced_4d(rs: RootSystem) -> RootSystem:
     # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
     d = rs.disc
-    rows = [vec4_numerators(x) for x in rotor_closure(unit_rows(rs), d)]
+    rows = [vec4_numerators(x) for x in pair_products(rs)]
     return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")
 
 

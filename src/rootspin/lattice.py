@@ -15,9 +15,9 @@ from, `from_numerators` decodes a row when its QScalars are first read, and
 
 `int_product` is the one geometric product of Cl(2) and Cl(3), on rows of
 blade coefficients; the blade convention and the 4D readout of the even
-subalgebra (`vec4_numerators`) are stated with it.  The rotor closure
-(induction.py) and Multivector's product (clifford.py) both run it on rows,
-so a product neither encodes nor decodes.
+subalgebra (`vec4_numerators`) are stated with it.  The rotor group's pair
+products (induction.py) and Multivector's product (clifford.py) both run it
+on rows, so a product neither encodes nor decodes.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the

@@ -11,9 +11,9 @@ numerator/denominator; exceeding the bound raises OverflowError loudly
 instead of growing silently.  QScalar is the public scalar; the loops over
 roots run on Python ints in lattice.py's kernels: the inner-product counts
 and the reflection table of a root set, and the numerator tuples on which the
-reflection closure and (with lattice.py's geometric product) the rotor closure
-work.  Both closures keep this module's 64-bit bound on every root or element
-they add, through caps.admit.
+reflection closure and (with lattice.py's geometric product) the rotor group's
+pair products work.  Both keep this module's 64-bit bound on every root or
+element they add, through caps.admit.
 """
 
 from __future__ import annotations

@@ -59,6 +59,31 @@ def test_fewer_than_ten_pairs_claim_no_gain():
     assert rows[2].endswith("| 8/9 | 0.25 | - |")
 
 
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    records = []
+    for i in range(10):
+        # "noisy": the parent's quartiles span 0.38 of its median, and the sides overlap
+        records.append(_record(i, "parent", 1.0 + i / 10, 28.0, workload="noisy"))
+        records.append(_record(i, "change", 1.05 + i / 10, 28.0, workload="noisy"))
+    for i in range(5):
+        # "apart": the parent spans 0.43 of its median, but every change run beats every one
+        records.append(_record(i, "parent", 1.0 + i / 5, 28.0, workload="apart"))
+        records.append(_record(i, "change", 0.9 - i / 100, 28.0, workload="apart"))
+    rows = abbench.summarize(records, END_TO_END)
+    assert rows[2:8] == [
+        "| noisy | latency_s.mean | 1.45 [1.175, 1.725] | 1.5 [1.225, 1.775] | 1.034 | 0/10 "
+        "| 0.25 | unresolved |",
+        "| noisy | throughput_per_s | 0.6905 [0.5801, 0.8523] | 0.6674 [0.5637, 0.8174] | 0.967 "
+        "| 0/10 | 0.25 | unresolved |",
+        "| noisy | peak_rss_mb | 28 [28, 28] | 28 [28, 28] | 1.000 | 0/10 | 0.1 | - |",
+        "| apart | latency_s.mean | 1.4 [1.1, 1.7] | 0.88 [0.865, 0.895] | 0.629 | 5/5 "
+        "| 0.25 | - |",
+        "| apart | throughput_per_s | 0.7143 [0.5903, 0.9167] | 1.136 [1.117, 1.156] | 1.591 "
+        "| 5/5 | 0.25 | - |",
+        "| apart | peak_rss_mb | 28 [28, 28] | 28 [28, 28] | 1.000 | 0/5 | 0.1 | - |",
+    ]
+
+
 @pytest.mark.parametrize("text, seeds", [("2201-2203", [2201, 2202, 2203]), ("7,9", [7, 9])])
 def test_seed_lists(text, seeds):
     assert abbench.parse_seeds(text) == seeds

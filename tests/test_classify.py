@@ -442,10 +442,11 @@ class TestSurvey:
         assert table.counterexample_name == "I2-4xA1xA1"
 
     def test_a_fresh_survey_builds_one_lattice_per_set_it_reads(self, monkeypatch, fresh_lattices):
-        # each realizable input's induced set (its axiom check's Lattice, read again for its
-        # signature) and each catalog entry computed, the counterexample's included, less
-        # the 3 induced sets with the rows of the entries A1xA1xA1xA1, I2-6xI2-6 and H4,
-        # which read the Lattice of the live set with those rows: one per distinct row set
+        # each realizable input (its Lattice's reflection table says whether it is closed),
+        # its induced set (its axiom check's Lattice, read again for its signature) and
+        # each catalog entry computed, the counterexample's included, less the 3 induced
+        # sets with the rows of the entries A1xA1xA1xA1, I2-6xI2-6 and H4, which read the
+        # Lattice of the live set with those rows: one per distinct row set
         from rootspin.induction import induce_4d
         from rootspin.lattice import Lattice
 
@@ -462,7 +463,8 @@ class TestSurvey:
         table = survey()
         realizable = [r for r in table.rows if r.spinor_order is not None]
         assert len(realizable) + catalog.cache_info().misses == 16
-        assert len(built) == len(set(built)) == 16 - 3
+        assert len(realizable) == 7
+        assert len(built) == len(set(built)) == 7 + 16 - 3
 
     def test_counterexample_signature_is_computable(self):
         target = direct_sum(build_preset("I2-4"), a1_system(), a1_system())

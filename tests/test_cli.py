@@ -21,6 +21,7 @@ from rootspin import (
 from rootspin import cli, induction, presets
 from rootspin.classify import survey
 from rootspin.cli import _COMMANDS, _build_parser, main
+from rootspin.presets import get_preset
 
 
 def run(capsys, *argv):
@@ -75,6 +76,18 @@ class TestInduce:
         code, out, _ = run(capsys, "induce", "--input", str(src), "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 121
+
+    def test_simple_roots_from_file_induce_all_120(self, capsys, tmp_path):
+        # three roots are not reflection-closed: the induction closes them first
+        simple = RootSystem(get_preset("H3").simple_roots, disc=5, label="h3-simple")
+        src = tmp_path / "h3-simple.json"
+        src.write_text(root_system_to_json(simple))
+        code, out, _ = run(capsys, "induce", "--input", str(src), "--format", "text")
+        assert code == 0
+        assert out.startswith("# induced(h3-simple): 120 roots, dim 4, disc 5\n")
+        assert [l for l in out.splitlines() if l.startswith("(")] == [
+            str(r) for r in build_preset("H4").roots
+        ]
 
 
 class TestVerify:
@@ -239,7 +252,7 @@ class TestExitCodes:
         path.write_text(root_system_to_json(RootSystem(mirrors + [-m for m in mirrors], disc=1)))
         code, out, err = run(capsys, "induce", "--input", str(path))
         assert code == 2 and out == ""
-        assert err.startswith("rootspin: OverflowError: rotor closure overflowed")
+        assert err.startswith("rootspin: OverflowError: reflection closure overflowed")
         assert "likely generates an infinite group" in err
 
     def test_unknown_preset_is_usage_error(self, capsys):

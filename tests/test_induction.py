@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -22,6 +23,7 @@ from rootspin import (
     Vector,
     build_preset,
     check_self_dual,
+    close_under_reflections,
     generate_rotor_group,
     induce_2d,
     induce_4d,
@@ -109,7 +111,8 @@ class TestRotorGroups:
 
     def test_overflow_names_the_infinite_group(self):
         mirrors = [vec(1, 0, 0), vec(Fraction(3, 5), Fraction(4, 5), 0), vec(0, 0, 1)]
-        with pytest.raises(OverflowError, match="rotor closure overflowed .* "
+        # the rotors are read off the roots' reflection closure, which overflows first
+        with pytest.raises(OverflowError, match="reflection closure overflowed .* "
                            "likely generates an infinite group") as info:
             generate_rotor_group(mirrors)
         assert isinstance(info.value.__cause__, OverflowError)
@@ -124,23 +127,33 @@ class TestRotorGroups:
             generate_rotor_group(units)
 
     def test_cap_bounds_the_work(self, monkeypatch):
-        calls = []
+        calls, admitted = [], []
+        real_admit = induction.admit
 
         def counting(*args):
             calls.append(args)
             return int_product(*args)
 
+        def counting_admit(x, *args):
+            admitted.append(x)
+            real_admit(x, *args)
+
         monkeypatch.setattr(induction, "int_product", counting)
+        monkeypatch.setattr(induction, "admit", counting_admit)
         monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 10)
         with pytest.raises(ClosureCapExceeded):
             generate_rotor_group(normalize_roots(build_preset("H3")))
-        # cap + 1 products, each a new element; the seed alone is 30 products
-        assert len(calls) == 11
+        # cap + 1 elements, in +-pairs: the 11th is the negative of the 6th product,
+        # and each of the 6 products was new; H3's full work is 15 x 15 products
+        assert len(admitted) == 11
+        assert len(calls) == 6
 
     def test_infinite_group_hits_the_cap_before_overflow(self, monkeypatch):
+        # the mirrors are not reflection-closed, so their closure runs, under its cap
         mirrors = [vec(1, 0, 0), vec(Fraction(3, 5), Fraction(4, 5), 0), vec(0, 0, 1)]
-        monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 50)
-        with pytest.raises(ClosureCapExceeded, match="cap of 50 elements"):
+        monkeypatch.setattr(induction, "close_under_reflections",
+                            partial(close_under_reflections, cap=50))
+        with pytest.raises(ClosureCapExceeded, match="cap of 50 roots"):
             generate_rotor_group(mirrors)
 
     def test_mixed_fields_rejected(self):
@@ -190,6 +203,27 @@ class TestInduce4D:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionMismatch):
             induce_4d(build_preset("I2-4"))
+
+
+class TestNonClosedInput:
+    """An input that is not reflection-closed induces the group its roots generate."""
+
+    @pytest.mark.parametrize("negatives", [False, True], ids=["simple", "simple-and-negatives"])
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A1xI2-6"])
+    def test_simple_roots_induce_the_presets_set(self, name, negatives):
+        preset = get_preset(name)
+        seed = list(preset.simple_roots)
+        if negatives:
+            seed += [-s for s in seed]
+        rs = RootSystem(seed, disc=preset.disc)
+        assert any(-1 in row for row in rs.lattice.reflection_table())
+        assert induce_4d(rs).rows == induce_4d(build_preset(name)).rows
+
+    def test_a_rank_1_input_induces_the_lift_of_the_trivial_rotation_group(self):
+        # {+-a} generates {1, s_a}, whose only rotation is 1, lifted to +-1
+        induced = induce_4d(RootSystem([vec(1, 0, 0)], disc=1))
+        assert induced.roots == (vec(-1, 0, 0, 0), vec(1, 0, 0, 0))
+        assert {r.mv for r in generate_rotor_group([vec(1, 0, 0)])} == {ONE3, -ONE3}
 
 
 class TestInduce2D:
@@ -256,13 +290,15 @@ class TestCacheKeys:
         assert other.provenance.induced_from == "hex"
 
     def test_one_lattice_per_induced_set(self, monkeypatch, fresh_lattices):
-        # the axiom check builds the output's Lattice; the cached result and each copy
-        # named after a caller keep it, so their signatures read it again.  A rescaled
-        # input is a new cache key, but its induced set has the rows of H3's, so its
-        # axiom check reads the Lattice the cached result holds.
+        # each input's own Lattice is built for its reflection table, then the axiom
+        # check builds the output's; the cached result and each copy named after a
+        # caller keep it, so their signatures read it again.  A rescaled input is a
+        # new cache key with rows of its own, but its induced set has the rows of
+        # H3's, so its axiom check reads the Lattice the cached result holds.  H3 is
+        # built afresh, so that its Lattice is built here whatever earlier tests read.
         from rootspin.lattice import Lattice
 
-        h3 = build_preset("H3")
+        h3 = build_preset.__wrapped__("H3")
         other = RootSystem(h3.roots, disc=5, label="other")
         scaled = RootSystem([r.scale(Fraction(7, 3)) for r in h3.roots], disc=5, label="x7/3")
         induce_4d.cache_clear()
@@ -270,7 +306,7 @@ class TestCacheKeys:
         real = Lattice.__init__
 
         def counted(self, *args):
-            built.append(len(args[0]))
+            built.append((tuple(args[0]), args[1]))
             real(self, *args)
 
         monkeypatch.setattr(Lattice, "__init__", counted)
@@ -280,7 +316,8 @@ class TestCacheKeys:
         )
         assert induce_4d.cache_info()[:2] == (1, 2)
         assert signature(first) == signature(second) == signature(third)
-        assert built == [120]
+        assert [len(rows) for rows, _ in built] == [30, 120, 30]
+        assert len(built) == len(set(built))
 
     def test_caches_are_bounded(self):
         for cached in (induce_4d, build_preset):
@@ -361,10 +398,9 @@ def test_pruned_rotor_closure_multiplies_each_element_by_few_generators(monkeypa
 
     monkeypatch.setattr(induction, "int_product", counting)
     generate_rotor_group(normalize_roots(build_preset("H3")))
-    # 30 seed products alpha_1 alpha_j, then each of the 120 elements times
-    # each generator kept: 2 of the 29 distinct alpha_1 alpha_j
-    assert calls.count(False) == 30
-    assert calls.count(True) == 2 * 120
+    # no closure: one product per ordered pair of H3's 15 +-pair representatives
+    assert calls.count(False) == 15 * 15
+    assert calls.count(True) == 0
 
 
 @pytest.mark.parametrize("name", RANK3_PRESETS)

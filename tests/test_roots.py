@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
+import operator
 import random
 import re
 import sys
@@ -912,10 +914,26 @@ def test_integer_reflection_is_the_reflection_formula(field, dim, data):
     assert int_reflect(int_numerators(b.coords), mirror, disc) == int_numerators(expected.coords)
 
 
-@given(st.sampled_from((1, 2, 3, 5)), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_field_sign_is_the_exact_sign(disc, x, y):
+_LARGE = st.integers(10**29, 10**30)  # past a float's 53 bits, where rounding hides the sign
+
+
+@given(st.sampled_from((1, 2, 3, 5)), st.integers(-10**30, 10**30),
+       st.one_of(st.integers(-10**30, 10**30), _LARGE, _LARGE.map(operator.neg)),
+       st.integers(-2, 2), st.booleans())
+def test_field_sign_is_the_exact_sign(disc, x, y, step, near):
+    # an integer reference: for y != 0, y sqrt(d) is irrational, so with
+    # s = isqrt(d y^2), x + y sqrt(d) > 0 iff x >= -s (y > 0) or x > s (y < 0)
     y = y if disc > 1 else 0
-    assert field_sign(x, y, disc) == QScalar(x, y, disc).sign()
+    s = math.isqrt(disc * y * y)
+    if near:  # x within 2 of -y sqrt(d), where x^2 and d y^2 are closest
+        x = (-s if y > 0 else s) + step
+    if y == 0:
+        expected = (x > 0) - (x < 0)
+    elif y > 0:
+        expected = 1 if x >= -s else -1
+    else:
+        expected = 1 if x > s else -1
+    assert field_sign(x, y, disc) == expected
 
 
 def _reference_simple_roots(roots):

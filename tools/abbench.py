@@ -20,8 +20,10 @@ each side's median [quartiles], change/parent of the medians, the pairs the
 change won (ties count for neither) and the metric's bound.  The verdict is
 "gain" when there are at least 10 pairs, the change won at least 9 in 10 of
 them and its median beats the parent's by more than the parent's quartile
-spread; "worse" when its median is worse by more than the bound; and "-"
-otherwise.  A last line gives the src/ lines added and removed between the
+spread; "worse" when its median is worse by more than the bound;
+"unresolved" when neither, the parent's quartile distance is more than the
+bound times its median, and not every change run beats every parent run, so
+the runs are too noisy to tell the metric within its bound; and "-" otherwise.  A last line gives the src/ lines added and removed between the
 two trees the records carry, from `git diff --numstat`, and beside them each
 tree's code lines: the lines of src/**/*.py that hold a token other than a
 comment or a docstring, so a change to docs alone nets 0 there.
@@ -120,6 +122,10 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
                 verdict = "gain"
             elif (ratio > 1 + m["bound"]) if lower else (ratio < 1 - m["bound"]):
                 verdict = "worse"
+            elif p3 - p1 > m["bound"] * mp and not (
+                    max(vals["change"]) < min(vals["parent"]) if lower
+                    else min(vals["change"]) > max(vals["parent"])):
+                verdict = "unresolved"
             else:
                 verdict = "-"
             out.append(f"| {workload} | {m['name']} | {_fmt(mp)} [{_fmt(p1)}, {_fmt(p3)}] "
