@@ -9,10 +9,10 @@ changes of frame, and none depends on root lengths, which matters because
 induced systems always come out unit-length (an F4 configuration with both
 orbits at unit length is still F4 here).  The angle key lies in the field of
 the roots, so no root is normalized and no square root is taken.  The
-counts and the Coxeter order's reflection table are read off the input's
-RootSystem.lattice (roots.py), built once per row set and shared by every
-live set with the same rows, such as a relabelled copy; the stored counts
-and table are read, never mutated.
+counts and the Coxeter order are read off the input's RootSystem.lattice
+(roots.py), built once per row set and shared by every live set with the
+same rows, such as a relabelled copy, which computes each of them once and
+stores it; what is stored is read, never mutated.
 
 The catalog used by identify() is generated from each member's own defining
 data at call time; nothing is matched against transcribed numbers.  Entries
@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import ClosureCapExceeded, NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .qfield import QScalar
-from .roots import RootSystem, Vector, close_under_reflections, row_vector
+from .roots import RootSystem, Vector, close_under_reflections, stored_vector
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
 
@@ -133,31 +133,18 @@ def identify(sig: Signature) -> str:
 def coxeter_order(rs: RootSystem) -> int:
     """Order of the group generated by all root reflections, acting on roots.
 
-    Orbit-stabilizer: the stabilizer of a root r is generated by the reflections
-    in the roots orthogonal to r (Steinberg; Humphreys 1990, 1.12).  The
-    orbits are read off rs.lattice's reflection table, the one the axiom
-    check reads.
+    Read off rs.lattice, which finds it once per row set from the reflection
+    table the axiom check reads (Lattice.coxeter_order).  RootspinError at
+    the first root whose reflection leaves the set, as that check finds it.
     """
     lattice = rs.lattice
-    table = lattice.reflection_table()
-    for i, row in enumerate(table):
-        if -1 in row:
-            raise RootspinError(
-                f"{rs!r} is not reflection-closed at root {row_vector(rs.rows[i], rs.disc)}; "
-                "run verify_root_axioms"
-            )
-    order = 1
-    neg = lattice.neg  # complete: s_a(a) = -a
-    live = [i for i in range(len(table)) if i < neg[i]]  # one mirror per line: s_{-a} = s_a
-    while live:
-        r = live[0]
-        orbit, frontier = {r}, {r}
-        while frontier:
-            frontier = set().union(*(map(table[i].__getitem__, frontier) for i in live)) - orbit
-            orbit |= frontier
-        order *= len(orbit)
-        live = [j for j in live if table[r][j] == j]  # orthogonal to r: fixed by its reflection
-    return order
+    missing = lattice.axiom_witnesses()[1]
+    if missing is not None:
+        root = stored_vector(rs.rows[missing[0]], rs.disc)
+        raise RootspinError(
+            f"{rs!r} is not reflection-closed at root {root}; run verify_root_axioms"
+        )
+    return lattice.coxeter_order()
 
 
 # -- Coxeter matrix of simple roots --------------------------------------------

@@ -367,7 +367,7 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
         raise NonUnitVector("no roots given")
     dims = {r.dim for r in unit_roots}
     if dims != {3}:
-        raise DimensionMismatch(f"rotor closure needs 3D vectors, got dimensions {sorted(dims)}")
+        raise DimensionMismatch(f"rotor group needs 3D vectors, got dimensions {sorted(dims)}")
     d = vectors_disc(unit_roots)
     for r in unit_roots:
         if not _is_unit(r.row, d):

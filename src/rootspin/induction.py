@@ -6,26 +6,28 @@ generate (pair_products), then read each rotor's even-grade coefficients as
 a Euclidean vector.  The resulting 4D (or 2D) point set is re-verified
 against the root-system axioms instead of being trusted: the verification
 *is* the computational content here.  Both pipelines run on the input's rows
-(roots.py) from input to output, and every product is lattice.py's
-int_product: this module builds no Multivector, and the public rotor group of
-Multivectors (clifford.py) wraps pair_products.  The check reads the output's
-RootSystem.lattice (roots.py), which its named copies share and a later
-signature reads; its stored table is never mutated.
+(roots.py) from input to output, and every product is one of lattice.py's:
+the closed-form int_vector_product, once per unordered pair of roots, in 3D,
+and int_product in 2D.  This module builds no Multivector, and the public
+rotor group of Multivectors (clifford.py) wraps pair_products.  The output's
+rows are a live set's when they equal one, such as H4's for every copy of
+H3, and then its order and RootSystem.lattice (roots.py) are taken: the
+check reads that Lattice's stored verdict, which its named copies share and
+a later signature reads; nothing stored is mutated.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from .caps import GROUP_CLOSURE_CAP, admit
 from .errors import DimensionMismatch
 from .lattice import (
-    VECTOR_BY_VECTOR,
     VECTOR_BY_VECTOR_2D,
     Numerators,
     int_product,
+    int_vector_product,
     negated,
     sorted_numerators,
     vec4_numerators,
@@ -48,21 +50,25 @@ def pair_products(rs: RootSystem) -> set[Numerators]:
     Compositio Math. 25 (1972), Lemma 2), so the rotors are the products
     a b of unit roots of W.Phi, with no closure.  rs is replaced by its
     reflection closure only when its table (rs.lattice's) holds a -1.  Since
-    (-a) b = -(a b), one root of each +-pair is multiplied by each other's,
-    and each new product x brings -x.  Every element met enters
-    through caps.admit, so a group over GROUP_CLOSURE_CAP costs at most that
-    cap + 1 elements of work.
+    (-a) b = -(a b) and b a is the reverse of a b, each unordered pair of
+    representatives (one root of each +-pair) is multiplied once, by
+    lattice.int_vector_product, and each new product x brings -x, its
+    reverse and the reverse's negative.  Every element met enters through
+    caps.admit, so a group over GROUP_CLOSURE_CAP costs at most that cap + 1
+    elements of work.
     """
-    if any(-1 in row for row in rs.lattice.reflection_table()):
+    if rs.lattice.axiom_witnesses()[1] is not None:
         rs = close_under_reflections(rs.roots, rs.disc)
     d = rs.disc
     reps = sorted({max(a, negated(a)) for a in unit_rows(rs)})  # one root of each +-pair
     known: set[Numerators] = set()
-    for a, b in product(reps, repeat=2):
-        x = int_product(a, b, VECTOR_BY_VECTOR, d)
-        if x not in known:
-            admit(x, known, GROUP_CLOSURE_CAP, "rotor", "elements")
-            admit(negated(x), known, GROUP_CLOSURE_CAP, "rotor", "elements")
+    for i, a in enumerate(reps):
+        for b in reps[i:]:
+            x = int_vector_product(a, b, d)
+            if x not in known:
+                reverse = x[:2] + negated(x[2:])  # b a: the bivector negated
+                for y in dict.fromkeys((x, negated(x), reverse, negated(reverse))):
+                    admit(y, known, GROUP_CLOSURE_CAP, "rotor group", "elements")
     return known
 
 
@@ -72,7 +78,7 @@ def _named(out: RootSystem, source: str) -> RootSystem:
 
 def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
     # the steps of RootSystem and require_root_system, on rows already distinct
-    out = RootSystem._from_rows(sorted_numerators(rows, d), d)
+    out = RootSystem._from_rows(rows, d)
     require_root_system(out, what)
     return out
 
@@ -111,7 +117,8 @@ def induce_2d(rs: RootSystem) -> RootSystem:
     # two vectors in the e1 e2 plane is a0 + a3 e1 e2, the row (a0, a3)
     d = rs.disc
     units = unit_rows(rs)
-    rows = [int_product(units[0], u, VECTOR_BY_VECTOR_2D, d) for u in units]
+    first = units[0] if units is rs.rows else sorted_numerators(units, d)[0]
+    rows = [int_product(first, u, VECTOR_BY_VECTOR_2D, d) for u in units]
     out = _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
     return _named(out, rs.label or "rank-2 input")
 

@@ -10,14 +10,18 @@ with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 immutability, equality, hashing, `is_zero`, order and lazy decoding;
 roots.Vector and clifford.Multivector are its subclasses, and a RootSystem
 (roots.py) holds its roots' rows.  `int_numerators` encodes the QScalars a value is built
-from, `from_numerators` decodes a row when its QScalars are first read, and
+from, `from_numerators` decodes a row when its QScalars are first read (a
+new row is 64-bit-checked as it is wrapped, a stored one is trusted), and
 `sorted_numerators` sorts rows by exact value, in the order of Exact's `<`.
 
-`int_product` is the one geometric product of Cl(2) and Cl(3), on rows of
+`int_product` is the geometric product of Cl(2) and Cl(3), on rows of
 blade coefficients; the blade convention and the 4D readout of the even
-subalgebra (`vec4_numerators`) are stated with it.  The rotor group's pair
-products (induction.py) and Multivector's product (clifford.py) both run it
-on rows, so a product neither encodes nor decodes.
+subalgebra (`vec4_numerators`) are stated with it.  Multivector's product
+(clifford.py) runs it on rows, so a product neither encodes nor decodes.
+The rotor group's pair products (induction.py) run `int_vector_product`,
+the product of two 3D vectors in closed form (the scalar a.b and the
+bivector a^b); the generic product with the VECTOR_BY_VECTOR structure
+equals it and stays as the tests' reference, as EVEN_BY_EVEN does.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
@@ -27,8 +31,9 @@ A Lattice keeps the rows it is given and looks each image up by value.
 Every decision is an exact integer comparison, and Python ints never
 overflow.  A root set's Lattice is its RootSystem's `lattice` (roots.py),
 built on first access and shared by every live RootSystem with the same
-rows; the Lattice computes its reflection table and its angle counts once
-and returns them as stored, so callers read them and never mutate them.
+rows; the Lattice computes its reflection table, its angle counts, the
+positions of its axiom witnesses and its Coxeter order once and returns
+them as stored, so callers read them and never mutate them.
 
 Root sets are closed under negation, or nearly so, and three identities let
 the kernel compute only the pairs of representatives (the first root of each
@@ -47,7 +52,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import chain, compress, repeat
-from operator import mul, or_
+from operator import eq, mul, or_
 from typing import Iterable, Sequence
 
 from .errors import FieldMismatch
@@ -110,16 +115,24 @@ class Exact:
 
     @classmethod
     def _from_row(cls, x: Numerators, disc: int):
-        """The value whose reduced row is x, over Q(sqrt(disc)).
+        """The value whose new reduced row is x, over Q(sqrt(disc)).
 
         A row with an entry past the 64-bit bound is decoded at once, so that
         QScalar raises its OverflowError for a component that leaves the bound.
         """
+        wide = max(x) > _INT64_MAX or min(x) < -_INT64_MAX
+        return cls._stored(x, disc, from_numerators(x, disc) if wide else None)
+
+    @classmethod
+    def _stored(cls, x: Numerators, disc: int, values: tuple[QScalar, ...] | None = None):
+        """The value of a stored row x, over Q(sqrt(disc)), decoded on first read.
+
+        Trusted: x is a root set's row, bounded when it entered, so no check.
+        """
         out = object.__new__(cls)
         object.__setattr__(out, "row", x)
         object.__setattr__(out, "disc", disc)
-        wide = max(x) > _INT64_MAX or min(x) < -_INT64_MAX
-        object.__setattr__(out, "_values", from_numerators(x, disc) if wide else None)
+        object.__setattr__(out, "_values", values)
         return out
 
     def __setattr__(self, name, value):
@@ -233,6 +246,7 @@ def _structure(left: Sequence[int], right: Sequence[int], out: Sequence[int]) ->
 
 
 BLADES = {dim: _structure(range(1 << dim), range(1 << dim), range(1 << dim)) for dim in (2, 3)}
+# the tests' references for int_vector_product and for the rotor group's closure
 VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100), EVEN_MASKS)
 EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS, EVEN_MASKS)
 VECTOR_BY_VECTOR_2D = _structure((0b01, 0b10), (0b01, 0b10), (0b00, 0b11))  # a0 + a3 e1 e2
@@ -252,6 +266,32 @@ def int_product(x: Numerators, y: Numerators, structure: tuple, disc: int) -> Nu
             out[k] -= p * r + disc * q * t
             out[k + 1] -= p * t + q * r
     den = x[-1] * y[-1]
+    g = math.gcd(den, *out)
+    return tuple(v // g for v in out) + (den // g,)
+
+
+def int_vector_product(a: Numerators, b: Numerators, disc: int) -> Numerators:
+    """The reduced even row of the product a b of two 3D vectors, in closed form.
+
+    a b = a.b + a^b: the scalar a.b, then the bivector a^b on EVEN_MASKS,
+    (a_2 b_3 - a_3 b_2) e23 + (a_1 b_3 - a_3 b_1) e13 + (a_1 b_2 - a_2 b_1) e12,
+    each coordinate product (p + q sqrt(d)) (r + t sqrt(d)) expanded.  It
+    equals int_product(a, b, VECTOR_BY_VECTOR, disc), the generic loop over
+    the 9 blade pairs, and b a is its reverse, the bivector negated.
+    """
+    p1, q1, p2, q2, p3, q3, da = a
+    r1, t1, r2, t2, r3, t3, db = b
+    out = (
+        p1 * r1 + p2 * r2 + p3 * r3 + disc * (q1 * t1 + q2 * t2 + q3 * t3),
+        p1 * t1 + q1 * r1 + p2 * t2 + q2 * r2 + p3 * t3 + q3 * r3,
+        p2 * r3 - p3 * r2 + disc * (q2 * t3 - q3 * t2),
+        p2 * t3 + q2 * r3 - p3 * t2 - q3 * r2,
+        p1 * r3 - p3 * r1 + disc * (q1 * t3 - q3 * t1),
+        p1 * t3 + q1 * r3 - p3 * t1 - q3 * r1,
+        p1 * r2 - p2 * r1 + disc * (q1 * t2 - q2 * t1),
+        p1 * t2 + q1 * r2 - p2 * t1 - q2 * r1,
+    )
+    den = da * db
     g = math.gcd(den, *out)
     return tuple(v // g for v in out) + (den // g,)
 
@@ -295,8 +335,8 @@ class Lattice:
     that occurs more than once is found at its last position.
     """
 
-    # __weakref__: roots.py registers a root set's Lattice by weak reference
-    __slots__ = ("disc", "rows", "neg", "_index", "_reps", "_table", "_angles", "__weakref__")
+    __slots__ = ("disc", "rows", "neg", "_index", "_reps", "_table", "_angles", "_witnesses",
+                 "_order")
 
     def __init__(self, rows: Sequence[Numerators], disc: int):
         self.disc = disc
@@ -307,6 +347,8 @@ class Lattice:
         self._reps = [(i, 1) if j < 0 or j >= i else (j, -1) for i, j in enumerate(self.neg)]
         self._table: Matrix | None = None
         self._angles: tuple[dict[QScalar, int], list[int]] | None = None
+        self._witnesses: tuple[tuple[int, int] | None, tuple[int, int] | None] | None = None
+        self._order: int | None = None
 
     def angle_counts(self) -> tuple[dict[QScalar, int], list[int]]:
         """Angles over ordered pairs i != j of nonzero vectors, with their multiplicities,
@@ -436,6 +478,62 @@ class Lattice:
                 k += 1
         self._table = table
         return table
+
+    def axiom_witnesses(self) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+        """Positions (i, j) of the first failure of each root-system axiom, None where it holds.
+
+        Axiom 1 asks for -x_i in the set, and (i, -1) says it is missing; then
+        for no other row on the line of x_i.  Once negation closure holds,
+        x_j lies on the line of x_i exactly when s_i(x_j) = -x_j, that is
+        table[i][j] == neg[j], which j = i and j = neg[i] always meet; x_i and
+        -x_i share a row, so the rows of first roots of +-pairs suffice.
+        Axiom 2 asks for every reflection image in the set: (i, j) is the
+        first -1 of the reflection table, in row order.
+
+        The positions are found on the first call and returned as stored after it.
+        """
+        if self._witnesses is not None:
+            return self._witnesses
+        neg, table = self.neg, self.reflection_table()
+        witness1 = witness2 = None
+        if -1 in neg:
+            witness1 = (neg.index(-1), -1)
+        else:
+            for i, row in enumerate(table):
+                if neg[i] > i and sum(map(eq, row, neg)) > 2:  # a third root on the line
+                    hits = compress(range(i + 1, len(row)), map(eq, row[i + 1:], neg[i + 1:]))
+                    witness1 = (i, next(j for j in hits if j != neg[i]))
+                    break
+        for i, row in enumerate(table):
+            if -1 in row:
+                witness2 = (i, row.index(-1))
+                break
+        self._witnesses = witness1, witness2
+        return self._witnesses
+
+    def coxeter_order(self) -> int:
+        """Order of the group the reflections generate, on a complete reflection table.
+
+        Orbit-stabilizer: the stabilizer of a root r is generated by the
+        reflections in the roots orthogonal to r (Steinberg; Humphreys 1990,
+        1.12).  The order is found on the first call and returned as stored
+        after it.
+        """
+        if self._order is not None:
+            return self._order
+        table, neg = self.reflection_table(), self.neg  # complete: s_a(a) = -a
+        order = 1
+        live = [i for i in range(len(table)) if i < neg[i]]  # one mirror per line: s_{-a} = s_a
+        while live:
+            r = live[0]
+            orbit, frontier = {r}, {r}
+            while frontier:
+                frontier = set().union(*(map(table[i].__getitem__, frontier) for i in live)) - orbit
+                orbit |= frontier
+            order *= len(orbit)
+            live = [j for j in live if table[r][j] == j]  # orthogonal to r: fixed by its reflection
+        self._order = order
+        return order
 
     def _direct_row(self, i: int, columns: list[tuple[int, list[int]]]) -> list[int]:
         """Row i of the reflection table: int_reflect's image of each representative x_j

@@ -18,7 +18,6 @@ from typing import NamedTuple
 
 from .caps import ascii_digits
 from .errors import DimensionMismatch, FieldMismatch, NotRepresentable, RootspinError
-from .lattice import sorted_numerators
 from .qfield import QScalar
 from .roots import Provenance, RootSystem, Vector, close_under_reflections, vec
 
@@ -221,4 +220,4 @@ def direct_sum(*systems: RootSystem, label: str | None = None) -> RootSystem:
         offset += s.dim
     if label is None:
         label = "x".join(s.label or "?" for s in systems)
-    return RootSystem._from_rows(sorted_numerators(rows, disc), disc, label)
+    return RootSystem._from_rows(rows, disc, label)

@@ -8,7 +8,10 @@ lattice.sorted_numerators), and takes a Vector's row as it is when the
 Vector is over its field or rational.  The stages below read the rows
 directly, so a root is encoded once, where it enters (a Vector built from
 QScalars, or a JSON file's quads), and decoded only where its coords are
-read: output, and the witnesses and error messages that name it.
+read: output, and the witnesses and error messages that name it.  A
+stored row was bounded when it entered, so it is decoded without the 64-bit
+check (stored_vector); a new row, from a scale or a reflection, keeps it
+(row_vector).
 
 Generating a root system means closing a set of simple roots under the
 reflections they generate; verifying one means checking the two defining
@@ -16,15 +19,19 @@ axioms (only +-alpha among parallel members, invariance under all member
 reflections) with exact arithmetic, so a verdict is a fact rather than a
 tolerance call.
 
-A root set's lattice.Lattice is built here and nowhere else, once per row
-set: RootSystem's `lattice` looks its (rows, disc) up in `_LATTICES`, a
-registry of weak references, and builds a Lattice only when no live
-RootSystem with the same rows holds one.  So a relabelled copy, a file read
-back and an induced set equal to a catalog entry all read one Lattice, and
-a Lattice lives only as long as a RootSystem holds it: the registry keeps
-nothing alive.  Its reflection table and angle counts are computed once and
-stored; the axiom check, simple_roots_of, the signature and the Coxeter
-order (classify.py) read them and never mutate them.
+Each row set is sorted once, and its lattice.Lattice built here and nowhere
+else, once: every RootSystem is made by one trusted constructor,
+RootSystem._from_rows, which looks (frozenset(rows), disc) up in
+`_LATTICES`, a registry of weak references to the _Facts that the live
+RootSystems with those rows share (canonical order, root Vectors, Lattice).
+Rows no live set holds are sorted; otherwise the live set's order is taken.
+So a relabelled or shuffled copy, a file read back and an induced set equal
+to a catalog entry all share one order and one Lattice, which is built on
+first access; _Facts live only as long as a RootSystem holds them: the
+registry keeps nothing alive.  The Lattice computes its reflection table,
+angle counts, axiom witnesses and Coxeter order once and stores them; the
+axiom check, simple_roots_of, the signature and the Coxeter order
+(classify.py) read them and never mutate them.
 """
 
 from __future__ import annotations
@@ -32,9 +39,8 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
-from itertools import compress
-from operator import eq, mul
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from operator import mul
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .caps import ROOT_CLOSURE_CAP, admit
 from .errors import DegenerateFunctional, DimensionMismatch, FieldMismatch, ZeroRoot
@@ -160,8 +166,10 @@ def vec(*coords: Coord, disc: int | None = None) -> Vector:
     return Vector(coords, disc=disc)
 
 
-# the Vector whose row is x, over Q(sqrt(disc)); its coords are decoded on first read
+# the Vector whose new row is x, over Q(sqrt(disc)); its coords are decoded on first read
 row_vector = Vector._from_row
+# the Vector of a root set's stored row x, which was bounded when it entered
+stored_vector = Vector._stored
 
 
 def vectors_disc(vectors: Iterable[Exact]) -> int:
@@ -203,19 +211,29 @@ class Provenance(NamedTuple):
         return out
 
 
+class _Facts:
+    """What every live RootSystem with one row set shares: the rows in canonical
+    order, the root Vectors and the Lattice, each of the last two None until
+    first read."""
+
+    __slots__ = ("rows", "roots", "lattice", "__weakref__")
+
+    def __init__(self, rows: tuple[Numerators, ...]):
+        self.rows, self.roots, self.lattice = rows, None, None
+
+
 class RootSystem:
     """Canonically ordered duplicate-free set of roots, held as rows, plus field metadata.
 
     Equality and hashing ignore label and provenance.
     """
 
-    # _decoded is a two-item list, the root Vectors and the Lattice, each None
-    # until first access and shared with relabelled copies
-    __slots__ = ("dim", "disc", "rows", "label", "provenance", "_decoded")
+    # _facts: the _Facts of the rows, shared by every live RootSystem with them
+    __slots__ = ("dim", "disc", "rows", "label", "provenance", "_facts")
 
     def __new__(cls, roots: Iterable[Vector], disc: int, label: str | None = None,
                 provenance: Provenance | None = None) -> "RootSystem":
-        rows = list(dict.fromkeys(row_in(r, disc) for r in roots))
+        rows = dict.fromkeys(row_in(r, disc) for r in roots)
         if not rows:
             raise ZeroRoot("a root system needs at least one root")
         dims = {len(x) // 2 for x in rows}
@@ -223,19 +241,34 @@ class RootSystem:
             raise DimensionMismatch(f"mixed root dimensions {sorted(dims)}")
         if any(not any(x[:-1]) for x in rows):
             raise ZeroRoot("the zero vector cannot be a root")
-        return cls._from_rows(sorted_numerators(rows, disc), disc, label, provenance)
+        return cls._from_rows(rows, disc, label, provenance)
 
     @classmethod
-    def _from_rows(cls, rows: Sequence[Numerators], disc: int, label: str | None = None,
+    def _from_rows(cls, rows: Collection[Numerators], disc: int, label: str | None = None,
                    provenance: Provenance | None = None) -> "RootSystem":
-        # trusted: rows reduced, distinct, nonzero, of one dimension, over disc and sorted
+        """The RootSystem of trusted rows: reduced, distinct, nonzero, of one dimension
+        and over disc, in any order.
+
+        When a live set has these rows, its canonical order and its _Facts are
+        taken; otherwise the rows are sorted, as given (nearly sorted rows sort
+        fastest), and their _Facts registered.
+        """
+        key = frozenset(rows), disc
+        facts = _LATTICES.get(key)
+        if facts is None:
+            facts = _LATTICES[key] = _Facts(tuple(sorted_numerators(list(rows), disc)))
+        return cls._of(facts, disc, label, provenance)
+
+    @classmethod
+    def _of(cls, facts: _Facts, disc: int, label: str | None,
+            provenance: Provenance | None) -> "RootSystem":
         out = object.__new__(cls)
-        object.__setattr__(out, "dim", len(rows[0]) // 2)
+        object.__setattr__(out, "dim", len(facts.rows[0]) // 2)
         object.__setattr__(out, "disc", disc)
-        object.__setattr__(out, "rows", tuple(rows))
+        object.__setattr__(out, "rows", facts.rows)
         object.__setattr__(out, "label", label)
         object.__setattr__(out, "provenance", provenance or Provenance())
-        object.__setattr__(out, "_decoded", [None, None])
+        object.__setattr__(out, "_facts", facts)
         return out
 
     def __setattr__(self, name, value):
@@ -243,9 +276,7 @@ class RootSystem:
 
     def _relabel(self, label: str | None, provenance: Provenance | None) -> "RootSystem":
         # the same roots under another name, sharing the rows, decoded roots and Lattice
-        out = RootSystem._from_rows(self.rows, self.disc, label, provenance)
-        object.__setattr__(out, "_decoded", self._decoded)
-        return out
+        return RootSystem._of(self._facts, self.disc, label, provenance)
 
     @property
     def roots(self) -> tuple[Vector, ...]:
@@ -253,26 +284,21 @@ class RootSystem:
 
         Each Vector decodes its coords when they are first read.
         """
-        decoded = self._decoded
-        if decoded[0] is None:
-            decoded[0] = tuple(row_vector(x, self.disc) for x in self.rows)
-        return decoded[0]
+        facts = self._facts
+        if facts.roots is None:
+            facts.roots = tuple(stored_vector(x, self.disc) for x in self.rows)
+        return facts.roots
 
     @property
     def lattice(self) -> Lattice:
         """The Lattice of the rows, shared by every live RootSystem with the same rows.
 
-        Looked up in _LATTICES on first access, built when no live set holds
-        one, and kept as long as the RootSystem.
+        Built on first access through any of them, and kept as long as one lives.
         """
-        decoded = self._decoded
-        if decoded[1] is None:
-            key = self.rows, self.disc
-            found = _LATTICES.get(key)
-            if found is None:
-                found = _LATTICES[key] = Lattice(self.rows, self.disc)
-            decoded[1] = found
-        return decoded[1]
+        facts = self._facts
+        if facts.lattice is None:
+            facts.lattice = Lattice(self.rows, self.disc)
+        return facts.lattice
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -305,8 +331,8 @@ class RootSystem:
         return f"RootSystem({name}, dim={self.dim}, disc={self.disc}, |roots|={len(self)})"
 
 
-# (rows, disc) -> the Lattice a live RootSystem with those rows holds; an entry
-# goes when its Lattice's last RootSystem does
+# (frozenset(rows), disc) -> the _Facts of the live RootSystems with those rows;
+# an entry goes when its last RootSystem does
 _LATTICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
@@ -352,14 +378,14 @@ def close_under_reflections(
     found = list(dict.fromkeys(seed + [negated(x) for x in seed]))
     seen: set[Numerators] = set()
     for x in found:
-        admit(x, seen, cap, "reflection", "roots")
+        admit(x, seen, cap, "reflection closure", "roots")
     for r in found:  # found grows behind r: a breadth-first search
         for m in mirrors:
             cand = int_reflect(r, m, disc)
             if cand not in seen:
-                admit(cand, seen, cap, "reflection", "roots")
+                admit(cand, seen, cap, "reflection closure", "roots")
                 found.append(cand)
-    return RootSystem._from_rows(sorted_numerators(found, disc), disc, label, provenance)
+    return RootSystem._from_rows(found, disc, label, provenance)
 
 
 class AxiomReport(NamedTuple):
@@ -383,37 +409,20 @@ class AxiomReport(NamedTuple):
 def verify_root_axioms(rs: RootSystem) -> AxiomReport:
     """Exact check of both axioms, reporting a witness for the first failure.
 
-    Witnesses are the first failing pair in canonical root order, read off
-    rs.lattice's reflection table; only they are decoded.  Axiom 1 asks for
-    -a in the set (the witness of a missing one is (a, -a)) and for no other
-    root on the line of a.  Once negation closure holds, x_j lies on the line
-    of x_i exactly when s_i(x_j) = -x_j, that is table[i][j] == neg[j]; x_i
-    and -x_i share a row, so the rows of first roots of +-pairs suffice.
-    Axiom 2 asks for every reflection image in the set: no -1 in the table.
+    Witnesses are the first failing pair in canonical root order, as
+    Lattice.axiom_witnesses finds them once per row set on rs.lattice's
+    reflection table; only they are decoded.  Axiom 1's witness is (a, -a)
+    when -a is missing, else two roots on one line; axiom 2's is a root and
+    a root whose image in it is missing.
     """
-    lattice = rs.lattice
-    neg, table = lattice.neg, lattice.reflection_table()
+    def pair(w: tuple[int, int] | None) -> tuple[Vector, Vector] | None:
+        if w is None:
+            return None
+        a = stored_vector(rs.rows[w[0]], rs.disc)
+        return a, -a if w[1] < 0 else stored_vector(rs.rows[w[1]], rs.disc)
 
-    def root(i: int) -> Vector:
-        return row_vector(rs.rows[i], rs.disc)
-
-    witness1 = witness2 = None
-    if -1 in neg:
-        a = root(neg.index(-1))
-        witness1 = (a, -a)
-    else:
-        for i, row in enumerate(table):
-            if neg[i] > i:
-                hits = map(eq, row[i + 1:], neg[i + 1:])
-                on_line = [j for j in compress(range(i + 1, len(row)), hits) if j != neg[i]]
-                if on_line:
-                    witness1 = (root(i), root(on_line[0]))
-                    break
-    for i, row in enumerate(table):
-        if -1 in row:
-            witness2 = (root(i), root(row.index(-1)))
-            break
-    return AxiomReport(witness1 is None, witness1, witness2 is None, witness2)
+    witness1, witness2 = rs.lattice.axiom_witnesses()
+    return AxiomReport(witness1 is None, pair(witness1), witness2 is None, pair(witness2))
 
 
 def require_root_system(rs: RootSystem, what: str) -> None:
@@ -432,13 +441,14 @@ def normalize_roots(rs: RootSystem) -> list[Vector]:
     units = unit_rows(rs)
     if units is rs.rows:  # each root is its own unit
         return list(rs.roots)
-    return [row_vector(x, rs.disc) for x in units]
+    return [row_vector(x, rs.disc) for x in sorted_numerators(units, rs.disc)]
 
 
 def unit_rows(rs: RootSystem) -> Sequence[Numerators]:
-    """The rows of the distinct unit roots, in canonical order.
+    """The rows of the distinct unit roots, in no set order.
 
-    rs.rows itself comes back when every root is already unit.  Each root's
+    rs.rows itself, in canonical order, comes back when every root is
+    already unit; a caller that needs canonical order sorts the others.  Each root's
     primitive integer vector is divided by the square root of its squared
     norm, taken once per distinct norm, so a large rational scale factor
     never reaches QScalar's 64-bit bound.  NormNotInField names the first
@@ -467,7 +477,7 @@ def unit_rows(rs: RootSystem) -> Sequence[Numerators]:
         if n < 0:
             h = -h
         units.add(tuple(z // h for z in out) + (n // h,))
-    return sorted_numerators(list(units), d)
+    return list(units)
 
 
 def _is_unit(x: tuple[int, ...], disc: int) -> bool:
@@ -505,7 +515,7 @@ def simple_roots_of(rs: RootSystem) -> list[Vector]:
             continue
         positive = [j for j, s in enumerate(signs) if s > 0]
         return [
-            row_vector(rows[i], d) for i in positive
+            stored_vector(rows[i], d) for i in positive
             if all(signs[table[i][j]] > 0 for j in positive if j != i)
         ]
     raise DegenerateFunctional(

@@ -325,7 +325,7 @@ class TestExitCodes:
         induce_4d.cache_clear()  # so that the closure runs
         code, out, err = run(capsys, "induce", "--preset", "H3")
         assert code == 2 and out == ""
-        assert err == "rootspin: ClosureCapExceeded: rotor closure exceeded cap of 119 elements\n"
+        assert err == "rootspin: ClosureCapExceeded: rotor group exceeded cap of 119 elements\n"
 
 
 @pytest.fixture

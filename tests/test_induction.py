@@ -9,6 +9,8 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootspin import (
     ClosureCapExceeded,
@@ -35,7 +37,15 @@ from rootspin import (
 )
 from rootspin import induction
 from _util import even_from_numerators
-from rootspin.lattice import EVEN_BY_EVEN, VECTOR_BY_VECTOR, field_disc, int_numerators, int_product
+from rootspin.lattice import (
+    EVEN_BY_EVEN,
+    VECTOR_BY_VECTOR,
+    field_disc,
+    int_numerators,
+    int_product,
+    int_vector_product,
+    negated,
+)
 from rootspin.presets import get_preset
 
 ONE3 = Multivector.scalar(1, 3)
@@ -95,7 +105,7 @@ class TestRotorGroups:
     ], ids=["2D", "mixed", "4D"])
     def test_only_3d_vectors_are_accepted(self, units, dims):
         # the integer product is Cl(3)'s: other rows would be read in the wrong slots
-        message = f"rotor closure needs 3D vectors, got dimensions {dims}"
+        message = f"rotor group needs 3D vectors, got dimensions {dims}"
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
             generate_rotor_group(units)
 
@@ -123,7 +133,7 @@ class TestRotorGroups:
         assert generate_rotor_group(units).order == 120
         monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 119)
         with pytest.raises(ClosureCapExceeded,
-                           match="^rotor closure exceeded cap of 119 elements$"):
+                           match="^rotor group exceeded cap of 119 elements$"):
             generate_rotor_group(units)
 
     def test_cap_bounds_the_work(self, monkeypatch):
@@ -132,21 +142,22 @@ class TestRotorGroups:
 
         def counting(*args):
             calls.append(args)
-            return int_product(*args)
+            return int_vector_product(*args)
 
         def counting_admit(x, *args):
             admitted.append(x)
             real_admit(x, *args)
 
-        monkeypatch.setattr(induction, "int_product", counting)
+        monkeypatch.setattr(induction, "int_vector_product", counting)
         monkeypatch.setattr(induction, "admit", counting_admit)
         monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 10)
         with pytest.raises(ClosureCapExceeded):
             generate_rotor_group(normalize_roots(build_preset("H3")))
-        # cap + 1 elements, in +-pairs: the 11th is the negative of the 6th product,
-        # and each of the 6 products was new; H3's full work is 15 x 15 products
+        # cap + 1 elements: a new product x brings -x, its reverse and the reverse's
+        # negative, 2 + 2 + 4 + 0 (already met) + 3 of 4 elements over 5 products;
+        # H3's full work is 15 x 16 / 2 products
         assert len(admitted) == 11
-        assert len(calls) == 6
+        assert len(calls) == 5
 
     def test_infinite_group_hits_the_cap_before_overflow(self, monkeypatch):
         # the mirrors are not reflection-closed, so their closure runs, under its cap
@@ -390,17 +401,62 @@ def test_pruned_rotor_closure_does_not_depend_on_the_first_root():
 
 
 def test_pruned_rotor_closure_multiplies_each_element_by_few_generators(monkeypatch):
-    calls = []
+    calls, generic = [], []
 
     def counting(*args):
-        calls.append(args[2] is EVEN_BY_EVEN)
+        calls.append(args)
+        return int_vector_product(*args)
+
+    def counting_generic(*args):
+        generic.append(args[2] is EVEN_BY_EVEN)
         return int_product(*args)
 
-    monkeypatch.setattr(induction, "int_product", counting)
+    monkeypatch.setattr(induction, "int_vector_product", counting)
+    monkeypatch.setattr(induction, "int_product", counting_generic)
     generate_rotor_group(normalize_roots(build_preset("H3")))
-    # no closure: one product per ordered pair of H3's 15 +-pair representatives
-    assert calls.count(False) == 15 * 15
-    assert calls.count(True) == 0
+    # no closure: one product per unordered pair of H3's 15 +-pair representatives,
+    # since b a is the reverse of a b, and no generic product at all
+    assert len(calls) <= 15 * 16 // 2 == 120
+    assert generic.count(True) == 0 and generic == []
+
+
+PRODUCT_PRESETS = RANK3_PRESETS[:4] + ("A1xI2-2",) + RANK3_PRESETS[4:]  # the 8 that normalize
+
+
+def _reverse(x):
+    return x[:2] + negated(x[2:])  # the bivector negated
+
+
+def _closed_form_is_the_generic_product(a, b, d):
+    x = int_vector_product(a, b, d)
+    assert x == int_product(a, b, VECTOR_BY_VECTOR, d)
+    assert int_vector_product(b, a, d) == _reverse(x)
+
+
+@pytest.mark.parametrize("name", PRODUCT_PRESETS)
+def test_the_closed_form_product_of_unit_roots(name):
+    rs = build_preset(name)
+    units = [u.row for u in normalize_roots(rs)]
+    for a, b in itertools.product(units, repeat=2):
+        _closed_form_is_the_generic_product(a, b, rs.disc)
+
+
+@st.composite
+def bounded_rows(draw):
+    """Two 3D rows over Q(sqrt(d)), d in {1, 2, 3, 5}, with entries of at most 10^6."""
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    entry = st.integers(-10**6, 10**6)
+
+    def row():
+        coords = [(draw(entry), draw(entry) if d > 1 else 0) for _ in range(3)]
+        return tuple(z for c in coords for z in c) + (draw(st.integers(1, 10**6)),)
+
+    return row(), row(), d
+
+
+@given(bounded_rows())
+def test_the_closed_form_product_of_bounded_rows(case):
+    _closed_form_is_the_generic_product(*case)
 
 
 @pytest.mark.parametrize("name", RANK3_PRESETS)

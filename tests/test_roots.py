@@ -754,8 +754,8 @@ def test_pipeline_stages_encode_and_decode_no_root(codec_calls, name):
     assert codec_calls == Counter()
 
 
-def test_roots_decode_at_most_once_per_instance(codec_calls):
-    rs = build_preset.__wrapped__("H4")  # a fresh instance
+def test_roots_decode_at_most_once_per_instance(codec_calls, fresh_lattices):
+    rs = build_preset.__wrapped__("H4")  # a fresh instance, and the only one with its rows
     assert codec_calls["from_numerators"] == 0
     roots = rs.roots
     assert codec_calls["from_numerators"] == 0  # a Vector decodes when its coords are read

@@ -1,16 +1,20 @@
-"""A RootSystem shares the Lattice of every live set with the same rows.
+"""A RootSystem shares the canonical order and the Lattice of every live set with
+the same rows.
 
-RootSystem.lattice looks (rows, disc) up in roots._LATTICES, a registry of
-weak references, so a relabelled copy reads the original's Lattice, stored
-reflection table and stored angle counts.  These tests check that a shared
-Lattice gives exactly what a freshly built one gives, that a rescaled copy
-(other rows) builds its own and gets the same answers, and that the
-registry keeps no Lattice alive after its last RootSystem is gone.
+A new RootSystem looks (frozenset(rows), disc) up in roots._LATTICES, a
+registry of weak references, so a relabelled or shuffled copy takes the
+original's order without sorting, and reads its Lattice: the stored
+reflection table, angle counts, axiom witnesses and Coxeter order.  These
+tests check that a shared Lattice gives exactly what a freshly built one
+gives, that a rescaled copy (other rows) sorts and builds its own and gets
+the same answers, and that the registry keeps nothing alive after the last
+RootSystem of its rows is gone.
 """
 
 from __future__ import annotations
 
 import gc
+import random
 import re
 import weakref
 from fractions import Fraction
@@ -32,6 +36,7 @@ from rootspin import (
     verify_root_axioms,
 )
 from rootspin.cli import main
+from rootspin.lattice import Lattice
 
 PRESETS = ("A3", "B3", "H3", "F4")
 
@@ -98,18 +103,74 @@ def test_a_copy_reads_the_originals_table_and_counts():
     assert copy.lattice.angle_counts() is h3.lattice.angle_counts()
 
 
-def test_a_lattice_goes_with_its_last_root_system():
+def test_a_lattice_goes_with_its_last_root_system(sorts):
     rs = scaled(build_preset("H3"), Fraction(11, 13))  # rows no other live set holds
     copy = relabelled(rs)
-    key = rs.rows, rs.disc
-    ref = weakref.ref(rs.lattice)
-    assert roots._LATTICES[key] is copy.lattice is ref()
+    key = frozenset(rs.rows), rs.disc
+    ref = weakref.ref(roots._LATTICES[key])
+    assert rs.lattice is copy.lattice is ref().lattice  # built lazily, through either
     del rs
     gc.collect()
-    assert ref() is copy.lattice  # the copy still holds it
+    assert ref() is roots._LATTICES[key] and ref().lattice is copy.lattice  # the copy holds it
+    rows, disc = copy.rows, copy.disc
     del copy
     gc.collect()
     assert ref() is None and key not in roots._LATTICES
+    sorts.clear()
+    again = RootSystem._from_rows(rows, disc)  # the same rows, now no live set's
+    assert sorts == [30] and again.rows == rows
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """The length of each row list roots.py sorts."""
+    calls = []
+    real = roots.sorted_numerators
+
+    def counted(xs, disc):
+        calls.append(len(xs))
+        return real(xs, disc)
+
+    monkeypatch.setattr(roots, "sorted_numerators", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_a_relabelled_or_shuffled_copy_takes_the_live_order_and_lattice(name, sorts):
+    rs = build_preset(name)
+    shuffled = list(rs.roots)
+    random.Random(len(rs)).shuffle(shuffled)
+    sorts.clear()
+    for copy in (RootSystem(rs.roots, rs.disc, label="copy"), RootSystem(shuffled, rs.disc)):
+        assert sorts == []
+        assert copy.rows is rs.rows and copy.lattice is rs.lattice and copy.roots is rs.roots
+    big = scaled(rs, 3)
+    assert sorts == [len(rs)]
+    assert big.lattice is not rs.lattice
+
+
+def test_the_axiom_witnesses_are_the_same_first_second_and_relabelled():
+    a3 = build_preset("A3")
+    r = a3.roots[0]
+    doubled = RootSystem([r.scale(2), (-r).scale(2), *a3.roots[1:-1]], a3.disc)
+    missing = RootSystem(a3.roots[1:], a3.disc)  # -a3.roots[0] is the last root
+    for rs in (doubled, missing):
+        first = verify_root_axioms(rs)
+        assert not first.ok
+        assert verify_root_axioms(rs) == first == verify_root_axioms(relabelled(rs))
+    assert verify_root_axioms(missing).axiom1_witness == (-r, r)
+
+
+def test_the_coxeter_order_of_a_relabelled_copy_reads_no_table(monkeypatch):
+    h3 = build_preset("H3")
+    order = coxeter_order(h3)
+
+    def refuse(self):
+        raise AssertionError("the reflection table was read")
+
+    monkeypatch.setattr(Lattice, "reflection_table", refuse)
+    assert coxeter_order(relabelled(h3)) == order == 120
+    assert coxeter_order(h3) == order
 
 
 def test_one_doubled_pair_has_its_own_lattice_and_still_fails_axiom_2():

@@ -20,7 +20,7 @@ from rootspin import (
     close_under_reflections, vec,
 )
 from rootspin.lattice import field_disc, int_numerators
-from rootspin.roots import row_vector
+from rootspin.roots import reflect_euclid, row_vector
 
 FIELDS = (1, 2, 5)
 OTHER_TAGS = (1, 3, 7)  # the discs a rational coordinate may carry in any field
@@ -175,6 +175,20 @@ def test_scale_keeps_qscalars_64_bit_bound():
     p, q = 2**62 - 1, 2**62 + 1
     w = vec(Fraction(1, p), Fraction(1, q))
     assert w.row[-1] == p * q and w.scale(3) == vec(Fraction(3, p), Fraction(3, q))
+
+
+def test_stored_rows_decode_lazily_and_new_rows_keep_the_64_bit_check():
+    p, q = 2**62 - 1, 2**62 + 1
+    w = vec(Fraction(1, p), Fraction(1, q))  # components within the bound, their D past it
+    rs = RootSystem([w, -w], 1)
+    # a stored row is trusted: decoded on first read, however wide its entries
+    assert all(r._values is None for r in rs.roots) and rs.roots[1] == w
+    # a new row past the bound is decoded at once, which checks its components
+    assert row_vector(w.row, 1)._values == w.coords
+    with pytest.raises(OverflowError, match="exceeds 64-bit range"):
+        vec(2**62, 1).scale(2)
+    with pytest.raises(OverflowError, match="exceeds 64-bit range"):
+        reflect_euclid(vec(2**62, 0), vec(1, 2))
 
 
 def test_surds_from_two_fields_do_not_make_a_vector():
