@@ -18,7 +18,6 @@ a later signature reads; nothing stored is mutated.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .caps import GROUP_CLOSURE_CAP, admit
@@ -50,8 +49,8 @@ def pair_products(rs: RootSystem) -> set[Numerators]:
     Compositio Math. 25 (1972), Lemma 2), so the rotors are the products
     a b of unit roots of W.Phi, with no closure.  rs is replaced by its
     reflection closure only when its table (rs.lattice's) holds a -1.  Since
-    (-a) b = -(a b) and b a is the reverse of a b, each unordered pair of
-    representatives (one root of each +-pair) is multiplied once, by
+    (-a) b = -(a b) and b a is the reverse of a b, one root of each +-pair
+    is normalized, each unordered pair of these is multiplied once, by
     lattice.int_vector_product, and each new product x brings -x, its
     reverse and the reverse's negative.  Every element met enters through
     caps.admit, so a group over GROUP_CLOSURE_CAP costs at most that cap + 1
@@ -59,8 +58,10 @@ def pair_products(rs: RootSystem) -> set[Numerators]:
     """
     if rs.lattice.axiom_witnesses()[1] is not None:
         rs = close_under_reflections(rs.roots, rs.disc)
-    d = rs.disc
-    reps = sorted({max(a, negated(a)) for a in unit_rows(rs)})  # one root of each +-pair
+    d, neg = rs.disc, rs.lattice.neg  # complete: -x is in rs for each x, as s_x(x) = -x
+    # each +-pair's first root, so NormNotInField still names rs's first failing root
+    half = unit_rows([x for i, x in enumerate(rs.rows) if neg[i] > i], d)
+    reps = sorted({max(u, negated(u)) for u in half})
     known: set[Numerators] = set()
     for i, a in enumerate(reps):
         for b in reps[i:]:
@@ -83,26 +84,21 @@ def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
     return out
 
 
-# The cache keys on root content alone (RootSystem equality ignores label and
-# provenance), so it holds unnamed results; every call names its result after
-# the caller's own input.
-@lru_cache(maxsize=128)
-def _induced_4d(rs: RootSystem) -> RootSystem:
-    # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
-    d = rs.disc
-    rows = [vec4_numerators(x) for x in pair_products(rs)]
-    return _verified(rows, d, f"induced set from {rs.label or 'rank-3 input'}")
-
-
 def induce_4d(rs: RootSystem) -> RootSystem:
-    """4D root system read off the rotor group of a rank-3 root system."""
+    """4D root system read off the rotor group of a rank-3 root system.
+
+    The unnamed result is stored with rs's rows (roots._Facts), so it is
+    computed once per live row set; each call names it after its input.
+    """
     if rs.dim != 3:
         raise DimensionMismatch(f"induce_4d needs a 3D system, got dim {rs.dim}")
-    return _named(_induced_4d(rs), rs.label or "rank-3 input")
-
-
-induce_4d.cache_info = _induced_4d.cache_info
-induce_4d.cache_clear = _induced_4d.cache_clear
+    source = rs.label or "rank-3 input"
+    facts = rs._facts
+    if facts.induced is None:
+        # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
+        rows = [vec4_numerators(x) for x in pair_products(rs)]
+        facts.induced = _verified(rows, rs.disc, f"induced set from {source}")
+    return _named(facts.induced, source)
 
 
 def induce_2d(rs: RootSystem) -> RootSystem:
@@ -116,7 +112,7 @@ def induce_2d(rs: RootSystem) -> RootSystem:
     # the steps of normalize_roots and spinor_to_vec2, on rows: the product of
     # two vectors in the e1 e2 plane is a0 + a3 e1 e2, the row (a0, a3)
     d = rs.disc
-    units = unit_rows(rs)
+    units = unit_rows(rs.rows, d)
     first = units[0] if units is rs.rows else sorted_numerators(units, d)[0]
     rows = [int_product(first, u, VECTOR_BY_VECTOR_2D, d) for u in units]
     out = _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")

@@ -27,19 +27,21 @@ equals it and stays as the tests' reference, as EVEN_BY_EVEN does.
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
 one reflection formula of the reflection closure and the reflection table,
 which the axiom check, the Coxeter order and simple-root extraction read.
-A Lattice keeps the rows it is given and looks each image up by value.
-Every decision is an exact integer comparison, and Python ints never
-overflow.  A root set's Lattice is its RootSystem's `lattice` (roots.py),
-built on first access and shared by every live RootSystem with the same
-rows; the Lattice computes its reflection table, its angle counts, the
-positions of its axiom witnesses and its Coxeter order once and returns
-them as stored, so callers read them and never mutate them.
+A Lattice holds a RootSystem's rows, distinct and nonzero, and looks each
+image up by value, so every complete row of its reflection table is a
+permutation of positions.  Every decision is an exact integer comparison,
+and Python ints never overflow.  A root set's Lattice is its RootSystem's
+`lattice` (roots.py), the only place one is built: on first access, and
+shared by every live RootSystem with the same rows.  The Lattice computes
+its reflection table, its angle counts, the positions of its axiom
+witnesses and its Coxeter order once and returns them as stored, so callers
+read them and never mutate them.
 
-Root sets are closed under negation, or nearly so, and three identities let
+Root sets are closed under negation, or nearly so, and four identities let
 the kernel compute only the pairs of representatives (the first root of each
-+-pair, or a root whose negative is missing) and count or fill in the rest:
++-pair, or a root whose negative is missing) and fill in the rest:
 
-    G(+-a, +-b) = +-G(a, b),   s_{-a} = s_a,   s_a(-b) = -s_a(b).
+    G(+-a, +-b) = +-G(a, b),   s_{-a} = s_a,   s_a(-b) = -s_a(b),   s_a(s_a(b)) = b.
 
 The reflection table computes few rows from inner products: the others
 follow by s_{s_a(b)} = s_a s_b s_a, as compositions of complete rows.
@@ -329,29 +331,26 @@ def sorted_numerators(xs: Sequence[Numerators], disc: int) -> list[Numerators]:
 
 
 class Lattice:
-    """n rows of dimension k, reduced as int_numerators gives them, kept as given.
+    """A RootSystem's n rows of dimension k: distinct, nonzero and reduced as
+    int_numerators gives them, kept in the order given.
 
-    `neg[i]` is the position of -x_i, -1 where it is not in the set; a value
-    that occurs more than once is found at its last position.
+    `neg[i]` is the position of -x_i, -1 where it is not in the set.
     """
 
-    __slots__ = ("disc", "rows", "neg", "_index", "_reps", "_table", "_angles", "_witnesses",
-                 "_order")
+    __slots__ = ("disc", "rows", "neg", "_index", "_table", "_angles", "_witnesses", "_order")
 
     def __init__(self, rows: Sequence[Numerators], disc: int):
         self.disc = disc
         self.rows = rows
         self._index = index = {x: i for i, x in enumerate(rows)}
         self.neg = [index.get(negated(x), -1) for x in rows]
-        # x_i = sign * x_rep for each i: the representative's position and the sign
-        self._reps = [(i, 1) if j < 0 or j >= i else (j, -1) for i, j in enumerate(self.neg)]
         self._table: Matrix | None = None
         self._angles: tuple[dict[QScalar, int], list[int]] | None = None
         self._witnesses: tuple[tuple[int, int] | None, tuple[int, int] | None] | None = None
         self._order: int | None = None
 
     def angle_counts(self) -> tuple[dict[QScalar, int], list[int]]:
-        """Angles over ordered pairs i != j of nonzero vectors, with their multiplicities,
+        """Angles over ordered pairs i != j, with their multiplicities,
         and the component sizes of the non-orthogonality graph.  The angle is keyed on
         sign(a|b) (a|b)^2 / ((a|a)(b|b)), the signed squared cosine, which determines
         it and lies in the field even where the norms have no square root.
@@ -369,10 +368,9 @@ class Lattice:
         d = self.disc
         values: Counter = Counter()
         for (x, y, (a, b), (e, f)), c in counts.items():
-            if (a or b) and (e or f):  # a zero vector has no angle
-                sign, m, n = field_sign(x, y, d), a * e + d * b * f, a * f + b * e
-                s, t, r = sign * (x * x + d * y * y), sign * 2 * x * y, m * m - d * n * n
-                values[QScalar(Fraction(s * m - d * t * n, r), Fraction(t * m - s * n, r), d)] += c
+            sign, m, n = field_sign(x, y, d), a * e + d * b * f, a * f + b * e
+            s, t, r = sign * (x * x + d * y * y), sign * 2 * x * y, m * m - d * n * n
+            values[QScalar(Fraction(s * m - d * t * n, r), Fraction(t * m - s * n, r), d)] += c
         self._angles = values, sizes
         return self._angles
 
@@ -380,17 +378,16 @@ class Lattice:
         """(G(r, s), G(r, r), G(s, s)) numerators over one den^2 -> ordered pairs i != j
         with x_i = +-x_r and x_j = +-x_s, and the component sizes.
 
-        Representative r stands for x_r and m_r copies of -x_r, and
+        Representative r stands for x_r and, when m_r = 1, for -x_r too, and
         G(+-a, +-b) = +-G(a, b), so each pair r <= s is multiplied once:
-        r = s gives m(m - 1) pairs G(r, r) and 2m pairs -G(r, r); r != s
-        gives 2(1 + m_r m_s) pairs G(r, s) and 2(m_r + m_s) pairs -G(r, s).
-        A component of representatives, linked by G(r, s) != 0, has
-        1 + m_r positions per member.
+        r = s gives 2m pairs -G(r, r); r != s gives 2(1 + m_r m_s) pairs
+        G(r, s) and 2(m_r + m_s) pairs -G(r, s).  A component of
+        representatives, linked by G(r, s) != 0, has 1 + m_r positions per
+        member.
         """
-        d, rows = self.disc, self.rows
-        copies = Counter(j for j, s in self._reps if s < 0)
-        firsts = [i for i, (_, s) in enumerate(self._reps) if s > 0]
-        ms = [copies[i] for i in firsts]
+        d, rows, neg = self.disc, self.rows, self.neg
+        firsts = [i for i, j in enumerate(neg) if j < 0 or j > i]
+        ms = [int(neg[i] >= 0) for i in firsts]
         den = math.lcm(*(rows[i][-1] for i in firsts))
         xs = [tuple(z * (den // rows[i][-1]) for z in rows[i]) for i in firsts]  # over one D
         # int_mirror's dual rows u, v of each x_s: G(r, s) = (u.x_r + (v.x_r) sqrt(d)) / den^2
@@ -405,7 +402,6 @@ class Lattice:
             m, (a, b) = ms[t], norms[t]
             ga = [sum(map(mul, x, y)) for y in right_a[t + 1:]]
             gb = [sum(map(mul, x, y)) for y in right_b[t + 1:]]
-            counts[a, b, (a, b), (a, b)] += m * (m - 1)
             counts[-a, -b, (a, b), (a, b)] += 2 * m
             pairs.update(zip(ga, gb, repeat(m), ms[t + 1:], repeat((a, b)), norms[t + 1:]))
             for u in compress(range(t + 1, len(firsts)), map(or_, ga, gb)):
@@ -432,35 +428,28 @@ class Lattice:
         BFS order; that reaches every mirror of the reflection subgroup the
         generators span, a set closed under s_a s_b s_a.  A row with a -1
         derives nothing, so every row equals the directly computed one on
-        any input, repeated vectors included.  The rows of x, -x and their
-        repeats are one list, since s_{-a} = s_a.
+        any input, and a complete row is a permutation of the positions.
+        The rows of x and -x are one list, since s_{-a} = s_a.
 
         The table is computed on the first call and returned as stored after
         that, so a caller reads it and never mutates it.
         """
         if self._table is not None:
             return self._table
-        rows, neg = self.rows, self.neg
-        where: dict[tuple[int, ...], list[int]] = {}
-        for i, row in enumerate(rows):
-            where.setdefault(row, []).append(i)
-        table: Matrix = [None] * len(rows)  # type: ignore[list-item]
+        neg = self.neg
+        table: Matrix = [None] * len(neg)  # type: ignore[list-item]
 
         def fill(c: int, row: list[int]) -> None:
-            for p in where[rows[c]] + (where[rows[neg[c]]] if neg[c] >= 0 else []):
-                table[p] = row
+            table[c] = row
+            if neg[c] >= 0:
+                table[neg[c]] = row
 
-        negatives: list[list[int]] = [[] for _ in rows]  # the positions of -x_j, for each j
-        for i, (j, s) in enumerate(self._reps):
-            if s < 0:
-                negatives[j].append(i)
-        columns = [(j, negatives[j]) for j, s in self._reps if s > 0]
         gens: list[list[int]] = []
         reached: list[int] = []  # one position per complete line
-        for i in range(len(rows)):
+        for i in range(len(neg)):
             if table[i] is not None:
                 continue
-            gen = self._direct_row(i, columns)
+            gen = self._direct_row(i)
             fill(i, gen)
             if -1 in gen:
                 continue
@@ -535,17 +524,25 @@ class Lattice:
         self._order = order
         return order
 
-    def _direct_row(self, i: int, columns: list[tuple[int, list[int]]]) -> list[int]:
-        """Row i of the reflection table: int_reflect's image of each representative x_j
-        in columns, looked up by value, and -s_i(x_j) for x_j's negatives: s_a(-b) = -s_a(b)."""
+    def _direct_row(self, i: int) -> list[int]:
+        """Row i of the reflection table: int_reflect's image y of each x_j that no
+        earlier image placed, looked up by value.  s_i is an involution and
+        s_i(-b) = -s_i(b), so y also gives s_i(y) = x_j, s_i(-x_j) = -y and
+        s_i(-y) = -x_j, each entry a position or -1 where the image is missing."""
         d, rows, index, neg = self.disc, self.rows, self._index, self.neg
         mirror = int_mirror(rows[i], d)
-        row = [-1] * len(rows)
-        for j, negatives in columns:
-            image = int_reflect(rows[j], mirror, d)
+        row: list = [None] * len(rows)
+        for j, x in enumerate(rows):
+            if row[j] is not None:  # the image of an earlier column, or its negative
+                continue
+            image = int_reflect(x, mirror, d)
             found = row[j] = index.get(image, -1)
-            if negatives:
-                other = neg[found] if found >= 0 else index.get(negated(image), -1)
-                for c in negatives:
-                    row[c] = other
+            other = neg[found] if found >= 0 else index.get(negated(image), -1)  # -y
+            back = neg[j]  # -x_j
+            if found >= 0:
+                row[found] = j
+            if back >= 0:
+                row[back] = other
+            if other >= 0:
+                row[other] = back
         return row

@@ -20,18 +20,20 @@ reflections) with exact arithmetic, so a verdict is a fact rather than a
 tolerance call.
 
 Each row set is sorted once, and its lattice.Lattice built here and nowhere
-else, once: every RootSystem is made by one trusted constructor,
-RootSystem._from_rows, which looks (frozenset(rows), disc) up in
-`_LATTICES`, a registry of weak references to the _Facts that the live
-RootSystems with those rows share (canonical order, root Vectors, Lattice).
-Rows no live set holds are sorted; otherwise the live set's order is taken.
-So a relabelled or shuffled copy, a file read back and an induced set equal
-to a catalog entry all share one order and one Lattice, which is built on
-first access; _Facts live only as long as a RootSystem holds them: the
-registry keeps nothing alive.  The Lattice computes its reflection table,
-angle counts, axiom witnesses and Coxeter order once and stores them; the
-axiom check, simple_roots_of, the signature and the Coxeter order
-(classify.py) read them and never mutate them.
+else, once, from the distinct nonzero rows a RootSystem holds: every
+RootSystem is made by one trusted constructor, RootSystem._from_rows, which
+looks (frozenset(rows), disc) up in `_LATTICES`, a registry of weak
+references to the _Facts that the live RootSystems with those rows share
+(canonical order, root Vectors, Lattice, and induction.induce_4d's unnamed
+result).  Rows no live set holds are sorted; otherwise the live set's order
+is taken.  So a relabelled or shuffled copy, a file read back and an induced
+set equal to a catalog entry all share one order and one Lattice, which is
+built on first access; _Facts live only as long as a RootSystem holds them:
+the registry keeps nothing alive, and a stored induced set goes with its
+input's last RootSystem.  The Lattice computes its reflection table, angle
+counts, axiom witnesses and Coxeter order once and stores them; the axiom
+check, simple_roots_of, the signature and the Coxeter order (classify.py)
+read them and never mutate them.
 """
 
 from __future__ import annotations
@@ -213,13 +215,13 @@ class Provenance(NamedTuple):
 
 class _Facts:
     """What every live RootSystem with one row set shares: the rows in canonical
-    order, the root Vectors and the Lattice, each of the last two None until
-    first read."""
+    order, the root Vectors, the Lattice and the unnamed induced set of a 3D
+    set (induction.induce_4d), each of the last three None until first read."""
 
-    __slots__ = ("rows", "roots", "lattice", "__weakref__")
+    __slots__ = ("rows", "roots", "lattice", "induced", "__weakref__")
 
     def __init__(self, rows: tuple[Numerators, ...]):
-        self.rows, self.roots, self.lattice = rows, None, None
+        self.rows, self.roots, self.lattice, self.induced = rows, None, None, None
 
 
 class RootSystem:
@@ -438,28 +440,28 @@ def normalize_roots(rs: RootSystem) -> list[Vector]:
     A thin wrapper over unit_rows.  Raises NormNotInField naming the
     offending root if some squared norm has no square root in the field.
     """
-    units = unit_rows(rs)
+    units = unit_rows(rs.rows, rs.disc)
     if units is rs.rows:  # each root is its own unit
         return list(rs.roots)
     return [row_vector(x, rs.disc) for x in sorted_numerators(units, rs.disc)]
 
 
-def unit_rows(rs: RootSystem) -> Sequence[Numerators]:
-    """The rows of the distinct unit roots, in no set order.
+def unit_rows(rows: Sequence[Numerators], d: int) -> Sequence[Numerators]:
+    """The distinct unit multiples of nonzero rows over Q(sqrt(d)), in no set order.
 
-    rs.rows itself, in canonical order, comes back when every root is
-    already unit; a caller that needs canonical order sorts the others.  Each root's
-    primitive integer vector is divided by the square root of its squared
-    norm, taken once per distinct norm, so a large rational scale factor
-    never reaches QScalar's 64-bit bound.  NormNotInField names the first
-    root whose squared norm has no square root in the field.
+    rows itself, in its order, comes back when every row is already unit; a
+    caller that needs canonical order sorts the others.  Each row's primitive
+    integer vector is divided by the square root of its squared norm, taken
+    once per distinct norm, so a large rational scale factor never reaches
+    QScalar's 64-bit bound, and the unit of -x is minus the unit of x.
+    NormNotInField names the first row whose squared norm has no square
+    root in the field.
     """
-    d = rs.disc
-    if all(_is_unit(x, d) for x in rs.rows):
-        return rs.rows
+    if all(_is_unit(x, d) for x in rows):
+        return rows
     inverse_roots: dict[tuple[int, int], tuple[int, int, int]] = {}
     units = set()
-    for x in rs.rows:
+    for x in rows:
         g = math.gcd(*x[:-1])
         p, q = [e // g for e in x[:-1:2]], [f // g for f in x[1:-1:2]]
         norm = sum(map(mul, p, p)) + d * sum(map(mul, q, q)), 2 * sum(map(mul, p, q))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from rootspin import Multivector, QScalar, Vector, build_preset, normalize_roots
+from rootspin import Multivector, QScalar, RootSystem, Vector, build_preset, normalize_roots, vec
 from rootspin.lattice import EVEN_MASKS
 
 DISCS = (1, 2, 3, 5)
@@ -54,3 +54,19 @@ def even_from_numerators(x: tuple[int, ...], disc: int) -> Multivector:
     for k, m in enumerate(EVEN_MASKS):
         cs[m] = QScalar(Fraction(x[2 * k], den), Fraction(x[2 * k + 1], den), disc)
     return Multivector(3, cs)
+
+
+def partial_cases() -> dict[str, RootSystem]:
+    """Sets off the root-system happy path: negatives missing, multiples, off-lattice."""
+    h3, b3 = build_preset("H3"), build_preset("B3")
+    return {
+        "H3-positive-half": RootSystem([r for r in h3 if -r < r], disc=h3.disc),
+        "B3-minus-one-root": RootSystem(b3.roots[1:], disc=b3.disc),
+        "off-lattice": RootSystem([vec(1, 0), vec(-1, 0), vec(1, 2), vec(-1, -2)], disc=1),
+        "root-and-double": RootSystem(
+            [vec(1, 0, 0), vec(2, 0, 0), vec(-2, 0, 0), vec(0, 1, 0), vec(0, -1, 0)], disc=2
+        ),
+        "paired-multiples": RootSystem(
+            [vec(1, 0), vec(-1, 0), vec(2, 0), vec(-2, 0), vec(1, 1), vec(-1, -1)], disc=2
+        ),
+    }

@@ -447,10 +447,9 @@ class TestSurvey:
         # each catalog entry computed, the counterexample's included, less the 3 induced
         # sets with the rows of the entries A1xA1xA1xA1, I2-6xI2-6 and H4, which read the
         # Lattice of the live set with those rows: one per distinct row set
-        from rootspin.induction import induce_4d
         from rootspin.lattice import Lattice
 
-        for cached in (survey, catalog, induce_4d, build_preset):
+        for cached in (survey, catalog, build_preset):
             cached.cache_clear()
         built = []
         real = Lattice.__init__

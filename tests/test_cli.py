@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from rootspin import (
-    RootSystem, build_preset, close_under_reflections, identify, induce_4d, root_system_to_json,
+    RootSystem, build_preset, close_under_reflections, identify, root_system_to_json,
     signature, vec,
 )
 from rootspin import cli, induction, presets
@@ -320,9 +320,10 @@ class TestExitCodes:
         assert code == 0
         assert out.startswith("# H4: 120 roots")
 
-    def test_rotor_cap_abort_is_domain_error(self, capsys, monkeypatch):
+    def test_rotor_cap_abort_is_domain_error(self, capsys, monkeypatch, fresh_lattices):
         monkeypatch.setattr(induction, "GROUP_CLOSURE_CAP", 119)
-        induce_4d.cache_clear()  # so that the closure runs
+        # a fresh H3 with an empty registry has no stored induced set, so the products run
+        monkeypatch.setattr(cli, "build_preset", build_preset.__wrapped__)
         code, out, err = run(capsys, "induce", "--preset", "H3")
         assert code == 2 and out == ""
         assert err == "rootspin: ClosureCapExceeded: rotor group exceeded cap of 119 elements\n"

@@ -1,5 +1,5 @@
 """Every module of the package reads each name it imports, none reads the environment,
-and the package keeps a fixed number of caches."""
+the package keeps a fixed number of caches, and only roots.py builds a Lattice."""
 
 from __future__ import annotations
 
@@ -130,10 +130,36 @@ def test_the_cache_guard_finds_every_spelling():
     assert lru_caches(source) == ["a", "b", "c"]
 
 
-def test_the_package_keeps_its_seven_caches():
+def test_the_package_keeps_its_six_caches():
     # a cache is a second copy of a fact: adding one changes this number on purpose
     caches = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py")) for name in lru_caches(path.read_text())
     ]
-    assert len(caches) == 7, caches
+    assert len(caches) == 6, caches
+
+
+def calls_of(name: str, source: str) -> list[int]:
+    """The lines on which source calls name, bare or as an attribute (`x.name(...)`)."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+    ]
+
+
+def test_the_call_guard_finds_every_spelling():
+    source = "from . import lattice\nLattice(1)\nlattice.Lattice(2)\nLattice\nf(Lattice)\n"
+    assert calls_of("Lattice", source) == [2, 3]
+
+
+def test_only_roots_builds_a_lattice():
+    # a Lattice takes a RootSystem's distinct nonzero rows, so RootSystem.lattice
+    # is the one place that builds one
+    builders = {
+        path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := calls_of("Lattice", path.read_text()))
+    }
+    assert list(builders) == ["roots.py"] and len(builders["roots.py"]) == 1, builders

@@ -271,15 +271,29 @@ class TestSelfDuality:
         assert report.summary() == "I2-6: self-dual (12 roots <-> 12 spinors)"
 
 
-class TestCacheKeys:
-    """The induce caches key on root content; names come from each caller."""
+@pytest.fixture
+def products(monkeypatch):
+    """The length of each input whose pair products induction.py computes."""
+    calls = []
+    real = induction.pair_products
 
-    def test_relabelled_input_gets_its_own_label(self):
+    def counted(rs):
+        calls.append(len(rs))
+        return real(rs)
+
+    monkeypatch.setattr(induction, "pair_products", counted)
+    return calls
+
+
+class TestCacheKeys:
+    """The induced set is stored with the input's rows; names come from each caller."""
+
+    def test_relabelled_input_gets_its_own_label(self, products):
         h3 = build_preset("H3")
         first = induce_4d(h3)
-        hits = induce_4d.cache_info().hits
+        products.clear()
         mine = induce_4d(RootSystem(h3.roots, disc=5, label="mine"))
-        assert induce_4d.cache_info().hits == hits + 1
+        assert products == []  # the stored set is read
         assert mine.label == "induced(mine)"
         assert mine.provenance.induced_from == "mine"
         assert mine == first and mine.roots is first.roots
@@ -300,19 +314,18 @@ class TestCacheKeys:
         assert other.label == "induced(hex)"
         assert other.provenance.induced_from == "hex"
 
-    def test_one_lattice_per_induced_set(self, monkeypatch, fresh_lattices):
+    def test_one_lattice_per_induced_set(self, monkeypatch, fresh_lattices, products):
         # each input's own Lattice is built for its reflection table, then the axiom
-        # check builds the output's; the cached result and each copy named after a
-        # caller keep it, so their signatures read it again.  A rescaled input is a
-        # new cache key with rows of its own, but its induced set has the rows of
-        # H3's, so its axiom check reads the Lattice the cached result holds.  H3 is
-        # built afresh, so that its Lattice is built here whatever earlier tests read.
+        # check builds the output's; the stored result and each copy named after a
+        # caller keep it, so their signatures read it again.  A rescaled input has
+        # rows of its own, so its products run again, but its induced set has the
+        # rows of H3's, so its axiom check reads the Lattice the stored result holds.
+        # H3 is built afresh, so that nothing is stored with its rows yet.
         from rootspin.lattice import Lattice
 
         h3 = build_preset.__wrapped__("H3")
         other = RootSystem(h3.roots, disc=5, label="other")
         scaled = RootSystem([r.scale(Fraction(7, 3)) for r in h3.roots], disc=5, label="x7/3")
-        induce_4d.cache_clear()
         built = []
         real = Lattice.__init__
 
@@ -325,38 +338,13 @@ class TestCacheKeys:
         assert (first.label, second.label, third.label) == (
             "induced(H3)", "induced(other)", "induced(x7/3)"
         )
-        assert induce_4d.cache_info()[:2] == (1, 2)
+        assert products == [30, 30]  # h3 and scaled; other reads h3's stored set
         assert signature(first) == signature(second) == signature(third)
         assert [len(rows) for rows, _ in built] == [30, 120, 30]
         assert len(built) == len(set(built))
 
     def test_caches_are_bounded(self):
-        for cached in (induce_4d, build_preset):
-            assert cached.cache_info().maxsize is not None
-
-    def test_evicted_result_is_recomputed_equal(self):
-        roots = build_preset("A1xA1xA1").roots
-
-        def scaled(k):  # a distinct key per k, all with the same induced set
-            return RootSystem([r.scale(k) for r in roots], disc=1)
-
-        induce_4d.cache_clear()
-        rs = scaled(1)
-        first = induce_4d(rs)
-        maxsize = induce_4d.cache_info().maxsize
-        for k in range(2, maxsize + 2):  # each k is a new key; the first is evicted
-            induce_4d(scaled(k))
-        assert induce_4d.cache_info().currsize == maxsize
-        misses = induce_4d.cache_info().misses
-        again = induce_4d(rs)
-        assert induce_4d.cache_info().misses == misses + 1
-        assert again == first and again.label == first.label
-        assert again.roots == first.roots
-
-    def test_cache_clear(self):
-        induce_4d(build_preset("A1xA1xA1"))
-        induce_4d.cache_clear()
-        assert induce_4d.cache_info().currsize == 0
+        assert build_preset.cache_info().maxsize is not None
 
 
 def test_rotor_group_order_is_the_multivector_order():

@@ -65,7 +65,7 @@ def test_submodules_and_cached_entry_points_are_reachable():
     from rootspin import cli
 
     assert cli.main is import_module("rootspin.cli").main
-    for name in ("build_preset", "induce_4d", "catalog", "survey"):
+    for name in ("build_preset", "catalog", "survey"):
         entry = getattr(rootspin, name)
         assert entry.cache_info().misses >= 0
         assert callable(entry.cache_clear)

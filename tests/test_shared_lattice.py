@@ -1,14 +1,14 @@
-"""A RootSystem shares the canonical order and the Lattice of every live set with
-the same rows.
+"""A RootSystem shares the canonical order, the Lattice and the induced set of
+every live set with the same rows.
 
 A new RootSystem looks (frozenset(rows), disc) up in roots._LATTICES, a
 registry of weak references, so a relabelled or shuffled copy takes the
-original's order without sorting, and reads its Lattice: the stored
-reflection table, angle counts, axiom witnesses and Coxeter order.  These
-tests check that a shared Lattice gives exactly what a freshly built one
-gives, that a rescaled copy (other rows) sorts and builds its own and gets
-the same answers, and that the registry keeps nothing alive after the last
-RootSystem of its rows is gone.
+original's order without sorting, and reads its Lattice (the stored
+reflection table, angle counts, axiom witnesses and Coxeter order) and its
+stored induce_4d result.  These tests check that a shared Lattice gives
+exactly what a freshly built one gives, that a rescaled copy (other rows)
+sorts and builds its own and gets the same answers, and that the registry
+keeps nothing alive after the last RootSystem of its rows is gone.
 """
 
 from __future__ import annotations
@@ -61,20 +61,13 @@ def facts(rs) -> tuple:
 
 
 def cold(rs, read=facts):
-    """read of a new instance of rs, with the induction cache and the registry empty.
-
-    The induction cache is cleared again after, so no cached set keeps a
-    Lattice that the real registry does not hold.
-    """
-    induce_4d.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(roots, "_LATTICES", weakref.WeakValueDictionary())
-            copy = relabelled(rs, rs.label)
-            assert copy.lattice is not rs.lattice
-            return read(copy)
-    finally:
-        induce_4d.cache_clear()
+    """read of a new instance of rs with the registry empty: a Lattice and an
+    induced set of its own, which go with it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_LATTICES", weakref.WeakValueDictionary())
+        copy = relabelled(rs, rs.label)
+        assert copy.lattice is not rs.lattice
+        return read(copy)
 
 
 @settings(max_examples=80)
@@ -119,6 +112,23 @@ def test_a_lattice_goes_with_its_last_root_system(sorts):
     sorts.clear()
     again = RootSystem._from_rows(rows, disc)  # the same rows, now no live set's
     assert sorts == [30] and again.rows == rows
+
+
+def test_a_stored_induced_set_goes_with_its_last_root_system(fresh_lattices):
+    # rows no other live set holds, and an empty registry, so the induced set's
+    # _Facts are its own: only the input's _Facts hold them
+    rs = scaled(build_preset("H3"), Fraction(11, 13))
+    induced = induce_4d(rs)
+    copy = relabelled(rs)
+    assert induce_4d(copy).rows is induced.rows  # the stored set, named after the copy
+    ref = weakref.ref(induced._facts)
+    key = frozenset(induced.rows), induced.disc
+    del induced, rs
+    gc.collect()
+    assert ref() is fresh_lattices[key]  # the copy's _Facts hold it
+    del copy
+    gc.collect()
+    assert ref() is None and key not in fresh_lattices
 
 
 @pytest.fixture
@@ -194,17 +204,15 @@ def test_a_golden_multiple_is_a_miss_with_equal_answers():
     phi = QScalar(Fraction(1, 2), Fraction(1, 2), 5)
     big = scaled(h3, phi)
     sig, order, report, simple, induced = facts(h3)
-    misses = induce_4d.cache_info().misses
-    assert big.lattice is not h3.lattice
+    assert big.lattice is not h3.lattice and big._facts.induced is None
     assert facts(big) == (sig, order, report, [r.scale(phi) for r in simple], induced)
-    assert induce_4d.cache_info().misses == misses + 1
-    # the induced set has H4's unit rows, so its check reads the cached result's Lattice
+    assert big._facts.induced is not h3._facts.induced  # computed for big's own rows
+    # the induced set has H4's unit rows, so its check reads the stored result's Lattice
     assert induce_4d(big).lattice is induce_4d(h3).lattice
 
 
 def test_an_induction_error_is_the_same_warm_and_cold(capsys):
     argv = ["induce", "--preset", "A1xI2-8"]
-    induce_4d.cache_clear()
     cold = main(argv), capsys.readouterr()
     assert main(["classify", "--preset", "A1xI2-8"]) == 0  # the preset's Lattice is built
     capsys.readouterr()
