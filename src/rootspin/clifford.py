@@ -7,8 +7,9 @@ basis vector e_{i+1} is present, so slot 0 is the scalar and slot 2^dim - 1
 the pseudoscalar.  The geometric product is lattice.py's `int_product` on
 the two rows; the blade convention, the bivector basis (I e1, I e2, I e3) =
 (e2 e3, e3 e1, e1 e2) and the 4D readout of even elements are stated there,
-once.  Negation, reversion, grades, from_vector and the spinor readouts
-also read or build the row, so none of them encodes or decodes a QScalar.
+once.  Sums, negation and scaling are Exact's; reversion, grades,
+from_vector and the spinor readouts also read or build the row, so none of
+them encodes or decodes a QScalar.
 
 Only this module builds a Rotor: Rotor checks R ~R = 1, and RotorGroup and
 generate_rotor_group wrap induction.py's integer pair products, which are
@@ -31,12 +32,12 @@ from .lattice import (
     Exact,
     Numerators,
     int_product,
-    negated,
     sorted_numerators,
     vec4_numerators,
+    vectors_disc,
 )
 from .qfield import QScalar
-from .roots import RootSystem, Vector, _is_unit, row_vector, vectors_disc
+from .roots import RootSystem, Vector, _is_unit, row_vector
 
 _ZERO = QScalar(0)
 _ONE = QScalar(1)
@@ -127,35 +128,19 @@ class Multivector(Exact):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        return Multivector(self.dim, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        return Multivector(self.dim, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Multivector":
-        return Multivector._from_row(negated(self.row), self.disc)
-
-    def _check(self, other: "Multivector") -> None:
-        if not isinstance(other, Multivector):
-            raise TypeError(f"expected Multivector, got {type(other).__name__}")
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"Cl({self.dim}) vs Cl({other.dim})")
+    def _from_values(self, values) -> "Multivector":
+        return Multivector(self.dim, values)
 
     def __mul__(self, other):
-        """Geometric product, or coefficient scaling for scalar operands."""
+        """Geometric product, or Exact.scale for scalar operands."""
         if isinstance(other, (QScalar, int, Fraction)):
-            return Multivector(self.dim, (c * other for c in self.coeffs))
+            return self.scale(other)
         self._check(other)
         d = self.disc if self.disc == other.disc else vectors_disc((self, other))
         return Multivector._from_row(int_product(self.row, other.row, BLADES[self.dim], d), d)
 
     def __rmul__(self, other):
-        if isinstance(other, (QScalar, int, Fraction)):
-            return Multivector(self.dim, (other * c for c in self.coeffs))
-        return NotImplemented
+        return self.scale(other) if isinstance(other, (QScalar, int, Fraction)) else NotImplemented
 
     def reverse(self) -> "Multivector":
         """Reversal anti-automorphism: grade k picks up (-1)^(k(k-1)/2)."""

@@ -7,9 +7,10 @@ A vector, multivector or rotor is held as one reduced tuple of Python ints, its 
 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 `Exact` holds one such row and its field's disc, and defines once their
-immutability, equality, hashing, `is_zero`, order and lazy decoding;
-roots.Vector and clifford.Multivector are its subclasses, and a RootSystem
-(roots.py) holds its roots' rows.  `int_numerators` encodes the QScalars a value is built
+immutability, equality, hashing, `is_zero`, order, lazy decoding and
+arithmetic (`+`, `-`, negation, `scale`); roots.Vector and
+clifford.Multivector are its subclasses, and a RootSystem (roots.py) holds
+its roots' rows.  `int_numerators` encodes the QScalars a value is built
 from, `from_numerators` decodes a row when its QScalars are first read (a
 new row is 64-bit-checked as it is wrapped, a stored one is trusted), and
 `sorted_numerators` sorts rows by exact value, in the order of Exact's `<`.
@@ -57,22 +58,24 @@ from itertools import chain, compress, repeat
 from operator import eq, mul, or_
 from typing import Iterable, Sequence
 
-from .errors import FieldMismatch
-from .qfield import _INT64_MAX, QScalar, field_sign
+from .errors import DimensionMismatch
+from .qfield import _INT64_MAX, QScalar, common_disc, field_sign
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
 
 
 def field_disc(vectors: Iterable[Iterable[QScalar]]) -> int:
-    """The one d whose sqrt(d) the coordinates use; plain rationals fit any field.
+    """The one d whose sqrt(d) the coordinates use, by qfield.common_disc's rule.
 
     Takes Vectors or any sequences of QScalars; with no coordinates it is 1.
     """
-    surd = list(dict.fromkeys(c.disc for v in vectors for c in v if c.surd))
-    if len(surd) > 1:
-        raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
-    return surd[0] if surd else max((c.disc for v in vectors for c in v), default=1)
+    return common_disc((c.disc, c.surd) for v in vectors for c in v)
+
+
+def vectors_disc(vectors: Iterable["Exact"]) -> int:
+    """field_disc of the values of Vectors (or Multivectors), read off their rows."""
+    return common_disc((v.disc, any(v.row[1:-1:2])) for v in vectors)
 
 
 def int_numerators(scalars: Iterable[QScalar]) -> Numerators:
@@ -97,14 +100,15 @@ def negated(x: Numerators) -> Numerators:
 
 class Exact:
     """An immutable value held as its row over Q(sqrt(disc)): the base of roots.Vector
-    and clifford.Multivector.
+    and clifford.Multivector, and their one copy of the row arithmetic.
 
     The QScalars the row stands for are decoded on first read (`_decoded`), except
     that a value built from QScalars keeps the ones it was given.  Equality, hashing
     and `is_zero` read the row: two values of one type are equal when their rows are
-    and they share a field or have no surd part, as QScalar equality says.  `<`
-    compares the values in turn (a subclass's `_check` refuses an operand of
-    another shape).
+    and they share a field or have no surd part, as QScalar equality says.  `+`, `-`,
+    negation and `scale` run on rows (`scale` by a QScalar calls the subclass's
+    `_from_values`), a new row 64-bit-checked by `_from_row`; `<` compares the values
+    in turn.  `_check` refuses an operand of another type or dimension.
     """
 
     __slots__ = ("row", "disc", "_values")
@@ -165,6 +169,43 @@ class Exact:
             if a != b:  # exact, and far cheaper than the subtraction
                 return (a - b).sign() < 0
         return False
+
+    def _check(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if len(other.row) != len(self.row):
+            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+
+    def __add__(self, other):
+        # the rows over their common denominator, in the operands' field
+        self._check(other)
+        d = self.disc if self.disc == other.disc else vectors_disc((self, other))
+        x, y = self.row, other.row
+        den = math.lcm(x[-1], y[-1])
+        a, b = den // x[-1], den // y[-1]
+        out = [p * a + r * b for p, r in zip(x[:-1], y[:-1])]
+        g = math.gcd(den, *out)
+        return self._from_row(tuple(z // g for z in out) + (den // g,), d)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._from_row(negated(self.row), self.disc)
+
+    def scale(self, s):
+        """s times the value: an int or a Fraction within 64 bits scales the row, which
+        keeps the value's disc; any other scalar multiplies the QScalars."""
+        t = type(s)
+        if t is int or t is Fraction:
+            n, m = (s, 1) if t is int else (s.numerator, s.denominator)
+            if abs(n) <= _INT64_MAX and m <= _INT64_MAX:
+                x = self.row
+                out = [z * n for z in x]
+                out[-1] = x[-1] * m
+                g = math.gcd(*out)
+                return self._from_row(tuple([z // g for z in out] if g > 1 else out), self.disc)
+        return self._from_values(c * s for c in self._decoded())
 
 
 def int_mirror(a: Numerators, disc: int) -> tuple:

@@ -13,14 +13,15 @@ roots run on Python ints in lattice.py's kernels: the inner-product counts
 and the reflection table of a root set, and the numerator tuples on which the
 reflection closure and (with lattice.py's geometric product) the rotor group's
 pair products work.  Both keep this module's 64-bit bound on every root or
-element they add, through caps.admit.
+element they add, through caps.admit.  This module holds the package's one
+field rule (`common_disc`) and its one 64-bit check of a new row (`check_row`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import DomainError, FieldMismatch
 
@@ -70,6 +71,29 @@ def field_sign(x: int, y: int, disc: int) -> int:
         return -1
     bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
     return 1 if bigger > 0 else -1
+
+
+def common_disc(tags: Iterable[tuple[int, object]]) -> int:
+    """The field of values tagged (disc, surd part), by the package's one field rule: a
+    surd's field wins, a rational fits any field, and otherwise the largest tag (1 for none).
+    FieldMismatch when surd parts from two fields meet."""
+    surd, top = None, 1
+    for disc, irrational in tags:
+        if not irrational:
+            top = max(top, disc)
+        elif surd is None:
+            surd = disc
+        elif disc != surd:
+            raise FieldMismatch(f"cannot combine Q(sqrt({surd})) with Q(sqrt({disc}))")
+    return top if surd is None else surd
+
+
+def check_row(x: tuple[int, ...]) -> None:
+    """OverflowError, as QScalar raises it, if a reduced component p_i / D of the new
+    row (p_1, q_1, ..., D) leaves the 64-bit bound: the one check of a new row."""
+    if max(map(abs, x)) > _INT64_MAX:
+        for p in x[:-1]:
+            _check_range(Fraction(p, x[-1]))
 
 
 _F_ZERO = Fraction(0)
@@ -137,12 +161,7 @@ class QScalar:
         return not self.rat and not self.surd
 
     def _common_disc(self, other: "QScalar") -> int:
-        # lattice.field_disc's rule: a surd's field wins, and otherwise the larger tag
-        if self.surd and other.surd:
-            raise FieldMismatch(
-                f"cannot combine Q(sqrt({self.disc})) with Q(sqrt({other.disc}))"
-            )
-        return self.disc if self.surd else other.disc if other.surd else max(self.disc, other.disc)
+        return common_disc(((self.disc, self.surd), (other.disc, other.surd)))
 
     def promote(self, disc: int) -> "QScalar":
         """Retag a rational value into Q(sqrt(disc))."""

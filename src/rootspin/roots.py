@@ -1,8 +1,9 @@
 """Exact Euclidean vectors, root systems, reflection closure and root-system axioms.
 
 A Vector is a lattice.Exact, as a clifford.Multivector is: it holds its
-row, the reduced integer tuple of lattice.py, and its field's disc, and it
-decodes its QScalar coords on first read.  A RootSystem stores its roots as
+row, the reduced integer tuple of lattice.py, and its field's disc, decodes
+its QScalar coords on first read, and takes its arithmetic from Exact; its
+`unit` is unit_rows on its row.  A RootSystem stores its roots as
 rows, deduplicated and in canonical order (Vector.__lt__'s, computed by
 lattice.sorted_numerators), and takes a Vector's row as it is when the
 Vector is over its field or rational.  The stages below read the rows
@@ -45,7 +46,7 @@ from operator import mul
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .caps import ROOT_CLOSURE_CAP, admit
-from .errors import DegenerateFunctional, DimensionMismatch, FieldMismatch, ZeroRoot
+from .errors import DegenerateFunctional, DimensionMismatch, ZeroRoot
 from .errors import NormNotInField, RootspinError
 from .lattice import (
     Exact,
@@ -57,8 +58,9 @@ from .lattice import (
     int_reflect,
     negated,
     sorted_numerators,
+    vectors_disc,
 )
-from .qfield import _INT64_MAX, QScalar, _is_square_free
+from .qfield import QScalar, _is_square_free
 
 Coord = Union[QScalar, int, Fraction]
 
@@ -68,9 +70,9 @@ class Vector(Exact):
 
     A Vector is a lattice.Exact: its row (p_1, q_1, ..., D) and its field's
     disc, with its coords, the QScalars, decoded on first read or kept as
-    given.  Scaling by an int or a Fraction, negation, equality, hashing and
-    RootSystem membership work on the row.  All coordinates share one field:
-    two surds from different fields raise FieldMismatch.
+    given.  Exact's arithmetic, equality, hashing and RootSystem membership
+    work on the row.  All coordinates share one field: two surds from
+    different fields raise FieldMismatch.
     """
 
     __slots__ = ()
@@ -93,38 +95,8 @@ class Vector(Exact):
     def dim(self) -> int:
         return len(self.row) // 2
 
-    def _check(self, other: "Vector") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._check(other)
-        return Vector(a - b for a, b in zip(self.coords, other.coords))
-
-    def __neg__(self) -> "Vector":
-        return row_vector(negated(self.row), self.disc)
-
-    def scale(self, s: Coord) -> "Vector":
-        """s times the vector; an int or a Fraction within 64 bits scales the row.
-
-        A scaled row keeps the vector's disc, and one with an entry past the
-        64-bit bound is decoded, so that QScalar raises its OverflowError for
-        a component that leaves the bound.
-        """
-        t = type(s)
-        if t is int or t is Fraction:
-            n, m = (s, 1) if t is int else (s.numerator, s.denominator)
-            if abs(n) <= _INT64_MAX and m <= _INT64_MAX:
-                x = self.row
-                out = [z * n for z in x]
-                out[-1] = x[-1] * m
-                g = math.gcd(*out)
-                return row_vector(tuple([z // g for z in out] if g > 1 else out), self.disc)
-        return Vector(c * s for c in self.coords)
+    def _from_values(self, values: Iterable[QScalar]) -> "Vector":
+        return Vector(values)
 
     def dot(self, other: "Vector") -> QScalar:
         self._check(other)
@@ -137,22 +109,14 @@ class Vector(Exact):
         return self.dot(self)
 
     def unit(self) -> "Vector":
-        """Scale to exact unit length; NormNotInField if sqrt leaves the field.
+        """Scale to exact unit length: the row unit_rows gives for the vector's row.
 
-        The length is taken of the primitive integer multiple of the vector,
-        so a large rational scale factor never reaches the 64-bit bound.  The
-        zero vector has no unit multiple: ZeroRoot.
+        NormNotInField if sqrt leaves the field; the zero vector has no unit
+        multiple: ZeroRoot.
         """
         if self.is_zero():
             raise ZeroRoot("the zero vector has no unit length")
-        parts = [f for c in self.coords for f in (c.rat, c.surd) if f]
-        step = Fraction(math.lcm(*(f.denominator for f in parts)),
-                        math.gcd(*(f.numerator for f in parts)) or 1)
-        primitive = Vector(QScalar(c.rat * step, c.surd * step, c.disc) for c in self.coords)
-        root = primitive.norm_squared().sqrt()
-        if root is None:
-            raise NormNotInField(self, self.norm_squared())
-        return primitive.scale(root.inverse())
+        return row_vector(unit_rows([self.row], self.disc)[0], self.disc)
 
     def __iter__(self):
         return iter(self.coords)
@@ -172,15 +136,6 @@ def vec(*coords: Coord, disc: int | None = None) -> Vector:
 row_vector = Vector._from_row
 # the Vector of a root set's stored row x, which was bounded when it entered
 stored_vector = Vector._stored
-
-
-def vectors_disc(vectors: Iterable[Exact]) -> int:
-    """lattice.field_disc of the values of Vectors (or Multivectors), read off their rows."""
-    vectors = list(vectors)
-    surd = list(dict.fromkeys(v.disc for v in vectors if any(v.row[1:-1:2])))
-    if len(surd) > 1:
-        raise FieldMismatch(f"cannot combine Q(sqrt({surd[0]})) with Q(sqrt({surd[1]}))")
-    return surd[0] if surd else max((v.disc for v in vectors), default=1)
 
 
 def row_in(v: Vector, disc: int) -> Numerators:

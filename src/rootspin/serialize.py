@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import RootspinError
-from .qfield import _INT64_MAX, QScalar, _is_square_free
+from .qfield import _is_square_free, check_row
 from .roots import Provenance, RootSystem, row_vector
 
 FORMAT_VERSION = 1
@@ -91,21 +90,19 @@ def _check_schema(doc) -> None:
 def _quads_row(coords: list[list[int]], disc: int) -> tuple[int, ...]:
     """The row of the QScalars that the quads [a_num, a_den, b_num, b_den] give, over Q(sqrt(disc)).
 
-    A component past the 64-bit bound is handed to QScalar, which raises its OverflowError.
+    OverflowError, from qfield.check_row, for a component past the 64-bit bound.
     """
     parts = []
-    for quad in coords:
-        an, ad, bn, bd = quad
+    for an, ad, bn, bd in coords:
         if disc == 1:  # QScalar folds b*sqrt(1) into the rational part
             an, ad, bn, bd = an * bd + bn * ad, ad * bd, 0, 1
         for n, d in ((an, ad), (bn, bd)):
             g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
-            n, d = n // g, d // g
-            if abs(n) > _INT64_MAX or d > _INT64_MAX:
-                QScalar(Fraction(quad[0], quad[1]), Fraction(quad[2], quad[3]), disc)
-            parts.append((n, d))
+            parts.append((n // g, d // g))
     den = math.lcm(*(d for _, d in parts))
-    return tuple(n * (den // d) for n, d in parts) + (den,)
+    row = tuple(n * (den // d) for n, d in parts) + (den,)
+    check_row(row)
+    return row
 
 
 def root_system_from_json(text: str) -> RootSystem:

@@ -1,5 +1,7 @@
 """Every module of the package reads each name it imports, none reads the environment,
-the package keeps a fixed number of caches, and only roots.py builds a Lattice."""
+the package keeps a fixed number of caches, only roots.py builds a Lattice, and each
+exact-value job has one implementation: Exact's arithmetic, the field rule and the
+64-bit check of a new row."""
 
 from __future__ import annotations
 
@@ -163,3 +165,134 @@ def test_only_roots_builds_a_lattice():
         if (lines := calls_of("Lattice", path.read_text()))
     }
     assert list(builders) == ["roots.py"] and len(builders["roots.py"]) == 1, builders
+
+
+def scoped_nodes(tree: ast.AST):
+    """(scope, node) for every node of tree, where scope names the classes and
+    functions around the node, dotted ("Exact.scale"), and is "" at module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                yield from visit(child, scope)
+
+    yield from visit(tree, "")
+
+
+_EXACT_ARITHMETIC = {"__add__", "__sub__", "__neg__", "scale", "_check"}
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a class-body statement defines: a def's name, or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def exact_overrides(source: str) -> list[str]:
+    """"Class.member" for each member of _EXACT_ARITHMETIC that a subclass of Exact, at
+    any depth, defines or assigns in source, in order of appearance."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    derived = {"Exact"}
+    for _ in classes:  # one pass per level of depth is enough
+        derived |= {c.name for c in classes for base in c.bases
+                    if getattr(base, "id", getattr(base, "attr", None)) in derived}
+    return [f"{c.name}.{name}" for c in classes if c.name != "Exact" and c.name in derived
+            for node in c.body for name in _defined_names(node) if name in _EXACT_ARITHMETIC]
+
+
+def test_the_override_guard_finds_every_spelling():
+    source = (
+        "class Exact:\n"
+        "    def __add__(self, other): pass\n"
+        "class Vector(Exact):\n"
+        "    def scale(self, s): pass\n"
+        "    __neg__ = lambda self: self\n"
+        "    def dot(self, other): pass\n"
+        "class Rotor:\n"
+        "    def __neg__(self): pass\n"
+        "class Spinor(lattice.Exact):\n"
+        "    _check: object = None\n"
+        "class Even(Spinor):\n"
+        "    def __sub__(self, other): pass\n"
+    )
+    assert exact_overrides(source) == ["Vector.scale", "Vector.__neg__", "Spinor._check",
+                                       "Even.__sub__"]
+
+
+def test_exact_holds_the_only_row_arithmetic():
+    # Vector and Multivector add only their constructors over QScalars
+    source = "\n".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert exact_overrides(source) == []
+
+
+def holders_of(text: str, source: str) -> list[str]:
+    """The scopes of source whose string literals, docstrings aside, hold text, once each."""
+    tree = ast.parse(source)
+    docstrings = {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    return list(dict.fromkeys(
+        scope for scope, node in scoped_nodes(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and text in node.value and node not in docstrings
+    ))
+
+
+def test_the_message_guard_finds_every_spelling():
+    source = (
+        "def rule(a, b):\n"
+        "    raise FieldMismatch(f'cannot combine Q(sqrt({a})) with Q(sqrt({b}))')\n"
+        "class Q:\n"
+        "    def mix(self):\n"
+        "        message = 'cannot combine Q(sqrt(2)) with Q(sqrt(3))'\n"
+        "        raise FieldMismatch(message)\n"
+        "    def told(self):\n"
+        "        \"\"\"Raises 'cannot combine Q(sqrt(d))' through rule.\"\"\"\n"
+        "        return rule(1, 2)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        raise ValueError('cannot combine Q(sqrt(5)) with ' + 'Q(sqrt(7))')\n"
+        "    return inner\n"
+    )
+    assert holders_of("cannot combine Q(sqrt(", source) == ["rule", "Q.mix", "outer.inner"]
+
+
+def test_one_function_holds_the_field_rule():
+    # QScalar._common_disc, lattice.field_disc and lattice.vectors_disc call it
+    holders = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+               for scope in holders_of("cannot combine Q(sqrt(", path.read_text())]
+    assert holders == ["qfield.common_disc"]
+
+
+def int64_comparisons(source: str) -> list[str]:
+    """The scope of each comparison in source that reads _INT64_MAX, in order."""
+    return [
+        scope for scope, node in scoped_nodes(ast.parse(source)) if isinstance(node, ast.Compare)
+        and any(getattr(n, "id", getattr(n, "attr", None)) == "_INT64_MAX" for n in ast.walk(node))
+    ]
+
+
+def test_the_bound_guard_finds_every_spelling():
+    source = (
+        "from .qfield import _INT64_MAX\n"
+        "LIMIT = _INT64_MAX\n"
+        "def f(x):\n"
+        "    return x > _INT64_MAX or -qfield._INT64_MAX > x\n"
+        "class E:\n"
+        "    def g(self, x):\n"
+        "        if abs(x) <= _INT64_MAX:\n"
+        "            return max(x, _INT64_MAX)\n"
+    )
+    assert int64_comparisons(source) == ["f", "f", "E.g"]
+
+
+def test_the_64_bit_bound_is_compared_in_few_places():
+    # qfield.check_row is the one check of a new row; Exact._from_row decodes a wide
+    # row, Exact.scale bounds its factor, and caps.admit pre-checks inline, per element
+    sites = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+             for scope in int64_comparisons(path.read_text()) if path.stem != "qfield"}
+    assert sites == {"caps.admit", "lattice.Exact._from_row", "lattice.Exact.scale"}
+    assert int64_comparisons((PACKAGE / "caps.py").read_text()) == ["admit"]

@@ -19,8 +19,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rootspin import (
-    FieldMismatch, Multivector, QScalar, build_preset, generate_rotor_group, normalize_roots,
-    reflect, spinor_to_vec4, vec,
+    DimensionMismatch, FieldMismatch, Multivector, QScalar, RootspinError, build_preset,
+    generate_rotor_group, normalize_roots, reflect, spinor_to_vec4, vec,
 )
 from rootspin import lattice
 from rootspin.lattice import field_disc, int_numerators
@@ -136,6 +136,82 @@ def test_a_multivector_and_a_vector_with_one_row_differ():
     # Cl(2)'s four coefficients and a 4D vector have rows of one length
     v, m = vec(1, 2, 3, 4), Multivector(2, (1, 2, 3, 4))
     assert v.row == m.row and v != m and m != v
+
+
+ARITHMETIC_FIELDS = (1, 2, 3, 5)  # two surd fields meet in a sum when the operands' differ
+factors = st.integers(-6, 6) | parts | st.sampled_from(ARITHMETIC_FIELDS).flatmap(scalars)
+
+
+@st.composite
+def apart(draw):
+    """Two (m, cs) of one dimension whose fields are drawn apart, and a scalar."""
+    dim = draw(st.sampled_from((2, 3)))
+    out = []
+    for _ in range(2):
+        blade = st.one_of(st.just(QScalar(0)), scalars(draw(st.sampled_from(ARITHMETIC_FIELDS))))
+        cs = draw(st.lists(blade, min_size=1 << dim, max_size=1 << dim))
+        out.append((draw(built(dim, cs)), cs))
+    return out, draw(factors)
+
+
+def value(values, disc: int) -> tuple:
+    """The outcome of a Multivector of the QScalars values over Q(sqrt(disc)), or FieldMismatch."""
+    values = tuple(values)
+    field_disc([values])  # surds of two fields
+    return values, int_numerators(values), disc
+
+
+def outcome(f) -> tuple | type:
+    """f()'s outcome: (coeffs, row, disc) of the Multivector it returns, or the type of
+    the RootspinError it raises."""
+    try:
+        out = f()
+    except RootspinError as exc:
+        return type(exc)
+    if isinstance(out, tuple):
+        return out
+    assert type(out) is Multivector
+    return out.coeffs, out.row, out.disc
+
+
+@given(apart())
+def test_row_arithmetic_agrees_with_the_qscalar_reference(case):
+    # Exact's row arithmetic against coefficient-wise QScalar arithmetic; a sum is in
+    # its operands' field, and a row scaled by an int or a Fraction keeps its field
+    ((m, cs), (n, ds)), s = case
+
+    def both() -> int:
+        return field_disc([cs, ds])
+
+    def scaled() -> tuple:
+        products = [c * s for c in cs]
+        return value(products, field_disc([products]) if type(s) is QScalar else m.disc)
+
+    checks = [
+        (lambda: m + n, lambda: value((a + b for a, b in zip(cs, ds)), both())),
+        (lambda: m - n, lambda: value((a - b for a, b in zip(cs, ds)), both())),
+        (lambda: -m, lambda: value((-c for c in cs), m.disc)),
+        (lambda: m.scale(s), scaled),
+        (lambda: m * s, scaled),
+    ]
+    if type(s) is not QScalar:  # QScalar's own product takes no Multivector
+        checks.append((lambda: s * m, scaled))
+    for got, want in checks:
+        assert outcome(got) == outcome(want)
+
+
+def test_a_vector_and_a_multivector_do_not_mix():
+    # neither reads the other's values: a Vector's coords and a Multivector's blade
+    # coefficients are unrelated, even in rows of one length
+    for v, m in ((vec(1, 2), Multivector.basis_vector(1, 2)),
+                 (vec(1, 2, 3, 4), Multivector(2, (1, 2, 3, 4)))):  # rows of one length
+        for mixed in (lambda: v + m, lambda: m + v, lambda: v - m, lambda: m - v,
+                      lambda: v < m, lambda: m < v, lambda: v.dot(m)):
+            with pytest.raises(TypeError, match="^expected (Vector, got Multivector|"
+                                                "Multivector, got Vector)$"):
+                mixed()
+    with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):
+        Multivector.scalar(1, 2) + Multivector.scalar(1, 3)
 
 
 def test_surds_from_two_fields_do_not_make_a_multivector():

@@ -16,8 +16,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rootspin import (
-    DomainError, FieldMismatch, QScalar, RootSystem, Vector, build_preset,
-    close_under_reflections, vec,
+    DomainError, FieldMismatch, NormNotInField, QScalar, RootspinError, RootSystem, Vector,
+    ZeroRoot, build_preset, close_under_reflections, vec,
 )
 from rootspin.lattice import field_disc, int_numerators
 from rootspin.roots import reflect_euclid, row_vector
@@ -203,3 +203,76 @@ def test_root_system_checks_what_it_cannot_take_as_a_row():
     with pytest.raises(DomainError):
         RootSystem([vec(1, 0)], disc=4)
     assert RootSystem([vec(1, 0)], disc=5).rows == ((1, 0, 0, 0, 1),)
+
+
+ARITHMETIC_FIELDS = (1, 2, 3, 5)  # two surd fields meet in a sum when the operands' differ
+any_scalars = factors | st.sampled_from(ARITHMETIC_FIELDS).flatmap(scalars)
+
+
+def reference_unit(cs: list[QScalar], disc: int) -> tuple[QScalar, ...]:
+    """cs over the square root of their squared norm, in QScalars: Vector.unit's former
+    coordinate formula, with the root taken in the vector's field Q(sqrt(disc))."""
+    if all(c.is_zero() for c in cs):
+        raise ZeroRoot("the zero vector has no unit length")
+    norm = sum(c * c for c in cs)
+    root = QScalar(norm.rat, norm.surd, disc).sqrt()
+    if root is None:
+        raise NormNotInField(cs, norm)
+    return tuple(c / root for c in cs)
+
+
+def value(values, disc: int) -> tuple:
+    """The outcome of a Vector of the QScalars values over Q(sqrt(disc)), or FieldMismatch."""
+    values = tuple(values)
+    field_disc([values])  # surds of two fields
+    return Vector, values, int_numerators(values), disc
+
+
+def outcome(f) -> tuple | type:
+    """f()'s outcome: (type, coords, row, disc) of the value it returns, or the type of
+    the RootspinError it raises."""
+    try:
+        out = f()
+    except RootspinError as exc:
+        return type(exc)
+    return out if isinstance(out, tuple) else (type(out), out.coords, out.row, out.disc)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.tuples(*(st.sampled_from(ARITHMETIC_FIELDS).flatmap(
+        lambda d: cases(d, dim)) for _ in range(2)))), any_scalars)
+def test_row_arithmetic_agrees_with_the_qscalar_reference(pair, s):
+    # Exact's row arithmetic against coordinate-wise QScalar arithmetic, on two
+    # vectors whose fields are drawn apart, rational coordinates under any tag
+    (v, cs), (w, ws) = pair
+
+    def both() -> int:  # a sum's field: its operands'
+        return field_disc([cs, ws])
+
+    def sums() -> list[QScalar]:
+        return [a + b for a, b in zip(cs, ws)]
+
+    def scaled() -> tuple:  # a row scaled by an int or a Fraction keeps its field
+        products = [c * s for c in cs]
+        return value(products, field_disc([products]) if type(s) is QScalar else v.disc)
+
+    for got, want in [
+        (lambda: v + w, lambda: value(sums(), both())),
+        (lambda: v - w, lambda: value((a - b for a, b in zip(cs, ws)), both())),
+        (lambda: -v, lambda: value((-c for c in cs), v.disc)),
+        (lambda: v.scale(s), scaled),
+        (v.unit, lambda: value(reference_unit(cs, v.disc), v.disc)),
+        (lambda: (v + w).unit(), lambda: value(reference_unit(sums(), both()), both())),
+    ]:
+        assert outcome(got) == outcome(want)
+
+
+def test_a_vectors_unit_is_taken_in_its_own_field():
+    # a sum is over its operands' field, whatever the Q(sqrt(5)) tag of a rational
+    # operand, so unit() finds sqrt(2) and equal vectors have one unit
+    b3 = vec(0, QScalar(0, Fraction(-1, 2), 2), QScalar(0, Fraction(-1, 2), 2))
+    v = vec(-1, 0, 0, disc=5) + b3
+    assert v == vec(-1, *b3.coords[1:]) and v.disc == 2
+    half = QScalar(0, Fraction(1, 2), 2)
+    assert v.unit() == vec(-half, QScalar(Fraction(-1, 2)), QScalar(Fraction(-1, 2)))
+    assert v.unit() == vec(-1, *b3.coords[1:]).unit()
