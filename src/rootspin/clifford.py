@@ -282,7 +282,12 @@ def spinor_to_vec2(psi) -> Vector:
 
 
 class RotorGroup:
-    """Finite group of rotors, canonically ordered, closed under the product."""
+    """Finite group of rotors, canonically ordered, closed under the product.
+
+    The public constructor checks that the elements hold 1 and are closed under
+    negation and the product, one product per ordered pair; `_trusted`, which
+    wraps induction.py's pair products, checks nothing.
+    """
 
     __slots__ = ("dim", "elements", "_set")
 
@@ -319,6 +324,10 @@ class RotorGroup:
         for r in self.elements:
             if (-r.mv) not in self._set:
                 raise RootspinError(f"rotor group not closed under negation at {r}")
+        for r in self.elements:
+            for s in self.elements:
+                if r.mv * s.mv not in self._set:
+                    raise RootspinError(f"rotor group not closed under the product at {r} * {s}")
 
     @property
     def order(self) -> int:

@@ -1,36 +1,30 @@
-"""The rank-3 to rank-4 induction and its 2D counterpart.
+"""The rank-3 to rank-4 induction and its 2D counterpart: one construction.
 
 Pipeline: unit-normalize roots, take the rotors alpha_i alpha_j of every
 pair of them, which on a reflection-closed set are already the group they
 generate (pair_products), then read each rotor's even-grade coefficients as
-a Euclidean vector.  The resulting 4D (or 2D) point set is re-verified
+a Euclidean vector.  A 2D set lies in the e1 e2 plane of Cl(3), so its
+rotors are a0 + a3 e1 e2, read as (a0, a3), and a 3D set's are read as 4D
+vectors (lattice.vec4_numerators).  The resulting point set is re-verified
 against the root-system axioms instead of being trusted: the verification
-*is* the computational content here.  Both pipelines run on the input's rows
-(roots.py) from input to output, and every product is one of lattice.py's:
-the closed-form int_vector_product, once per unordered pair of roots, in 3D,
-and int_product in 2D.  This module builds no Multivector, and the public
-rotor group of Multivectors (clifford.py) wraps pair_products.  The output's
-rows are a live set's when they equal one, such as H4's for every copy of
-H3, and then its order and RootSystem.lattice (roots.py) are taken: the
-check reads that Lattice's stored verdict, which its named copies share and
-a later signature reads; nothing stored is mutated.
+*is* the computational content here.  The pipeline runs on the input's rows
+(roots.py) from input to output, and its one product is lattice.py's
+closed-form int_vector_product, once per unordered pair of roots.  This
+module builds no Multivector, and the public rotor group of Multivectors
+(clifford.py) wraps pair_products.  The output's rows are a live set's when
+they equal one, such as H4's for every copy of H3, and then its order and
+RootSystem.lattice (roots.py) are taken: the check reads that Lattice's
+stored verdict, which its named copies share and a later signature reads;
+nothing stored is mutated.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .caps import GROUP_CLOSURE_CAP, admit
 from .errors import DimensionMismatch
-from .lattice import (
-    VECTOR_BY_VECTOR_2D,
-    Numerators,
-    int_product,
-    int_vector_product,
-    negated,
-    sorted_numerators,
-    vec4_numerators,
-)
+from .lattice import Numerators, int_vector_product, negated, vec4_numerators
 from .qfield import QScalar
 from .roots import (
     Provenance,
@@ -42,25 +36,29 @@ from .roots import (
 
 
 def pair_products(rs: RootSystem) -> set[Numerators]:
-    """Even rows of the rotor group that the reflections in rs's roots generate.
+    """Cl(3) even rows of the rotor group that the reflections in rs's roots generate.
 
     In 3D every rotation of a finite reflection group W is a product of two
     of its reflections (Carter, "Conjugacy classes in the Weyl group",
-    Compositio Math. 25 (1972), Lemma 2), so the rotors are the products
-    a b of unit roots of W.Phi, with no closure.  rs is replaced by its
-    reflection closure only when its table (rs.lattice's) holds a -1.  Since
-    (-a) b = -(a b) and b a is the reverse of a b, one root of each +-pair
-    is normalized, each unordered pair of these is multiplied once, by
-    lattice.int_vector_product, and each new product x brings -x, its
-    reverse and the reverse's negative.  Every element met enters through
-    caps.admit, so a group over GROUP_CLOSURE_CAP costs at most that cap + 1
-    elements of work.
+    Compositio Math. 25 (1972), Lemma 2), and in 2D every rotation of I2(n)
+    is, so the rotors are the products a b of unit roots of W.Phi, with no
+    closure.  rs is replaced by its reflection closure only when its table
+    (rs.lattice's) holds a -1.  Since (-a) b = -(a b) and b a is the reverse
+    of a b, one root of each +-pair is normalized, each unordered pair of
+    these is multiplied once, by lattice.int_vector_product, and each new
+    product x brings -x, its reverse and the reverse's negative.  A 2D root
+    lies in the e1 e2 plane: it is padded with a zero e3 coordinate, so its
+    products are a0 + a3 e1 e2.  Every element met enters through caps.admit,
+    so a group over GROUP_CLOSURE_CAP costs at most that cap + 1 elements of
+    work.
     """
     if rs.lattice.axiom_witnesses()[1] is not None:
         rs = close_under_reflections(rs.roots, rs.disc)
     d, neg = rs.disc, rs.lattice.neg  # complete: -x is in rs for each x, as s_x(x) = -x
     # each +-pair's first root, so NormNotInField still names rs's first failing root
     half = unit_rows([x for i, x in enumerate(rs.rows) if neg[i] > i], d)
+    if rs.dim == 2:
+        half = [u[:4] + (0, 0) + u[4:] for u in half]
     reps = sorted({max(u, negated(u)) for u in half})
     known: set[Numerators] = set()
     for i, a in enumerate(reps):
@@ -73,50 +71,37 @@ def pair_products(rs: RootSystem) -> set[Numerators]:
     return known
 
 
-def _named(out: RootSystem, source: str) -> RootSystem:
-    return out._relabel(f"induced({source})", Provenance(induced_from=source))
-
-
-def _verified(rows: list[Numerators], d: int, what: str) -> RootSystem:
-    # the steps of RootSystem and require_root_system, on rows already distinct
-    out = RootSystem._from_rows(rows, d)
-    require_root_system(out, what)
-    return out
-
-
-def induce_4d(rs: RootSystem) -> RootSystem:
-    """4D root system read off the rotor group of a rank-3 root system.
+def _induce(rs: RootSystem, dim: int, read: Callable[[Numerators], Numerators],
+            what: str) -> RootSystem:
+    """The root system of rs's rotors, each even row read out by read, for a dim-D rs.
 
     The unnamed result is stored with rs's rows (roots._Facts), so it is
     computed once per live row set; each call names it after its input.
     """
-    if rs.dim != 3:
-        raise DimensionMismatch(f"induce_4d needs a 3D system, got dim {rs.dim}")
-    source = rs.label or "rank-3 input"
+    if rs.dim != dim:
+        raise DimensionMismatch(f"induce_{2 * dim - 2}d needs a {dim}D system, got dim {rs.dim}")
+    source = rs.label or f"rank-{dim} input"
     facts = rs._facts
     if facts.induced is None:
-        # the steps of normalize_roots, generate_rotor_group and spinor_to_vec4, on rows
-        rows = [vec4_numerators(x) for x in pair_products(rs)]
-        facts.induced = _verified(rows, rs.disc, f"induced set from {source}")
-    return _named(facts.induced, source)
+        # the steps of RootSystem and require_root_system, on rows already distinct
+        out = RootSystem._from_rows([read(x) for x in pair_products(rs)], rs.disc)
+        require_root_system(out, f"{what} {source}")
+        facts.induced = out
+    return facts.induced._relabel(f"induced({source})", Provenance(induced_from=source))
+
+
+def induce_4d(rs: RootSystem) -> RootSystem:
+    """4D root system read off the rotor group of a rank-3 root system, stored with it."""
+    return _induce(rs, 3, vec4_numerators, "induced set from")
 
 
 def induce_2d(rs: RootSystem) -> RootSystem:
-    """2D spinor image of a 2D root system: alpha_i -> alpha_1 alpha_i.
+    """2D spinor image of a 2D root system: each rotor a0 + a3 e1 e2 read as (a0, a3).
 
-    alpha_1 is the first unit root in canonical order; the recorded
-    convention only rotates the output, which no congruence test sees.
+    Its rotors, pair_products' {a b}, are the paper's {alpha_1 alpha_i} for
+    every choice of alpha_1.
     """
-    if rs.dim != 2:
-        raise DimensionMismatch(f"induce_2d needs a 2D system, got dim {rs.dim}")
-    # the steps of normalize_roots and spinor_to_vec2, on rows: the product of
-    # two vectors in the e1 e2 plane is a0 + a3 e1 e2, the row (a0, a3)
-    d = rs.disc
-    units = unit_rows(rs.rows, d)
-    first = units[0] if units is rs.rows else sorted_numerators(units, d)[0]
-    rows = [int_product(first, u, VECTOR_BY_VECTOR_2D, d) for u in units]
-    out = _verified(rows, d, f"2D spinor image of {rs.label or 'rank-2 input'}")
-    return _named(out, rs.label or "rank-2 input")
+    return _induce(rs, 2, lambda x: x[:2] + x[6:], "2D spinor image of")
 
 
 class SelfDualityReport(NamedTuple):
@@ -145,8 +130,7 @@ def check_self_dual(rs: RootSystem) -> SelfDualityReport:
     """Congruence test between a 2D system and its spinor image.
 
     Cardinalities and angle spectra (Lattice.angle_counts, read off each
-    set's RootSystem.lattice) must agree; the comparison is rotation-invariant,
-    so the verdict does not depend on the alpha_1 convention inside induce_2d.
+    set's RootSystem.lattice) must agree; the comparison is rotation-invariant.
     """
     induced = induce_2d(rs)
     return SelfDualityReport(

@@ -21,8 +21,9 @@ subalgebra (`vec4_numerators`) are stated with it.  Multivector's product
 (clifford.py) runs it on rows, so a product neither encodes nor decodes.
 The rotor group's pair products (induction.py) run `int_vector_product`,
 the product of two 3D vectors in closed form (the scalar a.b and the
-bivector a^b); the generic product with the VECTOR_BY_VECTOR structure
-equals it and stays as the tests' reference, as EVEN_BY_EVEN does.
+bivector a^b), for a 2D set too, its roots padded into the e1 e2 plane;
+the generic product with the VECTOR_BY_VECTOR structure equals it and
+stays as the tests' reference, as EVEN_BY_EVEN does.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
@@ -292,7 +293,6 @@ BLADES = {dim: _structure(range(1 << dim), range(1 << dim), range(1 << dim)) for
 # the tests' references for int_vector_product and for the rotor group's closure
 VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100), EVEN_MASKS)
 EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS, EVEN_MASKS)
-VECTOR_BY_VECTOR_2D = _structure((0b01, 0b10), (0b01, 0b10), (0b00, 0b11))  # a0 + a3 e1 e2
 
 
 def int_product(x: Numerators, y: Numerators, structure: tuple, disc: int) -> Numerators:

@@ -25,8 +25,8 @@ else, once, from the distinct nonzero rows a RootSystem holds: every
 RootSystem is made by one trusted constructor, RootSystem._from_rows, which
 looks (frozenset(rows), disc) up in `_LATTICES`, a registry of weak
 references to the _Facts that the live RootSystems with those rows share
-(canonical order, root Vectors, Lattice, and induction.induce_4d's unnamed
-result).  Rows no live set holds are sorted; otherwise the live set's order
+(canonical order, root Vectors, Lattice, and the unnamed result of
+induction.induce_4d or induce_2d).  Rows no live set holds are sorted; otherwise the live set's order
 is taken.  So a relabelled or shuffled copy, a file read back and an induced
 set equal to a catalog entry all share one order and one Lattice, which is
 built on first access; _Facts live only as long as a RootSystem holds them:
@@ -171,7 +171,8 @@ class Provenance(NamedTuple):
 class _Facts:
     """What every live RootSystem with one row set shares: the rows in canonical
     order, the root Vectors, the Lattice and the unnamed induced set of a 3D
-    set (induction.induce_4d), each of the last three None until first read."""
+    or 2D set (induction.induce_4d, induce_2d), each of the last three None
+    until first read."""
 
     __slots__ = ("rows", "roots", "lattice", "induced", "__weakref__")
 

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import RootspinError
-from .qfield import _is_square_free, check_row
+from .qfield import _is_square_free
 from .roots import Provenance, RootSystem, row_vector
 
 FORMAT_VERSION = 1
@@ -90,7 +90,8 @@ def _check_schema(doc) -> None:
 def _quads_row(coords: list[list[int]], disc: int) -> tuple[int, ...]:
     """The row of the QScalars that the quads [a_num, a_den, b_num, b_den] give, over Q(sqrt(disc)).
 
-    OverflowError, from qfield.check_row, for a component past the 64-bit bound.
+    Unchecked: row_vector (Exact._from_row), which wraps it, raises QScalar's
+    OverflowError for the first component past the 64-bit bound.
     """
     parts = []
     for an, ad, bn, bd in coords:
@@ -100,9 +101,7 @@ def _quads_row(coords: list[list[int]], disc: int) -> tuple[int, ...]:
             g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
             parts.append((n // g, d // g))
     den = math.lcm(*(d for _, d in parts))
-    row = tuple(n * (den // d) for n, d in parts) + (den,)
-    check_row(row)
-    return row
+    return tuple(n * (den // d) for n, d in parts) + (den,)
 
 
 def root_system_from_json(text: str) -> RootSystem:

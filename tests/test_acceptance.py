@@ -10,9 +10,9 @@ exactly over a single quadratic field Q(sqrt(d)):
   the ten H3 roots orthogonal to (0, phi, 1) together with +-(0, phi, 1);
 * I2(8) closes exactly over Q(sqrt(2)) but its odd orbit has squared norm
   4 - 2*sqrt(2), which is not a square in Q(sqrt(2)), so its roots cannot be
-  unit-normalized: induce_2d's unit_rows step raises NormNotInField.  The
-  self-duality congruence itself has an exact formulation, since the angle
-  keys take no square root.
+  unit-normalized: the unit_rows step of induce_2d's pair products raises
+  NormNotInField.  The self-duality congruence itself has an exact
+  formulation, since the angle keys take no square root.
 
 If any of those ever passes, strict xfail turns the suite red.
 """

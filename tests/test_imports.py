@@ -1,11 +1,12 @@
 """Every module of the package reads each name it imports, none reads the environment,
 the package keeps a fixed number of caches, only roots.py builds a Lattice, and each
-exact-value job has one implementation: Exact's arithmetic, the field rule and the
-64-bit check of a new row."""
+exact-value job has one implementation: Exact's arithmetic, the field rule, the
+64-bit check of a new row, and the one product of the induction."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -296,3 +297,57 @@ def test_the_64_bit_bound_is_compared_in_few_places():
              for scope in int64_comparisons(path.read_text()) if path.stem != "qfield"}
     assert sites == {"caps.admit", "lattice.Exact._from_row", "lattice.Exact.scale"}
     assert int64_comparisons((PACKAGE / "caps.py").read_text()) == ["admit"]
+
+
+# a product kernel: a function named for a product, or a blade structure of one
+_PRODUCT = re.compile(r"product|_BY_|^BLADES$")
+
+
+def products_named(source: str) -> list[str]:
+    """The product kernels that source imports or reads and does not define, once each.
+
+    A name counts wherever it occurs as an imported name, an ast.Name or an
+    attribute (`lattice.int_product`), so a call and a structure passed to one
+    both count.
+    """
+    tree = ast.parse(source)
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name.split(".")[-1] for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return sorted({n for n in names if _PRODUCT.search(n) and n not in defined})
+
+
+def test_the_product_guard_finds_every_spelling():
+    source = (
+        "from .lattice import VECTOR_BY_VECTOR_2D, int_product as generic\n"
+        "from . import lattice\n"
+        "def pair_products(rs):\n"
+        "    return lattice.int_vector_product(rs, rs, 1)\n"
+        "def f(x):\n"
+        "    return generic(x, x, lattice.BLADES[2], 1), pair_products(x)\n"
+    )
+    assert products_named(source) == ["BLADES", "VECTOR_BY_VECTOR_2D", "int_product",
+                                      "int_vector_product"]
+    # a planted copy of the real module, with a second product path beside the first
+    planted = (PACKAGE / "induction.py").read_text() + (
+        "from .lattice import VECTOR_BY_VECTOR_2D, int_product\n"
+        "def _alpha_1_images(first, units, d):\n"
+        "    return [int_product(first, u, VECTOR_BY_VECTOR_2D, d) for u in units]\n"
+    )
+    assert products_named(planted) == ["VECTOR_BY_VECTOR_2D", "int_product",
+                                       "int_vector_product"]
+
+
+def test_the_induction_runs_one_product():
+    # induce_4d and induce_2d read their rotors off pair_products, whose one product is
+    # Cl(3)'s closed-form vector product; a 2D set is padded into the e1 e2 plane
+    assert products_named((PACKAGE / "induction.py").read_text()) == ["int_vector_product"]
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "VECTOR_BY_VECTOR_2D" in path.read_text()] == []

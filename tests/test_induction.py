@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootspin import (
@@ -21,6 +21,7 @@ from rootspin import (
     QScalar,
     RootSystem,
     RootspinError,
+    Rotor,
     RotorGroup,
     Vector,
     build_preset,
@@ -31,12 +32,14 @@ from rootspin import (
     induce_4d,
     normalize_roots,
     signature,
+    spinor_to_vec2,
     spinor_to_vec4,
     vec,
     verify_root_axioms,
 )
 from rootspin import induction
 from _util import even_from_numerators
+from test_frames import rotated, rotations
 from rootspin.lattice import (
     EVEN_BY_EVEN,
     VECTOR_BY_VECTOR,
@@ -112,6 +115,17 @@ class TestRotorGroups:
     def test_an_empty_rotor_group_is_refused(self):
         with pytest.raises(RootspinError, match="^a rotor group needs at least one element$"):
             RotorGroup([])
+
+    def test_a_set_not_closed_under_the_product_is_refused(self):
+        # {+-1, +-e1e2, +-e2e3} holds 1 and every negative, but e1e2 e2e3 = e1e3
+        e12, e23 = (Multivector.basis_vector(i, 3) * Multivector.basis_vector(i + 1, 3)
+                    for i in (1, 2))
+        elements = [Rotor(m) for x in (ONE3, e12, e23) for m in (x, -x)]
+        message = "rotor group not closed under the product at Rotor(-1*e1e2) * Rotor(-1*e2e3)"
+        with pytest.raises(RootspinError, match=f"^{re.escape(message)}$"):
+            RotorGroup(elements)
+        quaternions = RotorGroup(elements + [Rotor(m) for m in (e12 * e23, -(e12 * e23))])
+        assert quaternions.order == 8
 
     def test_closure_under_product_spot_check(self):
         grp = generate_rotor_group(normalize_roots(build_preset("A3")))
@@ -258,6 +272,38 @@ class TestInduce2D:
             induce_2d(build_preset("B3"))
 
 
+def _paper_spinor_images(rs):
+    """{alpha_1 alpha_i} for each choice of alpha_1, as sets of 2D vectors, by the
+    paper's route: each root scaled by the inverse of its QScalar norm, the products
+    taken as Cl(2) Multivectors and read out with spinor_to_vec2."""
+    units = [Multivector.from_vector(r.scale(r.norm_squared().sqrt().inverse()))
+             for r in rs.roots]
+    return [{spinor_to_vec2(first * u) for u in units} for first in units]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_induce_2d_is_alpha_1_alpha_i_for_every_alpha_1(n):
+    rs = build_preset(f"I2-{n}")
+    scaled = RootSystem([r.scale(Fraction(7, 3)) for r in rs.roots], rs.disc)
+    for copy in (rs, scaled):
+        images = _paper_spinor_images(copy)
+        assert len(images) == 2 * n
+        assert all(image == set(induce_2d(copy).roots) for image in images)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@settings(max_examples=4)
+@given(r=rotations(2))
+def test_induce_2d_of_a_rotated_copy_is_alpha_1_alpha_i(n, r):
+    # a rotation of the plane keeps the angle between two roots, so the spinor
+    # image of a rotated copy is the image of the preset itself
+    rs = build_preset(f"I2-{n}")
+    moved = rotated(r, rs)
+    expected = set(induce_2d(rs).roots)
+    assert set(induce_2d(moved).roots) == expected
+    assert all(image == expected for image in _paper_spinor_images(moved))
+
+
 class TestSelfDuality:
     @pytest.mark.parametrize("n", [2, 3, 4, 6])
     def test_dihedral_self_duality(self, n):
@@ -307,12 +353,19 @@ class TestCacheKeys:
         assert anon.label == "induced(rank-3 input)"
         assert anon.provenance.induced_from == "rank-3 input"
 
-    def test_induce_2d_relabel(self):
-        i2 = build_preset("I2-6")
-        assert induce_2d(i2).label == "induced(I2-6)"
+    def test_induce_2d_relabel(self, products, fresh_lattices):
+        # as induce_4d's, the 2D result is stored with its input's rows
+        i2 = build_preset.__wrapped__("I2-6")
+        first = induce_2d(i2)
+        assert first.label == "induced(I2-6)"
+        assert products == [12]
+        products.clear()
+        assert induce_2d(i2) == first
         other = induce_2d(RootSystem(i2.roots, disc=3, label="hex"))
+        assert products == []  # the stored set is read, twice
         assert other.label == "induced(hex)"
         assert other.provenance.induced_from == "hex"
+        assert other == first and other.roots is first.roots
 
     def test_one_lattice_per_induced_set(self, monkeypatch, fresh_lattices, products):
         # each input's own Lattice is built for its reflection table, then the axiom
@@ -389,23 +442,18 @@ def test_pruned_rotor_closure_does_not_depend_on_the_first_root():
 
 
 def test_pruned_rotor_closure_multiplies_each_element_by_few_generators(monkeypatch):
-    calls, generic = [], []
+    calls = []
 
     def counting(*args):
         calls.append(args)
         return int_vector_product(*args)
 
-    def counting_generic(*args):
-        generic.append(args[2] is EVEN_BY_EVEN)
-        return int_product(*args)
-
     monkeypatch.setattr(induction, "int_vector_product", counting)
-    monkeypatch.setattr(induction, "int_product", counting_generic)
     generate_rotor_group(normalize_roots(build_preset("H3")))
     # no closure: one product per unordered pair of H3's 15 +-pair representatives,
-    # since b a is the reverse of a b, and no generic product at all
+    # since b a is the reverse of a b; tests/test_imports.py checks that induction.py
+    # calls no other product
     assert len(calls) <= 15 * 16 // 2 == 120
-    assert generic.count(True) == 0 and generic == []
 
 
 PRODUCT_PRESETS = RANK3_PRESETS[:4] + ("A1xI2-2",) + RANK3_PRESETS[4:]  # the 8 that normalize
