@@ -9,10 +9,10 @@ changes of frame, and none depends on root lengths, which matters because
 induced systems always come out unit-length (an F4 configuration with both
 orbits at unit length is still F4 here).  The angle key lies in the field of
 the roots, so no root is normalized and no square root is taken.  The
-counts and the Coxeter order are read off the input's RootSystem.lattice
-(roots.py), built once per row set and shared by every live set with the
-same rows, such as a relabelled copy, which computes each of them once and
-stores it; what is stored is read, never mutated.
+counts and the Coxeter order are read off the orbits of the reflection table
+of the input's RootSystem.lattice (roots.py), built once per row set, shared
+by every live set with the same rows (a relabelled copy), and computed once;
+what is stored is read, never mutated.
 
 The catalog used by identify() is generated from each member's own defining
 data at call time; nothing is matched against transcribed numbers.  Entries

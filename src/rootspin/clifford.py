@@ -28,6 +28,7 @@ from .errors import DimensionMismatch, NonUnitVector, OddGradePresent, RootspinE
 from .induction import pair_products
 from .lattice import (
     BLADES,
+    EVEN_BY_EVEN,
     EVEN_MASKS,
     Exact,
     Numerators,
@@ -285,8 +286,8 @@ class RotorGroup:
     """Finite group of rotors, canonically ordered, closed under the product.
 
     The public constructor checks that the elements hold 1 and are closed under
-    negation and the product, one product per ordered pair; `_trusted`, which
-    wraps induction.py's pair products, checks nothing.
+    negation and the product, an int_product of Cl(3) even rows (a Cl(2) rotor's
+    padded) per ordered pair; `_trusted`, for induction.py's products, checks nothing.
     """
 
     __slots__ = ("dim", "elements", "_set")
@@ -324,9 +325,12 @@ class RotorGroup:
         for r in self.elements:
             if (-r.mv) not in self._set:
                 raise RootspinError(f"rotor group not closed under negation at {r}")
-        for r in self.elements:
-            for s in self.elements:
-                if r.mv * s.mv not in self._set:
+        d = vectors_disc(r.mv for r in self.elements)
+        rows = {_read(_slotted(r.mv.row, range(1 << r.dim), 3), EVEN_MASKS): r
+                for r in self.elements}
+        for x, r in rows.items():
+            for y, s in rows.items():
+                if int_product(x, y, EVEN_BY_EVEN, d) not in rows:
                     raise RootspinError(f"rotor group not closed under the product at {r} * {s}")
 
     @property

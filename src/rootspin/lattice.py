@@ -23,7 +23,8 @@ The rotor group's pair products (induction.py) run `int_vector_product`,
 the product of two 3D vectors in closed form (the scalar a.b and the
 bivector a^b), for a 2D set too, its roots padded into the e1 e2 plane;
 the generic product with the VECTOR_BY_VECTOR structure equals it and
-stays as the tests' reference, as EVEN_BY_EVEN does.
+stays as the tests' reference.  EVEN_BY_EVEN multiplies even rows, as
+clifford.RotorGroup's product check does.
 
 `int_mirror` holds a mirror a's dual rows, which give every (a|b), and
 2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
@@ -39,14 +40,15 @@ its reflection table, its angle counts, the positions of its axiom
 witnesses and its Coxeter order once and returns them as stored, so callers
 read them and never mutate them.
 
-Root sets are closed under negation, or nearly so, and four identities let
-the kernel compute only the pairs of representatives (the first root of each
-+-pair, or a root whose negative is missing) and fill in the rest:
+Root sets are closed under negation, or nearly so, and three identities let
+the reflection table compute few rows from inner products:
 
-    G(+-a, +-b) = +-G(a, b),   s_{-a} = s_a,   s_a(-b) = -s_a(b),   s_a(s_a(b)) = b.
+    s_{-a} = s_a,   s_a(-b) = -s_a(b),   s_a(s_a(b)) = b.
 
-The reflection table computes few rows from inner products: the others
-follow by s_{s_a(b)} = s_a s_b s_a, as compositions of complete rows.
+The others follow by s_{s_a(b)} = s_a s_b s_a, as compositions of complete
+rows.  A complete row is an isometry that permutes the positions, and
+`orbit` finds a position's orbit under such rows: the angle counts take one
+Gram row per orbit, and the Coxeter order multiplies orbit sizes.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ def _structure(left: Sequence[int], right: Sequence[int], out: Sequence[int]) ->
 
 
 BLADES = {dim: _structure(range(1 << dim), range(1 << dim), range(1 << dim)) for dim in (2, 3)}
-# the tests' references for int_vector_product and for the rotor group's closure
+# the tests' reference for int_vector_product, and the rotor group's product check
 VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100), EVEN_MASKS)
 EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS, EVEN_MASKS)
 
@@ -371,6 +373,19 @@ def sorted_numerators(xs: Sequence[Numerators], disc: int) -> list[Numerators]:
     return [xs[i] for i in sorted(range(len(xs)), key=keys.__getitem__)]
 
 
+def orbit(start: int, perms: Sequence[Sequence[int]]) -> set[int]:
+    """The positions that the group perms generate takes start to, by breadth-first search.
+
+    Each perm is a permutation of the positions, such as a complete row of a
+    reflection table; with no perms the orbit is {start}.
+    """
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = set().union(*[map(p.__getitem__, frontier) for p in perms]) - seen
+        seen |= frontier
+    return seen
+
+
 class Lattice:
     """A RootSystem's n rows of dimension k: distinct, nonzero and reduced as
     int_numerators gives them, kept in the order given.
@@ -378,7 +393,8 @@ class Lattice:
     `neg[i]` is the position of -x_i, -1 where it is not in the set.
     """
 
-    __slots__ = ("disc", "rows", "neg", "_index", "_table", "_angles", "_witnesses", "_order")
+    __slots__ = ("disc", "rows", "neg", "_index", "_table", "_gens", "_angles", "_witnesses",
+                 "_order")
 
     def __init__(self, rows: Sequence[Numerators], disc: int):
         self.disc = disc
@@ -396,67 +412,49 @@ class Lattice:
         sign(a|b) (a|b)^2 / ((a|a)(b|b)), the signed squared cosine, which determines
         it and lies in the field even where the norms have no square root.
 
-        With (a|b) = x + y sqrt(d) and (a|a)(b|b) = m + n sqrt(d) over a common
-        denominator, it is +-(x + y sqrt(d))^2 (m - n sqrt(d)) / (m^2 - d n^2),
-        each part reduced as a Fraction of ints before it becomes a QScalar.
+        A complete table row is an isometry that permutes the rows, so one Gram row per
+        `orbit` under the table's generators, weighted by its size, counts every pair,
+        and an orbit lies in one component.  With (a|b) = x + y sqrt(d) and (a|a)(b|b) =
+        m + n sqrt(d) over the rows' own D, it is +-(x + y sqrt(d))^2 (m - n sqrt(d)) /
+        (m^2 - d n^2), each part reduced as a Fraction of ints before it is a QScalar.
 
         The counts are computed on the first call and returned as stored after
         that, so a caller reads them and never mutates them.
         """
         if self._angles is not None:
             return self._angles
-        counts, sizes = self._pairs()
-        d = self.disc
+        self.reflection_table()  # its generators give the orbits
+        d, rows = self.disc, self.rows
+        first: dict[int, int] = {}  # position -> the first position of its orbit
+        for r in range(len(rows)):
+            if r not in first:
+                first.update(dict.fromkeys(orbit(r, self._gens), r))
+        sizes = Counter(first.values())  # orbit sizes, by first position
+        norms = [(sum(p * p + d * q * q for p, q in zip(x[:-1:2], x[1:-1:2])),  # G(j, j)
+                  2 * sum(map(mul, x[:-1:2], x[1:-1:2]))) for x in rows]
+        counts: Counter = Counter()  # (G(r, j), G(r, r), G(j, j)) numerators -> ordered pairs
+        parts = {r: [r] for r in sizes}  # parts[r]: the orbits linked to r's
+        for r, size in sizes.items():
+            _, _, u, v, *_ = int_mirror(rows[r], d)
+            ga, gb = [sum(map(mul, u, x)) for x in rows], [sum(map(mul, v, x)) for x in rows]
+            for key, c in Counter(zip(ga, gb, repeat(norms[r]), norms)).items():
+                counts[key] += c * size
+            counts[(*norms[r], norms[r], norms[r])] -= size  # not the pair (r, r)
+            for o in {first[j] for j in compress(range(len(rows)), map(or_, ga, gb))}:
+                if parts[o] is not parts[r]:  # merge o's part into r's
+                    merged = parts[o]
+                    parts[r] += merged
+                    for w in merged:
+                        parts[w] = parts[r]
         values: Counter = Counter()
-        for (x, y, (a, b), (e, f)), c in counts.items():
+        for (x, y, (a, b), (e, f)), c in (+counts).items():
             sign, m, n = field_sign(x, y, d), a * e + d * b * f, a * f + b * e
             s, t, r = sign * (x * x + d * y * y), sign * 2 * x * y, m * m - d * n * n
             values[QScalar(Fraction(s * m - d * t * n, r), Fraction(t * m - s * n, r), d)] += c
-        self._angles = values, sizes
-        return self._angles
-
-    def _pairs(self) -> tuple[Counter, list[int]]:
-        """(G(r, s), G(r, r), G(s, s)) numerators over one den^2 -> ordered pairs i != j
-        with x_i = +-x_r and x_j = +-x_s, and the component sizes.
-
-        Representative r stands for x_r and, when m_r = 1, for -x_r too, and
-        G(+-a, +-b) = +-G(a, b), so each pair r <= s is multiplied once:
-        r = s gives 2m pairs -G(r, r); r != s gives 2(1 + m_r m_s) pairs
-        G(r, s) and 2(m_r + m_s) pairs -G(r, s).  A component of
-        representatives, linked by G(r, s) != 0, has 1 + m_r positions per
-        member.
-        """
-        d, rows, neg = self.disc, self.rows, self.neg
-        firsts = [i for i, j in enumerate(neg) if j < 0 or j > i]
-        ms = [int(neg[i] >= 0) for i in firsts]
-        den = math.lcm(*(rows[i][-1] for i in firsts))
-        xs = [tuple(z * (den // rows[i][-1]) for z in rows[i]) for i in firsts]  # over one D
-        # int_mirror's dual rows u, v of each x_s: G(r, s) = (u.x_r + (v.x_r) sqrt(d)) / den^2
-        right_a = [tuple(map(mul, x, (1, d) * (len(x) // 2))) for x in xs]
-        right_b = [tuple(chain.from_iterable(zip(x[1::2], x[::2]))) for x in xs]
-        norms = [(sum(map(mul, x, u)), sum(map(mul, x, v)))  # G(s, s)
-                 for x, u, v in zip(xs, right_a, right_b)]
-        counts: Counter = Counter()  # (G(r, s), G(r, r), G(s, s)) numerators -> ordered pairs
-        pairs: Counter = Counter()  # (G(r, s), m_r, m_s, G(r, r), G(s, s)) -> pairs r < s
-        parts = [[t] for t in range(len(firsts))]  # parts[t]: the representatives linked to t
-        for t, x in enumerate(xs):
-            m, (a, b) = ms[t], norms[t]
-            ga = [sum(map(mul, x, y)) for y in right_a[t + 1:]]
-            gb = [sum(map(mul, x, y)) for y in right_b[t + 1:]]
-            counts[-a, -b, (a, b), (a, b)] += 2 * m
-            pairs.update(zip(ga, gb, repeat(m), ms[t + 1:], repeat((a, b)), norms[t + 1:]))
-            for u in compress(range(t + 1, len(firsts)), map(or_, ga, gb)):
-                if parts[u] is not parts[t]:  # merge u's part into t's
-                    merged = parts[u]
-                    parts[t] += merged
-                    for v in merged:
-                        parts[v] = parts[t]
-        for (a, b, m, n, nr, ns), c in pairs.items():
-            counts[a, b, nr, ns] += 2 * c * (1 + m * n)
-            counts[-a, -b, nr, ns] += 2 * c * (m + n)
         # each part is listed once, at its first member
-        sizes = [sum(1 + ms[v] for v in part) for t, part in enumerate(parts) if part[0] == t]
-        return +counts, sizes
+        self._angles = values, [sum(map(sizes.__getitem__, part))
+                                for r, part in parts.items() if part[0] == r]
+        return self._angles
 
     def reflection_table(self) -> Matrix:
         """table[i][j]: position of x_j reflected in x_i, -1 if it is not in the set.
@@ -506,7 +504,7 @@ class Lattice:
                         fill(c, list(map(g.__getitem__, map(rb.__getitem__, g))))
                         reached.append(c)
                 k += 1
-        self._table = table
+        self._table, self._gens = table, gens  # gens generate every complete row
         return table
 
     def axiom_witnesses(self) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
@@ -546,8 +544,8 @@ class Lattice:
 
         Orbit-stabilizer: the stabilizer of a root r is generated by the
         reflections in the roots orthogonal to r (Steinberg; Humphreys 1990,
-        1.12).  The order is found on the first call and returned as stored
-        after it.
+        1.12), so the order multiplies the sizes of r's `orbit` under the live
+        mirrors down a chain of stabilizers, found once and then returned as stored.
         """
         if self._order is not None:
             return self._order
@@ -556,11 +554,7 @@ class Lattice:
         live = [i for i in range(len(table)) if i < neg[i]]  # one mirror per line: s_{-a} = s_a
         while live:
             r = live[0]
-            orbit, frontier = {r}, {r}
-            while frontier:
-                frontier = set().union(*(map(table[i].__getitem__, frontier) for i in live)) - orbit
-                orbit |= frontier
-            order *= len(orbit)
+            order *= len(orbit(r, [table[i] for i in live]))
             live = [j for j in live if table[r][j] == j]  # orthogonal to r: fixed by its reflection
         self._order = order
         return order

@@ -44,13 +44,29 @@ def test_the_summary_table_of_canned_runs():
         "| verdict |",
         "|---|---|---|---|---|---|---|---|",
         "| w | latency_s.mean | 1.045 [1.018, 1.073] | 0.855 [0.8175, 0.8825] | 0.818 | 9/10 "
-        "| 0.25 | gain |",
+        "| 0.25 | gain<bound |",
         "| w | throughput_per_s | 0.957 [0.9324, 0.9828] | 1.17 [1.133, 1.223] | 1.222 | 9/10 "
-        "| 0.25 | gain |",
+        "| 0.25 | gain<bound |",
         "| w | peak_rss_mb | 28 [28, 28] | 32 [32, 32] | 1.143 | 0/10 | 0.1 | worse |",
         "w parent: 11 runs, failed/attempted 1/55, correct in 10",
         "w change: 10 runs, failed/attempted 0/50, correct in 10",
         "error: w pair 10 change: exit 2: boom",
+    ]
+
+
+def test_a_gain_past_the_bound_is_a_gain():
+    records = []
+    for i in range(10):
+        # the change is faster in every pair but pair 3, by about 0.6x: past the 0.25 bound
+        records.append(_record(i, "parent", 1.0 + i / 100, 28.0))
+        records.append(_record(i, "change", 1.2 if i == 3 else 0.6 + i / 100, 28.0))
+    rows = abbench.summarize(records, END_TO_END)
+    assert rows[2:5] == [
+        "| w | latency_s.mean | 1.045 [1.018, 1.073] | 0.655 [0.6175, 0.6825] | 0.627 | 9/10 "
+        "| 0.25 | gain |",
+        "| w | throughput_per_s | 0.957 [0.9324, 0.9828] | 1.527 [1.465, 1.62] | 1.595 | 9/10 "
+        "| 0.25 | gain |",
+        "| w | peak_rss_mb | 28 [28, 28] | 28 [28, 28] | 1.000 | 0/10 | 0.1 | - |",
     ]
 
 

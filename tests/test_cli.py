@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -138,6 +139,36 @@ class TestClassify:
         assert out.splitlines()[1:3] == [
             "signature: dim 2, 6 roots, 3 distinct inner products, components [4, 2]",
             "identified: unrecognized",
+        ]
+
+    def test_classify_reads_an_induced_file(self, capsys, tmp_path):
+        # the H3 -> H4 path as two commands, the second reading the first's file
+        path = tmp_path / "h4.json"
+        code, out, _ = run(
+            capsys, "induce", "--preset", "H3", "--format", "json", "--output", str(path)
+        )
+        assert code == 0 and out == ""
+        code, out, _ = run(capsys, "classify", "--input", str(path))
+        assert code == 0
+        assert out.splitlines() == [
+            "label: induced(H3)",
+            "signature: dim 4, 120 roots, 8 distinct inner products, components [120]",
+            "identified: H4",
+            "coxeter order: 14400",
+        ]
+
+    def test_classify_reads_the_demo_file(self, capsys):
+        # demos/f4_induced.json is written by the persistence demo, which runs first
+        demos = Path(__file__).resolve().parent.parent / "demos"
+        runpy.run_path(str(demos / "demo_persistence_and_classification.py"))
+        capsys.readouterr()
+        code, out, _ = run(capsys, "classify", "--input", str(demos / "f4_induced.json"))
+        assert code == 0
+        assert out.splitlines() == [
+            "label: induced(B3)",
+            "signature: dim 4, 48 roots, 6 distinct inner products, components [48]",
+            "identified: F4",
+            "coxeter order: 1152",
         ]
 
     @pytest.mark.parametrize("source", ["--preset", "--input"])

@@ -127,6 +127,17 @@ class TestRotorGroups:
         quaternions = RotorGroup(elements + [Rotor(m) for m in (e12 * e23, -(e12 * e23))])
         assert quaternions.order == 8
 
+    def test_a_cl2_rotor_group_checks_the_product_too(self):
+        # Cl(2) rotors a + b e1e2: {+-1, +-e1e2} is cyclic of order 4, and
+        # (3/5 + 4/5 e1e2)^2 = -7/25 + 24/25 e1e2 leaves {+-1, +-(3/5 + 4/5 e1e2)}
+        one, e12 = Multivector.scalar(1, 2), Multivector(2, [0, 0, 0, 1])
+        assert RotorGroup([Rotor(m) for x in (one, e12) for m in (x, -x)]).order == 4
+        turn = Multivector(2, [Fraction(3, 5), 0, 0, Fraction(4, 5)])
+        message = ("rotor group not closed under the product at "
+                   "Rotor(-3/5 + -4/5*e1e2) * Rotor(-3/5 + -4/5*e1e2)")
+        with pytest.raises(RootspinError, match=f"^{re.escape(message)}$"):
+            RotorGroup([Rotor(m) for x in (one, turn) for m in (x, -x)])
+
     def test_closure_under_product_spot_check(self):
         grp = generate_rotor_group(normalize_roots(build_preset("A3")))
         elems = list(grp)[:8]

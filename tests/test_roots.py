@@ -625,6 +625,86 @@ class TestLatticeKernel:
         assert (report.axiom2_ok, report.axiom2_witness) == (axiom2 is None, axiom2)
 
 
+@pytest.fixture
+def mirrors(monkeypatch):
+    """The rows whose dual rows lattice.int_mirror computes, one entry per call."""
+    calls = []
+    real = lattice.int_mirror
+
+    def counted(a, disc):
+        calls.append(a)
+        return real(a, disc)
+
+    monkeypatch.setattr(lattice, "int_mirror", counted)
+    return calls
+
+
+def _orbit_count(table):
+    """The orbits of the positions under every complete row of the table, by a plain search."""
+    complete = [row for row in table if -1 not in row]
+    unseen, count = set(range(len(table))), 0
+    while unseen:
+        todo = [unseen.pop()]
+        count += 1
+        while todo:
+            i = todo.pop()
+            found = {row[i] for row in complete} & unseen
+            unseen -= found
+            todo += found
+    return count
+
+
+def _angle_count_mirrors(vectors, disc, mirrors):
+    """The int_mirror calls of angle_counts on a fresh Lattice whose table is built."""
+    fresh = lattice_of(vectors, disc)
+    table = fresh.reflection_table()
+    mirrors.clear()
+    _, components = fresh.angle_counts()
+    return len(mirrors), _orbit_count(table), components
+
+
+class TestOrbits:
+    """angle_counts takes one Gram row per orbit of the complete table rows."""
+
+    @pytest.mark.parametrize("name, orbits", [
+        ("H4", 1), ("H3", 1), ("A3", 1), ("B3", 2), ("F4", 2), ("A1xA1xA1", 3), ("A1xI2-4", 3),
+    ])
+    def test_one_gram_row_per_orbit(self, name, orbits, mirrors):
+        # the counts themselves: TestLatticeKernel's scalar reference, on every preset
+        rs = build_preset(name)
+        assert _angle_count_mirrors(rs.roots, rs.disc, mirrors)[:2] == (orbits, orbits)
+
+    @pytest.mark.parametrize("name", PARTIAL_CASES)
+    def test_partial_sets_take_one_gram_row_per_orbit(self, name, mirrors):
+        rs = _kernel_case(name)
+        calls, orbits, _ = _angle_count_mirrors(rs.roots, rs.disc, mirrors)
+        assert calls == orbits
+
+    def test_a_set_with_no_complete_row_takes_every_gram_row(self, mirrors):
+        # no root's negative is in the set, so every row misses s_a(a) = -a
+        vectors = [vec(1, 0, 0), vec(1, 1, 0), vec(0, 1, 1), vec(1, 2, 3)]
+        assert _angle_count_mirrors(vectors, 1, mirrors)[:2] == (4, 4)
+        _assert_angle_counts_match_scalar_reference(vectors, 1)
+
+    def test_complete_and_incomplete_rows_mixed(self, mirrors):
+        # the row of e3 is complete and swaps +-e3; s_(1,1,0)(1,2,0) = (-2,-1,0) is missing
+        e3, a, b = vec(0, 0, 1), vec(1, 1, 0), vec(1, 2, 0)
+        vectors = [e3, -e3, a, -a, b, -b]
+        calls, orbits, components = _angle_count_mirrors(vectors, 1, mirrors)
+        assert (calls, orbits, sorted(components, reverse=True)) == (5, 5, [4, 2])
+        _assert_angle_counts_match_scalar_reference(vectors, 1)
+
+    def test_a_stray_root_beside_a_closed_system(self, mirrors):
+        # the six roots e_i - e_j of A2 are one orbit; (1, 1, 1) is orthogonal to them
+        # and its negative is missing, so its row is incomplete and it is an orbit alone
+        a2 = [vec(*(int(k == i) - int(k == j) for k in range(3)))
+              for i in range(3) for j in range(3) if i != j]
+        vectors = a2 + [vec(1, 1, 1)]
+        calls, orbits, components = _angle_count_mirrors(vectors, 1, mirrors)
+        assert (calls, orbits, sorted(components, reverse=True)) == (2, 2, [6, 1])
+        _assert_angle_counts_match_scalar_reference(vectors, 1)
+
+
 @st.composite
 def partial_sets(draw):
     """Small vector sets over Q(sqrt(d)) with some reflection images and multiples

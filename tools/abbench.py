@@ -19,8 +19,11 @@ change log carries: per workload and end-to-end metric of BENCHMARK.json,
 each side's median [quartiles], change/parent of the medians, the pairs the
 change won (ties count for neither) and the metric's bound.  The verdict is
 "gain" when there are at least 10 pairs, the change won at least 9 in 10 of
-them and its median beats the parent's by more than the parent's quartile
-spread; "worse" when its median is worse by more than the bound;
+them, its median beats the parent's by more than the parent's quartile
+spread, and change/parent is past the bound (below 1 - bound where lower is
+better, above 1 + bound otherwise), as "worse" asks of a loss; "gain<bound"
+when all of that holds but the last; "worse" when its median is worse by
+more than the bound;
 "unresolved" when neither, the parent's quartile distance is more than the
 bound times its median, and not every change run beats every parent run, so
 the runs are too noisy to tell the metric within its bound; and "-" otherwise.  A last line gives the src/ lines added and removed between the
@@ -118,8 +121,9 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[str]:
             (p1, p3), (c1, c3) = _spread(vals["parent"]), _spread(vals["change"])
             ratio = mc / mp if mp else float("nan")
             gain = (mp - mc) if lower else (mc - mp)
+            past = (ratio < 1 - m["bound"]) if lower else (ratio > 1 + m["bound"])
             if len(both) >= 10 and wins >= 0.9 * len(both) and gain > p3 - p1:
-                verdict = "gain"
+                verdict = "gain" if past else "gain<bound"
             elif (ratio > 1 + m["bound"]) if lower else (ratio < 1 - m["bound"]):
                 verdict = "worse"
             elif p3 - p1 > m["bound"] * mp and not (
