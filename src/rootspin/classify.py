@@ -8,7 +8,8 @@ non-orthogonality graph.  All four are invariant under exact orthogonal
 changes of frame, and none depends on root lengths, which matters because
 induced systems always come out unit-length (an F4 configuration with both
 orbits at unit length is still F4 here).  The angle key lies in the field of
-the roots, so no root is normalized and no square root is taken.  The
+the roots, so no root is normalized and no square root is taken; it is a
+reduced row of ints (lattice.AngleKey), so it has no 64-bit bound.  The
 counts and the Coxeter order are read off the orbits of the reflection table
 of the input's RootSystem.lattice (roots.py), built once per row set, shared
 by every live set with the same rows (a relabelled copy), and computed once;
@@ -19,7 +20,8 @@ data at call time; nothing is matched against transcribed numbers.  Entries
 are indexed on (dimension, root count), taken from the presets' defining
 data, and identify() computes the signatures of an input's candidates only.
 Likewise coxeter_matrix reads each label off the reflection closure of its
-own pair of roots, not off a table of cos^2(pi/m).
+own pair of roots, not off a table of cos^2(pi/m), and compares the pair's
+own key with the closure's: the same keys, from the same kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import ClosureCapExceeded, NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
 from .presets import a1_system, build_preset, direct_sum, get_preset
-from .qfield import QScalar
+from .lattice import AngleKey, sorted_numerators, vectors_disc
 from .roots import RootSystem, Vector, close_under_reflections, stored_vector
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
@@ -37,18 +39,21 @@ from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix t
 class Signature(NamedTuple):
     """Rotation-invariant fingerprint of a root system.
 
-    spectrum holds the (signed squared cosine, multiplicity) pairs of
-    Lattice.angle_counts, unordered; a rational value equals itself under any
-    disc tag.  __str__ still says "distinct inner products", the words it
-    printed when the spectrum held the inner products of the unit-normalized
-    roots: the signed squared cosine is a one-to-one function of that inner
-    product, so on a set with one root per direction the count is the same,
-    and the classify output stays byte-identical.
+    spectrum holds the (key, multiplicity) pairs of Lattice.angle_counts,
+    unordered.  A key (s, t, r, e) is the signed squared cosine
+    (s + t sqrt(e)) / r, reduced with r > 0, and e is the field: the roots'
+    disc where t != 0, else 1, so a rational value has one key in every
+    field and two signatures are equal exactly when their values are.
+    __str__ still says "distinct inner products", the words it printed when
+    the spectrum held the inner products of the unit-normalized roots: the
+    signed squared cosine is a one-to-one function of that inner product, so
+    on a set with one root per direction the count is the same, and the
+    classify output stays byte-identical.
     """
 
     dim: int
     count: int
-    spectrum: frozenset[tuple[QScalar, int]]
+    spectrum: frozenset[tuple[AngleKey, int]]
     components: tuple[int, ...]  # component sizes, descending
 
     def __str__(self) -> str:
@@ -161,15 +166,17 @@ class CoxeterMatrix(NamedTuple):
 def coxeter_matrix(simple: Sequence[Vector]) -> CoxeterMatrix:
     """Labels m_ij with (a_i|a_j)/(|a_i||a_j|) = -cos(pi/m_ij), exactly.
 
-    An orthogonal pair has label 2.  Any other pair is closed under its own
-    reflections: a finite group has roots in 2m directions at multiples of
-    pi/m, so the closure's signed squared cosines (Lattice.angle_counts) take m
-    values besides +1, the value of two roots of different lengths on one line.
-    The pair is simple exactly when its own value is the most negative after
-    -1, at the angle pi - pi/m.  A quadratic field holds cos(2pi/m) only where
-    phi(m) <= 4, so m <= 12 and a finite closure has at most 24 roots: a
-    closure past that cap is an infinite group.  An infinite group and a pair
-    that is not simple raise UnknownAngle; a zero vector raises ZeroRoot.
+    Each pair is closed under its own reflections: a finite group has roots
+    in 2m directions at multiples of pi/m, so the closure's signed squared
+    cosines (Lattice.angle_counts' keys) take m values besides +1, the value
+    of two roots of different lengths on one line.  The pair's own key is the
+    one angle of the set {a_i, a_j}.  An orthogonal pair has label 2; any
+    other pair is simple exactly when its own value is the lowest after -1,
+    at the angle pi - pi/m, as lattice.sorted_numerators orders the keys.  A
+    quadratic field holds cos(2pi/m) only where phi(m) <= 4, so m <= 12 and a
+    finite closure has at most 24 roots: a closure past that cap is an
+    infinite group.  An infinite group and a pair that is not simple raise
+    UnknownAngle; a zero vector raises ZeroRoot.
     """
     if any(a.is_zero() for a in simple):
         raise ZeroRoot("the zero vector has no angle to a simple root")
@@ -183,17 +190,18 @@ def coxeter_matrix(simple: Sequence[Vector]) -> CoxeterMatrix:
 
 def _label(a: Vector, b: Vector) -> int:
     """m for the simple pair a, b of a finite dihedral group; UnknownAngle otherwise."""
-    dot = a.dot(b)
-    if dot.is_zero():
+    # the pair's own key, the one angle of the set {a, b}; none when a == b
+    angle = next(iter(RootSystem([a, b], vectors_disc([a, b])).lattice.angle_counts()[0]), None)
+    if angle == (0, 0, 1, 1):  # orthogonal
         return 2
     try:
         plane = close_under_reflections([a, b], cap=24)
     except ClosureCapExceeded:
         raise UnknownAngle(f"{a} and {b} generate an infinite reflection group") from None
-    angles, _ = plane.lattice.angle_counts()
-    keys = angles.keys() - {1}
-    lowest = min(keys - {-1}, default=None)  # -cos^2(pi/m), at the angle pi - pi/m
-    if dot * dot * dot.sign() / (a.norm_squared() * b.norm_squared()) != lowest:
+    keys = plane.lattice.angle_counts()[0].keys() - {(1, 0, 1, 1)}
+    # -1 (a and -a) first, then -cos^2(pi/m), at the angle pi - pi/m
+    ascending = sorted_numerators([key[:3] for key in keys], plane.disc)
+    if len(ascending) < 2 or angle[:3] != ascending[1]:
         raise UnknownAngle(f"{a} and {b} are not the simple roots of the group they generate")
     return len(keys)
 

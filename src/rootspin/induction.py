@@ -15,7 +15,8 @@ module builds no Multivector, and the public rotor group of Multivectors
 they equal one, such as H4's for every copy of H3, and then its order and
 RootSystem.lattice (roots.py) are taken: the check reads that Lattice's
 stored verdict, which its named copies share and a later signature reads;
-nothing stored is mutated.
+nothing stored is mutated.  check_self_dual compares a 2D set with its image
+by the integer angle keys of both Lattices, as a Signature does.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Callable, NamedTuple
 
 from .caps import GROUP_CLOSURE_CAP, admit
 from .errors import DimensionMismatch
-from .lattice import Numerators, int_vector_product, negated, vec4_numerators
-from .qfield import QScalar
+from .lattice import AngleKey, Numerators, int_vector_product, negated, vec4_numerators
 from .roots import (
     Provenance,
     RootSystem,
@@ -105,11 +105,18 @@ def induce_2d(rs: RootSystem) -> RootSystem:
 
 
 class SelfDualityReport(NamedTuple):
+    """A 2D set against its spinor image: the root counts and the angle spectra.
+
+    Each spectrum is the frozenset of (key, multiplicity) pairs of
+    Lattice.angle_counts, as Signature.spectrum holds them, so two spectra are
+    equal exactly when the sets have the same angles with the same multiplicities.
+    """
+
     label: str
     input_count: int
     induced_count: int
-    input_spectrum: tuple[QScalar, ...]
-    induced_spectrum: tuple[QScalar, ...]
+    input_spectrum: frozenset[tuple[AngleKey, int]]
+    induced_spectrum: frozenset[tuple[AngleKey, int]]
 
     @property
     def self_dual(self) -> bool:
@@ -137,11 +144,6 @@ def check_self_dual(rs: RootSystem) -> SelfDualityReport:
         label=rs.label or "rank-2 input",
         input_count=len(rs),
         induced_count=len(induced),
-        input_spectrum=_angle_spectrum(rs),
-        induced_spectrum=_angle_spectrum(induced),
+        input_spectrum=frozenset(rs.lattice.angle_counts()[0].items()),
+        induced_spectrum=frozenset(induced.lattice.angle_counts()[0].items()),
     )
-
-
-def _angle_spectrum(rs: RootSystem) -> tuple[QScalar, ...]:
-    angles, _ = rs.lattice.angle_counts()
-    return tuple(value for value in sorted(angles) for _ in range(angles[value]))

@@ -26,9 +26,10 @@ the generic product with the VECTOR_BY_VECTOR structure equals it and
 stays as the tests' reference.  EVEN_BY_EVEN multiplies even rows, as
 clifford.RotorGroup's product check does.
 
-`int_mirror` holds a mirror a's dual rows, which give every (a|b), and
-2 / (a|a); `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the
-one reflection formula of the reflection closure and the reflection table,
+`int_norm` is the one squared-norm formula, (x|x) of a row.  `int_mirror`
+holds a mirror a's dual rows, which give every (a|b), and 2 / (a|a);
+`int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the one
+reflection formula of the reflection closure and the reflection table,
 which the axiom check, the Coxeter order and simple-root extraction read.
 A Lattice holds a RootSystem's rows, distinct and nonzero, and looks each
 image up by value, so every complete row of its reflection table is a
@@ -49,6 +50,12 @@ The others follow by s_{s_a(b)} = s_a s_b s_a, as compositions of complete
 rows.  A complete row is an isometry that permutes the positions, and
 `orbit` finds a position's orbit under such rows: the angle counts take one
 Gram row per orbit, and the Coxeter order multiplies orbit sizes.
+
+The angle counts hold the package's one formula for the signed squared
+cosine sign(a|b) (a|b)^2 / ((a|a)(b|b)).  Each value is keyed as a reduced
+row of ints (s, t, r) with its field e, an AngleKey: never a QScalar, so a
+key has no 64-bit bound.  classify's Signature, induction's self-duality
+check and classify's Coxeter labels read these keys.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from .qfield import _INT64_MAX, QScalar, common_disc, field_sign
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
+AngleKey = tuple[int, int, int, int]  # (s, t, r, e): the value (s + t sqrt(e)) / r, reduced
 
 
 def field_disc(vectors: Iterable[Iterable[QScalar]]) -> int:
@@ -211,22 +219,31 @@ class Exact:
         return self._from_values(c * s for c in self._decoded())
 
 
+def int_norm(x: Numerators, disc: int) -> tuple[int, int]:
+    """(s, t) with (x|x) = (s + t sqrt(d)) / D^2 for the row x = (p_1, q_1, ..., D):
+    s = sum p^2 + d sum q^2 and t = 2 sum p q.
+
+    For x != 0 the field norm s^2 - d t^2 is positive: the conjugate of a sum of
+    squares sum_i c_i^2 is sum_i c_i'^2, a sum of real squares, not all zero.
+    """
+    p, q = x[:-1:2], x[1:-1:2]
+    return sum(map(mul, p, p)) + disc * sum(map(mul, q, q)), 2 * sum(map(mul, p, q))
+
+
 def int_mirror(a: Numerators, disc: int) -> tuple:
     """(p, q, u, v, U, V, N): a's numerators, dual rows and 2 / (a|a) = D_a^2 (U + V sqrt(d)) / N.
 
     (a|b) = (u.b + (v.b) sqrt(d)) / (D_a D_b) with u = (p_1, d q_1, ...) and v = (q_1, p_1, ...),
-    as map(mul) stops before b's D.  (a|a) = (r + t sqrt(d)) / D_a^2 has the nonzero field
-    norm n = r^2 - d t^2, so 2 / (a|a) = D_a^2 (2r - 2t sqrt(d)) / n; U, V and N > 0 are
-    those three numbers divided by their gcd.
+    as map(mul) stops before b's D.  (a|a) = (r + t sqrt(d)) / D_a^2 (int_norm) has the
+    positive field norm n = r^2 - d t^2, so 2 / (a|a) = D_a^2 (2r - 2t sqrt(d)) / n; U, V
+    and N > 0 are those three numbers divided by their gcd.
     """
     p, q = a[:-1:2], a[1:-1:2]
     u = tuple(map(mul, a, (1, disc) * len(p)))
     v = tuple(chain.from_iterable(zip(q, p)))
-    r, t = sum(map(mul, u, a)), sum(map(mul, v, a))
+    r, t = int_norm(a, disc)
     n = r * r - disc * t * t
     h = math.gcd(2 * r, 2 * t, n)
-    if n < 0:
-        h = -h
     return p, q, u, v, 2 * r // h, -2 * t // h, n // h
 
 
@@ -402,21 +419,27 @@ class Lattice:
         self._index = index = {x: i for i, x in enumerate(rows)}
         self.neg = [index.get(negated(x), -1) for x in rows]
         self._table: Matrix | None = None
-        self._angles: tuple[dict[QScalar, int], list[int]] | None = None
+        self._angles: tuple[dict[AngleKey, int], list[int]] | None = None
         self._witnesses: tuple[tuple[int, int] | None, tuple[int, int] | None] | None = None
         self._order: int | None = None
 
-    def angle_counts(self) -> tuple[dict[QScalar, int], list[int]]:
+    def angle_counts(self) -> tuple[dict[AngleKey, int], list[int]]:
         """Angles over ordered pairs i != j, with their multiplicities,
         and the component sizes of the non-orthogonality graph.  The angle is keyed on
         sign(a|b) (a|b)^2 / ((a|a)(b|b)), the signed squared cosine, which determines
         it and lies in the field even where the norms have no square root.
 
+        A key is (s, t, r, e), the value (s + t sqrt(e)) / r with gcd(s, t, r) = 1 and
+        r > 0, and e the field: the disc where t != 0, else 1, so a rational value has
+        one key in every field.  Ints, with no bound: a key is never a QScalar.
+
         A complete table row is an isometry that permutes the rows, so one Gram row per
         `orbit` under the table's generators, weighted by its size, counts every pair,
         and an orbit lies in one component.  With (a|b) = x + y sqrt(d) and (a|a)(b|b) =
-        m + n sqrt(d) over the rows' own D, it is +-(x + y sqrt(d))^2 (m - n sqrt(d)) /
-        (m^2 - d n^2), each part reduced as a Fraction of ints before it is a QScalar.
+        m + n sqrt(d) over the rows' own D, the value is +-(x + y sqrt(d))^2 (m - n sqrt(d))
+        / (m^2 - d n^2), reduced once per (x, y, m, n): the product of the norms is
+        symmetric, so (a, b) and (b, a) share it.  m^2 - d n^2 > 0, a product of
+        int_norm's positive field norms.
 
         The counts are computed on the first call and returned as stored after
         that, so a caller reads them and never mutates them.
@@ -430,16 +453,17 @@ class Lattice:
             if r not in first:
                 first.update(dict.fromkeys(orbit(r, self._gens), r))
         sizes = Counter(first.values())  # orbit sizes, by first position
-        norms = [(sum(p * p + d * q * q for p, q in zip(x[:-1:2], x[1:-1:2])),  # G(j, j)
-                  2 * sum(map(mul, x[:-1:2], x[1:-1:2]))) for x in rows]
-        counts: Counter = Counter()  # (G(r, j), G(r, r), G(j, j)) numerators -> ordered pairs
+        norms = [int_norm(x, d) for x in rows]  # G(j, j)
+        counts: Counter = Counter()  # (G(r, j), G(r, r) G(j, j)) numerators -> ordered pairs
         parts = {r: [r] for r in sizes}  # parts[r]: the orbits linked to r's
         for r, size in sizes.items():
             _, _, u, v, *_ = int_mirror(rows[r], d)
             ga, gb = [sum(map(mul, u, x)) for x in rows], [sum(map(mul, v, x)) for x in rows]
-            for key, c in Counter(zip(ga, gb, repeat(norms[r]), norms)).items():
+            a, b = norms[r]
+            products = [(a * e + d * b * f, a * f + b * e) for e, f in norms]
+            for key, c in Counter(zip(ga, gb, products)).items():
                 counts[key] += c * size
-            counts[(*norms[r], norms[r], norms[r])] -= size  # not the pair (r, r)
+            counts[ga[r], gb[r], products[r]] -= size  # not the pair (r, r)
             for o in {first[j] for j in compress(range(len(rows)), map(or_, ga, gb))}:
                 if parts[o] is not parts[r]:  # merge o's part into r's
                     merged = parts[o]
@@ -447,10 +471,12 @@ class Lattice:
                     for w in merged:
                         parts[w] = parts[r]
         values: Counter = Counter()
-        for (x, y, (a, b), (e, f)), c in (+counts).items():
-            sign, m, n = field_sign(x, y, d), a * e + d * b * f, a * f + b * e
-            s, t, r = sign * (x * x + d * y * y), sign * 2 * x * y, m * m - d * n * n
-            values[QScalar(Fraction(s * m - d * t * n, r), Fraction(t * m - s * n, r), d)] += c
+        for (x, y, (m, n)), c in (+counts).items():
+            sign = field_sign(x, y, d)
+            p, q = sign * (x * x + d * y * y), sign * 2 * x * y
+            s, t, r = p * m - d * q * n, q * m - p * n, m * m - d * n * n
+            g = math.gcd(s, t, r)  # r > 0
+            values[s // g, t // g, r // g, d if t else 1] += c
         # each part is listed once, at its first member
         self._angles = values, [sum(map(sizes.__getitem__, part))
                                 for r, part in parts.items() if part[0] == r]

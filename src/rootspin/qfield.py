@@ -9,12 +9,15 @@ the package are decidable with no floating-point tolerance.
 Rational components ride on fractions.Fraction but are bounded to 64-bit
 numerator/denominator; exceeding the bound raises OverflowError loudly
 instead of growing silently.  QScalar is the public scalar; the loops over
-roots run on Python ints in lattice.py's kernels: the inner-product counts
-and the reflection table of a root set, and the numerator tuples on which the
+roots run on Python ints in lattice.py's kernels: the angle counts and the
+reflection table of a root set, and the numerator tuples on which the
 reflection closure and (with lattice.py's geometric product) the rotor group's
-pair products work.  Both keep this module's 64-bit bound on every root or
-element they add, through caps.admit.  This module holds the package's one
-field rule (`common_disc`) and its one 64-bit check of a new row (`check_row`).
+pair products work.  The closure and the pair products keep this module's
+64-bit bound on every root or element they add, through caps.admit.  The
+bound is a contract on roots and new rows, not on derived values: an angle
+key (lattice.AngleKey) is a row of ints and is never a QScalar.  This module
+holds the package's one field rule (`common_disc`) and its one 64-bit check
+of a new row (`check_row`).
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ from .lattice import (
     Numerators,
     field_sign,
     int_mirror,
+    int_norm,
     int_numerators,
     int_reflect,
     negated,
@@ -420,7 +421,7 @@ def unit_rows(rows: Sequence[Numerators], d: int) -> Sequence[Numerators]:
     for x in rows:
         g = math.gcd(*x[:-1])
         p, q = [e // g for e in x[:-1:2]], [f // g for f in x[1:-1:2]]
-        norm = sum(map(mul, p, p)) + d * sum(map(mul, q, q)), 2 * sum(map(mul, p, q))
+        norm = tuple(z // (g * g) for z in int_norm(x, d))  # of the primitive vector
         if norm not in inverse_roots:
             root = QScalar(*norm, d).sqrt()
             if root is None:
@@ -439,12 +440,8 @@ def unit_rows(rows: Sequence[Numerators], d: int) -> Sequence[Numerators]:
 
 
 def _is_unit(x: tuple[int, ...], disc: int) -> bool:
-    # |x|^2 == 1 for the numerators x = (p_1, q_1, ..., D): sum p q = 0 and
-    # sum p^2 + d sum q^2 = D^2
-    p, q = x[:-1:2], x[1:-1:2]
-    return not sum(map(mul, p, q)) and (
-        sum(map(mul, p, p)) + disc * sum(map(mul, q, q)) == x[-1] ** 2
-    )
+    # |x|^2 == 1 for the numerators x = (p_1, q_1, ..., D): int_norm(x) == (D^2, 0)
+    return int_norm(x, disc) == (x[-1] ** 2, 0)
 
 
 def simple_roots_of(rs: RootSystem) -> list[Vector]:

@@ -29,7 +29,7 @@ from rootspin import (
     simple_roots_of,
     vec,
 )
-from rootspin import classify, induction, roots
+from rootspin import classify, induction, qfield, roots
 from rootspin.classify import catalog, survey
 from rootspin.presets import PHI, a1_system, direct_sum, get_preset
 
@@ -45,16 +45,16 @@ class TestSignature:
         sig = signature(build_preset("A1xA1xA1"))
         assert sig.count == 6
         counts = _spectrum_counts(sig)
-        assert counts[QScalar(-1)] == 6
-        assert counts[QScalar(0)] == 24
+        assert counts[-1, 0, 1, 1] == 6  # the key (s, t, r, e) of -1
+        assert counts[0, 0, 1, 1] == 24
         assert sig.components == (2, 2, 2)
 
     def test_sixteen_cell_spectrum(self):
         sig = signature(induce_4d(build_preset("A1xA1xA1")))
         assert sig.count == 8
         counts = _spectrum_counts(sig)
-        assert counts[QScalar(-1)] == 8
-        assert counts[QScalar(0)] == 48
+        assert counts[-1, 0, 1, 1] == 8
+        assert counts[0, 0, 1, 1] == 48
 
     def test_invariant_under_signed_permutations(self):
         rng = random.Random(31)
@@ -124,6 +124,52 @@ class TestAngleKey:
         sig = signature(b4)
         assert (sig.dim, sig.count, len(sig.spectrum), sig.components) == (4, 32, 6, (32,))
         assert identify(sig) == "unrecognized"
+
+    def test_a_squared_cosine_past_64_bits_is_a_key(self):
+        # the rows lie well inside 64 bits, the squared cosine's numerator and
+        # denominator do not; the set is not reflection-closed
+        a, b = vec(100003, 99991, 0), vec(99989, 7, 0)
+        sig = signature(RootSystem([a, -a, b, -b], disc=1))
+        dot = 100003 * 99989 + 99991 * 7
+        value = Fraction(dot * dot, (100003**2 + 99991**2) * (99989**2 + 7**2))
+        assert value.numerator > 2**63
+        assert dict(sig.spectrum) == {
+            (-1, 0, 1, 1): 4,
+            (value.numerator, 0, value.denominator, 1): 4,
+            (-value.numerator, 0, value.denominator, 1): 4,
+        }
+        assert sig.components == (4,)
+        assert identify(sig) == "unrecognized"
+
+    def test_a_rational_set_read_over_another_field_keeps_its_signature(self):
+        # a rational value has one key in every field
+        rs = build_preset("A1xA1xA1")
+        over5 = RootSystem(rs.roots, disc=5)
+        assert over5.disc == 5 and over5.lattice is not rs.lattice
+        assert signature(over5) == signature(rs)
+
+    def test_the_angle_readers_build_no_qscalar(self, fresh_lattices):
+        h3 = build_preset("H3")
+        copy = RootSystem([r.scale(3) for r in h3.roots], h3.disc)  # a Lattice of its own
+        simple = simple_roots_of(h3)
+        made = []
+        make, init = qfield._make, QScalar.__init__
+
+        def counted_make(*args):
+            made.append(args)
+            return make(*args)
+
+        def counted_init(self, *args, **kwargs):
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qfield, "_make", counted_make)
+            mp.setattr(QScalar, "__init__", counted_init)
+            sig, cm = signature(copy), coxeter_matrix(simple)
+        assert made == []
+        assert identify(sig) == "H3"
+        assert cm.entries == ((1, 2, 5), (2, 1, 3), (5, 3, 1))
 
     @pytest.mark.parametrize("name", [*PRESETS, "B4"])
     @settings(max_examples=4)
@@ -386,6 +432,13 @@ class TestCoxeterMatrix:
         a = build_preset("H3").roots[0]
         with pytest.raises(UnknownAngle):
             coxeter_matrix([a, -a])
+
+    @pytest.mark.parametrize("name", ["B3", "H3", "F4", "H4", "I2-8"])
+    def test_a_large_scale_keeps_the_labels(self, name):
+        # (a|b)^2 of the scaled roots passes 64 bits; the angle key is scale-free
+        simple = simple_roots_of(build_preset(name))
+        scaled = [r.scale(Fraction(2**40 + 1, 3)) for r in simple]
+        assert coxeter_matrix(scaled) == coxeter_matrix(simple)
 
     def test_two_lengths_on_each_line_still_give_the_label(self):
         # (1, 0) and (-1, sqrt3) close to 12 roots, two on each of six lines: still A2

@@ -324,7 +324,7 @@ class TestHelpers:
 
     def test_angle_counts_octahedron(self):
         angles, components = Lattice(build_preset("A1xA1xA1").rows, 1).angle_counts()
-        assert angles == {-1: 6, 0: 24}
+        assert angles == {(-1, 0, 1, 1): 6, (0, 0, 1, 1): 24}
         assert sorted(components) == [2, 2, 2]
 
     def test_direct_sum_counts_and_field_guard(self):
@@ -482,8 +482,8 @@ def _dot(a, b, disc):
 def _assert_angle_counts_match_scalar_reference(vectors, disc):
     """Lattice.angle_counts against exact field arithmetic: the counts over ordered
     pairs i != j of sign(a.b) (a.b)^2 / (|a|^2 |b|^2), and the component sizes of a
-    BFS over the non-orthogonal pairs.  The reference has no 64-bit bound, so where
-    a value leaves QScalar's range the kernel must raise OverflowError instead."""
+    BFS over the non-orthogonal pairs.  Neither side has a 64-bit bound.  Each key
+    (s, t, r, e) is reduced, with r > 0 and e the field of a value with a surd part."""
     dots = [[_dot(a, b, disc) for b in vectors] for a in vectors]
     triples = Counter(
         (dot, dots[i][i], dots[j][j]) for i, row in enumerate(dots) for j, dot in enumerate(row)
@@ -498,13 +498,10 @@ def _assert_angle_counts_match_scalar_reference(vectors, disc):
         u, v = _times((sign * p, sign * q), (r, -t), disc)  # over the norm r^2 - d t^2
         norm = r * r - disc * t * t
         cosines[u / norm, v / norm] += c
-    if any(abs(f.numerator) > 2**63 - 1 or f.denominator > 2**63 - 1
-           for value in cosines for f in value):
-        with pytest.raises(OverflowError, match="exceeds 64-bit range"):
-            lattice_of(vectors, disc).angle_counts()
-        return
     angles, components = lattice_of(vectors, disc).angle_counts()
-    assert {(v.rat, v.surd): c for v, c in angles.items()} == cosines
+    for s, t, r, e in angles:
+        assert math.gcd(s, t, r) == 1 and r > 0 and e == (disc if t else 1)
+    assert {(Fraction(s, r), Fraction(t, r)): c for (s, t, r, _), c in angles.items()} == cosines
     unseen, sizes = set(range(len(vectors))), []
     while unseen:
         todo, size = [unseen.pop()], 0
@@ -944,8 +941,9 @@ def test_signature_takes_the_field_from_every_coordinate():
     assert field_disc(vectors) == 3
     spectrum = dict(signature(RootSystem(vectors, field_disc(vectors))).spectrum)
     dots = [a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:]]  # unit vectors
-    assert spectrum == Counter(dot * dot * dot.sign() for dot in dots + dots)
-    assert {str(v): c for v, c in spectrum.items()} == {"-1/4": 2, "1/4": 4}
+    values = {QScalar(Fraction(s, r), Fraction(t, r), e): c for (s, t, r, e), c in spectrum.items()}
+    assert values == Counter(dot * dot * dot.sign() for dot in dots + dots)
+    assert spectrum == {(-1, 0, 4, 1): 2, (1, 0, 4, 1): 4}
 
 
 # -- integer reflection, canonical order and simple roots against QScalar -----

@@ -14,6 +14,7 @@ keeps nothing alive after the last RootSystem of its rows is gone.
 from __future__ import annotations
 
 import gc
+import json
 import random
 import re
 import weakref
@@ -29,7 +30,10 @@ from rootspin import (
     RootSystem,
     build_preset,
     coxeter_order,
+    identify,
     induce_4d,
+    root_system_from_json,
+    root_system_to_json,
     roots,
     signature,
     simple_roots_of,
@@ -86,6 +90,21 @@ def test_a_relabelled_copy_shares_the_lattice_and_a_rescaled_one_builds_its_own(
     assert facts(copy) == warm == cold(base)
     sig, order, report, simple, induced = warm
     assert facts(big) == (sig, order, report, [r.scale(factor) for r in simple], induced)
+
+
+def test_the_same_integer_rows_over_another_field_share_nothing(fresh_lattices):
+    # H3's integer rows read over Q(sqrt 2) are other vectors: not a root system.
+    # Loaded first and kept alive, they must not lend their facts to H3, nor H3 its to them
+    doc = json.loads(root_system_to_json(build_preset("H3")))
+    doc["disc"] = 2
+    other = root_system_from_json(json.dumps(doc))
+    report = verify_root_axioms(other)
+    assert report.axiom1_ok and not report.axiom2_ok
+    assert identify(signature(other)) == "unrecognized"
+    h3 = build_preset.__wrapped__("H3")  # a fresh instance, with the same rows
+    assert other.rows == h3.rows and (other.disc, h3.disc) == (2, 5)
+    assert verify_root_axioms(h3).ok
+    assert identify(signature(h3)) == "H3" and coxeter_order(h3) == 120
 
 
 def test_a_copy_reads_the_originals_table_and_counts():
