@@ -145,13 +145,11 @@ def _cmd_classify(args) -> int:
 
     rs = _resolve_source(args)
     sig = signature(rs)
-    lines = [
-        f"label: {rs.label or 'input'}",
-        f"signature: {sig}",
-        f"identified: {identify(sig)}",
-        f"coxeter order: {coxeter_order(rs)}",
-    ]
-    _emit("\n".join(lines) + "\n", args)
+    lines = [f"label: {rs.label or 'input'}", f"signature: {sig}", f"identified: {identify(sig)}"]
+    try:  # a set that is not reflection-closed has no order: its other lines still go out
+        lines.append(f"coxeter order: {coxeter_order(rs)}")
+    finally:
+        _emit("\n".join(lines) + "\n", args)
     return 0
 
 

@@ -11,12 +11,14 @@ against the root-system axioms instead of being trusted: the verification
 (roots.py) from input to output, and its one product is lattice.py's
 closed-form int_vector_product, once per unordered pair of roots.  This
 module builds no Multivector, and the public rotor group of Multivectors
-(clifford.py) wraps pair_products.  The output's rows are a live set's when
-they equal one, such as H4's for every copy of H3, and then its order and
-RootSystem.lattice (roots.py) are taken: the check reads that Lattice's
-stored verdict, which its named copies share and a later signature reads;
-nothing stored is mutated.  check_self_dual compares a 2D set with its image
-by the integer angle keys of both Lattices, as a Signature does.
+(clifford.py) wraps pair_products.  The output's record (its Lattice,
+roots.py) is stored in the input's, once per live row set, and each call
+names it after its caller.  The output's rows are a live set's when they
+equal one, such as H4's for every copy of H3, and then that set's record is
+taken: the check reads its stored verdict, which its named copies share and
+a later signature reads; nothing stored is mutated.  check_self_dual
+compares a 2D set with its image by the integer angle keys of both
+Lattices, as a Signature does.
 """
 
 from __future__ import annotations
@@ -75,19 +77,19 @@ def _induce(rs: RootSystem, dim: int, read: Callable[[Numerators], Numerators],
             what: str) -> RootSystem:
     """The root system of rs's rotors, each even row read out by read, for a dim-D rs.
 
-    The unnamed result is stored with rs's rows (roots._Facts), so it is
+    The result's record is stored in rs's (rs.lattice.induced), so it is
     computed once per live row set; each call names it after its input.
     """
     if rs.dim != dim:
         raise DimensionMismatch(f"induce_{2 * dim - 2}d needs a {dim}D system, got dim {rs.dim}")
     source = rs.label or f"rank-{dim} input"
-    facts = rs._facts
-    if facts.induced is None:
+    lattice = rs.lattice
+    if lattice.induced is None:
         # the steps of RootSystem and require_root_system, on rows already distinct
         out = RootSystem._from_rows([read(x) for x in pair_products(rs)], rs.disc)
         require_root_system(out, f"{what} {source}")
-        facts.induced = out
-    return facts.induced._relabel(f"induced({source})", Provenance(induced_from=source))
+        lattice.induced = out.lattice
+    return RootSystem._of(lattice.induced, f"induced({source})", Provenance(induced_from=source))
 
 
 def induce_4d(rs: RootSystem) -> RootSystem:

@@ -34,12 +34,14 @@ which the axiom check, the Coxeter order and simple-root extraction read.
 A Lattice holds a RootSystem's rows, distinct and nonzero, and looks each
 image up by value, so every complete row of its reflection table is a
 permutation of positions.  Every decision is an exact integer comparison,
-and Python ints never overflow.  A root set's Lattice is its RootSystem's
-`lattice` (roots.py), the only place one is built: on first access, and
-shared by every live RootSystem with the same rows.  The Lattice computes
-its reflection table, its angle counts, the positions of its axiom
-witnesses and its Coxeter order once and returns them as stored, so callers
-read them and never mutate them.
+and Python ints never overflow.  A Lattice is the one record of a root
+set's rows: roots.RootSystem._from_rows, the only place one is built, builds
+it when it registers a new row set, and every live RootSystem with those
+rows holds it as its `lattice`, which also stores their decoded roots and
+the record of their induced set.  The Lattice computes its reflection
+table, its angle counts, the positions of its axiom witnesses and its
+Coxeter order once and returns them as stored, so callers read them and
+never mutate them.
 
 Root sets are closed under negation, or nearly so, and three identities let
 the reflection table compute few rows from inner products:
@@ -69,7 +71,7 @@ from operator import eq, mul, or_
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .qfield import _INT64_MAX, QScalar, common_disc, field_sign
+from .qfield import _INT64_MAX, QScalar, check_row, common_disc, field_sign
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
@@ -132,16 +134,16 @@ class Exact:
 
     @classmethod
     def _from_row(cls, x: Numerators, disc: int):
-        """The value whose new reduced row is x, over Q(sqrt(disc)).
+        """The value whose new reduced row is x, over Q(sqrt(disc)), decoded on first read.
 
-        A row with an entry past the 64-bit bound is decoded at once, so that
-        QScalar raises its OverflowError for a component that leaves the bound.
+        qfield.check_row raises QScalar's OverflowError for the first component
+        that leaves the 64-bit bound.
         """
-        wide = max(x) > _INT64_MAX or min(x) < -_INT64_MAX
-        return cls._stored(x, disc, from_numerators(x, disc) if wide else None)
+        check_row(x)
+        return cls._stored(x, disc)
 
     @classmethod
-    def _stored(cls, x: Numerators, disc: int, values: tuple[QScalar, ...] | None = None):
+    def _stored(cls, x: Numerators, disc: int):
         """The value of a stored row x, over Q(sqrt(disc)), decoded on first read.
 
         Trusted: x is a root set's row, bounded when it entered, so no check.
@@ -149,7 +151,7 @@ class Exact:
         out = object.__new__(cls)
         object.__setattr__(out, "row", x)
         object.__setattr__(out, "disc", disc)
-        object.__setattr__(out, "_values", values)
+        object.__setattr__(out, "_values", None)
         return out
 
     def __setattr__(self, name, value):
@@ -404,18 +406,23 @@ def orbit(start: int, perms: Sequence[Sequence[int]]) -> set[int]:
 
 
 class Lattice:
-    """A RootSystem's n rows of dimension k: distinct, nonzero and reduced as
-    int_numerators gives them, kept in the order given.
+    """The record of one row set: a RootSystem's n rows of dimension k, distinct,
+    nonzero and reduced as int_numerators gives them, kept in the order given,
+    and the facts stored about them.
 
-    `neg[i]` is the position of -x_i, -1 where it is not in the set.
+    `neg[i]` is the position of -x_i, -1 where it is not in the set.  `roots`
+    holds the rows decoded as Vectors and `induced` the record of the unnamed
+    induced set, each None until roots.RootSystem.roots and induction's
+    induce_4d or induce_2d store it.
     """
 
-    __slots__ = ("disc", "rows", "neg", "_index", "_table", "_gens", "_angles", "_witnesses",
-                 "_order")
+    __slots__ = ("disc", "rows", "neg", "roots", "induced", "_index", "_table", "_gens",
+                 "_angles", "_witnesses", "_order", "__weakref__")
 
     def __init__(self, rows: Sequence[Numerators], disc: int):
         self.disc = disc
         self.rows = rows
+        self.roots = self.induced = None
         self._index = index = {x: i for i, x in enumerate(rows)}
         self.neg = [index.get(negated(x), -1) for x in rows]
         self._table: Matrix | None = None

@@ -20,21 +20,22 @@ axioms (only +-alpha among parallel members, invariance under all member
 reflections) with exact arithmetic, so a verdict is a fact rather than a
 tolerance call.
 
-Each row set is sorted once, and its lattice.Lattice built here and nowhere
-else, once, from the distinct nonzero rows a RootSystem holds: every
-RootSystem is made by one trusted constructor, RootSystem._from_rows, which
-looks (frozenset(rows), disc) up in `_LATTICES`, a registry of weak
-references to the _Facts that the live RootSystems with those rows share
-(canonical order, root Vectors, Lattice, and the unnamed result of
-induction.induce_4d or induce_2d).  Rows no live set holds are sorted; otherwise the live set's order
-is taken.  So a relabelled or shuffled copy, a file read back and an induced
-set equal to a catalog entry all share one order and one Lattice, which is
-built on first access; _Facts live only as long as a RootSystem holds them:
-the registry keeps nothing alive, and a stored induced set goes with its
-input's last RootSystem.  The Lattice computes its reflection table, angle
-counts, axiom witnesses and Coxeter order once and stores them; the axiom
-check, simple_roots_of, the signature and the Coxeter order (classify.py)
-read them and never mutate them.
+Each row set has one record, its lattice.Lattice, built here and nowhere
+else, once: every RootSystem is made by one trusted constructor,
+RootSystem._from_rows, which looks (frozenset(rows), disc) up in
+`_LATTICES`, a registry of weak references to the records of the live
+RootSystems.  Rows no live set holds are sorted, and their record built and
+registered; otherwise the live set's record is taken.  A RootSystem is a
+named view of its record (RootSystem.lattice), which holds the rows in
+canonical order, the root Vectors once decoded, and the record of the
+unnamed result of induction.induce_4d or induce_2d once computed.  So a
+relabelled or shuffled copy, a file read back and an induced set equal to a
+catalog entry all share one order and one record, which lives only as long
+as a RootSystem holds it: the registry keeps nothing alive, and a stored
+induced set goes with its input's last RootSystem.  The record computes its
+reflection table, angle counts, axiom witnesses and Coxeter order once and
+stores them; the axiom check, simple_roots_of, the signature and the Coxeter
+order (classify.py) read them and never mutate them.
 """
 
 from __future__ import annotations
@@ -169,26 +170,17 @@ class Provenance(NamedTuple):
         return out
 
 
-class _Facts:
-    """What every live RootSystem with one row set shares: the rows in canonical
-    order, the root Vectors, the Lattice and the unnamed induced set of a 3D
-    or 2D set (induction.induce_4d, induce_2d), each of the last three None
-    until first read."""
-
-    __slots__ = ("rows", "roots", "lattice", "induced", "__weakref__")
-
-    def __init__(self, rows: tuple[Numerators, ...]):
-        self.rows, self.roots, self.lattice, self.induced = rows, None, None, None
-
-
 class RootSystem:
     """Canonically ordered duplicate-free set of roots, held as rows, plus field metadata.
 
-    Equality and hashing ignore label and provenance.
+    A named view of its row set's one record, the lattice.Lattice `lattice`,
+    which every live RootSystem with the same rows shares: the rows in
+    canonical order, their decoded root Vectors, their stored facts and the
+    record of their unnamed induced set.  Equality and hashing ignore label
+    and provenance.
     """
 
-    # _facts: the _Facts of the rows, shared by every live RootSystem with them
-    __slots__ = ("dim", "disc", "rows", "label", "provenance", "_facts")
+    __slots__ = ("dim", "disc", "rows", "label", "provenance", "lattice")
 
     def __new__(cls, roots: Iterable[Vector], disc: int, label: str | None = None,
                 provenance: Provenance | None = None) -> "RootSystem":
@@ -208,56 +200,43 @@ class RootSystem:
         """The RootSystem of trusted rows: reduced, distinct, nonzero, of one dimension
         and over disc, in any order.
 
-        When a live set has these rows, its canonical order and its _Facts are
-        taken; otherwise the rows are sorted, as given (nearly sorted rows sort
-        fastest), and their _Facts registered.
+        When a live set has these rows, its record is taken; otherwise the rows
+        are sorted, as given (nearly sorted rows sort fastest), and their
+        record built and registered.
         """
         key = frozenset(rows), disc
-        facts = _LATTICES.get(key)
-        if facts is None:
-            facts = _LATTICES[key] = _Facts(tuple(sorted_numerators(list(rows), disc)))
-        return cls._of(facts, disc, label, provenance)
+        lattice = _LATTICES.get(key)
+        if lattice is None:
+            lattice = _LATTICES[key] = Lattice(tuple(sorted_numerators(list(rows), disc)), disc)
+        return cls._of(lattice, label, provenance)
 
     @classmethod
-    def _of(cls, facts: _Facts, disc: int, label: str | None,
+    def _of(cls, lattice: Lattice, label: str | None,
             provenance: Provenance | None) -> "RootSystem":
+        # the rows of lattice, a registered record, under a name
         out = object.__new__(cls)
-        object.__setattr__(out, "dim", len(facts.rows[0]) // 2)
-        object.__setattr__(out, "disc", disc)
-        object.__setattr__(out, "rows", facts.rows)
+        object.__setattr__(out, "dim", len(lattice.rows[0]) // 2)
+        object.__setattr__(out, "disc", lattice.disc)
+        object.__setattr__(out, "rows", lattice.rows)
         object.__setattr__(out, "label", label)
         object.__setattr__(out, "provenance", provenance or Provenance())
-        object.__setattr__(out, "_facts", facts)
+        object.__setattr__(out, "lattice", lattice)
         return out
 
     def __setattr__(self, name, value):
         raise AttributeError("RootSystem is immutable")
 
-    def _relabel(self, label: str | None, provenance: Provenance | None) -> "RootSystem":
-        # the same roots under another name, sharing the rows, decoded roots and Lattice
-        return RootSystem._of(self._facts, self.disc, label, provenance)
-
     @property
     def roots(self) -> tuple[Vector, ...]:
-        """The roots as Vectors, in canonical order, built on first access.
+        """The roots as Vectors, in canonical order, built on first access and
+        stored in the record.
 
         Each Vector decodes its coords when they are first read.
         """
-        facts = self._facts
-        if facts.roots is None:
-            facts.roots = tuple(stored_vector(x, self.disc) for x in self.rows)
-        return facts.roots
-
-    @property
-    def lattice(self) -> Lattice:
-        """The Lattice of the rows, shared by every live RootSystem with the same rows.
-
-        Built on first access through any of them, and kept as long as one lives.
-        """
-        facts = self._facts
-        if facts.lattice is None:
-            facts.lattice = Lattice(self.rows, self.disc)
-        return facts.lattice
+        lattice = self.lattice
+        if lattice.roots is None:
+            lattice.roots = tuple(stored_vector(x, self.disc) for x in self.rows)
+        return lattice.roots
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -290,8 +269,8 @@ class RootSystem:
         return f"RootSystem({name}, dim={self.dim}, disc={self.disc}, |roots|={len(self)})"
 
 
-# (frozenset(rows), disc) -> the _Facts of the live RootSystems with those rows;
-# an entry goes when its last RootSystem does
+# (frozenset(rows), disc) -> the record (Lattice) of the live RootSystems with those
+# rows; an entry goes when its last RootSystem does
 _LATTICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 

@@ -20,11 +20,12 @@ settings.load_profile("rootspin")
 def fresh_lattices(monkeypatch):
     """An empty Lattice registry for one test.
 
-    A RootSystem shares the order, roots, Lattice and stored induced set of
-    any live set with the same rows, and the caches keep earlier tests' sets
-    alive, so a test that counts Lattice builds, decodes or inductions starts
-    from a registry that only its own sets fill; a new instance of a preset
-    (build_preset.__wrapped__) then has nothing stored.  On teardown the real
+    A RootSystem shares its one record, the Lattice that holds the order,
+    the decoded roots, the stored facts and the record of the induced set,
+    with any live set with the same rows, and the caches keep earlier tests'
+    sets alive, so a test that counts Lattice builds, decodes or inductions
+    starts from a registry that only its own sets fill; a new instance of a
+    preset (build_preset.__wrapped__) then has nothing stored.  On teardown the real
     registry adopts each entry it has no entry for, so a set the test left in
     a cache shares its Lattice with later sets of its rows.
     """

@@ -495,13 +495,17 @@ class TestSurvey:
         assert table.counterexample_name == "I2-4xA1xA1"
 
     def test_a_fresh_survey_builds_one_lattice_per_set_it_reads(self, monkeypatch, fresh_lattices):
-        # each realizable input (its Lattice's reflection table says whether it is closed),
-        # its induced set (its axiom check's Lattice, read again for its signature) and
-        # each catalog entry computed, the counterexample's included, less the 3 induced
-        # sets with the rows of the entries A1xA1xA1xA1, I2-6xI2-6 and H4, which read the
-        # Lattice of the live set with those rows: one per distinct row set
+        # a record (Lattice) is built with each row set no live set holds: each
+        # realizable input (its reflection table says whether it is closed), its
+        # induced set (its axiom check's, read again for its signature), each catalog
+        # entry computed, the counterexample's included, and the 4 parts of direct
+        # sums that are no entry computed (A1, I2-3, I2-4, I2-6), less the 3 induced
+        # sets with the rows of the entries A1xA1xA1xA1, I2-6xI2-6 and H4, which take
+        # the record of the live set with those rows.  Only A1's is built again, as
+        # a1_system is not cached: for each direct sum that takes it when none lives
         from rootspin.lattice import Lattice
 
+        a1 = a1_system().rows
         for cached in (survey, catalog, build_preset):
             cached.cache_clear()
         built = []
@@ -516,7 +520,8 @@ class TestSurvey:
         realizable = [r for r in table.rows if r.spinor_order is not None]
         assert len(realizable) + catalog.cache_info().misses == 16
         assert len(realizable) == 7
-        assert len(built) == len(set(built)) == 7 + 16 - 3
+        assert len(set(built)) == 7 + 16 + 4 - 3
+        assert {rows for rows, n in Counter(rows for rows, _ in built).items() if n > 1} == {a1}
 
     def test_counterexample_signature_is_computable(self):
         target = direct_sum(build_preset("I2-4"), a1_system(), a1_system())

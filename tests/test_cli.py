@@ -143,12 +143,16 @@ class TestClassify:
 
     def test_a_set_with_wide_squared_cosines_stops_at_the_coxeter_order(self, capsys, tmp_path):
         # its signature's keys pass 64 bits; a set that is not reflection-closed
-        # has no Coxeter order
+        # has no Coxeter order, so classify prints the lines before it and stops there
         a, b = vec(100003, 99991, 0), vec(99989, 7, 0)
         path = tmp_path / "four.json"
         path.write_text(root_system_to_json(RootSystem([a, -a, b, -b], disc=1)))
         code, out, err = run(capsys, "classify", "--input", str(path))
-        assert code == 2 and out == ""
+        assert code == 2 and out.splitlines() == [
+            "label: input",
+            "signature: dim 3, 4 roots, 3 distinct inner products, components [4]",
+            "identified: unrecognized",
+        ]
         assert err == (
             "rootspin: RootspinError: RootSystem(?, dim=3, disc=1, |roots|=4) is not "
             "reflection-closed at root (-100003, -99991, 0); run verify_root_axioms\n"

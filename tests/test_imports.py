@@ -1,11 +1,12 @@
 """Every module of the package reads each name it imports, none reads the environment,
-the package keeps a fixed number of caches, only roots.py builds a Lattice, and each
-exact-value job has one implementation: Exact's arithmetic, the field rule, the
-64-bit check of a new row, and the one product of the induction."""
+the package keeps a fixed number of caches, only roots.py builds a Lattice, one per
+live row set, and each exact-value job has one implementation: Exact's arithmetic,
+the field rule, the 64-bit check of a new row, and the one product of the induction."""
 
 from __future__ import annotations
 
 import ast
+import gc
 import re
 from pathlib import Path
 
@@ -159,13 +160,34 @@ def test_the_call_guard_finds_every_spelling():
 
 
 def test_only_roots_builds_a_lattice():
-    # a Lattice takes a RootSystem's distinct nonzero rows, so RootSystem.lattice
-    # is the one place that builds one
+    # a Lattice takes a RootSystem's distinct nonzero rows, so RootSystem._from_rows,
+    # which registers a new row set's record, is the one place that builds one
     builders = {
         path.name: lines for path in sorted(PACKAGE.glob("*.py"))
         if (lines := calls_of("Lattice", path.read_text()))
     }
     assert list(builders) == ["roots.py"] and len(builders["roots.py"]) == 1, builders
+
+
+def test_one_record_per_row_set(fresh_lattices):
+    # a RootSystem is a named view of its rows' one record, the registered Lattice,
+    # which also holds the decoded roots and the stored induced set
+    from rootspin import RootSystem, build_preset, induce_4d, roots
+    from rootspin.serialize import root_system_from_json, root_system_to_json
+
+    assert not hasattr(roots, "_Facts") and "_facts" not in RootSystem.__slots__
+    h3 = build_preset.__wrapped__("H3")  # a fresh instance, in the empty registry
+    copy = RootSystem(h3.roots, h3.disc, label="copy")
+    induced = induce_4d(h3)
+    live = [h3, copy, root_system_from_json(root_system_to_json(copy)), induced,
+            induce_4d(copy), build_preset.__wrapped__("H4")]
+    gc.collect()
+    records: dict[tuple, set[int]] = {}
+    for rs in live:
+        records.setdefault((frozenset(rs.rows), rs.disc), set()).add(id(rs.lattice))
+    assert records == {key: {id(record)} for key, record in fresh_lattices.items()}
+    assert len(records) == 2
+    assert h3.lattice.roots is copy.roots and h3.lattice.induced is induced.lattice
 
 
 def scoped_nodes(tree: ast.AST):
@@ -291,11 +313,11 @@ def test_the_bound_guard_finds_every_spelling():
 
 
 def test_the_64_bit_bound_is_compared_in_few_places():
-    # qfield.check_row is the one check of a new row; Exact._from_row decodes a wide
-    # row, Exact.scale bounds its factor, and caps.admit pre-checks inline, per element
+    # qfield.check_row is the one check of a new row, which Exact._from_row calls;
+    # Exact.scale bounds its factor, and caps.admit pre-checks inline, per element
     sites = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
              for scope in int64_comparisons(path.read_text()) if path.stem != "qfield"}
-    assert sites == {"caps.admit", "lattice.Exact._from_row", "lattice.Exact.scale"}
+    assert sites == {"caps.admit", "lattice.Exact.scale"}
     assert int64_comparisons((PACKAGE / "caps.py").read_text()) == ["admit"]
 
 

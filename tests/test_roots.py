@@ -1109,7 +1109,7 @@ def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots
             monkeypatch.setattr(module, "int_reflect", counted_reflect)
     simple = simple_roots_of(rs)
     assert len(simple) == 4
-    assert len(built) == len(tables) == 1
+    assert built == [] and tables == [rs.lattice]  # rs came with its record; the table is new
     assert reflections["outside"] == 0 and 0 < reflections["inside"] <= 4 * 60
     assert codec_calls == Counter()  # a Vector decodes when its coords are read
     assert [len(r.coords) for r in simple] == [4] * 4

@@ -1,10 +1,10 @@
-"""A RootSystem shares the canonical order, the Lattice and the induced set of
-every live set with the same rows.
+"""A RootSystem shares one record, its Lattice, with every live set with the same
+rows: the canonical order, the decoded roots, the stored facts and the induced set.
 
 A new RootSystem looks (frozenset(rows), disc) up in roots._LATTICES, a
 registry of weak references, so a relabelled or shuffled copy takes the
-original's order without sorting, and reads its Lattice (the stored
-reflection table, angle counts, axiom witnesses and Coxeter order) and its
+original's record without sorting, and reads its order, its stored
+reflection table, angle counts, axiom witnesses and Coxeter order, and its
 stored induce_4d result.  These tests check that a shared Lattice gives
 exactly what a freshly built one gives, that a rescaled copy (other rows)
 sorts and builds its own and gets the same answers, and that the registry
@@ -120,10 +120,10 @@ def test_a_lattice_goes_with_its_last_root_system(sorts):
     copy = relabelled(rs)
     key = frozenset(rs.rows), rs.disc
     ref = weakref.ref(roots._LATTICES[key])
-    assert rs.lattice is copy.lattice is ref().lattice  # built lazily, through either
+    assert rs.lattice is copy.lattice is ref()  # one record, registered with the rows
     del rs
     gc.collect()
-    assert ref() is roots._LATTICES[key] and ref().lattice is copy.lattice  # the copy holds it
+    assert ref() is roots._LATTICES[key] is copy.lattice  # the copy holds it
     rows, disc = copy.rows, copy.disc
     del copy
     gc.collect()
@@ -135,16 +135,16 @@ def test_a_lattice_goes_with_its_last_root_system(sorts):
 
 def test_a_stored_induced_set_goes_with_its_last_root_system(fresh_lattices):
     # rows no other live set holds, and an empty registry, so the induced set's
-    # _Facts are its own: only the input's _Facts hold them
+    # record is its own: only the input's record holds it
     rs = scaled(build_preset("H3"), Fraction(11, 13))
     induced = induce_4d(rs)
     copy = relabelled(rs)
     assert induce_4d(copy).rows is induced.rows  # the stored set, named after the copy
-    ref = weakref.ref(induced._facts)
+    ref = weakref.ref(induced.lattice)
     key = frozenset(induced.rows), induced.disc
     del induced, rs
     gc.collect()
-    assert ref() is fresh_lattices[key]  # the copy's _Facts hold it
+    assert ref() is fresh_lattices[key]  # the copy's record holds it
     del copy
     gc.collect()
     assert ref() is None and key not in fresh_lattices
@@ -223,11 +223,11 @@ def test_a_golden_multiple_is_a_miss_with_equal_answers():
     phi = QScalar(Fraction(1, 2), Fraction(1, 2), 5)
     big = scaled(h3, phi)
     sig, order, report, simple, induced = facts(h3)
-    assert big.lattice is not h3.lattice and big._facts.induced is None
+    assert big.lattice is not h3.lattice and big.lattice.induced is None
     assert facts(big) == (sig, order, report, [r.scale(phi) for r in simple], induced)
-    assert big._facts.induced is not h3._facts.induced  # computed for big's own rows
-    # the induced set has H4's unit rows, so its check reads the stored result's Lattice
-    assert induce_4d(big).lattice is induce_4d(h3).lattice
+    # computed for big's own rows; the induced set has H4's unit rows, so it takes the
+    # record h3's stored result holds, and its check reads that record's verdict
+    assert big.lattice.induced is h3.lattice.induced is induce_4d(h3).lattice
 
 
 def test_an_induction_error_is_the_same_warm_and_cold(capsys):

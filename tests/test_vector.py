@@ -19,7 +19,7 @@ from rootspin import (
     DomainError, FieldMismatch, NormNotInField, QScalar, RootspinError, RootSystem, Vector,
     ZeroRoot, build_preset, close_under_reflections, vec,
 )
-from rootspin.lattice import field_disc, int_numerators
+from rootspin.lattice import field_disc, from_numerators, int_numerators
 from rootspin.roots import reflect_euclid, row_vector
 
 FIELDS = (1, 2, 5)
@@ -183,12 +183,27 @@ def test_stored_rows_decode_lazily_and_new_rows_keep_the_64_bit_check():
     rs = RootSystem([w, -w], 1)
     # a stored row is trusted: decoded on first read, however wide its entries
     assert all(r._values is None for r in rs.roots) and rs.roots[1] == w
-    # a new row past the bound is decoded at once, which checks its components
-    assert row_vector(w.row, 1)._values == w.coords
+    # a new row is checked by qfield.check_row, component by component, and wrapped
+    # undecoded: this one's entries pass the bound, its components do not
+    new = row_vector(w.row, 1)
+    assert new._values is None and new == w and new.coords == w.coords
     with pytest.raises(OverflowError, match="exceeds 64-bit range"):
         vec(2**62, 1).scale(2)
     with pytest.raises(OverflowError, match="exceeds 64-bit range"):
         reflect_euclid(vec(2**62, 0), vec(1, 2))
+
+
+@pytest.mark.parametrize("first", range(6))
+def test_a_new_row_past_the_bound_names_the_component_decoding_names(first):
+    # qfield.check_row raises QScalar's OverflowError for the first wide component,
+    # in the order p1, q1, p2, ..., without decoding the row
+    x = tuple(2**64 + k if k >= first else k + 1 for k in range(6)) + (1,)
+    with pytest.raises(OverflowError) as decoded:
+        from_numerators(x, 2)
+    with pytest.raises(OverflowError) as wrapped:
+        row_vector(x, 2)
+    assert str(wrapped.value) == str(decoded.value)
+    assert str(wrapped.value) == f"rational component {2**64 + first}/1 exceeds 64-bit range"
 
 
 def test_surds_from_two_fields_do_not_make_a_vector():

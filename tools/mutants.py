@@ -13,7 +13,8 @@ each mutant is applied to its own `git archive` copy of the working tree
 it passes; tests/test_mutants.py, the list check, is left out of these runs.
 Each result is printed to stderr as it ends, and the table at the end is the
 one the change log carries.  One tier-1 run takes
-35-130 s on a 2-vCPU host, longer the more tests fail.
+35-240 s on a 2-vCPU host, longer the more tests fail and the longer
+hypothesis shrinks a failing example.
 """
 
 from __future__ import annotations
@@ -81,9 +82,14 @@ MUTANTS = (
            "    if rs.dim == 3 and rs.lattice.axiom_witnesses()[1] is not None:\n",
            "a 2D input that is not reflection-closed is not closed first"),
     Mutant("induced-set-not-stored", "induction.py",
-           "    if facts.induced is None:\n",
+           "    if lattice.induced is None:\n",
            "    if True:\n",
            "the induced set is computed again on every call"),
+    Mutant("induced-set-on-the-outputs-record", "induction.py",
+           "        lattice.induced = out.lattice\n",
+           "        lattice = out.lattice\n"
+           "        lattice.induced = out.lattice\n",
+           "the induced set is stored on the output's record, not the input's"),
     Mutant("rotor-group-no-product-check", "clifford.py",
            "if int_product(x, y, EVEN_BY_EVEN, d) not in rows:",
            "if False:",
@@ -92,6 +98,24 @@ MUTANTS = (
            "key = frozenset(rows), disc",
            "key = frozenset(rows)",
            "the same integer rows over two fields share one registry entry"),
+    Mutant("record-in-given-order", "roots.py",
+           "Lattice(tuple(sorted_numerators(list(rows), disc)), disc)",
+           "Lattice(tuple(rows), disc)",
+           "a new record keeps its rows in the order given, not in canonical order"),
+    Mutant("record-not-registered", "roots.py",
+           "lattice = _LATTICES[key] = Lattice(",
+           "lattice = Lattice(",
+           "a new record is not registered, so each RootSystem builds its own"),
+    Mutant("registry-keeps-records-alive", "roots.py",
+           "_LATTICES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()",
+           "_LATTICES: dict = {}",
+           "the registry holds its records strongly, so none goes with its last RootSystem"),
+    Mutant("roots-decoded-per-view", "roots.py",
+           "            lattice.roots = tuple(stored_vector(x, self.disc) for x in self.rows)\n"
+           "        return lattice.roots\n",
+           "            return tuple(stored_vector(x, self.disc) for x in self.rows)\n"
+           "        return lattice.roots\n",
+           "RootSystem.roots decodes the rows on every read and stores nothing in the record"),
     Mutant("angle-key-no-field-tag", "lattice.py",
            "values[s // g, t // g, r // g, d if t else 1] += c",
            "values[s // g, t // g, r // g, d] += c",
