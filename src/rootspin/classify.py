@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import ClosureCapExceeded, NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
 from .presets import a1_system, build_preset, direct_sum, get_preset
 from .lattice import AngleKey, sorted_numerators, vectors_disc
-from .roots import RootSystem, Vector, close_under_reflections, stored_vector
+from .roots import RootSystem, Vector, close_under_reflections, row_vector
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
 
@@ -145,7 +145,7 @@ def coxeter_order(rs: RootSystem) -> int:
     lattice = rs.lattice
     missing = lattice.axiom_witnesses()[1]
     if missing is not None:
-        root = stored_vector(rs.rows[missing[0]], rs.disc)
+        root = row_vector(rs.rows[missing[0]], rs.disc)
         raise RootspinError(
             f"{rs!r} is not reflection-closed at root {root}; run verify_root_axioms"
         )

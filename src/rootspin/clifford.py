@@ -13,14 +13,18 @@ them encodes or decodes a QScalar.
 
 Only this module builds a Rotor: Rotor checks R ~R = 1, and RotorGroup and
 generate_rotor_group wrap induction.py's integer pair products, which are
-unit rotors and a group by construction.  RotorGroup's public constructor
-checks the group laws of the elements a caller gives it.
+unit rotors and a group by construction.  R ~R of an even element is the sum
+of its squared coefficients, the squared 4D norm of its readout (in Cl(2),
+of (a, b)), as v v of a vector is the sum of its squared coordinates: so
+Rotor and the mirror check of reflect and rotor_from_vectors test unit
+length with roots._is_unit on the row, as roots and generate_rotor_group do.
+RotorGroup's public constructor checks the group laws of the elements a
+caller gives it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 from typing import Sequence, Union
 
@@ -48,6 +52,12 @@ Scalarish = Union[QScalar, int, Fraction]
 # per row entry, the sign (-1)^(k(k-1)/2) that reversion gives its blade of grade k
 _REVERSE_SIGNS = {
     dim: tuple(1 if m.bit_count() < 2 else -1 for m in range(1 << dim) for _ in "pq") + (1,)
+    for dim in (2, 3)
+}
+# per blade mask, its name in output: "" for the scalar, "*e1e2" for e1 e2
+_BLADE_NAMES = {
+    dim: tuple("*" * (m > 0) + "".join(f"e{i + 1}" for i in range(dim) if m >> i & 1)
+               for m in range(1 << dim))
     for dim in (2, 3)
 }
 
@@ -154,25 +164,11 @@ class Multivector(Exact):
         return f"Multivector(Cl({self.dim}), [{', '.join(str(c) for c in self.coeffs)}])"
 
     def __str__(self) -> str:
-        names = _blade_names(self.dim)
+        names = _BLADE_NAMES[self.dim]
         parts = [
             f"{c}{names[m]}" for m, c in enumerate(self.coeffs) if not c.is_zero()
         ]
         return " + ".join(parts) if parts else "0"
-
-
-_UNITS = {dim: Multivector.scalar(1, dim) for dim in (2, 3)}
-
-
-@lru_cache(maxsize=None)
-def _blade_names(dim: int) -> tuple[str, ...]:
-    names = []
-    for m in range(1 << dim):
-        if m == 0:
-            names.append("")
-        else:
-            names.append("*" + "".join(f"e{i + 1}" for i in range(dim) if m >> i & 1))
-    return tuple(names)
 
 
 def geometric_product(m: Multivector, n: Multivector) -> Multivector:
@@ -187,7 +183,7 @@ def _as_unit_vector_mv(v) -> Multivector:
     mv = Multivector.from_vector(v) if isinstance(v, Vector) else v
     if not mv.is_vector():
         raise NonUnitVector(f"{mv} is not a pure vector")
-    if mv * mv != _UNITS[mv.dim]:
+    if not _is_unit(mv.row, mv.disc):  # v v is the sum of the squared coordinates
         raise NonUnitVector(f"{mv} is not exactly unit length")
     return mv
 
@@ -201,14 +197,19 @@ def reflect(a: Multivector, n) -> Multivector:
 
 
 class Rotor:
-    """Normalised even multivector R with R * ~R = 1 exactly."""
+    """Normalised even multivector R with R * ~R = 1 exactly.
+
+    R ~R is the sum of R's squared coefficients, the squared 4D norm of its
+    readout spinor_to_vec4(R) (in Cl(2), of spinor_to_vec2(R)), so R is unit
+    when its row is (roots._is_unit).
+    """
 
     __slots__ = ("mv",)
 
     def __init__(self, mv: Multivector):
         if not mv.is_even():
             raise OddGradePresent(f"rotor has odd-grade parts: {mv}")
-        if mv * mv.reverse() != _UNITS[mv.dim]:
+        if not _is_unit(mv.row, mv.disc):
             raise NonUnitVector(f"not normalised: R~R != 1 for {mv}")
         object.__setattr__(self, "mv", mv)
 
@@ -262,23 +263,25 @@ def rotate(a: Multivector, r: Rotor) -> Multivector:
     return r.mv * a * r.mv.reverse()
 
 
-def spinor_to_vec4(psi) -> Vector:
-    """Read an even Cl(3) element a0 + a1 Ie1 + a2 Ie2 + a3 Ie3 as (a0,a1,a2,a3)."""
+def _even(psi, dim: int, reader: str) -> Multivector:
+    # the even element of Cl(dim) that psi, a Rotor or a Multivector, holds, for reader
     mv = psi.mv if isinstance(psi, Rotor) else psi
-    if mv.dim != 3:
-        raise DimensionMismatch("spinor_to_vec4 needs Cl(3)")
+    if mv.dim != dim:
+        raise DimensionMismatch(f"{reader} needs Cl({dim})")
     if not mv.is_even():
         raise OddGradePresent(f"odd grades present in {mv}")
+    return mv
+
+
+def spinor_to_vec4(psi) -> Vector:
+    """Read an even Cl(3) element a0 + a1 Ie1 + a2 Ie2 + a3 Ie3 as (a0,a1,a2,a3)."""
+    mv = _even(psi, 3, "spinor_to_vec4")
     return row_vector(vec4_numerators(_read(mv.row, EVEN_MASKS)), mv.disc)
 
 
 def spinor_to_vec2(psi) -> Vector:
     """Read an even Cl(2) element a + b e1 e2 as (a, b)."""
-    mv = psi.mv if isinstance(psi, Rotor) else psi
-    if mv.dim != 2:
-        raise DimensionMismatch("spinor_to_vec2 needs Cl(2)")
-    if not mv.is_even():
-        raise OddGradePresent(f"odd grades present in {mv}")
+    mv = _even(psi, 2, "spinor_to_vec2")
     return row_vector(_read(mv.row, (0b00, 0b11)), mv.disc)
 
 
@@ -287,32 +290,31 @@ class RotorGroup:
 
     The public constructor checks that the elements hold 1 and are closed under
     negation and the product, an int_product of Cl(3) even rows (a Cl(2) rotor's
-    padded) per ordered pair; `_trusted`, for induction.py's products, checks nothing.
+    padded) per ordered pair.  It and generate_rotor_group, on induction.py's
+    products, build the group by the one body `_trusted`, which checks nothing.
     """
 
     __slots__ = ("dim", "elements", "_set")
 
-    def __init__(self, elements: Sequence[Rotor]):
+    def __new__(cls, elements: Sequence[Rotor]) -> "RotorGroup":
         elems = set(elements)
         if not elems:
             raise RootspinError("a rotor group needs at least one element")
         dims = {r.dim for r in elems}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
-        self._fill(sorted(elems))
-        self._validate()
+        group = cls._trusted(sorted(elems))
+        group._validate()
+        return group
 
     @classmethod
     def _trusted(cls, elems: list[Rotor]) -> "RotorGroup":
         # elements already distinct, canonically ordered and validated
         group = object.__new__(cls)
-        group._fill(elems)
+        object.__setattr__(group, "dim", elems[0].dim)
+        object.__setattr__(group, "elements", tuple(elems))
+        object.__setattr__(group, "_set", frozenset(r.mv for r in elems))
         return group
-
-    def _fill(self, elems: list[Rotor]) -> None:
-        object.__setattr__(self, "dim", elems[0].dim)
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "_set", frozenset(r.mv for r in elems))
 
     def __setattr__(self, name, value):
         raise AttributeError("RotorGroup is immutable")
@@ -320,7 +322,7 @@ class RotorGroup:
     def _validate(self) -> None:
         if len(self.elements) % 2 != 0:
             raise RootspinError(f"rotor group of odd order {len(self.elements)}")
-        if _UNITS[self.dim] not in self._set:
+        if Multivector.scalar(1, self.dim) not in self._set:
             raise RootspinError("rotor group does not contain 1")
         for r in self.elements:
             if (-r.mv) not in self._set:

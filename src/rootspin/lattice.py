@@ -11,8 +11,8 @@ immutability, equality, hashing, `is_zero`, order, lazy decoding and
 arithmetic (`+`, `-`, negation, `scale`); roots.Vector and
 clifford.Multivector are its subclasses, and a RootSystem (roots.py) holds
 its roots' rows.  `int_numerators` encodes the QScalars a value is built
-from, `from_numerators` decodes a row when its QScalars are first read (a
-new row is 64-bit-checked as it is wrapped, a stored one is trusted), and
+from, `from_numerators` decodes a row when its QScalars are first read (every
+row is 64-bit-checked as it is wrapped, by `Exact._from_row`), and
 `sorted_numerators` sorts rows by exact value, in the order of Exact's `<`.
 
 `int_product` is the geometric product of Cl(2) and Cl(3), on rows of
@@ -134,20 +134,13 @@ class Exact:
 
     @classmethod
     def _from_row(cls, x: Numerators, disc: int):
-        """The value whose new reduced row is x, over Q(sqrt(disc)), decoded on first read.
+        """The value whose reduced row is x, over Q(sqrt(disc)), decoded on first read:
+        the one way a row is wrapped.
 
         qfield.check_row raises QScalar's OverflowError for the first component
         that leaves the 64-bit bound.
         """
         check_row(x)
-        return cls._stored(x, disc)
-
-    @classmethod
-    def _stored(cls, x: Numerators, disc: int):
-        """The value of a stored row x, over Q(sqrt(disc)), decoded on first read.
-
-        Trusted: x is a root set's row, bounded when it entered, so no check.
-        """
         out = object.__new__(cls)
         object.__setattr__(out, "row", x)
         object.__setattr__(out, "disc", disc)

@@ -9,10 +9,8 @@ lattice.sorted_numerators), and takes a Vector's row as it is when the
 Vector is over its field or rational.  The stages below read the rows
 directly, so a root is encoded once, where it enters (a Vector built from
 QScalars, or a JSON file's quads), and decoded only where its coords are
-read: output, and the witnesses and error messages that name it.  A
-stored row was bounded when it entered, so it is decoded without the 64-bit
-check (stored_vector); a new row, from a scale or a reflection, keeps it
-(row_vector).
+read: output, and the witnesses and error messages that name it.  Every
+row, stored or new, is wrapped by row_vector, which 64-bit-checks it.
 
 Generating a root system means closing a set of simple roots under the
 reflections they generate; verifying one means checking the two defining
@@ -134,10 +132,9 @@ def vec(*coords: Coord, disc: int | None = None) -> Vector:
     return Vector(coords, disc=disc)
 
 
-# the Vector whose new row is x, over Q(sqrt(disc)); its coords are decoded on first read
+# the Vector whose row is x, over Q(sqrt(disc)), 64-bit-checked; its coords are decoded
+# on first read
 row_vector = Vector._from_row
-# the Vector of a root set's stored row x, which was bounded when it entered
-stored_vector = Vector._stored
 
 
 def row_in(v: Vector, disc: int) -> Numerators:
@@ -235,7 +232,7 @@ class RootSystem:
         """
         lattice = self.lattice
         if lattice.roots is None:
-            lattice.roots = tuple(stored_vector(x, self.disc) for x in self.rows)
+            lattice.roots = tuple(row_vector(x, self.disc) for x in self.rows)
         return lattice.roots
 
     def __len__(self) -> int:
@@ -356,8 +353,8 @@ def verify_root_axioms(rs: RootSystem) -> AxiomReport:
     def pair(w: tuple[int, int] | None) -> tuple[Vector, Vector] | None:
         if w is None:
             return None
-        a = stored_vector(rs.rows[w[0]], rs.disc)
-        return a, -a if w[1] < 0 else stored_vector(rs.rows[w[1]], rs.disc)
+        a = row_vector(rs.rows[w[0]], rs.disc)
+        return a, -a if w[1] < 0 else row_vector(rs.rows[w[1]], rs.disc)
 
     witness1, witness2 = rs.lattice.axiom_witnesses()
     return AxiomReport(witness1 is None, pair(witness1), witness2 is None, pair(witness2))
@@ -449,7 +446,7 @@ def simple_roots_of(rs: RootSystem) -> list[Vector]:
             continue
         positive = [j for j, s in enumerate(signs) if s > 0]
         return [
-            stored_vector(rows[i], d) for i in positive
+            row_vector(rows[i], d) for i in positive
             if all(signs[table[i][j]] > 0 for j in positive if j != i)
         ]
     raise DegenerateFunctional(

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootspin import (
@@ -18,6 +18,8 @@ from rootspin import (
     QScalar,
     Rotor,
     Vector,
+    build_preset,
+    normalize_roots,
     reflect,
     reverse,
     rotate,
@@ -425,3 +427,113 @@ def test_product_is_associative(mvs):
 def test_reverse_is_an_anti_homomorphism(mvs):
     m, n = mvs
     assert reverse(m * n) == reverse(n) * reverse(m)
+
+
+# -- the unit tests on the row agree with the geometric product -----------------------
+#
+# Rotor and the mirror check of reflect and rotor_from_vectors read a row's squared
+# norm; the geometric products R ~R and v v stay the reference they are checked by.
+
+_UNIT_FIELDS = st.sampled_from([1, 2, 5])
+
+
+def _field_scalar(draw, d: int) -> QScalar:
+    rat = draw(_rationals())
+    return QScalar(rat, draw(st.integers(-2, 2)), d) if d > 1 else QScalar(rat)
+
+
+@st.composite
+def _unit_vectors(draw, dim: int, d: int) -> Multivector:
+    """A unit vector of Cl(dim) over Q(sqrt(d)): a unit root of a preset, or the
+    stereographic image ((1 - |t|^2), 2 t) / (1 + |t|^2) of a t in the field."""
+    roots = {(3, 1): "A1xA1xA1", (3, 2): "B3", (3, 5): "H3", (2, 2): "I2-4"}.get((dim, d))
+    if roots and draw(st.booleans()):
+        return Multivector.from_vector(draw(st.sampled_from(normalize_roots(build_preset(roots)))))
+    t = [_field_scalar(draw, d) for _ in range(dim - 1)]
+    s = sum((x * x for x in t), QScalar(0))
+    scale = (s + 1).inverse()
+    return Multivector.from_vector(Vector([(1 - s) * scale, *(2 * x * scale for x in t)], d))
+
+
+def _scaled(draw, mv: Multivector, d: int) -> Multivector:
+    """mv, or mv times a nonzero scalar of the field: +-1 keeps a unit a unit."""
+    factor = draw(st.sampled_from([1, -1, 2, Fraction(1, 2), None]))
+    if factor is None:
+        factor = _field_scalar(draw, d)
+    return mv.scale(factor) if factor else mv
+
+
+@st.composite
+def _even_elements(draw):
+    """(d, element of Cl(2) or Cl(3)): mostly even, many of them unit, as products of
+    two or four unit vectors, scaled or not; some random, some odd (three vectors)."""
+    dim, d = draw(st.sampled_from((2, 3))), draw(_UNIT_FIELDS)
+    kind = draw(st.sampled_from(("units", "units", "random", "odd")))
+    if kind == "random":
+        coeffs = [_field_scalar(draw, d) if m.bit_count() % 2 == 0 else QScalar(0)
+                  for m in range(1 << dim)]
+        return d, Multivector(dim, coeffs)
+    factors = draw(st.sampled_from((3,) if kind == "odd" else (2, 4)))
+    mv = Multivector.scalar(1, dim)
+    for _ in range(factors):
+        mv = mv * draw(_unit_vectors(dim, d))
+    return d, _scaled(draw, mv, d)
+
+
+@st.composite
+def _vectors(draw):
+    """(d, vector of Cl(2) or Cl(3)): unit, a scaled unit or random."""
+    dim, d = draw(st.sampled_from((2, 3))), draw(_UNIT_FIELDS)
+    if draw(st.booleans()):
+        return d, _scaled(draw, draw(_unit_vectors(dim, d)), d)
+    return d, Multivector.from_vector(Vector([_field_scalar(draw, d) for _ in range(dim)], d))
+
+
+_THREE_FIFTHS_FOUR_FIFTHS = [Fraction(3, 5), 0, 0, Fraction(4, 5)]  # 3/5 + 4/5 e12
+
+
+@example((1, Multivector(2, _THREE_FIFTHS_FOUR_FIFTHS)))
+@example((1, Multivector(3, _THREE_FIFTHS_FOUR_FIFTHS + [0] * 4)))
+@example((5, Multivector(3, [QScalar(0, Fraction(1, 5), 5), 0, 0, QScalar(0, Fraction(2, 5), 5)]
+                         + [0] * 4)))
+@given(_even_elements())
+def test_a_rotor_is_unit_exactly_when_r_r_tilde_is_one(case):
+    _, mv = case
+    if not mv.is_even():
+        with pytest.raises(OddGradePresent, match="^rotor has odd-grade parts: "):
+            Rotor(mv)
+    elif mv * mv.reverse() == Multivector.scalar(1, mv.dim):
+        assert Rotor(mv).mv == mv
+    else:
+        with pytest.raises(NonUnitVector, match=r"^not normalised: R~R != 1 for "):
+            Rotor(mv)
+
+
+@given(_vectors())
+def test_the_mirror_check_refuses_exactly_the_vectors_with_v_v_not_one(case):
+    _, v = case
+    a = Multivector.basis_vector(1, v.dim)
+    if v * v == Multivector.scalar(1, v.dim):
+        assert reflect(a, v) == -(v * a * v)
+        assert rotor_from_vectors(v, v).mv == Multivector.scalar(1, v.dim)
+    else:
+        for call in (lambda: reflect(a, v), lambda: rotor_from_vectors(a, v)):
+            with pytest.raises(NonUnitVector, match="is not exactly unit length$"):
+                call()
+
+
+def test_the_unit_strategies_reach_both_verdicts():
+    # the properties above are empty unless each side of each verdict is drawn
+    seen = set()
+
+    @settings(max_examples=100)
+    @given(_even_elements(), _vectors())
+    def draw(element, vector):
+        mv, v = element[1], vector[1]
+        seen.add(("even", mv.is_even() and mv * mv.reverse() == Multivector.scalar(1, mv.dim)))
+        seen.add(("vector", v * v == Multivector.scalar(1, v.dim)))
+        seen.add(("fields", element[0], vector[0]))
+
+    draw()
+    assert {("even", True), ("even", False), ("vector", True), ("vector", False)} <= seen
+    assert {key[1] for key in seen if key[0] == "fields"} == {1, 2, 5}

@@ -134,13 +134,14 @@ def test_the_cache_guard_finds_every_spelling():
     assert lru_caches(source) == ["a", "b", "c"]
 
 
-def test_the_package_keeps_its_six_caches():
-    # a cache is a second copy of a fact: adding one changes this number on purpose
+def test_the_package_keeps_its_five_caches():
+    # a cache is a second copy of a fact: adding one changes this number on purpose.
+    # clifford's blade names are a constant table, not a cache of two values
     caches = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py")) for name in lru_caches(path.read_text())
     ]
-    assert len(caches) == 6, caches
+    assert len(caches) == 5, caches
 
 
 def calls_of(name: str, source: str) -> list[int]:
@@ -373,3 +374,57 @@ def test_the_induction_runs_one_product():
     assert products_named((PACKAGE / "induction.py").read_text()) == ["int_vector_product"]
     assert [path.name for path in sorted(PACKAGE.glob("*.py"))
             if "VECTOR_BY_VECTOR_2D" in path.read_text()] == []
+
+
+def setters_of(attribute: str, source: str) -> list[str]:
+    """The scopes of source that set attribute by `object.__setattr__(x, "attribute", ...)`,
+    once each, in order."""
+    return list(dict.fromkeys(
+        scope for scope, node in scoped_nodes(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__" and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant) and node.args[1].value == attribute
+    ))
+
+
+def test_the_setter_guard_finds_every_spelling():
+    source = (
+        "class Exact:\n"
+        "    def __init__(self, x):\n"
+        "        object.__setattr__(self, 'row', x)\n"
+        "    @classmethod\n"
+        "    def _stored(cls, x):\n"
+        "        out = object.__new__(cls)\n"
+        "        object.__setattr__(out, 'row', x)\n"
+        "        object.__setattr__(out, 'disc', 1)\n"
+        "        return out\n"
+        "def _trusted(x):\n"
+        "    setattr(x, 'row', 1)\n"
+    )
+    assert setters_of("row", source) == ["Exact.__init__", "Exact._stored"]
+
+
+def test_each_exact_value_has_one_way_in():
+    # a row is wrapped by Exact._from_row alone, which 64-bit-checks it; a rotor's unit
+    # test and the mirror check read the row's squared norm (roots._is_unit), not a
+    # geometric product; RotorGroup's public constructor and _trusted share one body
+    from rootspin import RotorGroup, clifford, lattice, roots
+
+    source = (PACKAGE / "lattice.py").read_text()
+    exact = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.ClassDef) and node.name == "Exact")
+    assert [node.name for node in exact.body if isinstance(node, ast.FunctionDef)
+            and any(getattr(d, "id", None) == "classmethod" for d in node.decorator_list)
+            ] == ["_from_row"]
+    assert setters_of("row", source) == ["Exact.__init__", "Exact._from_row"]
+    assert not hasattr(lattice.Exact, "_stored") and not hasattr(roots, "stored_vector")
+    assert not hasattr(clifford, "_UNITS")
+    tree = ast.parse((PACKAGE / "clifford.py").read_text())
+    for scope in ("Rotor.__init__", "_as_unit_vector_mv"):
+        nodes = [node for where, node in scoped_nodes(tree) if where == scope]
+        assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_is_unit"
+                   for node in nodes), scope
+        assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                       for node in nodes), scope
+    assert not hasattr(RotorGroup, "_fill")
+    assert setters_of("elements", (PACKAGE / "clifford.py").read_text()) == ["RotorGroup._trusted"]

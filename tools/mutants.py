@@ -11,8 +11,9 @@ each mutant is applied to its own `git archive` copy of the working tree
 (tools/abbench.py's "worktree" tree), tier-1 runs there, and the mutant is
 "killed" when tier-1 fails, with the failing tests named, or "survived" when
 it passes; tests/test_mutants.py, the list check, is left out of these runs.
-Each result is printed to stderr as it ends, and the table at the end is the
-one the change log carries.  One tier-1 run takes
+Each result is printed to stderr as it ends, with every killing test, and the
+table at the end, which names the first three, is the one the change log
+carries.  One tier-1 run takes
 35-240 s on a 2-vCPU host, longer the more tests fail and the longer
 hypothesis shrinks a failing example.
 """
@@ -111,9 +112,9 @@ MUTANTS = (
            "_LATTICES: dict = {}",
            "the registry holds its records strongly, so none goes with its last RootSystem"),
     Mutant("roots-decoded-per-view", "roots.py",
-           "            lattice.roots = tuple(stored_vector(x, self.disc) for x in self.rows)\n"
+           "            lattice.roots = tuple(row_vector(x, self.disc) for x in self.rows)\n"
            "        return lattice.roots\n",
-           "            return tuple(stored_vector(x, self.disc) for x in self.rows)\n"
+           "            return tuple(row_vector(x, self.disc) for x in self.rows)\n"
            "        return lattice.roots\n",
            "RootSystem.roots decodes the rows on every read and stores nothing in the record"),
     Mutant("angle-key-no-field-tag", "lattice.py",
@@ -132,6 +133,21 @@ MUTANTS = (
            "angle[:3] != ascending[1]",
            "angle[:3] != ascending[0]",
            "_label compares the pair with -1, not with the lowest value after it"),
+    Mutant("row-wrap-unchecked", "lattice.py",
+           "        check_row(x)\n"
+           "        out = object.__new__(cls)\n",
+           "        out = object.__new__(cls)\n",
+           "Exact._from_row wraps a row past the 64-bit bound without raising"),
+    Mutant("rotor-unit-check-dropped", "clifford.py",
+           "        if not _is_unit(mv.row, mv.disc):\n"
+           "            raise NonUnitVector(f\"not normalised",
+           "        if False:\n"
+           "            raise NonUnitVector(f\"not normalised",
+           "Rotor accepts an even element with R ~R != 1"),
+    Mutant("mirror-unit-check-dropped", "clifford.py",
+           "    if not _is_unit(mv.row, mv.disc):  # v v is the sum of the squared coordinates\n",
+           "    if False:\n",
+           "reflect and rotor_from_vectors accept a mirror vector with v v != 1"),
 )
 
 
@@ -173,6 +189,12 @@ def run_one(m: Mutant, tree: str) -> dict:
             "killers": failed, "summary": summary, "seconds": round(seconds, 1)}
 
 
+def progress(r: dict) -> str:
+    """The line printed as a mutant's run ends: its verdict, time and every killing test."""
+    line = f"{r['mutant']}: {r['verdict']} in {r['seconds']} s"
+    return f"{line} by {', '.join(r['killers'])}" if r["killers"] else line
+
+
 def table(results: list[dict]) -> list[str]:
     faults = {m.name: m.fault for m in MUTANTS}
     out = ["| mutant | fault | verdict | killing tests | s |", "|---|---|---|---|---|"]
@@ -199,7 +221,7 @@ def main(argv=None) -> int:
     tree, results = tree_of("worktree"), []
     for m in MUTANTS:
         results.append(run_one(m, tree))
-        print(f"{m.name}: {results[-1]['verdict']} in {results[-1]['seconds']} s", file=sys.stderr)
+        print(progress(results[-1]), file=sys.stderr)
     print("\n".join(table(results)))
     return 0
 
