@@ -19,20 +19,22 @@ The catalog used by identify() is generated from each member's own defining
 data at call time; nothing is matched against transcribed numbers.  Entries
 are indexed on (dimension, root count), taken from the presets' defining
 data, and identify() computes the signatures of an input's candidates only.
-Likewise coxeter_matrix reads each label off the reflection closure of its
-own pair of roots, not off a table of cos^2(pi/m), and compares the pair's
-own key with the closure's: the same keys, from the same kernel.
+Likewise coxeter_matrix reads each label off its own pair of roots, not off a
+table of cos^2(pi/m): the label is the order of s_a s_b, run on the pair's
+rows with the one reflection formula (lattice.int_reflect), and it builds no
+RootSystem, so no record.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import ClosureCapExceeded, NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
+from .errors import NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
 from .presets import a1_system, build_preset, direct_sum, get_preset
-from .lattice import AngleKey, sorted_numerators, vectors_disc
-from .roots import RootSystem, Vector, close_under_reflections, row_vector
+from .lattice import AngleKey, field_sign, int_mirror, int_reflect, vectors_disc
+from .roots import RootSystem, Vector, row_in, row_vector
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
 
@@ -166,17 +168,16 @@ class CoxeterMatrix(NamedTuple):
 def coxeter_matrix(simple: Sequence[Vector]) -> CoxeterMatrix:
     """Labels m_ij with (a_i|a_j)/(|a_i||a_j|) = -cos(pi/m_ij), exactly.
 
-    Each pair is closed under its own reflections: a finite group has roots
-    in 2m directions at multiples of pi/m, so the closure's signed squared
-    cosines (Lattice.angle_counts' keys) take m values besides +1, the value
-    of two roots of different lengths on one line.  The pair's own key is the
-    one angle of the set {a_i, a_j}.  An orthogonal pair has label 2; any
-    other pair is simple exactly when its own value is the lowest after -1,
-    at the angle pi - pi/m, as lattice.sorted_numerators orders the keys.  A
-    quadratic field holds cos(2pi/m) only where phi(m) <= 4, so m <= 12 and a
-    finite closure has at most 24 roots: a closure past that cap is an
-    infinite group.  An infinite group and a pair that is not simple raise
-    UnknownAngle; a zero vector raises ZeroRoot.
+    m_ij is the order of the rotation s_i s_j: the cycle length of a_i under
+    it, read on the pair's own rows with the one reflection formula
+    (lattice.int_reflect), so an orthogonal pair gives 2 with no special case.
+    The rotation turns the plane of the pair by twice the angle between the
+    mirrors, so the pair is simple exactly when (a_i|a_j) <= 0 and s_i s_j
+    moves a_i to its nearest point on the cycle, at the angle 2pi/m: I2(8)'s
+    pair at 5pi/8 has the cycle length 8 too, but its step is 3pi/4.  A
+    quadratic field holds cos(2pi/m) only where phi(m) <= 4, so a finite
+    cycle has at most 12 points.  A cycle past 12 (an infinite group) and a
+    pair that is not simple raise UnknownAngle; a zero vector raises ZeroRoot.
     """
     if any(a.is_zero() for a in simple):
         raise ZeroRoot("the zero vector has no angle to a simple root")
@@ -190,20 +191,25 @@ def coxeter_matrix(simple: Sequence[Vector]) -> CoxeterMatrix:
 
 def _label(a: Vector, b: Vector) -> int:
     """m for the simple pair a, b of a finite dihedral group; UnknownAngle otherwise."""
-    # the pair's own key, the one angle of the set {a, b}; none when a == b
-    angle = next(iter(RootSystem([a, b], vectors_disc([a, b])).lattice.angle_counts()[0]), None)
-    if angle == (0, 0, 1, 1):  # orthogonal
-        return 2
-    try:
-        plane = close_under_reflections([a, b], cap=24)
-    except ClosureCapExceeded:
-        raise UnknownAngle(f"{a} and {b} generate an infinite reflection group") from None
-    keys = plane.lattice.angle_counts()[0].keys() - {(1, 0, 1, 1)}
-    # -1 (a and -a) first, then -cos^2(pi/m), at the angle pi - pi/m
-    ascending = sorted_numerators([key[:3] for key in keys], plane.disc)
-    if len(ascending) < 2 or angle[:3] != ascending[1]:
+    a._check(b)
+    d = vectors_disc((a, b))
+    x, y = row_in(a, d), row_in(b, d)
+    mirror_a, mirror_b = int_mirror(x, d), int_mirror(y, d)
+    cycle = [int_reflect(int_reflect(x, mirror_b, d), mirror_a, d)]  # s_a s_b a, ... , a
+    while cycle[-1] != x:
+        if len(cycle) == 12:
+            raise UnknownAngle(f"{a} and {b} generate an infinite reflection group")
+        cycle.append(int_reflect(int_reflect(cycle[-1], mirror_b, d), mirror_a, d))
+
+    def dot(z):  # D_a (a|z) as (s + t sqrt(d)) / D_z, read through a's dual rows
+        return sum(map(mul, mirror_a[2], z)), sum(map(mul, mirror_a[3], z)), z[-1]
+
+    s, t, n = dot(cycle[0])
+    if field_sign(*dot(y)[:2], d) > 0 or len(cycle) < 2 or any(
+        field_sign(s * w - p * n, t * w - q * n, d) < 0 for p, q, w in map(dot, cycle[1:-1])
+    ):
         raise UnknownAngle(f"{a} and {b} are not the simple roots of the group they generate")
-    return len(keys)
+    return len(cycle)
 
 
 # -- survey --------------------------------------------------------------------

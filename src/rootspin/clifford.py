@@ -11,13 +11,14 @@ once.  Sums, negation and scaling are Exact's; reversion, grades,
 from_vector and the spinor readouts also read or build the row, so none of
 them encodes or decodes a QScalar.
 
-Only this module builds a Rotor: Rotor checks R ~R = 1, and RotorGroup and
-generate_rotor_group wrap induction.py's integer pair products, which are
-unit rotors and a group by construction.  R ~R of an even element is the sum
-of its squared coefficients, the squared 4D norm of its readout (in Cl(2),
-of (a, b)), as v v of a vector is the sum of its squared coordinates: so
-Rotor and the mirror check of reflect and rotor_from_vectors test unit
-length with roots._is_unit on the row, as roots and generate_rotor_group do.
+Every Rotor is built by Rotor(mv), which checks that mv is even with
+R ~R = 1, the unit rotors of induction.py's integer pair products included;
+generate_rotor_group puts those in a RotorGroup unchecked, since they are a
+group by construction.  R ~R of an even element is the sum of its squared
+coefficients, the squared 4D norm of its readout (in Cl(2), of (a, b)), as
+v v of a vector is the sum of its squared coordinates: so Rotor and the
+mirror check of reflect and rotor_from_vectors test unit length with
+roots._is_unit on the row, as roots and generate_rotor_group do.
 RotorGroup's public constructor checks the group laws of the elements a
 caller gives it.
 """
@@ -242,13 +243,6 @@ class Rotor:
         return f"Rotor({self.mv})"
 
 
-def _trusted_rotor(mv: Multivector) -> Rotor:
-    # products of unit rotors are unit rotors; skip re-validation in closures
-    r = object.__new__(Rotor)
-    object.__setattr__(r, "mv", mv)
-    return r
-
-
 def rotor_from_vectors(m, n) -> Rotor:
     """Rotor m n of the rotation given by reflecting first in n then in m."""
     mv_m = _as_unit_vector_mv(m)
@@ -361,7 +355,8 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
     rows.  The products of the roots' reflection closure are that group, by
     Carter's lemma (see pair_products).  Each row is put in its blade slots,
     and the full rows are sorted by sorted_numerators: that is
-    Multivector.__lt__'s order, and it decodes nothing.
+    Multivector.__lt__'s order, and it decodes nothing.  Each element is
+    wrapped by Rotor, which checks it is even and unit on its row.
     """
     if not unit_roots:
         raise NonUnitVector("no roots given")
@@ -374,4 +369,4 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
             raise NonUnitVector(f"root {r} is not exactly unit length")
     elements = pair_products(RootSystem(unit_roots, d))
     ordered = sorted_numerators([_slotted(x, EVEN_MASKS, 3) for x in elements], d)
-    return RotorGroup._trusted([_trusted_rotor(Multivector._from_row(x, d)) for x in ordered])
+    return RotorGroup._trusted([Rotor(Multivector._from_row(x, d)) for x in ordered])

@@ -29,8 +29,9 @@ clifford.RotorGroup's product check does.
 `int_norm` is the one squared-norm formula, (x|x) of a row.  `int_mirror`
 holds a mirror a's dual rows, which give every (a|b), and 2 / (a|a);
 `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the one
-reflection formula of the reflection closure and the reflection table,
-which the axiom check, the Coxeter order and simple-root extraction read.
+reflection formula of the reflection closure, the Coxeter labels and the
+reflection table, which the axiom check, the Coxeter order and simple-root
+extraction read.
 A Lattice holds a RootSystem's rows, distinct and nonzero, and looks each
 image up by value, so every complete row of its reflection table is a
 permutation of positions.  Every decision is an exact integer comparison,
@@ -56,8 +57,9 @@ Gram row per orbit, and the Coxeter order multiplies orbit sizes.
 The angle counts hold the package's one formula for the signed squared
 cosine sign(a|b) (a|b)^2 / ((a|a)(b|b)).  Each value is keyed as a reduced
 row of ints (s, t, r) with its field e, an AngleKey: never a QScalar, so a
-key has no 64-bit bound.  classify's Signature, induction's self-duality
-check and classify's Coxeter labels read these keys.
+key has no 64-bit bound.  classify's Signature and induction's self-duality
+check read these keys; classify's Coxeter labels run int_reflect on a pair's
+own rows instead.
 """
 
 from __future__ import annotations

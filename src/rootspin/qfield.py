@@ -102,16 +102,6 @@ def check_row(x: tuple[int, ...]) -> None:
 _F_ZERO = Fraction(0)
 
 
-def _make(rat: Fraction, surd: Fraction, disc: int) -> "QScalar":
-    # trusted constructor for arithmetic results: components are already
-    # Fractions and disc is already validated, only the range check remains
-    q = object.__new__(QScalar)
-    object.__setattr__(q, "rat", _check_range(rat))
-    object.__setattr__(q, "surd", _check_range(surd))
-    object.__setattr__(q, "disc", disc)
-    return q
-
-
 class QScalar:
     """An exact element a + b*sqrt(d) of the quadratic field Q(sqrt(d)).
 
@@ -181,14 +171,14 @@ class QScalar:
     def __add__(self, other) -> "QScalar":
         other = _coerce(other)
         d = self.disc if self.disc == other.disc else self._common_disc(other)
-        return _make(self.rat + other.rat, self.surd + other.surd, d)
+        return QScalar(self.rat + other.rat, self.surd + other.surd, d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QScalar":
         other = _coerce(other)
         d = self.disc if self.disc == other.disc else self._common_disc(other)
-        return _make(self.rat - other.rat, self.surd - other.surd, d)
+        return QScalar(self.rat - other.rat, self.surd - other.surd, d)
 
     def __rsub__(self, other) -> "QScalar":
         return _coerce(other).__sub__(self)
@@ -198,12 +188,12 @@ class QScalar:
         d = self.disc if self.disc == other.disc else self._common_disc(other)
         b, e = self.surd, other.surd
         if not b and not e:
-            return _make(self.rat * other.rat, _F_ZERO, d)
+            return QScalar(self.rat * other.rat, _F_ZERO, d)
         if not b:
-            return _make(self.rat * other.rat, self.rat * e, d)
+            return QScalar(self.rat * other.rat, self.rat * e, d)
         if not e:
-            return _make(self.rat * other.rat, b * other.rat, d)
-        return _make(
+            return QScalar(self.rat * other.rat, b * other.rat, d)
+        return QScalar(
             self.rat * other.rat + b * e * d,
             self.rat * e + b * other.rat,
             d,
@@ -212,7 +202,7 @@ class QScalar:
     __rmul__ = __mul__
 
     def __neg__(self) -> "QScalar":
-        return _make(-self.rat, -self.surd, self.disc)
+        return QScalar(-self.rat, -self.surd, self.disc)
 
     def __truediv__(self, other) -> "QScalar":
         return self * _coerce(other).inverse()
@@ -222,7 +212,7 @@ class QScalar:
 
     def conjugate(self) -> "QScalar":
         """Galois conjugate a - b*sqrt(d)."""
-        return _make(self.rat, -self.surd, self.disc)
+        return QScalar(self.rat, -self.surd, self.disc)
 
     def inverse(self) -> "QScalar":
         """Exact multiplicative inverse via the conjugate.
@@ -234,7 +224,7 @@ class QScalar:
             raise ZeroDivisionError("inverse of zero")
         norm = self.rat * self.rat - self.surd * self.surd * self.disc
         # norm = x * conj(x) is a nonzero rational for nonzero x (d square-free).
-        return _make(self.rat / norm, -self.surd / norm, self.disc)
+        return QScalar(self.rat / norm, -self.surd / norm, self.disc)
 
     # -- exact order -------------------------------------------------------
 

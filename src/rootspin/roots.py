@@ -283,7 +283,6 @@ def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:
 def close_under_reflections(
     simple: Sequence[Vector],
     disc: int | None = None,
-    cap: int = ROOT_CLOSURE_CAP,
     label: str | None = None,
     provenance: Provenance | None = None,
 ) -> RootSystem:
@@ -294,9 +293,10 @@ def close_under_reflections(
     breadth-first search on the roots' integer numerator tuples reflects each
     new root in the len(simple) seed mirrors only.  Every root, the seeds
     included, enters through caps.admit: ClosureCapExceeded as soon as an
-    insertion passes the cap, which turns an infinite-group input into a
-    clean error after at most cap + 1 roots, and OverflowError for a root
-    whose components leave QScalar's 64-bit range, before it is inserted.
+    insertion passes this module's ROOT_CLOSURE_CAP, read at call time, which
+    turns an infinite-group input into a clean error after at most that cap
+    plus one roots, and OverflowError for a root whose components leave
+    QScalar's 64-bit range, before it is inserted.  No caller sets the cap.
     """
     if not simple:
         raise ZeroRoot("no simple roots given")
@@ -313,12 +313,12 @@ def close_under_reflections(
     found = list(dict.fromkeys(seed + [negated(x) for x in seed]))
     seen: set[Numerators] = set()
     for x in found:
-        admit(x, seen, cap, "reflection closure", "roots")
+        admit(x, seen, ROOT_CLOSURE_CAP, "reflection closure", "roots")
     for r in found:  # found grows behind r: a breadth-first search
         for m in mirrors:
             cand = int_reflect(r, m, disc)
             if cand not in seen:
-                admit(cand, seen, cap, "reflection closure", "roots")
+                admit(cand, seen, ROOT_CLOSURE_CAP, "reflection closure", "roots")
                 found.append(cand)
     return RootSystem._from_rows(found, disc, label, provenance)
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootspin import (
+    DimensionMismatch,
     QScalar,
     RootSystem,
     RootspinError,
@@ -29,7 +30,7 @@ from rootspin import (
     simple_roots_of,
     vec,
 )
-from rootspin import classify, induction, qfield, roots
+from rootspin import classify, induction, roots
 from rootspin.classify import catalog, survey
 from rootspin.presets import PHI, a1_system, direct_sum, get_preset
 
@@ -153,18 +154,13 @@ class TestAngleKey:
         copy = RootSystem([r.scale(3) for r in h3.roots], h3.disc)  # a Lattice of its own
         simple = simple_roots_of(h3)
         made = []
-        make, init = qfield._make, QScalar.__init__
+        init = QScalar.__init__
 
-        def counted_make(*args):
-            made.append(args)
-            return make(*args)
-
-        def counted_init(self, *args, **kwargs):
+        def counted_init(self, *args, **kwargs):  # every QScalar is built here
             made.append(args)
             init(self, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qfield, "_make", counted_make)
             mp.setattr(QScalar, "__init__", counted_init)
             sig, cm = signature(copy), coxeter_matrix(simple)
         assert made == []
@@ -433,6 +429,36 @@ class TestCoxeterMatrix:
         with pytest.raises(UnknownAngle):
             coxeter_matrix([a, -a])
 
+    def test_a_mixed_dimension_pair_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            coxeter_matrix([vec(1, 0), vec(0, 1, 0)])
+
+    @pytest.mark.parametrize("case", ["H4", "I2-8 at 5pi/8"])
+    def test_the_labels_build_no_lattice(self, monkeypatch, case):
+        # a label is read on the pair's own rows: no RootSystem, so no record
+        from rootspin.lattice import Lattice
+
+        if case == "H4":
+            simple, expected = get_preset("H4").simple_roots, 5
+        else:
+            i28 = build_preset("I2-8").roots
+            simple = [i28[0], next(b for b in i28 if math.isclose(
+                _float_angle(i28[0], b), 5 * math.pi / 8))]
+            expected = UnknownAngle
+        registered, built, init = set(roots._LATTICES), [], Lattice.__init__  # keys only
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Lattice, "__init__", counted)
+        try:
+            answer = max(max(row) for row in coxeter_matrix(simple).entries)
+        except UnknownAngle as exc:
+            answer = type(exc)
+        assert answer == expected
+        assert built == [] and set(roots._LATTICES) == registered
+
     @pytest.mark.parametrize("name", ["B3", "H3", "F4", "H4", "I2-8"])
     def test_a_large_scale_keeps_the_labels(self, name):
         # (a|b)^2 of the scaled roots passes 64 bits; the angle key is scale-free
@@ -445,7 +471,7 @@ class TestCoxeterMatrix:
         cm = coxeter_matrix([vec(1, 0), Vector((QScalar(-1), QScalar.sqrt_disc(3)))])
         assert cm.entries == ((1, 3), (3, 1))
 
-    @pytest.mark.parametrize("name", [n for n in PRESETS if len(build_preset(n)) <= 30])
+    @pytest.mark.parametrize("name", [n for n in PRESETS if len(build_preset(n)) <= 48])
     def test_every_pair_of_roots_matches_a_float_angle(self, name):
         # an independent route: a pair is simple with label m exactly when its angle is
         # pi - pi/m, read in floats

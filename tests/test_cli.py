@@ -10,16 +10,16 @@ import runpy
 import subprocess
 import sys
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from rootspin import (
-    RootSystem, build_preset, close_under_reflections, identify, root_system_to_json,
+    RootSystem, build_preset, identify, root_system_to_json,
     signature, vec,
 )
-from rootspin import cli, induction, presets
+from rootspin import cli, induction, roots
 from rootspin.classify import survey
 from rootspin.cli import _COMMANDS, _build_parser, main
 from rootspin.presets import get_preset
@@ -382,8 +382,7 @@ class TestExitCodes:
 def preset_cap(monkeypatch):
     """Sets the reflection cap of the preset builds the CLI runs, past build_preset's cache."""
     def set_cap(cap: int) -> None:
-        monkeypatch.setattr(presets, "close_under_reflections",
-                            partial(close_under_reflections, cap=cap))
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", cap)
     monkeypatch.setattr(cli, "build_preset", build_preset.__wrapped__)
     return set_cap
 

@@ -407,8 +407,9 @@ def test_the_setter_guard_finds_every_spelling():
 def test_each_exact_value_has_one_way_in():
     # a row is wrapped by Exact._from_row alone, which 64-bit-checks it; a rotor's unit
     # test and the mirror check read the row's squared norm (roots._is_unit), not a
-    # geometric product; RotorGroup's public constructor and _trusted share one body
-    from rootspin import RotorGroup, clifford, lattice, roots
+    # geometric product; RotorGroup's public constructor and _trusted share one body;
+    # every Rotor passes Rotor.__init__'s checks and every QScalar QScalar.__init__'s
+    from rootspin import RotorGroup, clifford, lattice, qfield, roots
 
     source = (PACKAGE / "lattice.py").read_text()
     exact = next(node for node in ast.walk(ast.parse(source))
@@ -418,7 +419,8 @@ def test_each_exact_value_has_one_way_in():
             ] == ["_from_row"]
     assert setters_of("row", source) == ["Exact.__init__", "Exact._from_row"]
     assert not hasattr(lattice.Exact, "_stored") and not hasattr(roots, "stored_vector")
-    assert not hasattr(clifford, "_UNITS")
+    assert not hasattr(clifford, "_UNITS") and not hasattr(clifford, "_trusted_rotor")
+    assert not hasattr(qfield, "_make")
     tree = ast.parse((PACKAGE / "clifford.py").read_text())
     for scope in ("Rotor.__init__", "_as_unit_vector_mv"):
         nodes = [node for where, node in scoped_nodes(tree) if where == scope]

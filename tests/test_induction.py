@@ -6,7 +6,6 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,6 @@ from rootspin import (
     Vector,
     build_preset,
     check_self_dual,
-    close_under_reflections,
     generate_rotor_group,
     induce_2d,
     induce_4d,
@@ -37,7 +35,7 @@ from rootspin import (
     vec,
     verify_root_axioms,
 )
-from rootspin import induction
+from rootspin import induction, roots
 from _util import even_from_numerators
 from test_frames import rotated, rotations
 from rootspin.lattice import (
@@ -187,8 +185,7 @@ class TestRotorGroups:
     def test_infinite_group_hits_the_cap_before_overflow(self, monkeypatch):
         # the mirrors are not reflection-closed, so their closure runs, under its cap
         mirrors = [vec(1, 0, 0), vec(Fraction(3, 5), Fraction(4, 5), 0), vec(0, 0, 1)]
-        monkeypatch.setattr(induction, "close_under_reflections",
-                            partial(close_under_reflections, cap=50))
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", 50)
         with pytest.raises(ClosureCapExceeded, match="cap of 50 roots"):
             generate_rotor_group(mirrors)
 

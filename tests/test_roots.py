@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import itertools
 import math
 import operator
@@ -176,21 +177,29 @@ class TestClosure:
             for r in rs:
                 assert -r in rs
 
-    def test_cap_exceeded(self):
-        simple = get_preset("A3").simple_roots
-        with pytest.raises(ClosureCapExceeded):
-            close_under_reflections(simple, disc=2, cap=5)
+    def test_the_cap_is_no_parameter(self):
+        # the one cap is roots.ROOT_CLOSURE_CAP, which no caller passes
+        assert "cap" not in inspect.signature(close_under_reflections).parameters
 
-    def test_cap_is_checked_on_every_insertion(self):
+    def test_cap_exceeded(self, monkeypatch):
         simple = get_preset("A3").simple_roots
-        assert len(close_under_reflections(simple, disc=2, cap=12)) == 12
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", 5)
+        with pytest.raises(ClosureCapExceeded):
+            close_under_reflections(simple, disc=2)
+
+    def test_cap_is_checked_on_every_insertion(self, monkeypatch):
+        simple = get_preset("A3").simple_roots
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", 12)
+        assert len(close_under_reflections(simple, disc=2)) == 12
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", 11)
         with pytest.raises(ClosureCapExceeded,
                            match="^reflection closure exceeded cap of 11 roots$"):
-            close_under_reflections(simple, disc=2, cap=11)
+            close_under_reflections(simple, disc=2)
 
-    def test_cap_bounds_the_work(self, reflect_calls):
+    def test_cap_bounds_the_work(self, reflect_calls, monkeypatch):
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", 8)
         with pytest.raises(ClosureCapExceeded):
-            close_under_reflections(get_preset("H3").simple_roots, disc=5, cap=8)
+            close_under_reflections(get_preset("H3").simple_roots, disc=5)
         # each root meets the 3 simple mirrors, so the abort at root 9 comes
         # within 9 x 3 reflections
         assert len(reflect_calls) < 72
@@ -201,20 +210,22 @@ class TestClosure:
         rs = close_under_reflections(preset.simple_roots, disc=preset.disc)
         assert len(reflect_calls) == len(rs) * len(preset.simple_roots) == count
 
-    def test_infinite_group_hits_cap(self):
+    def test_infinite_group_hits_cap(self, monkeypatch):
         # mirrors at an angle that is no pi/m: the dihedral closure never stops
         a = vec(1, 0)
         b = vec(-2, 1)
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", 100)
         with pytest.raises(ClosureCapExceeded):
-            close_under_reflections([a, b], cap=100)
+            close_under_reflections([a, b])
 
-    def test_infinite_group_with_fractional_mirrors_fails_loudly(self):
+    def test_infinite_group_with_fractional_mirrors_fails_loudly(self, monkeypatch):
         # here coordinate denominators outgrow 64 bits before the cap does;
         # either guard is a clean refusal, silence would be the bug
         a = vec(1, 0)
         b = vec(Fraction(-3, 5), Fraction(4, 5))
+        monkeypatch.setattr(roots, "ROOT_CLOSURE_CAP", 500)
         with pytest.raises((ClosureCapExceeded, OverflowError)):
-            close_under_reflections([a, b], cap=500)
+            close_under_reflections([a, b])
 
     def test_overflow_names_the_infinite_group(self):
         with pytest.raises(OverflowError, match="reflection closure overflowed .* "

@@ -181,7 +181,9 @@ def test_stored_rows_decode_lazily_and_new_rows_keep_the_64_bit_check():
     p, q = 2**62 - 1, 2**62 + 1
     w = vec(Fraction(1, p), Fraction(1, q))  # components within the bound, their D past it
     rs = RootSystem([w, -w], 1)
-    # a stored row is trusted: decoded on first read, however wide its entries
+    # a stored row is wrapped as every row is, by Exact._from_row: its wide entries pass
+    # the 64-bit check, as its components are within the bound, and it is decoded on
+    # first read
     assert all(r._values is None for r in rs.roots) and rs.roots[1] == w
     # a new row is checked by qfield.check_row, component by component, and wrapped
     # undecoded: this one's entries pass the bound, its components do not

@@ -129,10 +129,24 @@ MUTANTS = (
            "            counts[ga[r], gb[r], products[r]] -= size  # not the pair (r, r)\n",
            "",
            "angle_counts counts each root paired with itself"),
-    Mutant("label-against-the-lowest-key", "classify.py",
-           "angle[:3] != ascending[1]",
-           "angle[:3] != ascending[0]",
-           "_label compares the pair with -1, not with the lowest value after it"),
+    Mutant("label-obtuse-test-dropped", "classify.py",
+           "field_sign(*dot(y)[:2], d) > 0 or ",
+           "",
+           "_label takes a pair with (a|b) > 0 as simple when its step is the nearest"),
+    Mutant("label-nearest-test-dropped", "classify.py",
+           " or any(\n"
+           "        field_sign(s * w - p * n, t * w - q * n, d) < 0 for p, q, w in map(dot, cycle[1:-1])\n"
+           "    )",
+           "",
+           "_label takes any obtuse pair as simple, whatever the rotation's step"),
+    Mutant("label-antiparallel-test-dropped", "classify.py",
+           " or len(cycle) < 2",
+           "",
+           "_label gives a root and its negative the label 1"),
+    Mutant("label-step-bound-11", "classify.py",
+           "if len(cycle) == 12:",
+           "if len(cycle) == 11:",
+           "_label calls a cycle of 12 points an infinite group, so I2(12) has no label"),
     Mutant("row-wrap-unchecked", "lattice.py",
            "        check_row(x)\n"
            "        out = object.__new__(cls)\n",
