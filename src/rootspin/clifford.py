@@ -7,9 +7,9 @@ basis vector e_{i+1} is present, so slot 0 is the scalar and slot 2^dim - 1
 the pseudoscalar.  The geometric product is lattice.py's `int_product` on
 the two rows; the blade convention, the bivector basis (I e1, I e2, I e3) =
 (e2 e3, e3 e1, e1 e2) and the 4D readout of even elements are stated there,
-once.  Sums, negation and scaling are Exact's; reversion, grades,
-from_vector and the spinor readouts also read or build the row, so none of
-them encodes or decodes a QScalar.
+once.  Sums, negation and scaling, by an int, a Fraction or a QScalar, are
+Exact's; reversion, grades, from_vector and the spinor readouts also read or
+build the row, so none of them encodes or decodes a QScalar.
 
 Every Rotor is built by Rotor(mv), which checks that mv is even with
 R ~R = 1, the unit rotors of induction.py's integer pair products included;
@@ -25,6 +25,7 @@ caller gives it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
@@ -126,8 +127,11 @@ class Multivector(Exact):
         return {m.bit_count() for m in range(len(x) // 2) if x[2 * m] or x[2 * m + 1]}
 
     def grade(self, k: int) -> "Multivector":
-        cs = [c if m.bit_count() == k else _ZERO for m, c in enumerate(self.coeffs)]
-        return Multivector(self.dim, cs)
+        # the row with the other grades' slots zeroed, reduced again
+        x = self.row
+        out = [v if (j // 2).bit_count() == k else 0 for j, v in enumerate(x[:-1])] + [x[-1]]
+        g = math.gcd(*out)
+        return Multivector._from_row(tuple(z // g for z in out), self.disc)
 
     def scalar_part(self) -> QScalar:
         return self.coeffs[0]
@@ -139,9 +143,6 @@ class Multivector(Exact):
         return all(g % 2 == 0 for g in self.grades())
 
     # -- arithmetic ----------------------------------------------------------
-
-    def _from_values(self, values) -> "Multivector":
-        return Multivector(self.dim, values)
 
     def __mul__(self, other):
         """Geometric product, or Exact.scale for scalar operands."""

@@ -8,7 +8,9 @@ A vector, multivector or rotor is held as one reduced tuple of Python ints, its 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 `Exact` holds one such row and its field's disc, and defines once their
 immutability, equality, hashing, `is_zero`, order, lazy decoding and
-arithmetic (`+`, `-`, negation, `scale`); roots.Vector and
+arithmetic (`+`, `-`, negation, `scale`), all but the order on the row
+alone: `scale` is int_product of the row and its factor's row, whether the
+factor is an int, a Fraction or a QScalar.  roots.Vector and
 clifford.Multivector are its subclasses, and a RootSystem (roots.py) holds
 its roots' rows.  `int_numerators` encodes the QScalars a value is built
 from, `from_numerators` decodes a row when its QScalars are first read (every
@@ -24,10 +26,12 @@ the product of two 3D vectors in closed form (the scalar a.b and the
 bivector a^b), for a 2D set too, its roots padded into the e1 e2 plane;
 the generic product with the VECTOR_BY_VECTOR structure equals it and
 stays as the tests' reference.  EVEN_BY_EVEN multiplies even rows, as
-clifford.RotorGroup's product check does.
+clifford.RotorGroup's product check does, and ROW_BY_SCALAR a row by a
+scalar's row (a, b, c), value (a + b sqrt(d)) / c, as Exact.scale does.
 
 `int_norm` is the one squared-norm formula, (x|x) of a row.  `int_mirror`
-holds a mirror a's dual rows, which give every (a|b), and 2 / (a|a);
+holds a mirror a's dual rows, which give every (a|b), Vector.dot's too, and
+2 / (a|a);
 `int_reflect` gives the reduced image b - 2 (a|b) / (a|a) a: the one
 reflection formula of the reflection closure, the Coxeter labels and the
 reflection table, which the axiom check, the Coxeter order and simple-root
@@ -73,7 +77,7 @@ from operator import eq, mul, or_
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .qfield import _INT64_MAX, QScalar, check_row, common_disc, field_sign
+from .qfield import QScalar, _coerce, check_row, common_disc, field_sign
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
@@ -121,9 +125,9 @@ class Exact:
     that a value built from QScalars keeps the ones it was given.  Equality, hashing
     and `is_zero` read the row: two values of one type are equal when their rows are
     and they share a field or have no surd part, as QScalar equality says.  `+`, `-`,
-    negation and `scale` run on rows (`scale` by a QScalar calls the subclass's
-    `_from_values`), a new row 64-bit-checked by `_from_row`; `<` compares the values
-    in turn.  `_check` refuses an operand of another type or dimension.
+    negation and `scale` run on rows and decode nothing, a new row 64-bit-checked by
+    `_from_row`; `<` compares the values in turn.  `_check` refuses an operand of
+    another type or dimension.
     """
 
     __slots__ = ("row", "disc", "_values")
@@ -202,18 +206,17 @@ class Exact:
         return self._from_row(negated(self.row), self.disc)
 
     def scale(self, s):
-        """s times the value: an int or a Fraction within 64 bits scales the row, which
-        keeps the value's disc; any other scalar multiplies the QScalars."""
-        t = type(s)
-        if t is int or t is Fraction:
-            n, m = (s, 1) if t is int else (s.numerator, s.denominator)
-            if abs(n) <= _INT64_MAX and m <= _INT64_MAX:
-                x = self.row
-                out = [z * n for z in x]
-                out[-1] = x[-1] * m
-                g = math.gcd(*out)
-                return self._from_row(tuple([z // g for z in out] if g > 1 else out), self.disc)
-        return self._from_values(c * s for c in self._decoded())
+        """s times the value, for an int, a Fraction or a QScalar s within 64 bits: the
+        product of the row and s's row (a, b, c) by int_product, in the field of both."""
+        if isinstance(s, (int, Fraction)):
+            factor, d = (s.numerator, 0, s.denominator), self.disc
+        else:  # a surd survives only a nonzero factor, as in QScalar's *
+            s = _coerce(s)  # TypeError for anything but a QScalar
+            factor = int_numerators((s,))
+            d = common_disc(((self.disc, s and any(self.row[1:-1:2])), (s.disc, s.surd)))
+        check_row(factor)
+        x = self.row
+        return self._from_row(int_product(x, factor, ROW_BY_SCALAR[len(x) // 2], d), d)
 
 
 def int_norm(x: Numerators, disc: int) -> tuple[int, int]:
@@ -306,6 +309,8 @@ def _structure(left: Sequence[int], right: Sequence[int], out: Sequence[int]) ->
 
 
 BLADES = {dim: _structure(range(1 << dim), range(1 << dim), range(1 << dim)) for dim in (2, 3)}
+# a row of k coordinates or blade coefficients times a scalar's row, slot by slot: Exact.scale
+ROW_BY_SCALAR = {k: _structure(range(k), (0,), range(k)) for k in (1, 2, 3, 4, 8)}
 # the tests' reference for int_vector_product, and the rotor group's product check
 VECTOR_BY_VECTOR = _structure((0b001, 0b010, 0b100), (0b001, 0b010, 0b100), EVEN_MASKS)
 EVEN_BY_EVEN = _structure(EVEN_MASKS, EVEN_MASKS, EVEN_MASKS)

@@ -15,15 +15,19 @@ reflection closure and (with lattice.py's geometric product) the rotor group's
 pair products work.  The closure and the pair products keep this module's
 64-bit bound on every root or element they add, through caps.admit.  The
 bound is a contract on roots and new rows, not on derived values: an angle
-key (lattice.AngleKey) is a row of ints and is never a QScalar.  This module
-holds the package's one field rule (`common_disc`) and its one 64-bit check
-of a new row (`check_row`).
+key (lattice.AngleKey) is a row of ints and is never a QScalar, and a squared
+norm or an inner product on the way to a unit root is one too.  This module
+holds the package's one field rule (`common_disc`), its one 64-bit check of
+a new row (`check_row`), and the integer sign and square root of a value
+(x + y sqrt(d)) / z, `field_sign` and `field_sqrt`, which QScalar.sign and
+QScalar.sqrt wrap and the row kernels call directly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional, Union
 
 from .errors import DomainError, FieldMismatch
@@ -55,17 +59,6 @@ def _check_range(fr: Fraction) -> Fraction:
     return fr
 
 
-def _sqrt_fraction(fr: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if fr < 0:
-        return None
-    n, d = fr.numerator, fr.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def field_sign(x: int, y: int, disc: int) -> int:
     """Sign of x + y sqrt(d), from x^2 against d y^2 when the signs differ."""
     if x >= 0 and y >= 0:
@@ -74,6 +67,38 @@ def field_sign(x: int, y: int, disc: int) -> int:
         return -1
     bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
     return 1 if bigger > 0 else -1
+
+
+def field_sqrt(x: int, y: int, z: int, disc: int) -> Optional[tuple[int, int, int]]:
+    """The non-negative square root (a + b sqrt(d)) / c of (x + y sqrt(d)) / z, as
+    reduced ints with c > 0, or None when the value is negative or is not a square
+    in Q(sqrt(d)).  Ints, with no bound.
+
+    The root of (x + y sqrt(d)) / z is that of X + Y sqrt(d) = (x + y sqrt(d)) z,
+    over z.  (p + q sqrt(d))^2 = X + Y sqrt(d) says p^2 + d q^2 = X and 2pq = Y,
+    so 4 p^2 and 4 d q^2 are 2 (X +- S), where S^2 = X^2 - d Y^2 is the square of
+    p^2 - d q^2.  Where 2 (X +- S) is m^2, p = m / 2 and q = Y / m; where it is
+    d m^2, q = m / 2 and p = Y / m.  2 (X + S), the larger, is read first, so the
+    part read off it is the larger in size, and positive: the root is not negative.
+    """
+    if disc == 1:
+        x, y = x + y, 0
+    if z < 0:
+        x, y, z = -x, -y, -z
+    x, y = x * z, y * z
+    if not x and not y:
+        return 0, 0, 1
+    n = x * x - disc * y * y
+    s = math.isqrt(max(n, 0))
+    if x < 0 or s * s != n:  # with X^2 >= d Y^2, X + Y sqrt(d) has the sign of X
+        return None
+    for t, k in product((2 * (x + s), 2 * (x - s)), (1, disc)):
+        m = math.isqrt(t // k)
+        if m and k * m * m == t:
+            a, b, c = (m * m, 2 * y, 2 * m * z) if k == 1 else (2 * y, m * m, 2 * m * z)
+            g = math.gcd(a, b, c)
+            return a // g, b // g, c // g
+    return None
 
 
 def common_disc(tags: Iterable[tuple[int, object]]) -> int:
@@ -277,10 +302,8 @@ class QScalar:
     # -- roots and export ----------------------------------------------------
 
     def sqrt(self) -> Optional["QScalar"]:
-        """Exact square root within the field, or None if none exists there.
-
-        Solves (p + q*sqrt(d))^2 = a + b*sqrt(d) over the rationals:
-        p^2 + q^2 d = a and 2pq = b.
+        """The non-negative square root within the field, field_sqrt's, or None if
+        none exists there; DomainError for a negative value.
 
         >>> QScalar(2, 0, 2).sqrt()
         QScalar('sqrt(2)', disc=2)
@@ -289,30 +312,12 @@ class QScalar:
         """
         if self.sign() < 0:
             raise DomainError(f"sqrt of negative value {self}")
-        a, b, d = self.rat, self.surd, self.disc
-        if b == 0:
-            p = _sqrt_fraction(a)
-            if p is not None:
-                return QScalar(p, 0, self.disc)
-            q2 = a / d
-            q = _sqrt_fraction(q2)
-            if q is not None:
-                return QScalar(0, q, self.disc)
+        a, b = self.rat, self.surd
+        root = field_sqrt(a.numerator * b.denominator, b.numerator * a.denominator,
+                          a.denominator * b.denominator, self.disc)
+        if root is None:
             return None
-        # coupled branch: q = b/(2p) with 4p^4 - 4ap^2 + b^2 d = 0
-        s = _sqrt_fraction(a * a - b * b * d)
-        if s is None:
-            return None
-        for p2 in ((a + s) / 2, (a - s) / 2):
-            p = _sqrt_fraction(p2)
-            if p is not None and p != 0:
-                q = b / (2 * p)
-                root = QScalar(p, q, self.disc)
-                if root.sign() < 0:
-                    root = -root
-                if root * root == self:
-                    return root
-        return None
+        return QScalar(Fraction(root[0], root[2]), Fraction(root[1], root[2]), self.disc)
 
     def __float__(self) -> float:
         return float(self.rat) + float(self.surd) * math.sqrt(self.disc)

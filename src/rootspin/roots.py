@@ -3,14 +3,16 @@
 A Vector is a lattice.Exact, as a clifford.Multivector is: it holds its
 row, the reduced integer tuple of lattice.py, and its field's disc, decodes
 its QScalar coords on first read, and takes its arithmetic from Exact; its
-`unit` is unit_rows on its row.  A RootSystem stores its roots as
-rows, deduplicated and in canonical order (Vector.__lt__'s, computed by
-lattice.sorted_numerators), and takes a Vector's row as it is when the
-Vector is over its field or rational.  The stages below read the rows
-directly, so a root is encoded once, where it enters (a Vector built from
-QScalars, or a JSON file's quads), and decoded only where its coords are
-read: output, and the witnesses and error messages that name it.  Every
-row, stored or new, is wrapped by row_vector, which 64-bit-checks it.
+`unit` is unit_rows on its row, and its `dot` reads the two rows through
+lattice.int_mirror's dual rows and builds one QScalar, the value it returns.
+A RootSystem stores its roots as rows, deduplicated and in canonical order
+(Vector.__lt__'s, computed by lattice.sorted_numerators), and takes a
+Vector's row as it is when the Vector is over its field or rational.  The
+stages below read the rows directly, so a root is encoded once, where it
+enters (a Vector built from QScalars, or a JSON file's quads), and decoded
+only where its coords are read: output, and the witnesses and error
+messages that name it.  Every row, stored or new, is wrapped by
+row_vector, which 64-bit-checks it.
 
 Generating a root system means closing a set of simple roots under the
 reflections they generate; verifying one means checking the two defining
@@ -54,13 +56,12 @@ from .lattice import (
     field_sign,
     int_mirror,
     int_norm,
-    int_numerators,
     int_reflect,
     negated,
     sorted_numerators,
     vectors_disc,
 )
-from .qfield import QScalar, _is_square_free
+from .qfield import QScalar, _is_square_free, field_sqrt
 
 Coord = Union[QScalar, int, Fraction]
 
@@ -95,15 +96,15 @@ class Vector(Exact):
     def dim(self) -> int:
         return len(self.row) // 2
 
-    def _from_values(self, values: Iterable[QScalar]) -> "Vector":
-        return Vector(values)
-
     def dot(self, other: "Vector") -> QScalar:
+        """(self|other), read on the rows through self's dual rows (lattice.int_mirror)."""
         self._check(other)
-        acc = self.coords[0] * other.coords[0]
-        for a, b in zip(self.coords[1:], other.coords[1:]):
-            acc = acc + a * b
-        return acc
+        d = vectors_disc((self, other))
+        if self.is_zero():  # no mirror
+            return QScalar(0, 0, d)
+        _, _, u, v, *_ = int_mirror(self.row, d)
+        y, den = other.row, self.row[-1] * other.row[-1]
+        return QScalar(Fraction(sum(map(mul, u, y)), den), Fraction(sum(map(mul, v, y)), den), d)
 
     def norm_squared(self) -> QScalar:
         return self.dot(self)
@@ -384,33 +385,29 @@ def unit_rows(rows: Sequence[Numerators], d: int) -> Sequence[Numerators]:
 
     rows itself, in its order, comes back when every row is already unit; a
     caller that needs canonical order sorts the others.  Each row's primitive
-    integer vector is divided by the square root of its squared norm, taken
-    once per distinct norm, so a large rational scale factor never reaches
-    QScalar's 64-bit bound, and the unit of -x is minus the unit of x.
+    integer vector is multiplied by the inverse square root of its squared
+    norm, qfield.field_sqrt's on ints, taken once per distinct norm, so no
+    squared norm meets a 64-bit bound, and the unit of -x is minus the unit
+    of x.
     NormNotInField names the first row whose squared norm has no square
     root in the field.
     """
     if all(_is_unit(x, d) for x in rows):
         return rows
-    inverse_roots: dict[tuple[int, int], tuple[int, int, int]] = {}
+    inverse_roots: dict[tuple[int, int], tuple[int, int, int] | None] = {}
     units = set()
     for x in rows:
         g = math.gcd(*x[:-1])
         p, q = [e // g for e in x[:-1:2]], [f // g for f in x[1:-1:2]]
-        norm = tuple(z // (g * g) for z in int_norm(x, d))  # of the primitive vector
-        if norm not in inverse_roots:
-            root = QScalar(*norm, d).sqrt()
-            if root is None:
-                r = row_vector(x, d)
-                raise NormNotInField(r, r.norm_squared())
-            # 1 / ((a + b sqrt(d)) / c) = c (a - b sqrt(d)) / (a^2 - d b^2)
-            a, b, c = int_numerators((root,))
-            inverse_roots[norm] = c * a, -c * b, a * a - d * b * b
-        u, w, n = inverse_roots[norm]
+        s, t = (z // (g * g) for z in int_norm(x, d))  # of the primitive vector
+        if (s, t) not in inverse_roots:  # the root of 1 / (s + t sqrt(d)), over s^2 - d t^2 > 0
+            inverse_roots[s, t] = field_sqrt(s, -t, s * s - d * t * t, d)
+        if inverse_roots[s, t] is None:
+            r = row_vector(x, d)
+            raise NormNotInField(r, r.norm_squared())
+        u, w, n = inverse_roots[s, t]
         out = [z for e, f in zip(p, q) for z in (e * u + d * f * w, e * w + f * u)]
         h = math.gcd(n, *out)
-        if n < 0:
-            h = -h
         units.add(tuple(z // h for z in out) + (n // h,))
     return list(units)
 

@@ -14,10 +14,11 @@ canonical order, and so the witness positions, may move.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootspin import (
@@ -33,6 +34,7 @@ from rootspin import (
     signature,
     verify_root_axioms,
 )
+from rootspin.lattice import int_norm
 from _util import partial_cases
 
 RANK3 = ("A1xA1xA1", "A3", "B3", "H3", *(f"A1xI2-{n}" for n in (2, 3, 4, 6, 8, 12)))
@@ -94,6 +96,14 @@ def block(r: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[Fraction(1), *[Fraction(0)] * 3]] + [[Fraction(0), *row] for row in r]
 
 
+# one rotation with large entries per dimension: every entry of A is t = n/m with
+# m = 2^21 + 1 and n = 2^20, so R's entries have 43-bit numerators and denominators.
+# A rotated root's row then passes the 64-bit check while the squared norm of its
+# primitive integer vector passes 2^63 (test_the_large_rotation_is_large_only_where_derived)
+_T = Fraction(2**20, 2**21 + 1)
+LARGE = {n: cayley([_T] * (n * (n - 1) // 2), n) for n in (2, 3)}
+
+
 @settings(max_examples=20)
 @given(st.integers(2, 4).flatmap(rotations))
 def test_a_cayley_transform_is_orthogonal(r):
@@ -106,6 +116,7 @@ def test_a_cayley_transform_is_orthogonal(r):
 @pytest.mark.parametrize("name", RANK3)
 @settings(max_examples=8)
 @given(r=rotations(3))
+@example(r=LARGE[3])
 def test_induce_4d_is_equivariant(name, r):
     rs = build_preset(name)
     moved = rotated(r, rs)
@@ -135,9 +146,25 @@ def test_classify_and_verify_are_frame_free(name, data):
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 @settings(max_examples=8)
 @given(r=rotations(2))
+@example(r=LARGE[2])
 def test_self_duality_is_frame_free(n, r):
     rs = build_preset(f"I2-{n}")
     assert check_self_dual(rotated(r, rs)).self_dual is check_self_dual(rs).self_dual is True
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2-4", "I2-6", "I2-8"])
+def test_the_large_rotation_is_large_only_where_derived(name):
+    rs = build_preset(name)
+    moved = rotated(LARGE[rs.dim], rs)
+    assert all(max(map(abs, x)) < 2**63 for x in moved.rows)
+    assert all(int_norm(x, rs.disc)[0] > 2**63 * math.gcd(*x[:-1]) ** 2 for x in moved.rows)
+    assert {r.norm_squared() for r in moved.roots} == {r.norm_squared() for r in rs.roots}
+
+
+def test_i2_8_has_no_unit_roots_in_a_large_frame():
+    # its squared norms have no square root in Q(sqrt(2)), in any frame
+    with pytest.raises(NormNotInField):
+        check_self_dual(rotated(LARGE[2], build_preset("I2-8")))
 
 
 @pytest.mark.parametrize("name", sorted(partial_cases()))

@@ -314,11 +314,11 @@ def test_the_bound_guard_finds_every_spelling():
 
 
 def test_the_64_bit_bound_is_compared_in_few_places():
-    # qfield.check_row is the one check of a new row, which Exact._from_row calls;
-    # Exact.scale bounds its factor, and caps.admit pre-checks inline, per element
+    # qfield.check_row is the one check of a new row, which Exact._from_row calls and
+    # Exact.scale runs on its factor's row; caps.admit pre-checks inline, per element
     sites = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
              for scope in int64_comparisons(path.read_text()) if path.stem != "qfield"}
-    assert sites == {"caps.admit", "lattice.Exact.scale"}
+    assert sites == {"caps.admit"}
     assert int64_comparisons((PACKAGE / "caps.py").read_text()) == ["admit"]
 
 
@@ -430,3 +430,22 @@ def test_each_exact_value_has_one_way_in():
                        for node in nodes), scope
     assert not hasattr(RotorGroup, "_fill")
     assert setters_of("elements", (PACKAGE / "clifford.py").read_text()) == ["RotorGroup._trusted"]
+
+
+def test_one_integer_square_root_and_row_arithmetic_on_rows():
+    # QScalar.sqrt and roots.unit_rows call qfield.field_sqrt, the one square root; Exact's
+    # arithmetic reads no decoded value, and no subclass rebuilds one from QScalars
+    from rootspin import Multivector, Vector, qfield
+
+    calls = sorted(f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                   for scope, node in scoped_nodes(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "field_sqrt")
+    assert calls == ["qfield.QScalar.sqrt", "roots.unit_rows"]
+    assert [path.stem for path in sorted(PACKAGE.glob("*.py")) if "isqrt" in path.read_text()
+            ] == ["qfield"]
+    assert not hasattr(qfield, "_sqrt_fraction")
+    assert not hasattr(Vector, "_from_values") and not hasattr(Multivector, "_from_values")
+    tree = ast.parse((PACKAGE / "lattice.py").read_text())
+    assert not any(getattr(node, "attr", None) in ("_decoded", "_values")
+                   for scope, node in scoped_nodes(tree)
+                   if scope in {f"Exact.{name}" for name in _EXACT_ARITHMETIC})

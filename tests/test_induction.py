@@ -237,6 +237,22 @@ class TestInduce4D:
         with pytest.raises(DimensionMismatch):
             induce_4d(build_preset("I2-4"))
 
+    def test_induction_builds_no_qscalar(self, fresh_lattices):
+        b3 = build_preset("B3")
+        copy = RootSystem([r.scale(3) for r in b3.roots], b3.disc)  # nothing stored
+        made = []
+        init = QScalar.__init__
+
+        def counted_init(self, *args, **kwargs):  # every QScalar is built here
+            made.append(args)
+            init(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(QScalar, "__init__", counted_init)
+            induced = induce_4d(copy)
+        assert made == []
+        assert induced.rows == induce_4d(b3).rows and len(induced) == 48
+
 
 class TestNonClosedInput:
     """An input that is not reflection-closed induces the group its roots generate."""

@@ -94,6 +94,9 @@ def test_negation_reverse_and_grades_agree_with_the_qscalars(case):
     assert (-m).disc == m.reverse().disc == m.disc == field_disc([cs])
     assert m.grades() == {bin(k).count("1") for k, c in enumerate(cs) if not c.is_zero()}
     assert m.is_zero() == all(c.is_zero() for c in cs)
+    for k in range(m.dim + 1):
+        kept = [c if bin(j).count("1") == k else QScalar(0) for j, c in enumerate(cs)]
+        assert m.grade(k).coeffs == tuple(kept) and m.grade(k).row == int_numerators(kept)
 
 
 @st.composite
@@ -253,6 +256,7 @@ def test_products_and_readouts_of_row_built_rotors_decode_nothing(codec_calls):
     assert len(vecs) == 120 and codec_calls == Counter()
     a, b = group.elements[7], group.elements[100]
     assert (a * b).mv == a.mv * b.mv and a.mv * b.mv in group
+    assert a.mv.grade(0) + a.mv.grade(2) == a.mv.scale(Fraction(3, 7)) * 7 * Fraction(1, 3)
     mvs = [Multivector.from_vector(u) for u in units[:2]]
     reflect(mvs[0], mvs[1])
     assert codec_calls == Counter()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import rootspin.qfield
 from rootspin import DomainError, FieldMismatch, QScalar, phi
+from rootspin.qfield import field_sign, field_sqrt
 from _util import DISCS, random_qscalar
 
 SQRT2 = QScalar.sqrt_disc(2)
@@ -285,3 +286,40 @@ def test_rational_tags_do_not_follow_the_operand_order():
     two, five = QScalar(1, 0, 2), QScalar(1, 0, 5)
     assert (two + five).disc == (five + two).disc == 5
     assert (two * 2).disc == (two * Fraction(1, 3)).disc == 2
+
+
+def _as_qscalar(x: int, y: int, z: int, d: int) -> QScalar:
+    return QScalar(Fraction(x, z), Fraction(y, z), d)
+
+
+_SMALL = st.integers(-300, 300)
+
+
+@given(st.sampled_from(DISCS), _SMALL, _SMALL, st.integers(1, 300), st.booleans(),
+       st.integers(-2, 2))
+def test_a_field_sqrt_root_squares_back(d, x, y, z, square, shift):
+    # square: (x + y sqrt(d)) / z squared, moved by shift / z, so near-squares are drawn too
+    y = y if d > 1 else 0
+    if square:
+        x, y, z = x * x + d * y * y + shift * z, 2 * x * y, z * z
+    root = field_sqrt(x, y, z, d)
+    if root is not None:
+        a, b, c = root
+        assert c > 0 and math.gcd(a, b, c) == 1 and field_sign(a, b, d) >= 0
+        r = _as_qscalar(a, b, c, d)
+        assert r * r == _as_qscalar(x, y, z, d)
+    elif square and not shift:
+        pytest.fail("the square of a field element has a root")
+
+
+_WIDE = st.integers(-2**100, 2**100)
+
+
+@given(st.sampled_from(DISCS), _WIDE, _WIDE, st.integers(1, 2**100))
+def test_field_sqrt_of_a_square_is_its_absolute_value(d, a, b, c):
+    # numerators past 2^63, where no QScalar reaches: the reference is in ints
+    b = b if d > 1 else 0
+    root = field_sqrt(a * a + d * b * b, 2 * a * b, c * c, d)
+    sign = field_sign(a, b, d) or 1
+    g = math.gcd(a, b, c)
+    assert root == (sign * a // g, sign * b // g, c // g)

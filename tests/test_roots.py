@@ -996,9 +996,14 @@ def test_canonical_sorted_is_the_multivector_order(field, dim, data):
     assert canonical_sorted(mvs, lambda m: m.coeffs) == sorted(mvs)
 
 
+def _qscalar_dot(a, b):
+    """(a|b) as a sum of QScalar products, sharing nothing with lattice.int_mirror."""
+    return sum((x * y for x, y in zip(a.coords, b.coords)), QScalar(0))
+
+
 def _qscalar_reflection(b, a):
     """b - 2 (a|b) / (a|a) a, in QScalar arithmetic."""
-    c = b.dot(a) * 2 / a.dot(a)
+    c = _qscalar_dot(b, a) * 2 / _qscalar_dot(a, a)
     return Vector(x - c * y for x, y in zip(b.coords, a.coords))
 
 

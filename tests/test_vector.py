@@ -168,13 +168,23 @@ def test_scale_keeps_qscalars_64_bit_bound():
                        match=r"^rational component 9223372036854775808/1 exceeds 64-bit range$"):
         v.scale(2)
     assert v.scale(Fraction(1, 2)) == vec(2**61, Fraction(1, 2))
-    # an out-of-range factor is refused as the QScalar it becomes
-    with pytest.raises(OverflowError, match=r"^rational component 18446744073709551616/1 exceeds"):
-        vec(0, 1).scale(2**64)
+    # an out-of-range factor is refused as the QScalar it becomes, even where the
+    # product is within the bound
+    for v in (vec(0, 1), vec(0, 0), vec(0, Fraction(1, 2**62))):
+        with pytest.raises(OverflowError,
+                           match=r"^rational component 18446744073709551616/1 exceeds"):
+            v.scale(2**64)
+    with pytest.raises(OverflowError, match=r"^rational component 1/18446744073709551616 "):
+        vec(2**62).scale(Fraction(1, 2**64))
     # a common denominator past the bound, of components within it
     p, q = 2**62 - 1, 2**62 + 1
     w = vec(Fraction(1, p), Fraction(1, q))
     assert w.row[-1] == p * q and w.scale(3) == vec(Fraction(3, p), Fraction(3, q))
+
+
+def test_a_factor_that_is_no_exact_scalar_is_refused():
+    with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as a QScalar$"):
+        vec(1, 2).scale(0.5)
 
 
 def test_stored_rows_decode_lazily_and_new_rows_keep_the_64_bit_check():
@@ -282,6 +292,24 @@ def test_row_arithmetic_agrees_with_the_qscalar_reference(pair, s):
         (lambda: (v + w).unit(), lambda: value(reference_unit(sums(), both()), both())),
     ]:
         assert outcome(got) == outcome(want)
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda dim: st.tuples(*(st.sampled_from(ARITHMETIC_FIELDS).flatmap(
+        lambda d: cases(d, dim)) for _ in range(2)))))
+def test_dot_is_the_sum_of_the_qscalar_products(pair):
+    # Vector.dot reads the rows through lattice.int_mirror; the reference multiplies
+    # the QScalars.  A surd value keeps its field; a rational one fits any field
+    (v, cs), (w, ws) = pair
+    try:
+        expected = sum((a * b for a, b in zip(cs, ws)), QScalar(0))
+    except FieldMismatch:
+        for x, y in ((v, w), (w, v)):
+            with pytest.raises(FieldMismatch):
+                x.dot(y)
+        return
+    for found in (v.dot(w), w.dot(v)):
+        assert found == expected and (found.disc == expected.disc or not found.surd)
 
 
 def test_a_vectors_unit_is_taken_in_its_own_field():

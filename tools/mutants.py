@@ -162,6 +162,44 @@ MUTANTS = (
            "    if not _is_unit(mv.row, mv.disc):  # v v is the sum of the squared coordinates\n",
            "    if False:\n",
            "reflect and rotor_from_vectors accept a mirror vector with v v != 1"),
+    Mutant("field-sqrt-smaller-part-first", "qfield.py",
+           "(2 * (x + s), 2 * (x - s))",
+           "(2 * (x - s), 2 * (x + s))",
+           "field_sqrt reads the smaller part first, so it may return the negative root"),
+    Mutant("field-sqrt-surd-value-has-no-root", "qfield.py",
+           "if x < 0 or s * s != n:",
+           "if x < 0 or s * s != n or y:",
+           "field_sqrt returns None for every value with a surd part"),
+    Mutant("field-sqrt-no-q-root", "qfield.py",
+           "(1, disc)):",
+           "(1, 1)):",
+           "field_sqrt never reads q off 4 d q^2, so it misses a root q sqrt(d) such as sqrt(2)"),
+    Mutant("unit-rows-no-conjugate", "roots.py",
+           "field_sqrt(s, -t, s * s - d * t * t, d)",
+           "field_sqrt(s, t, s * s - d * t * t, d)",
+           "unit_rows takes the root of (s + t sqrt(d)) / N, not of its inverse (s - t sqrt(d)) / N"),
+    Mutant("scale-factor-unchecked", "lattice.py",
+           "        check_row(factor)\n",
+           "",
+           "Exact.scale takes a factor past the 64-bit bound when the product is within it"),
+    Mutant("scale-keeps-the-values-field", "lattice.py",
+           "            d = common_disc(((self.disc, s and any(self.row[1:-1:2])), (s.disc, s.surd)))\n",
+           "            d = self.disc\n",
+           "Exact.scale by a QScalar keeps the value's disc, even where the factor has a surd"),
+    Mutant("scale-by-the-conjugate", "lattice.py",
+           "            factor = int_numerators((s,))\n",
+           "            factor = int_numerators((s.conjugate(),))\n",
+           "Exact.scale by a QScalar multiplies the row by the factor's Galois conjugate"),
+    Mutant("dot-surd-part-dropped", "roots.py",
+           "Fraction(sum(map(mul, v, y)), den), d)",
+           "0, d)",
+           "Vector.dot drops the surd part of (a|b)"),
+    Mutant("grade-row-unreduced", "clifford.py",
+           "        g = math.gcd(*out)\n"
+           "        return Multivector._from_row(tuple(z // g for z in out), self.disc)\n",
+           "        g = 1\n"
+           "        return Multivector._from_row(tuple(z // g for z in out), self.disc)\n",
+           "Multivector.grade leaves its row unreduced, so equal values have unequal rows"),
 )
 
 
