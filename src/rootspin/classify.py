@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotRepresentable, RootspinError, UnknownAngle, ZeroRoot
 from .presets import a1_system, build_preset, direct_sum, get_preset
-from .lattice import AngleKey, field_sign, int_mirror, int_reflect, vectors_disc
+from .lattice import AngleKey, field_cmp, field_sign, int_mirror, int_reflect, vectors_disc
 from .roots import RootSystem, Vector, row_in, row_vector
 from .roots import simple_roots_of  # noqa: F401  (re-exported: coxeter_matrix takes its output)
 
@@ -204,9 +204,9 @@ def _label(a: Vector, b: Vector) -> int:
     def dot(z):  # D_a (a|z) as (s + t sqrt(d)) / D_z, read through a's dual rows
         return sum(map(mul, mirror_a[2], z)), sum(map(mul, mirror_a[3], z)), z[-1]
 
-    s, t, n = dot(cycle[0])
+    first = dot(cycle[0])
     if field_sign(*dot(y)[:2], d) > 0 or len(cycle) < 2 or any(
-        field_sign(s * w - p * n, t * w - q * n, d) < 0 for p, q, w in map(dot, cycle[1:-1])
+        field_cmp(first, z, d) < 0 for z in map(dot, cycle[1:-1])
     ):
         raise UnknownAngle(f"{a} and {b} are not the simple roots of the group they generate")
     return len(cycle)

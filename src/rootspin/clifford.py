@@ -20,7 +20,9 @@ v v of a vector is the sum of its squared coordinates: so Rotor and the
 mirror check of reflect and rotor_from_vectors test unit length with
 roots._is_unit on the row, as roots and generate_rotor_group do.
 RotorGroup's public constructor checks the group laws of the elements a
-caller gives it.
+caller gives it.  Both constructors order the elements by
+lattice.sorted_numerators on their rows, the order of Multivector's and
+Rotor's `<`, so neither decodes a coefficient to sort.
 """
 
 from __future__ import annotations
@@ -283,10 +285,12 @@ def spinor_to_vec2(psi) -> Vector:
 class RotorGroup:
     """Finite group of rotors, canonically ordered, closed under the product.
 
-    The public constructor checks that the elements hold 1 and are closed under
-    negation and the product, an int_product of Cl(3) even rows (a Cl(2) rotor's
-    padded) per ordered pair.  It and generate_rotor_group, on induction.py's
-    products, build the group by the one body `_trusted`, which checks nothing.
+    The public constructor sorts the elements' rows by sorted_numerators, as
+    generate_rotor_group does, and checks that the elements hold 1 and are closed
+    under negation and the product, an int_product of Cl(3) even rows (a Cl(2)
+    rotor's padded) per ordered pair.  It and generate_rotor_group, on
+    induction.py's products, build the group by the one body `_trusted`, which
+    checks nothing.
     """
 
     __slots__ = ("dim", "elements", "_set")
@@ -298,7 +302,8 @@ class RotorGroup:
         dims = {r.dim for r in elems}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
-        group = cls._trusted(sorted(elems))
+        by_row, d = {r.mv.row: r for r in elems}, vectors_disc(r.mv for r in elems)
+        group = cls._trusted([by_row[x] for x in sorted_numerators(list(by_row), d)])
         group._validate()
         return group
 
@@ -355,8 +360,8 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
     even rows, so every vector must be 3D and exactly unit, checked on the
     rows.  The products of the roots' reflection closure are that group, by
     Carter's lemma (see pair_products).  Each row is put in its blade slots,
-    and the full rows are sorted by sorted_numerators: that is
-    Multivector.__lt__'s order, and it decodes nothing.  Each element is
+    and the full rows are sorted by sorted_numerators, the order of
+    Multivector's `<`, as RotorGroup(...) sorts them.  Each element is
     wrapped by Rotor, which checks it is even and unit on its row.
     """
     if not unit_roots:

@@ -42,7 +42,11 @@ class ClosureCapExceeded(RootspinError):
 
 
 class NormNotInField(RootspinError):
-    """A root's length is not expressible in the active quadratic field."""
+    """A root's length is not expressible in the active quadratic field.
+
+    `norm_squared` is the root's squared norm: a QScalar wherever it fits the
+    64-bit bound, else its text, as a QScalar would print it.
+    """
 
     def __init__(self, root, norm_squared):
         self.root = root

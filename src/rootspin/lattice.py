@@ -8,14 +8,16 @@ A vector, multivector or rotor is held as one reduced tuple of Python ints, its 
 with the gcd of all entries 1 and D > 0, so equal values are equal tuples.
 `Exact` holds one such row and its field's disc, and defines once their
 immutability, equality, hashing, `is_zero`, order, lazy decoding and
-arithmetic (`+`, `-`, negation, `scale`), all but the order on the row
-alone: `scale` is int_product of the row and its factor's row, whether the
-factor is an int, a Fraction or a QScalar.  roots.Vector and
-clifford.Multivector are its subclasses, and a RootSystem (roots.py) holds
-its roots' rows.  `int_numerators` encodes the QScalars a value is built
-from, `from_numerators` decodes a row when its QScalars are first read (every
-row is 64-bit-checked as it is wrapped, by `Exact._from_row`), and
-`sorted_numerators` sorts rows by exact value, in the order of Exact's `<`.
+arithmetic (`+`, `-`, negation, `scale`), all on the row alone: `scale` is
+int_product of the row and its factor's row, whether the factor is an int, a
+Fraction or a QScalar, and `<` compares the rows' `coordinates` in turn by
+qfield.field_cmp.  roots.Vector and clifford.Multivector are its subclasses,
+and a RootSystem (roots.py) holds its roots' rows.  `int_numerators` encodes
+the QScalars a value is built from, `from_numerators` decodes a row when its
+QScalars are first read (every row is 64-bit-checked as it is wrapped, by
+`Exact._from_row`), and `sorted_numerators` sorts rows by exact value, by the
+same field_cmp: one order, on ints with no bound, for `<`, for every canonical
+order and for both of clifford.RotorGroup's constructors.
 
 `int_product` is the geometric product of Cl(2) and Cl(3), on rows of
 blade coefficients; the blade convention and the 4D readout of the even
@@ -71,13 +73,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import chain, compress, repeat
+from functools import cmp_to_key, partial
+from itertools import accumulate, chain, compress, repeat
 from operator import eq, mul, or_
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .qfield import QScalar, _coerce, check_row, common_disc, field_sign
+from .qfield import QScalar, _coerce, check_row, common_disc, field_cmp, field_sign
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
@@ -106,10 +108,7 @@ def int_numerators(scalars: Iterable[QScalar]) -> Numerators:
 
 def from_numerators(x: Numerators, disc: int) -> tuple[QScalar, ...]:
     """The QScalars whose numerators are x, over Q(sqrt(disc))."""
-    den = x[-1]
-    return tuple(
-        QScalar(Fraction(p, den), Fraction(q, den), disc) for p, q in zip(x[:-1:2], x[1:-1:2])
-    )
+    return tuple(QScalar(Fraction(p, den), Fraction(q, den), disc) for p, q, den in coordinates(x))
 
 
 def negated(x: Numerators) -> Numerators:
@@ -126,8 +125,9 @@ class Exact:
     and `is_zero` read the row: two values of one type are equal when their rows are
     and they share a field or have no surd part, as QScalar equality says.  `+`, `-`,
     negation and `scale` run on rows and decode nothing, a new row 64-bit-checked by
-    `_from_row`; `<` compares the values in turn.  `_check` refuses an operand of
-    another type or dimension.
+    `_from_row`; `<` compares the coordinates in turn by qfield.field_cmp, each pair
+    in its own field by common_disc's rule, and decodes nothing either.  `_check`
+    refuses an operand of another type or dimension.
     """
 
     __slots__ = ("row", "disc", "_values")
@@ -175,12 +175,11 @@ class Exact:
         return hash(self.row)
 
     def __lt__(self, other) -> bool:
-        # the values compared in turn: the reference order of sorted_numerators
+        # the coordinates compared in turn by qfield.field_cmp, each pair in its own field
         self._check(other)
-        for a, b in zip(self._decoded(), other._decoded()):
-            if a != b:  # exact, and far cheaper than the subtraction
-                return (a - b).sign() < 0
-        return False
+        signs = (field_cmp(s, t, common_disc(((self.disc, s[1]), (other.disc, t[1]))))
+                 for s, t in zip(coordinates(self.row), coordinates(other.row)))
+        return next(filter(None, signs), 0) < 0
 
     def _check(self, other) -> None:
         if type(other) is not type(self):
@@ -369,25 +368,25 @@ def vec4_numerators(x: Numerators) -> Numerators:
     return x[:4] + (-x[4], -x[5]) + x[6:]
 
 
+def coordinates(x: Numerators) -> list[tuple[int, int, int]]:
+    """The coordinates (p_i, q_i, D) of the row x, coordinate i = (p_i + q_i sqrt(d)) / D."""
+    return list(zip(x[:-1:2], x[1:-1:2], repeat(x[-1])))
+
+
 def sorted_numerators(xs: Sequence[Numerators], disc: int) -> list[Numerators]:
-    """xs in lexicographic order of their coordinate values: Exact.__lt__'s order.
+    """xs in lexicographic order of their coordinate values, by qfield.field_cmp, the
+    package's one exact order (Exact's `<` is the same order, one pair at a time).
 
-    The few distinct coordinates (p, q, D), value (p + q sqrt(d)) / D, are
-    ranked once, comparing s and t by the sign of (p_s D_t - p_t D_s) +
-    (q_s D_t - q_t D_s) sqrt(d), so that equal values in rows of different D
-    share a rank; the sort then compares tuples of ranks.
+    The few distinct coordinates are ranked once by field_cmp, so that equal
+    values in rows of different D share a rank; the sort then compares tuples
+    of ranks.
     """
-    coords = [list(zip(x[:-1:2], x[1:-1:2], repeat(x[-1]))) for x in xs]
-
-    def cmp(s: tuple, t: tuple) -> int:
-        return field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
-
-    rank: dict[tuple, int] = {}
-    r, prev = -1, None
-    for t in sorted({t for ts in coords for t in ts}, key=cmp_to_key(cmp)):
-        if prev is None or cmp(prev, t):
-            r += 1
-        rank[t], prev = r, t
+    coords = [coordinates(x) for x in xs]
+    cmp = partial(field_cmp, disc=disc)
+    ordered = sorted({t for ts in coords for t in ts}, key=cmp_to_key(cmp))
+    # a coordinate's rank counts the changes of value before it
+    rank = dict(zip(ordered, accumulate((cmp(s, t) != 0 for s, t in zip(ordered, ordered[1:])),
+                                        initial=0)))
     keys = [tuple(map(rank.__getitem__, ts)) for ts in coords]
     return [xs[i] for i in sorted(range(len(xs)), key=keys.__getitem__)]
 

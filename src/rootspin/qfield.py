@@ -16,11 +16,18 @@ pair products work.  The closure and the pair products keep this module's
 64-bit bound on every root or element they add, through caps.admit.  The
 bound is a contract on roots and new rows, not on derived values: an angle
 key (lattice.AngleKey) is a row of ints and is never a QScalar, and a squared
-norm or an inner product on the way to a unit root is one too.  This module
-holds the package's one field rule (`common_disc`), its one 64-bit check of
-a new row (`check_row`), and the integer sign and square root of a value
-(x + y sqrt(d)) / z, `field_sign` and `field_sqrt`, which QScalar.sign and
-QScalar.sqrt wrap and the row kernels call directly.
+norm or an inner product on the way to a unit root is one too.  So is a
+comparison: `field_cmp`, the sign of a difference on ints, is the package's
+one exact order, of QScalar's `sign`, `<`, `<=`, `>` and `>=`, of
+lattice.Exact's `<`, of lattice.sorted_numerators and of classify's Coxeter
+labels, and no difference becomes a QScalar.  And so is the squared norm
+that roots.unit_rows names in NormNotInField: `format_value` is the one
+text of a value, QScalar's `str` and `scalar_or_text`'s, which gives a norm
+past the bound as that text.  This module holds the package's one field
+rule (`common_disc`), its one 64-bit check of a new row (`check_row`), and
+the integer sign, order and square root of values (x + y sqrt(d)) / z,
+`field_sign`, `field_cmp` and `field_sqrt`, which QScalar wraps and the
+row kernels call directly.
 """
 
 from __future__ import annotations
@@ -67,6 +74,14 @@ def field_sign(x: int, y: int, disc: int) -> int:
         return -1
     bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
     return 1 if bigger > 0 else -1
+
+
+def field_cmp(s: tuple[int, int, int], t: tuple[int, int, int], disc: int) -> int:
+    """Sign of s - t for s = (p_s, q_s, D_s), the value (p_s + q_s sqrt(d)) / D_s with D_s > 0,
+    and t alike: that of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d), on ints with no
+    bound.  The package's one exact order: QScalar's sign and comparisons, Exact's `<`,
+    lattice.sorted_numerators and classify's Coxeter labels call it."""
+    return field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
 
 
 def field_sqrt(x: int, y: int, z: int, disc: int) -> Optional[tuple[int, int, int]]:
@@ -122,6 +137,25 @@ def check_row(x: tuple[int, ...]) -> None:
     if max(map(abs, x)) > _INT64_MAX:
         for p in x[:-1]:
             _check_range(Fraction(p, x[-1]))
+
+
+def format_value(rat: Fraction, surd: Fraction, disc: int) -> str:
+    """The text of rat + surd sqrt(disc), as QScalar prints it, for Fractions of any size."""
+    if surd == 0:
+        return str(rat)
+    text = f"sqrt({disc})" if abs(surd) == 1 else f"{abs(surd)}*sqrt({disc})"
+    if rat == 0:
+        return text if surd > 0 else f"-{text}"
+    return f"{rat}{'+' if surd > 0 else '-'}{text}"
+
+
+def scalar_or_text(rat: Fraction, surd: Fraction, disc: int) -> Union[QScalar, str]:
+    """The QScalar rat + surd sqrt(disc) where both parts are within the 64-bit bound, else
+    its text by format_value: a derived value that an error names, printed the same either way."""
+    try:
+        return QScalar(rat, surd, disc)
+    except OverflowError:
+        return format_value(rat, surd, disc)
 
 
 _F_ZERO = Fraction(0)
@@ -253,38 +287,43 @@ class QScalar:
 
     # -- exact order -------------------------------------------------------
 
+    def _row(self) -> tuple[int, int, int]:
+        # (x, y, z), the value (x + y sqrt(d)) / z with z > 0, as the int kernels take it
+        a, b = self.rat, self.surd
+        return (a.numerator * b.denominator, b.numerator * a.denominator,
+                a.denominator * b.denominator)
+
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(d): -1, 0 or +1, decided exactly."""
-        a, b = self.rat, self.surd
-        return field_sign(a.numerator * b.denominator, b.numerator * a.denominator, self.disc)
+        return field_cmp(self._row(), (0, 0, 1), self.disc)
 
     def __eq__(self, other) -> bool:
+        # equal parts, in one field or with no surd part: a rational is equal under any tag
         if type(other) is QScalar:
-            if self.disc == other.disc:
-                return self.rat == other.rat and self.surd == other.surd
-            return not self.surd and not other.surd and self.rat == other.rat
-        if not isinstance(other, (QScalar, int, Fraction)):
-            return NotImplemented
-        other = _coerce(other)
-        if self.surd == 0 and other.surd == 0:
-            return self.rat == other.rat
-        return (
-            self.disc == other.disc
-            and self.rat == other.rat
-            and self.surd == other.surd
-        )
+            return self.rat == other.rat and self.surd == other.surd and (
+                self.disc == other.disc or not self.surd)
+        if isinstance(other, (int, Fraction)):
+            return not self.surd and self.rat == other
+        return NotImplemented
+
+    def _cmp(self, other) -> int:
+        # the sign of self - other by field_cmp, on ints: no QScalar is built, so no bound
+        if isinstance(other, (int, Fraction)):  # a rational fits any field
+            return field_cmp(self._row(), (other.numerator, 0, other.denominator), self.disc)
+        other = _coerce(other)  # TypeError for anything but a QScalar
+        return field_cmp(self._row(), other._row(), self._common_disc(other))
 
     def __lt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() < 0
+        return self._cmp(other) < 0
 
     def __le__(self, other) -> bool:
-        return (self - _coerce(other)).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return (self - _coerce(other)).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other) -> bool:
-        return (self - _coerce(other)).sign() >= 0
+        return self._cmp(other) >= 0
 
     def __hash__(self):
         # a rational value hashes as its Fraction, so it agrees with == on ints,
@@ -312,9 +351,7 @@ class QScalar:
         """
         if self.sign() < 0:
             raise DomainError(f"sqrt of negative value {self}")
-        a, b = self.rat, self.surd
-        root = field_sqrt(a.numerator * b.denominator, b.numerator * a.denominator,
-                          a.denominator * b.denominator, self.disc)
+        root = field_sqrt(*self._row(), self.disc)
         if root is None:
             return None
         return QScalar(Fraction(root[0], root[2]), Fraction(root[1], root[2]), self.disc)
@@ -326,18 +363,10 @@ class QScalar:
         return f"QScalar({str(self)!r}, disc={self.disc})"
 
     def __str__(self) -> str:
-        a, b = self.rat, self.surd
-        if b == 0:
-            return str(a)
-        surd = f"sqrt({self.disc})" if abs(b) == 1 else f"{abs(b)}*sqrt({self.disc})"
-        if a == 0:
-            return surd if b > 0 else f"-{surd}"
-        return f"{a}{'+' if b > 0 else '-'}{surd}"
+        return format_value(self.rat, self.surd, self.disc)
 
 
 def _coerce(value: Union[QScalar, int, Fraction]) -> QScalar:
-    if type(value) is QScalar:
-        return value
     if isinstance(value, QScalar):
         return value
     if isinstance(value, (int, Fraction)):

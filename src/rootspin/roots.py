@@ -6,7 +6,7 @@ its QScalar coords on first read, and takes its arithmetic from Exact; its
 `unit` is unit_rows on its row, and its `dot` reads the two rows through
 lattice.int_mirror's dual rows and builds one QScalar, the value it returns.
 A RootSystem stores its roots as rows, deduplicated and in canonical order
-(Vector.__lt__'s, computed by lattice.sorted_numerators), and takes a
+(lattice.sorted_numerators', which is Vector's `<`), and takes a
 Vector's row as it is when the Vector is over its field or rational.  The
 stages below read the rows directly, so a root is encoded once, where it
 enters (a Vector built from QScalars, or a JSON file's quads), and decoded
@@ -61,7 +61,7 @@ from .lattice import (
     sorted_numerators,
     vectors_disc,
 )
-from .qfield import QScalar, _is_square_free, field_sqrt
+from .qfield import QScalar, _is_square_free, field_sqrt, scalar_or_text
 
 Coord = Union[QScalar, int, Fraction]
 
@@ -390,7 +390,8 @@ def unit_rows(rows: Sequence[Numerators], d: int) -> Sequence[Numerators]:
     squared norm meets a 64-bit bound, and the unit of -x is minus the unit
     of x.
     NormNotInField names the first row whose squared norm has no square
-    root in the field.
+    root in the field, and that norm, int_norm's, by qfield.scalar_or_text:
+    a QScalar where it fits the 64-bit bound and its text past it.
     """
     if all(_is_unit(x, d) for x in rows):
         return rows
@@ -402,9 +403,9 @@ def unit_rows(rows: Sequence[Numerators], d: int) -> Sequence[Numerators]:
         s, t = (z // (g * g) for z in int_norm(x, d))  # of the primitive vector
         if (s, t) not in inverse_roots:  # the root of 1 / (s + t sqrt(d)), over s^2 - d t^2 > 0
             inverse_roots[s, t] = field_sqrt(s, -t, s * s - d * t * t, d)
-        if inverse_roots[s, t] is None:
-            r = row_vector(x, d)
-            raise NormNotInField(r, r.norm_squared())
+        if inverse_roots[s, t] is None:  # the norm, as int_norm gives it, may pass 64 bits
+            rat, surd = (Fraction(z, x[-1] ** 2) for z in int_norm(x, d))
+            raise NormNotInField(row_vector(x, d), scalar_or_text(rat, surd, d))
         u, w, n = inverse_roots[s, t]
         out = [z for e, f in zip(p, q) for z in (e * u + d * f * w, e * w + f * u)]
         h = math.gcd(n, *out)

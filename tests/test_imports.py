@@ -1,7 +1,8 @@
 """Every module of the package reads each name it imports, none reads the environment,
 the package keeps a fixed number of caches, only roots.py builds a Lattice, one per
 live row set, and each exact-value job has one implementation: Exact's arithmetic,
-the field rule, the 64-bit check of a new row, and the one product of the induction."""
+the field rule, the 64-bit check of a new row, the one product of the induction, the
+one exact order and the one text of a value."""
 
 from __future__ import annotations
 
@@ -449,3 +450,43 @@ def test_one_integer_square_root_and_row_arithmetic_on_rows():
     assert not any(getattr(node, "attr", None) in ("_decoded", "_values")
                    for scope, node in scoped_nodes(tree)
                    if scope in {f"Exact.{name}" for name in _EXACT_ARITHMETIC})
+
+
+def readers_of(name: str) -> list[str]:
+    """"module.scope" for each scope of the package that reads name, bare, once each."""
+    return sorted({f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
+                   for scope, node in scoped_nodes(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Name) and node.id == name})
+
+
+_ORDER_SCOPES = {
+    "qfield": {f"QScalar.{name}" for name in ("_cmp", "__lt__", "__le__", "__gt__", "__ge__")},
+    "lattice": {"Exact.__lt__", "sorted_numerators"},
+}
+
+
+def test_one_exact_order():
+    # qfield.field_cmp, on ints, is the one order: QScalar's sign and four comparisons,
+    # Exact's `<` (so Vector's, Multivector's and Rotor's), sorted_numerators and the
+    # Coxeter labels read it, and none of the first three decodes a row, builds a QScalar
+    # or takes the sign of a difference of QScalars
+    from rootspin import QScalar
+
+    assert readers_of("field_cmp") == [
+        "classify._label", "lattice.Exact.__lt__", "lattice.sorted_numerators",
+        "qfield.QScalar._cmp", "qfield.QScalar.sign"]
+    for stem, scopes in _ORDER_SCOPES.items():
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
+        nodes = [node for scope, node in scoped_nodes(tree) if scope in scopes]
+        assert not [node for node in nodes
+                    if getattr(node, "attr", None) in ("_decoded", "_values", "coords", "sign")
+                    or getattr(node, "id", None) in ("QScalar", "field_sign", "from_numerators")
+                    or isinstance(getattr(node, "op", None), ast.Sub)]
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        assert "_cmp" in getattr(QScalar, name).__code__.co_names
+
+
+def test_one_text_of_a_value():
+    # QScalar's text and an error's derived value, past the 64-bit bound too, are one formatter's
+    assert readers_of("format_value") == ["qfield.QScalar.__str__", "qfield.scalar_or_text"]
+    assert readers_of("scalar_or_text") == ["roots.unit_rows"]

@@ -482,6 +482,16 @@ def test_pruned_rotor_closure_multiplies_each_element_by_few_generators(monkeypa
 PRODUCT_PRESETS = RANK3_PRESETS[:4] + ("A1xI2-2",) + RANK3_PRESETS[4:]  # the 8 that normalize
 
 
+@pytest.mark.parametrize("name", PRODUCT_PRESETS)
+def test_both_rotor_group_constructors_give_one_order(name):
+    # RotorGroup(...) sorts its elements' rows as generate_rotor_group does
+    group = generate_rotor_group(normalize_roots(build_preset(name)))
+    shuffled = list(group.elements)
+    random.Random(len(shuffled)).shuffle(shuffled)
+    assert RotorGroup(shuffled).elements == group.elements
+    assert RotorGroup(reversed(group.elements)).elements == group.elements
+
+
 def _reverse(x):
     return x[:2] + negated(x[2:])  # the bivector negated
 

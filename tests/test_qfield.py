@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import rootspin.qfield
 from rootspin import DomainError, FieldMismatch, QScalar, phi
-from rootspin.qfield import field_sign, field_sqrt
+from rootspin.qfield import field_sign, field_sqrt, format_value, scalar_or_text
 from _util import DISCS, random_qscalar
 
 SQRT2 = QScalar.sqrt_disc(2)
@@ -323,3 +323,20 @@ def test_field_sqrt_of_a_square_is_its_absolute_value(d, a, b, c):
     sign = field_sign(a, b, d) or 1
     g = math.gcd(a, b, c)
     assert root == (sign * a // g, sign * b // g, c // g)
+
+
+@pytest.mark.parametrize("rat, surd, disc, text", [
+    (0, 0, 1, "0"), (Fraction(-3, 4), 0, 5, "-3/4"), (0, 1, 2, "sqrt(2)"), (0, -1, 2, "-sqrt(2)"),
+    (0, Fraction(3, 2), 5, "3/2*sqrt(5)"), (1, -1, 2, "1-sqrt(2)"), (4, -2, 2, "4-2*sqrt(2)"),
+    (Fraction(1, 2), Fraction(1, 2), 5, "1/2+1/2*sqrt(5)"),
+])
+def test_the_text_of_a_value(rat, surd, disc, text):
+    assert str(QScalar(rat, surd, disc)) == text
+    assert str(scalar_or_text(Fraction(rat), Fraction(surd), disc)) == text
+
+
+def test_a_value_past_the_64_bit_bound_is_named_by_its_text():
+    big, small = Fraction(2**70), Fraction(-3, 2**70)
+    assert scalar_or_text(big, small, 5) == format_value(big, small, 5) == (
+        f"{2**70}-3/{2**70}*sqrt(5)")
+    assert scalar_or_text(Fraction(2**62), small * 2**8, 5) == QScalar(2**62, small * 2**8, 5)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import functools
 import inspect
 import itertools
 import math
@@ -48,6 +49,7 @@ from rootspin.lattice import (
     sorted_numerators,
 )
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
+from rootspin.roots import row_vector
 from rootspin.serialize import root_system_from_json, root_system_to_json
 from _util import partial_cases as _partial_cases
 
@@ -319,6 +321,21 @@ class TestNormalize:
         with pytest.raises(NormNotInField) as err:
             normalize_roots(rs)
         assert err.value.norm_squared is not None
+
+    def test_norm_not_in_field_past_64_bits_is_named_all_the_same(self):
+        # (2^40 + 1)^2 + 2^80 = 2^81 + 2^41 + 1 is no square and leaves the 64-bit bound
+        root = vec(2**40 + 1, 2**40)
+        norm = 2**81 + 2**41 + 1
+        for units in (root.unit, lambda: normalize_roots(RootSystem([root, -root], 1))):
+            with pytest.raises(NormNotInField, match=f"^squared norm {norm} of ") as err:
+                units()
+            assert err.value.norm_squared == str(norm)
+
+    def test_a_norm_within_64_bits_is_named_as_a_qscalar(self):
+        with pytest.raises(NormNotInField) as err:
+            vec(1, 1).unit()
+        assert err.value.norm_squared == QScalar(2)
+        assert str(err.value) == "squared norm 2 of (1, 1) has no square root in its field"
 
     def test_unit_of_the_zero_vector_is_a_zero_root(self):
         # a typed error, not the ZeroDivisionError of inverting a zero norm
@@ -974,17 +991,80 @@ def field_values(draw):
     return disc, draw(st.lists(st.one_of(own, tagged), min_size=1, max_size=5))
 
 
-@given(field_values(), st.integers(1, 4), st.data())
+def reference_sign(x: Fraction, y: Fraction, d: int) -> int:
+    """The sign of x + y sqrt(d) for Fractions x, y and a square-free d, sharing nothing
+    with qfield: where x and y differ in sign, the sign of the part whose square, x^2 or
+    d y^2, is the larger (they are never equal, as sqrt(d) is irrational for d > 1)."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx * sy >= 0:
+        return sx or sy
+    return sx if x * x > d * y * y else sy
+
+
+def reference_cmp(a: QScalar, b: QScalar) -> int:
+    """The sign of a - b by reference_sign on their Fraction parts, in the surd's field."""
+    return reference_sign(a.rat - b.rat, a.surd - b.surd, b.disc if b.surd else a.disc)
+
+
+def reference_order(a, b, coords=lambda v: v.coords) -> int:
+    """-1, 0 or 1 as a comes before, with or after b in lexicographic order of their
+    coordinates, by reference_cmp."""
+    return next((c for c in map(reference_cmp, coords(a), coords(b)) if c), 0)
+
+
+def reference_sorted(items, coords=lambda v: v.coords):
+    """items in reference_order."""
+    return sorted(items, key=functools.cmp_to_key(lambda a, b: reference_order(a, b, coords)))
+
+
+@st.composite
+def order_values(draw):
+    """field_values' disc and pool, and values with parts out to 2^62: large integers,
+    small Fractions over denominators past 2^40, and p + q sqrt(d) with p within 2 of
+    -q sqrt(d), where the exact order is hardest to decide."""
+    disc, pool = draw(field_values())
+    own = disc > 1
+    big = st.one_of(st.sampled_from((2**62, -2**62)), st.integers(-2**62, 2**62))
+    tiny = st.builds(Fraction, st.integers(-3, 3),
+                     st.one_of(st.sampled_from((2**40 + 1, 2**40 + 3)), st.integers(2**40, 2**62)))
+    near = st.builds(lambda q, step: QScalar(-math.isqrt(disc * q * q) - step, q if own else 0,
+                                             disc),
+                     st.integers(-2**60, 2**60), st.integers(-2, 2))
+    wide = st.one_of(
+        st.builds(lambda a, b: QScalar(a, b if own else 0, disc), big, big),
+        st.builds(lambda a, b: QScalar(a, b if own else 0, disc), tiny, tiny),
+        near,
+    )
+    return disc, pool + draw(st.lists(wide, min_size=1, max_size=4))
+
+
+@given(order_values(), st.data())
+def test_qscalar_comparisons_are_the_reference_order(field, data):
+    _, pool = field
+    a = data.draw(st.sampled_from(pool))
+    b = data.draw(st.sampled_from(pool + [-a]))  # -a: far apart where a is large
+    sign = reference_cmp(a, b)
+    assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+    if b.is_rational():  # an int or Fraction operand gives the same answers
+        other = b.rat if b.rat.denominator > 1 else b.rat.numerator
+        assert (a < other, a <= other, a > other, a >= other) == (
+            sign < 0, sign <= 0, sign > 0, sign >= 0)
+
+
+@given(order_values(), st.integers(1, 4), st.data())
 def test_canonical_sorted_is_the_vector_order(field, dim, data):
     _, pool = field
     coord = st.sampled_from(pool)
     vectors = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim).map(Vector),
                                  min_size=1, max_size=12))
     vectors += vectors[::3]  # repeated vectors
-    assert canonical_sorted(vectors) == sorted(vectors)
+    expected = reference_sorted(vectors)
+    assert canonical_sorted(vectors) == sorted(vectors) == expected
+    for a, b in itertools.product(vectors[:6], repeat=2):
+        assert (a < b) == (reference_order(a, b) < 0)
 
 
-@given(field_values(), st.sampled_from((2, 3)), st.data())
+@given(order_values(), st.sampled_from((2, 3)), st.data())
 def test_canonical_sorted_is_the_multivector_order(field, dim, data):
     _, pool = field
     coeff = st.sampled_from(pool)
@@ -993,7 +1073,44 @@ def test_canonical_sorted_is_the_multivector_order(field, dim, data):
         min_size=1, max_size=12,
     ))
     mvs += mvs[::2]
-    assert canonical_sorted(mvs, lambda m: m.coeffs) == sorted(mvs)
+    expected = reference_sorted(mvs, lambda m: m.coeffs)
+    assert canonical_sorted(mvs, lambda m: m.coeffs) == sorted(mvs) == expected
+    for a, b in itertools.product(mvs[:6], repeat=2):
+        assert (a < b) == (reference_order(a, b, lambda m: m.coeffs) < 0)
+
+
+def test_the_order_decides_values_past_64_bits():
+    # each comparison subtracted two QScalars, and the difference left the 64-bit bound
+    assert QScalar(2**62) > QScalar(-2**62)
+    assert QScalar(2**62) < 2**64 and QScalar(2**62) != 2**64  # an int operand is not bounded
+    assert vec(2**62) > vec(-2**62)
+    assert not vec(Fraction(1, 2**40 + 1)) < vec(Fraction(1, 2**40 + 3))
+    assert vec(Fraction(1, 2**40 + 3)) < vec(Fraction(1, 2**40 + 1))
+
+
+def test_the_order_reads_each_surd_in_its_own_field():
+    # 2 < sqrt(5), though 2^2 > 1^2: the left operand's rational tag is not the pair's field
+    two, root5 = vec(2), Vector((QScalar(0, 1, 5),))
+    assert two < root5 and not root5 < two
+    assert reference_order(two, root5) < 0
+
+
+def test_sorting_vectors_builds_no_qscalar():
+    vectors = [Vector((QScalar(a, b, 5), QScalar(b, -a, 5))) for a in range(-3, 4)
+               for b in range(-2, 3)]
+    made = []
+    init = QScalar.__init__
+
+    def counted_init(self, *args, **kwargs):  # every QScalar is built here
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    fresh = [row_vector(v.row, v.disc) for v in reversed(vectors)]  # nothing decoded
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(QScalar, "__init__", counted_init)
+        ordered = sorted(fresh)
+    assert made == []
+    assert ordered == reference_sorted(vectors)
 
 
 def _qscalar_dot(a, b):

@@ -16,6 +16,14 @@ table at the end, which names the first three, is the one the change log
 carries.  One tier-1 run takes
 35-240 s on a 2-vCPU host, longer the more tests fail and the longer
 hypothesis shrinks a failing example.
+
+Each tier-1 child runs in a session of its own under two limits: TIME_LIMIT_S
+of wall time, after which its whole process group is killed, and
+MEMORY_LIMIT_BYTES of address space, set with resource.setrlimit in the child
+alone and inherited by the processes it starts.  A run that meets either
+limit gets the verdict "time-limit" or "memory-limit" (a MemoryError in its
+output), never "killed", so a mutant that makes tier-1 loop or grow is named
+and the run goes on to the next one.
 """
 
 from __future__ import annotations
@@ -23,10 +31,13 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,6 +48,8 @@ from abbench import ROOT, tree_of, unpack  # noqa: E402
 # old string is gone from the mutated copy
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+TIME_LIMIT_S = 600
+MEMORY_LIMIT_BYTES = 3_000_000 * 1024  # `ulimit -v 3000000`
 
 
 class Mutant(NamedTuple):
@@ -135,7 +148,7 @@ MUTANTS = (
            "_label takes a pair with (a|b) > 0 as simple when its step is the nearest"),
     Mutant("label-nearest-test-dropped", "classify.py",
            " or any(\n"
-           "        field_sign(s * w - p * n, t * w - q * n, d) < 0 for p, q, w in map(dot, cycle[1:-1])\n"
+           "        field_cmp(first, z, d) < 0 for z in map(dot, cycle[1:-1])\n"
            "    )",
            "",
            "_label takes any obtuse pair as simple, whatever the rotation's step"),
@@ -200,6 +213,30 @@ MUTANTS = (
            "        g = 1\n"
            "        return Multivector._from_row(tuple(z // g for z in out), self.disc)\n",
            "Multivector.grade leaves its row unreduced, so equal values have unequal rows"),
+    Mutant("order-surd-dropped", "qfield.py",
+           "field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)",
+           "field_sign(s[0] * t[2] - t[0] * s[2], 0, disc)",
+           "field_cmp drops the q terms, so it orders values by their rational parts alone"),
+    Mutant("order-no-cross-multiply", "qfield.py",
+           "field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)",
+           "field_sign(s[0] - t[0], s[1] - t[1], disc)",
+           "field_cmp compares p_s with p_t and q_s with q_t across different D"),
+    Mutant("order-left-field", "lattice.py",
+           "field_cmp(s, t, common_disc(((self.disc, s[1]), (other.disc, t[1]))))",
+           "field_cmp(s, t, self.disc)",
+           "Exact's < takes the left operand's field, even when only the right one has a surd"),
+    Mutant("rotor-group-given-order", "clifford.py",
+           "group = cls._trusted([by_row[x] for x in sorted_numerators(list(by_row), d)])",
+           "group = cls._trusted(list(by_row.values()))",
+           "RotorGroup(...) keeps its elements in the order given, not in canonical order"),
+    Mutant("format-value-minus-as-plus", "qfield.py",
+           "return f\"{rat}{'+' if surd > 0 else '-'}{text}\"",
+           "return f\"{rat}+{text}\"",
+           "format_value prints a + b sqrt(d) with a negative b as a plus"),
+    Mutant("norm-named-as-text", "qfield.py",
+           "        return QScalar(rat, surd, disc)\n    except",
+           "        return format_value(rat, surd, disc)\n    except",
+           "scalar_or_text gives the text of every value, so NormNotInField holds no QScalar"),
 )
 
 
@@ -225,20 +262,38 @@ def apply(m: Mutant, root: Path) -> None:
     path.write_text(text.replace(m.old, m.new))
 
 
+def _limit_memory() -> None:
+    # run in the tier-1 child before it starts: the address-space limit is its own
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT_BYTES, MEMORY_LIMIT_BYTES))
+
+
 def run_one(m: Mutant, tree: str) -> dict:
-    """Tier-1 on a copy of tree with m applied: verdict, failing tests and wall time."""
+    """Tier-1 on a copy of tree with m applied, under the time and memory limits:
+    verdict, failing tests and wall time."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         side = Path(tmp)
         unpack(tree, side)
         apply(m, side)
         env = {**os.environ, "PYTHONPATH": str(side / "src")}
         start = time.perf_counter()
-        proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
+        proc = subprocess.Popen(TIER1, cwd=side, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True,
+                                preexec_fn=_limit_memory)
+        try:
+            out, err = proc.communicate(timeout=TIME_LIMIT_S)
+            verdict = "killed" if proc.returncode else "survived"
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # pytest and every process it started
+            out, err = proc.communicate()
+            verdict = "time-limit"
         seconds = time.perf_counter() - start
-    failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", proc.stdout, re.M)
-    summary = (proc.stdout.strip().splitlines() or [""])[-1]
-    return {"mutant": m.name, "tree": tree, "verdict": "killed" if proc.returncode else "survived",
-            "killers": failed, "summary": summary, "seconds": round(seconds, 1)}
+    if verdict != "time-limit" and "MemoryError" in out + err:
+        verdict = "memory-limit"
+    failed = re.findall(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", out, re.M)
+    summary = (out.strip().splitlines() or [""])[-1]
+    return {"mutant": m.name, "tree": tree, "verdict": verdict,
+            "killers": failed if verdict == "killed" else [], "summary": summary,
+            "seconds": round(seconds, 1)}
 
 
 def progress(r: dict) -> str:
@@ -256,8 +311,9 @@ def table(results: list[dict]) -> list[str]:
             killers += f" and {len(r['killers']) - 3} more"
         out.append(f"| {r['mutant']} | {faults.get(r['mutant'], '')} | {r['verdict']} | "
                    f"{killers or '-'} | {r['seconds']} |")
-    killed = sum(r["verdict"] == "killed" for r in results)
-    out.append(f"\n{killed} of {len(results)} killed")
+    verdicts = Counter(r["verdict"] for r in results)
+    out.append(f"\n{verdicts['killed']} of {len(results)} killed" + "".join(
+        f", {verdicts[v]} {v}" for v in ("time-limit", "memory-limit") if verdicts[v]))
     return out
 
 
