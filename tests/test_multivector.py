@@ -1,9 +1,10 @@
-"""A Multivector holds its integer row: the row operations agree with the QScalar formulas.
+"""A Multivector holds its integer row: the row operations agree with the field's formulas.
 
 A Multivector's state is its reduced row of blade coefficients (lattice.py's
 (p_0, q_0, ..., D), blade m in slot m) and its field's disc, as a Vector's
 is; coeffs are decoded on first read, or kept as given.  Each property
-compares the row route with coefficient-wise QScalar arithmetic over Q,
+compares the row route with coefficient-wise arithmetic in _util's
+Fraction-pair reference, which shares no code with the package, over Q,
 Q(sqrt(2)) and Q(sqrt(5)), rational coefficients tagged with other discs
 included, on Multivectors built both from QScalars and from rows.
 """
@@ -23,7 +24,8 @@ from rootspin import (
     generate_rotor_group, normalize_roots, reflect, spinor_to_vec4, vec,
 )
 from rootspin import lattice
-from rootspin.lattice import field_disc, int_numerators
+from rootspin.lattice import int_numerators
+from _util import field, key, ref, ref_neg, ref_product, ref_row, ref_sum
 
 FIELDS = (1, 2, 5)
 OTHER_TAGS = (1, 3, 7)  # the discs a rational coefficient may carry in any field
@@ -43,7 +45,7 @@ def built(draw, dim: int, cs: list[QScalar]) -> Multivector:
     """A Multivector of cs: built from the QScalars, or from their row and field."""
     if draw(st.booleans()):
         return Multivector(dim, cs)
-    return Multivector._from_row(int_numerators(cs), field_disc([cs]))
+    return Multivector._from_row(int_numerators(cs), field(*map(ref, cs)))
 
 
 @st.composite
@@ -65,38 +67,48 @@ def _blade_sign(a: int, b: int) -> int:
     return (-1) ** sum(p > q for k, p in enumerate(idx) for q in idx[k + 1:])
 
 
-def _qscalar_product(cs: list[QScalar], ds: list[QScalar]) -> tuple[QScalar, ...]:
-    out = [QScalar(0)] * len(cs)
-    for a, c in enumerate(cs):
-        for b, e in enumerate(ds):
-            out[a ^ b] = out[a ^ b] + c * e * _blade_sign(a, b)
-    return tuple(out)
+def keys(values) -> list[tuple]:
+    """The reference keys of QScalars: equal lists for equal values."""
+    return [key(ref(c)) for c in values]
+
+
+def _reference_product(cs: list[QScalar], ds: list[QScalar]) -> list[tuple]:
+    xs, ys = list(map(ref, cs)), list(map(ref, ds))
+    out = [(Fraction(0), Fraction(0), 1)] * len(cs)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            term = ref_product(x, y)
+            out[a ^ b] = ref_sum(out[a ^ b], term if _blade_sign(a, b) > 0 else ref_neg(term))
+    return out
 
 
 @given(cases(2))
-def test_product_agrees_with_the_qscalar_blade_sum(pair):
+def test_product_agrees_with_the_reference_blade_sum(pair):
     (m, cs), (n, ds) = pair
-    expected = _qscalar_product(cs, ds)
+    expected = _reference_product(cs, ds)
     got = m * n
-    assert got.coeffs == expected
-    assert got.row == int_numerators(expected)
-    assert got.disc == field_disc([cs, ds]) and got.dim == m.dim
+    assert keys(got.coeffs) == list(map(key, expected))
+    assert got.row == ref_row(expected)
+    assert got.disc == field(*map(ref, cs + ds)) and got.dim == m.dim
 
 
 @given(cases())
-def test_negation_reverse_and_grades_agree_with_the_qscalars(case):
+def test_negation_reverse_and_grades_agree_with_the_reference(case):
     ((m, cs),) = case
-    assert (-m).coeffs == tuple(-c for c in cs)
-    assert (-m).row == int_numerators([-c for c in cs])
-    reversed_cs = [c if bin(k).count("1") in (0, 1) else -c for k, c in enumerate(cs)]
-    assert m.reverse().coeffs == tuple(reversed_cs)
-    assert m.reverse().row == int_numerators(reversed_cs)
-    assert (-m).disc == m.reverse().disc == m.disc == field_disc([cs])
-    assert m.grades() == {bin(k).count("1") for k, c in enumerate(cs) if not c.is_zero()}
-    assert m.is_zero() == all(c.is_zero() for c in cs)
+    xs = list(map(ref, cs))
+    assert keys((-m).coeffs) == [key(ref_neg(x)) for x in xs]
+    assert (-m).row == ref_row(map(ref_neg, xs))
+    reversed_xs = [x if bin(k).count("1") in (0, 1) else ref_neg(x) for k, x in enumerate(xs)]
+    assert keys(m.reverse().coeffs) == list(map(key, reversed_xs))
+    assert m.reverse().row == ref_row(reversed_xs)
+    assert (-m).disc == m.reverse().disc == m.disc == field(*xs)
+    assert m.grades() == {bin(k).count("1") for k, x in enumerate(xs) if x[0] or x[1]}
+    assert m.is_zero() == all(not (x[0] or x[1]) for x in xs)
     for k in range(m.dim + 1):
-        kept = [c if bin(j).count("1") == k else QScalar(0) for j, c in enumerate(cs)]
-        assert m.grade(k).coeffs == tuple(kept) and m.grade(k).row == int_numerators(kept)
+        kept = [x if bin(j).count("1") == k else (Fraction(0), Fraction(0), 1)
+                for j, x in enumerate(xs)]
+        assert keys(m.grade(k).coeffs) == list(map(key, kept))
+        assert m.grade(k).row == ref_row(kept)
 
 
 @st.composite
@@ -119,9 +131,9 @@ def pairs(draw):
 
 
 @given(pairs())
-def test_equality_and_hash_agree_with_the_qscalars(pair):
+def test_equality_and_hash_agree_with_the_reference(pair):
     m, cs, w, ws = pair
-    assert (m == w) == (tuple(cs) == tuple(ws))
+    assert (m == w) == (keys(cs) == keys(ws))
     if m == w:
         assert hash(m) == hash(w)
 
@@ -158,15 +170,16 @@ def apart(draw):
 
 
 def value(values, disc: int) -> tuple:
-    """The outcome of a Multivector of the QScalars values over Q(sqrt(disc)), or FieldMismatch."""
-    values = tuple(values)
-    field_disc([values])  # surds of two fields
-    return values, int_numerators(values), disc
+    """The outcome of a Multivector of the reference values over Q(sqrt(disc)), or
+    FieldMismatch."""
+    values = list(values)
+    field(*values)  # surds of two fields
+    return list(map(key, values)), ref_row(values), disc
 
 
 def outcome(f) -> tuple | type:
-    """f()'s outcome: (coeffs, row, disc) of the Multivector it returns, or the type of
-    the RootspinError it raises."""
+    """f()'s outcome: (coefficient keys, row, disc) of the Multivector it returns, or the
+    type of the RootspinError it raises."""
     try:
         out = f()
     except RootspinError as exc:
@@ -174,26 +187,27 @@ def outcome(f) -> tuple | type:
     if isinstance(out, tuple):
         return out
     assert type(out) is Multivector
-    return out.coeffs, out.row, out.disc
+    return keys(out.coeffs), out.row, out.disc
 
 
 @given(apart())
-def test_row_arithmetic_agrees_with_the_qscalar_reference(case):
-    # Exact's row arithmetic against coefficient-wise QScalar arithmetic; a sum is in
+def test_row_arithmetic_agrees_with_the_reference(case):
+    # Exact's row arithmetic against coefficient-wise reference arithmetic; a sum is in
     # its operands' field, and a row scaled by an int or a Fraction keeps its field
     ((m, cs), (n, ds)), s = case
+    xs, ys, f = list(map(ref, cs)), list(map(ref, ds)), ref(s)
 
     def both() -> int:
-        return field_disc([cs, ds])
+        return field(*xs, *ys)
 
     def scaled() -> tuple:
-        products = [c * s for c in cs]
-        return value(products, field_disc([products]) if type(s) is QScalar else m.disc)
+        products = [ref_product(x, f) for x in xs]
+        return value(products, field(*products) if type(s) is QScalar else m.disc)
 
     checks = [
-        (lambda: m + n, lambda: value((a + b for a, b in zip(cs, ds)), both())),
-        (lambda: m - n, lambda: value((a - b for a, b in zip(cs, ds)), both())),
-        (lambda: -m, lambda: value((-c for c in cs), m.disc)),
+        (lambda: m + n, lambda: value((ref_sum(a, b) for a, b in zip(xs, ys)), both())),
+        (lambda: m - n, lambda: value((ref_sum(a, ref_neg(b)) for a, b in zip(xs, ys)), both())),
+        (lambda: -m, lambda: value(map(ref_neg, xs), m.disc)),
         (lambda: m.scale(s), scaled),
         (lambda: m * s, scaled),
     ]

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 import rootspin.qfield
 from rootspin import DomainError, FieldMismatch, QScalar, phi
 from rootspin.qfield import field_sign, field_sqrt, format_value, scalar_or_text
-from _util import DISCS, random_qscalar
+from _util import (
+    DISCS, bounded, key, random_qscalar, ref, ref_cmp, ref_inverse, ref_neg, ref_product,
+    ref_sum, reference_sign, times,
+)
 
 SQRT2 = QScalar.sqrt_disc(2)
 SQRT5 = QScalar.sqrt_disc(5)
@@ -340,3 +343,89 @@ def test_a_value_past_the_64_bit_bound_is_named_by_its_text():
     assert scalar_or_text(big, small, 5) == format_value(big, small, 5) == (
         f"{2**70}-3/{2**70}*sqrt(5)")
     assert scalar_or_text(Fraction(2**62), small * 2**8, 5) == QScalar(2**62, small * 2**8, 5)
+
+
+# -- QScalar against the Fraction-pair reference --------------------------------------
+
+# parts out to the 64-bit bound, so sums, products and inverses leave it now and then
+_EDGE = st.sampled_from((2**62, -2**62, 2**63 - 1, -(2**63 - 1), 3 * 2**61))
+_NUMERATORS = st.one_of(st.integers(-40, 40), st.integers(-(2**63 - 1), 2**63 - 1), _EDGE)
+_DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, 2**63 - 1), st.just(2**63 - 1))
+_BOUNDED_PARTS = st.builds(Fraction, _NUMERATORS, _DENOMINATORS)
+
+
+@st.composite
+def field_operands(draw, d: int):
+    """An operand of a QScalar over Q(sqrt(d)): a QScalar of that field, a rational one
+    under any tag, one of another field (so the field rule is met), an int or a Fraction,
+    each part within the 64-bit bound."""
+    kind = draw(st.sampled_from(("own", "own", "tagged", "other", "int", "fraction")))
+    if kind == "own":
+        return QScalar(draw(_BOUNDED_PARTS), draw(_BOUNDED_PARTS) if d > 1 else 0, d)
+    if kind == "tagged":
+        return QScalar(draw(_BOUNDED_PARTS), 0, draw(st.sampled_from(DISCS)))
+    if kind == "other":
+        other = draw(st.sampled_from([e for e in DISCS if e not in (1, d)]))
+        return QScalar(draw(_BOUNDED_PARTS), draw(_BOUNDED_PARTS.filter(bool)), other)
+    if kind == "int":
+        return draw(_NUMERATORS)
+    return draw(_BOUNDED_PARTS)
+
+
+def _outcome(f):
+    """f()'s reference triple, None or bool, or the type of the error it raises."""
+    try:
+        out = f()
+    except (OverflowError, ZeroDivisionError, FieldMismatch, DomainError) as exc:
+        return type(exc)
+    return out if out is None or isinstance(out, (bool, tuple)) else ref(out)
+
+
+@given(st.sampled_from(DISCS).flatmap(
+    lambda d: st.tuples(field_operands(d).filter(lambda x: isinstance(x, QScalar)),
+                        field_operands(d))))
+def test_qscalar_arithmetic_is_the_reference(pair):
+    # each operation, in both operand orders where the other is an int or a Fraction,
+    # against the reference on Fraction pairs; OverflowError exactly where a reduced part
+    # of the reference, or of the inverse a quotient multiplies by, leaves the bound
+    x, y = pair
+    X, Y = ref(x), ref(y)
+    B = bounded
+
+    def over(value):  # the inverse of a reference value, bounded as a QScalar's is
+        return B(ref_inverse(value))
+
+    cases = [
+        (lambda: x + y, lambda: B(ref_sum(X, Y))),
+        (lambda: y + x, lambda: B(ref_sum(Y, X))),
+        (lambda: x - y, lambda: B(ref_sum(X, ref_neg(Y)))),
+        (lambda: y - x, lambda: B(ref_sum(Y, ref_neg(X)))),
+        (lambda: x * y, lambda: B(ref_product(X, Y))),
+        (lambda: y * x, lambda: B(ref_product(Y, X))),
+        (lambda: x / y, lambda: B(ref_product(X, over(Y)))),
+        (lambda: y / x, lambda: B(ref_product(Y, over(X)))),
+        (lambda: -x, lambda: ref_neg(X)),
+        (x.conjugate, lambda: (X[0], -X[1], X[2])),
+        (x.inverse, lambda: over(X)),
+        (lambda: x < y, lambda: ref_cmp(X, Y) < 0),
+        (lambda: x <= y, lambda: ref_cmp(X, Y) <= 0),
+        (lambda: x > y, lambda: ref_cmp(X, Y) > 0),
+        (lambda: x >= y, lambda: ref_cmp(X, Y) >= 0),
+        (lambda: y < x, lambda: ref_cmp(Y, X) < 0),
+        (lambda: y >= x, lambda: ref_cmp(Y, X) >= 0),
+        (lambda: x == y, lambda: key(X) == key(Y)),
+    ]
+    for got, want in cases:
+        assert _outcome(got) == _outcome(want)
+    sign = reference_sign(*X)
+    if sign < 0:
+        with pytest.raises(DomainError):
+            x.sqrt()
+    else:  # a root found is a root; where none is found, none is checked for
+        root = x.sqrt()
+        assert root is None or (reference_sign(*ref(root)) >= 0 and root.disc == x.disc
+                                and times(ref(root), ref(root), X[2]) == X[:2])
+    square = ref_product(X, X)
+    if _outcome(lambda: B(square)) is not OverflowError:  # the root of x^2 is |x|
+        root = QScalar(*square).sqrt()
+        assert root is not None and key(ref(root)) == key(X if sign >= 0 else ref_neg(X))

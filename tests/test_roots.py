@@ -51,7 +51,7 @@ from rootspin.lattice import (
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
 from rootspin.roots import row_vector
 from rootspin.serialize import root_system_from_json, root_system_to_json
-from _util import partial_cases as _partial_cases
+from _util import dot, partial_cases as _partial_cases, reference_sign, times
 
 HALF = Fraction(1, 2)
 
@@ -497,22 +497,12 @@ def _kernel_case(name):
     return build_preset(name)
 
 
-def _times(x, y, disc):
-    """(r + s sqrt(d)) (u + v sqrt(d)) on pairs of Fractions, with no 64-bit bound."""
-    return x[0] * y[0] + disc * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _dot(a, b, disc):
-    terms = [_times((s.rat, s.surd), (t.rat, t.surd), disc) for s, t in zip(a, b)]
-    return sum(r for r, _ in terms), sum(v for _, v in terms)
-
-
 def _assert_angle_counts_match_scalar_reference(vectors, disc):
     """Lattice.angle_counts against exact field arithmetic: the counts over ordered
     pairs i != j of sign(a.b) (a.b)^2 / (|a|^2 |b|^2), and the component sizes of a
     BFS over the non-orthogonal pairs.  Neither side has a 64-bit bound.  Each key
     (s, t, r, e) is reduced, with r > 0 and e the field of a value with a surd part."""
-    dots = [[_dot(a, b, disc) for b in vectors] for a in vectors]
+    dots = [[dot(a, b, disc) for b in vectors] for a in vectors]
     triples = Counter(
         (dot, dots[i][i], dots[j][j]) for i, row in enumerate(dots) for j, dot in enumerate(row)
         if i != j
@@ -521,9 +511,9 @@ def _assert_angle_counts_match_scalar_reference(vectors, disc):
     for ((x, y), a, b), c in triples.items():  # each distinct triple divided once
         den = math.lcm(x.denominator, y.denominator)
         sign = field_sign(int(x * den), int(y * den), disc)
-        p, q = _times((x, y), (x, y), disc)
-        r, t = _times(a, b, disc)
-        u, v = _times((sign * p, sign * q), (r, -t), disc)  # over the norm r^2 - d t^2
+        p, q = times((x, y), (x, y), disc)
+        r, t = times(a, b, disc)
+        u, v = times((sign * p, sign * q), (r, -t), disc)  # over the norm r^2 - d t^2
         norm = r * r - disc * t * t
         cosines[u / norm, v / norm] += c
     angles, components = lattice_of(vectors, disc).angle_counts()
@@ -901,7 +891,7 @@ def test_root_system_round_trips_through_its_vectors(case, rng):
     other = 3 if rs.disc != 3 else 2
     for r in rs.roots:
         assert r in rs
-        if all(c.is_rational() for c in r.coords):
+        if all(not c.surd for c in r.coords):
             # a rational vector tagged disc 1 is a member of any field's system
             assert Vector([QScalar(c.rat) for c in r.coords], disc=1) in rs
         else:
@@ -991,16 +981,6 @@ def field_values(draw):
     return disc, draw(st.lists(st.one_of(own, tagged), min_size=1, max_size=5))
 
 
-def reference_sign(x: Fraction, y: Fraction, d: int) -> int:
-    """The sign of x + y sqrt(d) for Fractions x, y and a square-free d, sharing nothing
-    with qfield: where x and y differ in sign, the sign of the part whose square, x^2 or
-    d y^2, is the larger (they are never equal, as sqrt(d) is irrational for d > 1)."""
-    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
-    if sx * sy >= 0:
-        return sx or sy
-    return sx if x * x > d * y * y else sy
-
-
 def reference_cmp(a: QScalar, b: QScalar) -> int:
     """The sign of a - b by reference_sign on their Fraction parts, in the surd's field."""
     return reference_sign(a.rat - b.rat, a.surd - b.surd, b.disc if b.surd else a.disc)
@@ -1045,7 +1025,7 @@ def test_qscalar_comparisons_are_the_reference_order(field, data):
     b = data.draw(st.sampled_from(pool + [-a]))  # -a: far apart where a is large
     sign = reference_cmp(a, b)
     assert (a < b, a <= b, a > b, a >= b) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
-    if b.is_rational():  # an int or Fraction operand gives the same answers
+    if not b.surd:  # an int or Fraction operand gives the same answers
         other = b.rat if b.rat.denominator > 1 else b.rat.numerator
         assert (a < other, a <= other, a > other, a >= other) == (
             sign < 0, sign <= 0, sign > 0, sign >= 0)

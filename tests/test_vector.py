@@ -1,10 +1,10 @@
-"""A Vector holds its integer row: the row operations agree with the QScalar formulas.
+"""A Vector holds its integer row: the row operations agree with the field's formulas.
 
 A Vector's state is its reduced row (lattice.py's (p_1, q_1, ..., D)) and its
 field's disc; coords are decoded on first read, or kept as given.  Each
-property compares the row route with the coordinate-wise QScalar arithmetic
-over Q, Q(sqrt(2)) and Q(sqrt(5)), rational coordinates tagged with other
-discs included.
+property compares the row route with coordinate-wise arithmetic in _util's
+Fraction-pair reference, which shares no code with the package, over Q,
+Q(sqrt(2)) and Q(sqrt(5)), rational coordinates tagged with other discs included.
 """
 
 from __future__ import annotations
@@ -19,8 +19,11 @@ from rootspin import (
     DomainError, FieldMismatch, NormNotInField, QScalar, RootspinError, RootSystem, Vector,
     ZeroRoot, build_preset, close_under_reflections, vec,
 )
-from rootspin.lattice import field_disc, from_numerators, int_numerators
+from rootspin.lattice import from_numerators, int_numerators
 from rootspin.roots import reflect_euclid, row_vector
+from _util import (
+    dot, field, key, ref, ref_inverse, ref_neg, ref_product, ref_row, ref_sum, times,
+)
 
 FIELDS = (1, 2, 5)
 OTHER_TAGS = (1, 3, 7)  # the discs a rational coordinate may carry in any field
@@ -42,7 +45,7 @@ def built(draw, cs: list[QScalar]) -> Vector:
     """A Vector of cs: built from the QScalars, or from their row and field."""
     if draw(st.booleans()):
         return Vector(cs)
-    return row_vector(int_numerators(cs), field_disc([cs]))
+    return row_vector(int_numerators(cs), field(*map(ref, cs)))
 
 
 @st.composite
@@ -59,23 +62,29 @@ def retagged(cs: list[QScalar], tag: int) -> list[QScalar]:
     return [c if c.surd else QScalar(c.rat, 0, tag) for c in cs]
 
 
+def keys(values) -> list[tuple]:
+    """The reference keys of QScalars: equal lists for equal values."""
+    return [key(ref(c)) for c in values]
+
+
 @given(cases(), factors)
-def test_scale_agrees_with_the_qscalar_products(case, s):
+def test_scale_agrees_with_the_reference_products(case, s):
     v, cs = case
-    expected = tuple(c * s for c in cs)
+    expected = [ref_product(ref(c), ref(s)) for c in cs]
     got = v.scale(s)
-    assert got.coords == expected
-    assert got.row == int_numerators(expected)
+    assert keys(got.coords) == list(map(key, expected))
+    assert got.row == ref_row(expected)
     assert got.disc == v.disc
 
 
 @given(cases())
-def test_negation_and_is_zero_agree_with_the_qscalars(case):
+def test_negation_and_is_zero_agree_with_the_reference(case):
     v, cs = case
-    assert (-v).coords == tuple(-c for c in cs)
-    assert (-v).row == int_numerators([-c for c in cs])
-    assert (-v).disc == v.disc == field_disc([cs])
-    assert v.is_zero() == all(c.is_zero() for c in cs)
+    negated = [ref_neg(ref(c)) for c in cs]
+    assert keys((-v).coords) == list(map(key, negated))
+    assert (-v).row == ref_row(negated)
+    assert (-v).disc == v.disc == field(*map(ref, cs))
+    assert v.is_zero() == all(not any(ref(c)[:2]) for c in cs)
     assert v.dim == len(cs)
 
 
@@ -98,9 +107,9 @@ def pairs(draw):
 
 
 @given(pairs())
-def test_equality_and_hash_agree_with_the_qscalars(pair):
+def test_equality_and_hash_agree_with_the_reference(pair):
     v, cs, w, ws = pair
-    assert (v == w) == (tuple(cs) == tuple(ws))
+    assert (v == w) == (keys(cs) == keys(ws))
     if v == w:
         assert hash(v) == hash(w)
 
@@ -128,9 +137,9 @@ def membership_cases(draw):
 
 
 @given(membership_cases())
-def test_membership_agrees_with_the_qscalars(case):
+def test_membership_agrees_with_the_reference(case):
     rs, v, cs = case
-    assert (v in rs) == any(tuple(cs) == r.coords for r in rs.roots)
+    assert (v in rs) == any(keys(cs) == keys(r.coords) for r in rs.roots)
 
 
 @given(st.sampled_from(FIELDS).flatmap(lambda d: st.lists(cases(d), min_size=1, max_size=6)
@@ -236,59 +245,62 @@ ARITHMETIC_FIELDS = (1, 2, 3, 5)  # two surd fields meet in a sum when the opera
 any_scalars = factors | st.sampled_from(ARITHMETIC_FIELDS).flatmap(scalars)
 
 
-def reference_unit(cs: list[QScalar], disc: int) -> tuple[QScalar, ...]:
-    """cs over the square root of their squared norm, in QScalars: Vector.unit's former
-    coordinate formula, with the root taken in the vector's field Q(sqrt(disc))."""
-    if all(c.is_zero() for c in cs):
+def reference_unit(xs: list[tuple], disc: int) -> list[tuple]:
+    """The reference values xs over the square root of their squared norm: Vector.unit's
+    former coordinate formula, with the root taken in the vector's field Q(sqrt(disc)).
+    QScalar.sqrt finds the root, and the reference squares it back."""
+    if not any(a or b for a, b, _ in xs):
         raise ZeroRoot("the zero vector has no unit length")
-    norm = sum(c * c for c in cs)
-    root = QScalar(norm.rat, norm.surd, disc).sqrt()
+    norm = tuple(map(sum, zip(*(times(x, x, disc) for x in xs))))
+    root = QScalar(*norm, disc).sqrt()
     if root is None:
-        raise NormNotInField(cs, norm)
-    return tuple(c / root for c in cs)
+        raise NormNotInField(xs, norm)
+    assert times(ref(root), ref(root), disc) == norm
+    return [ref_product(x, ref_inverse(ref(root))) for x in xs]
 
 
 def value(values, disc: int) -> tuple:
-    """The outcome of a Vector of the QScalars values over Q(sqrt(disc)), or FieldMismatch."""
-    values = tuple(values)
-    field_disc([values])  # surds of two fields
-    return Vector, values, int_numerators(values), disc
+    """The outcome of a Vector of the reference values over Q(sqrt(disc)), or FieldMismatch."""
+    values = list(values)
+    field(*values)  # surds of two fields
+    return Vector, list(map(key, values)), ref_row(values), disc
 
 
 def outcome(f) -> tuple | type:
-    """f()'s outcome: (type, coords, row, disc) of the value it returns, or the type of
-    the RootspinError it raises."""
+    """f()'s outcome: (type, coordinate keys, row, disc) of the value it returns, or the
+    type of the RootspinError it raises."""
     try:
         out = f()
     except RootspinError as exc:
         return type(exc)
-    return out if isinstance(out, tuple) else (type(out), out.coords, out.row, out.disc)
+    return out if isinstance(out, tuple) else (type(out), keys(out.coords), out.row, out.disc)
 
 
 @given(st.integers(1, 4).flatmap(
     lambda dim: st.tuples(*(st.sampled_from(ARITHMETIC_FIELDS).flatmap(
         lambda d: cases(d, dim)) for _ in range(2)))), any_scalars)
-def test_row_arithmetic_agrees_with_the_qscalar_reference(pair, s):
-    # Exact's row arithmetic against coordinate-wise QScalar arithmetic, on two
+def test_row_arithmetic_agrees_with_the_reference(pair, s):
+    # Exact's row arithmetic against coordinate-wise reference arithmetic, on two
     # vectors whose fields are drawn apart, rational coordinates under any tag
     (v, cs), (w, ws) = pair
+    xs, ys, f = list(map(ref, cs)), list(map(ref, ws)), ref(s)
 
     def both() -> int:  # a sum's field: its operands'
-        return field_disc([cs, ws])
+        return field(*xs, *ys)
 
-    def sums() -> list[QScalar]:
-        return [a + b for a, b in zip(cs, ws)]
+    def sums() -> list[tuple]:
+        return [ref_sum(a, b) for a, b in zip(xs, ys)]
 
     def scaled() -> tuple:  # a row scaled by an int or a Fraction keeps its field
-        products = [c * s for c in cs]
-        return value(products, field_disc([products]) if type(s) is QScalar else v.disc)
+        products = [ref_product(x, f) for x in xs]
+        return value(products, field(*products) if type(s) is QScalar else v.disc)
 
     for got, want in [
         (lambda: v + w, lambda: value(sums(), both())),
-        (lambda: v - w, lambda: value((a - b for a, b in zip(cs, ws)), both())),
-        (lambda: -v, lambda: value((-c for c in cs), v.disc)),
+        (lambda: v - w, lambda: value((ref_sum(a, ref_neg(b)) for a, b in zip(xs, ys)), both())),
+        (lambda: -v, lambda: value(map(ref_neg, xs), v.disc)),
         (lambda: v.scale(s), scaled),
-        (v.unit, lambda: value(reference_unit(cs, v.disc), v.disc)),
+        (v.unit, lambda: value(reference_unit(xs, v.disc), v.disc)),
         (lambda: (v + w).unit(), lambda: value(reference_unit(sums(), both()), both())),
     ]:
         assert outcome(got) == outcome(want)
@@ -297,19 +309,21 @@ def test_row_arithmetic_agrees_with_the_qscalar_reference(pair, s):
 @given(st.integers(1, 4).flatmap(
     lambda dim: st.tuples(*(st.sampled_from(ARITHMETIC_FIELDS).flatmap(
         lambda d: cases(d, dim)) for _ in range(2)))))
-def test_dot_is_the_sum_of_the_qscalar_products(pair):
+def test_dot_is_the_sum_of_the_reference_products(pair):
     # Vector.dot reads the rows through lattice.int_mirror; the reference multiplies
-    # the QScalars.  A surd value keeps its field; a rational one fits any field
+    # the coordinates' Fraction pairs, in the field of both vectors.  A surd value keeps
+    # its field; a rational one fits any field
     (v, cs), (w, ws) = pair
     try:
-        expected = sum((a * b for a, b in zip(cs, ws)), QScalar(0))
+        d = field(*map(ref, cs), *map(ref, ws))
     except FieldMismatch:
         for x, y in ((v, w), (w, v)):
             with pytest.raises(FieldMismatch):
                 x.dot(y)
         return
+    expected = (*dot(cs, ws, d), d)
     for found in (v.dot(w), w.dot(v)):
-        assert found == expected and (found.disc == expected.disc or not found.surd)
+        assert key(ref(found)) == key(expected) and (found.disc == d or not found.surd)
 
 
 def test_a_vectors_unit_is_taken_in_its_own_field():
