@@ -191,7 +191,7 @@ def coxeter_matrix(simple: Sequence[Vector]) -> CoxeterMatrix:
 
 def _label(a: Vector, b: Vector) -> int:
     """m for the simple pair a, b of a finite dihedral group; UnknownAngle otherwise."""
-    a._check(b)
+    a._operand(b)
     d = vectors_disc((a, b))
     x, y = row_in(a, d), row_in(b, d)
     mirror_a, mirror_b = int_mirror(x, d), int_mirror(y, d)

@@ -2,13 +2,14 @@
 
 A Multivector is a lattice.Exact, as a Vector is: the row of its 2^dim
 blade coefficients and its field's disc, with the QScalar coeffs decoded on
-first read.  Slot m of the row holds blade m, a bitmask: bit i set means the
-basis vector e_{i+1} is present, so slot 0 is the scalar and slot 2^dim - 1
-the pseudoscalar.  The geometric product is lattice.py's `int_product` on
-the two rows; the blade convention, the bivector basis (I e1, I e2, I e3) =
-(e2 e3, e3 e1, e1 e2) and the 4D readout of even elements are stated there,
-once.  Sums, negation and scaling, by an int, a Fraction or a QScalar, are
-Exact's; reversion, grades, from_vector and the spinor readouts also read or
+first read (qfield.from_numerators).  Slot m of the row holds blade m, a
+bitmask: bit i set means the basis vector e_{i+1} is present, so slot 0 is
+the scalar and slot 2^dim - 1 the pseudoscalar.  The geometric product is
+lattice.py's `int_product` on the two rows; the blade convention, the
+bivector basis (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2) and the 4D readout
+of even elements are stated there, once.  Sums, negation and scaling, by an
+int, a Fraction or a QScalar (itself a one-coordinate Exact), are Exact's,
+as QScalar's own ring operations are; reversion, grades, from_vector and the spinor readouts also read or
 build the row, so none of them encodes or decodes a QScalar.
 
 Every Rotor is built by Rotor(mv), which checks that mv is even with
@@ -40,12 +41,13 @@ from .lattice import (
     EVEN_MASKS,
     Exact,
     Numerators,
+    int_numerators,
     int_product,
     sorted_numerators,
     vec4_numerators,
     vectors_disc,
 )
-from .qfield import QScalar
+from .qfield import QScalar, from_numerators
 from .roots import RootSystem, Vector, _is_unit, row_vector
 
 _ZERO = QScalar(0)
@@ -92,9 +94,12 @@ class Multivector(Exact):
             raise DimensionMismatch(
                 f"Cl({dim}) needs {1 << dim} coefficients, got {len(cs)}"
             )
-        super().__init__(cs)
+        super().__init__(int_numerators(cs), vectors_disc(cs), cs)
 
-    coeffs = property(Exact._decoded, doc="The blade coefficients as QScalars, by bitmask.")
+    @property
+    def coeffs(self) -> tuple[QScalar, ...]:
+        """The blade coefficients as QScalars, by bitmask."""
+        return self._decoded(from_numerators)
 
     @property
     def dim(self) -> int:
@@ -135,9 +140,6 @@ class Multivector(Exact):
         g = math.gcd(*out)
         return Multivector._from_row(tuple(z // g for z in out), self.disc)
 
-    def scalar_part(self) -> QScalar:
-        return self.coeffs[0]
-
     def is_vector(self) -> bool:
         return self.grades() <= {1}
 
@@ -150,7 +152,7 @@ class Multivector(Exact):
         """Geometric product, or Exact.scale for scalar operands."""
         if isinstance(other, (QScalar, int, Fraction)):
             return self.scale(other)
-        self._check(other)
+        other = self._operand(other)
         d = self.disc if self.disc == other.disc else vectors_disc((self, other))
         return Multivector._from_row(int_product(self.row, other.row, BLADES[self.dim], d), d)
 

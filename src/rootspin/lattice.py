@@ -1,7 +1,8 @@
-"""Exact integer-lattice kernel: the row encoding, the geometric product, angle counts
-and reflection tables.
+"""Exact integer-lattice kernel: the row encoding, the field's integer kernels, the
+geometric product, angle counts and reflection tables.
 
-A vector, multivector or rotor is held as one reduced tuple of Python ints, its row
+A value over Q(sqrt(d)), a scalar, vector, multivector or rotor, is held as one
+reduced tuple of Python ints, its row
 
     (p_1, q_1, ..., p_k, q_k, D),   coordinate i = (p_i + q_i sqrt(d)) / D,
 
@@ -11,13 +12,20 @@ immutability, equality, hashing, `is_zero`, order, lazy decoding and
 arithmetic (`+`, `-`, negation, `scale`), all on the row alone: `scale` is
 int_product of the row and its factor's row, whether the factor is an int, a
 Fraction or a QScalar, and `<` compares the rows' `coordinates` in turn by
-qfield.field_cmp.  roots.Vector and clifford.Multivector are its subclasses,
-and a RootSystem (roots.py) holds its roots' rows.  `int_numerators` encodes
-the QScalars a value is built from, `from_numerators` decodes a row when its
-QScalars are first read (every row is 64-bit-checked as it is wrapped, by
-`Exact._from_row`), and `sorted_numerators` sorts rows by exact value, by the
-same field_cmp: one order, on ints with no bound, for `<`, for every canonical
-order and for both of clifford.RotorGroup's constructors.
+field_cmp.  qfield.QScalar, the one-coordinate row, roots.Vector and
+clifford.Multivector are its subclasses, and a RootSystem (roots.py) holds
+its roots' rows.  `int_numerators` encodes the QScalars a value is built
+from, and qfield.from_numerators decodes a row when its QScalars are first
+read; every new row is 64-bit-checked as it is wrapped, by `Exact._from_row`.
+`sorted_numerators` sorts rows by exact value, by the same field_cmp: one
+order, on ints with no bound, for `<`, for every canonical order and for both
+of clifford.RotorGroup's constructors.
+
+The field's integer kernels are stated here, once: `common_disc`, the one
+field rule; `check_row`, the one 64-bit check of a new row; and `field_sign`
+and `field_cmp`, the sign and the order of values (x + y sqrt(d)) / z on ints
+with no bound, which QScalar's `sign` and comparisons, Exact's `<`,
+sorted_numerators and classify's Coxeter labels call.
 
 `int_product` is the geometric product of Cl(2) and Cl(3), on rows of
 blade coefficients; the blade convention and the 4D readout of the even
@@ -76,39 +84,74 @@ from fractions import Fraction
 from functools import cmp_to_key, partial
 from itertools import accumulate, chain, compress, repeat
 from operator import eq, mul, or_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import DimensionMismatch
-from .qfield import QScalar, _coerce, check_row, common_disc, field_cmp, field_sign
+from .errors import DimensionMismatch, FieldMismatch
 
 Matrix = list[list[int]]
 Numerators = tuple[int, ...]
 AngleKey = tuple[int, int, int, int]  # (s, t, r, e): the value (s + t sqrt(e)) / r, reduced
 
-
-def field_disc(vectors: Iterable[Iterable[QScalar]]) -> int:
-    """The one d whose sqrt(d) the coordinates use, by qfield.common_disc's rule.
-
-    Takes Vectors or any sequences of QScalars; with no coordinates it is 1.
-    """
-    return common_disc((c.disc, c.surd) for v in vectors for c in v)
+_INT64_MAX = 2**63 - 1
 
 
-def vectors_disc(vectors: Iterable["Exact"]) -> int:
-    """field_disc of the values of Vectors (or Multivectors), read off their rows."""
-    return common_disc((v.disc, any(v.row[1:-1:2])) for v in vectors)
+def field_sign(x: int, y: int, disc: int) -> int:
+    """Sign of x + y sqrt(d), from x^2 against d y^2 when the signs differ."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
+    return 1 if bigger > 0 else -1
 
 
-def int_numerators(scalars: Iterable[QScalar]) -> Numerators:
-    """(p_1, q_1, ..., p_k, q_k, D) with scalar i = (p_i + q_i sqrt(d)) / D, reduced."""
-    parts = [f for c in scalars for f in (c.rat, c.surd)]
-    den = math.lcm(*(f.denominator for f in parts))
-    return tuple(f.numerator * (den // f.denominator) for f in parts) + (den,)
+def field_cmp(s: tuple[int, int, int], t: tuple[int, int, int], disc: int) -> int:
+    """Sign of s - t for s = (p_s, q_s, D_s), the value (p_s + q_s sqrt(d)) / D_s with D_s > 0,
+    and t alike: that of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d), on ints with no
+    bound.  The package's one exact order: QScalar's sign and comparisons, Exact's `<`,
+    sorted_numerators and classify's Coxeter labels call it."""
+    return field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
 
 
-def from_numerators(x: Numerators, disc: int) -> tuple[QScalar, ...]:
-    """The QScalars whose numerators are x, over Q(sqrt(disc))."""
-    return tuple(QScalar(Fraction(p, den), Fraction(q, den), disc) for p, q, den in coordinates(x))
+def common_disc(tags: Iterable[tuple[int, object]]) -> int:
+    """The field of values tagged (disc, surd part), by the package's one field rule: a
+    surd's field wins, a rational fits any field, and otherwise the largest tag (1 for none).
+    FieldMismatch when surd parts from two fields meet."""
+    surd, top = None, 1
+    for disc, irrational in tags:
+        if not irrational:
+            top = max(top, disc)
+        elif surd is None:
+            surd = disc
+        elif disc != surd:
+            raise FieldMismatch(f"cannot combine Q(sqrt({surd})) with Q(sqrt({disc}))")
+    return top if surd is None else surd
+
+
+def check_row(x: tuple[int, ...]) -> None:
+    """OverflowError if a reduced component p_i / D of the new row (p_1, q_1, ..., D) leaves
+    the 64-bit bound, naming the first such component: the one check of a new row."""
+    if max(map(abs, x)) > _INT64_MAX:
+        for p in x[:-1]:
+            fr = Fraction(p, x[-1])
+            if abs(fr.numerator) > _INT64_MAX or fr.denominator > _INT64_MAX:
+                raise OverflowError(
+                    f"rational component {fr.numerator}/{fr.denominator} exceeds 64-bit range"
+                )
+
+
+def vectors_disc(values: Iterable["Exact"]) -> int:
+    """The one d whose sqrt(d) the values use, by common_disc's rule, read off their rows:
+    QScalars, Vectors or Multivectors; with no values it is 1."""
+    return common_disc((v.disc, any(v.row[1:-1:2])) for v in values)
+
+
+def int_numerators(scalars: Iterable["Exact"]) -> Numerators:
+    """(p_1, q_1, ..., p_k, q_k, D) with scalar i = (p_i + q_i sqrt(d)) / D, reduced: the
+    QScalars' rows (p_i, q_i, D_i) over the least common D."""
+    rows = [c.row for c in scalars]
+    den = math.lcm(*(x[2] for x in rows))
+    return tuple(v * (den // x[2]) for x in rows for v in x[:2]) + (den,)
 
 
 def negated(x: Numerators) -> Numerators:
@@ -117,34 +160,37 @@ def negated(x: Numerators) -> Numerators:
 
 
 class Exact:
-    """An immutable value held as its row over Q(sqrt(disc)): the base of roots.Vector
-    and clifford.Multivector, and their one copy of the row arithmetic.
+    """An immutable value held as its row over Q(sqrt(disc)): the base of qfield.QScalar,
+    roots.Vector and clifford.Multivector, and their one copy of the row arithmetic.
 
-    The QScalars the row stands for are decoded on first read (`_decoded`), except
-    that a value built from QScalars keeps the ones it was given.  Equality, hashing
-    and `is_zero` read the row: two values of one type are equal when their rows are
-    and they share a field or have no surd part, as QScalar equality says.  `+`, `-`,
-    negation and `scale` run on rows and decode nothing, a new row 64-bit-checked by
-    `_from_row`; `<` compares the coordinates in turn by qfield.field_cmp, each pair
-    in its own field by common_disc's rule, and decodes nothing either.  `_check`
-    refuses an operand of another type or dimension.
+    The QScalars a Vector's or a Multivector's row stands for are decoded on first read
+    (`_decoded`), except that a value built from QScalars keeps the ones it was given.
+    Equality, hashing and `is_zero` read the row: two values of one type are equal when
+    their rows are and they share a field or have no surd part.  `+`, `-`, negation and
+    `scale` run on rows and decode nothing, a new row 64-bit-checked by `_from_row`; `<`
+    compares the coordinates in turn by field_cmp, each pair in its own field by
+    common_disc's rule, and decodes nothing either.  `_operand` refuses an operand of
+    another type or dimension; QScalar's, the one a subclass overrides, also takes an int
+    or a Fraction as a QScalar.  `scale` takes a factor whose class sets `_scalar`: a
+    QScalar.
     """
 
     __slots__ = ("row", "disc", "_values")
+    _scalar = False  # True for qfield.QScalar, the one factor of scale besides ints and Fractions
 
-    def __init__(self, values: tuple[QScalar, ...], disc: int | None = None):
-        # values over Q(sqrt(disc)), or over their one field when disc is None
-        object.__setattr__(self, "row", int_numerators(values))
-        object.__setattr__(self, "disc", field_disc((values,)) if disc is None else disc)
+    def __init__(self, row: Numerators, disc: int, values: tuple | None = None):
+        # a reduced row within the 64-bit bound, over Q(sqrt(disc)); values, where given, are
+        # the QScalars it was built from, kept as given
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "disc", disc)
         object.__setattr__(self, "_values", values)
 
     @classmethod
     def _from_row(cls, x: Numerators, disc: int):
         """The value whose reduced row is x, over Q(sqrt(disc)), decoded on first read:
-        the one way a row is wrapped.
+        the one way a new row is wrapped.
 
-        qfield.check_row raises QScalar's OverflowError for the first component
-        that leaves the 64-bit bound.
+        check_row raises OverflowError for the first component that leaves the 64-bit bound.
         """
         check_row(x)
         out = object.__new__(cls)
@@ -156,10 +202,11 @@ class Exact:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def _decoded(self) -> tuple[QScalar, ...]:
+    def _decoded(self, decode: Callable[[Numerators, int], tuple]) -> tuple:
+        # the values the row stands for, decode(row, disc), computed on first read and kept
         values = self._values
         if values is None:
-            values = from_numerators(self.row, self.disc)
+            values = decode(self.row, self.disc)
             object.__setattr__(self, "_values", values)
         return values
 
@@ -167,29 +214,35 @@ class Exact:
         return not any(self.row[:-1])
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.row == other.row and (
-            self.disc == other.disc or not any(self.row[1:-1:2])
-        )
+        if type(other) is not type(self):
+            try:
+                other = self._operand(other)
+            except (TypeError, OverflowError):  # no value of this type, or one past the bound
+                return False
+        return self.row == other.row and (self.disc == other.disc or not any(self.row[1:-1:2]))
 
     def __hash__(self):
         return hash(self.row)
 
     def __lt__(self, other) -> bool:
-        # the coordinates compared in turn by qfield.field_cmp, each pair in its own field
-        self._check(other)
+        # the coordinates compared in turn by field_cmp, each pair in its own field
+        other = self._operand(other)
         signs = (field_cmp(s, t, common_disc(((self.disc, s[1]), (other.disc, t[1]))))
                  for s, t in zip(coordinates(self.row), coordinates(other.row)))
         return next(filter(None, signs), 0) < 0
 
-    def _check(self, other) -> None:
+    def _operand(self, other):
+        """other as an operand of self: a value of self's type and dimension, else TypeError
+        or DimensionMismatch."""
         if type(other) is not type(self):
             raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if len(other.row) != len(self.row):
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+        return other
 
     def __add__(self, other):
         # the rows over their common denominator, in the operands' field
-        self._check(other)
+        other = self._operand(other)
         d = self.disc if self.disc == other.disc else vectors_disc((self, other))
         x, y = self.row, other.row
         den = math.lcm(x[-1], y[-1])
@@ -199,7 +252,7 @@ class Exact:
         return self._from_row(tuple(z // g for z in out) + (den // g,), d)
 
     def __sub__(self, other):
-        return self + -other
+        return self + -self._operand(other)
 
     def __neg__(self):
         return self._from_row(negated(self.row), self.disc)
@@ -209,11 +262,11 @@ class Exact:
         product of the row and s's row (a, b, c) by int_product, in the field of both."""
         if isinstance(s, (int, Fraction)):
             factor, d = (s.numerator, 0, s.denominator), self.disc
-        else:  # a surd survives only a nonzero factor, as in QScalar's *
-            s = _coerce(s)  # TypeError for anything but a QScalar
-            factor = int_numerators((s,))
-            d = common_disc(((self.disc, s and any(self.row[1:-1:2])), (s.disc, s.surd)))
-        check_row(factor)
+            check_row(factor)
+        elif isinstance(s, Exact) and s._scalar:  # a QScalar, its row checked as it was made
+            factor, d = s.row, vectors_disc((self, s))
+        else:
+            raise TypeError(f"cannot interpret {s!r} as a QScalar")
         x = self.row
         return self._from_row(int_product(x, factor, ROW_BY_SCALAR[len(x) // 2], d), d)
 

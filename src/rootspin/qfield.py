@@ -1,33 +1,28 @@
-"""Exact arithmetic in real quadratic fields Q(sqrt(d)).
+"""Exact arithmetic in real quadratic fields Q(sqrt(d)): QScalar, the public scalar.
 
 A scalar is a + b*sqrt(d) with rational a, b and a fixed square-free
 positive integer d (the field discriminant); d = 1 means plain rationals
-and the surd part is absorbed on construction.  All operations are exact,
-canonically reduced and hashable, so closures and comparisons elsewhere in
-the package are decidable with no floating-point tolerance.
+and the surd part is absorbed on construction.  A QScalar is a
+lattice.Exact of one coordinate: its row (p, q, D), reduced with D > 0, is
+the value (p + q sqrt(d)) / D, and `rat`, `surd` and `disc` are read-only
+views of that row and its field.  Its `+`, `-`, negation and `==` are
+Exact's, its `*` is Exact.scale, and its sign and order are
+lattice.field_cmp on the row, so the package has one arithmetic, on ints:
+QScalar adds to it only the step that turns an int or a Fraction operand
+into a QScalar (`_operand`).  Each part is bounded to 64-bit numerator and
+denominator: a new row whose reduced part leaves the bound raises
+OverflowError loudly (lattice.check_row) instead of growing silently.  A
+comparison takes an int or a Fraction as it is, with no bound.  The bound is
+a contract on roots and new rows, not on derived values: an angle key
+(lattice.AngleKey), a squared norm or an inner product on the way to a unit
+root is a row of ints and never a QScalar.
 
-Rational components ride on fractions.Fraction but are bounded to 64-bit
-numerator/denominator; exceeding the bound raises OverflowError loudly
-instead of growing silently.  QScalar is the public scalar; the loops over
-roots run on Python ints in lattice.py's kernels: the angle counts and the
-reflection table of a root set, and the numerator tuples on which the
-reflection closure and (with lattice.py's geometric product) the rotor group's
-pair products work.  The closure and the pair products keep this module's
-64-bit bound on every root or element they add, through caps.admit.  The
-bound is a contract on roots and new rows, not on derived values: an angle
-key (lattice.AngleKey) is a row of ints and is never a QScalar, and a squared
-norm or an inner product on the way to a unit root is one too.  So is a
-comparison: `field_cmp`, the sign of a difference on ints, is the package's
-one exact order, of QScalar's `sign`, `<`, `<=`, `>` and `>=`, of
-lattice.Exact's `<`, of lattice.sorted_numerators and of classify's Coxeter
-labels, and no difference becomes a QScalar.  And so is the squared norm
-that roots.unit_rows names in NormNotInField: `format_value` is the one
-text of a value, QScalar's `str` and `scalar_or_text`'s, which gives a norm
-past the bound as that text.  This module holds the package's one field
-rule (`common_disc`), its one 64-bit check of a new row (`check_row`), and
-the integer sign, order and square root of values (x + y sqrt(d)) / z,
-`field_sign`, `field_cmp` and `field_sqrt`, which QScalar wraps and the
-row kernels call directly.
+This module also holds the field's integer square root `field_sqrt`, of
+values (x + y sqrt(d)) / z, which QScalar.sqrt and roots.unit_rows call;
+`from_numerators`, which decodes a row into its QScalars when a Vector's or
+a Multivector's values are first read; and `format_value`, the one text of a
+value: QScalar's `str`, and `scalar_or_text`'s for the squared norm that
+roots.unit_rows names in NormNotInField, printed the same past the bound.
 """
 
 from __future__ import annotations
@@ -35,11 +30,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
-from .errors import DomainError, FieldMismatch
-
-_INT64_MAX = 2**63 - 1
+from .errors import DomainError
+from .lattice import Exact, Numerators, check_row, coordinates, field_cmp, vectors_disc
 
 _SQUARE_FREE_CACHE: dict[int, bool] = {}
 
@@ -58,30 +52,11 @@ def _is_square_free(d: int) -> bool:
     return ok
 
 
-def _check_range(fr: Fraction) -> Fraction:
-    if abs(fr.numerator) > _INT64_MAX or fr.denominator > _INT64_MAX:
-        raise OverflowError(
-            f"rational component {fr.numerator}/{fr.denominator} exceeds 64-bit range"
-        )
-    return fr
-
-
-def field_sign(x: int, y: int, disc: int) -> int:
-    """Sign of x + y sqrt(d), from x^2 against d y^2 when the signs differ."""
-    if x >= 0 and y >= 0:
-        return 1 if x or y else 0
-    if x <= 0 and y <= 0:
-        return -1
-    bigger = x if x * x > disc * y * y else y  # never equal: d is square-free and y != 0
-    return 1 if bigger > 0 else -1
-
-
-def field_cmp(s: tuple[int, int, int], t: tuple[int, int, int], disc: int) -> int:
-    """Sign of s - t for s = (p_s, q_s, D_s), the value (p_s + q_s sqrt(d)) / D_s with D_s > 0,
-    and t alike: that of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d), on ints with no
-    bound.  The package's one exact order: QScalar's sign and comparisons, Exact's `<`,
-    lattice.sorted_numerators and classify's Coxeter labels call it."""
-    return field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
+def checked_disc(disc: int) -> int:
+    """disc, or DomainError unless it is a positive square-free integer: a field's disc."""
+    if not _is_square_free(disc):
+        raise DomainError(f"discriminant {disc} must be a positive square-free integer")
+    return disc
 
 
 def field_sqrt(x: int, y: int, z: int, disc: int) -> Optional[tuple[int, int, int]]:
@@ -116,29 +91,6 @@ def field_sqrt(x: int, y: int, z: int, disc: int) -> Optional[tuple[int, int, in
     return None
 
 
-def common_disc(tags: Iterable[tuple[int, object]]) -> int:
-    """The field of values tagged (disc, surd part), by the package's one field rule: a
-    surd's field wins, a rational fits any field, and otherwise the largest tag (1 for none).
-    FieldMismatch when surd parts from two fields meet."""
-    surd, top = None, 1
-    for disc, irrational in tags:
-        if not irrational:
-            top = max(top, disc)
-        elif surd is None:
-            surd = disc
-        elif disc != surd:
-            raise FieldMismatch(f"cannot combine Q(sqrt({surd})) with Q(sqrt({disc}))")
-    return top if surd is None else surd
-
-
-def check_row(x: tuple[int, ...]) -> None:
-    """OverflowError, as QScalar raises it, if a reduced component p_i / D of the new
-    row (p_1, q_1, ..., D) leaves the 64-bit bound: the one check of a new row."""
-    if max(map(abs, x)) > _INT64_MAX:
-        for p in x[:-1]:
-            _check_range(Fraction(p, x[-1]))
-
-
 def format_value(rat: Fraction, surd: Fraction, disc: int) -> str:
     """The text of rat + surd sqrt(disc), as QScalar prints it, for Fractions of any size."""
     if surd == 0:
@@ -158,13 +110,23 @@ def scalar_or_text(rat: Fraction, surd: Fraction, disc: int) -> Union[QScalar, s
         return format_value(rat, surd, disc)
 
 
-_F_ZERO = Fraction(0)
+def from_numerators(x: Numerators, disc: int) -> tuple[QScalar, ...]:
+    """The QScalars of the row x's coordinates, over Q(sqrt(disc)): coordinate i is the
+    QScalar whose row is (p_i, q_i, D), reduced."""
+    out = []
+    for c in coordinates(x):
+        g = math.gcd(*c)
+        out.append(QScalar._from_row((c[0] // g, c[1] // g, c[2] // g), disc))
+    return tuple(out)
 
 
-class QScalar:
-    """An exact element a + b*sqrt(d) of the quadratic field Q(sqrt(d)).
+class QScalar(Exact):
+    """An exact element a + b*sqrt(d) of the quadratic field Q(sqrt(d)): the lattice.Exact
+    whose row is the one coordinate (p, q, D), the value (p + q sqrt(d)) / D.
 
     >>> phi = QScalar(Fraction(1, 2), Fraction(1, 2), 5)
+    >>> phi.row
+    (1, 1, 2)
     >>> phi * phi == phi + QScalar.rational(1, disc=5)
     True
     >>> float(phi)
@@ -173,23 +135,28 @@ class QScalar:
     True
     """
 
-    __slots__ = ("rat", "surd", "disc")
+    __slots__ = ()
+    _scalar = True  # a factor of Exact.scale
 
     def __init__(self, rat, surd=0, disc: int = 1):
-        if type(rat) is not Fraction:
-            rat = Fraction(rat)
-        if type(surd) is not Fraction:
-            surd = Fraction(surd)
-        if not _is_square_free(disc):
-            raise DomainError(f"discriminant {disc} must be a positive square-free integer")
-        if disc == 1 and surd:
-            rat, surd = rat + surd, _F_ZERO
-        object.__setattr__(self, "rat", _check_range(rat))
-        object.__setattr__(self, "surd", _check_range(surd))
-        object.__setattr__(self, "disc", disc)
+        rat, surd = Fraction(rat), Fraction(surd)
+        if checked_disc(disc) == 1:
+            rat, surd = rat + surd, Fraction(0)
+        den = math.lcm(rat.denominator, surd.denominator)
+        row = (rat.numerator * (den // rat.denominator),
+               surd.numerator * (den // surd.denominator), den)
+        check_row(row)
+        super().__init__(row, disc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QScalar is immutable")
+    @property
+    def rat(self) -> Fraction:
+        """The rational part a."""
+        return Fraction(self.row[0], self.row[2])
+
+    @property
+    def surd(self) -> Fraction:
+        """The coefficient b of sqrt(d)."""
+        return Fraction(self.row[1], self.row[2])
 
     @classmethod
     def rational(cls, num, den=1, disc: int = 1) -> "QScalar":
@@ -204,74 +171,33 @@ class QScalar:
         """
         return cls(0, 1, disc)
 
-    # -- field bookkeeping ------------------------------------------------
+    # -- ring operations: Exact's, on the row ---------------------------------
 
-    def is_rational(self) -> bool:
-        return not self.surd
+    def _operand(self, other) -> "QScalar":
+        # an int or a Fraction becomes a QScalar, 64-bit-checked, as an operand of Exact's
+        # arithmetic; anything else but a QScalar is refused
+        if isinstance(other, (int, Fraction)):
+            return QScalar(other)
+        if not isinstance(other, QScalar):
+            raise TypeError(f"cannot interpret {other!r} as a QScalar")
+        return other
 
-    def is_zero(self) -> bool:
-        return not self.rat and not self.surd
-
-    def _common_disc(self, other: "QScalar") -> int:
-        return common_disc(((self.disc, self.surd), (other.disc, other.surd)))
-
-    def promote(self, disc: int) -> "QScalar":
-        """Retag a rational value into Q(sqrt(disc))."""
-        if self.disc == disc:
-            return self
-        if self.surd != 0:
-            raise FieldMismatch(
-                f"cannot move {self} from Q(sqrt({self.disc})) to Q(sqrt({disc}))"
-            )
-        return QScalar(self.rat, 0, disc)
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other) -> "QScalar":
-        other = _coerce(other)
-        d = self.disc if self.disc == other.disc else self._common_disc(other)
-        return QScalar(self.rat + other.rat, self.surd + other.surd, d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "QScalar":
-        other = _coerce(other)
-        d = self.disc if self.disc == other.disc else self._common_disc(other)
-        return QScalar(self.rat - other.rat, self.surd - other.surd, d)
+    __radd__ = Exact.__add__
+    __mul__ = __rmul__ = Exact.scale
 
     def __rsub__(self, other) -> "QScalar":
-        return _coerce(other).__sub__(self)
-
-    def __mul__(self, other) -> "QScalar":
-        other = _coerce(other)
-        d = self.disc if self.disc == other.disc else self._common_disc(other)
-        b, e = self.surd, other.surd
-        if not b and not e:
-            return QScalar(self.rat * other.rat, _F_ZERO, d)
-        if not b:
-            return QScalar(self.rat * other.rat, self.rat * e, d)
-        if not e:
-            return QScalar(self.rat * other.rat, b * other.rat, d)
-        return QScalar(
-            self.rat * other.rat + b * e * d,
-            self.rat * e + b * other.rat,
-            d,
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "QScalar":
-        return QScalar(-self.rat, -self.surd, self.disc)
+        return self._operand(other) - self
 
     def __truediv__(self, other) -> "QScalar":
-        return self * _coerce(other).inverse()
+        return self * self._operand(other).inverse()
 
     def __rtruediv__(self, other) -> "QScalar":
-        return _coerce(other) * self.inverse()
+        return self._operand(other) * self.inverse()
 
     def conjugate(self) -> "QScalar":
         """Galois conjugate a - b*sqrt(d)."""
-        return QScalar(self.rat, -self.surd, self.disc)
+        p, q, den = self.row
+        return QScalar._from_row((p, -q, den), self.disc)
 
     def inverse(self) -> "QScalar":
         """Exact multiplicative inverse via the conjugate.
@@ -281,37 +207,26 @@ class QScalar:
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        norm = self.rat * self.rat - self.surd * self.surd * self.disc
-        # norm = x * conj(x) is a nonzero rational for nonzero x (d square-free).
-        return QScalar(self.rat / norm, -self.surd / norm, self.disc)
+        p, q, den = self.row
+        # D / (p + q sqrt(d)) = D (p - q sqrt(d)) / n, n = p^2 - d q^2 nonzero (d square-free)
+        n = p * p - self.disc * q * q
+        s = 1 if n > 0 else -1
+        g = math.gcd(den * p, den * q, n)
+        return QScalar._from_row((s * den * p // g, -s * den * q // g, s * n // g), self.disc)
 
     # -- exact order -------------------------------------------------------
 
-    def _row(self) -> tuple[int, int, int]:
-        # (x, y, z), the value (x + y sqrt(d)) / z with z > 0, as the int kernels take it
-        a, b = self.rat, self.surd
-        return (a.numerator * b.denominator, b.numerator * a.denominator,
-                a.denominator * b.denominator)
-
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(d): -1, 0 or +1, decided exactly."""
-        return field_cmp(self._row(), (0, 0, 1), self.disc)
-
-    def __eq__(self, other) -> bool:
-        # equal parts, in one field or with no surd part: a rational is equal under any tag
-        if type(other) is QScalar:
-            return self.rat == other.rat and self.surd == other.surd and (
-                self.disc == other.disc or not self.surd)
-        if isinstance(other, (int, Fraction)):
-            return not self.surd and self.rat == other
-        return NotImplemented
+        return field_cmp(self.row, (0, 0, 1), self.disc)
 
     def _cmp(self, other) -> int:
-        # the sign of self - other by field_cmp, on ints: no QScalar is built, so no bound
+        # the sign of self - other by field_cmp on the rows: an int or a Fraction is taken
+        # as it is, with no bound, and no QScalar is built
         if isinstance(other, (int, Fraction)):  # a rational fits any field
-            return field_cmp(self._row(), (other.numerator, 0, other.denominator), self.disc)
-        other = _coerce(other)  # TypeError for anything but a QScalar
-        return field_cmp(self._row(), other._row(), self._common_disc(other))
+            return field_cmp(self.row, (other.numerator, 0, other.denominator), self.disc)
+        other = self._operand(other)  # TypeError for anything but a QScalar
+        return field_cmp(self.row, other.row, vectors_disc((self, other)))
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0
@@ -328,12 +243,8 @@ class QScalar:
     def __hash__(self):
         # a rational value hashes as its Fraction, so it agrees with == on ints,
         # Fractions and the same value under any disc tag
-        r, s = self.rat, self.surd
-        if not s:
-            return hash(r)
-        return hash(
-            (r.numerator, r.denominator, s.numerator, s.denominator, self.disc)
-        )
+        p, q, den = self.row
+        return hash(self.row) if q else hash(Fraction(p, den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -351,10 +262,8 @@ class QScalar:
         """
         if self.sign() < 0:
             raise DomainError(f"sqrt of negative value {self}")
-        root = field_sqrt(*self._row(), self.disc)
-        if root is None:
-            return None
-        return QScalar(Fraction(root[0], root[2]), Fraction(root[1], root[2]), self.disc)
+        root = field_sqrt(*self.row, self.disc)
+        return None if root is None else QScalar._from_row(root, self.disc)
 
     def __float__(self) -> float:
         return float(self.rat) + float(self.surd) * math.sqrt(self.disc)
@@ -364,14 +273,6 @@ class QScalar:
 
     def __str__(self) -> str:
         return format_value(self.rat, self.surd, self.disc)
-
-
-def _coerce(value: Union[QScalar, int, Fraction]) -> QScalar:
-    if isinstance(value, QScalar):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QScalar(value)
-    raise TypeError(f"cannot interpret {value!r} as a QScalar")
 
 
 def phi() -> QScalar:

@@ -2,9 +2,10 @@
 
 A Vector is a lattice.Exact, as a clifford.Multivector is: it holds its
 row, the reduced integer tuple of lattice.py, and its field's disc, decodes
-its QScalar coords on first read, and takes its arithmetic from Exact; its
-`unit` is unit_rows on its row, and its `dot` reads the two rows through
-lattice.int_mirror's dual rows and builds one QScalar, the value it returns.
+its QScalar coords on first read (qfield.from_numerators), and takes its
+arithmetic from Exact; its `unit` is unit_rows on its row, and its `dot` reads
+the two rows through lattice.int_mirror's dual rows and wraps the row of the
+value it returns, a QScalar.
 A RootSystem stores its roots as rows, deduplicated and in canonical order
 (lattice.sorted_numerators', which is Vector's `<`), and takes a
 Vector's row as it is when the Vector is over its field or rational.  The
@@ -47,7 +48,7 @@ from operator import mul
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .caps import ROOT_CLOSURE_CAP, admit
-from .errors import DegenerateFunctional, DimensionMismatch, ZeroRoot
+from .errors import DegenerateFunctional, DimensionMismatch, FieldMismatch, ZeroRoot
 from .errors import NormNotInField, RootspinError
 from .lattice import (
     Exact,
@@ -55,13 +56,16 @@ from .lattice import (
     Numerators,
     field_sign,
     int_mirror,
+    int_numerators,
     int_norm,
     int_reflect,
     negated,
     sorted_numerators,
     vectors_disc,
 )
-from .qfield import QScalar, _is_square_free, field_sqrt, scalar_or_text
+from .qfield import (
+    QScalar, _is_square_free, checked_disc, field_sqrt, from_numerators, scalar_or_text,
+)
 
 Coord = Union[QScalar, int, Fraction]
 
@@ -72,25 +76,31 @@ class Vector(Exact):
     A Vector is a lattice.Exact: its row (p_1, q_1, ..., D) and its field's
     disc, with its coords, the QScalars, decoded on first read or kept as
     given.  Exact's arithmetic, equality, hashing and RootSystem membership
-    work on the row.  All coordinates share one field: two surds from
-    different fields raise FieldMismatch.
+    work on the row.  All coordinates share one field, disc's where it is
+    given: a surd coordinate from another field raises FieldMismatch, and a
+    rational one moved to a disc that is no field DomainError.
     """
 
     __slots__ = ()
 
     def __init__(self, coords: Iterable[Coord], disc: int | None = None):
-        cs = []
-        for c in coords:
-            if not isinstance(c, QScalar):
-                c = QScalar(c)
-            if disc is not None:
-                c = c if c.disc == disc else c.promote(disc)
-            cs.append(c)
+        cs = tuple(c if isinstance(c, QScalar) else QScalar(c) for c in coords)
+        moved = [] if disc is None else [c for c in cs if c.disc != disc]
+        for c in moved:  # into Q(sqrt(disc)): a rational coordinate moves, a surd does not
+            if c.row[1]:
+                raise FieldMismatch(f"cannot move {c} from Q(sqrt({c.disc})) to Q(sqrt({disc}))")
+            checked_disc(disc)
         if not 1 <= len(cs) <= 4:
             raise DimensionMismatch(f"vector dimension {len(cs)} outside 1..4")
-        super().__init__(tuple(cs), disc)
+        if disc is None:
+            super().__init__(int_numerators(cs), vectors_disc(cs), cs)
+        else:  # decoded over Q(sqrt(disc)) when read
+            super().__init__(int_numerators(cs), disc)
 
-    coords = property(Exact._decoded, doc="The coordinates as QScalars over Q(sqrt(disc)).")
+    @property
+    def coords(self) -> tuple[QScalar, ...]:
+        """The coordinates as QScalars over Q(sqrt(disc))."""
+        return self._decoded(from_numerators)
 
     @property
     def dim(self) -> int:
@@ -98,13 +108,15 @@ class Vector(Exact):
 
     def dot(self, other: "Vector") -> QScalar:
         """(self|other), read on the rows through self's dual rows (lattice.int_mirror)."""
-        self._check(other)
+        other = self._operand(other)
         d = vectors_disc((self, other))
         if self.is_zero():  # no mirror
-            return QScalar(0, 0, d)
+            return QScalar._from_row((0, 0, 1), d)
         _, _, u, v, *_ = int_mirror(self.row, d)
         y, den = other.row, self.row[-1] * other.row[-1]
-        return QScalar(Fraction(sum(map(mul, u, y)), den), Fraction(sum(map(mul, v, y)), den), d)
+        x, z = sum(map(mul, u, y)), sum(map(mul, v, y))
+        g = math.gcd(x, z, den)
+        return QScalar._from_row((x // g, z // g, den // g), d)
 
     def norm_squared(self) -> QScalar:
         return self.dot(self)
@@ -142,8 +154,8 @@ def row_in(v: Vector, disc: int) -> Numerators:
     """v's row as a vector over Q(sqrt(disc)).
 
     The row itself when v is over that field or rational; anything else goes
-    through Vector(v.coords, disc=disc), whose promotion raises FieldMismatch
-    or DomainError as QScalar.promote does.
+    through Vector(v.coords, disc=disc), whose field check raises FieldMismatch
+    or DomainError.
     """
     if isinstance(v, Vector) and (
         v.disc == disc or not any(v.row[1:-1:2]) and _is_square_free(disc)
@@ -276,7 +288,7 @@ def reflect_euclid(lam: Vector, alpha: Vector) -> Vector:
     """Reflect lam in the hyperplane perpendicular to alpha (exactly)."""
     if alpha.is_zero():
         raise ZeroRoot("cannot reflect in the zero vector")
-    lam._check(alpha)
+    lam._operand(alpha)
     d = vectors_disc((lam, alpha))
     return row_vector(int_reflect(lam.row, int_mirror(alpha.row, d), d), d)
 

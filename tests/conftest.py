@@ -6,11 +6,12 @@ or loaded machine.
 """
 
 import weakref
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
 
-from rootspin import roots
+from rootspin import QScalar, roots
 
 settings.register_profile("rootspin", derandomize=True, deadline=None)
 settings.load_profile("rootspin")
@@ -34,3 +35,33 @@ def fresh_lattices(monkeypatch):
     yield fresh
     for key, found in list(fresh.items()):
         real.setdefault(key, found)
+
+
+@pytest.fixture
+def count_qscalars():
+    """A context manager that yields the list of the QScalars built inside it.
+
+    A QScalar comes in two ways: QScalar(rat, surd, disc), through its __init__,
+    and Exact._from_row, which wraps a row, as Vector.dot, qfield.from_numerators
+    and QScalar's own arithmetic do.  Both are counted.
+    """
+    init, wrap = QScalar.__init__, QScalar._from_row.__func__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_wrap(cls, x, disc):
+        made.append((x, disc))
+        return wrap(cls, x, disc)
+
+    @contextmanager
+    def counting():
+        made.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(QScalar, "__init__", counted_init)
+            mp.setattr(QScalar, "_from_row", classmethod(counted_wrap))
+            yield made
+
+    made: list = []
+    return counting

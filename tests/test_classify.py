@@ -149,19 +149,11 @@ class TestAngleKey:
         assert over5.disc == 5 and over5.lattice is not rs.lattice
         assert signature(over5) == signature(rs)
 
-    def test_the_angle_readers_build_no_qscalar(self, fresh_lattices):
+    def test_the_angle_readers_build_no_qscalar(self, fresh_lattices, count_qscalars):
         h3 = build_preset("H3")
         copy = RootSystem([r.scale(3) for r in h3.roots], h3.disc)  # a Lattice of its own
         simple = simple_roots_of(h3)
-        made = []
-        init = QScalar.__init__
-
-        def counted_init(self, *args, **kwargs):  # every QScalar is built here
-            made.append(args)
-            init(self, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(QScalar, "__init__", counted_init)
+        with count_qscalars() as made:
             sig, cm = signature(copy), coxeter_matrix(simple)
         assert made == []
         assert identify(sig) == "H3"

@@ -33,11 +33,11 @@ from rootspin.lattice import (
     EVEN_BY_EVEN,
     EVEN_MASKS,
     VECTOR_BY_VECTOR,
-    from_numerators,
     int_numerators,
     int_product,
     vec4_numerators,
 )
+from rootspin.qfield import from_numerators
 from _util import random_multivector, random_vector_mv, random_unit_mv, unit_pool_3d
 
 E1 = Multivector.basis_vector(1, 3)

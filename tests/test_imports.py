@@ -206,7 +206,7 @@ def scoped_nodes(tree: ast.AST):
     yield from visit(tree, "")
 
 
-_EXACT_ARITHMETIC = {"__add__", "__sub__", "__neg__", "scale", "_check"}
+_EXACT_ARITHMETIC = {"__add__", "__sub__", "__neg__", "__eq__", "scale", "_operand"}
 
 
 def _defined_names(node: ast.stmt) -> list[str]:
@@ -240,18 +240,27 @@ def test_the_override_guard_finds_every_spelling():
         "class Rotor:\n"
         "    def __neg__(self): pass\n"
         "class Spinor(lattice.Exact):\n"
-        "    _check: object = None\n"
+        "    _operand: object = None\n"
         "class Even(Spinor):\n"
         "    def __sub__(self, other): pass\n"
+        "    __radd__ = __eq__ = Exact.__add__\n"
     )
-    assert exact_overrides(source) == ["Vector.scale", "Vector.__neg__", "Spinor._check",
-                                       "Even.__sub__"]
+    assert exact_overrides(source) == ["Vector.scale", "Vector.__neg__", "Spinor._operand",
+                                       "Even.__sub__", "Even.__eq__"]
 
 
 def test_exact_holds_the_only_row_arithmetic():
-    # Vector and Multivector add only their constructors over QScalars
+    # Vector and Multivector add only their constructors over QScalars; QScalar adds the
+    # one step that turns an int or a Fraction operand into a QScalar, and its `+`, `-`,
+    # negation, `==` and `*` are Exact's
+    from rootspin import QScalar
+    from rootspin.lattice import Exact
+
     source = "\n".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
-    assert exact_overrides(source) == []
+    assert exact_overrides(source) == ["QScalar._operand"]
+    exacts = {"__add__": "__add__", "__radd__": "__add__", "__sub__": "__sub__",
+              "__neg__": "__neg__", "__eq__": "__eq__", "__mul__": "scale", "__rmul__": "scale"}
+    assert all(getattr(QScalar, q) is getattr(Exact, e) for q, e in exacts.items())
 
 
 def holders_of(text: str, source: str) -> list[str]:
@@ -286,10 +295,15 @@ def test_the_message_guard_finds_every_spelling():
 
 
 def test_one_function_holds_the_field_rule():
-    # QScalar._common_disc, lattice.field_disc and lattice.vectors_disc call it
+    # lattice.vectors_disc, Exact's `<` and QScalar's order call it; QScalar's own
+    # _common_disc and promote, and lattice.field_disc, are gone
+    from rootspin import QScalar, lattice
+
     holders = [f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
                for scope in holders_of("cannot combine Q(sqrt(", path.read_text())]
-    assert holders == ["qfield.common_disc"]
+    assert holders == ["lattice.common_disc"]
+    assert not any(hasattr(QScalar, name) for name in ("_common_disc", "promote", "_row"))
+    assert not hasattr(lattice, "field_disc")
 
 
 def int64_comparisons(source: str) -> list[str]:
@@ -315,11 +329,12 @@ def test_the_bound_guard_finds_every_spelling():
 
 
 def test_the_64_bit_bound_is_compared_in_few_places():
-    # qfield.check_row is the one check of a new row, which Exact._from_row calls and
-    # Exact.scale runs on its factor's row; caps.admit pre-checks inline, per element
+    # lattice.check_row is the one check of a new row, which Exact._from_row and
+    # QScalar.__init__ call and Exact.scale runs on an int or Fraction factor's row;
+    # caps.admit pre-checks inline, per element
     sites = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
-             for scope in int64_comparisons(path.read_text()) if path.stem != "qfield"}
-    assert sites == {"caps.admit"}
+             for scope in int64_comparisons(path.read_text())}
+    assert sites == {"caps.admit", "lattice.check_row"}
     assert int64_comparisons((PACKAGE / "caps.py").read_text()) == ["admit"]
 
 
@@ -406,10 +421,11 @@ def test_the_setter_guard_finds_every_spelling():
 
 
 def test_each_exact_value_has_one_way_in():
-    # a row is wrapped by Exact._from_row alone, which 64-bit-checks it; a rotor's unit
-    # test and the mirror check read the row's squared norm (roots._is_unit), not a
-    # geometric product; RotorGroup's public constructor and _trusted share one body;
-    # every Rotor passes Rotor.__init__'s checks and every QScalar QScalar.__init__'s
+    # a new row is wrapped by Exact._from_row alone, which 64-bit-checks it, and a
+    # QScalar's parts become its row in QScalar.__init__, which checks it and hands it to
+    # Exact.__init__; a rotor's unit test and the mirror check read the row's squared norm
+    # (roots._is_unit), not a geometric product; RotorGroup's public constructor and
+    # _trusted share one body; every Rotor passes Rotor.__init__'s checks
     from rootspin import RotorGroup, clifford, lattice, qfield, roots
 
     source = (PACKAGE / "lattice.py").read_text()
@@ -419,6 +435,7 @@ def test_each_exact_value_has_one_way_in():
             and any(getattr(d, "id", None) == "classmethod" for d in node.decorator_list)
             ] == ["_from_row"]
     assert setters_of("row", source) == ["Exact.__init__", "Exact._from_row"]
+    assert setters_of("row", (PACKAGE / "qfield.py").read_text()) == []
     assert not hasattr(lattice.Exact, "_stored") and not hasattr(roots, "stored_vector")
     assert not hasattr(clifford, "_UNITS") and not hasattr(clifford, "_trusted_rotor")
     assert not hasattr(qfield, "_make")
@@ -459,6 +476,13 @@ def readers_of(name: str) -> list[str]:
                    if isinstance(node, ast.Name) and node.id == name})
 
 
+def definers_of(name: str) -> list[str]:
+    """"module.scope" for each def of name in the package."""
+    return sorted(f"{path.stem}.{scope}".rstrip(".") for path in sorted(PACKAGE.glob("*.py"))
+                  for scope, node in scoped_nodes(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 _ORDER_SCOPES = {
     "qfield": {f"QScalar.{name}" for name in ("_cmp", "__lt__", "__le__", "__gt__", "__ge__")},
     "lattice": {"Exact.__lt__", "sorted_numerators"},
@@ -466,12 +490,13 @@ _ORDER_SCOPES = {
 
 
 def test_one_exact_order():
-    # qfield.field_cmp, on ints, is the one order: QScalar's sign and four comparisons,
+    # lattice.field_cmp, on ints, is the one order: QScalar's sign and four comparisons,
     # Exact's `<` (so Vector's, Multivector's and Rotor's), sorted_numerators and the
     # Coxeter labels read it, and none of the first three decodes a row, builds a QScalar
     # or takes the sign of a difference of QScalars
     from rootspin import QScalar
 
+    assert definers_of("field_cmp") == definers_of("field_sign") == ["lattice"]
     assert readers_of("field_cmp") == [
         "classify._label", "lattice.Exact.__lt__", "lattice.sorted_numerators",
         "qfield.QScalar._cmp", "qfield.QScalar.sign"]
@@ -488,5 +513,6 @@ def test_one_exact_order():
 
 def test_one_text_of_a_value():
     # QScalar's text and an error's derived value, past the 64-bit bound too, are one formatter's
+    assert definers_of("format_value") == ["qfield"]
     assert readers_of("format_value") == ["qfield.QScalar.__str__", "qfield.scalar_or_text"]
     assert readers_of("scalar_or_text") == ["roots.unit_rows"]

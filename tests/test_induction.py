@@ -41,11 +41,11 @@ from test_frames import rotated, rotations
 from rootspin.lattice import (
     EVEN_BY_EVEN,
     VECTOR_BY_VECTOR,
-    field_disc,
     int_numerators,
     int_product,
     int_vector_product,
     negated,
+    vectors_disc,
 )
 from rootspin.presets import get_preset
 
@@ -192,9 +192,9 @@ class TestRotorGroups:
     def test_mixed_fields_rejected(self):
         # the first unit root of each with a surd coordinate: a rational one fits either field
         root2 = next(u for u in normalize_roots(build_preset("A3"))
-                     if any(c.surd for c in u) and field_disc([u]) == 2)
+                     if any(c.surd for c in u) and vectors_disc([u]) == 2)
         root5 = next(u for u in normalize_roots(build_preset("H3"))
-                     if any(c.surd for c in u) and field_disc([u]) == 5)
+                     if any(c.surd for c in u) and vectors_disc([u]) == 5)
         with pytest.raises(FieldMismatch, match=r"Q\(sqrt\(2\)\) with Q\(sqrt\(5\)\)"):
             generate_rotor_group([root2, root5])
 
@@ -237,18 +237,10 @@ class TestInduce4D:
         with pytest.raises(DimensionMismatch):
             induce_4d(build_preset("I2-4"))
 
-    def test_induction_builds_no_qscalar(self, fresh_lattices):
+    def test_induction_builds_no_qscalar(self, fresh_lattices, count_qscalars):
         b3 = build_preset("B3")
         copy = RootSystem([r.scale(3) for r in b3.roots], b3.disc)  # nothing stored
-        made = []
-        init = QScalar.__init__
-
-        def counted_init(self, *args, **kwargs):  # every QScalar is built here
-            made.append(args)
-            init(self, *args, **kwargs)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(QScalar, "__init__", counted_init)
+        with count_qscalars() as made:
             induced = induce_4d(copy)
         assert made == []
         assert induced.rows == induce_4d(b3).rows and len(induced) == 48
@@ -438,7 +430,7 @@ RANK3_PRESETS = ("A1xA1xA1", "A3", "B3", "H3", "A1xI2-3", "A1xI2-4", "A1xI2-6")
 
 def _reference_rotor_group(units):
     """Every product alpha_i alpha_j, closed under right multiplication by all of them."""
-    d = field_disc(units)
+    d = vectors_disc(units)
     vecs = [int_numerators(u.coords) for u in units]
     seed = {int_product(a, b, VECTOR_BY_VECTOR, d) for a in vecs for b in vecs}
     elements, known = list(seed), set(seed)

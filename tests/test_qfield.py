@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import rootspin.qfield
 from rootspin import DomainError, FieldMismatch, QScalar, phi
-from rootspin.qfield import field_sign, field_sqrt, format_value, scalar_or_text
+from rootspin.lattice import field_sign
+from rootspin.qfield import field_sqrt, format_value, scalar_or_text
 from _util import (
     DISCS, bounded, key, random_qscalar, ref, ref_cmp, ref_inverse, ref_neg, ref_product,
     ref_sum, reference_sign, times,
@@ -276,7 +277,7 @@ def tagged_pairs(draw):
 
 @given(tagged_pairs())
 def test_a_result_takes_its_disc_from_neither_operand_order(xy):
-    # the rule of lattice.field_disc: a surd's field, and otherwise the larger tag
+    # the rule of lattice.common_disc: a surd's field, and otherwise the larger tag
     x, y = xy
     surd = [c.disc for c in xy if c.surd]
     expected = surd[0] if surd else max(x.disc, y.disc)

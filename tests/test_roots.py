@@ -42,12 +42,12 @@ from rootspin import (
     vec,
     verify_root_axioms,
 )
-from rootspin import lattice, roots
+from rootspin import lattice, qfield, roots
 from rootspin.clifford import Multivector
 from rootspin.lattice import (
-    Lattice, field_disc, field_sign, from_numerators, int_mirror, int_numerators, int_reflect,
-    sorted_numerators,
+    Lattice, field_sign, int_mirror, int_numerators, int_reflect, sorted_numerators, vectors_disc,
 )
+from rootspin.qfield import from_numerators
 from rootspin.presets import PHI, PHI_INV, direct_sum, get_preset
 from rootspin.roots import row_vector
 from rootspin.serialize import root_system_from_json, root_system_to_json
@@ -61,7 +61,7 @@ def canonical_sorted(items, coords=lambda v: v.coords):
     items = list(items)
     by_row = {int_numerators(coords(x)): x for x in items}
     rows = [int_numerators(coords(x)) for x in items]
-    return [by_row[x] for x in sorted_numerators(rows, field_disc([coords(x) for x in items]))]
+    return [by_row[x] for x in sorted_numerators(rows, vectors_disc(c for x in items for c in coords(x)))]
 
 
 def lattice_of(vectors, disc):
@@ -256,7 +256,7 @@ class TestClosure:
             RootSystem([vec(1, 0), vec(0, 1, 0)], disc=1)
 
     def test_seeds_from_two_fields_are_a_field_mismatch(self):
-        # field_disc decides the field, as for signature and reflect_euclid
+        # vectors_disc decides the field, as for signature and reflect_euclid
         with pytest.raises(FieldMismatch,
                            match=r"cannot combine Q\(sqrt\(2\)\) with Q\(sqrt\(3\)\)"):
             close_under_reflections([vec(QScalar(0, 1, 2), 0), vec(0, QScalar(0, 1, 3))])
@@ -837,7 +837,7 @@ def codec_calls(monkeypatch):
     """
     calls: Counter = Counter()
     for name in ("int_numerators", "from_numerators"):
-        real = getattr(lattice, name)
+        real = getattr(lattice if name == "int_numerators" else qfield, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
@@ -956,8 +956,8 @@ def test_signature_takes_the_field_from_every_coordinate():
         Vector((QScalar(HALF, 0, 3), QScalar(0, HALF, 3))),
         Vector((QScalar(-HALF, 0, 3), QScalar(0, HALF, 3))),
     ]
-    assert field_disc(vectors) == 3
-    spectrum = dict(signature(RootSystem(vectors, field_disc(vectors))).spectrum)
+    assert vectors_disc(vectors) == 3
+    spectrum = dict(signature(RootSystem(vectors, vectors_disc(vectors))).spectrum)
     dots = [a.dot(b) for i, a in enumerate(vectors) for b in vectors[i + 1:]]  # unit vectors
     values = {QScalar(Fraction(s, r), Fraction(t, r), e): c for (s, t, r, e), c in spectrum.items()}
     assert values == Counter(dot * dot * dot.sign() for dot in dots + dots)
@@ -1075,22 +1075,25 @@ def test_the_order_reads_each_surd_in_its_own_field():
     assert reference_order(two, root5) < 0
 
 
-def test_sorting_vectors_builds_no_qscalar():
+def test_sorting_vectors_builds_no_qscalar(count_qscalars):
     vectors = [Vector((QScalar(a, b, 5), QScalar(b, -a, 5))) for a in range(-3, 4)
                for b in range(-2, 3)]
-    made = []
-    init = QScalar.__init__
-
-    def counted_init(self, *args, **kwargs):  # every QScalar is built here
-        made.append(args)
-        init(self, *args, **kwargs)
-
     fresh = [row_vector(v.row, v.disc) for v in reversed(vectors)]  # nothing decoded
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(QScalar, "__init__", counted_init)
+    with count_qscalars() as made:
         ordered = sorted(fresh)
     assert made == []
     assert ordered == reference_sorted(vectors)
+
+
+def test_the_qscalar_count_sees_both_ways_in(count_qscalars):
+    # QScalar(...) is one way in; Vector.dot wraps its value's row, the other
+    a, b = vec(1, 2), vec(3, Fraction(1, 2))
+    with count_qscalars() as made:
+        value = a.dot(b)
+    assert value == 4 and made == [((4, 0, 1), 1)]
+    with count_qscalars() as made:
+        QScalar(Fraction(1, 2), 1, 5)
+    assert made == [(Fraction(1, 2), 1, 5)]
 
 
 def _qscalar_dot(a, b):
@@ -1230,8 +1233,8 @@ def test_simple_roots_read_one_reflection_table_and_decode_only_the_simple_roots
 
 
 def _simple_roots(vectors):
-    """simple_roots_of the RootSystem of the vectors, over their field_disc."""
-    return simple_roots_of(RootSystem(vectors, field_disc(vectors)))
+    """simple_roots_of the RootSystem of the vectors, over their vectors_disc."""
+    return simple_roots_of(RootSystem(vectors, vectors_disc(vectors)))
 
 
 class TestSimpleRootsOfInvalidInput:

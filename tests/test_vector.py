@@ -19,7 +19,8 @@ from rootspin import (
     DomainError, FieldMismatch, NormNotInField, QScalar, RootspinError, RootSystem, Vector,
     ZeroRoot, build_preset, close_under_reflections, vec,
 )
-from rootspin.lattice import from_numerators, int_numerators
+from rootspin.lattice import int_numerators
+from rootspin.qfield import from_numerators
 from rootspin.roots import reflect_euclid, row_vector
 from _util import (
     dot, field, key, ref, ref_inverse, ref_neg, ref_product, ref_row, ref_sum, times,
@@ -171,6 +172,14 @@ def test_scaling_a_rational_vector_keeps_its_field():
     assert close_under_reflections(rescaled) == close_under_reflections(b3.roots[:3])
 
 
+def test_a_zero_factor_keeps_the_surds_field():
+    # a product is in its operands' field, as a sum is, whatever the product's value:
+    # Q(sqrt(2)), not the larger tag 3 of the rational factor 0
+    root2, zero = QScalar.sqrt_disc(2), QScalar(0, 0, 3)
+    for product in (vec(0, root2).scale(zero), root2 * zero, zero * root2):
+        assert product.is_zero() and product.disc == 2
+
+
 def test_scale_keeps_qscalars_64_bit_bound():
     v = vec(2**62, 1)
     with pytest.raises(OverflowError,
@@ -204,7 +213,7 @@ def test_stored_rows_decode_lazily_and_new_rows_keep_the_64_bit_check():
     # the 64-bit check, as its components are within the bound, and it is decoded on
     # first read
     assert all(r._values is None for r in rs.roots) and rs.roots[1] == w
-    # a new row is checked by qfield.check_row, component by component, and wrapped
+    # a new row is checked by lattice.check_row, component by component, and wrapped
     # undecoded: this one's entries pass the bound, its components do not
     new = row_vector(w.row, 1)
     assert new._values is None and new == w and new.coords == w.coords
@@ -216,7 +225,7 @@ def test_stored_rows_decode_lazily_and_new_rows_keep_the_64_bit_check():
 
 @pytest.mark.parametrize("first", range(6))
 def test_a_new_row_past_the_bound_names_the_component_decoding_names(first):
-    # qfield.check_row raises QScalar's OverflowError for the first wide component,
+    # lattice.check_row raises QScalar's OverflowError for the first wide component,
     # in the order p1, q1, p2, ..., without decoding the row
     x = tuple(2**64 + k if k >= first else k + 1 for k in range(6)) + (1,)
     with pytest.raises(OverflowError) as decoded:
@@ -234,9 +243,10 @@ def test_surds_from_two_fields_do_not_make_a_vector():
 
 
 def test_root_system_checks_what_it_cannot_take_as_a_row():
-    with pytest.raises(FieldMismatch):
+    with pytest.raises(FieldMismatch,
+                       match=r"^cannot move sqrt\(2\) from Q\(sqrt\(2\)\) to Q\(sqrt\(5\)\)$"):
         RootSystem([vec(QScalar.sqrt_disc(2), 0)], disc=5)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^discriminant 4 must be a positive square-free integer$"):
         RootSystem([vec(1, 0)], disc=4)
     assert RootSystem([vec(1, 0)], disc=5).rows == ((1, 0, 0, 0, 1),)
 
@@ -291,9 +301,10 @@ def test_row_arithmetic_agrees_with_the_reference(pair, s):
     def sums() -> list[tuple]:
         return [ref_sum(a, b) for a, b in zip(xs, ys)]
 
-    def scaled() -> tuple:  # a row scaled by an int or a Fraction keeps its field
+    def scaled() -> tuple:  # by a QScalar, in the field of both operands, as a sum is;
+        # by an int or a Fraction, in the row's own
         products = [ref_product(x, f) for x in xs]
-        return value(products, field(*products) if type(s) is QScalar else v.disc)
+        return value(products, field(*xs, f) if type(s) is QScalar else v.disc)
 
     for got, want in [
         (lambda: v + w, lambda: value(sums(), both())),

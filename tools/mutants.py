@@ -65,7 +65,7 @@ MUTANTS = (
            "    if rs.lattice.axiom_witnesses()[1] is not None:\n",
            "    if False:\n",
            "pair_products multiplies an input that is not reflection-closed as it is"),
-    Mutant("field-sign-in-floats", "qfield.py",
+    Mutant("field-sign-in-floats", "lattice.py",
            "bigger = x if x * x > disc * y * y else y",
            "bigger = x if abs(x) > disc ** 0.5 * abs(y) else y",
            "field_sign compares abs(x) with sqrt(d) abs(y) in floats"),
@@ -192,20 +192,20 @@ MUTANTS = (
            "field_sqrt(s, t, s * s - d * t * t, d)",
            "unit_rows takes the root of (s + t sqrt(d)) / N, not of its inverse (s - t sqrt(d)) / N"),
     Mutant("scale-factor-unchecked", "lattice.py",
-           "        check_row(factor)\n",
+           "            check_row(factor)\n",
            "",
            "Exact.scale takes a factor past the 64-bit bound when the product is within it"),
     Mutant("scale-keeps-the-values-field", "lattice.py",
-           "            d = common_disc(((self.disc, s and any(self.row[1:-1:2])), (s.disc, s.surd)))\n",
-           "            d = self.disc\n",
+           "            factor, d = s.row, vectors_disc((self, s))\n",
+           "            factor, d = s.row, self.disc\n",
            "Exact.scale by a QScalar keeps the value's disc, even where the factor has a surd"),
     Mutant("scale-by-the-conjugate", "lattice.py",
-           "            factor = int_numerators((s,))\n",
-           "            factor = int_numerators((s.conjugate(),))\n",
+           "            factor, d = s.row, vectors_disc((self, s))\n",
+           "            factor, d = s.conjugate().row, vectors_disc((self, s))\n",
            "Exact.scale by a QScalar multiplies the row by the factor's Galois conjugate"),
     Mutant("dot-surd-part-dropped", "roots.py",
-           "Fraction(sum(map(mul, v, y)), den), d)",
-           "0, d)",
+           "x, z = sum(map(mul, u, y)), sum(map(mul, v, y))",
+           "x, z = sum(map(mul, u, y)), 0",
            "Vector.dot drops the surd part of (a|b)"),
     Mutant("grade-row-unreduced", "clifford.py",
            "        g = math.gcd(*out)\n"
@@ -213,11 +213,11 @@ MUTANTS = (
            "        g = 1\n"
            "        return Multivector._from_row(tuple(z // g for z in out), self.disc)\n",
            "Multivector.grade leaves its row unreduced, so equal values have unequal rows"),
-    Mutant("order-surd-dropped", "qfield.py",
+    Mutant("order-surd-dropped", "lattice.py",
            "field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)",
            "field_sign(s[0] * t[2] - t[0] * s[2], 0, disc)",
            "field_cmp drops the q terms, so it orders values by their rational parts alone"),
-    Mutant("order-no-cross-multiply", "qfield.py",
+    Mutant("order-no-cross-multiply", "lattice.py",
            "field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)",
            "field_sign(s[0] - t[0], s[1] - t[1], disc)",
            "field_cmp compares p_s with p_t and q_s with q_t across different D"),
@@ -237,6 +237,14 @@ MUTANTS = (
            "        return QScalar(rat, surd, disc)\n    except",
            "        return format_value(rat, surd, disc)\n    except",
            "scalar_or_text gives the text of every value, so NormNotInField holds no QScalar"),
+    Mutant("qscalar-mul-drops-d-q-t", "lattice.py",
+           "int_product(x, factor, ROW_BY_SCALAR[len(x) // 2], d), d)",
+           "int_product(x, factor, ROW_BY_SCALAR[len(x) // 2], d if len(x) > 3 else 0), d)",
+           "Exact.scale on one coordinate, QScalar's *, drops d q t from the rational part"),
+    Mutant("qscalar-rational-hash-is-row-hash", "qfield.py",
+           "return hash(self.row) if q else hash(Fraction(p, den))",
+           "return hash(self.row)",
+           "a rational QScalar hashes its row, not its Fraction, so it hashes unlike an equal int"),
 )
 
 
