@@ -83,7 +83,7 @@ def _reference_product(cs: list[QScalar], ds: list[QScalar]) -> list[tuple]:
 
 
 @given(cases(2))
-def test_product_agrees_with_the_reference_blade_sum(pair):
+def test_product_agrees_with_the_qscalar_blade_sum(pair):
     (m, cs), (n, ds) = pair
     expected = _reference_product(cs, ds)
     got = m * n
@@ -93,7 +93,7 @@ def test_product_agrees_with_the_reference_blade_sum(pair):
 
 
 @given(cases())
-def test_negation_reverse_and_grades_agree_with_the_reference(case):
+def test_negation_reverse_and_grades_agree_with_the_qscalars(case):
     ((m, cs),) = case
     xs = list(map(ref, cs))
     assert keys((-m).coeffs) == [key(ref_neg(x)) for x in xs]
@@ -131,7 +131,7 @@ def pairs(draw):
 
 
 @given(pairs())
-def test_equality_and_hash_agree_with_the_reference(pair):
+def test_equality_and_hash_agree_with_the_qscalars(pair):
     m, cs, w, ws = pair
     assert (m == w) == (keys(cs) == keys(ws))
     if m == w:
@@ -191,7 +191,7 @@ def outcome(f) -> tuple | type:
 
 
 @given(apart())
-def test_row_arithmetic_agrees_with_the_reference(case):
+def test_row_arithmetic_agrees_with_the_qscalar_reference(case):
     # Exact's row arithmetic against coefficient-wise reference arithmetic; a sum, and a
     # row scaled by a QScalar, is in its operands' field, and a row scaled by an int or a
     # Fraction keeps its field

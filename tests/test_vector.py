@@ -69,7 +69,7 @@ def keys(values) -> list[tuple]:
 
 
 @given(cases(), factors)
-def test_scale_agrees_with_the_reference_products(case, s):
+def test_scale_agrees_with_the_qscalar_products(case, s):
     v, cs = case
     expected = [ref_product(ref(c), ref(s)) for c in cs]
     got = v.scale(s)
@@ -79,7 +79,7 @@ def test_scale_agrees_with_the_reference_products(case, s):
 
 
 @given(cases())
-def test_negation_and_is_zero_agree_with_the_reference(case):
+def test_negation_and_is_zero_agree_with_the_qscalars(case):
     v, cs = case
     negated = [ref_neg(ref(c)) for c in cs]
     assert keys((-v).coords) == list(map(key, negated))
@@ -108,7 +108,7 @@ def pairs(draw):
 
 
 @given(pairs())
-def test_equality_and_hash_agree_with_the_reference(pair):
+def test_equality_and_hash_agree_with_the_qscalars(pair):
     v, cs, w, ws = pair
     assert (v == w) == (keys(cs) == keys(ws))
     if v == w:
@@ -138,7 +138,7 @@ def membership_cases(draw):
 
 
 @given(membership_cases())
-def test_membership_agrees_with_the_reference(case):
+def test_membership_agrees_with_the_qscalars(case):
     rs, v, cs = case
     assert (v in rs) == any(keys(cs) == keys(r.coords) for r in rs.roots)
 
@@ -289,7 +289,7 @@ def outcome(f) -> tuple | type:
 @given(st.integers(1, 4).flatmap(
     lambda dim: st.tuples(*(st.sampled_from(ARITHMETIC_FIELDS).flatmap(
         lambda d: cases(d, dim)) for _ in range(2)))), any_scalars)
-def test_row_arithmetic_agrees_with_the_reference(pair, s):
+def test_row_arithmetic_agrees_with_the_qscalar_reference(pair, s):
     # Exact's row arithmetic against coordinate-wise reference arithmetic, on two
     # vectors whose fields are drawn apart, rational coordinates under any tag
     (v, cs), (w, ws) = pair
@@ -320,7 +320,7 @@ def test_row_arithmetic_agrees_with_the_reference(pair, s):
 @given(st.integers(1, 4).flatmap(
     lambda dim: st.tuples(*(st.sampled_from(ARITHMETIC_FIELDS).flatmap(
         lambda d: cases(d, dim)) for _ in range(2)))))
-def test_dot_is_the_sum_of_the_reference_products(pair):
+def test_dot_is_the_sum_of_the_qscalar_products(pair):
     # Vector.dot reads the rows through lattice.int_mirror; the reference multiplies
     # the coordinates' Fraction pairs, in the field of both vectors.  A surd value keeps
     # its field; a rational one fits any field
