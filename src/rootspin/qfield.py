@@ -177,7 +177,7 @@ class QScalar(Exact):
         # an int or a Fraction becomes a QScalar, 64-bit-checked, as an operand of Exact's
         # arithmetic; anything else but a QScalar is refused
         if isinstance(other, (int, Fraction)):
-            return QScalar(other)
+            return QScalar._from_row((other.numerator, 0, other.denominator), 1)
         if not isinstance(other, QScalar):
             raise TypeError(f"cannot interpret {other!r} as a QScalar")
         return other
