@@ -9,8 +9,9 @@ lattice.py's `int_product` on the two rows; the blade convention, the
 bivector basis (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2) and the 4D readout
 of even elements are stated there, once.  Sums, negation and scaling, by an
 int, a Fraction or a QScalar (itself a one-coordinate Exact), are Exact's,
-as QScalar's own ring operations are; reversion, grades, from_vector and the spinor readouts also read or
-build the row, so none of them encodes or decodes a QScalar.
+as QScalar's own ring operations are; reversion, grades, from_vector and the
+spinor readouts also read or build the row, so none of them encodes or
+decodes a QScalar.
 
 Every Rotor is built by Rotor(mv), which checks that mv is even with
 R ~R = 1, the unit rotors of induction.py's integer pair products included;

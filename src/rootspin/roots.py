@@ -77,8 +77,9 @@ class Vector(Exact):
     disc, with its coords, the QScalars, decoded on first read or kept as
     given.  Exact's arithmetic, equality, hashing and RootSystem membership
     work on the row.  All coordinates share one field, disc's where it is
-    given: a surd coordinate from another field raises FieldMismatch, and a
-    rational one moved to a disc that is no field DomainError.
+    given: a rational coordinate of another tag is kept re-tagged, a surd
+    one from another field raises FieldMismatch, and a rational one moved to
+    a disc that is no field DomainError.
     """
 
     __slots__ = ()
@@ -90,12 +91,11 @@ class Vector(Exact):
             if c.row[1]:
                 raise FieldMismatch(f"cannot move {c} from Q(sqrt({c.disc})) to Q(sqrt({disc}))")
             checked_disc(disc)
+        if moved:
+            cs = tuple(c if c.disc == disc else QScalar._from_row(c.row, disc) for c in cs)
         if not 1 <= len(cs) <= 4:
             raise DimensionMismatch(f"vector dimension {len(cs)} outside 1..4")
-        if disc is None:
-            super().__init__(int_numerators(cs), vectors_disc(cs), cs)
-        else:  # decoded over Q(sqrt(disc)) when read
-            super().__init__(int_numerators(cs), disc)
+        super().__init__(int_numerators(cs), vectors_disc(cs), cs)
 
     @property
     def coords(self) -> tuple[QScalar, ...]:

@@ -155,13 +155,18 @@ def test_root_system_rows_are_the_promoted_coordinates(case):
     assert all(c.disc == disc for r in rs.roots for c in r.coords)
 
 
-def test_vectors_built_from_qscalars_keep_their_coordinates():
+def test_vectors_built_from_qscalars_keep_their_coordinates(count_qscalars):
     cs = (QScalar(1), QScalar(0, 1, 5), QScalar(Fraction(1, 2), 0, 3))
     v = Vector(cs)
     assert v.coords == cs and [c.disc for c in v.coords] == [1, 5, 3]
     assert v.row == (2, 0, 0, 2, 1, 0, 2) and v.disc == 5
     decoded = row_vector(v.row, v.disc).coords
     assert decoded == cs and [c.disc for c in decoded] == [5, 5, 5]
+    # moved into a given field, the coordinates are kept there, not decoded again
+    moved = Vector(cs, disc=5)
+    with count_qscalars() as made:
+        kept = moved.coords
+    assert made == [] and kept == cs and [c.disc for c in kept] == [5, 5, 5]
 
 
 def test_scaling_a_rational_vector_keeps_its_field():
