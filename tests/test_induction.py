@@ -30,7 +30,6 @@ from rootspin import (
     induce_4d,
     normalize_roots,
     signature,
-    spinor_to_vec2,
     spinor_to_vec4,
     vec,
     verify_root_axioms,
@@ -290,11 +289,21 @@ class TestInduce2D:
 
 def _paper_spinor_images(rs):
     """{alpha_1 alpha_i} for each choice of alpha_1, as sets of 2D vectors, by the
-    paper's route: each root scaled by the inverse of its QScalar norm, the products
-    taken as Cl(2) Multivectors and read out with spinor_to_vec2."""
-    units = [Multivector.from_vector(r.scale(r.norm_squared().sqrt().inverse()))
-             for r in rs.roots]
-    return [{spinor_to_vec2(first * u) for u in units} for first in units]
+    paper's route in Cl(3): each root scaled by the inverse of its QScalar norm and
+    put in the e1 e2 plane with a zero e3, the products taken as Multivectors (the
+    generic int_product over the blade table, not induction's closed form), and each
+    a0 + a3 e1e2 read as (a0, a3) from spinor_to_vec4."""
+    units = [r.scale(r.norm_squared().sqrt().inverse()) for r in rs.roots]
+    planar = [Multivector.from_vector(Vector((*u.coords, 0), u.disc)) for u in units]
+    images = []
+    for first in planar:
+        image = set()
+        for u in planar:
+            a0, a1, a2, a3 = spinor_to_vec4(first * u).coords
+            assert a1.is_zero() and a2.is_zero()
+            image.add(vec(a0, a3))
+        images.append(image)
+    return images
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
