@@ -20,7 +20,7 @@ _EXPORTS = {
     ),
     "clifford": (
         "Multivector", "Rotor", "RotorGroup", "generate_rotor_group", "geometric_product",
-        "reflect", "reverse", "rotate", "rotor_from_vectors", "spinor_to_vec2", "spinor_to_vec4",
+        "reflect", "reverse", "rotate", "rotor_from_vectors", "spinor_to_vec4",
     ),
     "errors": (
         "ClosureCapExceeded", "DegenerateFunctional", "DimensionMismatch", "DomainError",

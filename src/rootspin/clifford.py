@@ -1,23 +1,26 @@
-"""Geometric algebra of 2 and 3 Euclidean dimensions over exact scalars.
+"""Geometric algebra of 3 Euclidean dimensions, Cl(3), over exact scalars.
 
-A Multivector is a lattice.Exact, as a Vector is: the row of its 2^dim
-blade coefficients and its field's disc, with the QScalar coeffs decoded on
-first read (qfield.from_numerators).  Slot m of the row holds blade m, a
-bitmask: bit i set means the basis vector e_{i+1} is present, so slot 0 is
-the scalar and slot 2^dim - 1 the pseudoscalar.  The geometric product is
+A Multivector is a lattice.Exact, as a Vector is: the row of its 8 blade
+coefficients and its field's disc, with the QScalar coeffs decoded on first
+read (qfield.from_numerators).  Slot m of the row holds blade m, a bitmask:
+bit i set means the basis vector e_{i+1} is present, so slot 0 is the
+scalar and slot 7 the pseudoscalar.  A 2D vector lies in the e1 e2 plane
+(from_vector pads it with a zero e3, as induction.py's pair_products pads a
+root), so the even element a0 + a3 e1 e2 of that plane reads as (a0, a3)
+from spinor_to_vec4.  The geometric product is
 lattice.py's `int_product` on the two rows; the blade convention, the
 bivector basis (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2) and the 4D readout
 of even elements are stated there, once.  Sums, negation and scaling, by an
 int, a Fraction or a QScalar (itself a one-coordinate Exact), are Exact's,
 as QScalar's own ring operations are; reversion, grades, from_vector and the
-spinor readouts also read or build the row, so none of them encodes or
+spinor readout also read or build the row, so none of them encodes or
 decodes a QScalar.
 
 Every Rotor is built by Rotor(mv), which checks that mv is even with
 R ~R = 1, the unit rotors of induction.py's integer pair products included;
 generate_rotor_group puts those in a RotorGroup unchecked, since they are a
 group by construction.  R ~R of an even element is the sum of its squared
-coefficients, the squared 4D norm of its readout (in Cl(2), of (a, b)), as
+coefficients, the squared 4D norm of its readout, as
 v v of a vector is the sum of its squared coordinates: so Rotor and the
 mirror check of reflect and rotor_from_vectors test unit length with
 roots._is_unit on the row, as roots and generate_rotor_group do.
@@ -57,21 +60,15 @@ _ONE = QScalar(1)
 Scalarish = Union[QScalar, int, Fraction]
 
 # per row entry, the sign (-1)^(k(k-1)/2) that reversion gives its blade of grade k
-_REVERSE_SIGNS = {
-    dim: tuple(1 if m.bit_count() < 2 else -1 for m in range(1 << dim) for _ in "pq") + (1,)
-    for dim in (2, 3)
-}
+_REVERSE_SIGNS = tuple(1 if m.bit_count() < 2 else -1 for m in range(8) for _ in "pq") + (1,)
 # per blade mask, its name in output: "" for the scalar, "*e1e2" for e1 e2
-_BLADE_NAMES = {
-    dim: tuple("*" * (m > 0) + "".join(f"e{i + 1}" for i in range(dim) if m >> i & 1)
-               for m in range(1 << dim))
-    for dim in (2, 3)
-}
+_BLADE_NAMES = tuple("*" * (m > 0) + "".join(f"e{i + 1}" for i in range(3) if m >> i & 1)
+                     for m in range(8))
 
 
-def _slotted(x: Numerators, masks: Sequence[int], dim: int) -> Numerators:
-    """The row of Cl(dim) whose blades masks hold x's coefficients, in turn, and 0 elsewhere."""
-    out = [0] * (2 << dim) + [x[-1]]
+def _slotted(x: Numerators, masks: Sequence[int]) -> Numerators:
+    """The row of Cl(3) whose blades masks hold x's coefficients, in turn, and 0 elsewhere."""
+    out = [0] * 16 + [x[-1]]
     for k, m in enumerate(masks):
         out[2 * m:2 * m + 2] = x[2 * k:2 * k + 2]
     return tuple(out)
@@ -83,18 +80,21 @@ def _read(x: Numerators, masks: Sequence[int]) -> Numerators:
 
 
 class Multivector(Exact):
-    """Element of Cl(2) or Cl(3), held as the row of its QScalar blade coefficients."""
+    """Element of Cl(3), held as the row of its QScalar blade coefficients.
+
+    Multivector(dim, coeffs), scalar and basis_vector keep their dim argument, which
+    must be 3: any other raises DimensionMismatch.
+    """
 
     __slots__ = ()
+    dim = 3
 
     def __init__(self, dim: int, coeffs):
-        if dim not in (2, 3):
-            raise DimensionMismatch(f"Cl({dim}) not supported, dim must be 2 or 3")
+        if dim != 3:
+            raise DimensionMismatch(f"Cl({dim}) not supported, dim must be 3")
         cs = tuple(c if isinstance(c, QScalar) else QScalar(c) for c in coeffs)
-        if len(cs) != 1 << dim:
-            raise DimensionMismatch(
-                f"Cl({dim}) needs {1 << dim} coefficients, got {len(cs)}"
-            )
+        if len(cs) != 8:
+            raise DimensionMismatch(f"Cl(3) needs 8 coefficients, got {len(cs)}")
         super().__init__(int_numerators(cs), vectors_disc(cs), cs)
 
     @property
@@ -102,31 +102,26 @@ class Multivector(Exact):
         """The blade coefficients as QScalars, by bitmask."""
         return self._decoded(from_numerators)
 
-    @property
-    def dim(self) -> int:
-        return (len(self.row) // 2).bit_length() - 1
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def scalar(cls, value: Scalarish, dim: int) -> "Multivector":
-        cs = [_ZERO] * (1 << dim)
-        cs[0] = value if isinstance(value, QScalar) else QScalar(value)
-        return cls(dim, cs)
+        return cls(dim, [value] + [_ZERO] * 7)
 
     @classmethod
     def basis_vector(cls, i: int, dim: int) -> "Multivector":
-        if not 1 <= i <= dim:
-            raise DimensionMismatch(f"e{i} does not exist in Cl({dim})")
-        cs = [_ZERO] * (1 << dim)
+        if not 1 <= i <= 3:
+            raise DimensionMismatch(f"e{i} does not exist in Cl(3)")
+        cs = [_ZERO] * 8
         cs[1 << (i - 1)] = _ONE
         return cls(dim, cs)
 
     @classmethod
     def from_vector(cls, v: Vector) -> "Multivector":
-        if v.dim not in (2, 3):
-            raise DimensionMismatch(f"Cl({v.dim}) not supported, dim must be 2 or 3")
-        return cls._from_row(_slotted(v.row, [1 << i for i in range(v.dim)], v.dim), v.disc)
+        """The vector v of Cl(3); a 2D v lies in the e1 e2 plane."""
+        if not 2 <= v.dim <= 3:
+            raise DimensionMismatch(f"a {v.dim}D vector is not in Cl(3)")
+        return cls._from_row(_slotted(v.row, (0b001, 0b010, 0b100)[:v.dim]), v.disc)
 
     # -- structure ---------------------------------------------------------
 
@@ -155,25 +150,23 @@ class Multivector(Exact):
             return self.scale(other)
         other = self._operand(other)
         d = self.disc if self.disc == other.disc else vectors_disc((self, other))
-        return Multivector._from_row(int_product(self.row, other.row, BLADES[self.dim], d), d)
+        return Multivector._from_row(int_product(self.row, other.row, BLADES, d), d)
 
     def __rmul__(self, other):
         return self.scale(other) if isinstance(other, (QScalar, int, Fraction)) else NotImplemented
 
     def reverse(self) -> "Multivector":
         """Reversal anti-automorphism: grade k picks up (-1)^(k(k-1)/2)."""
-        signs = _REVERSE_SIGNS[self.dim]
-        return Multivector._from_row(tuple(map(mul, self.row, signs)), self.disc)
+        return Multivector._from_row(tuple(map(mul, self.row, _REVERSE_SIGNS)), self.disc)
 
     # -- output ----------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"Multivector(Cl({self.dim}), [{', '.join(str(c) for c in self.coeffs)}])"
+        return f"Multivector(Cl(3), [{', '.join(str(c) for c in self.coeffs)}])"
 
     def __str__(self) -> str:
-        names = _BLADE_NAMES[self.dim]
         parts = [
-            f"{c}{names[m]}" for m, c in enumerate(self.coeffs) if not c.is_zero()
+            f"{c}{_BLADE_NAMES[m]}" for m, c in enumerate(self.coeffs) if not c.is_zero()
         ]
         return " + ".join(parts) if parts else "0"
 
@@ -207,8 +200,7 @@ class Rotor:
     """Normalised even multivector R with R * ~R = 1 exactly.
 
     R ~R is the sum of R's squared coefficients, the squared 4D norm of its
-    readout spinor_to_vec4(R) (in Cl(2), of spinor_to_vec2(R)), so R is unit
-    when its row is (roots._is_unit).
+    readout spinor_to_vec4(R), so R is unit when its row is (roots._is_unit).
     """
 
     __slots__ = ("mv",)
@@ -263,26 +255,13 @@ def rotate(a: Multivector, r: Rotor) -> Multivector:
     return r.mv * a * r.mv.reverse()
 
 
-def _even(psi, dim: int, reader: str) -> Multivector:
-    # the even element of Cl(dim) that psi, a Rotor or a Multivector, holds, for reader
+def spinor_to_vec4(psi) -> Vector:
+    """Read an even Cl(3) element a0 + a1 Ie1 + a2 Ie2 + a3 Ie3, a Multivector or a
+    Rotor's, as (a0,a1,a2,a3); a0 + a3 e1 e2, of the e1 e2 plane, reads as (a0, 0, 0, a3)."""
     mv = psi.mv if isinstance(psi, Rotor) else psi
-    if mv.dim != dim:
-        raise DimensionMismatch(f"{reader} needs Cl({dim})")
     if not mv.is_even():
         raise OddGradePresent(f"odd grades present in {mv}")
-    return mv
-
-
-def spinor_to_vec4(psi) -> Vector:
-    """Read an even Cl(3) element a0 + a1 Ie1 + a2 Ie2 + a3 Ie3 as (a0,a1,a2,a3)."""
-    mv = _even(psi, 3, "spinor_to_vec4")
     return row_vector(vec4_numerators(_read(mv.row, EVEN_MASKS)), mv.disc)
-
-
-def spinor_to_vec2(psi) -> Vector:
-    """Read an even Cl(2) element a + b e1 e2 as (a, b)."""
-    mv = _even(psi, 2, "spinor_to_vec2")
-    return row_vector(_read(mv.row, (0b00, 0b11)), mv.disc)
 
 
 class RotorGroup:
@@ -290,21 +269,18 @@ class RotorGroup:
 
     The public constructor sorts the elements' rows by sorted_numerators, as
     generate_rotor_group does, and checks that the elements hold 1 and are closed
-    under negation and the product, an int_product of Cl(3) even rows (a Cl(2)
-    rotor's padded) per ordered pair.  It and generate_rotor_group, on
-    induction.py's products, build the group by the one body `_trusted`, which
-    checks nothing.
+    under negation and the product, an int_product of their even rows per ordered
+    pair.  It and generate_rotor_group, on induction.py's products, build the group
+    by the one body `_trusted`, which checks nothing.
     """
 
-    __slots__ = ("dim", "elements", "_set")
+    __slots__ = ("elements", "_set")
+    dim = 3
 
     def __new__(cls, elements: Sequence[Rotor]) -> "RotorGroup":
         elems = set(elements)
         if not elems:
             raise RootspinError("a rotor group needs at least one element")
-        dims = {r.dim for r in elems}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed rotor dimensions {sorted(dims)}")
         by_row, d = {r.mv.row: r for r in elems}, vectors_disc(r.mv for r in elems)
         group = cls._trusted([by_row[x] for x in sorted_numerators(list(by_row), d)])
         group._validate()
@@ -314,7 +290,6 @@ class RotorGroup:
     def _trusted(cls, elems: list[Rotor]) -> "RotorGroup":
         # elements already distinct, canonically ordered and validated
         group = object.__new__(cls)
-        object.__setattr__(group, "dim", elems[0].dim)
         object.__setattr__(group, "elements", tuple(elems))
         object.__setattr__(group, "_set", frozenset(r.mv for r in elems))
         return group
@@ -325,14 +300,13 @@ class RotorGroup:
     def _validate(self) -> None:
         if len(self.elements) % 2 != 0:
             raise RootspinError(f"rotor group of odd order {len(self.elements)}")
-        if Multivector.scalar(1, self.dim) not in self._set:
+        if Multivector.scalar(1, 3) not in self._set:
             raise RootspinError("rotor group does not contain 1")
         for r in self.elements:
             if (-r.mv) not in self._set:
                 raise RootspinError(f"rotor group not closed under negation at {r}")
         d = vectors_disc(r.mv for r in self.elements)
-        rows = {_read(_slotted(r.mv.row, range(1 << r.dim), 3), EVEN_MASKS): r
-                for r in self.elements}
+        rows = {_read(r.mv.row, EVEN_MASKS): r for r in self.elements}
         for x, r in rows.items():
             for y, s in rows.items():
                 if int_product(x, y, EVEN_BY_EVEN, d) not in rows:
@@ -377,5 +351,5 @@ def generate_rotor_group(unit_roots: Sequence[Vector]) -> RotorGroup:
         if not _is_unit(r.row, d):
             raise NonUnitVector(f"root {r} is not exactly unit length")
     elements = pair_products(RootSystem(unit_roots, d))
-    ordered = sorted_numerators([_slotted(x, EVEN_MASKS, 3) for x in elements], d)
+    ordered = sorted_numerators([_slotted(x, EVEN_MASKS) for x in elements], d)
     return RotorGroup._trusted([Rotor(Multivector._from_row(x, d)) for x in ordered])

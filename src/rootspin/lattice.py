@@ -27,8 +27,8 @@ and `field_cmp`, the sign and the order of values (x + y sqrt(d)) / z on ints
 with no bound, which QScalar's `sign` and comparisons, Exact's `<`,
 sorted_numerators and classify's Coxeter labels call.
 
-`int_product` is the geometric product of Cl(2) and Cl(3), on rows of
-blade coefficients; the blade convention and the 4D readout of the even
+`int_product` is the geometric product of Cl(3), on rows of blade
+coefficients; the blade convention and the 4D readout of the even
 subalgebra (`vec4_numerators`) are stated with it.  Multivector's product
 (clifford.py) runs it on rows, so a product neither encodes nor decodes.
 The rotor group's pair products (induction.py) run `int_vector_product`,
@@ -166,7 +166,8 @@ class Exact:
     The QScalars a Vector's or a Multivector's row stands for are decoded on first read
     (`_decoded`), except that a value built from QScalars keeps the ones it was given.
     Equality, hashing and `is_zero` read the row: two values of one type are equal when
-    their rows are and they share a field or have no surd part.  `+`, `-`, negation and
+    their rows are and they share a field or have no surd part, and a QScalar equals the
+    int or Fraction whose row (n, 0, d) it holds, with no bound.  `+`, `-`, negation and
     `scale` run on rows and decode nothing, a new row 64-bit-checked by `_from_row`; `<`
     compares the coordinates in turn by field_cmp, each pair in its own field by
     common_disc's rule, and decodes nothing either.  `_operand` refuses an operand of
@@ -214,11 +215,9 @@ class Exact:
         return not any(self.row[:-1])
 
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            try:
-                other = self._operand(other)
-            except (TypeError, OverflowError):  # no value of this type, or one past the bound
-                return False
+        if type(other) is not type(self):  # a QScalar equals the int or Fraction of its row
+            return (self._scalar and isinstance(other, (int, Fraction))
+                    and self.row == (other.numerator, 0, other.denominator))
         return self.row == other.row and (self.disc == other.disc or not any(self.row[1:-1:2]))
 
     def __hash__(self):
@@ -320,11 +319,11 @@ def int_reflect(b: Numerators, mirror: tuple, disc: int) -> Numerators:
     return tuple(z // h for z in out)
 
 
-# -- the geometric product of Cl(2) and Cl(3) on rows ----------------------------
+# -- the geometric product of Cl(3) on rows ---------------------------------------
 #
 # A multivector is a row of blade coefficients.  A blade is a bitmask: bit i
 # set means the basis vector e_{i+1} is present, so 0 is the scalar and
-# 2^dim - 1 the pseudoscalar.  With e_i^2 = 1, blade a times blade b is
+# 7 the pseudoscalar.  With e_i^2 = 1, blade a times blade b is
 # _blade_sign(a, b) times blade a ^ b.  The bivector basis is fixed to
 # (I e1, I e2, I e3) = (e2 e3, e3 e1, e1 e2): an even element of Cl(3),
 # a0 + a1 e23 + a2 e13 + a3 e12, is the row of its coefficients on EVEN_MASKS,
@@ -360,7 +359,7 @@ def _structure(left: Sequence[int], right: Sequence[int], out: Sequence[int]) ->
     )
 
 
-BLADES = {dim: _structure(range(1 << dim), range(1 << dim), range(1 << dim)) for dim in (2, 3)}
+BLADES = _structure(range(8), range(8), range(8))
 # a row of k coordinates or blade coefficients times a scalar's row, slot by slot: Exact.scale
 ROW_BY_SCALAR = {k: _structure(range(k), (0,), range(k)) for k in (1, 2, 3, 4, 8)}
 # the tests' reference for int_vector_product, and the rotor group's product check

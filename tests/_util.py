@@ -30,15 +30,15 @@ def random_qscalar(rng: random.Random, disc: int, span: int = 6) -> QScalar:
     return QScalar(a, b, disc)
 
 
-def random_multivector(rng: random.Random, dim: int, disc: int) -> Multivector:
-    return Multivector(dim, [random_qscalar(rng, disc, 3) for _ in range(1 << dim)])
+def random_multivector(rng: random.Random, disc: int) -> Multivector:
+    return Multivector(3, [random_qscalar(rng, disc, 3) for _ in range(8)])
 
 
-def random_vector_mv(rng: random.Random, dim: int, disc: int) -> Multivector:
-    coeffs = [QScalar(0)] * (1 << dim)
-    for i in range(dim):
+def random_vector_mv(rng: random.Random, disc: int) -> Multivector:
+    coeffs = [QScalar(0)] * 8
+    for i in range(3):
         coeffs[1 << i] = random_qscalar(rng, disc, 3)
-    return Multivector(dim, coeffs)
+    return Multivector(3, coeffs)
 
 
 def unit_pool_3d() -> dict[int, list[Vector]]:

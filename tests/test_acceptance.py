@@ -274,11 +274,10 @@ def test_criterion_6_nonexistence_survey():
 def test_criterion_7_product_associativity():
     rng = random.Random(70)
     for _ in range(CASES):
-        dim = rng.choice((2, 3))
         disc = rng.choice((1, 2, 3, 5))
-        m = random_multivector(rng, dim, disc)
-        n = random_multivector(rng, dim, disc)
-        p = random_multivector(rng, dim, disc)
+        m = random_multivector(rng, disc)
+        n = random_multivector(rng, disc)
+        p = random_multivector(rng, disc)
         assert (m * n) * p == m * (n * p)
     report("criterion 7 (product associativity)", True, f"{CASES} exact cases")
 
@@ -288,7 +287,7 @@ def test_criterion_7_reflection_involution():
     pool = unit_pool_3d()
     for _ in range(CASES):
         disc = rng.choice((1, 2, 3, 5))
-        a = random_vector_mv(rng, 3, disc)
+        a = random_vector_mv(rng, disc)
         n = random_unit_mv(rng, pool[disc])
         assert reflect(reflect(a, n), n) == a
     report("criterion 7 (reflection involution)", True, f"{CASES} exact cases")
@@ -299,7 +298,7 @@ def test_criterion_7_rotation_is_two_reflections():
     pool = unit_pool_3d()
     for _ in range(CASES):
         disc = rng.choice((1, 2, 3, 5))
-        a = random_vector_mv(rng, 3, disc)
+        a = random_vector_mv(rng, disc)
         m = random_unit_mv(rng, pool[disc])
         n = random_unit_mv(rng, pool[disc])
         assert rotate(a, rotor_from_vectors(m, n)) == reflect(reflect(a, n), m)
@@ -323,7 +322,7 @@ def test_criterion_7_spinor_norm_formula():
     rng = random.Random(74)
     for _ in range(CASES):
         disc = rng.choice((1, 2, 3, 5))
-        m = random_multivector(rng, 3, disc)
+        m = random_multivector(rng, disc)
         psi = m.grade(0) + m.grade(2)
         coords = spinor_to_vec4(psi).coords
         total = coords[0] * coords[0]

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from rootspin import (
@@ -24,7 +24,6 @@ from rootspin import (
     reverse,
     rotate,
     rotor_from_vectors,
-    spinor_to_vec2,
     spinor_to_vec4,
     vec,
 )
@@ -74,36 +73,55 @@ class TestGeometricProduct:
         assert E3 * E1 == I3 * E2
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            E1 * Multivector.basis_vector(1, 2)
+        with pytest.raises(DimensionMismatch, match=r"^Cl\(3\) needs 8 coefficients, got 4$"):
+            Multivector(3, [1, 0, 0, 1])
+        with pytest.raises(DimensionMismatch, match="^e4 does not exist in Cl\\(3\\)$"):
+            Multivector.basis_vector(4, 3)
+        for v in (vec(1), vec(1, 0, 0, 0)):
+            with pytest.raises(DimensionMismatch, match=r"^a [14]D vector is not in Cl\(3\)$"):
+                Multivector.from_vector(v)
 
 
-def _indices(mask: int, dim: int) -> list[int]:
-    return [i + 1 for i in range(dim) if mask >> i & 1]
+def test_cl3_is_the_one_algebra():
+    # Cl(2) is gone: its rotors a0 + a3 e1e2 are the even elements of Cl(3)'s e1 e2
+    # plane, where a 2D vector lies with a zero e3
+    for make in (lambda: Multivector(2, [1, 0, 0, 0]), lambda: Multivector.scalar(1, 2),
+                 lambda: Multivector.basis_vector(1, 2), lambda: Multivector.scalar(1, 4)):
+        with pytest.raises(DimensionMismatch, match=r"^Cl\([24]\) not supported, dim must be 3$"):
+            make()
+    x, y = Fraction(3, 5), QScalar(0, Fraction(1, 2), 2)
+    assert Multivector.from_vector(vec(x, y)) == Multivector.from_vector(vec(x, y, 0))
+    assert Multivector.from_vector(vec(x, y)) == E1 * x + E2 * y
+    turn = Multivector.from_vector(vec(1, 0)) * Multivector.from_vector(vec(x, Fraction(4, 5)))
+    assert turn == ONE * x + E1 * E2 * Fraction(4, 5)
+    assert spinor_to_vec4(turn) == vec(x, 0, 0, Fraction(4, 5))
+
+
+def _indices(mask: int) -> list[int]:
+    return [i + 1 for i in range(3) if mask >> i & 1]
 
 
 def _inversions(indices: list[int]) -> int:
     return sum(p > q for k, p in enumerate(indices) for q in indices[k + 1:])
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_basis_blade_table(dim):
+def test_basis_blade_table():
     # blade m is e_i e_j ... over the set bits of m, in increasing order; moving
     # the factors of blade a times blade b into order takes one swap per inversion
     # of the concatenated index lists, and then each e_i^2 = 1
     def unit(mask: int, sign: int = 1) -> Multivector:
-        return Multivector(dim, [sign if m == mask else 0 for m in range(1 << dim)])
+        return Multivector(3, [sign if m == mask else 0 for m in range(8)])
 
     blades = []
-    for mask in range(1 << dim):
-        blade = Multivector.scalar(1, dim)
-        for i in _indices(mask, dim):
-            blade = blade * Multivector.basis_vector(i, dim)
+    for mask in range(8):
+        blade = ONE
+        for i in _indices(mask):
+            blade = blade * Multivector.basis_vector(i, 3)
         assert blade == unit(mask)
         blades.append(blade)
     for a, x in enumerate(blades):
         for b, y in enumerate(blades):
-            sign = (-1) ** _inversions(_indices(a, dim) + _indices(b, dim))
+            sign = (-1) ** _inversions(_indices(a) + _indices(b))
             assert x * y == unit(a ^ b, sign), (a, b)
 
 
@@ -132,10 +150,9 @@ class TestReverse:
     def test_anti_homomorphism_randomized(self):
         rng = random.Random(5)
         for _ in range(300):
-            dim = rng.choice((2, 3))
             disc = rng.choice((1, 2, 5))
-            m = random_multivector(rng, dim, disc)
-            n = random_multivector(rng, dim, disc)
+            m = random_multivector(rng, disc)
+            n = random_multivector(rng, disc)
             assert reverse(m * n) == reverse(n) * reverse(m)
 
 
@@ -158,7 +175,7 @@ class TestReflect:
         pool = unit_pool_3d()
         for _ in range(400):
             disc = rng.choice((1, 2, 5))
-            a = random_vector_mv(rng, 3, disc)
+            a = random_vector_mv(rng, disc)
             n = random_unit_mv(rng, pool[disc])
             assert reflect(reflect(a, n), n) == a
 
@@ -167,7 +184,7 @@ class TestReflect:
         pool = unit_pool_3d()
         for _ in range(200):
             disc = rng.choice((2, 5))
-            a = random_vector_mv(rng, 3, disc)
+            a = random_vector_mv(rng, disc)
             n = random_unit_mv(rng, pool[disc])
             image = reflect(a, n)
             assert (image * image) == (a * a)
@@ -238,7 +255,7 @@ class TestRotate:
         pool = unit_pool_3d()
         for _ in range(400):
             disc = rng.choice((1, 2, 5))
-            a = random_vector_mv(rng, 3, disc)
+            a = random_vector_mv(rng, disc)
             m = random_unit_mv(rng, pool[disc])
             n = random_unit_mv(rng, pool[disc])
             r = rotor_from_vectors(m, n)
@@ -248,7 +265,7 @@ class TestRotate:
         rng = random.Random(10)
         pool = unit_pool_3d()
         for _ in range(200):
-            a = random_vector_mv(rng, 3, 5)
+            a = random_vector_mv(rng, 5)
             m = random_unit_mv(rng, pool[5])
             n = random_unit_mv(rng, pool[5])
             image = rotate(a, rotor_from_vectors(m, n))
@@ -275,8 +292,8 @@ class TestSpinorReadout:
     def test_linear_bijection(self):
         rng = random.Random(12)
         for _ in range(200):
-            p = random_multivector(rng, 3, 5).grade(0) + random_multivector(rng, 3, 5).grade(2)
-            q = random_multivector(rng, 3, 5).grade(0) + random_multivector(rng, 3, 5).grade(2)
+            p = random_multivector(rng, 5).grade(0) + random_multivector(rng, 5).grade(2)
+            q = random_multivector(rng, 5).grade(0) + random_multivector(rng, 5).grade(2)
             assert spinor_to_vec4(p + q) == spinor_to_vec4(p) + spinor_to_vec4(q)
             if spinor_to_vec4(p) == spinor_to_vec4(q):
                 assert p == q
@@ -285,7 +302,7 @@ class TestSpinorReadout:
         rng = random.Random(13)
         for _ in range(300):
             disc = rng.choice((1, 2, 5))
-            m = random_multivector(rng, 3, disc)
+            m = random_multivector(rng, disc)
             psi = m.grade(0) + m.grade(2)
             v = spinor_to_vec4(psi)
             expected = v.coords[0] * v.coords[0]
@@ -294,37 +311,37 @@ class TestSpinorReadout:
             assert psi * psi.reverse() == Multivector.scalar(expected, 3)
 
     def test_vec2_readout(self):
-        one2 = Multivector.scalar(1, 2)
-        i2 = Multivector.basis_vector(1, 2) * Multivector.basis_vector(2, 2)
-        assert spinor_to_vec2(one2) == vec(1, 0)
-        assert spinor_to_vec2(i2) == vec(0, 1)
-        psi = (one2 + i2) * HALF_SQRT2
-        assert spinor_to_vec2(psi) == Vector((HALF_SQRT2, HALF_SQRT2))
+        # a spinor a0 + a3 e1e2 of the e1 e2 plane reads as (a0, 0, 0, a3): the 2D
+        # readout (a0, a3) of a product of two planar vectors
+        e1, e2 = (Multivector.from_vector(v) for v in (vec(1, 0), vec(0, 1)))
+        assert spinor_to_vec4(e1 * e1) == vec(1, 0, 0, 0)
+        assert spinor_to_vec4(e1 * e2) == vec(0, 0, 0, 1)
+        psi = (e1 * e1 + e1 * e2) * HALF_SQRT2
+        assert spinor_to_vec4(psi) == Vector((HALF_SQRT2, 0, 0, HALF_SQRT2))
 
     def test_vec2_odd_rejected(self):
-        with pytest.raises(OddGradePresent):
-            spinor_to_vec2(Multivector.basis_vector(1, 2))
+        # a 2D vector is odd in the e1 e2 plane too
+        with pytest.raises(OddGradePresent, match=r"^odd grades present in 1\*e1$"):
+            spinor_to_vec4(Multivector.from_vector(vec(1, 0)))
 
 
 class TestProductLaws:
     def test_associativity_randomized(self):
         rng = random.Random(14)
         for _ in range(300):
-            dim = rng.choice((2, 3))
             disc = rng.choice((1, 2, 5))
-            m = random_multivector(rng, dim, disc)
-            n = random_multivector(rng, dim, disc)
-            p = random_multivector(rng, dim, disc)
+            m = random_multivector(rng, disc)
+            n = random_multivector(rng, disc)
+            p = random_multivector(rng, disc)
             assert (m * n) * p == m * (n * p)
 
     def test_distributivity_randomized(self):
         rng = random.Random(15)
         for _ in range(300):
-            dim = rng.choice((2, 3))
             disc = rng.choice((1, 3, 5))
-            m = random_multivector(rng, dim, disc)
-            n = random_multivector(rng, dim, disc)
-            p = random_multivector(rng, dim, disc)
+            m = random_multivector(rng, disc)
+            n = random_multivector(rng, disc)
+            p = random_multivector(rng, disc)
             assert m * (n + p) == m * n + m * p
             assert (n + p) * m == n * m + p * m
 
@@ -406,15 +423,14 @@ class TestEvenKernel:
             assert [c.is_zero() for c in coords] == [i != k for i in range(4)]
 
 
-# -- the product laws as properties over random fields and dimensions -----------
+# -- the product laws as properties over random fields ------------------------------
 
 
 @st.composite
 def _multivectors(draw, count):
-    """count multivectors of Cl(2) or Cl(3) over one field Q(sqrt(d))."""
-    dim = draw(st.sampled_from((2, 3)))
-    _, scalars = draw(_scalar_lists(count << dim))
-    return [Multivector(dim, scalars[k << dim:(k + 1) << dim]) for k in range(count)]
+    """count multivectors of Cl(3) over one field Q(sqrt(d))."""
+    _, scalars = draw(_scalar_lists(8 * count))
+    return [mv3(*scalars[8 * k:8 * k + 8]) for k in range(count)]
 
 
 @given(_multivectors(3))
@@ -442,14 +458,18 @@ def _field_scalar(draw, d: int) -> QScalar:
     return QScalar(rat, draw(st.integers(-2, 2)), d) if d > 1 else QScalar(rat)
 
 
+# unit roots per field: I2-4's are 2D, so from_vector puts them in the e1 e2 plane
+_UNIT_PRESETS = {1: ["A1xA1xA1"], 2: ["B3", "I2-4"], 5: ["H3"]}
+
+
 @st.composite
-def _unit_vectors(draw, dim: int, d: int) -> Multivector:
-    """A unit vector of Cl(dim) over Q(sqrt(d)): a unit root of a preset, or the
+def _unit_vectors(draw, d: int) -> Multivector:
+    """A unit vector of Cl(3) over Q(sqrt(d)): a unit root of a preset, or the
     stereographic image ((1 - |t|^2), 2 t) / (1 + |t|^2) of a t in the field."""
-    roots = {(3, 1): "A1xA1xA1", (3, 2): "B3", (3, 5): "H3", (2, 2): "I2-4"}.get((dim, d))
-    if roots and draw(st.booleans()):
-        return Multivector.from_vector(draw(st.sampled_from(normalize_roots(build_preset(roots)))))
-    t = [_field_scalar(draw, d) for _ in range(dim - 1)]
+    if draw(st.booleans()):
+        preset = build_preset(draw(st.sampled_from(_UNIT_PRESETS[d])))
+        return Multivector.from_vector(draw(st.sampled_from(normalize_roots(preset))))
+    t = [_field_scalar(draw, d) for _ in range(2)]
     s = sum((x * x for x in t), QScalar(0))
     scale = (s + 1).inverse()
     return Multivector.from_vector(Vector([(1 - s) * scale, *(2 * x * scale for x in t)], d))
@@ -465,34 +485,40 @@ def _scaled(draw, mv: Multivector, d: int) -> Multivector:
 
 @st.composite
 def _even_elements(draw):
-    """(d, element of Cl(2) or Cl(3)): mostly even, many of them unit, as products of
-    two or four unit vectors, scaled or not; some random, some odd (three vectors)."""
-    dim, d = draw(st.sampled_from((2, 3))), draw(_UNIT_FIELDS)
+    """(d, element of Cl(3)): mostly even, many of them unit, as products of two or
+    four unit vectors, scaled or not; some random, some odd (three vectors)."""
+    d = draw(_UNIT_FIELDS)
     kind = draw(st.sampled_from(("units", "units", "random", "odd")))
     if kind == "random":
         coeffs = [_field_scalar(draw, d) if m.bit_count() % 2 == 0 else QScalar(0)
-                  for m in range(1 << dim)]
-        return d, Multivector(dim, coeffs)
+                  for m in range(8)]
+        return d, mv3(*coeffs)
     factors = draw(st.sampled_from((3,) if kind == "odd" else (2, 4)))
-    mv = Multivector.scalar(1, dim)
-    for _ in range(factors):
-        mv = mv * draw(_unit_vectors(dim, d))
-    return d, _scaled(draw, mv, d)
+    try:
+        mv = ONE
+        for _ in range(factors):
+            mv = mv * draw(_unit_vectors(d))
+        return d, _scaled(draw, mv, d)
+    except OverflowError:  # a row past the 64-bit bound is no Multivector (see
+        reject()  # test_a_coefficient_beyond_64_bits_overflows)
 
 
 @st.composite
 def _vectors(draw):
-    """(d, vector of Cl(2) or Cl(3)): unit, a scaled unit or random."""
-    dim, d = draw(st.sampled_from((2, 3))), draw(_UNIT_FIELDS)
+    """(d, vector of Cl(3)): unit, a scaled unit or random."""
+    d = draw(_UNIT_FIELDS)
     if draw(st.booleans()):
-        return d, _scaled(draw, draw(_unit_vectors(dim, d)), d)
-    return d, Multivector.from_vector(Vector([_field_scalar(draw, d) for _ in range(dim)], d))
+        return d, _scaled(draw, draw(_unit_vectors(d)), d)
+    return d, Multivector.from_vector(Vector([_field_scalar(draw, d) for _ in range(3)], d))
 
 
 _THREE_FIFTHS_FOUR_FIFTHS = [Fraction(3, 5), 0, 0, Fraction(4, 5)]  # 3/5 + 4/5 e12
+# the same rotor, as the product e1 (3/5 e1 + 4/5 e2) of two vectors in the e1 e2 plane
+_PLANAR_TURN = (Multivector.from_vector(vec(1, 0))
+                * Multivector.from_vector(vec(Fraction(3, 5), Fraction(4, 5))))
 
 
-@example((1, Multivector(2, _THREE_FIFTHS_FOUR_FIFTHS)))
+@example((1, _PLANAR_TURN))
 @example((1, Multivector(3, _THREE_FIFTHS_FOUR_FIFTHS + [0] * 4)))
 @example((5, Multivector(3, [QScalar(0, Fraction(1, 5), 5), 0, 0, QScalar(0, Fraction(2, 5), 5)]
                          + [0] * 4)))
@@ -502,7 +528,7 @@ def test_a_rotor_is_unit_exactly_when_r_r_tilde_is_one(case):
     if not mv.is_even():
         with pytest.raises(OddGradePresent, match="^rotor has odd-grade parts: "):
             Rotor(mv)
-    elif mv * mv.reverse() == Multivector.scalar(1, mv.dim):
+    elif mv * mv.reverse() == ONE:
         assert Rotor(mv).mv == mv
     else:
         with pytest.raises(NonUnitVector, match=r"^not normalised: R~R != 1 for "):
@@ -512,10 +538,10 @@ def test_a_rotor_is_unit_exactly_when_r_r_tilde_is_one(case):
 @given(_vectors())
 def test_the_mirror_check_refuses_exactly_the_vectors_with_v_v_not_one(case):
     _, v = case
-    a = Multivector.basis_vector(1, v.dim)
-    if v * v == Multivector.scalar(1, v.dim):
+    a = E1
+    if v * v == ONE:
         assert reflect(a, v) == -(v * a * v)
-        assert rotor_from_vectors(v, v).mv == Multivector.scalar(1, v.dim)
+        assert rotor_from_vectors(v, v).mv == ONE
     else:
         for call in (lambda: reflect(a, v), lambda: rotor_from_vectors(a, v)):
             with pytest.raises(NonUnitVector, match="is not exactly unit length$"):
@@ -530,8 +556,8 @@ def test_the_unit_strategies_reach_both_verdicts():
     @given(_even_elements(), _vectors())
     def draw(element, vector):
         mv, v = element[1], vector[1]
-        seen.add(("even", mv.is_even() and mv * mv.reverse() == Multivector.scalar(1, mv.dim)))
-        seen.add(("vector", v * v == Multivector.scalar(1, v.dim)))
+        seen.add(("even", mv.is_even() and mv * mv.reverse() == ONE))
+        seen.add(("vector", v * v == ONE))
         seen.add(("fields", element[0], vector[0]))
 
     draw()

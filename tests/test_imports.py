@@ -370,7 +370,7 @@ def test_the_product_guard_finds_every_spelling():
         "def pair_products(rs):\n"
         "    return lattice.int_vector_product(rs, rs, 1)\n"
         "def f(x):\n"
-        "    return generic(x, x, lattice.BLADES[2], 1), pair_products(x)\n"
+        "    return generic(x, x, lattice.BLADES, 1), pair_products(x)\n"
     )
     assert products_named(source) == ["BLADES", "VECTOR_BY_VECTOR_2D", "int_product",
                                       "int_vector_product"]

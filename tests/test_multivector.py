@@ -41,23 +41,22 @@ def scalars(draw, disc: int) -> QScalar:
 
 
 @st.composite
-def built(draw, dim: int, cs: list[QScalar]) -> Multivector:
+def built(draw, cs: list[QScalar]) -> Multivector:
     """A Multivector of cs: built from the QScalars, or from their row and field."""
     if draw(st.booleans()):
-        return Multivector(dim, cs)
+        return Multivector(3, cs)
     return Multivector._from_row(int_numerators(cs), field(*map(ref, cs)))
 
 
 @st.composite
 def cases(draw, count: int = 1):
-    """count (m, cs) pairs of one dimension and field: a Multivector and its QScalars."""
+    """count (m, cs) pairs of one field: a Multivector and its QScalars."""
     disc = draw(st.sampled_from(FIELDS))
-    dim = draw(st.sampled_from((2, 3)))
     out = []
     for _ in range(count):
         blade = st.one_of(st.just(QScalar(0)), scalars(disc))  # zero blades are common
-        cs = draw(st.lists(blade, min_size=1 << dim, max_size=1 << dim))
-        out.append((draw(built(dim, cs)), cs))
+        cs = draw(st.lists(blade, min_size=8, max_size=8))
+        out.append((draw(built(cs)), cs))
     return out
 
 
@@ -127,7 +126,7 @@ def pairs(draw):
         ws = [QScalar(c.rat, c.surd, 3) for c in cs]
     else:
         ws = list(cs)
-    return m, cs, draw(built((len(ws) - 1).bit_length(), ws)), ws
+    return m, cs, draw(built(ws)), ws
 
 
 @given(pairs())
@@ -139,18 +138,13 @@ def test_equality_and_hash_agree_with_the_qscalars(pair):
 
 
 def test_multivectors_built_from_qscalars_keep_their_coefficients():
-    cs = (QScalar(1), QScalar(0, 1, 5), QScalar(Fraction(1, 2), 0, 3), QScalar(0))
-    m = Multivector(2, cs)
-    assert m.coeffs == cs and [c.disc for c in m.coeffs] == [1, 5, 3, 1]
-    assert m.row == (2, 0, 0, 2, 1, 0, 0, 0, 2) and m.disc == 5 and m.dim == 2
+    cs = (QScalar(1), QScalar(0, 1, 5), QScalar(Fraction(1, 2), 0, 3), *[QScalar(0)] * 4,
+          QScalar(-2, 0, 2))
+    m = Multivector(3, cs)
+    assert m.coeffs == cs and [c.disc for c in m.coeffs] == [1, 5, 3, 1, 1, 1, 1, 2]
+    assert m.row == (2, 0, 0, 2, 1, 0, *[0] * 8, -4, 0, 2) and m.disc == 5 and m.dim == 3
     decoded = Multivector._from_row(m.row, m.disc).coeffs
-    assert decoded == cs and [c.disc for c in decoded] == [5, 5, 5, 5]
-
-
-def test_a_multivector_and_a_vector_with_one_row_differ():
-    # Cl(2)'s four coefficients and a 4D vector have rows of one length
-    v, m = vec(1, 2, 3, 4), Multivector(2, (1, 2, 3, 4))
-    assert v.row == m.row and v != m and m != v
+    assert decoded == cs and [c.disc for c in decoded] == [5] * 8
 
 
 ARITHMETIC_FIELDS = (1, 2, 3, 5)  # two surd fields meet in a sum when the operands' differ
@@ -159,13 +153,12 @@ factors = st.integers(-6, 6) | parts | st.sampled_from(ARITHMETIC_FIELDS).flatma
 
 @st.composite
 def apart(draw):
-    """Two (m, cs) of one dimension whose fields are drawn apart, and a scalar."""
-    dim = draw(st.sampled_from((2, 3)))
+    """Two (m, cs) whose fields are drawn apart, and a scalar."""
     out = []
     for _ in range(2):
         blade = st.one_of(st.just(QScalar(0)), scalars(draw(st.sampled_from(ARITHMETIC_FIELDS))))
-        cs = draw(st.lists(blade, min_size=1 << dim, max_size=1 << dim))
-        out.append((draw(built(dim, cs)), cs))
+        cs = draw(st.lists(blade, min_size=8, max_size=8))
+        out.append((draw(built(cs)), cs))
     return out, draw(factors)
 
 
@@ -220,21 +213,21 @@ def test_row_arithmetic_agrees_with_the_qscalar_reference(case):
 
 def test_a_vector_and_a_multivector_do_not_mix():
     # neither reads the other's values: a Vector's coords and a Multivector's blade
-    # coefficients are unrelated, even in rows of one length
-    for v, m in ((vec(1, 2), Multivector.basis_vector(1, 2)),
-                 (vec(1, 2, 3, 4), Multivector(2, (1, 2, 3, 4)))):  # rows of one length
+    # coefficients are unrelated, even where the multivector is the vector itself
+    for v in (vec(1, 2), vec(1, 2, 3)):
+        m = Multivector.from_vector(v)
         for mixed in (lambda: v + m, lambda: m + v, lambda: v - m, lambda: m - v,
                       lambda: v < m, lambda: m < v, lambda: v.dot(m)):
             with pytest.raises(TypeError, match="^expected (Vector, got Multivector|"
                                                 "Multivector, got Vector)$"):
                 mixed()
-    with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):
-        Multivector.scalar(1, 2) + Multivector.scalar(1, 3)
+    with pytest.raises(DimensionMismatch, match="^dim 2 vs 3$"):  # rows of two lengths
+        vec(1, 2) + vec(1, 2, 3)
 
 
 def test_surds_from_two_fields_do_not_make_a_multivector():
     with pytest.raises(FieldMismatch, match=r"Q\(sqrt\(2\)\) with Q\(sqrt\(3\)\)"):
-        Multivector(2, (QScalar.sqrt_disc(2), QScalar.sqrt_disc(3), 0, 0))
+        Multivector(3, (QScalar.sqrt_disc(2), QScalar.sqrt_disc(3), 0, 0, 0, 0, 0, 0))
 
 
 def test_multivectors_are_immutable():

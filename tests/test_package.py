@@ -15,7 +15,7 @@ PUBLIC = {
     "classify": "CoxeterMatrix Signature SurveyRow SurveyTable catalog coxeter_matrix "
                 "coxeter_order identify signature simple_roots_of survey",
     "clifford": "Multivector Rotor RotorGroup generate_rotor_group geometric_product reflect "
-                "reverse rotate rotor_from_vectors spinor_to_vec2 spinor_to_vec4",
+                "reverse rotate rotor_from_vectors spinor_to_vec4",
     "errors": "ClosureCapExceeded DegenerateFunctional DimensionMismatch DomainError "
               "FieldMismatch NonUnitVector NormNotInField NotRepresentable OddGradePresent "
               "RootspinError UnknownAngle ZeroRoot",

@@ -12,7 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import rootspin.qfield
-from rootspin import DomainError, FieldMismatch, QScalar, phi
+from rootspin import DomainError, FieldMismatch, QScalar, phi, vec
 from rootspin.lattice import field_sign
 from rootspin.qfield import field_sqrt, format_value, scalar_or_text
 from _util import (
@@ -188,6 +188,17 @@ class TestFieldAxioms:
         assert {QScalar(1), QScalar(-1, 0, 3), QScalar(Fraction(1, 4), 0, 5)} - {1, -1} == {
             Fraction(1, 4)
         }
+
+    def test_eq_with_an_int_or_a_fraction_builds_no_qscalar(self, count_qscalars):
+        # == reads an int or a Fraction operand's row (n, 0, d) as it is, with no bound;
+        # any other type, a 1D Vector of the same row included, is unequal
+        x, zero, root5, three = QScalar(3, 0, 5), QScalar(0), QScalar(0, 1, 5), vec(3)
+        assert x.row == three.row
+        with count_qscalars() as made:
+            assert x == 3 and 3 == x and x == Fraction(6, 2) and not x != 3 and zero == 0
+            assert x != Fraction(3, 2) and x != 2**70 and root5 != 0
+            assert x not in (3.0, "3", None, three) and three != x
+        assert made == []
 
     def test_canonical_form_unique(self):
         rng = random.Random(11)
