@@ -75,7 +75,7 @@ class TestGeometricProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch, match=r"^Cl\(3\) needs 8 coefficients, got 4$"):
             Multivector(3, [1, 0, 0, 1])
-        with pytest.raises(DimensionMismatch, match="^e4 does not exist in Cl\\(3\\)$"):
+        with pytest.raises(DimensionMismatch, match=r"^e4 does not exist in Cl\(3\)$"):
             Multivector.basis_vector(4, 3)
         for v in (vec(1), vec(1, 0, 0, 0)):
             with pytest.raises(DimensionMismatch, match=r"^a [14]D vector is not in Cl\(3\)$"):
