@@ -4,14 +4,15 @@ Every fixpoint loop in the package carries an element cap so that an input
 generating an infinite reflection group fails loudly instead of spinning.
 The caps are constants: 10^4 roots for the reflection closure and 10^5
 elements for the rotor group, the pair products of the roots.  Both add each
-new row through `admit`, the one place that checks the cap; its 64-bit
-range check is lattice.check_row.
+new row through `admit`, the one place that checks the cap, and which
+calls lattice.check_row, the one place the 64-bit bound is compared, on
+each row it admits.
 """
 
 from __future__ import annotations
 
 from .errors import ClosureCapExceeded
-from .lattice import _INT64_MAX, check_row
+from .lattice import check_row
 
 ROOT_CLOSURE_CAP = 10_000
 GROUP_CLOSURE_CAP = 100_000
@@ -29,12 +30,11 @@ def admit(x: tuple[int, ...], met: set, cap: int, what: str, unit: str) -> None:
     p_i/D or q_i/D of x leaves the 64-bit bound; ClosureCapExceeded once met
     holds more than cap rows.  what and unit name the set and what it counts.
     """
-    if max(map(abs, x)) > _INT64_MAX:  # inline: every closure element passes here
-        try:
-            check_row(x)
-        except OverflowError as exc:
-            raise OverflowError(f"{what} overflowed at {len(met)} {unit}; "
-                                "the input likely generates an infinite group") from exc
+    try:
+        check_row(x)
+    except OverflowError as exc:
+        raise OverflowError(f"{what} overflowed at {len(met)} {unit}; "
+                            "the input likely generates an infinite group") from exc
     met.add(x)
     if len(met) > cap:
         raise ClosureCapExceeded(f"{what} exceeded cap of {cap} {unit}")

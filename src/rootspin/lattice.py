@@ -12,7 +12,8 @@ immutability, equality, hashing, `is_zero`, order, lazy decoding and
 arithmetic (`+`, `-`, negation, `scale`), all on the row alone: `scale` is
 int_product of the row and its factor's row, whether the factor is an int, a
 Fraction or a QScalar, and `<` compares the rows' `coordinates` in turn by
-field_cmp.  qfield.QScalar, the one-coordinate row, roots.Vector and
+field_cmp, a QScalar's int or Fraction operand as the row (n, 0, d), so it is
+QScalar's order too.  qfield.QScalar, the one-coordinate row, roots.Vector and
 clifford.Multivector are its subclasses, and a RootSystem (roots.py) holds
 its roots' rows.  `int_numerators` encodes the QScalars a value is built
 from, and qfield.from_numerators decodes a row when its QScalars are first
@@ -24,8 +25,8 @@ of clifford.RotorGroup's constructors.
 The field's integer kernels are stated here, once: `common_disc`, the one
 field rule; `check_row`, the one 64-bit check of a new row; and `field_sign`
 and `field_cmp`, the sign and the order of values (x + y sqrt(d)) / z on ints
-with no bound, which QScalar's `sign` and comparisons, Exact's `<`,
-sorted_numerators and classify's Coxeter labels call.
+with no bound, which QScalar's `sign`, Exact's `<`, sorted_numerators and
+classify's Coxeter labels call.
 
 `int_product` is the geometric product of Cl(3), on rows of blade
 coefficients; the blade convention and the 4D readout of the even
@@ -108,7 +109,7 @@ def field_sign(x: int, y: int, disc: int) -> int:
 def field_cmp(s: tuple[int, int, int], t: tuple[int, int, int], disc: int) -> int:
     """Sign of s - t for s = (p_s, q_s, D_s), the value (p_s + q_s sqrt(d)) / D_s with D_s > 0,
     and t alike: that of (p_s D_t - p_t D_s) + (q_s D_t - q_t D_s) sqrt(d), on ints with no
-    bound.  The package's one exact order: QScalar's sign and comparisons, Exact's `<`,
+    bound.  The package's one exact order: QScalar's sign, Exact's `<` (QScalar's too),
     sorted_numerators and classify's Coxeter labels call it."""
     return field_sign(s[0] * t[2] - t[0] * s[2], s[1] * t[2] - t[1] * s[2], disc)
 
@@ -170,7 +171,9 @@ class Exact:
     int or Fraction whose row (n, 0, d) it holds, with no bound.  `+`, `-`, negation and
     `scale` run on rows and decode nothing, a new row 64-bit-checked by `_from_row`; `<`
     compares the coordinates in turn by field_cmp, each pair in its own field by
-    common_disc's rule, and decodes nothing either.  `_operand` refuses an operand of
+    common_disc's rule, and decodes nothing either; a QScalar compares with an int or a
+    Fraction as the row (n, 0, d), with no bound, and its `<=`, `>` and `>=` are `<` and
+    `==` combined by functools.total_ordering.  `_operand` refuses an operand of
     another type or dimension; QScalar's, the one a subclass overrides, also takes an int
     or a Fraction as a QScalar.  `scale` takes a factor whose class sets `_scalar`: a
     QScalar.
@@ -189,15 +192,13 @@ class Exact:
     @classmethod
     def _from_row(cls, x: Numerators, disc: int):
         """The value whose reduced row is x, over Q(sqrt(disc)), decoded on first read:
-        the one way a new row is wrapped.
+        the one way a new row is wrapped, checked and then set by Exact.__init__.
 
         check_row raises OverflowError for the first component that leaves the 64-bit bound.
         """
         check_row(x)
         out = object.__new__(cls)
-        object.__setattr__(out, "row", x)
-        object.__setattr__(out, "disc", disc)
-        object.__setattr__(out, "_values", None)
+        Exact.__init__(out, x, disc)
         return out
 
     def __setattr__(self, name, value):
@@ -224,7 +225,10 @@ class Exact:
         return hash(self.row)
 
     def __lt__(self, other) -> bool:
-        # the coordinates compared in turn by field_cmp, each pair in its own field
+        # the coordinates compared in turn by field_cmp, each pair in its own field; a QScalar
+        # takes an int or a Fraction as the row (n, 0, d), with no bound, as == does
+        if self._scalar and isinstance(other, (int, Fraction)):  # a rational fits any field
+            return field_cmp(self.row, (other.numerator, 0, other.denominator), self.disc) < 0
         other = self._operand(other)
         signs = (field_cmp(s, t, common_disc(((self.disc, s[1]), (other.disc, t[1]))))
                  for s, t in zip(coordinates(self.row), coordinates(other.row)))

@@ -5,8 +5,9 @@ positive integer d (the field discriminant); d = 1 means plain rationals
 and the surd part is absorbed on construction.  A QScalar is a
 lattice.Exact of one coordinate: its row (p, q, D), reduced with D > 0, is
 the value (p + q sqrt(d)) / D, and `rat`, `surd` and `disc` are read-only
-views of that row and its field.  Its `+`, `-`, negation and `==` are
-Exact's, its `*` is Exact.scale, and its sign and order are
+views of that row and its field.  Its `+`, `-`, negation, `==` and `<` are
+Exact's, its `*` is Exact.scale, its `<=`, `>` and `>=` are `<` and `==`
+combined by functools.total_ordering, and its sign, like Exact's `<`, is
 lattice.field_cmp on the row, so the package has one arithmetic, on ints:
 QScalar adds to it only the step that turns an int or a Fraction operand
 into a QScalar (`_operand`).  Each part is bounded to 64-bit numerator and
@@ -29,11 +30,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from itertools import product
 from typing import Optional, Union
 
 from .errors import DomainError
-from .lattice import Exact, Numerators, check_row, coordinates, field_cmp, vectors_disc
+from .lattice import Exact, Numerators, check_row, coordinates, field_cmp
 
 _SQUARE_FREE_CACHE: dict[int, bool] = {}
 
@@ -120,6 +122,7 @@ def from_numerators(x: Numerators, disc: int) -> tuple[QScalar, ...]:
     return tuple(out)
 
 
+@total_ordering
 class QScalar(Exact):
     """An exact element a + b*sqrt(d) of the quadratic field Q(sqrt(d)): the lattice.Exact
     whose row is the one coordinate (p, q, D), the value (p + q sqrt(d)) / D.
@@ -127,11 +130,11 @@ class QScalar(Exact):
     >>> phi = QScalar(Fraction(1, 2), Fraction(1, 2), 5)
     >>> phi.row
     (1, 1, 2)
-    >>> phi * phi == phi + QScalar.rational(1, disc=5)
+    >>> phi * phi == phi + 1
     True
     >>> float(phi)
     1.618033988749895
-    >>> (phi.inverse() + QScalar.rational(1, disc=5)) == phi
+    >>> phi.inverse() + 1 == phi
     True
     """
 
@@ -157,10 +160,6 @@ class QScalar(Exact):
     def surd(self) -> Fraction:
         """The coefficient b of sqrt(d)."""
         return Fraction(self.row[1], self.row[2])
-
-    @classmethod
-    def rational(cls, num, den=1, disc: int = 1) -> "QScalar":
-        return cls(Fraction(num, den), 0, disc)
 
     @classmethod
     def sqrt_disc(cls, disc: int) -> "QScalar":
@@ -219,26 +218,6 @@ class QScalar(Exact):
     def sign(self) -> int:
         """Sign of the real value a + b*sqrt(d): -1, 0 or +1, decided exactly."""
         return field_cmp(self.row, (0, 0, 1), self.disc)
-
-    def _cmp(self, other) -> int:
-        # the sign of self - other by field_cmp on the rows: an int or a Fraction is taken
-        # as it is, with no bound, and no QScalar is built
-        if isinstance(other, (int, Fraction)):  # a rational fits any field
-            return field_cmp(self.row, (other.numerator, 0, other.denominator), self.disc)
-        other = self._operand(other)  # TypeError for anything but a QScalar
-        return field_cmp(self.row, other.row, vectors_disc((self, other)))
-
-    def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
 
     def __hash__(self):
         # a rational value hashes as its Fraction, so it agrees with == on ints,

@@ -329,13 +329,12 @@ def test_the_bound_guard_finds_every_spelling():
 
 
 def test_the_64_bit_bound_is_compared_in_few_places():
-    # lattice.check_row is the one check of a new row, which Exact._from_row and
-    # QScalar.__init__ call and Exact.scale runs on an int or Fraction factor's row;
-    # caps.admit pre-checks inline, per element
+    # lattice.check_row is the one check of a new row, which Exact._from_row,
+    # QScalar.__init__ and caps.admit call and Exact.scale runs on an int or Fraction
+    # factor's row
     sites = {f"{path.stem}.{scope}" for path in sorted(PACKAGE.glob("*.py"))
              for scope in int64_comparisons(path.read_text())}
-    assert sites == {"caps.admit", "lattice.check_row"}
-    assert int64_comparisons((PACKAGE / "caps.py").read_text()) == ["admit"]
+    assert sites == {"lattice.check_row"}
 
 
 # a product kernel: a function named for a product, or a blade structure of one
@@ -421,11 +420,12 @@ def test_the_setter_guard_finds_every_spelling():
 
 
 def test_each_exact_value_has_one_way_in():
-    # a new row is wrapped by Exact._from_row alone, which 64-bit-checks it, and a
-    # QScalar's parts become its row in QScalar.__init__, which checks it and hands it to
-    # Exact.__init__; a rotor's unit test and the mirror check read the row's squared norm
-    # (roots._is_unit), not a geometric product; RotorGroup's public constructor and
-    # _trusted share one body; every Rotor passes Rotor.__init__'s checks
+    # a new row is wrapped by Exact._from_row alone, which 64-bit-checks it and sets it by
+    # Exact.__init__, the one body that sets a value's slots, and a QScalar's parts become
+    # its row in QScalar.__init__, which checks it and hands it to Exact.__init__; a rotor's
+    # unit test and the mirror check read the row's squared norm (roots._is_unit), not a
+    # geometric product; RotorGroup's public constructor and _trusted share one body; every
+    # Rotor passes Rotor.__init__'s checks
     from rootspin import RotorGroup, clifford, lattice, qfield, roots
 
     source = (PACKAGE / "lattice.py").read_text()
@@ -434,7 +434,7 @@ def test_each_exact_value_has_one_way_in():
     assert [node.name for node in exact.body if isinstance(node, ast.FunctionDef)
             and any(getattr(d, "id", None) == "classmethod" for d in node.decorator_list)
             ] == ["_from_row"]
-    assert setters_of("row", source) == ["Exact.__init__", "Exact._from_row"]
+    assert setters_of("row", source) == ["Exact.__init__"]
     assert setters_of("row", (PACKAGE / "qfield.py").read_text()) == []
     assert not hasattr(lattice.Exact, "_stored") and not hasattr(roots, "stored_vector")
     assert not hasattr(clifford, "_UNITS") and not hasattr(clifford, "_trusted_rotor")
@@ -483,23 +483,22 @@ def definers_of(name: str) -> list[str]:
                   if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
-_ORDER_SCOPES = {
-    "qfield": {f"QScalar.{name}" for name in ("_cmp", "__lt__", "__le__", "__gt__", "__ge__")},
-    "lattice": {"Exact.__lt__", "sorted_numerators"},
-}
+_ORDER_SCOPES = {"qfield": {"QScalar.sign"}, "lattice": {"Exact.__lt__", "sorted_numerators"}}
 
 
 def test_one_exact_order():
-    # lattice.field_cmp, on ints, is the one order: QScalar's sign and four comparisons,
-    # Exact's `<` (so Vector's, Multivector's and Rotor's), sorted_numerators and the
-    # Coxeter labels read it, and none of the first three decodes a row, builds a QScalar
-    # or takes the sign of a difference of QScalars
+    # lattice.field_cmp, on ints, is the one order: QScalar's sign, Exact's `<` (so
+    # QScalar's, Vector's, Multivector's and Rotor's), sorted_numerators and the Coxeter
+    # labels read it, and none of the first three decodes a row, builds a QScalar or takes
+    # the sign of a difference of QScalars; QScalar's `<=`, `>` and `>=` are `<` and `==`
+    # combined, so its class body defines no comparison of its own
     from rootspin import QScalar
+    from rootspin.lattice import Exact
 
     assert definers_of("field_cmp") == definers_of("field_sign") == ["lattice"]
     assert readers_of("field_cmp") == [
         "classify._label", "lattice.Exact.__lt__", "lattice.sorted_numerators",
-        "qfield.QScalar._cmp", "qfield.QScalar.sign"]
+        "qfield.QScalar.sign"]
     for stem, scopes in _ORDER_SCOPES.items():
         tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
         nodes = [node for scope, node in scoped_nodes(tree) if scope in scopes]
@@ -507,8 +506,11 @@ def test_one_exact_order():
                     if getattr(node, "attr", None) in ("_decoded", "_values", "coords", "sign")
                     or getattr(node, "id", None) in ("QScalar", "field_sign", "from_numerators")
                     or isinstance(getattr(node, "op", None), ast.Sub)]
-    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-        assert "_cmp" in getattr(QScalar, name).__code__.co_names
+    qscalar = next(node for node in ast.walk(ast.parse((PACKAGE / "qfield.py").read_text()))
+                   if isinstance(node, ast.ClassDef) and node.name == "QScalar")
+    assert not {name for node in qscalar.body for name in _defined_names(node)} & {
+        "_cmp", "__lt__", "__le__", "__gt__", "__ge__", "rational"}
+    assert QScalar.__lt__ is Exact.__lt__
 
 
 def test_one_text_of_a_value():

@@ -200,6 +200,15 @@ class TestFieldAxioms:
             assert x not in (3.0, "3", None, three) and three != x
         assert made == []
 
+    def test_order_with_an_int_or_a_fraction_builds_no_qscalar(self, count_qscalars):
+        # <, <=, > and >= read an int or a Fraction operand's row (n, 0, d) as it is, with no
+        # bound, either way round
+        x, golden = QScalar(3, 0, 5), phi()
+        with count_qscalars() as made:
+            assert x < 2**70 and golden > -(2**70) and 3 >= x and x <= Fraction(6, 2)
+            assert golden > Fraction(3, 2) and not golden >= Fraction(2**64 + 1, 2**63)
+        assert made == []
+
     def test_canonical_form_unique(self):
         rng = random.Random(11)
         for _ in range(500):
