@@ -244,48 +244,27 @@ class SurveyTable(NamedTuple):
     counterexample_name: str
     counterexample_absent: bool
 
-    def to_text(self) -> str:
-        headers = ("input", "dim", "root_count", "spinor_order", "induced_name", "axioms_ok")
-        grid = [headers]
+    def _grid(self, blank: str, verdict: dict) -> list[tuple[str, ...]]:
+        """The header, then one row of cells per input: a count there is none of is blank,
+        and axioms_ok is written verdict[axioms_ok]."""
+        grid = [("input", "dim", "root_count", "spinor_order", "induced_name", "axioms_ok")]
         for r in self.rows:
-            grid.append(
-                (
-                    r.input,
-                    str(r.dim),
-                    "-" if r.root_count is None else str(r.root_count),
-                    "-" if r.spinor_order is None else str(r.spinor_order),
-                    r.induced_name,
-                    "n/a" if r.axioms_ok is None else ("yes" if r.axioms_ok else "NO"),
-                )
-            )
-        widths = [max(len(row[c]) for row in grid) for c in range(len(headers))]
+            counts = (blank if n is None else str(n) for n in (r.root_count, r.spinor_order))
+            grid.append((r.input, str(r.dim), *counts, r.induced_name, verdict[r.axioms_ok]))
+        return grid
+
+    def to_text(self) -> str:
+        grid = self._grid("-", {None: "n/a", True: "yes", False: "NO"})
+        widths = [max(map(len, column)) for column in zip(*grid)]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in grid]
         verdict = "absent" if self.counterexample_absent else "PRESENT"
-        lines.append("")
-        lines.append(
-            f"signature of {self.counterexample_name} among induced systems: {verdict}"
-        )
-        notes = [r for r in self.rows if r.note]
-        for r in notes:
-            lines.append(f"note [{r.input}]: {r.note}")
+        lines += ["", f"signature of {self.counterexample_name} among induced systems: {verdict}"]
+        lines += [f"note [{r.input}]: {r.note}" for r in self.rows if r.note]
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["input,dim,root_count,spinor_order,induced_name,axioms_ok"]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        r.input,
-                        str(r.dim),
-                        "" if r.root_count is None else str(r.root_count),
-                        "" if r.spinor_order is None else str(r.spinor_order),
-                        r.induced_name,
-                        "" if r.axioms_ok is None else str(r.axioms_ok).lower(),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        grid = self._grid("", {None: "", True: "true", False: "false"})
+        return "".join(",".join(row) + "\n" for row in grid)
 
 
 @lru_cache(maxsize=None)
