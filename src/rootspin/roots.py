@@ -164,20 +164,17 @@ def row_in(v: Vector, disc: int) -> Numerators:
     return Vector(v.coords, disc=disc).row
 
 
+# the JSON key of each field of Provenance, in field order
+PROVENANCE_KEYS = ("preset", "file", "induced-from")
+
+
 class Provenance(NamedTuple):
     preset: Optional[str] = None
     file: Optional[str] = None
     induced_from: Optional[str] = None
 
     def as_dict(self) -> dict:
-        out = {}
-        if self.preset:
-            out["preset"] = self.preset
-        if self.file:
-            out["file"] = self.file
-        if self.induced_from:
-            out["induced-from"] = self.induced_from
-        return out
+        return {key: value for key, value in zip(PROVENANCE_KEYS, self) if value}
 
 
 class RootSystem:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import RootspinError
 from .qfield import _is_square_free
-from .roots import Provenance, RootSystem, row_vector
+from .roots import PROVENANCE_KEYS, Provenance, RootSystem, row_vector
 
 FORMAT_VERSION = 1
 
@@ -122,11 +122,7 @@ def root_system_from_json(text: str) -> RootSystem:
         [row_vector(_quads_row(coords, disc), disc) for coords in doc["roots"]],
         disc=disc,
         label=doc.get("label"),
-        provenance=Provenance(
-            preset=prov.get("preset"),
-            file=prov.get("file"),
-            induced_from=prov.get("induced-from"),
-        ),
+        provenance=Provenance(*map(prov.get, PROVENANCE_KEYS)),
     )
 
 
